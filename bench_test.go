@@ -300,8 +300,9 @@ func BenchmarkSearchDecision(b *testing.B) {
 // BenchmarkParallelSearchDecision measures the same decision with the
 // parallel search at one worker per CPU. The committed schedules are
 // identical to the sequential ones; only wall time changes. On a
-// single-CPU machine this degenerates to the sequential path. See
-// cmd/searchbench for the standalone harness emitting BENCH_search.json.
+// single-CPU machine this degenerates to the sequential path. The
+// repository benchmark's deep_decide workload (bench/) reports the same
+// comparison as core.par_speedup_d64.
 func BenchmarkParallelSearchDecision(b *testing.B) {
 	for _, bench := range []struct {
 		name string

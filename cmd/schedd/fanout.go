@@ -21,10 +21,8 @@ import (
 // parseable "listening on HOST:PORT" start-up lines; base URLs are
 // returned in shard order once every child is accepting.
 //
-// Leftover non-empty shard journals are rotated to <path>.shard-N.old
-// first, matching the in-process federated start-up: the front-end
-// assigns job IDs from 1 on every boot, so resuming a child over an old
-// run's events would collide IDs across incarnations.
+// Leftover non-empty shard journals are rotated aside first (see
+// rotateShardJournal).
 //
 // On a partial boot failure every already-started child is killed and
 // reaped before the error returns.
@@ -45,17 +43,13 @@ func spawnShardProcs(n, capacity int, baseArgs []string, dur durOptions) (urls [
 			}
 		}
 	}()
-	rotated := 0
 	for i := 0; i < n; i++ {
 		args := append([]string(nil), baseArgs...)
 		args = append(args, "-addr", "127.0.0.1:0", "-capacity", strconv.Itoa(caps[i]))
 		if dur.path != "" {
-			spath := fmt.Sprintf("%s.shard-%d", dur.path, i)
-			if st, serr := os.Stat(spath); serr == nil && st.Size() > 0 {
-				if rerr := os.Rename(spath, spath+".old"); rerr != nil {
-					return nil, nil, fmt.Errorf("rotate shard journal %s: %w", spath, rerr)
-				}
-				rotated++
+			var spath string
+			if spath, err = rotateShardJournal(dur.path, i); err != nil {
+				return nil, nil, err
 			}
 			args = append(args,
 				"-journal", spath,
@@ -98,10 +92,6 @@ func spawnShardProcs(n, capacity int, baseArgs []string, dur durOptions) (urls [
 		// on exit) so it never blocks on a full pipe.
 		go io.Copy(io.Discard, br)
 		logger.Info("spawned fanout shard", "shard", i, "shards", n, "nodes", caps[i], "url", urls[i])
-	}
-	if rotated > 0 {
-		logger.Warn("rotated non-empty shard journals (fanout start-up does not resume them)",
-			"count", rotated, "to", dur.path+".shard-N.old")
 	}
 	return urls, procs, nil
 }

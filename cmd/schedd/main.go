@@ -131,9 +131,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"os/exec"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -142,7 +140,6 @@ import (
 
 	"schedsearch"
 	"schedsearch/internal/chaos"
-	"schedsearch/internal/core"
 	"schedsearch/internal/engine"
 	"schedsearch/internal/federation"
 	"schedsearch/internal/ingest"
@@ -151,150 +148,27 @@ import (
 	"schedsearch/internal/oracle"
 	"schedsearch/internal/server"
 	"schedsearch/internal/sim"
-	"schedsearch/internal/trace"
 	"schedsearch/internal/workload"
 )
 
 func main() {
-	var (
-		policyArg = flag.String("policy", "DDS/lxf/dynB", "scheduling policy name (see ParsePolicy)")
-		nodeLimit = flag.Int("L", 1000, "search node limit per decision")
-		workers   = flag.Int("workers", 1, "parallel search workers for search policies (0 or 1 sequential, -1 one per CPU)")
-		warm      = flag.Bool("warm", false, "warm-start the search from the previous decision's best ordering (search policies)")
-		slo       = flag.Duration("slo", 0, "per-decision latency SLO; adapts the node budget to the observed ns/node rate (0 = fixed -L)")
-		capacity  = flag.Int("capacity", workload.Capacity, "machine size in nodes")
-		addr      = flag.String("addr", ":8080", "HTTP listen address (serving mode)")
-		requested = flag.Bool("requested", false, "policies plan with requested runtimes (R* = R)")
-		speedup   = flag.Float64("speedup", 1, "engine seconds per wall second")
-		virtual   = flag.Bool("virtual", false, "replay a workload on a virtual clock instead of serving")
-		swfIn     = flag.String("swf", "", "replay this SWF trace file (plain or .gz)")
-		month     = flag.String("month", "7/03", "generated month to replay (6/03 .. 3/04)")
-		seed      = flag.Uint64("seed", 1, "workload generation seed")
-		scale     = flag.Float64("scale", 1, "job-count/duration scale factor for generated months")
-		load      = flag.Float64("load", 0, "target offered load for generated months (0 = original)")
-		chaosSeed = flag.Uint64("chaos", 0, "dev fault injection: wrap the policy in a seeded panic/latency injector and verify the run against the schedule oracle (0 = off)")
-		shards    = flag.Int("shards", 1, "engine shards; >1 federates the machine behind a routing front-end")
-		placement = flag.String("placement", "least-loaded", "federation placement policy: least-loaded, best-fit or hash-by-user")
-		rebalance = flag.Int64("rebalance", 60, "federation rebalance period in engine seconds (0 = off)")
-		gossip    = flag.Int64("gossip", 60, "federation load-gossip period in engine seconds (0 = off); remote federations also reconcile parked wire-uncertain migration steps on this tick")
-		steal     = flag.Bool("steal", false, "enable the gossip pass's work-stealing step: a shard with free nodes and an empty queue takes queued work from the most loaded shard")
-		join      = flag.String("join", "", "serve as a federation front-end over these already-running out-of-process shard daemons (comma-separated base URLs, e.g. http://10.0.0.1:8080,http://10.0.0.2:8080)")
-		fanout    = flag.Int("fanout", 0, "spawn N schedd shard child processes on loopback ports and front them (serving mode; each child owns its slice of -capacity and, with -journal, its own <path>.shard-N journal)")
-
-		journalPath  = flag.String("journal", "", "append committed events to this journal file and recover from it on start (serving mode; federation appends to <path>.shard-N)")
-		groupCommit  = flag.Int("group-commit", 64, "journal appends per fsync (1 = fsync every commit)")
-		compactEvery = flag.Int("compact-every", 4096, "fold the journal into a checkpoint once the tail exceeds N events (0 = never compact)")
-		ingPending   = flag.Int("ingest-pending", 4096, "accept-queue bound on accepted-but-uncommitted submissions; saturated submits get 503 + Retry-After (0 = admit synchronously, no queue)")
-		ingBatch     = flag.Int("ingest-batch", 64, "max submissions the ingest committer folds into one commit group (= one journal fsync)")
-		quotaRate    = flag.Float64("quota-rate", 0, "per-user admission tokens per engine second (0 = no quotas)")
-		quotaBurst   = flag.Float64("quota-burst", 32, "per-user token bucket size")
-
-		traceOut    = flag.String("trace-out", "", "enable cross-process tracing and write the spans as Chrome trace-event JSON (Perfetto-loadable) to this file on exit")
-		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof on this extra listen address (empty = off)")
-		flightSize  = flag.Int("flight", 256, "decision flight-recorder ring size, served at GET /v1/debug/decisions (0 = off)")
-		cachedLoads = flag.Bool("cached-loads", false, "federation placement probes the gossip-refreshed load cache instead of issuing a live per-shard load call on every submission (loads up to -gossip old)")
-	)
-	flag.Parse()
-
-	// Validate once up front, then hand shards a factory: every shard
-	// (and every post-crash rebuild) gets its own policy instance.
-	if _, err := schedsearch.ParsePolicy(*policyArg, *nodeLimit); err != nil {
-		fatal(err)
+	cfg, err := parseConfig(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return // the flag set already printed the usage
 	}
-	chaosOn := *chaosSeed > 0
-	mkPolicy := func(int) sim.Policy {
-		pol, err := schedsearch.ParsePolicy(*policyArg, *nodeLimit)
-		if err != nil {
-			panic(err) // validated above
+	if err == nil {
+		if cfg.chaosSeed > 0 {
+			logger.Info("chaos mode on: injecting policy panics and latency", "seed", cfg.chaosSeed)
 		}
-		if sch, ok := pol.(*core.Scheduler); ok {
-			sch.Workers = *workers
-			sch.WarmStart = *warm
-			sch.SLO = *slo
-		}
-		if mp, ok := pol.(*schedsearch.MetaScheduler); ok {
-			mp.SetSearchOptions(*workers, *warm)
-		}
-		if chaosOn {
-			// The seed varies the injection cadence, so different seeds
-			// exercise different decision points; the oracle rides along
-			// and the run fails loudly on any invariant violation.
-			pol = &chaos.FlakyPolicy{
-				Inner:        pol,
-				PanicEvery:   int(5 + *chaosSeed%7),
-				LatencyEvery: int(2 + *chaosSeed%3),
-				Latency:      100 * time.Microsecond,
-			}
-		}
-		return pol
-	}
-	if chaosOn {
-		logger.Info("chaos mode on: injecting policy panics and latency", "seed", *chaosSeed)
-	}
-	fed := fedOptions{
-		shards:    *shards,
-		rebalance: job.Duration(*rebalance),
-		gossip:    job.Duration(*gossip),
-		steal:     *steal,
-		fanout:    *fanout,
-	}
-	if *join != "" {
-		for _, u := range strings.Split(*join, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				fed.join = append(fed.join, u)
-			}
+		if cfg.replayMode() {
+			err = replay(cfg)
+		} else {
+			err = serve(cfg)
 		}
 	}
-	remote := len(fed.join) > 0 || fed.fanout > 0
-	if remote {
-		if len(fed.join) > 0 && fed.fanout > 0 {
-			fatal(errors.New("-join and -fanout are mutually exclusive"))
-		}
-		if fed.fanout == 1 || fed.fanout < 0 {
-			fatal(fmt.Errorf("-fanout %d: want at least 2 shard processes", fed.fanout))
-		}
-		if *shards > 1 {
-			fatal(errors.New("-shards federates in process; drop it when using -join or -fanout"))
-		}
-		if *virtual || *swfIn != "" {
-			fatal(errors.New("-join/-fanout are serving-mode only (replay has no remote shards)"))
-		}
-		if chaosOn {
-			fatal(errors.New("-chaos is not supported on a remote federation front-end"))
-		}
-		// Children re-run this binary with the policy flags forwarded;
-		// they admit synchronously (no accept queue) — batching belongs
-		// to the front-end, and migration steps bypass ingest anyway.
-		fed.childArgs = []string{
-			"-policy", *policyArg,
-			"-L", strconv.Itoa(*nodeLimit),
-			"-workers", strconv.Itoa(*workers),
-			fmt.Sprintf("-warm=%v", *warm),
-			"-slo", slo.String(),
-			fmt.Sprintf("-requested=%v", *requested),
-			"-speedup", strconv.FormatFloat(*speedup, 'g', -1, 64),
-			"-ingest-pending", "0",
-		}
-	}
-	if *shards > 1 || remote {
-		place, err := federation.ParsePlacement(*placement)
-		if err != nil {
-			fatal(err)
-		}
-		fed.placement = place
-	}
-
-	obsO := obsOptions{traceOut: *traceOut, debugAddr: *debugAddr, flight: *flightSize, cachedLoads: *cachedLoads}
-	if *virtual || *swfIn != "" {
-		if err := replay(mkPolicy, *swfIn, *month, *seed, *scale, *load, *capacity, *requested, chaosOn, fed, obsO); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	dur := durOptions{path: *journalPath, group: *groupCommit, compactEvery: *compactEvery}
-	ing := ingOptions{pending: *ingPending, batch: *ingBatch, quotaRate: *quotaRate, quotaBurst: *quotaBurst}
-	if err := serve(mkPolicy, *addr, *capacity, *requested, *speedup, chaosOn, fed, dur, ing, obsO); err != nil {
-		fatal(err)
+	if err != nil {
+		logger.Error(err.Error())
+		os.Exit(1)
 	}
 }
 
@@ -303,13 +177,168 @@ func main() {
 // supervisor's, tagged with the shard index).
 var logger = obs.NewLogger(os.Stderr, "schedd")
 
+// config is the parsed and cross-checked command line.
+type config struct {
+	policy    string
+	nodeLimit int
+	workers   int
+	warm      bool
+	slo       time.Duration
+	capacity  int
+	addr      string
+	requested bool
+	speedup   float64
+	virtual   bool
+	swf       string
+	month     string
+	seed      uint64
+	scale     float64
+	load      float64
+	chaosSeed uint64
+
+	fed fedOptions
+	dur durOptions
+	ing ingOptions
+	obs obsOptions
+}
+
+// replayMode reports whether the run replays a workload on the virtual
+// clock instead of serving.
+func (c config) replayMode() bool { return c.virtual || c.swf != "" }
+
+// parseConfig parses the command line and rejects flag combinations no
+// mode can honour, so every such mistake is an error here instead of an
+// exit deep in start-up.
+func parseConfig(args []string) (config, error) {
+	var c config
+	var placement, join string
+	fs := flag.NewFlagSet("schedd", flag.ContinueOnError)
+	fs.StringVar(&c.policy, "policy", "DDS/lxf/dynB", "scheduling policy name (see ParsePolicy)")
+	fs.IntVar(&c.nodeLimit, "L", 1000, "search node limit per decision")
+	fs.IntVar(&c.workers, "workers", 1, "parallel search workers for search policies (0 or 1 sequential, -1 one per CPU)")
+	fs.BoolVar(&c.warm, "warm", false, "warm-start the search from the previous decision's best ordering (search policies)")
+	fs.DurationVar(&c.slo, "slo", 0, "per-decision latency SLO; adapts the node budget to the observed ns/node rate (0 = fixed -L)")
+	fs.IntVar(&c.capacity, "capacity", workload.Capacity, "machine size in nodes")
+	fs.StringVar(&c.addr, "addr", ":8080", "HTTP listen address (serving mode)")
+	fs.BoolVar(&c.requested, "requested", false, "policies plan with requested runtimes (R* = R)")
+	fs.Float64Var(&c.speedup, "speedup", 1, "engine seconds per wall second")
+	fs.BoolVar(&c.virtual, "virtual", false, "replay a workload on a virtual clock instead of serving")
+	fs.StringVar(&c.swf, "swf", "", "replay this SWF trace file (plain or .gz)")
+	fs.StringVar(&c.month, "month", "7/03", "generated month to replay (6/03 .. 3/04)")
+	fs.Uint64Var(&c.seed, "seed", 1, "workload generation seed")
+	fs.Float64Var(&c.scale, "scale", 1, "job-count/duration scale factor for generated months")
+	fs.Float64Var(&c.load, "load", 0, "target offered load for generated months (0 = original)")
+	fs.Uint64Var(&c.chaosSeed, "chaos", 0, "dev fault injection: wrap the policy in a seeded panic/latency injector and verify the run against the schedule oracle (0 = off)")
+	fs.IntVar(&c.fed.shards, "shards", 1, "engine shards; >1 federates the machine behind a routing front-end")
+	fs.StringVar(&placement, "placement", "least-loaded", "federation placement policy: least-loaded, best-fit or hash-by-user")
+	fs.Int64Var(&c.fed.rebalance, "rebalance", 60, "federation rebalance period in engine seconds (0 = off)")
+	fs.Int64Var(&c.fed.gossip, "gossip", 60, "federation load-gossip period in engine seconds (0 = off); remote federations also reconcile parked wire-uncertain migration steps on this tick")
+	fs.BoolVar(&c.fed.steal, "steal", false, "enable the gossip pass's work-stealing step: a shard with free nodes and an empty queue takes queued work from the most loaded shard")
+	fs.StringVar(&join, "join", "", "serve as a federation front-end over these already-running out-of-process shard daemons (comma-separated base URLs, e.g. http://10.0.0.1:8080,http://10.0.0.2:8080)")
+	fs.IntVar(&c.fed.fanout, "fanout", 0, "spawn N schedd shard child processes on loopback ports and front them (serving mode; each child owns its slice of -capacity and, with -journal, its own <path>.shard-N journal)")
+
+	fs.StringVar(&c.dur.path, "journal", "", "append committed events to this journal file and recover from it on start (serving mode; federation appends to <path>.shard-N)")
+	fs.IntVar(&c.dur.group, "group-commit", 64, "journal appends per fsync (1 = fsync every commit)")
+	fs.IntVar(&c.dur.compactEvery, "compact-every", 4096, "fold the journal into a checkpoint once the tail exceeds N events (0 = never compact)")
+	fs.IntVar(&c.ing.pending, "ingest-pending", 4096, "accept-queue bound on accepted-but-uncommitted submissions; saturated submits get 503 + Retry-After (0 = admit synchronously, no queue)")
+	fs.IntVar(&c.ing.batch, "ingest-batch", 64, "max submissions the ingest committer folds into one commit group (= one journal fsync)")
+	fs.Float64Var(&c.ing.quotaRate, "quota-rate", 0, "per-user admission tokens per engine second (0 = no quotas)")
+	fs.Float64Var(&c.ing.quotaBurst, "quota-burst", 32, "per-user token bucket size")
+
+	fs.StringVar(&c.obs.traceOut, "trace-out", "", "enable cross-process tracing and write the spans as Chrome trace-event JSON (Perfetto-loadable) to this file on exit")
+	fs.StringVar(&c.obs.debugAddr, "debug-addr", "", "serve net/http/pprof on this extra listen address (empty = off)")
+	fs.IntVar(&c.obs.flight, "flight", 256, "decision flight-recorder ring size, served at GET /v1/debug/decisions (0 = off)")
+	if err := fs.Parse(args); err != nil {
+		return config{}, err
+	}
+
+	if _, err := schedsearch.ParsePolicy(c.policy, c.nodeLimit); err != nil {
+		return config{}, err
+	}
+	for _, u := range strings.Split(join, ",") {
+		if u = strings.TrimSpace(u); u != "" {
+			c.fed.join = append(c.fed.join, u)
+		}
+	}
+	if c.replayMode() {
+		var stray []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "addr", "journal", "ingest-pending", "ingest-batch", "quota-rate", "quota-burst":
+				stray = append(stray, "-"+f.Name)
+			}
+		})
+		if len(stray) > 0 {
+			return config{}, fmt.Errorf("%s: serving-mode only (a replay has no listener, journal, accept queue or quotas)",
+				strings.Join(stray, ", "))
+		}
+	}
+	if c.fed.fanout == 1 || c.fed.fanout < 0 {
+		return config{}, fmt.Errorf("-fanout %d: want at least 2 shard processes", c.fed.fanout)
+	}
+	if c.fed.remote() {
+		switch {
+		case len(c.fed.join) > 0 && c.fed.fanout > 0:
+			return config{}, errors.New("-join and -fanout are mutually exclusive")
+		case c.fed.shards > 1:
+			return config{}, errors.New("-shards federates in process; drop it when using -join or -fanout")
+		case c.replayMode():
+			return config{}, errors.New("-join/-fanout are serving-mode only (replay has no remote shards)")
+		case c.chaosSeed > 0:
+			return config{}, errors.New("-chaos is not supported on a remote federation front-end")
+		}
+		// Children re-run this binary with the policy flags forwarded;
+		// they admit synchronously (no accept queue) — batching belongs
+		// to the front-end, and migration steps bypass ingest anyway.
+		c.fed.childArgs = []string{
+			"-policy", c.policy,
+			"-L", strconv.Itoa(c.nodeLimit),
+			"-workers", strconv.Itoa(c.workers),
+			fmt.Sprintf("-warm=%v", c.warm),
+			"-slo", c.slo.String(),
+			fmt.Sprintf("-requested=%v", c.requested),
+			"-speedup", strconv.FormatFloat(c.speedup, 'g', -1, 64),
+			"-ingest-pending", "0",
+		}
+	}
+	if c.fed.federated() {
+		place, err := federation.ParsePlacement(placement)
+		if err != nil {
+			return config{}, err
+		}
+		c.fed.placement = place
+	}
+	return c, nil
+}
+
+// newPolicy builds one policy instance from the validated flags: every
+// shard (and every post-crash rebuild) gets its own.
+func (c config) newPolicy(int) sim.Policy {
+	pol, err := schedsearch.ParsePolicy(c.policy, c.nodeLimit)
+	if err != nil {
+		panic(err) // parseConfig validated it
+	}
+	schedsearch.ApplySearchOptions(pol, c.workers, c.warm, c.slo)
+	if c.chaosSeed > 0 {
+		// The seed varies the injection cadence, so different seeds
+		// exercise different decision points; the oracle rides along
+		// and the run fails loudly on any invariant violation.
+		pol = &chaos.FlakyPolicy{
+			Inner:        pol,
+			PanicEvery:   int(5 + c.chaosSeed%7),
+			LatencyEvery: int(2 + c.chaosSeed%3),
+			Latency:      100 * time.Microsecond,
+		}
+	}
+	return pol
+}
+
 // obsOptions carry the observability flags. A non-empty traceOut turns
 // tracing on; flight <= 0 turns the decision flight recorder off.
 type obsOptions struct {
-	traceOut    string
-	debugAddr   string
-	flight      int
-	cachedLoads bool
+	traceOut  string
+	debugAddr string
+	flight    int
 }
 
 // tracer builds the run's tracer, or nil when tracing is off.
@@ -396,8 +425,8 @@ type fedOptions struct {
 	gossip    job.Duration
 	steal     bool
 	// join lists out-of-process shard base URLs to front; fanout spawns
-	// that many shard child processes instead. Either makes serve build
-	// a remote federation (RemoteShard clients behind the router).
+	// that many shard child processes instead. Either makes the stack a
+	// remote federation (RemoteShard clients behind the router).
 	join      []string
 	fanout    int
 	childArgs []string // pass-through flags for fanout children
@@ -406,67 +435,23 @@ type fedOptions struct {
 // remote reports whether the federation is out of process.
 func (f fedOptions) remote() bool { return len(f.join) > 0 || f.fanout > 0 }
 
-// backend is what both run modes drive: a bare *engine.Engine or a
-// *federation.Router.
-type backend interface {
-	server.Backend
-	Records() []sim.Record
-	Err() error
-	Now() job.Time
-}
-
-// verify renders the chaos-mode verdict after a run. A bare engine is
-// checked by its live oracle plus the record sweep; a federation by the
-// global cross-shard sweep (partition geometry, shard-local node IDs,
-// conservation across migrations).
-func verify(orc *oracle.Oracle, bk backend, router *federation.Router) error {
-	if router != nil {
-		shardRecs := make([][]sim.Record, router.NumShards())
-		for i := range shardRecs {
-			shardRecs[i] = router.ShardRecords(i)
-		}
-		if err := oracle.CheckFederation(bk.Metrics().Capacity, router.ShardCapacities(), nil, shardRecs); err != nil {
-			return err
-		}
-		fm := router.Federation()
-		logger.Info("federation oracle verdict: clean",
-			"jobs", len(bk.Records()), "shards", fm.Shards, "migrations", fm.Migrations)
-		return nil
-	}
-	if orc == nil {
-		return nil
-	}
-	if err := orc.Final(); err != nil {
-		return err
-	}
-	if err := oracle.CheckRecords(bk.Metrics().Capacity, nil, bk.Records()); err != nil {
-		return err
-	}
-	logger.Info("chaos oracle verdict: clean",
-		"jobs", len(bk.Records()), "recovered_panics", bk.Metrics().Engine.PolicyPanics)
-	return nil
-}
-
-func fatal(err error) {
-	logger.Error(err.Error())
-	os.Exit(1)
-}
+// federated reports whether a router fronts the machine at all.
+func (f fedOptions) federated() bool { return f.shards > 1 || f.remote() }
 
 // serve runs the daemon: a real-clock engine (or federation) behind the
 // HTTP API. POST /v1/drain (or SIGINT/SIGTERM) triggers a graceful
 // shutdown once the machine has emptied.
-func serve(mkPolicy func(int) sim.Policy, addr string, capacity int, requested bool,
-	speedup float64, chaosOn bool, fed fedOptions, dur durOptions, ing ingOptions, obsO obsOptions) error {
+func serve(c config) error {
 	// A non-empty single-engine journal is recovered before the clock
 	// starts: the rebuilt engine resumes at the last journaled instant,
 	// so re-armed completion timers fire in the future, never the past.
 	var recovered *engine.Checkpoint
 	start := job.Time(0)
-	if dur.path != "" && fed.shards <= 1 && !fed.remote() {
-		if st, err := os.Stat(dur.path); err == nil && st.Size() > 0 {
+	if c.dur.path != "" && !c.fed.federated() {
+		if st, err := os.Stat(c.dur.path); err == nil && st.Size() > 0 {
 			// RecoverCheckpoint truncates any torn tail, so the O_APPEND
-			// handle opened below starts on a clean line boundary.
-			cp, err := engine.RecoverCheckpoint(dur.path)
+			// handle opened by the stack starts on a clean line boundary.
+			cp, err := engine.RecoverCheckpoint(c.dur.path)
 			if err != nil {
 				return err
 			}
@@ -481,194 +466,46 @@ func serve(mkPolicy func(int) sim.Policy, addr string, capacity int, requested b
 			}
 		}
 	}
-	clock := engine.NewRealClockAt(start, speedup)
-	tr := obsO.tracer(nil)
-	flight := obsO.recorder()
-
-	var (
-		bk       backend
-		router   *federation.Router
-		orc      *oracle.Oracle
-		journals []*engine.FileJournal
-		children []*exec.Cmd
-	)
-	defer func() {
-		// Fanout children normally exit on their own after the drain the
-		// router forwards to them; this reap catches error paths (and is
-		// a no-op kill on an already-exited child).
-		for _, c := range children {
-			_ = c.Process.Kill()
-			_ = c.Wait()
-		}
-	}()
-	if fed.remote() {
-		urls := fed.join
-		if fed.fanout > 0 {
-			var err error
-			urls, children, err = spawnShardProcs(fed.fanout, capacity, fed.childArgs, dur)
-			if err != nil {
-				return err
-			}
-		} else if dur.path != "" {
-			logger.Warn("-journal is ignored with -join (each shard daemon owns its journal)")
-		}
-		shardClients := make([]engine.Shard, len(urls))
-		for i, u := range urls {
-			shardClients[i] = federation.NewRemoteShard(u, federation.RemoteShardOptions{
-				Logger: logger,
-				Tracer: tr,
-			})
-		}
-		r, err := federation.NewWithShards(federation.Config{
-			Clock:          clock,
-			Placement:      fed.placement,
-			RebalanceEvery: fed.rebalance,
-			GossipEvery:    fed.gossip,
-			WorkStealing:   fed.steal,
-			CachedLoads:    obsO.cachedLoads,
-			Tracer:         tr,
-			Logger:         obs.NewLogger(os.Stderr, "router"),
-		}, shardClients)
-		if err != nil {
-			return err
-		}
-		bk, router = r, r
-	} else if fed.shards > 1 {
-		fcfg := federation.Config{
-			Capacity:       capacity,
-			Shards:         fed.shards,
-			Policy:         mkPolicy,
-			Placement:      fed.placement,
-			Clock:          clock,
-			UseRequested:   requested,
-			RebalanceEvery: fed.rebalance,
-			GossipEvery:    fed.gossip,
-			WorkStealing:   fed.steal,
-			CachedLoads:    obsO.cachedLoads,
-			Tracer:         tr,
-			Flight:         flight,
-			Logger:         obs.NewLogger(os.Stderr, "router"),
-		}
-		if dur.path != "" {
-			// Shard journals are opened up front so factory calls (initial
-			// construction and any crash-rebuild) cannot fail; a rebuild of
-			// shard i keeps appending to the same open file. Federated
-			// start-up does not recover from shard journals, so a leftover
-			// non-empty file is rotated aside rather than appended to —
-			// interleaving a fresh run (restarted clock, reused job IDs)
-			// after the old run's events would corrupt both.
-			journals = make([]*engine.FileJournal, fed.shards)
-			rotated := 0
-			for i := range journals {
-				spath := fmt.Sprintf("%s.shard-%d", dur.path, i)
-				if st, err := os.Stat(spath); err == nil && st.Size() > 0 {
-					if err := os.Rename(spath, spath+".old"); err != nil {
-						return fmt.Errorf("rotate shard journal %s: %w", spath, err)
-					}
-					rotated++
-				}
-				fj, err := engine.OpenFileJournal(spath, dur.group)
-				if err != nil {
-					return err
-				}
-				journals[i] = fj
-			}
-			if rotated > 0 {
-				logger.Warn("rotated non-empty shard journals (federated start-up does not recover them)",
-					"count", rotated, "to", dur.path+".shard-N.old")
-			}
-			fcfg.Journal = func(shard int) engine.JournalSink { return journals[shard] }
-			fcfg.CompactEvery = dur.compactEvery
-			logger.Info("journaling shards (write-only; start-up recovery is single-engine)",
-				"shards", fed.shards, "path", dur.path+".shard-N")
-		}
-		r, err := federation.New(fcfg)
-		if err != nil {
-			return err
-		}
-		bk, router = r, r
-	} else {
-		if chaosOn {
-			orc = oracle.New(capacity)
-		}
-		cfg := engine.Config{
-			Capacity:     capacity,
-			Policy:       mkPolicy(0),
-			Clock:        clock,
-			UseRequested: requested,
-			Flight:       flight,
-			Tracer:       tr,
-		}
-		if orc != nil {
-			// Assigning a nil *Oracle directly would store a typed-nil
-			// Observer the ledger's nil check cannot see.
-			cfg.Observer = orc
-		}
-		if dur.path != "" {
-			fj, err := engine.OpenFileJournal(dur.path, dur.group)
-			if err != nil {
-				return err
-			}
-			journals = append(journals, fj)
-			cfg.Journal = fj
-			cfg.CompactEvery = dur.compactEvery
-		}
-		var e *engine.Engine
-		var err error
-		if recovered != nil {
-			e, err = engine.Rebuild(cfg, *recovered)
-			if err != nil {
-				return fmt.Errorf("recover %s: %w", dur.path, err)
-			}
-			base := 0
-			if recovered.Base != nil {
-				base = len(recovered.Base.Done) + len(recovered.Base.Running) + len(recovered.Base.Waiting)
-			}
-			logger.Info("recovered journal", "path", dur.path,
-				"base_jobs", base, "tail_events", len(recovered.Events), "resumed_t", int64(start))
-		} else {
-			e, err = engine.New(cfg)
-			if err != nil {
-				return err
-			}
-		}
-		bk = e
+	tr := c.obs.tracer(nil)
+	st, err := buildBackend(c, engine.NewRealClockAt(start, c.speedup),
+		sim.Input{Capacity: c.capacity, UseRequested: c.requested}, tr, recovered)
+	// Fanout children normally exit on their own after the drain the
+	// router forwards to them; this reap catches error paths (and is a
+	// no-op once the clean path below has waited for them).
+	defer st.killChildren()
+	if err != nil {
+		return err
 	}
+	bk := st.bk
 
 	// The accept queue sits between the HTTP layer and the backend:
 	// batched submits commit through it in arrival order, one journal
 	// fsync per committer group.
 	var q *ingest.Queue
 	var opts []server.Option
-	if ing.pending > 0 {
+	if c.ing.pending > 0 {
 		qcfg := ingest.Config{
 			Backend:    bk,
-			MaxPending: ing.pending,
-			MaxBatch:   ing.batch,
+			MaxPending: c.ing.pending,
+			MaxBatch:   c.ing.batch,
 		}
-		if ing.quotaRate > 0 {
-			qcfg.Quotas = ingest.NewQuotas(ing.quotaRate, ing.quotaBurst, bk.Now)
+		if c.ing.quotaRate > 0 {
+			qcfg.Quotas = ingest.NewQuotas(c.ing.quotaRate, c.ing.quotaBurst, bk.Now)
 		}
-		var err error
-		q, err = ingest.NewQueue(qcfg)
-		if err != nil {
+		if q, err = ingest.NewQueue(qcfg); err != nil {
 			return err
 		}
 		opts = append(opts, server.WithIngest(q))
 	}
-	if flight != nil && !fed.remote() {
+	if st.flight != nil && !c.fed.remote() {
 		// A remote front-end has no in-process engines to record; each
 		// shard daemon serves its own /v1/debug/decisions.
-		opts = append(opts, server.WithFlight(flight))
+		opts = append(opts, server.WithFlight(st.flight))
 	}
 	if tr != nil {
-		shard := 0
-		if router != nil {
-			shard = -1 // the router's lane in the trace timeline
-		}
-		opts = append(opts, server.WithTracer(tr, shard))
+		opts = append(opts, server.WithTracer(tr, st.frontShard()))
 	}
-	dbg, err := obsO.serveDebug()
+	dbg, err := c.obs.serveDebug()
 	if err != nil {
 		return err
 	}
@@ -676,40 +513,36 @@ func serve(mkPolicy func(int) sim.Policy, addr string, capacity int, requested b
 		defer dbg.Close()
 	}
 
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", c.addr)
 	if err != nil {
 		return err
 	}
 	httpSrv := &http.Server{}
-	httpSrv.Handler = server.New(bk, func() {
-		// Drained: stop accepting connections and let main return.
+	srv := server.New(bk, func() {
+		// Drained: stop accepting connections and let serve return.
 		_ = httpSrv.Shutdown(context.Background())
 	}, opts...)
+	httpSrv.Handler = srv
 
-	// SIGINT/SIGTERM drain like POST /v1/drain does: accepted batches
-	// commit first, then admission stops and the machine empties.
+	// SIGINT/SIGTERM run the same drain POST /v1/drain does.
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sigCh
-		if q != nil {
-			q.Flush()
-		}
-		_ = bk.Drain(context.Background())
-		_ = httpSrv.Shutdown(context.Background())
+		srv.BeginDrain()
 	}()
 
 	// The test harness and shell scripts parse this line for the port.
-	if router != nil {
+	if st.router != nil {
 		kind := ""
-		if fed.remote() {
+		if c.fed.remote() {
 			kind = " remote"
 		}
 		fmt.Printf("schedd: policy %s on %d nodes (%d%s shards, %s placement), listening on %s\n",
-			bk.Metrics().Policy, bk.Metrics().Capacity, router.NumShards(), kind, fed.placement.Name(), ln.Addr())
+			bk.Metrics().Policy, bk.Metrics().Capacity, st.router.NumShards(), kind, c.fed.placement.Name(), ln.Addr())
 	} else {
 		fmt.Printf("schedd: policy %s on %d nodes, listening on %s\n",
-			bk.Metrics().Policy, capacity, ln.Addr())
+			bk.Metrics().Policy, c.capacity, ln.Addr())
 	}
 	if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
 		return err
@@ -717,7 +550,7 @@ func serve(mkPolicy func(int) sim.Policy, addr string, capacity int, requested b
 	if q != nil {
 		q.Close()
 	}
-	for _, fj := range journals {
+	for _, fj := range st.journals {
 		if err := fj.Close(); err != nil {
 			return err
 		}
@@ -725,115 +558,34 @@ func serve(mkPolicy func(int) sim.Policy, addr string, capacity int, requested b
 	if err := bk.Err(); err != nil {
 		return err
 	}
-	// A drained fanout child exits by itself once its machine empties;
-	// reap them here so their journals are closed before we report. A
-	// child that never got the drain (its wire was down during
-	// shutdown) is killed after a grace period rather than hanging the
-	// supervisor.
-	for _, c := range children {
-		c := c
-		done := make(chan struct{})
-		go func() { _ = c.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			_ = c.Process.Kill()
-			<-done
-		}
-	}
-	children = nil
-	if chaosOn {
-		if err := verify(orc, bk, router); err != nil {
-			return err
-		}
-	}
-	if err := obsO.writeTraceOut(tr); err != nil {
-		return err
-	}
-	return printMetrics(bk, router)
+	st.waitChildren()
+	return st.report(c, tr)
 }
 
 // replay feeds a workload through the engine (or federation) on the
 // deterministic virtual clock (as fast as the hardware allows) and
 // prints the final metrics. Each job is delivered by a clock timer at
 // its submit time, exactly like the engine's differential tests.
-func replay(mkPolicy func(int) sim.Policy, swfIn, month string, seed uint64, scale, load float64,
-	capacity int, requested bool, chaosOn bool, fed fedOptions, obsO obsOptions) error {
-	input, err := replayInput(swfIn, month, seed, scale, load, capacity, requested)
+func replay(c config) error {
+	input, _, err := schedsearch.LoadInput(c.swf, c.capacity,
+		workload.Config{Seed: c.seed, JobScale: c.scale}, c.month,
+		workload.SimOptions{TargetLoad: c.load, UseRequested: c.requested})
 	if err != nil {
 		return err
 	}
-	measured := func(id int) bool {
-		if input.Measured == nil {
-			return true
-		}
-		return input.Measured[id]
-	}
-
 	vc := engine.NewVirtualClock()
 	// Replay span timestamps come from the virtual clock, so the trace
 	// timeline reads in engine time (span durations are still wall).
-	tr := obsO.tracer(func() time.Time { return time.Unix(int64(vc.Now()), 0) })
-	flight := obsO.recorder()
-	var (
-		bk     backend
-		router *federation.Router
-		orc    *oracle.Oracle
-	)
-	if fed.shards > 1 {
-		r, err := federation.New(federation.Config{
-			Capacity:       input.Capacity,
-			Shards:         fed.shards,
-			Policy:         mkPolicy,
-			Placement:      fed.placement,
-			Clock:          vc,
-			UseRequested:   input.UseRequested,
-			Measured:       measured,
-			MeasureStart:   input.MeasureStart,
-			MeasureEnd:     input.MeasureEnd,
-			RebalanceEvery: fed.rebalance,
-			GossipEvery:    fed.gossip,
-			WorkStealing:   fed.steal,
-			CachedLoads:    obsO.cachedLoads,
-			Tracer:         tr,
-			Flight:         flight,
-			Logger:         obs.NewLogger(os.Stderr, "router"),
-		})
-		if err != nil {
-			return err
-		}
-		bk, router = r, r
-	} else {
-		if chaosOn {
-			orc = oracle.New(input.Capacity)
-		}
-		cfg := engine.Config{
-			Capacity:     input.Capacity,
-			Policy:       mkPolicy(0),
-			Clock:        vc,
-			UseRequested: input.UseRequested,
-			Measured:     measured,
-			MeasureStart: input.MeasureStart,
-			MeasureEnd:   input.MeasureEnd,
-			Flight:       flight,
-			Tracer:       tr,
-		}
-		if orc != nil {
-			cfg.Observer = orc
-		}
-		e, err := engine.New(cfg)
-		if err != nil {
-			return err
-		}
-		bk = e
+	tr := c.obs.tracer(func() time.Time { return time.Unix(int64(vc.Now()), 0) })
+	st, err := buildBackend(c, vc, input, tr, nil)
+	if err != nil {
+		return err
 	}
+	bk := st.bk
 	// The replay loop is the front door, so it mints the traces a live
 	// run's HTTP submit handler would (the router then adds route spans;
 	// the engine adds decide spans).
-	frontShard := 0
-	if router != nil {
-		frontShard = -1
-	}
+	frontShard := st.frontShard()
 
 	var submitErr error
 	var once sync.Once
@@ -874,59 +626,58 @@ func replay(mkPolicy func(int) sim.Policy, swfIn, month string, seed uint64, sca
 	if err := bk.Err(); err != nil {
 		return err
 	}
-	if chaosOn {
-		if err := verify(orc, bk, router); err != nil {
+	return st.report(c, tr)
+}
+
+// report ends a run: the chaos-mode verdict, the trace file, then the
+// final whole-machine metrics on stdout (a federated run appends the
+// per-shard federation report).
+func (st *stack) report(c config, tr *obs.Tracer) error {
+	if c.chaosSeed > 0 {
+		if err := st.verify(); err != nil {
 			return err
 		}
 	}
-	if err := obsO.writeTraceOut(tr); err != nil {
+	if err := c.obs.writeTraceOut(tr); err != nil {
 		return err
 	}
-	return printMetrics(bk, router)
-}
-
-// replayInput assembles the jobs to replay: an SWF trace, or a
-// generated month with warm-up/cool-down margins and measurement
-// flags, exactly as the offline simulator would see it.
-func replayInput(swfIn, month string, seed uint64, scale, load float64,
-	capacity int, requested bool) (sim.Input, error) {
-	if swfIn != "" {
-		jobs, header, err := trace.ReadSWFFile(swfIn)
-		if err != nil {
-			return sim.Input{}, err
-		}
-		if len(jobs) == 0 {
-			return sim.Input{}, fmt.Errorf("%s: no usable jobs", swfIn)
-		}
-		sort.Sort(job.BySubmit(jobs))
-		if capacity <= 0 {
-			capacity = header.MaxNodes
-		}
-		for _, j := range jobs {
-			if j.Nodes > capacity {
-				capacity = j.Nodes
-			}
-		}
-		return sim.Input{Capacity: capacity, Jobs: jobs, UseRequested: requested}, nil
-	}
-	suite := workload.NewSuite(workload.Config{Seed: seed, JobScale: scale})
-	input, _, err := suite.Input(month, workload.SimOptions{TargetLoad: load, UseRequested: requested})
-	if err != nil {
-		return sim.Input{}, err
-	}
-	return input, nil
-}
-
-// printMetrics emits the final whole-machine metrics on stdout; a
-// federated run appends the per-shard federation report.
-func printMetrics(bk backend, router *federation.Router) error {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(bk.Metrics()); err != nil {
+	if err := enc.Encode(st.bk.Metrics()); err != nil {
 		return err
 	}
-	if router != nil {
-		return enc.Encode(router.Federation())
+	if st.router != nil {
+		return enc.Encode(st.router.Federation())
 	}
+	return nil
+}
+
+// verify renders the chaos-mode verdict after a run. A bare engine is
+// checked by its live oracle plus the record sweep; a federation by the
+// global cross-shard sweep (partition geometry, shard-local node IDs,
+// conservation across migrations).
+func (st *stack) verify() error {
+	bk := st.bk
+	if router := st.router; router != nil {
+		shardRecs := make([][]sim.Record, router.NumShards())
+		for i := range shardRecs {
+			shardRecs[i] = router.ShardRecords(i)
+		}
+		if err := oracle.CheckFederation(bk.Metrics().Capacity, router.ShardCapacities(), nil, shardRecs); err != nil {
+			return err
+		}
+		fm := router.Federation()
+		logger.Info("federation oracle verdict: clean",
+			"jobs", len(bk.Records()), "shards", fm.Shards, "migrations", fm.Migrations)
+		return nil
+	}
+	if err := st.orc.Final(); err != nil {
+		return err
+	}
+	if err := oracle.CheckRecords(bk.Metrics().Capacity, nil, bk.Records()); err != nil {
+		return err
+	}
+	logger.Info("chaos oracle verdict: clean",
+		"jobs", len(bk.Records()), "recovered_panics", bk.Metrics().Engine.PolicyPanics)
 	return nil
 }

@@ -1,0 +1,208 @@
+package main
+
+import (
+	"fmt"
+	"os"
+	"os/exec"
+	"time"
+
+	"schedsearch/internal/engine"
+	"schedsearch/internal/federation"
+	"schedsearch/internal/obs"
+	"schedsearch/internal/oracle"
+	"schedsearch/internal/server"
+	"schedsearch/internal/sim"
+)
+
+// stack is the serving stack both run modes drive: the backend (a bare
+// engine, an in-process federation or a remote one) and everything that
+// was opened or started to build it.
+type stack struct {
+	bk     server.Backend
+	router *federation.Router // nil for a bare engine
+	orc    *oracle.Oracle     // chaos mode on a bare engine
+	flight *obs.FlightRecorder
+
+	journals []*engine.FileJournal
+	children []*exec.Cmd // fanout shard processes
+}
+
+// buildBackend is the one place a stack is wired, for serve and replay
+// alike. window carries the machine size and, in replay, the
+// measurement window and measured flags; recovered, when non-nil, is
+// the single-engine journal the engine is rebuilt from. On error the
+// returned stack still holds any fanout children already started.
+func buildBackend(c config, clock engine.Clock, window sim.Input, tr *obs.Tracer, recovered *engine.Checkpoint) (*stack, error) {
+	st := &stack{flight: c.obs.recorder()}
+	var measured func(id int) bool
+	if window.Measured != nil {
+		measured = func(id int) bool { return window.Measured[id] }
+	}
+	fed, dur := c.fed, c.dur
+	if fed.federated() {
+		fcfg := federation.Config{
+			Capacity:       window.Capacity,
+			Shards:         fed.shards,
+			Policy:         c.newPolicy,
+			Placement:      fed.placement,
+			Clock:          clock,
+			UseRequested:   window.UseRequested,
+			Measured:       measured,
+			MeasureStart:   window.MeasureStart,
+			MeasureEnd:     window.MeasureEnd,
+			RebalanceEvery: fed.rebalance,
+			GossipEvery:    fed.gossip,
+			WorkStealing:   fed.steal,
+			Tracer:         tr,
+			Flight:         st.flight,
+			Logger:         obs.NewLogger(os.Stderr, "router"),
+		}
+		var err error
+		if fed.remote() {
+			urls := fed.join
+			if fed.fanout > 0 {
+				urls, st.children, err = spawnShardProcs(fed.fanout, window.Capacity, fed.childArgs, dur)
+				if err != nil {
+					return st, err
+				}
+			} else if dur.path != "" {
+				logger.Warn("-journal is ignored with -join (each shard daemon owns its journal)")
+			}
+			shards := make([]engine.Shard, len(urls))
+			for i, u := range urls {
+				shards[i] = federation.NewRemoteShard(u, federation.RemoteShardOptions{Logger: logger, Tracer: tr})
+			}
+			st.router, err = federation.NewWithShards(fcfg, shards)
+		} else {
+			if dur.path != "" {
+				// Shard journals are opened up front so factory calls (initial
+				// construction and any crash-rebuild) cannot fail; a rebuild of
+				// shard i keeps appending to the same open file.
+				for i := 0; i < fed.shards; i++ {
+					spath, err := rotateShardJournal(dur.path, i)
+					if err != nil {
+						return st, err
+					}
+					fj, err := engine.OpenFileJournal(spath, dur.group)
+					if err != nil {
+						return st, err
+					}
+					st.journals = append(st.journals, fj)
+				}
+				fcfg.Journal = func(shard int) engine.JournalSink { return st.journals[shard] }
+				fcfg.CompactEvery = dur.compactEvery
+				logger.Info("journaling shards (write-only; start-up recovery is single-engine)",
+					"shards", fed.shards, "path", dur.path+".shard-N")
+			}
+			st.router, err = federation.New(fcfg)
+		}
+		if err != nil {
+			return st, err
+		}
+		st.bk = st.router
+		return st, nil
+	}
+
+	cfg := engine.Config{
+		Capacity:     window.Capacity,
+		Policy:       c.newPolicy(0),
+		Clock:        clock,
+		UseRequested: window.UseRequested,
+		Measured:     measured,
+		MeasureStart: window.MeasureStart,
+		MeasureEnd:   window.MeasureEnd,
+		Flight:       st.flight,
+		Tracer:       tr,
+	}
+	if c.chaosSeed > 0 {
+		// Assigned only when on: a nil *Oracle stored directly would be a
+		// typed-nil Observer the ledger's nil check cannot see.
+		st.orc = oracle.New(window.Capacity)
+		cfg.Observer = st.orc
+	}
+	if dur.path != "" {
+		fj, err := engine.OpenFileJournal(dur.path, dur.group)
+		if err != nil {
+			return st, err
+		}
+		st.journals = append(st.journals, fj)
+		cfg.Journal = fj
+		cfg.CompactEvery = dur.compactEvery
+	}
+	if recovered == nil {
+		e, err := engine.New(cfg)
+		if err != nil {
+			return st, err
+		}
+		st.bk = e
+		return st, nil
+	}
+	e, err := engine.Rebuild(cfg, *recovered)
+	if err != nil {
+		return st, fmt.Errorf("recover %s: %w", dur.path, err)
+	}
+	base := 0
+	if b := recovered.Base; b != nil {
+		base = len(b.Done) + len(b.Running) + len(b.Waiting)
+	}
+	logger.Info("recovered journal", "path", dur.path,
+		"base_jobs", base, "tail_events", len(recovered.Events), "resumed_t", int64(clock.Now()))
+	st.bk = e
+	return st, nil
+}
+
+// rotateShardJournal names shard i's journal under base and moves a
+// leftover non-empty one aside to <path>.old. Federated start-up
+// (in-process or fanout) does not recover from shard journals, and the
+// front-end assigns job IDs from 1 on every boot, so appending a fresh
+// run (restarted clock, reused IDs) after the old run's events would
+// corrupt both.
+func rotateShardJournal(base string, i int) (string, error) {
+	path := fmt.Sprintf("%s.shard-%d", base, i)
+	if st, err := os.Stat(path); err == nil && st.Size() > 0 {
+		if err := os.Rename(path, path+".old"); err != nil {
+			return "", fmt.Errorf("rotate shard journal %s: %w", path, err)
+		}
+		logger.Warn("rotated a non-empty shard journal (federated start-up does not recover it)", "to", path+".old")
+	}
+	return path, nil
+}
+
+// frontShard is the shard lane the front door's spans carry: 0 for a
+// bare engine, -1 (the router's lane in the trace timeline) when
+// federated.
+func (st *stack) frontShard() int {
+	if st.router != nil {
+		return -1
+	}
+	return 0
+}
+
+// waitChildren reaps drained fanout children, which exit by themselves
+// once their machines empty, so their journals are closed before the
+// run reports. A child that never got the drain (its wire was down
+// during shutdown) is killed after a grace period rather than hanging
+// the supervisor.
+func (st *stack) waitChildren() {
+	for _, c := range st.children {
+		c := c
+		done := make(chan struct{})
+		go func() { _ = c.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			_ = c.Process.Kill()
+			<-done
+		}
+	}
+	st.children = nil
+}
+
+// killChildren kills and reaps whatever fanout children are left.
+func (st *stack) killChildren() {
+	for _, c := range st.children {
+		_ = c.Process.Kill()
+		_ = c.Wait()
+	}
+	st.children = nil
+}

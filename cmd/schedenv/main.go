@@ -33,7 +33,6 @@ import (
 	"os"
 
 	"schedsearch"
-	"schedsearch/internal/core"
 	"schedsearch/internal/env"
 	"schedsearch/internal/sim"
 	"schedsearch/internal/workload"
@@ -70,30 +69,22 @@ func serve(month string, seed uint64, scale, load float64, requested bool, nodeL
 // driver config (split from serve so tests can run the protocol over
 // in-memory pipes).
 func serveConfig(month string, seed uint64, scale, load float64, requested bool, nodeLimit, workers int, warm bool) (env.ServeConfig, error) {
-	suite := workload.NewSuite(workload.Config{Seed: seed, JobScale: scale})
-	opts := workload.SimOptions{TargetLoad: load, UseRequested: requested}
-	// Probe once so a bad month label fails before the hello line.
-	if _, _, err := suite.Input(month, opts); err != nil {
+	// Loaded once, so a bad month label fails before the hello line; the
+	// simulator only reads its input, so every reset replays the same one.
+	in, _, err := schedsearch.LoadInput("", 0, workload.Config{Seed: seed, JobScale: scale}, month,
+		workload.SimOptions{TargetLoad: load, UseRequested: requested})
+	if err != nil {
 		return env.ServeConfig{}, err
 	}
 	cfg := env.ServeConfig{
-		Label: fmt.Sprintf("schedenv %s", month),
-		NewInput: func() (sim.Input, error) {
-			in, _, err := suite.Input(month, opts)
-			return in, err
-		},
+		Label:    fmt.Sprintf("schedenv %s", month),
+		NewInput: func() (sim.Input, error) { return in, nil },
 		Resolve: func(name string) (sim.Policy, error) {
 			pol, err := schedsearch.ParsePolicy(name, nodeLimit)
 			if err != nil {
 				return nil, err
 			}
-			if sch, ok := pol.(*core.Scheduler); ok {
-				sch.Workers = workers
-				sch.WarmStart = warm
-			}
-			if mp, ok := pol.(*schedsearch.MetaScheduler); ok {
-				mp.SetSearchOptions(workers, warm)
-			}
+			schedsearch.ApplySearchOptions(pol, workers, warm, 0)
 			return pol, nil
 		},
 	}

@@ -17,18 +17,15 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"time"
 
 	"schedsearch"
 	"schedsearch/internal/core"
 	"schedsearch/internal/engine"
-	"schedsearch/internal/job"
 	"schedsearch/internal/metrics"
 	"schedsearch/internal/obs"
 	"schedsearch/internal/report"
 	"schedsearch/internal/sim"
-	"schedsearch/internal/trace"
 	"schedsearch/internal/workload"
 )
 
@@ -39,7 +36,6 @@ func main() {
 		nodeLimit = flag.Int("L", 1000, "search node limit per decision")
 		workers   = flag.Int("workers", 1, "parallel search workers for search policies (0 or 1 sequential, -1 one per CPU)")
 		warm      = flag.Bool("warm", false, "warm-start the search from the previous decision's best ordering (search policies)")
-		carry     = flag.Bool("carry", false, "CDDS: carry the climbing reference ordering across decision points")
 		slo       = flag.Duration("slo", 0, "per-decision latency SLO; adapts the node budget to the observed ns/node rate (0 = fixed -L)")
 		load      = flag.Float64("load", 0, "target offered load (0 = original)")
 		seed      = flag.Uint64("seed", 1, "workload generation seed")
@@ -54,12 +50,19 @@ func main() {
 	)
 	flag.Parse()
 
-	opts := searchOpts{nodeLimit: *nodeLimit, workers: *workers, warm: *warm, carry: *carry, slo: *slo, flight: *flightN}
-	var err error
-	if *swfIn != "" {
-		err = runSWF(*swfIn, *capacity, *policyArg, opts, *requested, *verbose, *timeline, *jsonOut)
-	} else {
-		err = run(*month, *policyArg, opts, *load, *seed, *scale, *requested, *verbose, *timeline, *jsonOut)
+	opts := searchOpts{nodeLimit: *nodeLimit, workers: *workers, warm: *warm, slo: *slo, flight: *flightN}
+	in, m, err := schedsearch.LoadInput(*swfIn, *capacity,
+		workload.Config{Seed: *seed, JobScale: *scale}, *month,
+		workload.SimOptions{TargetLoad: *load, UseRequested: *requested})
+	if err == nil {
+		header := func(jobs int) string {
+			if m == nil {
+				return fmt.Sprintf("trace %s: %d jobs on %d nodes", *swfIn, jobs, in.Capacity)
+			}
+			return fmt.Sprintf("month %s: %d jobs, offered load %.2f (spec %.2f)",
+				m.Spec.Label, jobs, effectiveLoad(m, *load), m.Spec.Load)
+		}
+		err = run(in, header, *policyArg, opts, *verbose, *timeline, *jsonOut)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "schedsim:", err)
@@ -73,7 +76,6 @@ type searchOpts struct {
 	nodeLimit int
 	workers   int
 	warm      bool
-	carry     bool
 	slo       time.Duration
 	flight    int
 }
@@ -87,15 +89,7 @@ func parsePolicy(policyArg string, o searchOpts) (sim.Policy, *obs.FlightRecorde
 	if err != nil {
 		return nil, nil, err
 	}
-	if sch, ok := pol.(*core.Scheduler); ok {
-		sch.Workers = o.workers
-		sch.WarmStart = o.warm
-		sch.SLO = o.slo
-		sch.CarryClimb = o.carry
-	}
-	if mp, ok := pol.(*schedsearch.MetaScheduler); ok {
-		mp.SetSearchOptions(o.workers, o.warm)
-	}
+	schedsearch.ApplySearchOptions(pol, o.workers, o.warm, o.slo)
 	if o.flight <= 0 {
 		return pol, nil, nil
 	}
@@ -121,48 +115,10 @@ func (p *flightPolicy) Decide(snap *sim.Snapshot) []int {
 	starts := p.inner.Decide(snap)
 	wall := time.Since(t0)
 	rec := &p.rec
-	startedBuf := rec.Started[:0]
-	trajBuf := rec.Trajectory[:0]
-	*rec = obs.DecisionRecord{
-		NowS:       int64(snap.Now),
-		Policy:     p.inner.Name(),
-		QueueDepth: len(snap.Queue),
-		WallUs:     wall.Microseconds(),
-	}
+	engine.FillDecisionRecord(rec, p.inner, snap.Now, len(snap.Queue), wall)
 	for _, qi := range starts {
-		startedBuf = append(startedBuf, snap.Queue[qi].Job.ID)
+		rec.Started = append(rec.Started, snap.Queue[qi].Job.ID)
 	}
-	rec.Started = startedBuf
-	if ms, ok := p.inner.(interface {
-		LastMetaDecision() (string, float64, bool)
-	}); ok {
-		if name, regret, ok := ms.LastMetaDecision(); ok {
-			rec.ChosenPolicy = name
-			rec.MetaRegret = regret
-		}
-	}
-	if ds, ok := p.inner.(interface{ LastDecision() core.DecisionSummary }); ok {
-		sum := ds.LastDecision()
-		rec.EffectiveLimit = sum.EffectiveLimit
-		rec.Nodes = sum.Nodes
-		rec.Leaves = sum.Leaves
-		rec.Pruned = sum.Pruned
-		rec.NodesToBest = sum.NodesToBest
-		rec.BudgetHit = sum.BudgetHit
-		rec.WarmSeeded = sum.WarmSeeded
-		rec.SeedHeld = sum.SeedHeld
-		rec.Parallel = sum.Parallel
-		if sum.BestFound {
-			rec.BestExcess = sum.BestCost[0]
-			rec.BestSlowdown = sum.BestCost[1]
-		}
-		for _, pt := range sum.Trajectory {
-			trajBuf = append(trajBuf, obs.TrajectoryPoint{
-				Nodes: pt.Nodes, Excess: pt.Cost[0], Slowdown: pt.Cost[1],
-			})
-		}
-	}
-	rec.Trajectory = trajBuf
 	p.f.Record(rec)
 	return starts
 }
@@ -189,51 +145,6 @@ func emitJSON(res *sim.Result, s metrics.Summary, pol sim.Policy) error {
 	return enc.Encode(engine.OfflineMetrics(res, s, pol))
 }
 
-// runSWF simulates a policy over an external SWF trace.
-func runSWF(path string, capacity int, policyArg string, opts searchOpts, requested, verbose bool, timeline int, jsonOut bool) error {
-	jobs, header, err := trace.ReadSWFFile(path)
-	if err != nil {
-		return err
-	}
-	if len(jobs) == 0 {
-		return fmt.Errorf("%s: no usable jobs", path)
-	}
-	sort.Sort(job.BySubmit(jobs))
-	if capacity == 0 {
-		capacity = header.MaxNodes
-	}
-	for _, j := range jobs {
-		if j.Nodes > capacity {
-			capacity = j.Nodes
-		}
-	}
-	pol, flight, err := parsePolicy(policyArg, opts)
-	if err != nil {
-		return err
-	}
-	res, err := sim.Run(sim.Input{Capacity: capacity, Jobs: jobs, UseRequested: requested}, pol)
-	if err != nil {
-		return err
-	}
-	if err := metrics.CheckConservation(res); err != nil {
-		return err
-	}
-	s := metrics.Summarize(res)
-	if jsonOut {
-		if err := emitJSON(res, s, statsPolicy(pol)); err != nil {
-			return err
-		}
-		return printFlight(flight)
-	}
-	fmt.Printf("trace %s: %d jobs on %d nodes\n", path, s.Jobs, capacity)
-	printSummary(res, s, statsPolicy(pol))
-	if verbose {
-		printGrid(metrics.ComputeClassGrid(res))
-	}
-	printTimeline(res, timeline)
-	return printFlight(flight)
-}
-
 // statsPolicy unwraps the flight shim so the search-statistics report
 // still sees the *core.Scheduler underneath.
 func statsPolicy(pol sim.Policy) sim.Policy {
@@ -243,17 +154,13 @@ func statsPolicy(pol sim.Policy) sim.Policy {
 	return pol
 }
 
-func run(month, policyArg string, opts searchOpts, load float64, seed uint64, scale float64, requested, verbose bool, timeline int, jsonOut bool) error {
-	suite := workload.NewSuite(workload.Config{Seed: seed, JobScale: scale})
-	in, m, err := suite.Input(month, workload.SimOptions{TargetLoad: load, UseRequested: requested})
-	if err != nil {
-		return err
-	}
+// run simulates the policy over the input and reports; header renders
+// the human summary's first line from the measured job count.
+func run(in sim.Input, header func(jobs int) string, policyArg string, opts searchOpts, verbose bool, timeline int, jsonOut bool) error {
 	pol, flight, err := parsePolicy(policyArg, opts)
 	if err != nil {
 		return err
 	}
-
 	res, err := sim.Run(in, pol)
 	if err != nil {
 		return err
@@ -268,9 +175,7 @@ func run(month, policyArg string, opts searchOpts, load float64, seed uint64, sc
 		}
 		return printFlight(flight)
 	}
-
-	fmt.Printf("month %s: %d jobs, offered load %.2f (spec %.2f)\n",
-		m.Spec.Label, s.Jobs, effectiveLoad(m, load), m.Spec.Load)
+	fmt.Println(header(s.Jobs))
 	printSummary(res, s, statsPolicy(pol))
 	if verbose {
 		printGrid(metrics.ComputeClassGrid(res))

@@ -8,8 +8,8 @@ import (
 )
 
 func TestCollect(t *testing.T) {
-	m := Collect("searchbench -ingest")
-	if m.GeneratedBy != "searchbench -ingest" {
+	m := Collect("bench")
+	if m.GeneratedBy != "bench" {
 		t.Errorf("GeneratedBy = %q", m.GeneratedBy)
 	}
 	if m.GoVersion != runtime.Version() {

@@ -124,9 +124,6 @@ type Stats struct {
 	WarmDecisions int
 	WarmSeedNodes int64
 	WarmSeedHeld  int
-	// CarryDecisions counts decisions where CDDS started from a carried
-	// climbing reference instead of the heuristic order (CarryClimb).
-	CarryDecisions int
 	// EffectiveLimit is the node budget applied at the most recent
 	// decision and EffectiveLimitSum its total across decisions
 	// (EffectiveLimitSum/Decisions is the average effective L). Both
@@ -191,19 +188,6 @@ type Scheduler struct {
 	// with Prune on, a bound that is tight from the first enumerated
 	// leaf onward.
 	WarmStart bool
-	// CarryClimb makes CDDS carry its climbing reference across
-	// decision points: instead of restarting each decision's sweep from
-	// the heuristic order, the previous decision's final climb target
-	// (departed jobs dropped, arrivals spliced at their heuristic rank)
-	// becomes the new reference ordering. Unlike WarmStart this is NOT
-	// inert — the reference determines which orderings the budget
-	// reaches, so committed schedules legitimately differ from the
-	// restart variant (commits remain valid: still the argmin over
-	// enumerated, profile-verified leaves; the carry differential pins
-	// this). Ignored by every algorithm except CDDS, and not encoded in
-	// Name (like Workers/WarmStart, it tunes how the named policy
-	// searches, not what it optimizes).
-	CarryClimb bool
 	// SLO, when positive, makes the node budget adaptive: an
 	// exponentially weighted average of the observed ns/node converts
 	// the per-decision latency target into an effective NodeLimit for
@@ -313,10 +297,6 @@ func (sch *Scheduler) Decide(snap *sim.Snapshot) []int {
 	if sch.WarmStart {
 		sch.seedWarm(s)
 	}
-	carry := sch.CarryClimb && sch.Algorithm == CDDS
-	if carry {
-		sch.seedClimbRef(s)
-	}
 	// The incumbent-improvement log feeds LastDecision's cost
 	// trajectory (flight recorder). Recording is strictly passive: leaf
 	// and the parallel merge append to a reused slice exactly at the
@@ -362,7 +342,7 @@ func (sch *Scheduler) Decide(snap *sim.Snapshot) []int {
 	} else {
 		sch.SearchStats.Exhausted++
 	}
-	if sch.WarmStart || carry {
+	if sch.WarmStart {
 		sch.carryBest(s)
 	}
 

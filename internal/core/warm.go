@@ -97,24 +97,6 @@ func (sch *Scheduler) seedWarm(s *searchState) {
 	sch.SearchStats.WarmSeedNodes += int64(len(seq))
 }
 
-// seedClimbRef re-anchors CDDS's starting reference to the carried
-// ordering (CarryClimb): the free list is relinked so branch rank 0
-// follows the previous decision's climb target instead of restarting
-// from the heuristic order. Unlike the warm seed — pure accounting —
-// this changes which orderings the budget reaches, so the committed
-// schedules legitimately differ from the restart-every-decision CDDS.
-// Iteration 0 then evaluates (and may commit) the carried reference
-// itself, so validity is untouched: commits are still argmin over
-// enumerated, profile-checked leaves.
-func (sch *Scheduler) seedClimbRef(s *searchState) {
-	seq := sch.spliceCarried(s)
-	if len(seq) != len(s.ordered) || len(seq) == 0 {
-		return
-	}
-	s.relinkOrder(seq)
-	sch.SearchStats.CarryDecisions++
-}
-
 // carryBest records the committed ordering for the next decision and
 // updates the seed-held counter. Called after the search ran.
 func (sch *Scheduler) carryBest(s *searchState) {

@@ -24,6 +24,51 @@ type metaSummarizer interface {
 	LastMetaDecision() (policy string, regret float64, ok bool)
 }
 
+// FillDecisionRecord overwrites rec with one decision's summary as the
+// flight recorder keeps it, reusing rec's Started and Trajectory
+// buffers: search policies expose the full search story, heuristics get
+// the generic record. Started comes back empty; the caller appends the
+// started job IDs. It only reads state the decision already produced.
+func FillDecisionRecord(rec *obs.DecisionRecord, pol sim.Policy, now job.Time, queueDepth int, wall time.Duration) {
+	startedBuf := rec.Started[:0]
+	trajBuf := rec.Trajectory[:0]
+	*rec = obs.DecisionRecord{
+		NowS:       int64(now),
+		Policy:     pol.Name(),
+		QueueDepth: queueDepth,
+		WallUs:     wall.Microseconds(),
+		Started:    startedBuf,
+	}
+	if ms, ok := pol.(metaSummarizer); ok {
+		if name, regret, ok := ms.LastMetaDecision(); ok {
+			rec.ChosenPolicy = name
+			rec.MetaRegret = regret
+		}
+	}
+	if ds, ok := pol.(decisionSummarizer); ok {
+		sum := ds.LastDecision()
+		rec.EffectiveLimit = sum.EffectiveLimit
+		rec.Nodes = sum.Nodes
+		rec.Leaves = sum.Leaves
+		rec.Pruned = sum.Pruned
+		rec.NodesToBest = sum.NodesToBest
+		rec.BudgetHit = sum.BudgetHit
+		rec.WarmSeeded = sum.WarmSeeded
+		rec.SeedHeld = sum.SeedHeld
+		rec.Parallel = sum.Parallel
+		if sum.BestFound {
+			rec.BestExcess = sum.BestCost[0]
+			rec.BestSlowdown = sum.BestCost[1]
+		}
+		for _, p := range sum.Trajectory {
+			trajBuf = append(trajBuf, obs.TrajectoryPoint{
+				Nodes: p.Nodes, Excess: p.Cost[0], Slowdown: p.Cost[1],
+			})
+		}
+	}
+	rec.Trajectory = trajBuf
+}
+
 // observeDecision captures one committed decision into the flight
 // recorder and the tracer. It runs with the engine lock held, after
 // the commit, and only reads state the decision already produced —
@@ -32,46 +77,10 @@ type metaSummarizer interface {
 func (e *Engine) observeDecision(now job.Time, queueDepth int, wall time.Duration, started []sim.Started) {
 	if f := e.cfg.Flight; f != nil {
 		rec := &e.flightScratch
-		startedBuf := rec.Started[:0]
-		trajBuf := rec.Trajectory[:0]
-		*rec = obs.DecisionRecord{
-			NowS:       int64(now),
-			Policy:     e.cfg.Policy.Name(),
-			QueueDepth: queueDepth,
-			WallUs:     wall.Microseconds(),
-		}
+		FillDecisionRecord(rec, e.cfg.Policy, now, queueDepth, wall)
 		for _, s := range started {
-			startedBuf = append(startedBuf, s.Job.ID)
+			rec.Started = append(rec.Started, s.Job.ID)
 		}
-		rec.Started = startedBuf
-		if ms, ok := e.cfg.Policy.(metaSummarizer); ok {
-			if name, regret, ok := ms.LastMetaDecision(); ok {
-				rec.ChosenPolicy = name
-				rec.MetaRegret = regret
-			}
-		}
-		if ds, ok := e.cfg.Policy.(decisionSummarizer); ok {
-			sum := ds.LastDecision()
-			rec.EffectiveLimit = sum.EffectiveLimit
-			rec.Nodes = sum.Nodes
-			rec.Leaves = sum.Leaves
-			rec.Pruned = sum.Pruned
-			rec.NodesToBest = sum.NodesToBest
-			rec.BudgetHit = sum.BudgetHit
-			rec.WarmSeeded = sum.WarmSeeded
-			rec.SeedHeld = sum.SeedHeld
-			rec.Parallel = sum.Parallel
-			if sum.BestFound {
-				rec.BestExcess = sum.BestCost[0]
-				rec.BestSlowdown = sum.BestCost[1]
-			}
-			for _, p := range sum.Trajectory {
-				trajBuf = append(trajBuf, obs.TrajectoryPoint{
-					Nodes: p.Nodes, Excess: p.Cost[0], Slowdown: p.Cost[1],
-				})
-			}
-		}
-		rec.Trajectory = trajBuf
 		f.Record(rec)
 	}
 	if tr := e.cfg.Tracer; tr != nil {

@@ -93,7 +93,7 @@ func TestObservabilityInertMeta(t *testing.T) {
 		m, err := metasched.New([]sim.Policy{
 			core.New(core.DDS, core.HeuristicLXF, core.DynamicBound(), 64),
 			core.New(core.LDS, core.HeuristicFCFS, core.DynamicBound(), 64),
-		}, metasched.Config{Seed: 5})
+		}, metasched.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,6 +20,7 @@ import (
 	"schedsearch/internal/policy"
 	"schedsearch/internal/server"
 	"schedsearch/internal/sim"
+	"schedsearch/internal/wire"
 	"schedsearch/internal/workload"
 )
 
@@ -458,7 +459,7 @@ func FuzzRemoteShardDecode(f *testing.F) {
 				t.Fatalf("POST %s with %q: bare 500: %s", path, data, w.Body.String())
 			}
 			if w.Code >= 400 {
-				var er server.ErrorResponse
+				var er wire.ErrorResponse
 				if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || er.Code == "" {
 					t.Fatalf("POST %s with %q: unstructured error %d: %s", path, data, w.Code, w.Body.String())
 				}

@@ -12,7 +12,7 @@
 // 1-shard federation differential test pins that down against the bare
 // engine on every suite month. The scalability claim is that per-shard
 // search cost shrinks with per-shard queue depth while shards decide
-// concurrently; cmd/searchbench -federation measures it.
+// concurrently; the benchmark's fed_remote workload measures it.
 //
 // A job wider than every shard's partition cannot run anywhere and is
 // rejected with ErrTooWide: partitioning trades maximum job width for
@@ -95,7 +95,7 @@ type Config struct {
 	CompactEvery int
 	// GossipEvery is the period of the load-gossip pass on the shared
 	// clock: the router polls every shard's load (which refreshes
-	// remote shards' reachability and cached loads), resolves parked
+	// remote shards' reachability), resolves parked
 	// wire-uncertain migration steps, and — with WorkStealing on —
 	// lets idle shards steal queued work. 0 disables the pass.
 	GossipEvery job.Duration
@@ -104,16 +104,6 @@ type Config struct {
 	// queued job from the most loaded shard, filling holes the
 	// score-driven rebalance pass is too conservative to fill.
 	WorkStealing bool
-	// CachedLoads makes placement probe the load cache refreshed by the
-	// gossip/rebalance passes instead of issuing N live Load calls per
-	// submission — for remote shards, N HTTP round trips off the submit
-	// path. Opt-in because it changes the placement policy's inputs
-	// (loads up to GossipEvery old): a cached-loads router places
-	// differently than a live-loads one, so differential tests comparing
-	// against a live-probing reference must leave it off. Until the
-	// first gossip/rebalance pass fills the cache, placement probes
-	// live.
-	CachedLoads bool
 	// Tracer, when non-nil, records route/probe/migrate/reconcile spans
 	// for traced jobs, and mints a trace for any job submitted directly
 	// to the router (bypassing a traced front-end server). Router spans
@@ -161,12 +151,6 @@ type Router struct {
 
 	tracer *obs.Tracer
 	log    *slog.Logger
-	// loadCache is the per-shard load snapshot the gossip/rebalance
-	// passes refresh; with Config.CachedLoads, placement reads it
-	// instead of live-probing every shard (loadCacheOK gates the first
-	// fill).
-	loadCache   []engine.Load
-	loadCacheOK bool
 
 	rebArmed         bool
 	gossipArmed      bool
@@ -201,22 +185,15 @@ func (r *Router) logJob(id int) *slog.Logger {
 	return l
 }
 
-// healthChecker is the optional shard surface reporting reachability;
-// RemoteShard has it, in-process engines (always reachable) do not.
-type healthChecker interface {
-	Healthy() error
-}
-
-// loadProber is the optional shard surface for construction-time
-// capacity discovery with retries.
-type loadProber interface {
-	Probe() (engine.Load, error)
-}
-
-// jobProber distinguishes "the shard answered: no such job" from "the
-// shard could not be asked" — reconciliation of an uncertain
+// remoteProbe is the optional shard surface of an out-of-process shard
+// (RemoteShard has it; in-process engines, always reachable, do not):
+// reachability, construction-time capacity discovery with retries, and
+// a job lookup that distinguishes "the shard answered: no such job"
+// from "the shard could not be asked" — reconciliation of an uncertain
 // submission needs the difference that Job's boolean cannot carry.
-type jobProber interface {
+type remoteProbe interface {
+	Healthy() error
+	Probe() (engine.Load, error)
 	LookupJob(id int) (engine.JobStatus, bool, error)
 }
 
@@ -340,7 +317,7 @@ func NewWithShards(cfg Config, shards []engine.Shard) (*Router, error) {
 	total := 0
 	for i, s := range r.shards {
 		var ld engine.Load
-		if p, ok := s.(loadProber); ok {
+		if p, ok := s.(remoteProbe); ok {
 			var err error
 			if ld, err = p.Probe(); err != nil {
 				return nil, fmt.Errorf("federation: probe shard %d: %w", i, err)
@@ -537,24 +514,18 @@ func (r *Router) routeLocked(j job.Job) error {
 func (r *Router) candidatesLocked(j job.Job) []Candidate {
 	cands := make([]Candidate, 0, len(r.shards))
 	var sick []Candidate
-	cached := r.cfg.CachedLoads && r.loadCacheOK
 	for i, s := range r.shards {
 		if j.Nodes > r.caps[i] {
 			continue
 		}
-		var ld engine.Load
-		if cached {
-			ld = r.loadCache[i]
-		} else {
-			var p0 time.Time
-			if r.tracer != nil {
-				p0 = r.tracer.Now()
-			}
-			ld = s.Load()
-			if r.tracer != nil {
-				if tc, ok := r.tracer.Lookup(j.ID); ok {
-					r.tracer.Record("probe", tc, j.ID, i, p0, r.tracer.Now().Sub(p0))
-				}
+		var p0 time.Time
+		if r.tracer != nil {
+			p0 = r.tracer.Now()
+		}
+		ld := s.Load()
+		if r.tracer != nil {
+			if tc, ok := r.tracer.Lookup(j.ID); ok {
+				r.tracer.Record("probe", tc, j.ID, i, p0, r.tracer.Now().Sub(p0))
 			}
 		}
 		c := Candidate{Shard: i, Load: ld}
@@ -570,23 +541,10 @@ func (r *Router) candidatesLocked(j job.Job) []Candidate {
 	return cands
 }
 
-// updateLoadCacheLocked refreshes the placement load cache from a
-// pass's freshly polled loads (a no-op unless CachedLoads is on).
-func (r *Router) updateLoadCacheLocked(loads []engine.Load) {
-	if !r.cfg.CachedLoads {
-		return
-	}
-	if len(r.loadCache) != len(loads) {
-		r.loadCache = make([]engine.Load, len(loads))
-	}
-	copy(r.loadCache, loads)
-	r.loadCacheOK = true
-}
-
 // healthyLocked reports shard i's reachability; in-process shards are
 // always reachable.
 func (r *Router) healthyLocked(i int) bool {
-	if hc, ok := r.shards[i].(healthChecker); ok {
+	if hc, ok := r.shards[i].(remoteProbe); ok {
 		return hc.Healthy() == nil
 	}
 	return true
@@ -614,7 +572,6 @@ func (r *Router) onRebalance() {
 		loads[i] = s.Load()
 		outstanding += loads[i].Waiting + loads[i].Running
 	}
-	r.updateLoadCacheLocked(loads)
 	if !r.draining {
 		r.rebalances++
 		for n := 0; n < r.cfg.MaxMigrationsPerPass; n++ {
@@ -640,8 +597,8 @@ func (r *Router) armGossipLocked() {
 }
 
 // onGossip is the periodic load-gossip pass: poll every shard's load —
-// for remote shards that refreshes reachability and the cached
-// last-known load degraded routing falls back on — resolve parked
+// for remote shards that refreshes reachability and the last-known load
+// degraded routing falls back on — resolve parked
 // wire-uncertain steps, and optionally steal work onto idle shards.
 func (r *Router) onGossip() {
 	r.mu.Lock()
@@ -655,7 +612,6 @@ func (r *Router) onGossip() {
 		loads[i] = s.Load()
 		outstanding += loads[i].Waiting + loads[i].Running
 	}
-	r.updateLoadCacheLocked(loads)
 	if r.cfg.WorkStealing && !r.draining {
 		for n := 0; n < r.cfg.MaxMigrationsPerPass; n++ {
 			if !r.stealOneLocked(loads) {
@@ -823,7 +779,7 @@ func (r *Router) resolvePendingLocked() {
 			}
 			still = append(still, p)
 		case stageSubmit:
-			if pr, ok := r.shards[p.shard].(jobProber); ok {
+			if pr, ok := r.shards[p.shard].(remoteProbe); ok {
 				_, present, err := pr.LookupJob(p.id)
 				if err != nil {
 					still = append(still, p)
@@ -1227,7 +1183,7 @@ func (r *Router) ShardHealth() []engine.ShardHealth {
 	for i, s := range shards {
 		out[i] = engine.ShardHealth{Shard: i, Healthy: true}
 		var err error
-		if hc, ok := s.(healthChecker); ok {
+		if hc, ok := s.(remoteProbe); ok {
 			err = hc.Healthy()
 		} else {
 			err = s.Err()

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"schedsearch/internal/job"
+	"schedsearch/internal/obs"
 )
 
 // ErrSaturated is returned by Enqueue when accepting the batch would
@@ -142,7 +143,7 @@ type Queue struct {
 	syncGroups  int64
 	peakPending int
 
-	hist Hist
+	hist obs.Hist
 }
 
 // NewQueue returns a started queue; Close releases its committer.
@@ -378,7 +379,7 @@ type Stats struct {
 	// users), when quotas are enabled.
 	QuotaUsers int `json:"quota_users,omitempty"`
 	// Latency is the accept-to-commit latency histogram.
-	Latency HistSnapshot `json:"latency"`
+	Latency obs.HistSnapshot `json:"latency"`
 }
 
 // Stats returns the queue's counters.

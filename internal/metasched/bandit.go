@@ -1,114 +1,47 @@
 package metasched
 
-import (
-	"fmt"
-	"math"
+import "math"
 
-	"schedsearch/internal/stats"
-)
-
-// BanditKind selects the arm-selection rule the meta-scheduler runs
-// over its portfolio. All three are deterministic given the seed: the
-// only randomness (EXP3's sampling) draws from a dedicated RNG
-// substream, chaos-style, so replays are bit-identical.
-type BanditKind int
-
+// The bandit's tuning, fixed at the values every run has used: no
+// caller or measurement ever set them otherwise.
 const (
-	// Greedy is discounted follow-the-leader over full-information
-	// losses: every decision, every arm's shadow plan is scored, and
-	// the arm with the lowest discounted mean loss is committed.
-	// Because shadow simulation reveals every arm's loss every round,
-	// no exploration bonus is needed — this is the default and the
-	// strongest portfolio under the bench's weighted-cost criterion.
-	Greedy BanditKind = iota
-	// UCB is discounted UCB1 in classical partial-feedback mode: only
-	// the committed arm's loss updates its statistics, and the
-	// exploration bonus drives coverage. Shadow losses still feed the
-	// regret series (reporting), just not the selection statistics.
-	UCB
-	// EXP3 is the adversarial exponential-weights bandit with
-	// importance-weighted loss estimates and seeded sampling.
-	EXP3
+	// gamma discounts past losses so the portfolio tracks workload
+	// regime changes within a month.
+	gamma = 0.98
+	// stickyMargin is the switch hysteresis: the portfolio switches arms
+	// only when the best arm's discounted mean loss undercuts the
+	// incumbent's by this relative margin.
+	stickyMargin = 0.25
+	// stickyGap is the absolute floor of the hysteresis: below this
+	// mean-loss gap a switch is never taken, whatever the relative
+	// margin says.
+	stickyGap = 0.005
 )
 
-// String names the kind as the meta(...) grammar spells it.
-func (k BanditKind) String() string {
-	switch k {
-	case Greedy:
-		return "greedy"
-	case UCB:
-		return "ucb"
-	case EXP3:
-		return "exp3"
-	default:
-		return fmt.Sprintf("BanditKind(%d)", int(k))
-	}
-}
-
-// bandit is the arm-selection state machine. pick returns the arm to
-// commit this decision using only past observations; observe feeds the
-// round's normalized losses (one per arm, in [0, 1]) and the arm that
-// was committed. Implementations must be deterministic given their
-// construction seed.
-type bandit interface {
-	pick() int
-	observe(losses []float64, chosen int)
-}
-
-func newBandit(kind BanditKind, arms int, cfg Config) bandit {
-	switch kind {
-	case UCB:
-		return &ucbBandit{
-			loss:    make([]float64, arms),
-			count:   make([]float64, arms),
-			gamma:   cfg.gamma(),
-			explore: cfg.explore(),
-		}
-	case EXP3:
-		return &exp3Bandit{
-			weights: initialWeights(arms),
-			eta:     cfg.eta(),
-			rng:     stats.NewRNG(cfg.Seed, banditStream),
-		}
-	default:
-		return &greedyBandit{
-			loss:   make([]float64, arms),
-			count:  make([]float64, arms),
-			gamma:  cfg.gamma(),
-			margin: cfg.stickyMargin(),
-			minGap: cfg.stickyGap(),
-			sticky: -1,
-		}
-	}
-}
-
-func initialWeights(arms int) []float64 {
-	w := make([]float64, arms)
-	for i := range w {
-		w[i] = 1
-	}
-	return w
-}
-
-// banditStream is the RNG substream label for bandit sampling (the
-// workload/fault substreams in internal/chaos use 101..1xx; metasched
-// claims 201).
-const banditStream = 201
-
-// greedyBandit: discounted follow-the-leader over full-information
-// losses, with switch hysteresis. Ties break on the lowest arm index,
-// so selection is a pure function of the observation history. The
-// hysteresis keeps the current pick unless the best arm's discounted
-// mean loss undercuts it by the relative margin — plan scores are
-// myopic one-step estimates, so a marginal advantage is noise and
-// flickering between arms mid-trajectory costs more than it wins.
+// greedyBandit is the arm-selection state machine: discounted
+// follow-the-leader over full-information losses, with switch
+// hysteresis. Every decision, every arm's shadow plan is scored, so no
+// exploration bonus is needed. pick returns the arm to commit this
+// decision using only past observations; observe feeds the round's
+// normalized losses (one per arm, in [0, 1]). Ties break on the lowest
+// arm index, so selection is a pure function of the observation
+// history. The hysteresis keeps the current pick unless the best arm's
+// discounted mean loss undercuts it by the relative margin — plan
+// scores are myopic one-step estimates, so a marginal advantage is
+// noise and flickering between arms mid-trajectory costs more than it
+// wins.
 type greedyBandit struct {
 	loss   []float64 // discounted loss sums
 	count  []float64 // discounted observation counts
-	gamma  float64
-	margin float64
-	minGap float64
-	sticky int // current pick (-1 before the first)
+	sticky int       // current pick (-1 before the first)
+}
+
+func newGreedyBandit(arms int) *greedyBandit {
+	return &greedyBandit{
+		loss:   make([]float64, arms),
+		count:  make([]float64, arms),
+		sticky: -1,
+	}
 }
 
 func (b *greedyBandit) pick() int {
@@ -131,7 +64,7 @@ func (b *greedyBandit) pick() int {
 		// proportional losses the discounted means hover near zero on
 		// quiet stretches, where a purely relative test would still
 		// flicker on noise.
-		if cur-bestMean <= b.margin*cur+b.minGap {
+		if cur-bestMean <= stickyMargin*cur+stickyGap {
 			return b.sticky
 		}
 	}
@@ -139,103 +72,9 @@ func (b *greedyBandit) pick() int {
 	return best
 }
 
-func (b *greedyBandit) observe(losses []float64, chosen int) {
+func (b *greedyBandit) observe(losses []float64) {
 	for i, l := range losses {
-		b.loss[i] = b.gamma*b.loss[i] + l
-		b.count[i] = b.gamma*b.count[i] + 1
-	}
-}
-
-// ucbBandit: discounted UCB1 on the committed arm's loss only. Arms
-// never observed have an infinite bonus (lowest index first), so every
-// arm is tried before any is repeated.
-type ucbBandit struct {
-	loss    []float64
-	count   []float64
-	total   float64
-	gamma   float64
-	explore float64
-}
-
-func (b *ucbBandit) pick() int {
-	best, bestScore := 0, math.Inf(1)
-	for i := range b.loss {
-		var score float64
-		if b.count[i] <= 0 {
-			score = math.Inf(-1) // unobserved: force a trial
-		} else {
-			mean := b.loss[i] / b.count[i]
-			score = mean - b.explore*math.Sqrt(math.Log(b.total+1)/b.count[i])
-		}
-		if score < bestScore {
-			best, bestScore = i, score
-		}
-	}
-	return best
-}
-
-func (b *ucbBandit) observe(losses []float64, chosen int) {
-	for i := range b.loss {
-		b.loss[i] *= b.gamma
-		b.count[i] *= b.gamma
-	}
-	b.total = b.gamma*b.total + 1
-	b.loss[chosen] += losses[chosen]
-	b.count[chosen]++
-}
-
-// exp3Bandit: exponential weights with importance-weighted loss
-// estimates; the mixing term eta/K guarantees every arm keeps positive
-// probability. Sampling draws one Float64 per decision from the seeded
-// substream — the entire choice sequence is a function of (seed,
-// losses).
-type exp3Bandit struct {
-	weights []float64
-	eta     float64
-	rng     *stats.RNG
-}
-
-func (b *exp3Bandit) probs(p []float64) []float64 {
-	k := float64(len(b.weights))
-	var sum float64
-	for _, w := range b.weights {
-		sum += w
-	}
-	for _, w := range b.weights {
-		p = append(p, (1-b.eta)*w/sum+b.eta/k)
-	}
-	return p
-}
-
-func (b *exp3Bandit) pick() int {
-	p := b.probs(make([]float64, 0, len(b.weights)))
-	u := b.rng.Float64()
-	acc := 0.0
-	for i, pi := range p {
-		acc += pi
-		if u < acc {
-			return i
-		}
-	}
-	return len(p) - 1
-}
-
-func (b *exp3Bandit) observe(losses []float64, chosen int) {
-	p := b.probs(make([]float64, 0, len(b.weights)))
-	k := float64(len(b.weights))
-	est := losses[chosen] / p[chosen]
-	b.weights[chosen] *= math.Exp(-b.eta * est / k)
-	// Renormalize to dodge underflow on long runs; scaling all weights
-	// leaves the distribution unchanged.
-	var maxW float64
-	for _, w := range b.weights {
-		if w > maxW {
-			maxW = w
-		}
-	}
-	if maxW > 0 && maxW < 1e-150 {
-		for i := range b.weights {
-			b.weights[i] /= maxW
-		}
+		b.loss[i] = gamma*b.loss[i] + l
+		b.count[i] = gamma*b.count[i] + 1
 	}
 }

@@ -3,18 +3,17 @@
 // committed at every decision point and every other arm shadow-
 // simulated on the same snapshot under a bounded node budget. The
 // shadow plans are scored on the uniform objective (core.PlanScorer),
-// the per-round losses feed a seeded bandit (greedy follow-the-leader,
-// UCB or EXP3), and the bandit's pick becomes the next incumbent —
+// the per-round losses feed a greedy follow-the-leader bandit, and the
+// bandit's pick becomes the next incumbent —
 // switching policies at decision-point granularity, which no fixed
 // ParsePolicy string can do (the paper's own tables show no single
 // policy wins every month).
 //
 // Determinism: shadow evaluation is passive (each arm is an
 // independent policy instance deciding the same read-only snapshot;
-// scoring runs on a private profile), loss normalization is pure
-// arithmetic, and the only sampling bandit (EXP3) draws from a
-// dedicated RNG substream keyed by Config.Seed — so the full choice
-// sequence and regret series replay bit-identically. Wall-clock is
+// scoring runs on a private profile), and loss normalization and arm
+// selection are pure arithmetic — so the full choice sequence and
+// regret series replay bit-identically. Wall-clock is
 // measured for Stats only and never influences a decision; for that
 // same reason member schedulers must not run with an SLO budget (see
 // SetSearchOptions).
@@ -31,99 +30,17 @@ import (
 	"schedsearch/internal/sim"
 )
 
-// DefaultShadowLimit is the node budget a shadow evaluation of a
-// search-policy arm runs under when Config.ShadowLimit is zero. Small
-// relative to typical incumbent budgets (L=1000): shadows exist to
-// rank arms, not to perfect their plans.
-const DefaultShadowLimit = 200
+// shadowLimit is the node budget a shadow evaluation of a search-policy
+// arm runs under. Small relative to typical incumbent budgets (L=1000):
+// shadows exist to rank arms, not to perfect their plans.
+const shadowLimit = 200
 
-// Config tunes the meta-scheduler. The zero value is usable: greedy
-// bandit, default shadow budget, seed 0.
+// Config tunes the meta-scheduler; the zero value is the shipped
+// behaviour.
 type Config struct {
-	// Seed keys the bandit's RNG substream (EXP3 sampling). Two metas
-	// with equal seeds, portfolios and inputs replay identically.
-	Seed uint64
-	// Kind selects the bandit (default Greedy).
-	Kind BanditKind
-	// ShadowLimit caps the node budget of each non-incumbent search
-	// arm's evaluation; 0 means DefaultShadowLimit, negative means
-	// full budget (shadows as expensive as the incumbent).
-	ShadowLimit int
-	// Gamma discounts past losses (default 0.98) so the portfolio
-	// tracks workload regime changes within a month.
-	Gamma float64
-	// Explore is UCB's exploration coefficient (default 0.5).
-	Explore float64
-	// Eta is EXP3's learning rate (default 0.1).
-	Eta float64
-	// StickyMargin is the greedy bandit's switch hysteresis: the
-	// portfolio switches arms only when the best arm's discounted mean
-	// loss undercuts the incumbent's by this relative margin (default
-	// 0.25; negative disables hysteresis).
-	StickyMargin float64
-	// StickyGap is the absolute floor of the hysteresis: below this
-	// mean-loss gap a switch is never taken, whatever the relative
-	// margin says (default 0.005; negative disables).
-	StickyGap float64
-	// ExcessWeight scalarizes hierarchical plan costs (0 means
-	// core.DefaultExcessWeight).
-	ExcessWeight float64
 	// RecordHistory keeps the full per-decision MetaDecision series in
-	// memory (tests and benches; unbounded, off by default).
+	// memory (tests; unbounded, off by default).
 	RecordHistory bool
-}
-
-func (c Config) gamma() float64 {
-	if c.Gamma <= 0 || c.Gamma > 1 {
-		return 0.98
-	}
-	return c.Gamma
-}
-
-func (c Config) explore() float64 {
-	if c.Explore <= 0 {
-		return 0.5
-	}
-	return c.Explore
-}
-
-func (c Config) eta() float64 {
-	if c.Eta <= 0 || c.Eta >= 1 {
-		return 0.1
-	}
-	return c.Eta
-}
-
-func (c Config) stickyMargin() float64 {
-	if c.StickyMargin < 0 {
-		return 0
-	}
-	if c.StickyMargin == 0 {
-		return 0.25
-	}
-	return c.StickyMargin
-}
-
-func (c Config) stickyGap() float64 {
-	if c.StickyGap < 0 {
-		return 0
-	}
-	if c.StickyGap == 0 {
-		return 0.005
-	}
-	return c.StickyGap
-}
-
-// EffectiveShadowLimit resolves the per-shadow node budget this config
-// implies: the default when unset, 0 (members' own budgets) when
-// negative, else ShadowLimit itself.
-func (c Config) EffectiveShadowLimit() int { return c.shadowLimit() }
-
-func (c Config) shadowLimit() int {
-	if c.ShadowLimit == 0 {
-		return DefaultShadowLimit
-	}
-	return c.ShadowLimit
 }
 
 // Stats aggregates meta-scheduling effort and behaviour over a run.
@@ -168,7 +85,7 @@ type Meta struct {
 	cfg     Config
 	members []sim.Policy
 	name    string
-	bandit  bandit
+	bandit  *greedyBandit
 	scorer  *core.PlanScorer
 
 	prevArm   int
@@ -198,8 +115,8 @@ func New(members []sim.Policy, cfg Config) (*Meta, error) {
 		cfg:     cfg,
 		members: members,
 		name:    "meta(" + strings.Join(names, ",") + ")",
-		bandit:  newBandit(cfg.Kind, len(members), cfg),
-		scorer:  &core.PlanScorer{Bound: core.DynamicBound(), ExcessWeight: cfg.ExcessWeight},
+		bandit:  newGreedyBandit(len(members)),
+		scorer:  &core.PlanScorer{Bound: core.DynamicBound()},
 		plans:   make([][]int, len(members)),
 		scores:  make([]float64, len(members)),
 		losses:  make([]float64, len(members)),
@@ -271,9 +188,9 @@ func (m *Meta) Decide(snap *sim.Snapshot) []int {
 		limit := 0
 		clamp := false
 		if shadow && isSearch {
-			if sl := m.cfg.shadowLimit(); sl > 0 && sl < sch.NodeLimit {
+			if shadowLimit < sch.NodeLimit {
 				limit, clamp = sch.NodeLimit, true
-				sch.NodeLimit = sl
+				sch.NodeLimit = shadowLimit
 			}
 		}
 		t0 := time.Now()
@@ -303,8 +220,7 @@ func (m *Meta) Decide(snap *sim.Snapshot) []int {
 	// decisions by how much they actually matter, instead of min-max
 	// stretching every round to the full scale (which punishes losing a
 	// coin-flip round as hard as losing a landslide and drives spurious
-	// switches). EXP3 needs the [0, 1] bound; greedy and UCB inherit the
-	// regret-proportional weighting.
+	// switches).
 	minS := m.scores[0]
 	for _, s := range m.scores[1:] {
 		if s < minS {
@@ -322,7 +238,7 @@ func (m *Meta) Decide(snap *sim.Snapshot) []int {
 		}
 		m.losses[i] = l
 	}
-	m.bandit.observe(m.losses, chosen)
+	m.bandit.observe(m.losses)
 	m.stats.CumRegret += m.scores[chosen] - minS
 	m.commitRecord(snap, chosen, m.scores)
 	m.last.Regret = m.scores[chosen] - minS

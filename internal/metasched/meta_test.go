@@ -1,7 +1,6 @@
 package metasched
 
 import (
-	"math"
 	"testing"
 
 	"schedsearch/internal/core"
@@ -24,70 +23,66 @@ func testPortfolio(t *testing.T, cfg Config) *Meta {
 }
 
 // TestShadowDeterminism is the shadow-simulation determinism keystone:
-// two meta-schedulers with the same seed, the same portfolio and the
-// same workload must produce bit-identical bandit choice sequences and
-// regret series — across suite months, for both the sampling bandit
-// (EXP3, seeded substream) and the deterministic default, with
-// parallel search workers in the members. Run under -race this also
-// pins the shadow path as data-race free.
+// two meta-schedulers with the same portfolio and the same workload
+// must produce bit-identical bandit choice sequences and
+// regret series — across suite months, with parallel search workers in
+// the members. Run under -race this also pins the shadow path as
+// data-race free.
 func TestShadowDeterminism(t *testing.T) {
 	suite := workload.NewSuite(workload.Config{Seed: 13, JobScale: 0.02})
-	for _, kind := range []BanditKind{Greedy, EXP3, UCB} {
-		for _, month := range []string{"7/03", "1/04"} {
-			cfg := Config{Seed: 7, Kind: kind, RecordHistory: true}
-			var first []MetaDecision
-			var firstStats Stats
-			for rep := 0; rep < 2; rep++ {
-				in, _, err := suite.Input(month, workload.SimOptions{TargetLoad: 0.9})
-				if err != nil {
-					t.Fatal(err)
-				}
-				m := testPortfolio(t, cfg)
-				m.SetSearchOptions(2, true) // parallel + warm members
-				if _, err := sim.Run(in, m); err != nil {
-					t.Fatalf("%v %s rep %d: %v", kind, month, rep, err)
-				}
-				hist := m.History()
-				if len(hist) == 0 {
-					t.Fatalf("%v %s: no decisions recorded", kind, month)
-				}
-				if rep == 0 {
-					first = append([]MetaDecision(nil), hist...)
-					firstStats = m.MetaStats()
-					continue
-				}
-				if len(hist) != len(first) {
-					t.Fatalf("%v %s: rerun made %d decisions, first %d", kind, month, len(hist), len(first))
-				}
-				for i := range hist {
-					a, b := first[i], hist[i]
-					if a.Arm != b.Arm || a.Policy != b.Policy || a.Regret != b.Regret ||
-						a.NowS != b.NowS || a.Switched != b.Switched {
-						t.Fatalf("%v %s: decision %d diverges:\nfirst %+v\nrerun %+v", kind, month, i, a, b)
-					}
-				}
-				st, st0 := m.MetaStats(), firstStats
-				if st.Decisions != st0.Decisions || st.Switches != st0.Switches ||
-					st.CumRegret != st0.CumRegret || st.ShadowNodes != st0.ShadowNodes {
-					t.Fatalf("%v %s: stats diverge:\nfirst %+v\nrerun %+v", kind, month, st0, st)
+	for _, month := range []string{"7/03", "1/04"} {
+		cfg := Config{RecordHistory: true}
+		var first []MetaDecision
+		var firstStats Stats
+		for rep := 0; rep < 2; rep++ {
+			in, _, err := suite.Input(month, workload.SimOptions{TargetLoad: 0.9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := testPortfolio(t, cfg)
+			m.SetSearchOptions(2, true) // parallel + warm members
+			if _, err := sim.Run(in, m); err != nil {
+				t.Fatalf("%s rep %d: %v", month, rep, err)
+			}
+			hist := m.History()
+			if len(hist) == 0 {
+				t.Fatalf("%s: no decisions recorded", month)
+			}
+			if rep == 0 {
+				first = append([]MetaDecision(nil), hist...)
+				firstStats = m.MetaStats()
+				continue
+			}
+			if len(hist) != len(first) {
+				t.Fatalf("%s: rerun made %d decisions, first %d", month, len(hist), len(first))
+			}
+			for i := range hist {
+				a, b := first[i], hist[i]
+				if a.Arm != b.Arm || a.Policy != b.Policy || a.Regret != b.Regret ||
+					a.NowS != b.NowS || a.Switched != b.Switched {
+					t.Fatalf("%s: decision %d diverges:\nfirst %+v\nrerun %+v", month, i, a, b)
 				}
 			}
-			t.Logf("%v %s: %d decisions, %d switches, cum regret %.1f",
-				kind, month, firstStats.Decisions, firstStats.Switches, firstStats.CumRegret)
+			st, st0 := m.MetaStats(), firstStats
+			if st.Decisions != st0.Decisions || st.Switches != st0.Switches ||
+				st.CumRegret != st0.CumRegret || st.ShadowNodes != st0.ShadowNodes {
+				t.Fatalf("%s: stats diverge:\nfirst %+v\nrerun %+v", month, st0, st)
+			}
 		}
+		t.Logf("%s: %d decisions, %d switches, cum regret %.1f",
+			month, firstStats.Decisions, firstStats.Switches, firstStats.CumRegret)
 	}
 }
 
-// TestMetaSchedulesValidly: the committed portfolio schedule completes
-// every job, switches arms at least once under EXP3 (the sampler
-// explores), and accounts shadow effort.
+// TestMetaEndToEnd: the committed portfolio schedule completes every
+// job and accounts shadow effort.
 func TestMetaEndToEnd(t *testing.T) {
 	suite := workload.NewSuite(workload.Config{Seed: 13, JobScale: 0.02})
 	in, _, err := suite.Input("10/03", workload.SimOptions{TargetLoad: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := testPortfolio(t, Config{Seed: 3, Kind: EXP3})
+	m := testPortfolio(t, Config{})
 	res, err := sim.Run(in, m)
 	if err != nil {
 		t.Fatal(err)
@@ -96,8 +91,8 @@ func TestMetaEndToEnd(t *testing.T) {
 		t.Fatalf("completed %d of %d jobs", len(res.Records), len(in.Jobs))
 	}
 	st := m.MetaStats()
-	if st.Decisions == 0 || st.Switches == 0 {
-		t.Fatalf("EXP3 never switched: %+v", st)
+	if st.Decisions == 0 {
+		t.Fatalf("no decisions: %+v", st)
 	}
 	if st.ShadowNodes == 0 || st.ShadowWallNs == 0 {
 		t.Fatalf("no shadow effort accounted: %+v", st)
@@ -117,72 +112,20 @@ func TestMetaEndToEnd(t *testing.T) {
 // TestGreedyBandit pins the default bandit's selection rule: lowest
 // discounted mean loss wins, ties break to the lowest index.
 func TestGreedyBandit(t *testing.T) {
-	b := newBandit(Greedy, 3, Config{})
+	b := newGreedyBandit(3)
 	if got := b.pick(); got != 0 {
 		t.Fatalf("fresh greedy picked %d, want 0", got)
 	}
-	b.observe([]float64{1, 0.2, 0.6}, 0)
+	b.observe([]float64{1, 0.2, 0.6})
 	if got := b.pick(); got != 1 {
 		t.Fatalf("after one round picked %d, want 1", got)
 	}
 	// Arm 2 now does consistently better; the discount lets it overtake.
 	for i := 0; i < 50; i++ {
-		b.observe([]float64{1, 0.5, 0.1}, 1)
+		b.observe([]float64{1, 0.5, 0.1})
 	}
 	if got := b.pick(); got != 2 {
 		t.Fatalf("after regime change picked %d, want 2", got)
-	}
-}
-
-// TestUCBBanditTriesEveryArm: each arm must be observed once before any
-// repeats (infinite bonus on unobserved arms, lowest index first).
-func TestUCBBanditTriesEveryArm(t *testing.T) {
-	b := newBandit(UCB, 3, Config{})
-	seen := map[int]bool{}
-	for i := 0; i < 3; i++ {
-		arm := b.pick()
-		if seen[arm] {
-			t.Fatalf("round %d revisited arm %d before trying all", i, arm)
-		}
-		seen[arm] = true
-		b.observe([]float64{0.5, 0.5, 0.5}, arm)
-	}
-}
-
-// TestEXP3Bandit: probabilities stay a distribution, the loss-hit arm
-// loses weight, and equal seeds give equal choice sequences.
-func TestEXP3Bandit(t *testing.T) {
-	mk := func(seed uint64) *exp3Bandit {
-		return newBandit(EXP3, 4, Config{Seed: seed}).(*exp3Bandit)
-	}
-	b := mk(1)
-	p := b.probs(nil)
-	sum := 0.0
-	for _, pi := range p {
-		sum += pi
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Fatalf("probabilities sum to %v", sum)
-	}
-	for i := 0; i < 30; i++ {
-		b.observe([]float64{1, 0, 0, 0}, 0)
-	}
-	p = b.probs(nil)
-	for i := 1; i < 4; i++ {
-		if p[0] >= p[i] {
-			t.Fatalf("punished arm kept probability %v vs arm %d's %v", p[0], i, p[i])
-		}
-	}
-
-	a, c := mk(9), mk(9)
-	for i := 0; i < 100; i++ {
-		ai, ci := a.pick(), c.pick()
-		if ai != ci {
-			t.Fatalf("equal seeds diverged at round %d: %d vs %d", i, ai, ci)
-		}
-		losses := []float64{0.2, 0.8, 0.5, 0.1}
-		a.observe(losses, ai)
-		c.observe(losses, ci)
 	}
 }
 
@@ -198,7 +141,7 @@ func TestParseMeta(t *testing.T) {
 		}
 		return nil, errEmptyPortfolio
 	}
-	m, err := Parse("meta(DDS/lxf/dynB,FCFS-backfill)", 100, Config{}, member)
+	m, err := Parse("meta(DDS/lxf/dynB,FCFS-backfill)", 100, member)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +156,7 @@ func TestParseMeta(t *testing.T) {
 		"meta(,FCFS-backfill)", "meta(DDS/lxf/dynB,)", "meta(meta(DDS/lxf/dynB))",
 		"meta(nonsense)",
 	} {
-		if _, err := Parse(bad, 100, Config{}, member); err == nil {
+		if _, err := Parse(bad, 100, member); err == nil {
 			t.Errorf("%q parsed without error", bad)
 		}
 	}

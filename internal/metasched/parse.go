@@ -26,7 +26,7 @@ func IsSpec(name string) bool { return strings.HasPrefix(name, "meta(") }
 // trailing garbage after the closing parenthesis, empty member slots
 // and nested portfolios are rejected — so Parse(m.Name()) round-trips
 // exactly.
-func Parse(name string, nodeLimit int, cfg Config, member MemberParser) (*Meta, error) {
+func Parse(name string, nodeLimit int, member MemberParser) (*Meta, error) {
 	if !IsSpec(name) {
 		return nil, fmt.Errorf("metasched: %q is not a meta(...) portfolio spec", name)
 	}
@@ -52,5 +52,5 @@ func Parse(name string, nodeLimit int, cfg Config, member MemberParser) (*Meta, 
 		}
 		members = append(members, p)
 	}
-	return New(members, cfg)
+	return New(members, Config{})
 }

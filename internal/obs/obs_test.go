@@ -230,3 +230,50 @@ func TestWriteTraceParses(t *testing.T) {
 		t.Fatalf("args %v", ev.Args)
 	}
 }
+
+func TestHistQuantilesAndBuckets(t *testing.T) {
+	var h Hist
+	if s := h.Snapshot(); s.Count != 0 || s.P99Us != 0 {
+		t.Fatalf("zero hist snapshot %+v", s)
+	}
+	// 90 fast samples (~3µs) and 10 slow (~1000µs).
+	for i := 0; i < 90; i++ {
+		h.Observe(3 * time.Microsecond)
+	}
+	for i := 0; i < 10; i++ {
+		h.Observe(1000 * time.Microsecond)
+	}
+	s := h.Snapshot()
+	if s.Count != 100 {
+		t.Fatalf("count %d", s.Count)
+	}
+	// Quantiles are conservative bucket upper bounds: p50 covers the
+	// 3µs mass (bucket le=4), p99 the 1000µs mass (le=1024).
+	if s.P50Us != 4 {
+		t.Fatalf("p50 %dµs, want 4", s.P50Us)
+	}
+	if s.P99Us != 1024 {
+		t.Fatalf("p99 %dµs, want 1024", s.P99Us)
+	}
+	if s.MaxUs != 1000 {
+		t.Fatalf("max %dµs", s.MaxUs)
+	}
+	// Cumulative buckets end at the last non-empty one, monotone.
+	if len(s.BucketLeUs) == 0 || s.BucketCount[len(s.BucketCount)-1] != 100 {
+		t.Fatalf("buckets %+v", s)
+	}
+	for i := 1; i < len(s.BucketCount); i++ {
+		if s.BucketCount[i] < s.BucketCount[i-1] {
+			t.Fatalf("bucket counts not cumulative: %v", s.BucketCount)
+		}
+	}
+	// ObserveN attributes the same latency to every item of a batch.
+	h.ObserveN(3*time.Microsecond, 5)
+	if got := h.Snapshot().Count; got != 105 {
+		t.Fatalf("count after ObserveN %d", got)
+	}
+	h.ObserveN(time.Microsecond, 0) // no-op
+	if got := h.Snapshot().Count; got != 105 {
+		t.Fatalf("ObserveN(0) changed count to %d", got)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"schedsearch/internal/engine"
 	"schedsearch/internal/ingest"
 	"schedsearch/internal/job"
+	"schedsearch/internal/wire"
 )
 
 // maxBatchItems caps the jobs in one batched submit. It exists so a
@@ -58,9 +59,9 @@ func submitStatus(err error) (int, string) {
 	}
 }
 
-// specFromRequest converts one SubmitRequest to the job the backend
-// admits.
-func specFromRequest(req SubmitRequest) job.Job {
+// specFromRequest converts one wire.SubmitRequest to the job the
+// backend admits.
+func specFromRequest(req wire.SubmitRequest) job.Job {
 	return job.Job{
 		ID:      req.ID,
 		Nodes:   req.Nodes,
@@ -80,7 +81,7 @@ func (s *Server) submitBatch(w http.ResponseWriter, body []byte, st submitTrace)
 			errors.New("batched submits need the ingest queue (run with -ingest-pending > 0)"))
 		return
 	}
-	var reqs []SubmitRequest
+	var reqs []wire.SubmitRequest
 	if err := json.Unmarshal(body, &reqs); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_json", err)
 		return
@@ -199,36 +200,16 @@ func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, HealthResponse{OK: true})
 }
 
-// drainer is the optional backend surface readiness consults; both
-// *engine.Engine and *federation.Router have it.
-type drainer interface {
-	Draining() bool
-}
-
-// shardHealthReporter is the optional backend surface a federated
-// router exposes: per-shard reachability. Readiness consults it so a
-// router fronting an unreachable or rebuilding shard reports 503 with
-// the per-shard breakdown, instead of claiming readiness it cannot
-// honor for jobs routed to the dead shard.
-type shardHealthReporter interface {
-	ShardHealth() []engine.ShardHealth
-}
-
 // readyz is readiness: 200 only while the daemon is admitting work and
 // every federated shard is reachable.
 func (s *Server) readyz(w http.ResponseWriter, r *http.Request) {
-	resp := ReadyResponse{Ready: true}
-	if d, ok := s.e.(drainer); ok {
-		resp.Draining = d.Draining()
-	} else {
-		resp.Draining = s.e.Metrics().Draining
-	}
+	resp := ReadyResponse{Draining: s.e.Draining()}
 	if s.ingest != nil && !s.ingest.Ready() {
 		resp.Saturated = true
 	}
 	allShardsHealthy := true
-	if shr, ok := s.e.(shardHealthReporter); ok {
-		resp.Shards = shr.ShardHealth()
+	if fb, ok := s.e.(FederationBackend); ok {
+		resp.Shards = fb.ShardHealth()
 		for _, sh := range resp.Shards {
 			if !sh.Healthy {
 				allShardsHealthy = false

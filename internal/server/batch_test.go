@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -296,6 +297,61 @@ func TestSaturationBackpressure(t *testing.T) {
 	close(gate)
 	if w := <-done; w.Code != http.StatusCreated {
 		t.Fatalf("gated submit finished with %d %s", w.Code, w.Body.String())
+	}
+}
+
+// TestHTTPDrainCommitsAcceptedBatch: a batch the accept queue already
+// holds when POST /v1/drain arrives must commit, exactly as it does when
+// a signal starts the drain — both run Server.BeginDrain, which flushes
+// the queue before the backend stops admitting. The committer is held
+// mid-batch, so without the flush every item would come back 503.
+func TestHTTPDrainCommitsAcceptedBatch(t *testing.T) {
+	gate := make(chan struct{})
+	f := newIngestFixture(t, 16, ingest.Config{}, gate)
+
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		r := httptest.NewRequest("POST", "/v1/jobs", strings.NewReader(
+			`[{"nodes":1,"runtime_s":60},{"nodes":2,"runtime_s":60},{"nodes":1,"runtime_s":30}]`))
+		w := httptest.NewRecorder()
+		f.srv.ServeHTTP(w, r)
+		done <- w
+	}()
+	waitFor(t, func() bool { return f.q.Stats().Pending == 3 })
+
+	if w, _ := f.do(t, "POST", "/v1/drain", ""); w.Code != http.StatusAccepted {
+		t.Fatalf("drain: %d", w.Code)
+	}
+	// The drain runs on its own goroutine: give it every chance to reach
+	// the backend while the committer is still held.
+	early := false
+	for i := 0; i < 1000 && !early; i++ {
+		runtime.Gosched()
+		early = f.e.Draining()
+	}
+	close(gate) // before any Fatal: the queue's cleanup waits for the committer
+	if early {
+		t.Fatal("backend stopped admitting while accepted items were still uncommitted")
+	}
+	w := <-done
+	var batch BatchResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &batch); err != nil || batch.Accepted != 3 || batch.Rejected != 0 {
+		t.Fatalf("batch accepted before the drain: %d %s", w.Code, w.Body.String())
+	}
+	// With the queue flushed the drain proceeds: admission stops, the
+	// three committed jobs run to completion, onDrained fires.
+	waitFor(t, f.e.Draining)
+	if w, resp := f.do(t, "POST", "/v1/jobs", `{"nodes":1,"runtime_s":60}`); w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("submit after the flush: %d %v", w.Code, resp)
+	}
+	f.vc.Run()
+	select {
+	case <-f.drained:
+	case <-time.After(5 * time.Second):
+		t.Fatal("onDrained never fired")
+	}
+	if m := f.e.Metrics(); m.Jobs.Done != 3 {
+		t.Fatalf("%d of 3 accepted jobs completed", m.Jobs.Done)
 	}
 }
 

@@ -44,6 +44,7 @@ import (
 	"schedsearch/internal/ingest"
 	"schedsearch/internal/job"
 	"schedsearch/internal/obs"
+	"schedsearch/internal/sim"
 	"schedsearch/internal/wire"
 )
 
@@ -57,15 +58,27 @@ type Backend interface {
 	Queue() []engine.JobStatus
 	Machine() engine.Machine
 	Metrics() engine.Metrics
+	Records() []sim.Record
+	// SyncJournal makes every committed event durable (a no-op without
+	// a journal); the handlers that acknowledge a mutation outside the
+	// ingest queue's group commit call it before answering.
+	SyncJournal() error
 	Drain(ctx context.Context) error
+	Draining() bool
+	Err() error
 	Now() job.Time
 }
 
-// FederationBackend is a Backend that can report per-shard federation
-// metrics; serving one enables GET /v1/federation.
+// FederationBackend is the router-only extension of Backend: per-shard
+// federation metrics (serving one enables GET /v1/federation) and
+// per-shard reachability, which readiness consults so a router fronting
+// an unreachable or rebuilding shard reports 503 with the per-shard
+// breakdown instead of claiming readiness it cannot honor for jobs
+// routed to the dead shard.
 type FederationBackend interface {
 	Backend
 	Federation() engine.FederationMetrics
+	ShardHealth() []engine.ShardHealth
 }
 
 // Server is the HTTP front end of one backend.
@@ -103,7 +116,8 @@ func WithIngest(q *ingest.Queue) Option {
 }
 
 // New returns a server for the backend. onDrained, if non-nil, is
-// called once after a POST /v1/drain has fully drained the backend.
+// called once after a requested drain (POST /v1/drain or BeginDrain)
+// has fully drained the backend.
 func New(e Backend, onDrained func(), opts ...Option) *Server {
 	s := &Server{e: e, mux: http.NewServeMux(), onDrained: onDrained}
 	for _, opt := range opts {
@@ -152,29 +166,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// The public wire DTOs live in internal/wire (the schema leaf shared
-// with federation.RemoteShard); the aliases keep this package's names
-// stable for handlers and tests.
-type (
-	// SubmitRequest is the POST /v1/jobs body.
-	SubmitRequest = wire.SubmitRequest
-	// JobResponse describes one job's current state.
-	JobResponse = wire.JobResponse
-	// QueueResponse is the GET /v1/queue body.
-	QueueResponse = wire.QueueResponse
-	// MachineResponse is the GET /v1/machine body.
-	MachineResponse = wire.MachineResponse
-	// RunningJob is one executing job in the machine snapshot.
-	RunningJob = wire.RunningJob
-	// DrainResponse is the POST /v1/drain body.
-	DrainResponse = wire.DrainResponse
-	// ErrorResponse is every error body: a human-readable message plus
-	// a stable machine-readable code clients can switch on.
-	ErrorResponse = wire.ErrorResponse
-)
-
-func (s *Server) jobResponse(st engine.JobStatus) JobResponse {
-	resp := JobResponse{
+func (s *Server) jobResponse(st engine.JobStatus) wire.JobResponse {
+	resp := wire.JobResponse{
 		ID:        st.Job.ID,
 		State:     st.State.String(),
 		Nodes:     st.Job.Nodes,
@@ -222,7 +215,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		s.submitBatch(w, body, st)
 		return
 	}
-	var req SubmitRequest
+	var req wire.SubmitRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_json", err)
 		return
@@ -267,23 +260,15 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		// group-commit boundary, so a 201 must carry its own fsync — a
 		// group-buffered journal would otherwise lose acknowledged
 		// submits on crash.
-		if js, ok := s.e.(journalSyncer); ok {
-			if err := js.SyncJournal(); err != nil {
-				writeError(w, http.StatusInternalServerError, "journal", err)
-				return
-			}
+		if err := s.e.SyncJournal(); err != nil {
+			writeError(w, http.StatusInternalServerError, "journal", err)
+			return
 		}
 	}
 	s.bindSubmitTrace(&st, id, 0)
 	js, _ := s.e.Job(id)
 	writeJSON(w, http.StatusCreated, s.jobResponse(js))
 }
-
-// journalSyncer is the optional Backend surface (both *engine.Engine
-// and *federation.Router have it) the synchronous submit path uses to
-// make each acknowledged submit durable when no ingest queue fronts
-// the backend.
-type journalSyncer interface{ SyncJournal() error }
 
 func (s *Server) job(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.Atoi(r.PathValue("id"))
@@ -301,7 +286,7 @@ func (s *Server) job(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) queue(w http.ResponseWriter, r *http.Request) {
 	q := s.e.Queue()
-	resp := QueueResponse{Length: len(q), Jobs: make([]JobResponse, len(q))}
+	resp := wire.QueueResponse{Length: len(q), Jobs: make([]wire.JobResponse, len(q))}
 	for i, st := range q {
 		resp.Jobs[i] = s.jobResponse(st)
 	}
@@ -310,14 +295,14 @@ func (s *Server) queue(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) machine(w http.ResponseWriter, r *http.Request) {
 	m := s.e.Machine()
-	resp := MachineResponse{
+	resp := wire.MachineResponse{
 		NowS:      m.Now,
 		Capacity:  m.Capacity,
 		FreeNodes: m.FreeNodes,
-		Running:   make([]RunningJob, len(m.Running)),
+		Running:   make([]wire.RunningJob, len(m.Running)),
 	}
 	for i, rj := range m.Running {
-		resp.Running[i] = RunningJob{
+		resp.Running[i] = wire.RunningJob{
 			ID: rj.ID, Nodes: rj.Nodes, User: rj.User,
 			StartS: rj.Start, PredictedEndS: rj.PredictedEnd,
 		}
@@ -358,22 +343,30 @@ func (s *Server) federation(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, fb.Federation())
 }
 
-func (s *Server) drain(w http.ResponseWriter, r *http.Request) {
+// BeginDrain starts the one shutdown sequence, shared by POST /v1/drain
+// and the daemon's signal handler, and returns at once: batches the
+// accept queue already holds commit first, then admission stops and
+// the machine empties, then onDrained runs. Later calls do nothing.
+func (s *Server) BeginDrain() {
 	s.drainOnce.Do(func() {
 		go func() {
-			// Context.Background: the drain outlives the request.
-			if err := s.e.Drain(context.Background()); err != nil && !errors.Is(err, context.Canceled) {
-				// The engine records its own fatal errors; nothing else
-				// to do here.
-				_ = err
+			if s.ingest != nil {
+				s.ingest.Flush()
 			}
+			// Context.Background: the drain outlives any request. The
+			// backend records its own fatal errors (Err).
+			_ = s.e.Drain(context.Background())
 			if s.onDrained != nil {
 				s.onDrained()
 			}
 		}()
 	})
+}
+
+func (s *Server) drain(w http.ResponseWriter, r *http.Request) {
+	s.BeginDrain()
 	m := s.e.Metrics()
-	writeJSON(w, http.StatusAccepted, DrainResponse{
+	writeJSON(w, http.StatusAccepted, wire.DrainResponse{
 		Draining: m.Jobs.Waiting,
 		Running:  m.Jobs.Running,
 	})
@@ -388,5 +381,5 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func writeError(w http.ResponseWriter, status int, code string, err error) {
-	writeJSON(w, status, ErrorResponse{Error: err.Error(), Code: code})
+	writeJSON(w, status, wire.ErrorResponse{Error: err.Error(), Code: code})
 }

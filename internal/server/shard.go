@@ -10,7 +10,6 @@ import (
 	"schedsearch/internal/engine"
 	"schedsearch/internal/job"
 	"schedsearch/internal/obs"
-	"schedsearch/internal/sim"
 	"schedsearch/internal/wire"
 )
 
@@ -45,41 +44,17 @@ import (
 // acknowledged migration step survives a process kill — the invariant
 // the remote chaos tier (chaos.RunFederationRemote) exercises.
 
-// ShardBackend is the backend surface the shard endpoints need: the
-// ordinary Backend plus the migration and inspection seams of
-// engine.Shard. A bare *engine.Engine satisfies it.
+// ShardBackend is the engine-only extension of Backend the shard
+// endpoints need: the migration and inspection seams of engine.Shard. A
+// bare *engine.Engine satisfies it.
 type ShardBackend interface {
 	Backend
 	Admit(j job.Job) error
 	Withdraw(id int) (job.Job, error)
 	Withdrawn(id int) (job.Job, bool)
 	Load() engine.Load
-	Records() []sim.Record
 	Checkpoint() engine.Checkpoint
 }
-
-// The shard wire DTOs live in internal/wire (the schema leaf shared
-// with federation.RemoteShard); the aliases keep this package's names
-// stable for handlers and tests.
-type (
-	// WireJob is job.Job on the wire.
-	WireJob = wire.WireJob
-	// AdmitResponse is the POST /v1/shard/admit success body.
-	AdmitResponse = wire.AdmitResponse
-	// WithdrawRequest is the POST /v1/shard/withdraw body.
-	WithdrawRequest = wire.WithdrawRequest
-	// WithdrawResponse is the POST /v1/shard/withdraw success body.
-	WithdrawResponse = wire.WithdrawResponse
-	// LoadResponse is the GET /v1/shard/load body.
-	LoadResponse = wire.LoadResponse
-	// WireRecord is sim.Record on the wire.
-	WireRecord = wire.WireRecord
-	// RecordsResponse is the GET /v1/shard/records body.
-	RecordsResponse = wire.RecordsResponse
-)
-
-// JobToWire converts a domain job to its wire form.
-func JobToWire(j job.Job) WireJob { return wire.JobToWire(j) }
 
 // registerShardRoutes mounts the shard wire protocol; called from New
 // when the backend satisfies ShardBackend.
@@ -92,7 +67,7 @@ func (s *Server) registerShardRoutes(sb ShardBackend) {
 	})
 	s.mux.HandleFunc("GET /v1/shard/load", func(w http.ResponseWriter, r *http.Request) {
 		ld := sb.Load()
-		writeJSON(w, http.StatusOK, LoadResponse{
+		writeJSON(w, http.StatusOK, wire.LoadResponse{
 			Capacity: ld.Capacity, FreeNodes: ld.FreeNodes,
 			Waiting: ld.Waiting, Running: ld.Running,
 			QueuedNodeSec: ld.QueuedNodeSec, RemainingNodeSec: ld.RemainingNodeSec,
@@ -100,10 +75,10 @@ func (s *Server) registerShardRoutes(sb ShardBackend) {
 	})
 	s.mux.HandleFunc("GET /v1/shard/records", func(w http.ResponseWriter, r *http.Request) {
 		recs := sb.Records()
-		resp := RecordsResponse{Records: make([]WireRecord, len(recs))}
+		resp := wire.RecordsResponse{Records: make([]wire.WireRecord, len(recs))}
 		for i, rec := range recs {
-			resp.Records[i] = WireRecord{
-				Job: JobToWire(rec.Job), StartS: rec.Start, EndS: rec.End,
+			resp.Records[i] = wire.WireRecord{
+				Job: wire.JobToWire(rec.Job), StartS: rec.Start, EndS: rec.End,
 				NodeIDs: rec.NodeIDs, Measured: rec.Measured,
 			}
 		}
@@ -136,7 +111,7 @@ func (s *Server) shardAdmit(w http.ResponseWriter, r *http.Request, sb ShardBack
 	if s.tracer != nil {
 		t0 = s.tracer.Now()
 	}
-	var wj WireJob
+	var wj wire.WireJob
 	if !decodeShardBody(w, r, &wj) {
 		return
 	}
@@ -153,11 +128,9 @@ func (s *Server) shardAdmit(w http.ResponseWriter, r *http.Request, sb ShardBack
 	// The admit is acknowledged only once durable: a group-buffered
 	// journal must not lose a committed migration step to a process
 	// kill after the router has already withdrawn the job elsewhere.
-	if js, ok := s.e.(journalSyncer); ok {
-		if err := js.SyncJournal(); err != nil {
-			writeError(w, http.StatusInternalServerError, "journal", err)
-			return
-		}
+	if err := s.e.SyncJournal(); err != nil {
+		writeError(w, http.StatusInternalServerError, "journal", err)
+		return
 	}
 	if tr := s.tracer; tr != nil {
 		// A shard only continues traces propagated over the federation
@@ -168,11 +141,11 @@ func (s *Server) shardAdmit(w http.ResponseWriter, r *http.Request, sb ShardBack
 			tr.Record("admit", tc, wj.ID, s.traceShard, t0, tr.Now().Sub(t0))
 		}
 	}
-	writeJSON(w, http.StatusCreated, AdmitResponse{ID: wj.ID})
+	writeJSON(w, http.StatusCreated, wire.AdmitResponse{ID: wj.ID})
 }
 
 func (s *Server) shardWithdraw(w http.ResponseWriter, r *http.Request, sb ShardBackend) {
-	var req WithdrawRequest
+	var req wire.WithdrawRequest
 	if !decodeShardBody(w, r, &req) {
 		return
 	}
@@ -183,16 +156,14 @@ func (s *Server) shardWithdraw(w http.ResponseWriter, r *http.Request, sb ShardB
 	}
 	j, err := sb.Withdraw(req.ID)
 	if err == nil {
-		if js, ok := s.e.(journalSyncer); ok {
-			if serr := js.SyncJournal(); serr != nil {
-				// The withdrawal committed but is not durable; refusing
-				// the ack keeps the job from being admitted elsewhere
-				// while this shard could resurrect it after a crash.
-				writeError(w, http.StatusInternalServerError, "journal", serr)
-				return
-			}
+		if serr := s.e.SyncJournal(); serr != nil {
+			// The withdrawal committed but is not durable; refusing
+			// the ack keeps the job from being admitted elsewhere
+			// while this shard could resurrect it after a crash.
+			writeError(w, http.StatusInternalServerError, "journal", serr)
+			return
 		}
-		writeJSON(w, http.StatusOK, WithdrawResponse{Job: JobToWire(j)})
+		writeJSON(w, http.StatusOK, wire.WithdrawResponse{Job: wire.JobToWire(j)})
 		return
 	}
 	if errors.Is(err, engine.ErrNotQueued) {
@@ -200,7 +171,7 @@ func (s *Server) shardWithdraw(w http.ResponseWriter, r *http.Request, sb ShardB
 		// was lost. The tombstone (journal-backed, rebuilt on crash
 		// recovery) returns the same job again.
 		if tj, ok := sb.Withdrawn(req.ID); ok {
-			writeJSON(w, http.StatusOK, WithdrawResponse{Job: JobToWire(tj), Retried: true})
+			writeJSON(w, http.StatusOK, wire.WithdrawResponse{Job: wire.JobToWire(tj), Retried: true})
 			return
 		}
 		if _, ok := sb.Job(req.ID); ok {

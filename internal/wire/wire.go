@@ -3,12 +3,12 @@
 // federation.RemoteShard (which speaks the same schema as a client).
 //
 // It exists as its own leaf package so that the client side never has
-// to import the server: internal/server re-exports every type here
-// under its original name via type aliases, so handlers and existing
-// callers are unaffected, while internal/federation imports only this
-// package. That keeps server tests free to import federation (and
-// ingest tests free to import federation, which batches through the
-// server) without creating an import cycle through the test binary.
+// to import the server: internal/federation imports only this package.
+// That keeps server tests free to import federation (and ingest tests
+// free to import federation, which batches through the server) without
+// creating an import cycle through the test binary. Router and shard
+// processes can be different builds, so the schema is pinned by a
+// golden test (testdata/schema.golden.json).
 //
 // The package may import only leaf domain packages (internal/job);
 // anything needing engine or sim types stays in internal/server.

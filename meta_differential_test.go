@@ -51,7 +51,7 @@ func TestMetaSingletonSuiteDifferential(t *testing.T) {
 			bare := core.New(core.DDS, core.HeuristicLXF, core.DynamicBound(), 24)
 			bare.WarmStart = true
 			inner := core.New(core.DDS, core.HeuristicLXF, core.DynamicBound(), 24)
-			meta, err := metasched.New([]sim.Policy{inner}, metasched.Config{Seed: 1})
+			meta, err := metasched.New([]sim.Policy{inner}, metasched.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -161,16 +161,6 @@ func TestParsePolicyMeta(t *testing.T) {
 			t.Fatalf("ParsePolicy(%q) error %q, want mention of %q", bad.input, err, bad.wantSub)
 		}
 	}
-
-	// ParsePolicyMeta threads a custom bandit config into the portfolio.
-	polC, err := schedsearch.ParsePolicyMeta("meta(DDS/lxf/dynB,FCFS-backfill)", 100,
-		schedsearch.MetaConfig{Seed: 9, Kind: schedsearch.EXP3BanditKind})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := polC.(*schedsearch.MetaScheduler); !ok {
-		t.Fatalf("ParsePolicyMeta built %T", polC)
-	}
 }
 
 // TestBoundStringLossless: sub-hour fixed bounds must render in a unit

@@ -25,7 +25,9 @@ package schedsearch
 
 import (
 	"fmt"
+	"sort"
 	"strings"
+	"time"
 
 	"schedsearch/internal/core"
 	"schedsearch/internal/engine"
@@ -35,6 +37,7 @@ import (
 	"schedsearch/internal/policy"
 	"schedsearch/internal/predict"
 	"schedsearch/internal/sim"
+	"schedsearch/internal/trace"
 	"schedsearch/internal/workload"
 )
 
@@ -183,6 +186,35 @@ func RunMonthWithEstimator(s *Suite, label string, opt SimOptions, est Estimator
 	return metrics.Summarize(res), res, nil
 }
 
+// LoadInput assembles the simulator input the commands replay. A
+// non-empty swfPath reads that SWF trace (plain or .gz) onto a machine
+// of capacity nodes — capacity <= 0 means the header's MaxNodes — grown
+// to hold the widest job; opt.TargetLoad does not apply to traces and
+// the Month is nil. Otherwise it is the generated month of the suite
+// cfg describes, with warm-up/cool-down margins and measurement flags.
+func LoadInput(swfPath string, capacity int, cfg SuiteConfig, month string, opt SimOptions) (sim.Input, *Month, error) {
+	if swfPath == "" {
+		return NewSuite(cfg).Input(month, opt)
+	}
+	jobs, header, err := trace.ReadSWFFile(swfPath)
+	if err != nil {
+		return sim.Input{}, nil, err
+	}
+	if len(jobs) == 0 {
+		return sim.Input{}, nil, fmt.Errorf("%s: no usable jobs", swfPath)
+	}
+	sort.Sort(job.BySubmit(jobs))
+	if capacity <= 0 {
+		capacity = header.MaxNodes
+	}
+	for _, j := range jobs {
+		if j.Nodes > capacity {
+			capacity = j.Nodes
+		}
+	}
+	return sim.Input{Capacity: capacity, Jobs: jobs, UseRequested: opt.UseRequested}, nil, nil
+}
+
 // Online serving: the engine drives any Policy against a clock instead
 // of a trace, with jobs submitted while it runs (see internal/engine
 // and cmd/schedd for the HTTP daemon).
@@ -219,19 +251,12 @@ func ExcessiveWait(res *Result, thresholdH float64) Excess {
 
 // MetaScheduler is the online policy-portfolio meta-scheduler: it
 // shadow-simulates every portfolio member at each decision point and
-// lets a seeded bandit commit one (see internal/metasched).
+// lets a greedy bandit commit one (see internal/metasched).
 type MetaScheduler = metasched.Meta
 
-// MetaConfig tunes the meta-scheduler's bandit, seed and shadow
-// budget.
+// MetaConfig is the meta-scheduler's configuration (the zero value is
+// the shipped behaviour).
 type MetaConfig = metasched.Config
-
-// Bandit kinds for MetaConfig.Kind.
-const (
-	GreedyBanditKind = metasched.Greedy
-	UCBBanditKind    = metasched.UCB
-	EXP3BanditKind   = metasched.EXP3
-)
 
 // NewMetaScheduler builds a policy-portfolio meta-scheduler over
 // distinct member policy instances.
@@ -253,22 +278,29 @@ func NewMetaScheduler(members []Policy, cfg MetaConfig) (*MetaScheduler, error) 
 // constructible policy (FuzzParsePolicy pins this).
 // A portfolio of policies under the online meta-scheduler is spelled
 // "meta(SPEC,SPEC,...)" where each SPEC is any base policy name above
-// ("meta(DDS/lxf/dynB,LDS/fcfs/dynB,FCFS-backfill)"); use
-// ParsePolicyMeta to tune the bandit.
+// ("meta(DDS/lxf/dynB,LDS/fcfs/dynB,FCFS-backfill)").
 // nodeLimit is the search node budget L (ignored for backfill; applied
 // to every member of a portfolio).
 func ParsePolicy(name string, nodeLimit int) (Policy, error) {
-	return ParsePolicyMeta(name, nodeLimit, MetaConfig{})
-}
-
-// ParsePolicyMeta is ParsePolicy with an explicit meta-scheduler
-// configuration for meta(...) portfolio specs (ignored for base
-// policies).
-func ParsePolicyMeta(name string, nodeLimit int, cfg MetaConfig) (Policy, error) {
 	if metasched.IsSpec(name) {
-		return metasched.Parse(name, nodeLimit, cfg, parseBasePolicy)
+		return metasched.Parse(name, nodeLimit, parseBasePolicy)
 	}
 	return parseBasePolicy(name, nodeLimit)
+}
+
+// ApplySearchOptions applies a command's per-process search tuning to a
+// parsed policy: a search scheduler takes all three, every search
+// member of a meta(...) portfolio takes workers and warm (never the SLO,
+// see MetaScheduler.SetSearchOptions), other policies ignore them.
+func ApplySearchOptions(p Policy, workers int, warm bool, slo time.Duration) {
+	switch pol := p.(type) {
+	case *SearchScheduler:
+		pol.Workers = workers
+		pol.WarmStart = warm
+		pol.SLO = slo
+	case *MetaScheduler:
+		pol.SetSearchOptions(workers, warm)
+	}
 }
 
 // parseBasePolicy parses every non-meta policy name (the portfolio
