@@ -64,10 +64,14 @@
 // -fanout N spawns N schedd shard child processes on loopback ports —
 // each owns its near-even slice of -capacity, runs the forwarded
 // policy flags, and (with -journal) appends to its own
-// <path>.shard-N journal it recovers independently — then serves as
-// the federation front-end over them. -join instead fronts shard
-// daemons that are already running (anywhere reachable), discovering
-// their capacities over the wire. Either way the shards are driven
+// <path>.shard-N journal — then serves as the federation front-end
+// over them. A supervisor start always begins clean: every non-empty
+// shard journal is rotated to <path>.shard-N.old before its child
+// starts, because the front-end restarts job IDs and the clock. Only a
+// shard daemon restarted by hand on its own journal (plain serving
+// mode, -journal <path>.shard-N) recovers from it. -join instead
+// fronts shard daemons that are already running (anywhere reachable),
+// discovering their capacities over the wire. Either way the shards are driven
 // through per-call timeouts with bounded retries; an unreachable
 // shard's work is routed around it (GET /v1/readyz answers 503 with
 // the per-shard breakdown while any shard is dark), certain-failure
@@ -105,19 +109,6 @@
 // and never perturbs a schedule. Tracing and the flight recorder are
 // both bit-identical-off-vs-on by construction (the engine
 // differential tests pin this).
-//
-// Chaos mode (development):
-//
-//	schedd -virtual -month 7/03 -policy DDS/lxf/dynB -chaos 3
-//
-// -chaos SEED wraps the policy in a seeded fault injector (panics and
-// artificial latency at seed-dependent decision points — the engine
-// recovers each panic on its FCFS fallback) and attaches the
-// schedule-invariant oracle; the run fails if any invariant is
-// violated, and reports the verdict on stderr. Works in both serving
-// and replay modes, federated or not (a federated run is verified by
-// the global record sweep instead of the live per-engine oracle,
-// because migrations look like re-submissions to a single engine).
 package main
 
 import (
@@ -139,13 +130,11 @@ import (
 	"time"
 
 	"schedsearch"
-	"schedsearch/internal/chaos"
 	"schedsearch/internal/engine"
 	"schedsearch/internal/federation"
 	"schedsearch/internal/ingest"
 	"schedsearch/internal/job"
 	"schedsearch/internal/obs"
-	"schedsearch/internal/oracle"
 	"schedsearch/internal/server"
 	"schedsearch/internal/sim"
 	"schedsearch/internal/workload"
@@ -157,9 +146,6 @@ func main() {
 		return // the flag set already printed the usage
 	}
 	if err == nil {
-		if cfg.chaosSeed > 0 {
-			logger.Info("chaos mode on: injecting policy panics and latency", "seed", cfg.chaosSeed)
-		}
 		if cfg.replayMode() {
 			err = replay(cfg)
 		} else {
@@ -194,7 +180,6 @@ type config struct {
 	seed      uint64
 	scale     float64
 	load      float64
-	chaosSeed uint64
 
 	fed fedOptions
 	dur durOptions
@@ -228,7 +213,6 @@ func parseConfig(args []string) (config, error) {
 	fs.Uint64Var(&c.seed, "seed", 1, "workload generation seed")
 	fs.Float64Var(&c.scale, "scale", 1, "job-count/duration scale factor for generated months")
 	fs.Float64Var(&c.load, "load", 0, "target offered load for generated months (0 = original)")
-	fs.Uint64Var(&c.chaosSeed, "chaos", 0, "dev fault injection: wrap the policy in a seeded panic/latency injector and verify the run against the schedule oracle (0 = off)")
 	fs.IntVar(&c.fed.shards, "shards", 1, "engine shards; >1 federates the machine behind a routing front-end")
 	fs.StringVar(&placement, "placement", "least-loaded", "federation placement policy: least-loaded, best-fit or hash-by-user")
 	fs.Int64Var(&c.fed.rebalance, "rebalance", 60, "federation rebalance period in engine seconds (0 = off)")
@@ -284,8 +268,6 @@ func parseConfig(args []string) (config, error) {
 			return config{}, errors.New("-shards federates in process; drop it when using -join or -fanout")
 		case c.replayMode():
 			return config{}, errors.New("-join/-fanout are serving-mode only (replay has no remote shards)")
-		case c.chaosSeed > 0:
-			return config{}, errors.New("-chaos is not supported on a remote federation front-end")
 		}
 		// Children re-run this binary with the policy flags forwarded;
 		// they admit synchronously (no accept queue) — batching belongs
@@ -319,17 +301,6 @@ func (c config) newPolicy(int) sim.Policy {
 		panic(err) // parseConfig validated it
 	}
 	schedsearch.ApplySearchOptions(pol, c.workers, c.warm, c.slo)
-	if c.chaosSeed > 0 {
-		// The seed varies the injection cadence, so different seeds
-		// exercise different decision points; the oracle rides along
-		// and the run fails loudly on any invariant violation.
-		pol = &chaos.FlakyPolicy{
-			Inner:        pol,
-			PanicEvery:   int(5 + c.chaosSeed%7),
-			LatencyEvery: int(2 + c.chaosSeed%3),
-			Latency:      100 * time.Microsecond,
-		}
-	}
 	return pol
 }
 
@@ -456,14 +427,7 @@ func serve(c config) error {
 				return err
 			}
 			recovered = &cp
-			if cp.Base != nil && cp.Base.At > start {
-				start = cp.Base.At
-			}
-			for _, ev := range cp.Events {
-				if ev.At > start {
-					start = ev.At
-				}
-			}
+			start = cp.LastInstant()
 		}
 	}
 	tr := c.obs.tracer(nil)
@@ -593,18 +557,13 @@ func replay(c config) error {
 	for _, j := range input.Jobs {
 		j := j
 		vc.AfterFunc(j.Submit, func() {
-			var tc obs.TraceContext
-			var t0 time.Time
-			if tr != nil {
-				tc = tr.Mint()
-				tr.Bind(j.ID, tc)
-				t0 = tr.Now()
-			}
+			// With tracing off (nil tracer) these mint, bind and record nothing.
+			tc := tr.Mint()
+			tr.Bind(j.ID, tc)
+			t0 := tr.Now()
 			err := bk.SubmitJob(j)
 			if err == nil {
-				if tr != nil {
-					tr.Record("submit", tc, j.ID, frontShard, t0, tr.Now().Sub(t0))
-				}
+				tr.Record("submit", tc, j.ID, frontShard, t0, tr.Now().Sub(t0))
 				return
 			}
 			if errors.Is(err, federation.ErrTooWide) {
@@ -629,15 +588,10 @@ func replay(c config) error {
 	return st.report(c, tr)
 }
 
-// report ends a run: the chaos-mode verdict, the trace file, then the
-// final whole-machine metrics on stdout (a federated run appends the
-// per-shard federation report).
+// report ends a run: the trace file, then the final whole-machine
+// metrics on stdout (a federated run appends the per-shard federation
+// report).
 func (st *stack) report(c config, tr *obs.Tracer) error {
-	if c.chaosSeed > 0 {
-		if err := st.verify(); err != nil {
-			return err
-		}
-	}
 	if err := c.obs.writeTraceOut(tr); err != nil {
 		return err
 	}
@@ -649,35 +603,5 @@ func (st *stack) report(c config, tr *obs.Tracer) error {
 	if st.router != nil {
 		return enc.Encode(st.router.Federation())
 	}
-	return nil
-}
-
-// verify renders the chaos-mode verdict after a run. A bare engine is
-// checked by its live oracle plus the record sweep; a federation by the
-// global cross-shard sweep (partition geometry, shard-local node IDs,
-// conservation across migrations).
-func (st *stack) verify() error {
-	bk := st.bk
-	if router := st.router; router != nil {
-		shardRecs := make([][]sim.Record, router.NumShards())
-		for i := range shardRecs {
-			shardRecs[i] = router.ShardRecords(i)
-		}
-		if err := oracle.CheckFederation(bk.Metrics().Capacity, router.ShardCapacities(), nil, shardRecs); err != nil {
-			return err
-		}
-		fm := router.Federation()
-		logger.Info("federation oracle verdict: clean",
-			"jobs", len(bk.Records()), "shards", fm.Shards, "migrations", fm.Migrations)
-		return nil
-	}
-	if err := st.orc.Final(); err != nil {
-		return err
-	}
-	if err := oracle.CheckRecords(bk.Metrics().Capacity, nil, bk.Records()); err != nil {
-		return err
-	}
-	logger.Info("chaos oracle verdict: clean",
-		"jobs", len(bk.Records()), "recovered_panics", bk.Metrics().Engine.PolicyPanics)
 	return nil
 }

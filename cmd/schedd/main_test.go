@@ -20,8 +20,6 @@ func TestParseConfigRejects(t *testing.T) {
 		{"-shards 2 -join http://a:1", "-shards"},
 		{"-virtual -fanout 2", "serving-mode only"},
 		{"-swf t.swf -join http://a:1", "serving-mode only"},
-		{"-chaos 3 -fanout 2", "-chaos"},
-		{"-chaos 3 -join http://a:1", "-chaos"},
 		{"-shards 2 -placement round-robin", "round-robin"},
 		{"-fanout 2 -placement round-robin", "round-robin"},
 		{"-policy BFS/lxf/dynB", "unknown search algorithm"},
@@ -57,7 +55,7 @@ func TestParseConfigAccepts(t *testing.T) {
 		t.Errorf("defaults parsed as %+v", c)
 	}
 
-	c, err = parseConfig(strings.Fields("-virtual -month 1/04 -shards 4 -placement best-fit -speedup 50 -chaos 2"))
+	c, err = parseConfig(strings.Fields("-virtual -month 1/04 -shards 4 -placement best-fit -speedup 50"))
 	if err != nil {
 		t.Fatalf("federated replay: %v", err)
 	}

@@ -9,7 +9,6 @@ import (
 	"schedsearch/internal/engine"
 	"schedsearch/internal/federation"
 	"schedsearch/internal/obs"
-	"schedsearch/internal/oracle"
 	"schedsearch/internal/server"
 	"schedsearch/internal/sim"
 )
@@ -20,7 +19,6 @@ import (
 type stack struct {
 	bk     server.Backend
 	router *federation.Router // nil for a bare engine
-	orc    *oracle.Oracle     // chaos mode on a bare engine
 	flight *obs.FlightRecorder
 
 	journals []*engine.FileJournal
@@ -113,12 +111,6 @@ func buildBackend(c config, clock engine.Clock, window sim.Input, tr *obs.Tracer
 		MeasureEnd:   window.MeasureEnd,
 		Flight:       st.flight,
 		Tracer:       tr,
-	}
-	if c.chaosSeed > 0 {
-		// Assigned only when on: a nil *Oracle stored directly would be a
-		// typed-nil Observer the ledger's nil check cannot see.
-		st.orc = oracle.New(window.Capacity)
-		cfg.Observer = st.orc
 	}
 	if dur.path != "" {
 		fj, err := engine.OpenFileJournal(dur.path, dur.group)

@@ -110,6 +110,9 @@ type flightPolicy struct {
 
 func (p *flightPolicy) Name() string { return p.inner.Name() }
 
+// Unwrap returns the recorded policy (see core.SchedulerOf).
+func (p *flightPolicy) Unwrap() sim.Policy { return p.inner }
+
 func (p *flightPolicy) Decide(snap *sim.Snapshot) []int {
 	t0 := time.Now()
 	starts := p.inner.Decide(snap)
@@ -145,15 +148,6 @@ func emitJSON(res *sim.Result, s metrics.Summary, pol sim.Policy) error {
 	return enc.Encode(engine.OfflineMetrics(res, s, pol))
 }
 
-// statsPolicy unwraps the flight shim so the search-statistics report
-// still sees the *core.Scheduler underneath.
-func statsPolicy(pol sim.Policy) sim.Policy {
-	if fp, ok := pol.(*flightPolicy); ok {
-		return fp.inner
-	}
-	return pol
-}
-
 // run simulates the policy over the input and reports; header renders
 // the human summary's first line from the measured job count.
 func run(in sim.Input, header func(jobs int) string, policyArg string, opts searchOpts, verbose bool, timeline int, jsonOut bool) error {
@@ -170,13 +164,13 @@ func run(in sim.Input, header func(jobs int) string, policyArg string, opts sear
 	}
 	s := metrics.Summarize(res)
 	if jsonOut {
-		if err := emitJSON(res, s, statsPolicy(pol)); err != nil {
+		if err := emitJSON(res, s, pol); err != nil {
 			return err
 		}
 		return printFlight(flight)
 	}
 	fmt.Println(header(s.Jobs))
-	printSummary(res, s, statsPolicy(pol))
+	printSummary(res, s, pol)
 	if verbose {
 		printGrid(metrics.ComputeClassGrid(res))
 	}
@@ -218,7 +212,7 @@ func printSummary(res *sim.Result, s metrics.Summary, pol sim.Policy) {
 	fmt.Printf("  avg bounded slowdown %7.2f\n", s.AvgBoundedSlowdown)
 	fmt.Printf("  avg queue length    %8.2f\n", s.AvgQueueLen)
 	fmt.Printf("  decision points     %8d\n", res.Decisions)
-	if sch, ok := pol.(*core.Scheduler); ok {
+	if sch := core.SchedulerOf(pol); sch != nil {
 		st := sch.SearchStats
 		fmt.Printf("  search: %d decisions, %d nodes, %d schedules evaluated, budget hit %d times\n",
 			st.Decisions, st.Nodes, st.Leaves, st.BudgetHits)

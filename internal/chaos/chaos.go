@@ -465,6 +465,9 @@ type FlakyPolicy struct {
 // Name implements sim.Policy.
 func (p *FlakyPolicy) Name() string { return p.Inner.Name() }
 
+// Unwrap returns the wrapped policy (see core.SchedulerOf).
+func (p *FlakyPolicy) Unwrap() sim.Policy { return p.Inner }
+
 // Decide implements sim.Policy with injected faults.
 func (p *FlakyPolicy) Decide(snap *sim.Snapshot) []int {
 	p.calls++
@@ -477,12 +480,17 @@ func (p *FlakyPolicy) Decide(snap *sim.Snapshot) []int {
 	return p.Inner.Decide(snap)
 }
 
-// LastDecision forwards the inner policy's decision summary so the
-// flight recorder sees through the fault-injection wrapper; a wrapped
-// non-search policy yields the zero summary (generic records).
+// LastDecision forwards the inner policy's decision summary (a search
+// scheduler's, a meta-scheduler's chosen arm's) or, through further
+// wrappers, the search scheduler's underneath, so the flight recorder
+// sees through the fault-injection wrapper; a wrapped non-search policy
+// yields the zero summary (generic records).
 func (p *FlakyPolicy) LastDecision() core.DecisionSummary {
 	if ds, ok := p.Inner.(interface{ LastDecision() core.DecisionSummary }); ok {
 		return ds.LastDecision()
+	}
+	if sch := core.SchedulerOf(p.Inner); sch != nil {
+		return sch.LastDecision()
 	}
 	return core.DecisionSummary{}
 }

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"schedsearch/internal/core"
+	"schedsearch/internal/engine"
 	"schedsearch/internal/policy"
 	"schedsearch/internal/sim"
+	"schedsearch/internal/workload"
 )
 
 func fcfs() sim.Policy { return policy.FCFSBackfill() }
@@ -168,5 +170,49 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if got := Fault(0).String(); got != "none" {
 		t.Fatalf("Fault(0).String() = %q", got)
+	}
+}
+
+// TestSearchCountersSurviveWrapper: the engine reads search effort
+// through core.SchedulerOf, so a scheduler under FlakyPolicy (here with
+// no faults armed) must report exactly the bare scheduler's non-zero
+// counters on the same replayed month instead of zeros.
+func TestSearchCountersSurviveWrapper(t *testing.T) {
+	in, _, err := workload.NewSuite(workload.Config{Seed: 3, JobScale: 0.05}).Input("7/03", workload.SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counters := func(pol sim.Policy) engine.Counters {
+		vc := engine.NewVirtualClock()
+		e, err := engine.New(engine.Config{Capacity: in.Capacity, Policy: pol, Clock: vc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range in.Jobs {
+			j := j
+			vc.AfterFunc(j.Submit, func() {
+				if err := e.SubmitJob(j); err != nil {
+					t.Errorf("submit job %d: %v", j.ID, err)
+				}
+			})
+		}
+		vc.Run()
+		if err := e.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return e.Metrics().Engine
+	}
+	newDDS := func() *core.Scheduler {
+		return core.New(core.DDS, core.HeuristicLXF, core.DynamicBound(), 200)
+	}
+	bare, wrapped := counters(newDDS()), counters(&FlakyPolicy{Inner: newDDS()})
+	if bare.SearchNodes == 0 || bare.SearchLeaves == 0 || bare.BudgetHits == 0 {
+		t.Fatalf("bare scheduler reports no search effort: %+v", bare)
+	}
+	if wrapped.SearchNodes != bare.SearchNodes || wrapped.SearchLeaves != bare.SearchLeaves ||
+		wrapped.BudgetHits != bare.BudgetHits {
+		t.Errorf("wrapped counters nodes=%d leaves=%d budget_hits=%d, bare nodes=%d leaves=%d budget_hits=%d",
+			wrapped.SearchNodes, wrapped.SearchLeaves, wrapped.BudgetHits,
+			bare.SearchNodes, bare.SearchLeaves, bare.BudgetHits)
 	}
 }

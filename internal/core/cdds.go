@@ -10,7 +10,8 @@ package core
 // swapping a job with its heuristic neighbor at any subset of levels —
 // partitioned by iteration exactly like DDS: iteration i forces the
 // rank-1 branch at level i-1, branches freely over {0, 1} above it and
-// follows the heuristic below.
+// follows the heuristic below. It is the same enumerator (ddsDFS) at
+// branch width 2 instead of n.
 //
 // CDDS adds climbing: the reference ordering the ranks are measured
 // against starts as the heuristic order; whenever a sweep improves the
@@ -21,50 +22,14 @@ package core
 // aborts like every other algorithm, with the iteration-0 schedule
 // always in hand.
 
-// addsDFS explores iteration iter of ADDS from the given level: like
-// ddsDFS but with branching restricted to ranks {0, 1} everywhere.
-func (s *searchState) addsDFS(level, iter int) {
-	n := len(s.ordered)
-	if level == n {
-		s.leaf()
-		return
-	}
-	heuristicOnly := iter == 0 || level > iter-1
-	forced := iter > 0 && level == iter-1
-	b := 0
-	for oi := s.freeHead; oi >= 0; oi = s.freeNext[oi] {
-		if forced && b == 0 {
-			b++
-			continue
-		}
-		b++
-		if !s.visit(oi, func() { s.addsDFS(level+1, iter) }) {
-			return
-		}
-		if heuristicOnly || b >= 2 {
-			break
-		}
-	}
-}
-
-// runADDS runs the full adjacent sweep: iteration 0 is the heuristic
-// path, iteration i forces the adjacent discrepancy at level i-1.
-func (s *searchState) runADDS() {
-	n := len(s.ordered)
-	s.addsDFS(0, 0)
-	for i := 1; i <= n-1 && !s.aborted; i++ {
-		s.addsDFS(0, i)
-	}
-}
-
-// runCDDS runs climbing ADDS: sweep the adjacent iterations against the
-// current reference ordering; on improvement, re-anchor the reference
-// to the incumbent and restart the sweep. Terminates on a full sweep
-// without improvement (a local optimum of the adjacent neighborhood) or
-// on budget.
+// runCDDS runs climbing ADDS (reset with CDDS fixed s.width at 2): sweep
+// the adjacent iterations against the current reference ordering; on
+// improvement, re-anchor the reference to the incumbent and restart the
+// sweep. Terminates on a full sweep without improvement (a local
+// optimum of the adjacent neighborhood) or on budget.
 func (s *searchState) runCDDS() {
 	n := len(s.ordered)
-	s.addsDFS(0, 0) // evaluate the initial (heuristic) reference
+	s.ddsDFS(0, 0) // evaluate the initial (heuristic) reference
 	if n < 2 {
 		return
 	}
@@ -72,7 +37,7 @@ func (s *searchState) runCDDS() {
 		improved := false
 		ref := s.bestCost // incumbent at sweep start (iteration 0 set it)
 		for i := 1; i <= n-1; i++ {
-			s.addsDFS(0, i)
+			s.ddsDFS(0, i)
 			if s.aborted {
 				return
 			}
@@ -127,28 +92,4 @@ func (s *searchState) climbToBest() {
 	}
 	s.memoMatched = 0
 	s.memoRecord = false
-}
-
-// addsIterNodes returns the number of visit() calls ADDS iteration i
-// performs on an n-job tree (saturating at satCap): levels above the
-// forced depth branch two ways, the forced level takes exactly the
-// adjacent branch, and each of the 2^(i-1) surviving paths runs
-// heuristically to depth n. Iteration 0 is the heuristic path.
-func addsIterNodes(n, i int) int64 {
-	if n <= 0 {
-		return 0
-	}
-	if i == 0 {
-		return int64(n)
-	}
-	var total int64
-	p := int64(1) // 2^l running product
-	for l := 0; l <= i-2; l++ {
-		p = satMul(p, 2) // 2^(l+1) visits at free level l
-		total = satAdd(total, p)
-	}
-	// p == 2^(i-1): one forced visit per prefix, then n-i heuristic
-	// levels per path.
-	total = satAdd(total, satMul(p, int64(n-i+1)))
-	return total
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"math/rand"
 	"testing"
-
-	"schedsearch/internal/cluster"
 )
 
 // branchRanks returns, per level, the rank of the chosen job among the
@@ -100,8 +98,8 @@ func TestADDSIterNodeCountsMatchSequential(t *testing.T) {
 	for n := 1; n <= 8; n++ {
 		snap := flatQueueSnapshot(n)
 		for iter := 0; iter <= n-1; iter++ {
-			if got, want := addsIterNodes(n, iter), seqIterNodes(snap, ADDS, iter); got != want {
-				t.Errorf("addsIterNodes(%d, %d) = %d, sequential visits %d", n, iter, got, want)
+			if got, want := ddsIterNodes(n, iter, 2), seqIterNodes(snap, ADDS, iter); got != want {
+				t.Errorf("ddsIterNodes(%d, %d, 2) = %d, sequential visits %d", n, iter, got, want)
 			}
 		}
 	}
@@ -111,7 +109,7 @@ func TestADDSIterNodeCountsMatchSequential(t *testing.T) {
 // the same, so CDDS never climbs and must evaluate exactly the adjacent
 // tree — the same 2^(n-1) leaves ADDS does, each once.
 func TestCDDSLeafSetOnFlatQueue(t *testing.T) {
-	for n := 2; n <= 6; n++ {
+	for n := 1; n <= 6; n++ {
 		snap := flatQueueSnapshot(n)
 		var s searchState
 		seen := map[string]int{}
@@ -123,7 +121,7 @@ func TestCDDSLeafSetOnFlatQueue(t *testing.T) {
 			seen[permKey(append([]int(nil), path...))]++
 			leaves++
 		}
-		s.reset(snap, HeuristicFCFS, 0, HierarchicalCost, 1)
+		s.reset(snap, CDDS, HeuristicFCFS, 0, HierarchicalCost, 1)
 		s.limit = satCap
 		s.runCDDS()
 		if s.aborted {
@@ -160,13 +158,12 @@ func TestCDDSLocalOptimum(t *testing.T) {
 		bestCost := sch.s.bestCost
 
 		var es searchState
-		es.reset(snap, HeuristicLXF, sch.Bound.At(snap), HierarchicalCost, 1)
-		var undo []cluster.Placement
+		es.reset(snap, CDDS, HeuristicLXF, sch.Bound.At(snap), HierarchicalCost, 1)
 		perm := make([]int, n)
 		for l := 0; l < n-1; l++ {
 			copy(perm, best)
 			perm[l], perm[l+1] = perm[l+1], perm[l]
-			if c := es.evalOrder(perm, &undo); c.Less(bestCost) {
+			if c, _ := es.ev.Eval(es.ordered, perm, es.cost, es.bound); c.Less(bestCost) {
 				t.Errorf("trial %d: swap at level %d improves the CDDS optimum (%v < %v)",
 					trial, l, c, bestCost)
 			}

@@ -1,0 +1,60 @@
+package core
+
+import (
+	"slices"
+
+	"schedsearch/internal/cluster"
+	"schedsearch/internal/job"
+	"schedsearch/internal/sim"
+)
+
+// OrderEvaluator evaluates complete queue orderings on one decision's
+// availability profile — the paper's basic operation, written once:
+// place each job at its earliest fit in the given order, sum the
+// placement costs, note which jobs start now, and undo. The search
+// enumerates on the same profile (searchState.visit is the incremental
+// form of Eval); the warm seed, local search, PlanScorer and the
+// environment export all evaluate through Eval. The zero value is
+// ready for Reset.
+type OrderEvaluator struct {
+	prof     cluster.Profile
+	now      job.Time
+	startNow []bool
+	undo     []cluster.Placement
+}
+
+// Reset points the evaluator at a new decision: the profile is rebuilt
+// from the snapshot's running jobs, reusing its storage.
+func (e *OrderEvaluator) Reset(snap *sim.Snapshot) {
+	snap.FillProfile(&e.prof)
+	e.now = snap.Now
+}
+
+// Eval places jobs[order[0]], jobs[order[1]], ... each at its earliest
+// fit and returns the plan's summed cost plus, per index into jobs,
+// whether that job starts now. The profile is restored before
+// returning; the flags slice is reused by the next Eval.
+func (e *OrderEvaluator) Eval(jobs []sim.WaitingJob, order []int, cost CostFn, bound job.Duration) (Cost, []bool) {
+	e.startNow = Resize(e.startNow, len(jobs))
+	e.undo = e.undo[:0]
+	var total Cost
+	for _, i := range order {
+		w := jobs[i]
+		start, pl := e.prof.PlaceEarliest(e.now, w.Job.Nodes, w.PlanEstimate())
+		e.undo = append(e.undo, pl)
+		total = total.Add(cost(w, start, e.now, bound))
+		e.startNow[i] = start == e.now
+	}
+	for i := len(e.undo) - 1; i >= 0; i-- {
+		e.prof.Undo(e.undo[i])
+	}
+	return total, e.startNow
+}
+
+// Resize returns xs with length n and every element zero, reusing the
+// backing array when it is large enough.
+func Resize[T any](xs []T, n int) []T {
+	xs = slices.Grow(xs[:0], n)[:n]
+	clear(xs)
+	return xs
+}

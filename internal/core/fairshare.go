@@ -36,6 +36,9 @@ func NewFairshare(inner *Scheduler, alpha float64) *Fairshare {
 // Name implements sim.Policy.
 func (f *Fairshare) Name() string { return f.Inner.Name() + "+fs" }
 
+// Unwrap returns the wrapped scheduler (see SchedulerOf).
+func (f *Fairshare) Unwrap() sim.Policy { return f.Inner }
+
 // Decide implements sim.Policy.
 func (f *Fairshare) Decide(snap *sim.Snapshot) []int {
 	f.update(snap)

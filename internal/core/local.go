@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 
-	"schedsearch/internal/cluster"
-	"schedsearch/internal/job"
 	"schedsearch/internal/sim"
 	"schedsearch/internal/stats"
 )
@@ -79,7 +77,8 @@ func (ls *LocalScheduler) Decide(snap *sim.Snapshot) []int {
 	// Current ordering: heuristic order by default, the best DDS path
 	// in hybrid mode (the DDS pass consumes half the budget).
 	s := &ls.s
-	s.reset(snap, ls.Heuristic, ls.Bound.At(snap), cost, limit)
+	bound := ls.Bound.At(snap)
+	s.reset(snap, DDS, ls.Heuristic, bound, cost, limit)
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
@@ -96,9 +95,9 @@ func (ls *LocalScheduler) Decide(snap *sim.Snapshot) []int {
 		ls.SearchStats.Leaves += s.leaves
 	}
 
-	eval := newOrderEvaluator(snap, s.ordered, cost, ls.Bound.At(snap))
-
-	c0, sn0 := eval.run(order)
+	// Orderings are evaluated on the search's own profile, which the
+	// DDS pass (if any) has restored to the decision's starting state.
+	c0, sn0 := s.ev.Eval(s.ordered, order, cost, bound)
 	bestCost := c0
 	bestStartNow := append([]bool(nil), sn0...) // eval reuses its slice
 	used := int64(n)
@@ -113,7 +112,7 @@ func (ls *LocalScheduler) Decide(snap *sim.Snapshot) []int {
 			k = (k + 1) % n
 		}
 		cur[i], cur[k] = cur[k], cur[i]
-		c, startNow := eval.run(cur)
+		c, startNow := s.ev.Eval(s.ordered, cur, cost, bound)
 		used += int64(n)
 		if c.Less(curCost) {
 			curCost = c
@@ -138,59 +137,4 @@ func (ls *LocalScheduler) Decide(snap *sim.Snapshot) []int {
 		}
 	}
 	return starts
-}
-
-// orderEvaluator scores complete orderings against a fresh profile of
-// the running jobs, reusing buffers across evaluations.
-type orderEvaluator struct {
-	prof     *cluster.Profile
-	jobs     []sim.WaitingJob
-	cost     CostFn
-	bound    job.Duration
-	now      job.Time
-	startNow []bool
-	undo     []cluster.Placement
-}
-
-func newOrderEvaluator(snap *sim.Snapshot, ordered []sim.WaitingJob, cost CostFn, bound job.Duration) *orderEvaluator {
-	prof := cluster.New(snap.Capacity, snap.Now)
-	for _, r := range snap.Running {
-		end := r.PredictedEnd
-		if end <= snap.Now {
-			end = snap.Now + 1
-		}
-		prof.Place(snap.Now, r.Nodes, end-snap.Now)
-	}
-	return &orderEvaluator{
-		prof:     prof,
-		jobs:     ordered,
-		cost:     cost,
-		bound:    bound,
-		now:      snap.Now,
-		startNow: make([]bool, len(ordered)),
-		undo:     make([]cluster.Placement, 0, len(ordered)),
-	}
-}
-
-// run places the jobs in the given ordering (ordered indices) and
-// returns the schedule cost and per-ordered-index start-now flags. The
-// returned slice is reused by the next call.
-func (e *orderEvaluator) run(order []int) (Cost, []bool) {
-	var total Cost
-	e.undo = e.undo[:0]
-	for _, oi := range order {
-		w := e.jobs[oi]
-		est := w.Estimate
-		if est < 1 {
-			est = 1
-		}
-		start, pl := e.prof.PlaceEarliest(e.now, w.Job.Nodes, est)
-		e.undo = append(e.undo, pl)
-		total = total.Add(e.cost(w, start, e.now, e.bound))
-		e.startNow[oi] = start == e.now
-	}
-	for i := len(e.undo) - 1; i >= 0; i-- {
-		e.prof.Undo(e.undo[i])
-	}
-	return total, e.startNow
 }

@@ -133,12 +133,15 @@ func (sc *shardScratch) ldsIterNodes(n, k int) int64 {
 	return total
 }
 
-// ddsIterNodes returns the number of visit() calls DDS iteration i
-// performs on an n-job tree (saturating at satCap): free branching
-// above the forced depth contributes P(n,d) nodes at depth d < i, the
-// forced discrepancy multiplies in n-i, and each resulting path runs
-// heuristically to depth n.
-func ddsIterNodes(n, i int) int64 {
+// ddsIterNodes returns the number of visit() calls iteration i of the
+// depth-bounded enumerator performs on an n-job tree at the given
+// branch width (saturating at satCap). Level l offers min(n-l, width)
+// branches: free branching above the forced depth multiplies them up,
+// the forced level takes all but the heuristic one, and each resulting
+// path runs heuristically to depth n. At width n that is P(n,d) nodes
+// at depth d < i (DDS); at width 2 it is 2^d (ADDS). Iteration 0 is
+// the heuristic path.
+func ddsIterNodes(n, i, width int) int64 {
 	if n <= 0 {
 		return 0
 	}
@@ -146,12 +149,12 @@ func ddsIterNodes(n, i int) int64 {
 		return int64(n)
 	}
 	var total int64
-	p := int64(1) // P(n, d) running product
-	for d := 1; d <= i-1; d++ {
-		p = satMul(p, int64(n-d+1))
+	p := int64(1) // prefixes reaching the current level
+	for l := 0; l <= i-2; l++ {
+		p = satMul(p, int64(min(n-l, width)))
 		total = satAdd(total, p)
 	}
-	paths := satMul(p, int64(n-i)) // P(n,i-1) × forced choices
+	paths := satMul(p, int64(min(n-i+1, width)-1)) // forced level i-1
 	// Depths i..n: one node per path per depth.
 	total = satAdd(total, satMul(paths, int64(n-i+1)))
 	return total
@@ -162,10 +165,8 @@ func (sch *Scheduler) iterNodes(n, iter int) int64 {
 	switch sch.Algorithm {
 	case LDS:
 		return sch.shard.ldsIterNodes(n, iter)
-	case DDS:
-		return ddsIterNodes(n, iter)
-	case ADDS:
-		return addsIterNodes(n, iter)
+	case DDS, ADDS:
+		return ddsIterNodes(n, iter, sch.Algorithm.width(n))
 	default:
 		panic("core: iterNodes on non-iterative algorithm")
 	}
@@ -354,10 +355,8 @@ func (ws *searchState) runIteration(algo Algorithm, t iterTask, r *iterResult) {
 	switch algo {
 	case LDS:
 		ws.ldsDFS(0, t.iter)
-	case DDS:
+	case DDS, ADDS:
 		ws.ddsDFS(0, t.iter)
-	case ADDS:
-		ws.addsDFS(0, t.iter)
 	default:
 		panic("core: runIteration on non-iterative algorithm")
 	}

@@ -24,15 +24,13 @@ func flatQueueSnapshot(n int) *sim.Snapshot {
 // unlimited budget and returns the number of nodes it visits.
 func seqIterNodes(snap *sim.Snapshot, algo Algorithm, iter int) int64 {
 	var s searchState
-	s.reset(snap, HeuristicFCFS, 0, HierarchicalCost, 1)
+	s.reset(snap, algo, HeuristicFCFS, 0, HierarchicalCost, 1)
 	s.limit = satCap
 	switch algo {
 	case LDS:
 		s.ldsDFS(0, iter)
-	case DDS:
+	case DDS, ADDS:
 		s.ddsDFS(0, iter)
-	case ADDS:
-		s.addsDFS(0, iter)
 	}
 	return s.nodes
 }
@@ -48,8 +46,11 @@ func TestIterNodeCountsMatchSequential(t *testing.T) {
 			if got, want := sc.ldsIterNodes(n, iter), seqIterNodes(snap, LDS, iter); got != want {
 				t.Errorf("ldsIterNodes(%d, %d) = %d, sequential visits %d", n, iter, got, want)
 			}
-			if got, want := ddsIterNodes(n, iter), seqIterNodes(snap, DDS, iter); got != want {
-				t.Errorf("ddsIterNodes(%d, %d) = %d, sequential visits %d", n, iter, got, want)
+			if got, want := ddsIterNodes(n, iter, n), seqIterNodes(snap, DDS, iter); got != want {
+				t.Errorf("ddsIterNodes(%d, %d, %d) = %d, sequential visits %d", n, iter, n, got, want)
+			}
+			if got, want := ddsIterNodes(n, iter, 2), seqIterNodes(snap, ADDS, iter); got != want {
+				t.Errorf("ddsIterNodes(%d, %d, 2) = %d, sequential visits %d", n, iter, got, want)
 			}
 		}
 	}
@@ -69,7 +70,7 @@ func TestIterNodeCountsShapeOnly(t *testing.T) {
 				t.Errorf("trial %d: ldsIterNodes(%d, %d) = %d, sequential visits %d",
 					trial, n, iter, got, want)
 			}
-			if got, want := ddsIterNodes(n, iter), seqIterNodes(snap, DDS, iter); got != want {
+			if got, want := ddsIterNodes(n, iter, n), seqIterNodes(snap, DDS, iter); got != want {
 				t.Errorf("trial %d: ddsIterNodes(%d, %d) = %d, sequential visits %d",
 					trial, n, iter, got, want)
 			}
@@ -86,8 +87,10 @@ func TestIterNodeCountsSaturate(t *testing.T) {
 			if c := sc.ldsIterNodes(n, iter); c < int64(n) || c > satCap {
 				t.Fatalf("ldsIterNodes(%d, %d) = %d out of range", n, iter, c)
 			}
-			if c := ddsIterNodes(n, iter); c <= 0 || c > satCap {
-				t.Fatalf("ddsIterNodes(%d, %d) = %d out of range", n, iter, c)
+			for _, width := range []int{n, 2} {
+				if c := ddsIterNodes(n, iter, width); c <= 0 || c > satCap {
+					t.Fatalf("ddsIterNodes(%d, %d, %d) = %d out of range", n, iter, width, c)
+				}
 			}
 		}
 	}
@@ -299,7 +302,7 @@ func TestShardBudgetAccounting(t *testing.T) {
 		limit := 1 + rng.Intn(300)
 		for _, algo := range []Algorithm{LDS, DDS} {
 			var s searchState
-			s.reset(snap, HeuristicFCFS, 0, HierarchicalCost, limit)
+			s.reset(snap, algo, HeuristicFCFS, 0, HierarchicalCost, limit)
 			switch algo {
 			case LDS:
 				s.runLDS()

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"schedsearch/internal/cluster"
-	"schedsearch/internal/sim"
-)
+import "schedsearch/internal/sim"
 
 // DefaultExcessWeight is the scalarization weight PlanScorer applies to
 // the first-level goal (excess wait seconds) relative to the second
@@ -35,9 +32,9 @@ type PlanScorer struct {
 	// DefaultExcessWeight.
 	ExcessWeight float64
 
-	prof    *cluster.Profile
+	ev      OrderEvaluator
 	started []bool
-	undo    []cluster.Placement
+	order   []int // scratch: started jobs, then the rest, as queue positions
 }
 
 // NewPlanScorer returns a scorer with the paper's objective (dynB +
@@ -59,54 +56,28 @@ func (ps *PlanScorer) Score(snap *sim.Snapshot, starts []int) Cost {
 	}
 	bound := ps.Bound.At(snap)
 
-	if ps.prof == nil {
-		ps.prof = cluster.New(snap.Capacity, snap.Now)
-	} else {
-		ps.prof.Reset(snap.Capacity, snap.Now)
-	}
-	for _, r := range snap.Running {
-		end := r.PredictedEnd
-		if end <= snap.Now {
-			end = snap.Now + 1
-		}
-		ps.prof.Place(snap.Now, r.Nodes, end-snap.Now)
-	}
-
 	n := len(snap.Queue)
-	ps.started = resizeBool(ps.started, n)
+	ps.started = Resize(ps.started, n)
 	for _, qi := range starts {
 		if qi >= 0 && qi < n {
 			ps.started[qi] = true
 		}
 	}
-
-	var total Cost
-	undo := ps.undo[:0]
-	place := func(w sim.WaitingJob) {
-		est := w.Estimate
-		if est < 1 {
-			est = 1
-		}
-		start, pl := ps.prof.PlaceEarliest(snap.Now, w.Job.Nodes, est)
-		undo = append(undo, pl)
-		total = total.Add(costFn(w, start, snap.Now, bound))
-	}
 	// Started jobs first: with feasible starts their earliest fit IS
 	// snap.Now, so they are charged their committed start.
+	ps.order = ps.order[:0]
 	for qi := 0; qi < n; qi++ {
 		if ps.started[qi] {
-			place(snap.Queue[qi])
+			ps.order = append(ps.order, qi)
 		}
 	}
 	for qi := 0; qi < n; qi++ {
 		if !ps.started[qi] {
-			place(snap.Queue[qi])
+			ps.order = append(ps.order, qi)
 		}
 	}
-	for i := len(undo) - 1; i >= 0; i-- {
-		ps.prof.Undo(undo[i])
-	}
-	ps.undo = undo
+	ps.ev.Reset(snap)
+	total, _ := ps.ev.Eval(snap.Queue, ps.order, costFn, bound)
 	return total
 }
 

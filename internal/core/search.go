@@ -62,6 +62,16 @@ func (a Algorithm) String() string {
 	}
 }
 
+// width is the number of branches the depth-bounded enumerator may try
+// per level of an n-job tree: all of them, except for the adjacent
+// family, which takes the heuristic choice or its neighbor.
+func (a Algorithm) width(n int) int {
+	if a == ADDS || a == CDDS {
+		return 2
+	}
+	return n
+}
+
 // Heuristic selects the branching heuristic that orders the branches at
 // every search-tree node (the left-most branch follows the heuristic;
 // every other branch is a discrepancy).
@@ -221,6 +231,26 @@ func New(algo Algorithm, h Heuristic, bound BoundSpec, nodeLimit int) *Scheduler
 	return &Scheduler{Algorithm: algo, Heuristic: h, Bound: bound, NodeLimit: nodeLimit}
 }
 
+// SchedulerOf walks a chain of single-inner policy wrappers — anything
+// with an Unwrap() sim.Policy method: Fairshare, chaos.FlakyPolicy,
+// schedsim's flight shim — down to the search scheduler underneath,
+// and returns nil when the chain ends in anything else. Readers of
+// SearchStats go through it so the counters do not vanish behind a
+// wrapper.
+func SchedulerOf(p sim.Policy) *Scheduler {
+	for p != nil {
+		if sch, ok := p.(*Scheduler); ok {
+			return sch
+		}
+		w, ok := p.(interface{ Unwrap() sim.Policy })
+		if !ok {
+			return nil
+		}
+		p = w.Unwrap()
+	}
+	return nil
+}
+
 // Name implements sim.Policy, producing the paper's naming scheme, e.g.
 // "DDS/lxf/dynB".
 func (sch *Scheduler) Name() string {
@@ -292,7 +322,7 @@ func (sch *Scheduler) Decide(snap *sim.Snapshot) []int {
 
 	t0 := time.Now()
 	s := &sch.s
-	s.reset(snap, sch.Heuristic, sch.Bound.At(snap), cost, limit)
+	s.reset(snap, sch.Algorithm, sch.Heuristic, sch.Bound.At(snap), cost, limit)
 	s.prune = sch.Prune
 	if sch.WarmStart {
 		sch.seedWarm(s)
@@ -312,13 +342,11 @@ func (sch *Scheduler) Decide(snap *sim.Snapshot) []int {
 		switch sch.Algorithm {
 		case LDS:
 			s.runLDS()
-		case DDS:
+		case DDS, ADDS:
 			s.runDDS()
 		case DFS:
 			s.memoRecord = false // no iteration structure to replay against
 			s.runDFS(0)
-		case ADDS:
-			s.runADDS()
 		case CDDS:
 			s.runCDDS()
 		default:
@@ -438,7 +466,6 @@ func (sch *Scheduler) LastDecision() DecisionSummary { return sch.lastDecision }
 // across decisions (and per worker, across iterations) to avoid
 // allocation churn.
 type searchState struct {
-	now   job.Time
 	bound job.Duration
 	cost  CostFn
 	// limit is the node budget for this state's run; parallel workers
@@ -447,7 +474,10 @@ type searchState struct {
 	nodes  int64
 	leaves int64
 
-	prof      *cluster.Profile
+	// ev owns the decision's instant and availability profile: visit
+	// places and undoes on it, and whole orderings (the warm seed, local
+	// search) are evaluated on it between enumerations.
+	ev        OrderEvaluator
 	ordered   []sim.WaitingJob // heuristic branch order
 	orderKeys []float64        // scratch: precomputed heuristic sort keys
 
@@ -459,6 +489,10 @@ type searchState struct {
 	freeHead int
 	freeNext []int
 	freePrev []int
+	// width caps the branches the depth-bounded enumerator (ddsDFS)
+	// tries per level: reset derives it from the algorithm, a parallel
+	// worker copies its master's.
+	width int
 
 	curCost      Cost
 	curPath      []int // ordered indices along the current partial path
@@ -522,8 +556,9 @@ type improvement struct {
 	nodes int64
 }
 
-func (s *searchState) reset(snap *sim.Snapshot, h Heuristic, bound job.Duration, cost CostFn, limit int) {
-	s.now = snap.Now
+// reset prepares the state for one decision; algo fixes the branch
+// width of the depth-bounded enumerator (the only thing read from it).
+func (s *searchState) reset(snap *sim.Snapshot, algo Algorithm, h Heuristic, bound job.Duration, cost CostFn, limit int) {
 	s.bound = bound
 	s.cost = cost
 	s.limit = int64(limit)
@@ -534,13 +569,13 @@ func (s *searchState) reset(snap *sim.Snapshot, h Heuristic, bound job.Duration,
 	s.orderKeys = orderJobs(s.ordered, h, snap.Now, s.orderKeys)
 
 	s.resetSearch()
-	s.resetProfile(snap)
+	s.width = algo.width(len(s.ordered))
+	s.ev.Reset(snap)
 }
 
 // resetWorker prepares a parallel worker state from the master state:
 // same decision parameters and branch order, its own profile copy.
 func (s *searchState) resetWorker(snap *sim.Snapshot, master *searchState) {
-	s.now = master.now
 	s.bound = master.bound
 	s.cost = master.cost
 	s.limit = master.limit
@@ -551,7 +586,8 @@ func (s *searchState) resetWorker(snap *sim.Snapshot, master *searchState) {
 	s.ordered = append(s.ordered[:0], master.ordered...)
 
 	s.resetSearch()
-	s.resetProfile(snap)
+	s.width = master.width
+	s.ev.Reset(snap)
 }
 
 // resetSearch reinitializes the per-run search buffers (free list,
@@ -574,8 +610,8 @@ func (s *searchState) resetSearch() {
 	s.memoMatched = 0
 	s.memoRecord = false
 
-	s.freeNext = resizeInts(s.freeNext, n)
-	s.freePrev = resizeInts(s.freePrev, n)
+	s.freeNext = Resize(s.freeNext, n)
+	s.freePrev = Resize(s.freePrev, n)
 	for i := 0; i < n; i++ {
 		s.freeNext[i] = i + 1
 		s.freePrev[i] = i - 1
@@ -587,52 +623,11 @@ func (s *searchState) resetSearch() {
 		s.freeHead = -1
 	}
 
-	s.curStartNow = resizeBool(s.curStartNow, n)
-	s.bestStartNow = resizeBool(s.bestStartNow, n)
-	s.curStart = resizeTimes(s.curStart, n)
-	s.bestStart = resizeTimes(s.bestStart, n)
+	s.curStartNow = Resize(s.curStartNow, n)
+	s.bestStartNow = Resize(s.bestStartNow, n)
+	s.curStart = Resize(s.curStart, n)
+	s.bestStart = Resize(s.bestStart, n)
 	s.curPath = s.curPath[:0]
-}
-
-// resetProfile rebuilds the availability profile from the running jobs'
-// predicted ends, reusing the profile storage across decisions.
-func (s *searchState) resetProfile(snap *sim.Snapshot) {
-	if s.prof == nil {
-		s.prof = cluster.New(snap.Capacity, snap.Now)
-	} else {
-		s.prof.Reset(snap.Capacity, snap.Now)
-	}
-	for _, r := range snap.Running {
-		end := r.PredictedEnd
-		if end <= snap.Now {
-			end = snap.Now + 1
-		}
-		s.prof.Place(snap.Now, r.Nodes, end-snap.Now)
-	}
-}
-
-func resizeBool(b []bool, n int) []bool {
-	b = b[:0]
-	for i := 0; i < n; i++ {
-		b = append(b, false)
-	}
-	return b
-}
-
-func resizeTimes(ts []job.Time, n int) []job.Time {
-	ts = ts[:0]
-	for i := 0; i < n; i++ {
-		ts = append(ts, 0)
-	}
-	return ts
-}
-
-func resizeInts(xs []int, n int) []int {
-	xs = xs[:0]
-	for i := 0; i < n; i++ {
-		xs = append(xs, 0)
-	}
-	return xs
 }
 
 // orderJobs sorts jobs into the heuristic's branch order with
@@ -733,10 +728,8 @@ func (s *searchState) visit(oi int, down func()) bool {
 	s.nodes++
 
 	w := s.ordered[oi]
-	est := w.Estimate
-	if est < 1 {
-		est = 1
-	}
+	now := s.ev.now
+	est := w.PlanEstimate()
 	level := len(s.curPath)
 	var start job.Time
 	var pl cluster.Placement
@@ -746,20 +739,20 @@ func (s *searchState) visit(oi int, down func()) bool {
 		// profile is in the exact state it was when the reference path
 		// placed this job: its earliest fit is already known.
 		start = s.memoStart[level]
-		pl = s.prof.Place(start, w.Job.Nodes, est)
+		pl = s.ev.prof.Place(start, w.Job.Nodes, est)
 		s.memoMatched = level + 1
 	} else {
-		start, pl = s.prof.PlaceEarliest(s.now, w.Job.Nodes, est)
+		start, pl = s.ev.prof.PlaceEarliest(now, w.Job.Nodes, est)
 		if s.memoRecord {
 			s.memoPath = append(s.memoPath, oi)
 			s.memoStart = append(s.memoStart, start)
 		}
 	}
-	delta := s.cost(w, start, s.now, s.bound)
+	delta := s.cost(w, start, now, s.bound)
 	prevCost := s.curCost
 	s.curCost = s.curCost.Add(delta)
 	s.unlink(oi)
-	s.curStartNow[oi] = start == s.now
+	s.curStartNow[oi] = start == now
 	s.curStart[oi] = start
 	s.curPath = append(s.curPath, oi)
 
@@ -780,7 +773,7 @@ func (s *searchState) visit(oi int, down func()) bool {
 	}
 	s.relink(oi)
 	s.curCost = prevCost
-	s.prof.Undo(pl)
+	s.ev.prof.Undo(pl)
 	return !s.aborted
 }
 
@@ -872,7 +865,8 @@ func (s *searchState) ldsDFS(depth, rem int) {
 
 // runDDS runs depth-bounded discrepancy search: iteration 0 is the pure
 // heuristic path; iteration i forces a discrepancy exactly at depth i,
-// allows any branch above, and follows the heuristic below.
+// allows any branch (up to s.width of them) above, and follows the
+// heuristic below. At full width that is DDS, at width 2 ADDS.
 func (s *searchState) runDDS() {
 	n := len(s.ordered)
 	s.ddsDFS(0, 0)
@@ -898,7 +892,9 @@ func (s *searchState) runDFS(level int) {
 
 // ddsDFS explores iteration iter of DDS from the given level. Level l
 // chooses the node at tree depth l+1, so iteration iter forces the
-// discrepancy at level iter-1. Iteration 0 is the leftmost path.
+// discrepancy at level iter-1. Iteration 0 is the leftmost path. No
+// level tries more than s.width branches (counting a skipped heuristic
+// branch), which is the whole difference between DDS and ADDS.
 func (s *searchState) ddsDFS(level, iter int) {
 	n := len(s.ordered)
 	if level == n {
@@ -920,7 +916,7 @@ func (s *searchState) ddsDFS(level, iter int) {
 		if !s.visit(oi, func() { s.ddsDFS(level+1, iter) }) {
 			return
 		}
-		if heuristicOnly {
+		if heuristicOnly || b >= s.width {
 			break
 		}
 	}

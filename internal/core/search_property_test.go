@@ -41,15 +41,13 @@ func iterationLeaves(t *testing.T, n int, algo Algorithm, iter int) [][]int {
 	s.leafHook = func(path []int, _ Cost) {
 		paths = append(paths, append([]int(nil), path...))
 	}
-	s.reset(snap, HeuristicFCFS, 0, HierarchicalCost, 1)
+	s.reset(snap, algo, HeuristicFCFS, 0, HierarchicalCost, 1)
 	s.limit = satCap
 	switch algo {
 	case LDS:
 		s.ldsDFS(0, iter)
-	case DDS:
+	case DDS, ADDS:
 		s.ddsDFS(0, iter)
-	case ADDS:
-		s.addsDFS(0, iter)
 	}
 	if s.aborted {
 		t.Fatalf("n=%d %s iter=%d aborted with unlimited budget", n, algo, iter)

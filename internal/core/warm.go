@@ -1,9 +1,5 @@
 package core
 
-import (
-	"schedsearch/internal/cluster"
-)
-
 // Warm-started (incremental) search. Between consecutive decision
 // points the queue typically changes by one job, so the previous
 // decision's best ordering is usually still the best reachable
@@ -27,9 +23,8 @@ type warmState struct {
 	// reordering and arrivals/departures between decisions).
 	order []int
 
-	pos  map[int]int         // scratch: job ID -> current ordered index
-	seq  []int               // scratch: spliced seed as ordered indices
-	undo []cluster.Placement // scratch: seed evaluation undo stack
+	pos map[int]int // scratch: job ID -> current ordered index
+	seq []int       // scratch: spliced seed as ordered indices
 }
 
 // spliceCarried maps the carried ordering onto the current queue:
@@ -87,7 +82,10 @@ func (sch *Scheduler) seedWarm(s *searchState) {
 	if seq == nil {
 		return
 	}
-	cost := s.evalOrder(seq, &sch.warm.undo)
+	// Evaluated on the search's own profile and restored before the
+	// enumeration starts. The placements are charged to WarmSeedNodes,
+	// not to s.nodes: the seed is not part of the enumerated tree.
+	cost, _ := s.ev.Eval(s.ordered, seq, s.cost, s.bound)
 	s.seedCost = cost
 	s.seedSet = true
 	s.ntbCost = cost
@@ -109,28 +107,4 @@ func (sch *Scheduler) carryBest(s *searchState) {
 		w.order = append(w.order, s.ordered[oi].Job.ID)
 	}
 	w.valid = len(w.order) == len(s.ordered) && len(w.order) > 0
-}
-
-// evalOrder scores one complete ordering (ordered indices) against the
-// decision profile, restoring the profile before returning. Placements
-// are charged to the caller (Stats.WarmSeedNodes), not to s.nodes: the
-// seed is not part of the enumerated tree.
-func (s *searchState) evalOrder(order []int, undo *[]cluster.Placement) Cost {
-	var total Cost
-	u := (*undo)[:0]
-	for _, oi := range order {
-		w := s.ordered[oi]
-		est := w.Estimate
-		if est < 1 {
-			est = 1
-		}
-		start, pl := s.prof.PlaceEarliest(s.now, w.Job.Nodes, est)
-		u = append(u, pl)
-		total = total.Add(s.cost(w, start, s.now, s.bound))
-	}
-	for i := len(u) - 1; i >= 0; i-- {
-		s.prof.Undo(u[i])
-	}
-	*undo = u
-	return total
 }

@@ -136,16 +136,8 @@ func (e *Engine) restoreBaseLocked(b Base) error {
 		if err := note(r.Job.ID); err != nil {
 			return err
 		}
-		measured := e.cfg.Measured == nil || e.cfg.Measured(r.Job.ID)
-		e.records = append(e.records, sim.Record{
-			Job: r.Job, Start: r.Start, End: r.End, NodeIDs: r.NodeIDs, Measured: measured,
-		})
-		e.jobs[r.Job.ID] = &JobStatus{
-			Job: r.Job, State: StateDone, Start: r.Start, End: r.End, NodeIDs: r.NodeIDs,
-		}
-		if est := e.cfg.Estimator; est != nil {
-			est.Observe(r.Job)
-		}
+		e.jobs[r.Job.ID] = &JobStatus{Job: r.Job, Start: r.Start, NodeIDs: r.NodeIDs}
+		e.recordFinish(sim.Finished{Job: r.Job, Start: r.Start, End: r.End, NodeIDs: r.NodeIDs})
 	}
 	for _, r := range b.Running {
 		if err := note(r.Job.ID); err != nil {

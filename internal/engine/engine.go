@@ -387,19 +387,27 @@ func (e *Engine) completeDue() {
 		if !ok {
 			return
 		}
-		if est := e.cfg.Estimator; est != nil {
-			est.Observe(f.Job)
-		}
-		measured := e.cfg.Measured == nil || e.cfg.Measured(f.Job.ID)
-		e.records = append(e.records, sim.Record{
-			Job: f.Job, Start: f.Start, End: f.End,
-			NodeIDs: f.NodeIDs, Measured: measured,
-		})
+		e.recordFinish(f)
 		e.appendEvent(Event{Kind: EvFinish, At: f.End, ID: f.Job.ID})
-		st := e.jobs[f.Job.ID]
-		st.State = StateDone
-		st.End = f.End
 	}
+}
+
+// recordFinish is the bookkeeping of one completion, shared by the live
+// path, journal replay and base restore: the estimator observes the
+// job, its record joins the history, and its status (which must exist)
+// turns done.
+func (e *Engine) recordFinish(f sim.Finished) {
+	if est := e.cfg.Estimator; est != nil {
+		est.Observe(f.Job)
+	}
+	measured := e.cfg.Measured == nil || e.cfg.Measured(f.Job.ID)
+	e.records = append(e.records, sim.Record{
+		Job: f.Job, Start: f.Start, End: f.End,
+		NodeIDs: f.NodeIDs, Measured: measured,
+	})
+	st := e.jobs[f.Job.ID]
+	st.State = StateDone
+	st.End = f.End
 }
 
 func (e *Engine) estimate(j job.Job) job.Duration {
@@ -534,18 +542,19 @@ func (e *Engine) noteQueueChange(now job.Time) {
 	if now <= e.qlenLast {
 		return
 	}
-	lo := e.qlenLast
-	if lo < e.intStart {
-		lo = e.intStart
-	}
-	hi := now
-	if hi > e.intEnd {
-		hi = e.intEnd
-	}
-	if hi > lo {
-		e.qlenInt += float64(hi-lo) * float64(e.l.QueueLen())
-	}
+	e.qlenInt = e.queueIntegralAt(now)
 	e.qlenLast = now
+}
+
+// queueIntegralAt returns the queue-length integral extended from the
+// last queue change to now at the current queue length, clamped to the
+// measurement window. It mutates nothing (Metrics reads through it).
+func (e *Engine) queueIntegralAt(now job.Time) float64 {
+	lo, hi := max(e.qlenLast, e.intStart), min(now, e.intEnd)
+	if hi <= lo {
+		return e.qlenInt
+	}
+	return e.qlenInt + float64(hi-lo)*float64(e.l.QueueLen())
 }
 
 func (e *Engine) setFatal(err error) {
@@ -727,6 +736,11 @@ func (ld Load) Score() float64 {
 	return float64(ld.QueuedNodeSec+ld.RemainingNodeSec) / float64(ld.Capacity)
 }
 
+// Demand is the waiting job's share of its shard's Load.QueuedNodeSec
+// (sim.QueuedDemand, the rule the ledger sums): what a migration moves
+// from one shard's load to another's.
+func (st JobStatus) Demand() int64 { return sim.QueuedDemand(st.Job, st.Estimate) }
+
 // Load returns the engine's current occupancy summary.
 func (e *Engine) Load() Load {
 	e.mu.Lock()
@@ -743,10 +757,11 @@ func (e *Engine) Load() Load {
 }
 
 // Shard is the narrow engine surface the federation router
-// (internal/federation) drives: admission, migration, state inspection
-// and lifecycle, but none of the engine's construction or replay
-// machinery. *Engine implements it; the router treats every shard
-// through this interface so tests can substitute instrumented shards.
+// (internal/federation) drives — exactly the methods the router calls:
+// admission, migration, state inspection and drain, but none of the
+// engine's construction, checkpoint or replay machinery (the router
+// rebuilds only in-process *Engine shards, by assertion). *Engine and
+// federation.RemoteShard implement it.
 type Shard interface {
 	// SubmitJob admits a job with a caller-assigned ID, stamping the
 	// submit time from the clock.
@@ -762,13 +777,9 @@ type Shard interface {
 	Load() Load
 	Metrics() Metrics
 	Records() []sim.Record
-	// Checkpoint snapshots the committed history (crash/rebuild).
-	Checkpoint() Checkpoint
 	// Drain stops admission and waits for the shard to empty.
 	Drain(ctx context.Context) error
-	Draining() bool
 	Err() error
-	Now() job.Time
 }
 
 var _ Shard = (*Engine)(nil)

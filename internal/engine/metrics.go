@@ -98,21 +98,8 @@ func (e *Engine) Metrics() Metrics {
 		MeasureStart: e.intStart,
 		MeasureEnd:   measureEnd,
 	}
-	// Integrate the queue-length tail since the last change, clamped to
-	// the measurement window like noteQueueChange (without mutating).
-	qInt := e.qlenInt
-	lo, hi := e.qlenLast, now
-	if lo < e.intStart {
-		lo = e.intStart
-	}
-	if hi > e.intEnd {
-		hi = e.intEnd
-	}
-	if hi > lo {
-		qInt += float64(hi-lo) * float64(e.l.QueueLen())
-	}
 	if window := float64(measureEnd - res.MeasureStart); window > 0 {
-		res.AvgQueueLen = qInt / window
+		res.AvgQueueLen = e.queueIntegralAt(now) / window
 	}
 	res.MaxQueueLen = e.maxQ
 
@@ -153,7 +140,7 @@ func (e *Engine) countersLocked() Counters {
 			c.JournalFsync = &snap
 		}
 	}
-	if sch, ok := e.cfg.Policy.(*core.Scheduler); ok {
+	if sch := core.SchedulerOf(e.cfg.Policy); sch != nil {
 		c.fillSearch(sch)
 	}
 	return c
@@ -271,7 +258,7 @@ func OfflineMetrics(res *sim.Result, sum metrics.Summary, pol sim.Policy) Metric
 		Summary:  sum,
 		Engine:   Counters{Decisions: int64(res.Decisions)},
 	}
-	if sch, ok := pol.(*core.Scheduler); ok {
+	if sch := core.SchedulerOf(pol); sch != nil {
 		m.Engine.fillSearch(sch)
 	}
 	return m

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"schedsearch/internal/job"
-	"schedsearch/internal/sim"
 )
 
 // EventKind tags one committed engine event in the journal.
@@ -74,6 +73,21 @@ type Checkpoint struct {
 	DecidePending bool
 	// Draining records whether Drain had been requested.
 	Draining bool
+}
+
+// LastInstant is the latest time the checkpoint records — the
+// compaction instant or the last tail event, whichever is later (0 for
+// an empty checkpoint). A daemon recovering from a journal resumes its
+// clock here, so re-armed completion timers fire in the future.
+func (cp Checkpoint) LastInstant() job.Time {
+	var last job.Time
+	if cp.Base != nil {
+		last = cp.Base.At
+	}
+	for _, ev := range cp.Events {
+		last = max(last, ev.At)
+	}
+	return last
 }
 
 // Checkpoint returns a consistent copy of the engine's committed
@@ -218,17 +232,7 @@ func (e *Engine) replayEvent(i int, ev Event, events []Event) error {
 			return fmt.Errorf("engine: rebuild: event %d: popped job %d at t=%d, recorded job %d at t=%d",
 				i, f.Job.ID, f.End, ev.ID, ev.At)
 		}
-		if est := e.cfg.Estimator; est != nil {
-			est.Observe(f.Job)
-		}
-		measured := e.cfg.Measured == nil || e.cfg.Measured(f.Job.ID)
-		e.records = append(e.records, sim.Record{
-			Job: f.Job, Start: f.Start, End: f.End,
-			NodeIDs: f.NodeIDs, Measured: measured,
-		})
-		st := e.jobs[f.Job.ID]
-		st.State = StateDone
-		st.End = f.End
+		e.recordFinish(f)
 	case EvWithdraw:
 		st, ok := e.jobs[ev.ID]
 		if !ok || st.State != StateWaiting {

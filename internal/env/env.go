@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 
-	"schedsearch/internal/cluster"
 	"schedsearch/internal/core"
 	"schedsearch/internal/metrics"
 	"schedsearch/internal/sim"
@@ -49,10 +48,9 @@ type Env struct {
 	scorer    *core.PlanScorer
 	policies  map[string]sim.Policy
 	obs       Observation
-	prof      *cluster.Profile
+	eval      core.OrderEvaluator
 	startsBuf []int
 	seen      []bool
-	undo      []cluster.Placement
 }
 
 // New builds the environment; call Reset to begin the episode.
@@ -185,7 +183,7 @@ func (e *Env) resolve(a Action) ([]int, error) {
 	n := len(snap.Queue)
 	switch a.Kind {
 	case "start":
-		e.seen = resizeSeen(e.seen, n)
+		e.seen = core.Resize(e.seen, n)
 		width := 0
 		for _, qi := range a.Start {
 			if qi < 0 || qi >= n {
@@ -205,7 +203,7 @@ func (e *Env) resolve(a Action) ([]int, error) {
 		if len(a.Order) != n {
 			return nil, fmt.Errorf("env: order has %d entries for a queue of %d", len(a.Order), n)
 		}
-		e.seen = resizeSeen(e.seen, n)
+		e.seen = core.Resize(e.seen, n)
 		for _, qi := range a.Order {
 			if qi < 0 || qi >= n || e.seen[qi] {
 				return nil, fmt.Errorf("env: order is not a permutation of [0,%d)", n)
@@ -236,48 +234,21 @@ func (e *Env) resolve(a Action) ([]int, error) {
 }
 
 // orderStarts evaluates a full queue ordering the way the search
-// policies commit one: each job placed at its earliest fit in order,
-// and the jobs whose placement lands at now start now.
+// policies commit one (core.OrderEvaluator): each job placed at its
+// earliest fit in order, and the jobs whose placement lands at now
+// start now, in the order given.
 func (e *Env) orderStarts(snap *sim.Snapshot, order []int) []int {
-	if e.prof == nil {
-		e.prof = cluster.New(snap.Capacity, snap.Now)
-	} else {
-		e.prof.Reset(snap.Capacity, snap.Now)
-	}
-	for _, r := range snap.Running {
-		end := r.PredictedEnd
-		if end <= snap.Now {
-			end = snap.Now + 1
-		}
-		e.prof.Place(snap.Now, r.Nodes, end-snap.Now)
-	}
+	e.eval.Reset(snap)
+	// Only the start-now marks are needed; the plan's cost is not.
+	_, startNow := e.eval.Eval(snap.Queue, order, core.HierarchicalCost, 0)
 	starts := e.startsBuf[:0]
-	e.undo = e.undo[:0]
 	for _, qi := range order {
-		w := snap.Queue[qi]
-		est := w.Estimate
-		if est < 1 {
-			est = 1
-		}
-		at, pl := e.prof.PlaceEarliest(snap.Now, w.Job.Nodes, est)
-		e.undo = append(e.undo, pl)
-		if at == snap.Now {
+		if startNow[qi] {
 			starts = append(starts, qi)
 		}
 	}
-	for i := len(e.undo) - 1; i >= 0; i-- {
-		e.prof.Undo(e.undo[i])
-	}
 	e.startsBuf = starts
 	return starts
-}
-
-func resizeSeen(b []bool, n int) []bool {
-	b = b[:0]
-	for i := 0; i < n; i++ {
-		b = append(b, false)
-	}
-	return b
 }
 
 // ServeConfig configures the JSON-lines stdio driver.

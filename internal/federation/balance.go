@@ -1,0 +1,341 @@
+package federation
+
+import (
+	"errors"
+	"fmt"
+
+	"schedsearch/internal/engine"
+	"schedsearch/internal/job"
+)
+
+// Stages of a parked wire-uncertain step (pendingMig.stage).
+const (
+	// stageWithdraw: a migration withdraw's outcome is unknown — the
+	// job is on the source, or tombstoned there with the ack lost.
+	stageWithdraw = iota
+	// stageAdmit: the job is withdrawn and held by the router; its
+	// admission to pendingMig.shard has not certainly succeeded.
+	stageAdmit
+	// stageSubmit: a routed submission's outcome is unknown; the ID is
+	// burned and the directory entry provisional until the shard
+	// answers a lookup.
+	stageSubmit
+)
+
+// pendingMig is one parked step: the job (held only in stageAdmit),
+// the shard whose answer resolves it, and the stage.
+type pendingMig struct {
+	id    int
+	shard int
+	j     job.Job
+	stage int
+}
+
+// armRebalanceLocked keeps at most one rebalance timer outstanding. The
+// timer re-arms itself only while jobs are outstanding, so a
+// virtual-clock replay terminates; the next submission re-arms it.
+func (r *Router) armRebalanceLocked() {
+	if r.cfg.RebalanceEvery <= 0 || len(r.shards) < 2 || r.rebArmed || r.draining {
+		return
+	}
+	r.rebArmed = true
+	r.cfg.Clock.AfterFunc(r.cfg.RebalanceEvery, r.onRebalance)
+}
+
+// onRebalance is the periodic rebalance pass: the shared tick with
+// score-equalizing migrations as its move.
+func (r *Router) onRebalance() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.rebArmed = false
+	if !r.draining {
+		r.rebalances++
+	}
+	if r.tickLocked(r.migrateOneLocked) {
+		r.armRebalanceLocked()
+	}
+}
+
+// armGossipLocked keeps at most one gossip timer outstanding, with the
+// same only-while-outstanding re-arm discipline as the rebalance timer
+// so virtual-clock replays terminate.
+func (r *Router) armGossipLocked() {
+	if r.cfg.GossipEvery <= 0 || r.gossipArmed || r.draining {
+		return
+	}
+	r.gossipArmed = true
+	r.cfg.Clock.AfterFunc(r.cfg.GossipEvery, r.onGossip)
+}
+
+// onGossip is the periodic load-gossip pass: the shared tick (resolve
+// parked wire-uncertain steps, poll every shard's load) and, with
+// WorkStealing on, work stolen onto idle shards.
+func (r *Router) onGossip() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.gossipArmed = false
+	r.gossips++
+	var steal func([]engine.Load) bool
+	if r.cfg.WorkStealing {
+		steal = r.stealOneLocked
+	}
+	if r.tickLocked(steal) {
+		r.armGossipLocked()
+	}
+}
+
+// tickLocked is the body the two periodic passes share: retry every
+// parked step, poll every shard's load (one live call per shard — for
+// remote shards that also refreshes reachability and the last-known
+// load degraded routing falls back on), then let the pass move up to
+// MaxMigrationsPerPass jobs (none while draining: a drain must not
+// shuffle the remaining backlog). It reports whether jobs or parked
+// steps are still outstanding; a pass re-arms its timer only then, so
+// a virtual-clock replay terminates.
+func (r *Router) tickLocked(move func(loads []engine.Load) bool) (outstanding bool) {
+	r.resolvePendingLocked()
+	loads := make([]engine.Load, len(r.shards))
+	jobs := 0
+	for i, s := range r.shards {
+		loads[i] = s.Load()
+		jobs += loads[i].Waiting + loads[i].Running
+	}
+	if move != nil && !r.draining {
+		for n := 0; n < r.cfg.MaxMigrationsPerPass; n++ {
+			if !move(loads) {
+				break
+			}
+		}
+	}
+	return jobs > 0 || len(r.pending) > 0
+}
+
+// shiftLoad books one queued job's move in the pass's load view, so
+// the next move of the same pass sees it without polling again.
+func shiftLoad(loads []engine.Load, from, to int, demand int64) {
+	loads[from].Waiting--
+	loads[from].QueuedNodeSec -= demand
+	loads[to].Waiting++
+	loads[to].QueuedNodeSec += demand
+}
+
+// stealOneLocked lets the emptiest idle shard (free nodes, nothing
+// queued) take the youngest fitting queued job from the most loaded
+// shard. Where the rebalance pass equalizes load scores, stealing
+// targets outright idleness: a hole big enough to start the job now.
+// Reports whether a job moved.
+func (r *Router) stealOneLocked(loads []engine.Load) bool {
+	thief := -1
+	for i, ld := range loads {
+		if ld.Waiting == 0 && ld.FreeNodes > 0 && r.healthyLocked(i) {
+			if thief == -1 || ld.FreeNodes > loads[thief].FreeNodes {
+				thief = i
+			}
+		}
+	}
+	if thief == -1 {
+		return false
+	}
+	victim := -1
+	for i, ld := range loads {
+		if i == thief || ld.Waiting == 0 || !r.healthyLocked(i) {
+			continue
+		}
+		if victim == -1 || ld.Score() > loads[victim].Score() {
+			victim = i
+		}
+	}
+	if victim == -1 {
+		return false
+	}
+	queue := r.shards[victim].Queue()
+	for k := len(queue) - 1; k >= 0; k-- {
+		st := queue[k]
+		// Steal only what can start immediately on the thief's hole;
+		// anything else is the rebalance pass's business.
+		if st.Job.Nodes > loads[thief].FreeNodes {
+			continue
+		}
+		if !r.moveLocked(st.Job.ID, victim, thief) {
+			return false
+		}
+		r.steals++
+		shiftLoad(loads, victim, thief, st.Demand())
+		return true
+	}
+	return false
+}
+
+// moveLocked withdraws job id from src and admits it on dst, parking
+// any wire-uncertain step for later reconciliation. Reports whether
+// the job landed on dst; on false the job is back on src, parked
+// pending, or (certainly) still running on src.
+func (r *Router) moveLocked(id, src, dst int) bool {
+	t0 := r.cfg.Tracer.Now()
+	j, err := r.shards[src].Withdraw(id)
+	if err != nil {
+		if errors.Is(err, ErrUncertain) {
+			// The withdraw may have committed with the ack lost; the
+			// source's tombstone will answer the reconciliation retry.
+			r.pending = append(r.pending, pendingMig{id: id, shard: src, stage: stageWithdraw})
+			r.logJob(id).Warn("parked wire-uncertain withdraw", "shard", src)
+		}
+		// ErrUnreachable: certainly still queued on src. ErrNotQueued:
+		// started in the meantime. Either way, nothing moved.
+		return false
+	}
+	if err := r.shards[dst].Admit(j); err != nil {
+		if errors.Is(err, ErrUncertain) {
+			// May be admitted on dst — re-admitting to src could
+			// double-admit. Hold the job and let reconciliation finish
+			// the admit once dst answers.
+			r.dir[id] = dst
+			r.pending = append(r.pending, pendingMig{id: id, shard: dst, j: j, stage: stageAdmit})
+			r.logJob(id).Warn("parked wire-uncertain admit", "shard", dst)
+			return false
+		}
+		// Certainly not on dst (unreachable, or a definitive
+		// rejection): the job must not be lost — put it back.
+		if err2 := r.shards[src].Admit(j); err2 != nil {
+			if errors.Is(err2, ErrUncertain) || errors.Is(err2, ErrUnreachable) {
+				r.pending = append(r.pending, pendingMig{id: id, shard: src, j: j, stage: stageAdmit})
+				return false
+			}
+			r.failLocked(fmt.Errorf("federation: job %d lost in migration %d->%d: %v; re-admit: %v",
+				id, src, dst, err, err2))
+		}
+		return false
+	}
+	r.dir[id] = dst
+	r.traceSpan("migrate", id, dst, t0)
+	return true
+}
+
+// resolvePendingLocked retries every parked wire-uncertain step once;
+// steps whose shard is still dark stay parked for the next tick.
+func (r *Router) resolvePendingLocked() {
+	if len(r.pending) == 0 {
+		return
+	}
+	var still []pendingMig
+	for _, p := range r.pending {
+		t0 := r.cfg.Tracer.Now()
+		kept := len(still)
+		switch p.stage {
+		case stageWithdraw:
+			j, err := r.shards[p.shard].Withdraw(p.id)
+			if err == nil {
+				// Committed — originally (tombstone) or just now. The
+				// migration itself is stale; put the job back where it
+				// came from.
+				if aerr := r.shards[p.shard].Admit(j); aerr != nil {
+					if errors.Is(aerr, ErrUncertain) || errors.Is(aerr, ErrUnreachable) {
+						still = append(still, pendingMig{id: p.id, shard: p.shard, j: j, stage: stageAdmit})
+						continue
+					}
+					r.failLocked(fmt.Errorf("federation: job %d lost reconciling withdraw on shard %d: %v",
+						p.id, p.shard, aerr))
+				}
+				continue
+			}
+			if errors.Is(err, engine.ErrNotQueued) {
+				// Never withdrawn — the job started (or finished) on
+				// the source. Resolved.
+				continue
+			}
+			still = append(still, p)
+		case stageAdmit:
+			err := r.shards[p.shard].Admit(p.j)
+			if err == nil || errors.Is(err, engine.ErrDuplicateID) {
+				// Landed now, or had landed all along.
+				r.dir[p.id] = p.shard
+				continue
+			}
+			still = append(still, p)
+		case stageSubmit:
+			if pr, ok := r.shards[p.shard].(remoteProbe); ok {
+				_, present, err := pr.LookupJob(p.id)
+				if err != nil {
+					still = append(still, p)
+					continue
+				}
+				if present {
+					r.dir[p.id] = p.shard
+				} else {
+					// Certainly never admitted; free the directory
+					// entry (the ID stays burned).
+					delete(r.dir, p.id)
+				}
+				continue
+			}
+			if _, present := r.shards[p.shard].Job(p.id); !present {
+				delete(r.dir, p.id)
+			}
+		}
+		if len(still) == kept {
+			// The step left the parked set — resolved one way or the
+			// other (the fail path sets r.failure, which routes report).
+			r.traceSpan("reconcile", p.id, p.shard, t0)
+			r.logJob(p.id).Info("reconciled parked step", "shard", p.shard, "stage", p.stage)
+		}
+	}
+	r.pending = still
+}
+
+// migrateOneLocked moves one still-queued job from the most to the
+// least loaded shard if — and only if — the move strictly reduces the
+// pair's maximum load score, which rules out oscillation. Candidates
+// are taken from the back of the source queue (the youngest arrivals),
+// so the migration disturbs the source shard's arrival-order queue as
+// little as possible. Reports whether a job moved.
+func (r *Router) migrateOneLocked(loads []engine.Load) bool {
+	src, dst := -1, -1
+	for i := range loads {
+		// Dark shards neither give up nor receive work: their loads are
+		// stale caches and a migration leg against them can only park.
+		if !r.healthyLocked(i) {
+			continue
+		}
+		if src == -1 || loads[i].Score() > loads[src].Score() {
+			src = i
+		}
+		if dst == -1 || loads[i].Score() < loads[dst].Score() {
+			dst = i
+		}
+	}
+	if src == -1 || src == dst || loads[src].Score() <= loads[dst].Score() {
+		return false
+	}
+	queue := r.shards[src].Queue()
+	for k := len(queue) - 1; k >= 0; k-- {
+		st := queue[k]
+		if st.Job.Nodes > r.caps[dst] {
+			continue
+		}
+		d := st.Demand()
+		// The move must leave the destination strictly below the
+		// source's old score, or it just trades places.
+		if loads[dst].Score()+float64(d)/float64(loads[dst].Capacity) >= loads[src].Score() {
+			continue
+		}
+		if !r.moveLocked(st.Job.ID, src, dst) {
+			// Started between Queue() and Withdraw (real clock): try an
+			// earlier arrival. Any wire trouble: stop the pass — the
+			// loads are suspect now.
+			if r.healthyLocked(src) && r.healthyLocked(dst) && len(r.pending) == 0 {
+				continue
+			}
+			return false
+		}
+		r.migrations++
+		shiftLoad(loads, src, dst, d)
+		return true
+	}
+	return false
+}
+
+func (r *Router) failLocked(err error) {
+	if r.failure == nil {
+		r.failure = err
+	}
+}

@@ -409,6 +409,16 @@ func TestRebuildShard(t *testing.T) {
 		t.Fatalf("completed %d of %d jobs", got, len(submitted))
 	}
 	checkFederationRun(t, r, submitted)
+
+	// A router that fronts shards it did not build refuses, even when the
+	// shards are in-process engines and a policy factory was passed.
+	ext, err := NewWithShards(Config{Clock: vc, Policy: func(int) sim.Policy { return policy.FCFSBackfill() }}, r.shardList())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ext.RebuildShard(0); err == nil {
+		t.Fatal("RebuildShard on externally-owned engine shards: want refusal")
+	}
 }
 
 // TestDrainStopsAdmission drains the router and checks both the router

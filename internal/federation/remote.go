@@ -15,9 +15,7 @@ import (
 	"time"
 
 	"schedsearch/internal/engine"
-	"schedsearch/internal/job"
 	"schedsearch/internal/obs"
-	"schedsearch/internal/sim"
 	"schedsearch/internal/wire"
 )
 
@@ -63,8 +61,7 @@ type RemoteShardOptions struct {
 // RemoteShard drives one out-of-process schedd shard through its HTTP
 // API, implementing the same engine.Shard seam the router uses for
 // in-process engines: submissions, withdraw/admit migration steps,
-// load snapshots, records, metrics and checkpoints all cross the wire
-// as JSON.
+// load snapshots, records and metrics all cross the wire as JSON.
 //
 // Every call carries a per-call timeout and bounded retries with
 // exponential backoff. Failures are classified: a dial error means the
@@ -99,12 +96,10 @@ type RemoteShard struct {
 	// degraded routing still has loads to compare (and a front-end can
 	// report final metrics for shard daemons that exited after a
 	// drain).
-	lastLoad     engine.Load
-	haveLoad     bool
-	lastMetrics  engine.Metrics
-	haveMetrics  bool
-	lastNow      job.Time
-	lastDraining bool
+	lastLoad    engine.Load
+	haveLoad    bool
+	lastMetrics engine.Metrics
+	haveMetrics bool
 }
 
 // NewRemoteShard returns a client for the shard at baseURL (e.g.
@@ -145,16 +140,18 @@ func NewRemoteShard(baseURL string, opts RemoteShardOptions) *RemoteShard {
 	}
 }
 
-// logJob returns the logger for a job-scoped wire event, with the
-// job's trace attached when known.
-func (rs *RemoteShard) logJob(id int) *slog.Logger {
-	l := rs.log.With("job", id)
-	if rs.tracer != nil {
-		if tc, ok := rs.tracer.Lookup(id); ok {
-			l = l.With(obs.TraceAttr(tc))
-		}
+// jobLogger scopes log to one job's events — id 0 means the call is
+// about no particular job — with the job's trace attached when the
+// tracer knows it.
+func jobLogger(log *slog.Logger, tr *obs.Tracer, id int) *slog.Logger {
+	if id == 0 {
+		return log
 	}
-	return l
+	log = log.With("job", id)
+	if tc, ok := tr.Lookup(id); ok {
+		log = log.With(obs.TraceAttr(tc))
+	}
+	return log
 }
 
 // Addr returns the shard's base URL.
@@ -232,29 +229,25 @@ func (rs *RemoteShard) once(method, path string, reqBody, out any, jobID int) er
 	if reqBody != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	if jobID != 0 && rs.tracer != nil {
-		if h := rs.tracer.Header(jobID); h != "" {
-			req.Header.Set(obs.TraceHeader, h)
-		}
+	// Job 0 is never bound and a nil tracer knows no job: no header.
+	if h := rs.tracer.Header(jobID); h != "" {
+		req.Header.Set(obs.TraceHeader, h)
 	}
 	resp, err := rs.hc.Do(req)
 	if err != nil {
-		rs.markFail(err)
+		rs.mark(err)
 		return err
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
-	if err != nil {
-		rs.markFail(err)
-		return err
-	}
-	if len(data) > maxResponseBytes {
-		err := fmt.Errorf("federation: %s %s: response exceeds %d bytes", method, path, maxResponseBytes)
-		rs.markFail(err)
-		return err
+	if err == nil && len(data) > maxResponseBytes {
+		err = fmt.Errorf("federation: %s %s: response exceeds %d bytes", method, path, maxResponseBytes)
 	}
 	// Any complete response proves the shard alive, even a rejection.
-	rs.markOK()
+	rs.mark(err)
+	if err != nil {
+		return err
+	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		var er wire.ErrorResponse
 		_ = json.Unmarshal(data, &er)
@@ -274,416 +267,79 @@ func (rs *RemoteShard) once(method, path string, reqBody, out any, jobID int) er
 	return nil
 }
 
-func (rs *RemoteShard) markOK() {
-	rs.mu.Lock()
-	rs.lastErr = nil
-	rs.mu.Unlock()
-}
-
-func (rs *RemoteShard) markFail(err error) {
+// mark records the transport outcome of an attempt for Healthy.
+func (rs *RemoteShard) mark(err error) {
 	rs.mu.Lock()
 	rs.lastErr = err
 	rs.mu.Unlock()
 }
 
-func (rs *RemoteShard) backoffFor(attempt int) time.Duration {
-	d := rs.backoff
-	for i := 1; i < attempt; i++ {
-		d *= 2
+// do runs one logical call as up to 1+retries attempts with exponential
+// backoff — the one retry loop every retried operation goes through. A
+// structured API error ends it at once (the shard is alive and said
+// no). When the attempts run out, the failure is classified: a read
+// (GET) is always ErrUnreachable — nothing happened that a redirect
+// could duplicate; a mutation is ErrUncertain if any attempt failed
+// after the request may have been delivered, ErrUnreachable if every
+// attempt died dialing.
+//
+// landed, when non-nil, is the per-attempt verification of a
+// job-delivering POST: after an uncertain attempt the shard is read
+// back before resending, and a duplicate-ID rejection following an
+// uncertain attempt is checked the same way (ruling out a genuine ID
+// collision) — either proves the original landed, which is success.
+func (rs *RemoteShard) do(method, path string, reqBody, out any, id int, landed func() bool) error {
+	mutation := method != http.MethodGet
+	uncertain := false
+	var lastErr error
+	for a := 0; a <= rs.retries; a++ {
+		if a > 0 {
+			rs.sleep(rs.backoff << (a - 1)) // doubling per retry
+		}
+		err := rs.once(method, path, reqBody, out, id)
+		if err == nil {
+			return nil
+		}
+		var ae *apiError
+		if errors.As(err, &ae) {
+			if ae.Code == "duplicate_id" && uncertain && landed != nil && landed() {
+				return nil
+			}
+			return mapAPIError(ae)
+		}
+		lastErr = err
+		jobLogger(rs.log, rs.tracer, id).Debug("wire attempt failed", "method", method, "path", path, "attempt", a+1, "err", err)
+		if mutation && !isDialError(err) {
+			uncertain = true
+			if landed != nil && landed() {
+				return nil
+			}
+		}
 	}
-	return d
+	log := jobLogger(rs.log, rs.tracer, id)
+	what := method + " " + path
+	if id != 0 {
+		what = fmt.Sprintf("%s job %d", what, id)
+	}
+	if uncertain {
+		log.Warn("request outcome unknown after retries", "call", what, "err", lastErr)
+		return fmt.Errorf("%w: %s: %v", ErrUncertain, what, lastErr)
+	}
+	log.Warn("shard unreachable", "call", what, "err", lastErr)
+	return fmt.Errorf("%w: %s: %v", ErrUnreachable, what, lastErr)
 }
 
 // get performs an idempotent GET with retries; exhaustion wraps
 // ErrUnreachable.
 func (rs *RemoteShard) get(path string, out any) error {
-	var lastErr error
-	for a := 0; a <= rs.retries; a++ {
-		if a > 0 {
-			rs.sleep(rs.backoffFor(a))
-		}
-		err := rs.once(http.MethodGet, path, nil, out, 0)
-		if err == nil {
-			return nil
-		}
-		var ae *apiError
-		if errors.As(err, &ae) {
-			return mapAPIError(ae)
-		}
-		lastErr = err
-	}
-	rs.log.Warn("shard unreachable", "path", path, "err", lastErr)
-	return fmt.Errorf("%w: GET %s: %v", ErrUnreachable, path, lastErr)
+	return rs.do(http.MethodGet, path, nil, out, 0, nil)
 }
 
 // postJobVerified delivers a job-admitting POST (SubmitJob or the
-// migration Admit) with landed-verification: after an uncertain
-// transport failure, a duplicate-ID rejection on retry — or the job
-// simply being present on the shard — means the original landed and is
-// success, not an error.
+// migration Admit) with landed-verification (see do).
 func (rs *RemoteShard) postJobVerified(path string, reqBody any, id int) error {
-	uncertain := false
-	var lastErr error
-	for a := 0; a <= rs.retries; a++ {
-		if a > 0 {
-			rs.sleep(rs.backoffFor(a))
-		}
-		err := rs.once(http.MethodPost, path, reqBody, nil, id)
-		if err == nil {
-			return nil
-		}
-		var ae *apiError
-		if errors.As(err, &ae) {
-			if ae.Code == "duplicate_id" && uncertain {
-				// A prior attempt's outcome was unknown; the duplicate
-				// proves it landed. Verify the job exists to rule out a
-				// genuine ID collision with someone else's job.
-				if _, ok, lerr := rs.lookup(id); lerr == nil && ok {
-					return nil
-				}
-			}
-			return mapAPIError(ae)
-		}
-		lastErr = err
-		rs.logJob(id).Debug("job delivery attempt failed", "path", path, "attempt", a+1, "err", err)
-		if !isDialError(err) {
-			uncertain = true
-			// The request may have been processed with the response
-			// lost; read the shard back before resending.
-			if st, ok, lerr := rs.lookup(id); lerr == nil && ok && st.Job.ID == id {
-				return nil
-			}
-		}
-	}
-	if uncertain {
-		rs.logJob(id).Warn("job delivery outcome unknown after retries", "path", path, "err", lastErr)
-		return fmt.Errorf("%w: POST %s job %d: %v", ErrUncertain, path, id, lastErr)
-	}
-	rs.logJob(id).Warn("shard unreachable for job delivery", "path", path, "err", lastErr)
-	return fmt.Errorf("%w: POST %s job %d: %v", ErrUnreachable, path, id, lastErr)
+	return rs.do(http.MethodPost, path, reqBody, nil, id, func() bool {
+		st, ok, err := rs.LookupJob(id)
+		return err == nil && ok && st.Job.ID == id
+	})
 }
-
-// lookup fetches one job's status; ok=false with nil error means the
-// shard answered "no such job".
-func (rs *RemoteShard) lookup(id int) (engine.JobStatus, bool, error) {
-	var jr wire.JobResponse
-	err := rs.once(http.MethodGet, fmt.Sprintf("/v1/jobs/%d", id), nil, &jr, id)
-	if err == nil {
-		return statusFromResponse(jr), true, nil
-	}
-	var ae *apiError
-	if errors.As(err, &ae) {
-		if ae.Status == http.StatusNotFound {
-			return engine.JobStatus{}, false, nil
-		}
-		return engine.JobStatus{}, false, mapAPIError(ae)
-	}
-	return engine.JobStatus{}, false, err
-}
-
-// statusFromResponse reconstructs an engine.JobStatus from the public
-// job schema.
-func statusFromResponse(jr wire.JobResponse) engine.JobStatus {
-	st := engine.JobStatus{
-		Job: job.Job{
-			ID: jr.ID, Submit: jr.SubmitS, Nodes: jr.Nodes,
-			Runtime: jr.RuntimeS, Request: jr.RequestS, User: jr.User,
-		},
-		Estimate: jr.EstimateS,
-		NodeIDs:  jr.NodeIDs,
-	}
-	switch jr.State {
-	case engine.StateRunning.String():
-		st.State = engine.StateRunning
-	case engine.StateDone.String():
-		st.State = engine.StateDone
-	default:
-		st.State = engine.StateWaiting
-	}
-	if jr.StartS != nil {
-		st.Start = *jr.StartS
-	}
-	if jr.EndS != nil {
-		st.End = *jr.EndS
-	}
-	return st
-}
-
-// SubmitJob admits a job with a caller-assigned ID on the shard (the
-// shard stamps the submit time from its own clock).
-func (rs *RemoteShard) SubmitJob(j job.Job) error {
-	return rs.postJobVerified("/v1/jobs", wire.SubmitRequest{
-		ID: j.ID, Nodes: j.Nodes, RuntimeS: j.Runtime, RequestS: j.Request, User: j.User,
-	}, j.ID)
-}
-
-// Admit admits a migrated job preserving its ID and submit time.
-func (rs *RemoteShard) Admit(j job.Job) error {
-	return rs.postJobVerified("/v1/shard/admit", wire.JobToWire(j), j.ID)
-}
-
-// Withdraw removes a still-queued job from the shard and returns it.
-// The shard's withdraw tombstone makes retries idempotent: if the
-// original landed and only the acknowledgment was lost, the retry
-// returns the same job instead of failing.
-func (rs *RemoteShard) Withdraw(id int) (job.Job, error) {
-	uncertain := false
-	var lastErr error
-	for a := 0; a <= rs.retries; a++ {
-		if a > 0 {
-			rs.sleep(rs.backoffFor(a))
-		}
-		var resp wire.WithdrawResponse
-		err := rs.once(http.MethodPost, "/v1/shard/withdraw", wire.WithdrawRequest{ID: id}, &resp, id)
-		if err == nil {
-			return resp.Job.ToJob(), nil
-		}
-		var ae *apiError
-		if errors.As(err, &ae) {
-			return job.Job{}, mapAPIError(ae)
-		}
-		lastErr = err
-		rs.logJob(id).Debug("withdraw attempt failed", "attempt", a+1, "err", err)
-		if !isDialError(err) {
-			uncertain = true
-		}
-	}
-	if uncertain {
-		rs.logJob(id).Warn("withdraw outcome unknown after retries", "err", lastErr)
-		return job.Job{}, fmt.Errorf("%w: withdraw job %d: %v", ErrUncertain, id, lastErr)
-	}
-	rs.logJob(id).Warn("shard unreachable for withdraw", "err", lastErr)
-	return job.Job{}, fmt.Errorf("%w: withdraw job %d: %v", ErrUnreachable, id, lastErr)
-}
-
-// LookupJob distinguishes "the shard answered: no such job" (ok=false,
-// nil error) from "the shard could not be asked" (non-nil error) —
-// reconciling an uncertain submission needs the difference Job's
-// boolean cannot carry.
-func (rs *RemoteShard) LookupJob(id int) (engine.JobStatus, bool, error) {
-	return rs.lookup(id)
-}
-
-// Job returns the job's status on the shard; false when the shard does
-// not know the job or cannot be reached.
-func (rs *RemoteShard) Job(id int) (engine.JobStatus, bool) {
-	var jr wire.JobResponse
-	if err := rs.get(fmt.Sprintf("/v1/jobs/%d", id), &jr); err != nil {
-		return engine.JobStatus{}, false
-	}
-	return statusFromResponse(jr), true
-}
-
-// Queue returns the shard's waiting queue in arrival order; nil when
-// unreachable.
-func (rs *RemoteShard) Queue() []engine.JobStatus {
-	var qr wire.QueueResponse
-	if err := rs.get("/v1/queue", &qr); err != nil {
-		return nil
-	}
-	out := make([]engine.JobStatus, len(qr.Jobs))
-	for i, jr := range qr.Jobs {
-		out[i] = statusFromResponse(jr)
-	}
-	return out
-}
-
-// Machine returns the shard's occupancy snapshot.
-func (rs *RemoteShard) Machine() engine.Machine {
-	var mr wire.MachineResponse
-	if err := rs.get("/v1/machine", &mr); err != nil {
-		return engine.Machine{}
-	}
-	m := engine.Machine{
-		Now: mr.NowS, Capacity: mr.Capacity, FreeNodes: mr.FreeNodes,
-		Running: make([]sim.RunningJob, len(mr.Running)),
-	}
-	for i, rj := range mr.Running {
-		m.Running[i] = sim.RunningJob{
-			ID: rj.ID, Nodes: rj.Nodes, User: rj.User,
-			Start: rj.StartS, PredictedEnd: rj.PredictedEndS,
-		}
-	}
-	rs.mu.Lock()
-	rs.lastNow = m.Now
-	rs.mu.Unlock()
-	return m
-}
-
-// Load returns the shard's occupancy summary. It is called on every
-// placement decision, so it makes a single live attempt (no retries);
-// an unreachable shard answers with its last-known load — the gossip
-// cache — while the health mark steers placement away from it.
-func (rs *RemoteShard) Load() engine.Load {
-	var lr wire.LoadResponse
-	if err := rs.once(http.MethodGet, "/v1/shard/load", nil, &lr, 0); err != nil {
-		rs.mu.Lock()
-		defer rs.mu.Unlock()
-		return rs.lastLoad
-	}
-	ld := engine.Load{
-		Capacity: lr.Capacity, FreeNodes: lr.FreeNodes,
-		Waiting: lr.Waiting, Running: lr.Running,
-		QueuedNodeSec: lr.QueuedNodeSec, RemainingNodeSec: lr.RemainingNodeSec,
-	}
-	rs.mu.Lock()
-	rs.lastLoad = ld
-	rs.haveLoad = true
-	rs.mu.Unlock()
-	return ld
-}
-
-// Probe fetches the shard's load with retries, for construction-time
-// capacity discovery. A shard that answered before and has since gone
-// dark answers from the cache — a router can be rebuilt around a
-// temporarily dead shard it had already joined.
-func (rs *RemoteShard) Probe() (engine.Load, error) {
-	var lr wire.LoadResponse
-	if err := rs.get("/v1/shard/load", &lr); err != nil {
-		rs.mu.Lock()
-		defer rs.mu.Unlock()
-		if rs.haveLoad {
-			return rs.lastLoad, nil
-		}
-		return engine.Load{}, err
-	}
-	ld := engine.Load{
-		Capacity: lr.Capacity, FreeNodes: lr.FreeNodes,
-		Waiting: lr.Waiting, Running: lr.Running,
-		QueuedNodeSec: lr.QueuedNodeSec, RemainingNodeSec: lr.RemainingNodeSec,
-	}
-	rs.mu.Lock()
-	rs.lastLoad = ld
-	rs.haveLoad = true
-	rs.mu.Unlock()
-	return ld, nil
-}
-
-// Metrics returns the shard's running report; when unreachable, the
-// last-known report (a shard daemon that exited after its drain keeps
-// its final numbers) or, with nothing cached, a minimal report
-// carrying the wire error.
-func (rs *RemoteShard) Metrics() engine.Metrics {
-	var m engine.Metrics
-	if err := rs.get("/v1/metrics", &m); err != nil {
-		rs.mu.Lock()
-		defer rs.mu.Unlock()
-		if rs.haveMetrics {
-			return rs.lastMetrics
-		}
-		return engine.Metrics{Error: err.Error()}
-	}
-	rs.mu.Lock()
-	rs.lastMetrics = m
-	rs.haveMetrics = true
-	rs.lastDraining = m.Draining
-	rs.lastNow = m.NowS
-	if m.Error != "" && rs.remoteFatal == nil {
-		rs.remoteFatal = fmt.Errorf("remote shard %s: %s", rs.base, m.Error)
-	}
-	rs.mu.Unlock()
-	return m
-}
-
-// Records returns the shard's completion records (shard-local node
-// IDs); nil when unreachable.
-func (rs *RemoteShard) Records() []sim.Record {
-	var resp wire.RecordsResponse
-	if err := rs.get("/v1/shard/records", &resp); err != nil {
-		return nil
-	}
-	out := make([]sim.Record, len(resp.Records))
-	for i, wr := range resp.Records {
-		out[i] = sim.Record{
-			Job: wr.Job.ToJob(), Start: wr.StartS, End: wr.EndS,
-			NodeIDs: wr.NodeIDs, Measured: wr.Measured,
-		}
-	}
-	return out
-}
-
-// Checkpoint fetches the shard's committed history; the zero
-// checkpoint when unreachable (remote shards rebuild themselves from
-// their own journals — the router never rebuilds them).
-func (rs *RemoteShard) Checkpoint() engine.Checkpoint {
-	var cp engine.Checkpoint
-	if err := rs.get("/v1/shard/checkpoint", &cp); err != nil {
-		return engine.Checkpoint{}
-	}
-	return cp
-}
-
-// Drain asks the shard to stop admitting and waits (polling) until its
-// backlog is empty or ctx is done. A shard daemon exits by itself once
-// its drain completes, so a connection refused after the drain was
-// acknowledged means done-and-gone, not failure — without this, the
-// poll would chase a process that has already finished everything it
-// was asked to.
-func (rs *RemoteShard) Drain(ctx context.Context) error {
-	if err := rs.once(http.MethodPost, "/v1/drain", nil, nil, 0); err != nil {
-		var ae *apiError
-		if errors.As(err, &ae) {
-			return mapAPIError(ae)
-		}
-		return fmt.Errorf("%w: drain: %v", ErrUnreachable, err)
-	}
-	for {
-		var m engine.Metrics
-		err := rs.once(http.MethodGet, "/v1/metrics", nil, &m, 0)
-		if err == nil {
-			rs.mu.Lock()
-			rs.lastMetrics = m
-			rs.haveMetrics = true
-			rs.lastDraining = m.Draining
-			rs.mu.Unlock()
-			if m.Jobs.Waiting == 0 && m.Jobs.Running == 0 {
-				return nil
-			}
-		} else if isDialError(err) {
-			// The shard accepted the drain and has since stopped
-			// listening: a drained schedd only exits once its machine is
-			// empty.
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		default:
-		}
-		rs.sleep(20 * time.Millisecond)
-	}
-}
-
-// Draining reports the shard's drain state as of the last metrics
-// fetch (live when reachable).
-func (rs *RemoteShard) Draining() bool {
-	var m engine.Metrics
-	if err := rs.once(http.MethodGet, "/v1/metrics", nil, &m, 0); err == nil {
-		rs.mu.Lock()
-		rs.lastDraining = m.Draining
-		rs.mu.Unlock()
-		return m.Draining
-	}
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.lastDraining
-}
-
-// Err returns a fatal error the shard has reported over the wire, nil
-// otherwise. Reachability is Healthy's business, not Err's — a
-// partitioned shard is unhealthy, not failed.
-func (rs *RemoteShard) Err() error {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.remoteFatal
-}
-
-// Now returns the shard's clock as of the last snapshot that carried
-// it (shards run their own clocks; the router keeps its own time).
-func (rs *RemoteShard) Now() job.Time {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.lastNow
-}
-
-var _ engine.Shard = (*RemoteShard)(nil)

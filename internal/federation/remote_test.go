@@ -477,7 +477,6 @@ func FuzzRemoteShardDecode(f *testing.F) {
 		rs.Machine()
 		rs.Metrics()
 		rs.Records()
-		rs.Checkpoint()
 		rs.Job(7)
 		rs.LookupJob(7)
 		_, _ = rs.Withdraw(7)

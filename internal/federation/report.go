@@ -1,0 +1,207 @@
+package federation
+
+import (
+	"sort"
+
+	"schedsearch/internal/engine"
+	"schedsearch/internal/metrics"
+	"schedsearch/internal/sim"
+)
+
+// NumShards returns the shard count.
+func (r *Router) NumShards() int { return len(r.shards) }
+
+// ShardCapacities returns a copy of the partition sizes, by shard.
+func (r *Router) ShardCapacities() []int {
+	return append([]int(nil), r.caps...)
+}
+
+// ShardRecords returns shard i's completion records with shard-local
+// node IDs (oracle.CheckFederation consumes these).
+func (r *Router) ShardRecords(i int) []sim.Record {
+	return r.shardList()[i].Records()
+}
+
+// Job returns the job's current status, with node IDs mapped to the
+// global node space.
+func (r *Router) Job(id int) (engine.JobStatus, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	si, ok := r.dir[id]
+	if !ok {
+		return engine.JobStatus{}, false
+	}
+	st, ok := r.shards[si].Job(id)
+	if !ok {
+		return engine.JobStatus{}, false
+	}
+	for k := range st.NodeIDs {
+		st.NodeIDs[k] += r.bases[si]
+	}
+	return st, true
+}
+
+// JobShard returns the shard currently (or finally) responsible for the
+// job.
+func (r *Router) JobShard(id int) (int, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	si, ok := r.dir[id]
+	return si, ok
+}
+
+// Queue returns every waiting job across the shards, in global arrival
+// order (submit time, then ID).
+func (r *Router) Queue() []engine.JobStatus {
+	var out []engine.JobStatus
+	for _, s := range r.shardList() {
+		out = append(out, s.Queue()...)
+	}
+	sort.Slice(out, func(i, k int) bool {
+		if out[i].Job.Submit != out[k].Job.Submit {
+			return out[i].Job.Submit < out[k].Job.Submit
+		}
+		return out[i].Job.ID < out[k].Job.ID
+	})
+	return out
+}
+
+// Machine returns the whole-machine occupancy snapshot: total capacity
+// and free nodes, and the running set merged across shards in (start,
+// ID) order.
+func (r *Router) Machine() engine.Machine {
+	m := engine.Machine{Now: r.cfg.Clock.Now(), Capacity: r.cfg.Capacity}
+	for _, s := range r.shardList() {
+		sm := s.Machine()
+		m.FreeNodes += sm.FreeNodes
+		m.Running = append(m.Running, sm.Running...)
+	}
+	sort.Slice(m.Running, func(i, k int) bool {
+		if m.Running[i].Start != m.Running[k].Start {
+			return m.Running[i].Start < m.Running[k].Start
+		}
+		return m.Running[i].ID < m.Running[k].ID
+	})
+	return m
+}
+
+// Records returns the federation's completion records merged into
+// global (end time, job ID) order, with node IDs mapped to the global
+// node space — the same shape a standalone engine of the whole machine
+// emits.
+func (r *Router) Records() []sim.Record {
+	var merged []sim.Record
+	for i, s := range r.shardList() {
+		for _, rec := range s.Records() {
+			if len(rec.NodeIDs) > 0 {
+				ids := make([]int, len(rec.NodeIDs))
+				for k, n := range rec.NodeIDs {
+					ids[k] = n + r.bases[i]
+				}
+				rec.NodeIDs = ids
+			}
+			merged = append(merged, rec)
+		}
+	}
+	sort.Slice(merged, func(i, k int) bool {
+		if merged[i].End != merged[k].End {
+			return merged[i].End < merged[k].End
+		}
+		return merged[i].Job.ID < merged[k].Job.ID
+	})
+	return merged
+}
+
+// Metrics returns the whole-machine running report in the ordinary
+// engine.Metrics schema: the summary is computed over the merged global
+// records, counters are aggregated across shards. A federated
+// GET /v1/metrics is therefore directly comparable with a standalone
+// engine's.
+func (r *Router) Metrics() engine.Metrics {
+	per := r.shardMetrics()
+	now := r.cfg.Clock.Now()
+	measureEnd := now
+	if r.explicitWindow {
+		measureEnd = r.cfg.MeasureEnd
+	}
+	records := r.Records()
+	res := &sim.Result{
+		Policy:       r.polName,
+		Records:      records,
+		Capacity:     r.cfg.Capacity,
+		MeasureStart: r.cfg.MeasureStart,
+		MeasureEnd:   measureEnd,
+	}
+	m := engine.Metrics{
+		Policy:   r.polName,
+		NowS:     now,
+		Capacity: r.cfg.Capacity,
+	}
+	var wallMs, busyMs, decideMsSum float64
+	for _, pm := range per {
+		res.Decisions += int(pm.Engine.Decisions)
+		res.AvgQueueLen += pm.Summary.AvgQueueLen
+		m.Jobs.Waiting += pm.Jobs.Waiting
+		m.Jobs.Running += pm.Jobs.Running
+		m.Jobs.Done += pm.Jobs.Done
+		m.Draining = m.Draining || pm.Draining
+		c := &m.Engine
+		c.Decisions += pm.Engine.Decisions
+		c.PolicyPanics += pm.Engine.PolicyPanics
+		c.SearchNodes += pm.Engine.SearchNodes
+		c.SearchLeaves += pm.Engine.SearchLeaves
+		c.BudgetHits += pm.Engine.BudgetHits
+		wallMs += pm.Engine.SearchWallMs
+		busyMs += pm.Engine.SearchWallMs * pm.Engine.SearchSpeedup
+		decideMsSum += pm.Engine.AvgDecideMs * float64(pm.Engine.Decisions)
+		if pm.Engine.MaxDecideMs > m.Engine.MaxDecideMs {
+			m.Engine.MaxDecideMs = pm.Engine.MaxDecideMs
+		}
+		if pm.Error != "" && m.Error == "" {
+			m.Error = pm.Error
+		}
+	}
+	m.Engine.SearchWallMs = wallMs
+	if wallMs > 0 {
+		m.Engine.SearchSpeedup = busyMs / wallMs
+	}
+	if m.Engine.Decisions > 0 {
+		m.Engine.AvgDecideMs = decideMsSum / float64(m.Engine.Decisions)
+	}
+	m.Summary = metrics.Summarize(res)
+	r.mu.Lock()
+	if r.failure != nil && m.Error == "" {
+		m.Error = r.failure.Error()
+	}
+	m.Draining = m.Draining || r.draining
+	r.mu.Unlock()
+	return m
+}
+
+// Federation returns the sharded detail report: per-shard metrics and
+// partition geometry plus the router's placement/rebalance counters.
+func (r *Router) Federation() engine.FederationMetrics {
+	per := r.shardMetrics()
+	fm := engine.AggregateShards(per, r.caps, r.bases)
+	r.mu.Lock()
+	fm.Placement = r.cfg.Placement.Name()
+	fm.Migrations = r.migrations
+	fm.RebalancePasses = r.rebalances
+	fm.RoutingDecisions = r.routingDecisions
+	fm.RoutingNs = r.routingNs
+	fm.Reroutes = r.reroutes
+	fm.Steals = r.steals
+	fm.GossipPasses = r.gossips
+	r.mu.Unlock()
+	fm.Global = r.Metrics()
+	return fm
+}
+
+func (r *Router) shardMetrics() []engine.Metrics {
+	shards := r.shardList()
+	per := make([]engine.Metrics, len(shards))
+	for i, s := range shards {
+		per[i] = s.Metrics()
+	}
+	return per
+}

@@ -171,15 +171,7 @@ func PriorityOrder(snap *sim.Snapshot, p Priority) []int {
 // BuildProfile constructs the availability profile implied by the
 // snapshot: capacity minus each running job until its predicted end.
 func BuildProfile(snap *sim.Snapshot) *cluster.Profile {
-	prof := cluster.New(snap.Capacity, snap.Now)
-	for _, r := range snap.Running {
-		end := r.PredictedEnd
-		if end <= snap.Now {
-			// The job has exhausted its estimate but has not finished;
-			// plan as if it ends imminently.
-			end = snap.Now + 1
-		}
-		prof.Place(snap.Now, r.Nodes, end-snap.Now)
-	}
+	prof := new(cluster.Profile)
+	snap.FillProfile(prof)
 	return prof
 }

@@ -115,6 +115,18 @@ func TestServerValidationAndNotFound(t *testing.T) {
 	if w, _ := f.do(t, "GET", "/v1/jobs/abc", ""); w.Code != http.StatusBadRequest {
 		t.Fatalf("non-numeric id: %d, want 400", w.Code)
 	}
+	// The shard protocol of a bare engine serves its load, but no
+	// checkpoint: no router reads one over the wire.
+	for path, want := range map[string]int{
+		"/v1/shard/load":       http.StatusOK,
+		"/v1/shard/checkpoint": http.StatusNotFound,
+	} {
+		w := httptest.NewRecorder()
+		f.srv.ServeHTTP(w, httptest.NewRequest("GET", path, nil))
+		if w.Code != want {
+			t.Fatalf("GET %s: %d, want %d", path, w.Code, want)
+		}
+	}
 }
 
 func TestServerMetricsWithSearchPolicy(t *testing.T) {

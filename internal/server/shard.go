@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
 	"schedsearch/internal/engine"
 	"schedsearch/internal/job"
@@ -21,7 +20,6 @@ import (
 //	POST /v1/shard/withdraw   withdraw a still-queued job (migration source side)
 //	GET  /v1/shard/load       cheap occupancy summary (engine.Load)
 //	GET  /v1/shard/records    completion records with shard-local node IDs
-//	GET  /v1/shard/checkpoint committed history (engine.Checkpoint) for inspection
 //
 // The routes are registered only when the backend exposes the full
 // shard seam (a bare *engine.Engine does; a federation router does
@@ -53,7 +51,6 @@ type ShardBackend interface {
 	Withdraw(id int) (job.Job, error)
 	Withdrawn(id int) (job.Job, bool)
 	Load() engine.Load
-	Checkpoint() engine.Checkpoint
 }
 
 // registerShardRoutes mounts the shard wire protocol; called from New
@@ -66,12 +63,7 @@ func (s *Server) registerShardRoutes(sb ShardBackend) {
 		s.shardWithdraw(w, r, sb)
 	})
 	s.mux.HandleFunc("GET /v1/shard/load", func(w http.ResponseWriter, r *http.Request) {
-		ld := sb.Load()
-		writeJSON(w, http.StatusOK, wire.LoadResponse{
-			Capacity: ld.Capacity, FreeNodes: ld.FreeNodes,
-			Waiting: ld.Waiting, Running: ld.Running,
-			QueuedNodeSec: ld.QueuedNodeSec, RemainingNodeSec: ld.RemainingNodeSec,
-		})
+		writeJSON(w, http.StatusOK, wire.LoadResponse(sb.Load()))
 	})
 	s.mux.HandleFunc("GET /v1/shard/records", func(w http.ResponseWriter, r *http.Request) {
 		recs := sb.Records()
@@ -83,9 +75,6 @@ func (s *Server) registerShardRoutes(sb ShardBackend) {
 			}
 		}
 		writeJSON(w, http.StatusOK, resp)
-	})
-	s.mux.HandleFunc("GET /v1/shard/checkpoint", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, sb.Checkpoint())
 	})
 }
 
@@ -107,10 +96,7 @@ func decodeShardBody(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 func (s *Server) shardAdmit(w http.ResponseWriter, r *http.Request, sb ShardBackend) {
-	var t0 time.Time
-	if s.tracer != nil {
-		t0 = s.tracer.Now()
-	}
+	t0 := s.tracer.Now() // nil-safe: the zero time with tracing off
 	var wj wire.WireJob
 	if !decodeShardBody(w, r, &wj) {
 		return

@@ -113,23 +113,30 @@ func (l *Ledger) Withdraw(id int) (job.Job, bool) {
 	return job.Job{}, false
 }
 
+// QueuedDemand is one waiting job's outstanding work in node-seconds:
+// nodes × planning time, the estimate once fixed, else the request,
+// floored at one second. Ledger.Demand sums it and the federation
+// router moves it between load summaries when it migrates a job, so
+// the two cannot drift.
+func QueuedDemand(j job.Job, est job.Duration) int64 {
+	if est < 1 {
+		est = j.Request
+	}
+	if est < 1 {
+		est = 1
+	}
+	return int64(j.Nodes) * est
+}
+
 // Demand sums the outstanding work on the ledger at now, in
-// node-seconds: queued is Σ nodes × planning time over waiting jobs
-// (the estimate once fixed, else the request, floored at one second),
-// remaining is Σ nodes × remaining predicted time over running jobs
-// (floored at one second per job — a job past its predicted end still
-// holds its nodes). The federation router's placement and rebalance
-// passes consume these through engine.Load.
+// node-seconds: queued is Σ QueuedDemand over waiting jobs, remaining
+// is Σ nodes × remaining predicted time over running jobs (floored at
+// one second per job — a job past its predicted end still holds its
+// nodes). The federation router's placement and rebalance passes
+// consume these through engine.Load.
 func (l *Ledger) Demand(now job.Time) (queued, remaining int64) {
 	for _, q := range l.queue {
-		est := q.estimate
-		if est < 1 {
-			est = q.j.Request
-		}
-		if est < 1 {
-			est = 1
-		}
-		queued += int64(q.j.Nodes) * est
+		queued += QueuedDemand(q.j, q.estimate)
 	}
 	for _, r := range l.running {
 		rem := r.predictedEnd - now

@@ -15,6 +15,7 @@ package sim
 import (
 	"fmt"
 
+	"schedsearch/internal/cluster"
 	"schedsearch/internal/job"
 )
 
@@ -28,6 +29,15 @@ type WaitingJob struct {
 	// QueuePos is the job's index in Snapshot.Queue; policies return
 	// these indices from Decide.
 	QueuePos int
+}
+
+// PlanEstimate is the duration a plan reserves for the job: Estimate,
+// floored at one second (the profile cannot hold an empty reservation).
+func (w WaitingJob) PlanEstimate() job.Duration {
+	if w.Estimate < 1 {
+		return 1
+	}
+	return w.Estimate
 }
 
 // RunningJob is an executing job as visible to a policy: the policy sees
@@ -48,6 +58,23 @@ type Snapshot struct {
 	FreeNodes int
 	Running   []RunningJob
 	Queue     []WaitingJob
+}
+
+// FillProfile resets p (the zero Profile is fine) to the availability
+// profile the snapshot implies: capacity minus each running job until
+// its predicted end. Every planner — backfill, search, scoring, the
+// environment export — builds its profile here.
+func (snap *Snapshot) FillProfile(p *cluster.Profile) {
+	p.Reset(snap.Capacity, snap.Now)
+	for _, r := range snap.Running {
+		end := r.PredictedEnd
+		if end <= snap.Now {
+			// The job has exhausted its estimate but has not finished;
+			// plan as if it ends imminently.
+			end = snap.Now + 1
+		}
+		p.Place(snap.Now, r.Nodes, end-snap.Now)
+	}
 }
 
 // Policy decides, at each decision point, which queued jobs start now.
