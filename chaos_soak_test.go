@@ -6,6 +6,7 @@ import (
 	"schedsearch"
 	"schedsearch/internal/chaos"
 	"schedsearch/internal/federation"
+	"schedsearch/internal/job"
 	"schedsearch/internal/sim"
 )
 
@@ -54,10 +55,30 @@ func TestChaosSoak(t *testing.T) {
 	}
 }
 
+// pinFirst is the Placement fake the federated soaks skew routing with:
+// every job goes to the first eligible shard.
+type pinFirst struct{}
+
+func (pinFirst) Name() string                             { return "pin-first" }
+func (pinFirst) Pick(job.Job, []federation.Candidate) int { return 0 }
+
+// soakPlacements are what the federated soaks route under: nil is the
+// federation's built-in rule, which placementName names as the router
+// reports it.
+var soakPlacements = []federation.Placement{nil, pinFirst{}}
+
+func placementName(p federation.Placement) string {
+	if p == nil {
+		p = federation.BestFit{}
+	}
+	return p.Name()
+}
+
 // TestChaosSoakFederation soaks the sharded federation under the same
 // fault mix: every fault class at once — including the single-shard
-// crash-rebuild while the other shards keep scheduling — across the
-// placement policies, with oracle.CheckFederation certifying every run
+// crash-rebuild while the other shards keep scheduling — under the
+// built-in placement and a fake that piles every job onto one shard,
+// with oracle.CheckFederation certifying every run
 // (conservation across migrations, shard-local allocation, global
 // schedule invariants). Run under -race this also hammers the router's
 // locking against concurrent shard timers.
@@ -66,13 +87,10 @@ func TestChaosSoakFederation(t *testing.T) {
 	if testing.Short() {
 		seeds = 2
 	}
-	placements := []federation.Placement{
-		federation.LeastLoaded{}, federation.BestFit{}, federation.HashByUser{},
-	}
 	totalMigrations := int64(0)
-	for _, place := range placements {
+	for _, place := range soakPlacements {
 		place := place
-		t.Run(place.Name(), func(t *testing.T) {
+		t.Run(placementName(place), func(t *testing.T) {
 			for seed := uint64(1); seed <= uint64(seeds); seed++ {
 				res, err := chaos.RunFederation(chaos.FederationConfig{
 					Config: chaos.Config{
@@ -124,11 +142,9 @@ func TestChaosSoakFederationRemote(t *testing.T) {
 		seeds = 2
 	}
 	totalReroutes := int64(0)
-	for _, place := range []federation.Placement{
-		federation.LeastLoaded{}, federation.HashByUser{},
-	} {
+	for _, place := range soakPlacements {
 		place := place
-		t.Run(place.Name(), func(t *testing.T) {
+		t.Run(placementName(place), func(t *testing.T) {
 			for seed := uint64(1); seed <= uint64(seeds); seed++ {
 				res, err := chaos.RunFederationRemote(chaos.RemoteFederationConfig{
 					FederationConfig: chaos.FederationConfig{
@@ -145,9 +161,7 @@ func TestChaosSoakFederationRemote(t *testing.T) {
 						Placement:      place,
 						RebalanceEvery: 120,
 					},
-					Dir:          t.TempDir(),
-					GossipEvery:  45,
-					WorkStealing: true,
+					Dir: t.TempDir(),
 				})
 				if err != nil {
 					t.Fatalf("seed %d: %v (reproduce: chaos.RunFederationRemote with this seed)", seed, err)

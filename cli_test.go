@@ -61,6 +61,45 @@ func TestSchedsimJSON(t *testing.T) {
 	}
 }
 
+// TestScheddReplayHonoursCapacity replays a generated month on a
+// machine larger than the 128 nodes its jobs are drawn for — the
+// benchmark's 4 x 128 federation, from the command line: the report
+// must show the machine that was asked for, not the suite's.
+func TestScheddReplayHonoursCapacity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the schedd binary")
+	}
+	bin := buildCmd(t, t.TempDir(), "schedd")
+	out, err := exec.Command(bin,
+		"-virtual", "-month", "7/03", "-scale", "0.05", "-load", "3.6", "-L", "200",
+		"-capacity", "512", "-shards", "4").Output()
+	if err != nil {
+		t.Fatalf("schedd -virtual: %v", err)
+	}
+	// Two JSON documents: the whole-machine metrics, then the
+	// federation report.
+	dec := json.NewDecoder(bytes.NewReader(out))
+	var m engine.Metrics
+	var fm engine.FederationMetrics
+	if err := dec.Decode(&m); err != nil {
+		t.Fatalf("metrics: %v\n%s", err, out)
+	}
+	if err := dec.Decode(&fm); err != nil {
+		t.Fatalf("federation report: %v\n%s", err, out)
+	}
+	if m.Capacity != 512 || m.Jobs.Done == 0 {
+		t.Errorf("replayed on %d nodes with %d jobs done, want 512 nodes", m.Capacity, m.Jobs.Done)
+	}
+	if fm.Placement != "best-fit" || len(fm.PerShard) != 4 {
+		t.Fatalf("federation report: %q placement, %d shards", fm.Placement, len(fm.PerShard))
+	}
+	for _, sh := range fm.PerShard {
+		if sh.Capacity != 128 {
+			t.Errorf("shard %d has %d nodes, want 128", sh.Shard, sh.Capacity)
+		}
+	}
+}
+
 // TestScheddFanout is the end-to-end multi-process federation test: a
 // schedd supervisor spawns four shard child processes (each a full
 // daemon with its own journal), fronts them over real TCP, and the
@@ -75,7 +114,7 @@ func TestScheddFanout(t *testing.T) {
 	bin := buildCmd(t, dir, "schedd")
 	cmd := exec.Command(bin,
 		"-addr", "127.0.0.1:0", "-fanout", "4", "-policy", "DDS/lxf/dynB", "-L", "200",
-		"-capacity", "32", "-speedup", "600", "-gossip", "30", "-steal",
+		"-capacity", "32", "-speedup", "600", "-rebalance", "30",
 		"-journal", filepath.Join(dir, "fan.journal"))
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {

@@ -42,19 +42,21 @@
 //
 // Federation mode:
 //
-//	schedd -shards 4 -placement least-loaded -policy DDS/lxf/dynB
+//	schedd -shards 4 -policy DDS/lxf/dynB
 //
 // -shards N > 1 partitions the machine across N engine shards behind a
 // routing front-end (internal/federation): each shard runs the full
-// policy over its own node partition, -placement picks the routing
-// policy (least-loaded, best-fit or hash-by-user), -rebalance T
-// migrates still-queued jobs from overloaded to underloaded shards
-// every T seconds (0 disables), and -gossip T polls every shard's load
-// on a period (with -steal letting idle shards take queued work from
-// the most loaded). GET /v1/federation reports the per-shard
-// breakdown. Jobs wider than every shard's partition are rejected
-// (serving) or skipped with a note (replay). Works in both serving and
-// replay modes.
+// policy over its own node partition, and one placement rule routes
+// every job — the tightest immediate fit among shards with room and an
+// empty queue, else the least loaded shard (best-fit; the rule the
+// benchmark's two schedule-quality ratios picked over least-loaded and
+// hash-by-user). -rebalance T runs the router's one periodic pass
+// every T engine seconds (default 600, the period the benchmark
+// measures; 0 disables it in process): it polls every shard's load and
+// migrates still-queued jobs from the most to the least loaded shard.
+// GET /v1/federation reports the per-shard breakdown. Jobs wider than
+// every shard's partition are rejected (serving) or skipped with a note
+// (replay). Works in both serving and replay modes.
 //
 // Distributed federation (serving mode):
 //
@@ -76,9 +78,10 @@
 // shard's work is routed around it (GET /v1/readyz answers 503 with
 // the per-shard breakdown while any shard is dark), certain-failure
 // submissions are rerouted, and wire-uncertain migration steps are
-// parked and reconciled on the gossip tick instead of being retried
-// blindly. A drain (POST /v1/drain or SIGINT/SIGTERM) propagates to
-// every shard; fanout children exit with the supervisor.
+// parked and reconciled on the rebalance tick instead of being retried
+// blindly (so -rebalance 0 is rejected with -join/-fanout). A drain
+// (POST /v1/drain or SIGINT/SIGTERM) propagates to every shard; fanout
+// children exit with the supervisor.
 //
 // Replay mode:
 //
@@ -196,7 +199,7 @@ func (c config) replayMode() bool { return c.virtual || c.swf != "" }
 // exit deep in start-up.
 func parseConfig(args []string) (config, error) {
 	var c config
-	var placement, join string
+	var join string
 	fs := flag.NewFlagSet("schedd", flag.ContinueOnError)
 	fs.StringVar(&c.policy, "policy", "DDS/lxf/dynB", "scheduling policy name (see ParsePolicy)")
 	fs.IntVar(&c.nodeLimit, "L", 1000, "search node limit per decision")
@@ -214,10 +217,7 @@ func parseConfig(args []string) (config, error) {
 	fs.Float64Var(&c.scale, "scale", 1, "job-count/duration scale factor for generated months")
 	fs.Float64Var(&c.load, "load", 0, "target offered load for generated months (0 = original)")
 	fs.IntVar(&c.fed.shards, "shards", 1, "engine shards; >1 federates the machine behind a routing front-end")
-	fs.StringVar(&placement, "placement", "least-loaded", "federation placement policy: least-loaded, best-fit or hash-by-user")
-	fs.Int64Var(&c.fed.rebalance, "rebalance", 60, "federation rebalance period in engine seconds (0 = off)")
-	fs.Int64Var(&c.fed.gossip, "gossip", 60, "federation load-gossip period in engine seconds (0 = off); remote federations also reconcile parked wire-uncertain migration steps on this tick")
-	fs.BoolVar(&c.fed.steal, "steal", false, "enable the gossip pass's work-stealing step: a shard with free nodes and an empty queue takes queued work from the most loaded shard")
+	fs.Int64Var(&c.fed.rebalance, "rebalance", 600, "federation rebalance period in engine seconds (0 = off, in-process only); remote federations also reconcile parked wire-uncertain steps and re-probe dark shards on this tick")
 	fs.StringVar(&join, "join", "", "serve as a federation front-end over these already-running out-of-process shard daemons (comma-separated base URLs, e.g. http://10.0.0.1:8080,http://10.0.0.2:8080)")
 	fs.IntVar(&c.fed.fanout, "fanout", 0, "spawn N schedd shard child processes on loopback ports and front them (serving mode; each child owns its slice of -capacity and, with -journal, its own <path>.shard-N journal)")
 
@@ -256,6 +256,10 @@ func parseConfig(args []string) (config, error) {
 			return config{}, fmt.Errorf("%s: serving-mode only (a replay has no listener, journal, accept queue or quotas)",
 				strings.Join(stray, ", "))
 		}
+		if c.swf == "" && c.capacity < workload.Capacity {
+			return config{}, fmt.Errorf("-capacity %d: a generated month's jobs are drawn for %d nodes; replay it on at least that many",
+				c.capacity, workload.Capacity)
+		}
 	}
 	if c.fed.fanout == 1 || c.fed.fanout < 0 {
 		return config{}, fmt.Errorf("-fanout %d: want at least 2 shard processes", c.fed.fanout)
@@ -268,6 +272,8 @@ func parseConfig(args []string) (config, error) {
 			return config{}, errors.New("-shards federates in process; drop it when using -join or -fanout")
 		case c.replayMode():
 			return config{}, errors.New("-join/-fanout are serving-mode only (replay has no remote shards)")
+		case c.fed.rebalance <= 0:
+			return config{}, fmt.Errorf("-rebalance %d: -join/-fanout need the periodic pass (it reconciles wire-uncertain steps and re-probes dark shards)", c.fed.rebalance)
 		}
 		// Children re-run this binary with the policy flags forwarded;
 		// they admit synchronously (no accept queue) — batching belongs
@@ -282,13 +288,6 @@ func parseConfig(args []string) (config, error) {
 			"-speedup", strconv.FormatFloat(c.speedup, 'g', -1, 64),
 			"-ingest-pending", "0",
 		}
-	}
-	if c.fed.federated() {
-		place, err := federation.ParsePlacement(placement)
-		if err != nil {
-			return config{}, err
-		}
-		c.fed.placement = place
 	}
 	return c, nil
 }
@@ -391,10 +390,7 @@ type ingOptions struct {
 // URLs nor a fanout count means a bare engine.
 type fedOptions struct {
 	shards    int
-	placement federation.Placement
 	rebalance job.Duration
-	gossip    job.Duration
-	steal     bool
 	// join lists out-of-process shard base URLs to front; fanout spawns
 	// that many shard child processes instead. Either makes the stack a
 	// remote federation (RemoteShard clients behind the router).
@@ -502,8 +498,9 @@ func serve(c config) error {
 		if c.fed.remote() {
 			kind = " remote"
 		}
+		fm := st.router.Federation()
 		fmt.Printf("schedd: policy %s on %d nodes (%d%s shards, %s placement), listening on %s\n",
-			bk.Metrics().Policy, bk.Metrics().Capacity, st.router.NumShards(), kind, c.fed.placement.Name(), ln.Addr())
+			fm.Global.Policy, fm.Global.Capacity, fm.Shards, kind, fm.Placement, ln.Addr())
 	} else {
 		fmt.Printf("schedd: policy %s on %d nodes, listening on %s\n",
 			bk.Metrics().Policy, c.capacity, ln.Addr())
@@ -536,6 +533,11 @@ func replay(c config) error {
 		workload.SimOptions{TargetLoad: c.load, UseRequested: c.requested})
 	if err != nil {
 		return err
+	}
+	if c.swf == "" {
+		// A generated month's jobs are drawn for workload.Capacity nodes
+		// whatever machine replays them; -capacity is that machine.
+		input.Capacity = c.capacity
 	}
 	vc := engine.NewVirtualClock()
 	// Replay span timestamps come from the virtual clock, so the trace

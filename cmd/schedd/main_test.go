@@ -20,8 +20,9 @@ func TestParseConfigRejects(t *testing.T) {
 		{"-shards 2 -join http://a:1", "-shards"},
 		{"-virtual -fanout 2", "serving-mode only"},
 		{"-swf t.swf -join http://a:1", "serving-mode only"},
-		{"-shards 2 -placement round-robin", "round-robin"},
-		{"-fanout 2 -placement round-robin", "round-robin"},
+		{"-join http://a:1 -rebalance 0", "-rebalance 0"},
+		{"-fanout 2 -rebalance 0", "-rebalance 0"},
+		{"-virtual -month 7/03 -capacity 64", "-capacity 64"},
 		{"-policy BFS/lxf/dynB", "unknown search algorithm"},
 		{"-policy meta(DDS/lxf/dynB,)", "empty member"},
 		{"-virtual -journal j", "-journal"},
@@ -50,21 +51,24 @@ func TestParseConfigAccepts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("defaults: %v", err)
 	}
-	if c.replayMode() || c.fed.remote() || c.fed.placement != nil || c.addr != ":8080" ||
+	if c.replayMode() || c.fed.remote() || c.fed.rebalance != 600 || c.addr != ":8080" ||
 		c.ing.pending != 4096 || c.dur.group != 64 || c.obs.flight != 256 {
 		t.Errorf("defaults parsed as %+v", c)
 	}
 
-	c, err = parseConfig(strings.Fields("-virtual -month 1/04 -shards 4 -placement best-fit -speedup 50"))
+	c, err = parseConfig(strings.Fields("-virtual -month 1/04 -shards 4 -capacity 512 -rebalance 0 -speedup 50"))
 	if err != nil {
 		t.Fatalf("federated replay: %v", err)
 	}
-	if !c.replayMode() || c.fed.shards != 4 || c.fed.placement.Name() != "best-fit" {
+	if !c.replayMode() || c.fed.shards != 4 || c.capacity != 512 || c.fed.rebalance != 0 {
 		t.Errorf("federated replay parsed as %+v", c)
 	}
-	// A placement is only resolved when something will use it.
-	if c, err = parseConfig(strings.Fields("-placement round-robin")); err != nil || c.fed.placement != nil {
-		t.Errorf("unused -placement: %v, %+v", err, c.fed)
+	// An SWF trace brings its own machine size; a serving daemon's is
+	// whatever it is told.
+	for _, args := range []string{"-swf t.swf -capacity 64", "-capacity 64"} {
+		if _, err := parseConfig(strings.Fields(args)); err != nil {
+			t.Errorf("schedd %s: %v", args, err)
+		}
 	}
 
 	c, err = parseConfig([]string{"-join", " http://a:1, http://b:2 ,"})

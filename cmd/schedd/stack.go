@@ -42,15 +42,12 @@ func buildBackend(c config, clock engine.Clock, window sim.Input, tr *obs.Tracer
 			Capacity:       window.Capacity,
 			Shards:         fed.shards,
 			Policy:         c.newPolicy,
-			Placement:      fed.placement,
 			Clock:          clock,
 			UseRequested:   window.UseRequested,
 			Measured:       measured,
 			MeasureStart:   window.MeasureStart,
 			MeasureEnd:     window.MeasureEnd,
 			RebalanceEvery: fed.rebalance,
-			GossipEvery:    fed.gossip,
-			WorkStealing:   fed.steal,
 			Tracer:         tr,
 			Flight:         st.flight,
 			Logger:         obs.NewLogger(os.Stderr, "router"),

@@ -23,7 +23,8 @@ type FederationConfig struct {
 	// Shards is the number of engine partitions (>= 2 to be
 	// interesting; 1 degenerates to Run's machine).
 	Shards int
-	// Placement is the routing policy; nil means least-loaded.
+	// Placement, when non-nil, is a test's routing fake; nil means the
+	// federation's one built-in rule.
 	Placement federation.Placement
 	// RebalanceEvery is the rebalance period (0 disables migration).
 	RebalanceEvery job.Duration

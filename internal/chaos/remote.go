@@ -29,18 +29,15 @@ import (
 // on the same address, and FaultPartition injects wire faults between
 // the router and one shard: connection-refused windows (certain,
 // rerouted), black-hole timeouts and dropped responses (uncertain,
-// parked and reconciled on gossip ticks).
+// parked and reconciled on rebalance ticks). Reconciliation rides the
+// router's one periodic pass, so a RebalanceEvery of 0 means 45 engine
+// seconds here, not off.
 type RemoteFederationConfig struct {
 	FederationConfig
 	// Dir is the scratch directory for the per-shard journal files
 	// (required — the injected crash restarts the victim from its
 	// journal).
 	Dir string
-	// GossipEvery is the router's gossip period; reconciliation of
-	// wire-uncertain steps rides on it (default 45 engine seconds).
-	GossipEvery job.Duration
-	// WorkStealing enables the gossip pass's steal step.
-	WorkStealing bool
 	// GroupCommit is the shard journals' appends-per-fsync
 	// (default 1). Recovery correctness must not depend on it: the
 	// shard server fsyncs before acknowledging every mutation.
@@ -241,9 +238,9 @@ func RunFederationRemote(config RemoteFederationConfig) (*RemoteFederationResult
 	if group <= 0 {
 		group = 1
 	}
-	gossip := config.GossipEvery
-	if gossip <= 0 {
-		gossip = 45
+	rebalance := config.RebalanceEvery
+	if rebalance <= 0 {
+		rebalance = 45
 	}
 	caps, err := federation.PartitionCapacity(cfg.Capacity, config.Shards)
 	if err != nil {
@@ -307,9 +304,7 @@ func RunFederationRemote(config RemoteFederationConfig) (*RemoteFederationResult
 	router, err := federation.NewWithShards(federation.Config{
 		Clock:          vc,
 		Placement:      config.Placement,
-		RebalanceEvery: config.RebalanceEvery,
-		GossipEvery:    gossip,
-		WorkStealing:   config.WorkStealing,
+		RebalanceEvery: rebalance,
 	}, shards)
 	if err != nil {
 		return nil, err

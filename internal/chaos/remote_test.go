@@ -3,8 +3,6 @@ package chaos
 import (
 	"fmt"
 	"testing"
-
-	"schedsearch/internal/federation"
 )
 
 // TestRunFederationRemote drives the out-of-process federation chaos
@@ -27,12 +25,9 @@ func TestRunFederationRemote(t *testing.T) {
 						Jobs:   80,
 					},
 					Shards:         4,
-					Placement:      federation.LeastLoaded{},
 					RebalanceEvery: 120,
 				},
-				Dir:          t.TempDir(),
-				GossipEvery:  45,
-				WorkStealing: true,
+				Dir: t.TempDir(),
 			})
 			if err != nil {
 				t.Fatalf("seed %d: %v (reproduce: chaos.RunFederationRemote with this seed)", seed, err)
@@ -46,10 +41,10 @@ func TestRunFederationRemote(t *testing.T) {
 			if res.PartitionedShard < 0 {
 				t.Fatal("no partition windows were injected")
 			}
-			t.Logf("seed %d: %d completed, %d rejected, %d wire-uncertain, shard %d killed+restarted, shard %d partitioned, %d reroutes, %d migrations, %d steals",
+			t.Logf("seed %d: %d completed, %d rejected, %d wire-uncertain, shard %d killed+restarted, shard %d partitioned, %d reroutes, %d migrations",
 				seed, len(res.Records), res.Rejected, res.Uncertain,
 				res.RebuiltShard, res.PartitionedShard, res.Reroutes,
-				res.Federation.Migrations, res.Federation.Steals)
+				res.Federation.Migrations)
 		})
 	}
 }
@@ -67,12 +62,9 @@ func TestRunFederationRemotePartitionOnly(t *testing.T) {
 				Policy: fcfs,
 				Jobs:   60,
 			},
-			Shards:         3,
-			Placement:      federation.LeastLoaded{},
-			RebalanceEvery: 90,
+			Shards: 3,
 		},
-		Dir:         t.TempDir(),
-		GossipEvery: 30,
+		Dir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -192,13 +192,9 @@ type FederationMetrics struct {
 	// passes; RebalancePasses counts the passes themselves.
 	Migrations      int64 `json:"migrations"`
 	RebalancePasses int64 `json:"rebalance_passes"`
-	// Steals counts queued jobs pulled onto idle shards by the
-	// work-stealing gossip pass; GossipPasses counts those passes.
 	// Reroutes counts submissions re-placed after an unreachable
 	// shard refused delivery (remote federations only).
-	Steals       int64 `json:"steals,omitempty"`
-	GossipPasses int64 `json:"gossip_passes,omitempty"`
-	Reroutes     int64 `json:"reroutes,omitempty"`
+	Reroutes int64 `json:"reroutes,omitempty"`
 	// RoutingDecisions and RoutingNs meter the router's placement cost:
 	// calls to the placement policy and total wall time spent choosing
 	// a shard (load collection included).

@@ -31,68 +31,32 @@ type pendingMig struct {
 	stage int
 }
 
+// maxMigrationsPerPass bounds the jobs one rebalance pass moves.
+const maxMigrationsPerPass = 8
+
 // armRebalanceLocked keeps at most one rebalance timer outstanding. The
-// timer re-arms itself only while jobs are outstanding, so a
-// virtual-clock replay terminates; the next submission re-arms it.
+// timer re-arms itself only while jobs or parked steps are outstanding,
+// so a virtual-clock replay terminates; the next submission re-arms it.
+// It arms with one shard too: the pass is also what reconciles parked
+// wire-uncertain steps, and a one-shard tick polls and moves nothing.
 func (r *Router) armRebalanceLocked() {
-	if r.cfg.RebalanceEvery <= 0 || len(r.shards) < 2 || r.rebArmed || r.draining {
+	if r.cfg.RebalanceEvery <= 0 || r.rebArmed || r.draining {
 		return
 	}
 	r.rebArmed = true
 	r.cfg.Clock.AfterFunc(r.cfg.RebalanceEvery, r.onRebalance)
 }
 
-// onRebalance is the periodic rebalance pass: the shared tick with
-// score-equalizing migrations as its move.
+// onRebalance is the one periodic pass: retry every parked step, poll
+// every shard's load (one live call per shard — for remote shards that
+// also refreshes reachability and the last-known load degraded routing
+// falls back on), then migrate up to maxMigrationsPerPass queued jobs
+// (none while draining: a drain must not shuffle the remaining
+// backlog).
 func (r *Router) onRebalance() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.rebArmed = false
-	if !r.draining {
-		r.rebalances++
-	}
-	if r.tickLocked(r.migrateOneLocked) {
-		r.armRebalanceLocked()
-	}
-}
-
-// armGossipLocked keeps at most one gossip timer outstanding, with the
-// same only-while-outstanding re-arm discipline as the rebalance timer
-// so virtual-clock replays terminate.
-func (r *Router) armGossipLocked() {
-	if r.cfg.GossipEvery <= 0 || r.gossipArmed || r.draining {
-		return
-	}
-	r.gossipArmed = true
-	r.cfg.Clock.AfterFunc(r.cfg.GossipEvery, r.onGossip)
-}
-
-// onGossip is the periodic load-gossip pass: the shared tick (resolve
-// parked wire-uncertain steps, poll every shard's load) and, with
-// WorkStealing on, work stolen onto idle shards.
-func (r *Router) onGossip() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.gossipArmed = false
-	r.gossips++
-	var steal func([]engine.Load) bool
-	if r.cfg.WorkStealing {
-		steal = r.stealOneLocked
-	}
-	if r.tickLocked(steal) {
-		r.armGossipLocked()
-	}
-}
-
-// tickLocked is the body the two periodic passes share: retry every
-// parked step, poll every shard's load (one live call per shard — for
-// remote shards that also refreshes reachability and the last-known
-// load degraded routing falls back on), then let the pass move up to
-// MaxMigrationsPerPass jobs (none while draining: a drain must not
-// shuffle the remaining backlog). It reports whether jobs or parked
-// steps are still outstanding; a pass re-arms its timer only then, so
-// a virtual-clock replay terminates.
-func (r *Router) tickLocked(move func(loads []engine.Load) bool) (outstanding bool) {
 	r.resolvePendingLocked()
 	loads := make([]engine.Load, len(r.shards))
 	jobs := 0
@@ -100,14 +64,17 @@ func (r *Router) tickLocked(move func(loads []engine.Load) bool) (outstanding bo
 		loads[i] = s.Load()
 		jobs += loads[i].Waiting + loads[i].Running
 	}
-	if move != nil && !r.draining {
-		for n := 0; n < r.cfg.MaxMigrationsPerPass; n++ {
-			if !move(loads) {
+	if !r.draining {
+		r.rebalances++
+		for n := 0; n < maxMigrationsPerPass; n++ {
+			if !r.migrateOneLocked(loads) {
 				break
 			}
 		}
 	}
-	return jobs > 0 || len(r.pending) > 0
+	if jobs > 0 || len(r.pending) > 0 {
+		r.armRebalanceLocked()
+	}
 }
 
 // shiftLoad books one queued job's move in the pass's load view, so
@@ -117,53 +84,6 @@ func shiftLoad(loads []engine.Load, from, to int, demand int64) {
 	loads[from].QueuedNodeSec -= demand
 	loads[to].Waiting++
 	loads[to].QueuedNodeSec += demand
-}
-
-// stealOneLocked lets the emptiest idle shard (free nodes, nothing
-// queued) take the youngest fitting queued job from the most loaded
-// shard. Where the rebalance pass equalizes load scores, stealing
-// targets outright idleness: a hole big enough to start the job now.
-// Reports whether a job moved.
-func (r *Router) stealOneLocked(loads []engine.Load) bool {
-	thief := -1
-	for i, ld := range loads {
-		if ld.Waiting == 0 && ld.FreeNodes > 0 && r.healthyLocked(i) {
-			if thief == -1 || ld.FreeNodes > loads[thief].FreeNodes {
-				thief = i
-			}
-		}
-	}
-	if thief == -1 {
-		return false
-	}
-	victim := -1
-	for i, ld := range loads {
-		if i == thief || ld.Waiting == 0 || !r.healthyLocked(i) {
-			continue
-		}
-		if victim == -1 || ld.Score() > loads[victim].Score() {
-			victim = i
-		}
-	}
-	if victim == -1 {
-		return false
-	}
-	queue := r.shards[victim].Queue()
-	for k := len(queue) - 1; k >= 0; k-- {
-		st := queue[k]
-		// Steal only what can start immediately on the thief's hole;
-		// anything else is the rebalance pass's business.
-		if st.Job.Nodes > loads[thief].FreeNodes {
-			continue
-		}
-		if !r.moveLocked(st.Job.ID, victim, thief) {
-			return false
-		}
-		r.steals++
-		shiftLoad(loads, victim, thief, st.Demand())
-		return true
-	}
-	return false
 }
 
 // moveLocked withdraws job id from src and admits it on dst, parking

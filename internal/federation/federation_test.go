@@ -10,9 +10,11 @@ import (
 	"schedsearch/internal/core"
 	"schedsearch/internal/engine"
 	"schedsearch/internal/job"
+	"schedsearch/internal/metrics"
 	"schedsearch/internal/oracle"
 	"schedsearch/internal/policy"
 	"schedsearch/internal/sim"
+	"schedsearch/internal/stats"
 	"schedsearch/internal/workload"
 )
 
@@ -44,20 +46,12 @@ func TestPartitionCapacity(t *testing.T) {
 	}
 }
 
-func TestParsePlacement(t *testing.T) {
-	for _, name := range []string{"least-loaded", "best-fit", "hash-by-user"} {
-		p, err := ParsePlacement(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Name() != name {
-			t.Errorf("ParsePlacement(%q).Name() = %q", name, p.Name())
-		}
-	}
-	if _, err := ParsePlacement("round-robin"); err == nil {
-		t.Error("unknown placement should fail")
-	}
-}
+// pinFirst is the Placement fake tests skew routing with: every job
+// goes to the first eligible shard.
+type pinFirst struct{}
+
+func (pinFirst) Name() string                  { return "pin-first" }
+func (pinFirst) Pick(job.Job, []Candidate) int { return 0 }
 
 func TestPlacementPicks(t *testing.T) {
 	cands := []Candidate{
@@ -67,33 +61,29 @@ func TestPlacementPicks(t *testing.T) {
 	}
 	j := job.Job{ID: 1, Nodes: 4, Runtime: 100, Request: 100}
 
-	if got := (LeastLoaded{}).Pick(j, cands); got != 1 {
-		t.Errorf("LeastLoaded picked %d, want 1 (lowest score)", got)
-	}
 	// Best fit: shards 1 and 2 can start the job now; 2 leaves the
 	// smaller slack (6-4=2 vs 20-4=16).
 	if got := (BestFit{}).Pick(j, cands); got != 2 {
 		t.Errorf("BestFit picked %d, want 2 (tightest fit)", got)
 	}
-	// No shard startable: falls back to least-loaded.
+	// No shard startable: falls back to the lowest load score.
 	wide := job.Job{ID: 2, Nodes: 25, Runtime: 100, Request: 100}
 	if got := (BestFit{}).Pick(wide, cands); got != 1 {
 		t.Errorf("BestFit fallback picked %d, want 1", got)
-	}
-	// Hash-by-user: deterministic, and every job of one user lands on
-	// the same index.
-	h := HashByUser{}
-	for user := 0; user < 50; user++ {
-		j1 := job.Job{ID: 3, Nodes: 1, Runtime: 1, Request: 1, User: user}
-		a, b := h.Pick(j1, cands), h.Pick(j1, cands)
-		if a != b || a < 0 || a >= len(cands) {
-			t.Fatalf("HashByUser user %d: picks %d and %d", user, a, b)
-		}
 	}
 	// Waiting jobs disqualify a shard from "startable now".
 	cands[1].Load.Waiting = 1
 	if got := (BestFit{}).Pick(j, cands); got != 2 {
 		t.Errorf("BestFit with backlog on 1 picked %d, want 2", got)
+	}
+	// Ties — equal slack among the startable, equal score in the
+	// fallback — go to the lowest shard index.
+	cands[1].Load = cands[2].Load
+	if got := (BestFit{}).Pick(j, cands); got != 1 {
+		t.Errorf("BestFit on equal slack picked %d, want 1 (lowest index)", got)
+	}
+	if got := (BestFit{}).Pick(wide, cands); got != 1 {
+		t.Errorf("BestFit fallback on equal score picked %d, want 1 (lowest index)", got)
 	}
 }
 
@@ -194,10 +184,13 @@ func TestOneShardMatchesEngine(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// 1-shard federation replay of the same input.
+			// 1-shard federation replay of the same input. The periodic
+			// pass runs (it is what reconciles parked steps, so it arms
+			// with one shard too) and must not perturb the schedule.
 			r := replayRouter(t, in, Config{
-				Shards: 1,
-				Policy: func(int) sim.Policy { return newPolicy() },
+				Shards:         1,
+				Policy:         func(int) sim.Policy { return newPolicy() },
+				RebalanceEvery: 10 * job.Minute,
 			})
 
 			engRecs, fedRecs := e.Records(), r.Records()
@@ -246,8 +239,14 @@ func TestFederatedSuiteMonth(t *testing.T) {
 	}
 	in.Jobs = jobs
 
-	for _, place := range []Placement{LeastLoaded{}, BestFit{}, HashByUser{}} {
-		t.Run(place.Name(), func(t *testing.T) {
+	// The built-in rule (nil), and a fake that piles every job onto one
+	// shard so the rebalance pass has the most to do.
+	for _, place := range []Placement{nil, pinFirst{}} {
+		name := BestFit{}.Name() // what nil means
+		if place != nil {
+			name = place.Name()
+		}
+		t.Run(name, func(t *testing.T) {
 			r := replayRouter(t, in, Config{
 				Shards:         4,
 				Placement:      place,
@@ -272,17 +271,74 @@ func TestFederatedSuiteMonth(t *testing.T) {
 	}
 }
 
+// TestFederationQualityVsFCFS is the keystone for federated schedule
+// quality, on the benchmark's fed_remote regime: the ten suite months at
+// 0.9 of 512 nodes over four 128-node DDS/lxf/dynB shards (L = 1000),
+// rebalance 600, default placement, scored the way the benchmark scores
+// it — the mean over months of the month's average bounded slowdown and
+// of its maximum wait, each relative to FCFS-backfill on one 512-node
+// machine. Everything is seeded and on the virtual clock, so the ratios
+// repeat exactly: 1.2278 and 4.2126 when the bounds were set 15 % above
+// them; the least-loaded default this rule replaced scored 3.3294 and
+// 11.1644 on the same input.
+func TestFederationQualityVsFCFS(t *testing.T) {
+	const shards, maxBsld, maxWait = 4, 1.41, 4.85
+	suite := workload.NewSuite(workload.Config{Seed: 1, JobScale: 0.1})
+	var bsld, wait []float64
+	for _, month := range workload.MonthLabels() {
+		in, _, err := suite.Input(month, workload.SimOptions{TargetLoad: 0.9 * shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The suite's jobs are drawn for one 128-node machine, so every
+		// job fits one shard.
+		in.Capacity = shards * workload.Capacity
+		r := replayRouter(t, in, Config{
+			Shards: shards,
+			Policy: func(int) sim.Policy {
+				return core.New(core.DDS, core.HeuristicLXF, core.DynamicBound(), 1000)
+			},
+			RebalanceEvery: 600,
+		})
+		got := metrics.Summarize(&sim.Result{
+			Records: r.Records(), Capacity: in.Capacity,
+			MeasureStart: in.MeasureStart, MeasureEnd: in.MeasureEnd,
+		})
+		ref, err := sim.Run(in, policy.FCFSBackfill())
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := metrics.Summarize(ref)
+		// A month in which FCFS-backfill makes no job wait has no ratio
+		// (the benchmark skips it the same way).
+		if base.AvgBoundedSlowdown > 0 {
+			bsld = append(bsld, got.AvgBoundedSlowdown/base.AvgBoundedSlowdown)
+		}
+		if base.MaxWaitH > 0 {
+			wait = append(wait, got.MaxWaitH/base.MaxWaitH)
+		}
+	}
+	if len(bsld) < 8 || len(wait) < 8 {
+		t.Fatalf("only %d slowdown and %d wait ratios over ten months", len(bsld), len(wait))
+	}
+	b, w := stats.Mean(bsld), stats.Mean(wait)
+	t.Logf("bsld_vs_fcfs %.4f, max_wait_vs_fcfs %.4f", b, w)
+	if b > maxBsld || w > maxWait {
+		t.Errorf("federated schedule quality against FCFS-backfill on one machine: bsld %.4f (bound %.2f), max wait %.4f (bound %.2f)",
+			b, maxBsld, w, maxWait)
+	}
+}
+
 // TestRebalanceMigrates pins the rebalance pass down: all load is
-// steered onto shard 0 (hash-by-user with a single user), and the pass
-// must move queued jobs to the idle shards without losing or restarting
-// any.
+// steered onto shard 0 (the pin-first fake), and the pass must move
+// queued jobs to the idle shards without losing or restarting any.
 func TestRebalanceMigrates(t *testing.T) {
 	vc := engine.NewVirtualClock()
 	r, err := New(Config{
 		Capacity:       64,
 		Shards:         2,
 		Clock:          vc,
-		Placement:      HashByUser{},
+		Placement:      pinFirst{},
 		Policy:         func(int) sim.Policy { return policy.FCFSBackfill() },
 		RebalanceEvery: 30,
 	})
@@ -291,8 +347,8 @@ func TestRebalanceMigrates(t *testing.T) {
 	}
 	var submitted []job.Job
 	vc.AfterFunc(0, func() {
-		// One user: every job hashes to the same shard. The first fills
-		// the shard for a long time; the rest pile up in its queue.
+		// Every job is pinned to the same shard. The first two fill it
+		// for a long time; the rest pile up in its queue.
 		for i := 0; i < 12; i++ {
 			rt := job.Duration(3600)
 			spec := job.Job{Nodes: 16, Runtime: rt, Request: rt, User: 7}
@@ -366,11 +422,10 @@ func TestTooWide(t *testing.T) {
 func TestRebuildShard(t *testing.T) {
 	vc := engine.NewVirtualClock()
 	r, err := New(Config{
-		Capacity:  64,
-		Shards:    2,
-		Clock:     vc,
-		Placement: LeastLoaded{},
-		Policy:    func(int) sim.Policy { return policy.FCFSBackfill() },
+		Capacity: 64,
+		Shards:   2,
+		Clock:    vc,
+		Policy:   func(int) sim.Policy { return policy.FCFSBackfill() },
 	})
 	if err != nil {
 		t.Fatal(err)

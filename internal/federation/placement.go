@@ -1,8 +1,6 @@
 package federation
 
 import (
-	"fmt"
-
 	"schedsearch/internal/engine"
 	"schedsearch/internal/job"
 )
@@ -19,52 +17,20 @@ type Candidate struct {
 // must be deterministic functions of the job and the candidate list
 // (same inputs, same pick), so a virtual-clock federation replay is
 // reproducible. Pick returns an index into cands, which is never
-// empty.
+// empty. BestFit is the only rule the product ships; the interface is
+// the seam a test hangs a skewing fake on (Config.Placement).
 type Placement interface {
 	Name() string
 	Pick(j job.Job, cands []Candidate) int
 }
 
-// ParsePlacement resolves a placement policy by its flag name:
-// "least-loaded", "best-fit" or "hash-by-user".
-func ParsePlacement(name string) (Placement, error) {
-	switch name {
-	case "least-loaded":
-		return LeastLoaded{}, nil
-	case "best-fit":
-		return BestFit{}, nil
-	case "hash-by-user":
-		return HashByUser{}, nil
-	}
-	return nil, fmt.Errorf("federation: unknown placement %q (want least-loaded, best-fit or hash-by-user)", name)
-}
-
-// LeastLoaded routes each job to the shard with the least outstanding
-// work per capacity node (engine.Load.Score), ties to the lowest shard
-// index. It equalizes backlog, which is what minimizes queueing delay
-// under heterogeneous load.
-type LeastLoaded struct{}
-
-// Name implements Placement.
-func (LeastLoaded) Name() string { return "least-loaded" }
-
-// Pick implements Placement.
-func (LeastLoaded) Pick(j job.Job, cands []Candidate) int {
-	best := 0
-	bestScore := cands[0].Load.Score()
-	for i := 1; i < len(cands); i++ {
-		if s := cands[i].Load.Score(); s < bestScore {
-			best, bestScore = i, s
-		}
-	}
-	return best
-}
-
-// BestFit routes by node demand: among shards that can start the job
-// immediately (enough free nodes), pick the tightest fit — fewest free
-// nodes left over — so wide holes are preserved for wide jobs. When no
-// shard can start the job now, it falls back to least-loaded. Ties go
-// to the lowest shard index.
+// BestFit is the one built-in placement rule. It routes by node demand:
+// among shards that can start the job immediately (enough free nodes,
+// nothing queued ahead), pick the tightest fit — fewest free nodes left
+// over — so wide holes are preserved for wide jobs. When no shard can
+// start the job now, it falls back to the shard with the least
+// outstanding work per capacity node (engine.Load.Score), which
+// equalizes backlog. Ties go to the lowest shard index.
 type BestFit struct{}
 
 // Name implements Placement.
@@ -87,28 +53,18 @@ func (BestFit) Pick(j job.Job, cands []Candidate) int {
 	if best >= 0 {
 		return best
 	}
-	return LeastLoaded{}.Pick(j, cands)
+	return leastLoaded(cands)
 }
 
-// HashByUser routes every job of one user to the same shard (cache and
-// estimator affinity: per-user runtime history stays on one shard), by
-// hashing the user ID over the candidate list. Jobs of unknown users
-// (User 0) hash together.
-type HashByUser struct{}
-
-// Name implements Placement.
-func (HashByUser) Name() string { return "hash-by-user" }
-
-// Pick implements Placement.
-func (HashByUser) Pick(j job.Job, cands []Candidate) int {
-	return int(splitmix64(uint64(int64(j.User))) % uint64(len(cands)))
-}
-
-// splitmix64 is the standard 64-bit finalizer; it spreads consecutive
-// user IDs uniformly over shards.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+// leastLoaded is BestFit's fallback: the candidate with the lowest
+// load score.
+func leastLoaded(cands []Candidate) int {
+	best := 0
+	bestScore := cands[0].Load.Score()
+	for i := 1; i < len(cands); i++ {
+		if s := cands[i].Load.Score(); s < bestScore {
+			best, bestScore = i, s
+		}
+	}
+	return best
 }

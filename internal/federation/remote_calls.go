@@ -136,8 +136,9 @@ func (rs *RemoteShard) Machine() engine.Machine {
 
 // Load returns the shard's occupancy summary. It is called on every
 // placement decision, so it makes a single live attempt (no retries);
-// an unreachable shard answers with its last-known load — the gossip
-// cache — while the health mark steers placement away from it.
+// an unreachable shard answers with its last-known load — what the
+// last successful poll cached — while the health mark steers placement
+// away from it.
 func (rs *RemoteShard) Load() engine.Load {
 	var lr wire.LoadResponse
 	if err := rs.once(http.MethodGet, "/v1/shard/load", nil, &lr, 0); err != nil {

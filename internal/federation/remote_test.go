@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -173,65 +174,7 @@ func TestRemoteShardMatchesInProcess(t *testing.T) {
 	}
 }
 
-// TestWorkStealingFillsIdleShard pins the gossip steal step down: all
-// load is steered onto one shard (hash-by-user, a single user), the
-// rebalance pass is off, and stealing alone must spread the backlog
-// onto the idle shard without losing or restarting anyone.
-func TestWorkStealingFillsIdleShard(t *testing.T) {
-	vc := engine.NewVirtualClock()
-	r, err := New(Config{
-		Capacity:     64,
-		Shards:       2,
-		Clock:        vc,
-		Placement:    HashByUser{},
-		Policy:       func(int) sim.Policy { return policy.FCFSBackfill() },
-		GossipEvery:  30,
-		WorkStealing: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var submitted []job.Job
-	vc.AfterFunc(0, func() {
-		for i := 0; i < 12; i++ {
-			rt := job.Duration(3600)
-			id, err := r.Submit(job.Job{Nodes: 16, Runtime: rt, Request: rt, User: 7})
-			if err != nil {
-				t.Errorf("submit: %v", err)
-				return
-			}
-			st, ok := r.Job(id)
-			if !ok {
-				t.Errorf("job %d vanished after submit", id)
-				return
-			}
-			submitted = append(submitted, st.Job)
-		}
-	})
-	vc.Run()
-	if err := r.Err(); err != nil {
-		t.Fatal(err)
-	}
-	fm := r.Federation()
-	if fm.GossipPasses == 0 {
-		t.Fatal("gossip pass never ran")
-	}
-	if fm.Steals == 0 {
-		t.Fatal("idle shard never stole from the overloaded one")
-	}
-	if got := len(r.Records()); got != len(submitted) {
-		t.Fatalf("completed %d of %d jobs", got, len(submitted))
-	}
-	// One shard alone needs 6 waves of 2×16-node hour jobs; with the
-	// idle shard stealing, the pile splits and the makespan shrinks.
-	last := r.Records()[len(r.Records())-1]
-	if last.End > 4*3600 {
-		t.Errorf("makespan %ds — stealing did not spread the backlog", last.End)
-	}
-	checkFederationRun(t, r, submitted)
-}
-
-// dropResponses is a fault transport: matching requests are performed
+// dropResponses is a fault transport: requests under path are performed
 // server-side but their responses are lost, so the client sees an
 // uncertain transport failure whose operation actually landed — the
 // nastiest wire failure a migration step can take.
@@ -248,7 +191,7 @@ func (d *dropResponses) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, err
 	}
 	d.mu.Lock()
-	drop := d.n > 0 && req.URL.Path == d.path
+	drop := d.n > 0 && strings.HasPrefix(req.URL.Path, d.path)
 	if drop {
 		d.n--
 		d.hits++
@@ -357,6 +300,60 @@ func TestWithdrawRetryIdempotent(t *testing.T) {
 	}
 	if s, w := countEvents(dstPath, jMove.ID); s != 1 || w != 0 {
 		t.Errorf("destination journal: %d submits, %d withdraws of job %d (want 1, 0)", s, w, jMove.ID)
+	}
+}
+
+// TestParkedSubmitReconcilesOnOneShard black-holes a one-shard remote
+// federation across a submission: the POST lands, but its answer and
+// every landed-lookup are lost, so the step is parked with its outcome
+// unknown. The rebalance tick — the only periodic pass, and it must arm
+// with a single shard — has to ask the shard again once the wire is
+// back, confirm the directory entry and let the job finish.
+func TestParkedSubmitReconcilesOnOneShard(t *testing.T) {
+	vc := engine.NewVirtualClock()
+	fault := &dropResponses{path: "/v1/jobs"}
+	_, rs := startShardProc(t, engine.Config{
+		Capacity: 32,
+		Policy:   policy.FCFSBackfill(),
+		Clock:    vc,
+	}, RemoteShardOptions{Transport: fault, Retries: 1})
+	r, err := NewWithShards(Config{Clock: vc, RebalanceEvery: 30}, []engine.Shard{rs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vc.AfterFunc(0, func() {
+		fault.mu.Lock()
+		fault.n = 1 << 20
+		fault.mu.Unlock()
+		if _, err := r.Submit(job.Job{Nodes: 8, Runtime: 600, Request: 600}); !errors.Is(err, ErrUncertain) {
+			t.Errorf("black-holed submit: %v, want ErrUncertain", err)
+		}
+		fault.mu.Lock()
+		fault.n = 0
+		fault.mu.Unlock()
+		if len(r.pending) != 1 || r.pending[0].stage != stageSubmit {
+			t.Errorf("parked steps after the submit: %+v", r.pending)
+		}
+	})
+	vc.Run()
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if fault.hits == 0 {
+		t.Fatal("fault transport dropped nothing")
+	}
+	if len(r.pending) != 0 {
+		t.Fatalf("steps still parked after the run: %+v", r.pending)
+	}
+	if fm := r.Federation(); fm.RebalancePasses == 0 {
+		t.Error("the rebalance pass never ran with one shard")
+	}
+	recs := r.Records()
+	if len(recs) != 1 || recs[0].Job.Nodes != 8 {
+		t.Fatalf("records after reconciliation: %+v", recs)
+	}
+	if st, ok := r.Job(recs[0].Job.ID); !ok || st.State != engine.StateDone {
+		t.Errorf("reconciled job through the router: ok=%v %+v", ok, st)
 	}
 }
 

@@ -190,8 +190,6 @@ func (r *Router) Federation() engine.FederationMetrics {
 	fm.RoutingDecisions = r.routingDecisions
 	fm.RoutingNs = r.routingNs
 	fm.Reroutes = r.reroutes
-	fm.Steals = r.steals
-	fm.GossipPasses = r.gossips
 	r.mu.Unlock()
 	fm.Global = r.Metrics()
 	return fm

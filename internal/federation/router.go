@@ -1,6 +1,6 @@
 // Package federation shards one machine's node space across N
 // independent scheduling engines and fronts them with a Router: jobs
-// are placed onto a shard by a pluggable placement policy, a periodic
+// are placed onto a shard by one placement rule (BestFit), a periodic
 // rebalance pass migrates still-queued (never started — non-preemption
 // is preserved) jobs from overloaded to underloaded shards, and the
 // router aggregates state, metrics and records into one whole-machine
@@ -24,14 +24,14 @@
 // degraded mode when shards go dark: submissions are rerouted around
 // unreachable shards (only on failures that certainly never
 // delivered), wire-uncertain migration steps are parked and
-// reconciled on the next gossip or rebalance tick, and per-shard
-// reachability is exported through ShardHealth for readiness probes.
+// reconciled on the next rebalance tick, and per-shard reachability is
+// exported through ShardHealth for readiness probes.
 //
 // The package is laid out by concern: router.go routes a submission to
-// a shard, balance.go runs the periodic rebalance/gossip passes and
-// reconciles parked wire-uncertain steps, report.go merges shard state
-// into whole-machine views, lifecycle.go drains, rebuilds and reports
-// health, remote.go is the HTTP shard client.
+// a shard, balance.go runs the periodic rebalance pass and reconciles
+// parked wire-uncertain steps, report.go merges shard state into
+// whole-machine views, lifecycle.go drains, rebuilds and reports health,
+// remote.go is the HTTP shard client.
 package federation
 
 import (
@@ -65,14 +65,13 @@ type Config struct {
 	// not share policy state.
 	Policy func(shard int) sim.Policy
 	// Placement picks the shard for each admitted job; nil means
-	// LeastLoaded.
+	// BestFit, the one built-in rule. Only tests set it (a fake that
+	// skews routing).
 	Placement Placement
 	// Clock drives every shard; nil means one shared NewRealClock(1).
 	Clock engine.Clock
 	// Estimator, when non-nil, constructs shard i's estimator (fresh
-	// per incarnation). Per-user history is per-shard; the hash-by-user
-	// placement keeps a user's jobs on one shard so the history stays
-	// whole.
+	// per incarnation). Per-user history is per-shard.
 	Estimator func(shard int) sim.Estimator
 	// UseRequested, Measured, MeasureStart and MeasureEnd are passed
 	// through to every shard (see engine.Config).
@@ -86,28 +85,18 @@ type Config struct {
 	// admissions; the global verdict is oracle.CheckFederation over
 	// the per-shard records.
 	Observer func(shard int) sim.Observer
-	// RebalanceEvery is the period of the rebalance pass on the shared
-	// clock; 0 disables rebalancing. With one shard the pass never
-	// runs.
+	// RebalanceEvery is the period of the one periodic pass on the
+	// shared clock: it resolves parked wire-uncertain steps, polls every
+	// shard's load (which refreshes remote shards' reachability) and
+	// migrates still-queued jobs from the most to the least loaded
+	// shard. 0 disables the pass — and with it reconciliation, so a
+	// remote federation must set it.
 	RebalanceEvery job.Duration
-	// MaxMigrationsPerPass bounds one rebalance pass (default 8).
-	MaxMigrationsPerPass int
 	// Journal, when non-nil, constructs shard i's journal sink (fresh
 	// per incarnation; on crash recovery the sink reopens the shard's
 	// journal file). CompactEvery is passed through to every shard.
 	Journal      func(shard int) engine.JournalSink
 	CompactEvery int
-	// GossipEvery is the period of the load-gossip pass on the shared
-	// clock: the router polls every shard's load (which refreshes
-	// remote shards' reachability), resolves parked
-	// wire-uncertain migration steps, and — with WorkStealing on —
-	// lets idle shards steal queued work. 0 disables the pass.
-	GossipEvery job.Duration
-	// WorkStealing enables the steal step of the gossip pass: a shard
-	// with free nodes and an empty queue takes the youngest fitting
-	// queued job from the most loaded shard, filling holes the
-	// score-driven rebalance pass is too conservative to fill.
-	WorkStealing bool
 	// Tracer, when non-nil, records route/probe/migrate/reconcile spans
 	// for traced jobs, and mints a trace for any job submitted directly
 	// to the router (bypassing a traced front-end server). Router spans
@@ -143,22 +132,18 @@ type Router struct {
 	failure  error
 
 	// pending holds migration/submission steps whose wire outcome is
-	// unknown; resolvePendingLocked retires them on gossip and
-	// rebalance ticks.
+	// unknown; resolvePendingLocked retires them on rebalance ticks.
 	pending []pendingMig
 
 	polName        string
 	explicitWindow bool
 
 	rebArmed         bool
-	gossipArmed      bool
 	migrations       int64
 	rebalances       int64
 	routingDecisions int64
 	routingNs        int64
 	reroutes         int64
-	steals           int64
-	gossips          int64
 }
 
 // logJob returns the logger for a job-scoped routing event, with the
@@ -203,10 +188,7 @@ func newRouter(cfg Config) *Router {
 		cfg.Clock = engine.NewRealClock(1)
 	}
 	if cfg.Placement == nil {
-		cfg.Placement = LeastLoaded{}
-	}
-	if cfg.MaxMigrationsPerPass == 0 {
-		cfg.MaxMigrationsPerPass = 8
+		cfg.Placement = BestFit{}
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = obs.NopLogger()
@@ -250,7 +232,7 @@ func New(cfg Config) (*Router, error) {
 // shards themselves, so cfg.Capacity, cfg.Shards and the per-shard
 // factories (Policy, Estimator, Observer, Journal) are ignored: each
 // shard process owns its policy and journal. cfg.Clock still drives
-// the router's own rebalance and gossip timers.
+// the router's own rebalance timer.
 func NewWithShards(cfg Config, shards []engine.Shard) (*Router, error) {
 	if len(shards) < 1 {
 		return nil, errors.New("federation: no shards")
@@ -398,7 +380,7 @@ func (r *Router) routeLocked(j job.Job) error {
 	// so it is safe to route around it. Uncertain failures are the
 	// opposite — the job MAY be admitted there, so rerouting could
 	// double-admit; the ID is burned, the directory entry parked, and
-	// the gossip tick resolves it by asking the shard once it answers.
+	// the rebalance tick resolves it by asking the shard once it answers.
 	for errors.Is(err, ErrUnreachable) && len(cands) > 1 {
 		rest := make([]Candidate, 0, len(cands)-1)
 		for _, c := range cands {
@@ -428,7 +410,6 @@ func (r *Router) routeLocked(j job.Job) error {
 		r.logJob(j.ID).Warn("parked wire-uncertain submission", "shard", pick)
 	}
 	r.armRebalanceLocked()
-	r.armGossipLocked()
 	return err
 }
 

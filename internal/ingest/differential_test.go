@@ -273,10 +273,9 @@ func TestBatchedIngestMatchesSerialWithSearch(t *testing.T) {
 }
 
 // TestBatchedIngestMatchesSerialFederated proves the queue is backend-
-// agnostic: batched submission through a 2-shard hash-by-user router
-// (per-shard group-committed journals) merges to the bit-identical
-// global schedule as serial submission through an identically
-// configured router.
+// agnostic: batched submission through a 2-shard router (per-shard
+// group-committed journals) merges to the bit-identical global schedule
+// as serial submission through an identically configured router.
 func TestBatchedIngestMatchesSerialFederated(t *testing.T) {
 	suite := workload.NewSuite(workload.Config{Seed: 23, JobScale: 0.02})
 	in, _, err := suite.Input("9/03", workload.SimOptions{})
@@ -295,17 +294,12 @@ func TestBatchedIngestMatchesSerialFederated(t *testing.T) {
 
 	newRouter := func(t *testing.T, vc engine.Clock, dir string) *federation.Router {
 		t.Helper()
-		placement, err := federation.ParsePlacement("hash-by-user")
-		if err != nil {
-			t.Fatal(err)
-		}
 		measured := in.Measured
 		cfg := federation.Config{
-			Capacity:  in.Capacity,
-			Shards:    2,
-			Policy:    func(int) sim.Policy { return policy.FCFSBackfill() },
-			Placement: placement,
-			Clock:     vc,
+			Capacity: in.Capacity,
+			Shards:   2,
+			Policy:   func(int) sim.Policy { return policy.FCFSBackfill() },
+			Clock:    vc,
 			Journal: func(shard int) engine.JournalSink {
 				sink, err := engine.OpenFileJournal(filepath.Join(dir, "shard"+string(rune('0'+shard))+".journal"), 32)
 				if err != nil {
