@@ -478,9 +478,11 @@ func serve(c config) error {
 		return err
 	}
 	httpSrv := &http.Server{}
+	shutdownDone := make(chan struct{})
 	srv := server.New(bk, func() {
 		// Drained: stop accepting connections and let serve return.
 		_ = httpSrv.Shutdown(context.Background())
+		close(shutdownDone)
 	}, opts...)
 	httpSrv.Handler = srv
 
@@ -508,6 +510,9 @@ func serve(c config) error {
 	if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
 		return err
 	}
+	// Serve returns as Shutdown begins; replies still being written — the
+	// drain's own 202 on an idle machine — finish before Shutdown ends.
+	<-shutdownDone
 	if q != nil {
 		q.Close()
 	}

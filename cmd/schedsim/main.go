@@ -218,6 +218,10 @@ func printSummary(res *sim.Result, s metrics.Summary, pol sim.Policy) {
 			st.Decisions, st.Nodes, st.Leaves, st.BudgetHits)
 		fmt.Printf("  search time: %.1f ms wall, speedup %.2fx\n",
 			float64(st.WallNs)/1e6, st.Speedup())
+		if st.Nodes > 0 {
+			fmt.Printf("  nodes-to-best share %.3f, table share %.3f (%d subtrees counted, not walked)\n",
+				float64(st.NodesToBest)/float64(st.Nodes), float64(st.TableNodes)/float64(st.Nodes), st.TableHits)
+		}
 		if sch.WarmStart && st.Decisions > 0 {
 			fmt.Printf("  warm start: %d seeded decisions, seed held %d, avg nodes-to-best %.1f\n",
 				st.WarmDecisions, st.WarmSeedHeld,

@@ -1,0 +1,169 @@
+package cluster
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// placeEarliestChecked runs the one-pass PlaceEarliest on p and holds it
+// to its definition on clones taken beforehand: the start is
+// EarliestFit's, the steps are the ones Place at that start leaves, and
+// Undo gives back the steps it began with. It returns the start and the
+// placement, applied again.
+func placeEarliestChecked(t *testing.T, p *Profile, after Time, n int, d Duration) (Time, Placement) {
+	t.Helper()
+	before := p.Clone()
+	ref := p.Clone()
+	want := ref.EarliestFit(after, n, d)
+	ref.Place(want, n, d)
+
+	got, pl := p.PlaceEarliest(after, n, d)
+	if got != want {
+		t.Fatalf("PlaceEarliest(after=%d, n=%d, d=%d) started at %d, EarliestFit says %d", after, n, d, got, want)
+	}
+	if !slices.Equal(p.steps, ref.steps) {
+		t.Fatalf("PlaceEarliest(after=%d, n=%d, d=%d) left %v, EarliestFit+Place leaves %v", after, n, d, p.steps, ref.steps)
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatalf("after PlaceEarliest(after=%d, n=%d, d=%d): %v", after, n, d, err)
+	}
+	p.Undo(pl)
+	if !slices.Equal(p.steps, before.steps) {
+		t.Fatalf("Undo of PlaceEarliest(after=%d, n=%d, d=%d) left %v, began with %v", after, n, d, p.steps, before.steps)
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatalf("after Undo: %v", err)
+	}
+	return p.PlaceEarliest(after, n, d)
+}
+
+// TestPlaceEarliestMatchesFitThenPlace drives random LIFO place/undo
+// sequences through the one-pass placement, with queries from the
+// origin (the search's case), from inside a step and from past every
+// reservation, and requires that every boundary shape was exercised.
+func TestPlaceEarliestMatchesFitThenPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var atOrigin, pastOrigin, splitLo, noSplitLo, splitHi, noSplitHi int
+	for trial := 0; trial < 300; trial++ {
+		capacity := 1 + rng.Intn(24)
+		origin := Time(rng.Intn(50))
+		p := New(capacity, origin)
+		var stack []Placement
+		for step := 0; step < 50; step++ {
+			if len(stack) > 0 && rng.Intn(4) == 0 {
+				p.Undo(stack[len(stack)-1])
+				stack = stack[:len(stack)-1]
+				continue
+			}
+			after := origin
+			switch rng.Intn(3) {
+			case 0: // before or at the origin: clamped
+				after -= Time(rng.Intn(3))
+			case 1:
+				after += Time(rng.Intn(200))
+			}
+			// Durations from a small set make ends land on existing
+			// boundaries often.
+			d := Duration(10 * (1 + rng.Intn(6)))
+			if rng.Intn(3) == 0 {
+				d = Duration(1 + rng.Intn(90))
+			}
+			_, pl := placeEarliestChecked(t, p, after, 1+rng.Intn(capacity), d)
+			stack = append(stack, pl)
+			if after <= origin {
+				atOrigin++
+			} else {
+				pastOrigin++
+			}
+			if pl.insLo {
+				splitLo++
+			} else {
+				noSplitLo++
+			}
+			if pl.insHi {
+				splitHi++
+			} else {
+				noSplitHi++
+			}
+		}
+	}
+	for name, c := range map[string]int{
+		"after at origin": atOrigin, "after past origin": pastOrigin,
+		"start inside a step": splitLo, "start on a boundary": noSplitLo,
+		"end inside a step": splitHi, "end on a boundary": noSplitHi,
+	} {
+		if c == 0 {
+			t.Errorf("case never exercised: %s", name)
+		}
+	}
+}
+
+// TestPlaceEarliestBoundaryShapes pins the two shapes the random test
+// only counts: an end that lands on an existing boundary inserts no
+// step, and a start inside a step splits it.
+func TestPlaceEarliestBoundaryShapes(t *testing.T) {
+	p := New(8, 0)
+	p.Place(0, 8, 10)  // steps at 0 (full) and 10
+	p.Place(10, 2, 20) // boundary at 30
+
+	start, pl := placeEarliestChecked(t, p, 0, 6, 20)
+	if start != 10 || pl.insLo || pl.insHi {
+		t.Fatalf("fit [10,30) on existing boundaries: start %d insLo %v insHi %v", start, pl.insLo, pl.insHi)
+	}
+	p.Undo(pl)
+
+	start, pl = placeEarliestChecked(t, p, 15, 6, 5)
+	if start != 15 || !pl.insLo || !pl.insHi {
+		t.Fatalf("fit [15,20) inside a step: start %d insLo %v insHi %v", start, pl.insLo, pl.insHi)
+	}
+}
+
+func TestPlaceEarliestArgValidation(t *testing.T) {
+	for name, call := range map[string]func(p *Profile){
+		"zero nodes":        func(p *Profile) { p.PlaceEarliest(0, 0, 5) },
+		"over capacity":     func(p *Profile) { p.PlaceEarliest(0, 9, 5) },
+		"zero duration":     func(p *Profile) { p.PlaceEarliest(0, 1, 0) },
+		"negative duration": func(p *Profile) { p.PlaceEarliest(0, 1, -1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			call(New(8, 0))
+		}()
+	}
+}
+
+// FuzzPlaceEarliest decodes a place/undo sequence from the fuzz bytes
+// and holds every placement to EarliestFit + Place.
+func FuzzPlaceEarliest(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add([]byte{0, 15, 9, 0, 0, 15, 9, 0, 1, 3, 9, 5})
+	f.Add([]byte{255, 128, 64, 32, 16, 8, 4, 2, 1, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const capacity = 16
+		p := New(capacity, 100)
+		var stack []Placement
+		for i := 0; i+3 < len(data); i += 4 {
+			if data[i]%4 == 3 {
+				if len(stack) > 0 {
+					p.Undo(stack[len(stack)-1])
+					stack = stack[:len(stack)-1]
+				}
+				continue
+			}
+			nodes := int(data[i+1])%capacity + 1
+			d := Duration(data[i+2])%60 + 1
+			// Half the queries start from the origin (or before it).
+			after := Time(98)
+			if data[i]%2 == 1 {
+				after += Time(data[i+3])
+			}
+			_, pl := placeEarliestChecked(t, p, after, nodes, d)
+			stack = append(stack, pl)
+		}
+	})
+}

@@ -3,7 +3,9 @@
 // capacity as a step function of time — supporting earliest-fit queries
 // and undoable placements. The profile is the inner-loop data structure
 // of both the backfill policies and the search-based scheduler: a search
-// visiting 100K tree nodes performs one Place and one Undo per node.
+// visiting 100K tree nodes performs one PlaceEarliest and one Undo per
+// node. PlaceEarliest is one pass over the steps; EarliestFit and Place
+// remain for planners that place elsewhere than the earliest fit.
 package cluster
 
 import "fmt"
@@ -161,9 +163,10 @@ type Placement struct {
 }
 
 // Place reserves n nodes during [t, t+d), decreasing free capacity, and
-// returns an undo record. It panics if the interval is not fully
-// feasible (callers must place only at times returned by EarliestFit) or
-// if d == 0 (an empty reservation is meaningless).
+// returns an undo record. It panics, leaving the profile untouched, if
+// the interval is not fully feasible (callers must place only at times
+// returned by EarliestFit) or if d == 0 (an empty reservation is
+// meaningless).
 func (p *Profile) Place(t Time, n int, d Duration) Placement {
 	if d <= 0 {
 		panic("cluster: Place with non-positive duration")
@@ -172,40 +175,45 @@ func (p *Profile) Place(t Time, n int, d Duration) Placement {
 		panic(fmt.Sprintf("cluster: Place n=%d outside [1,%d]", n, p.capacity))
 	}
 	end := t + d
-	lo := p.find(t)
-	var pl Placement
-	pl.n = n
+	lo := 0
+	if t != p.steps[0].At { // rebuilding a profile places at its origin
+		lo = p.find(t)
+	}
+	// The region ends at the first step with At >= end.
+	hi := lo
+	for hi < len(p.steps) && p.steps[hi].At < end {
+		if p.steps[hi].Free < n {
+			panic(fmt.Sprintf("cluster: Place(%d, n=%d, d=%d) infeasible at step %d (free %d)",
+				t, n, d, hi, p.steps[hi].Free))
+		}
+		hi++
+	}
+	return p.reserve(lo, hi, t, end, n)
+}
 
-	// Split at t if needed so the region starts exactly at t.
+// reserve subtracts n nodes over [t, end), given that steps[lo] covers
+// t, steps[hi] is the first step with At >= end (len(steps) if none)
+// and every step in [lo, hi) has at least n free. It splits a step at
+// either boundary that falls inside one.
+func (p *Profile) reserve(lo, hi int, t, end Time, n int) Placement {
+	pl := Placement{n: n}
 	if p.steps[lo].At < t {
 		p.steps = append(p.steps, step{})
 		copy(p.steps[lo+2:], p.steps[lo+1:])
 		p.steps[lo+1] = step{At: t, Free: p.steps[lo].Free}
 		lo++
+		hi++
 		pl.insLo = true
 	}
-
-	// Find the end of the region: first step with At >= end.
-	hi := lo
-	for hi < len(p.steps) && p.steps[hi].At < end {
-		hi++
-	}
-	// Split at end if needed: the step hi-1 extends past end.
-	last := hi - 1
-	extendsPast := hi == len(p.steps) || p.steps[hi].At > end
-	if extendsPast {
-		pl.origFree = p.steps[last].Free
+	// The step hi-1 extends past end unless one already starts there.
+	if hi == len(p.steps) || p.steps[hi].At > end {
+		pl.origFree = p.steps[hi-1].Free
 		p.steps = append(p.steps, step{})
 		copy(p.steps[hi+1:], p.steps[hi:])
 		p.steps[hi] = step{At: end, Free: pl.origFree}
 		pl.insHi = true
 	}
-
 	for i := lo; i < hi; i++ {
-		if p.steps[i].Free < n {
-			panic(fmt.Sprintf("cluster: Place(%d, n=%d, d=%d) infeasible at step %d (free %d)",
-				t, n, d, i, p.steps[i].Free))
-		}
 		p.steps[i].Free -= n
 	}
 	pl.lo, pl.hi = lo, hi
@@ -230,10 +238,41 @@ func (p *Profile) Undo(pl Placement) {
 }
 
 // PlaceEarliest finds the earliest fit at or after `after` and places
-// the job there, returning the chosen start time and the undo record.
+// the job there, returning the chosen start time and the undo record. It
+// is EarliestFit followed by Place in one pass: the feasibility scan
+// ends knowing which steps [t, t+d) covers, so nothing is searched for
+// or scanned twice, and a query from the origin (every search node: the
+// profile is rebuilt at the decision instant) needs no binary search at
+// all. d must be positive.
 func (p *Profile) PlaceEarliest(after Time, n int, d Duration) (Time, Placement) {
-	t := p.EarliestFit(after, n, d)
-	return t, p.Place(t, n, d)
+	if n < 1 || n > p.capacity {
+		panic(fmt.Sprintf("cluster: PlaceEarliest n=%d outside [1,%d]", n, p.capacity))
+	}
+	if d <= 0 {
+		panic("cluster: PlaceEarliest with non-positive duration")
+	}
+	steps := p.steps
+	lo, t := 0, steps[0].At
+	if after > t {
+		lo, t = p.find(after), after
+	}
+	// The last step is free at full capacity, so neither loop runs off
+	// the end: the first stops there at the latest, the second is bounded.
+	for {
+		for steps[lo].Free < n {
+			lo++
+			t = steps[lo].At
+		}
+		end := t + d
+		hi := lo + 1
+		for hi < len(steps) && steps[hi].At < end && steps[hi].Free >= n {
+			hi++
+		}
+		if hi == len(steps) || steps[hi].At >= end {
+			return t, p.reserve(lo, hi, t, end, n)
+		}
+		lo = hi // infeasible there: resume from the next step that fits
+	}
 }
 
 // CheckInvariants verifies structural invariants; tests call it after

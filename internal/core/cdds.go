@@ -78,18 +78,12 @@ func (s *searchState) relinkOrder(order []int) {
 }
 
 // climbToBest re-anchors the search on the incumbent: the free list is
-// relinked into bestPath order (so branch rank 0 now follows the
-// incumbent ordering) and the placement memo is re-recorded from the
-// incumbent's known starts — the new reference path's prefixes are
-// served from the memo without re-running EarliestFit.
+// relinked into bestPath order, so branch rank 0 now follows the
+// incumbent ordering, and the table forgets — the order a remembered
+// tail followed is gone.
 func (s *searchState) climbToBest() {
-	order := s.bestPath
-	s.relinkOrder(order)
-	s.memoPath = append(s.memoPath[:0], order...)
-	s.memoStart = s.memoStart[:0]
-	for _, oi := range order {
-		s.memoStart = append(s.memoStart, s.bestStart[oi])
+	s.relinkOrder(s.bestPath)
+	if s.tab.on {
+		s.tab.forget()
 	}
-	s.memoMatched = 0
-	s.memoRecord = false
 }

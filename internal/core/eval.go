@@ -32,17 +32,18 @@ func (e *OrderEvaluator) Reset(snap *sim.Snapshot) {
 
 // Eval places jobs[order[0]], jobs[order[1]], ... each at its earliest
 // fit and returns the plan's summed cost plus, per index into jobs,
-// whether that job starts now. The profile is restored before
-// returning; the flags slice is reused by the next Eval.
+// whether that job starts now. A nil cost is HierarchicalCost. The
+// profile is restored before returning; the flags slice is reused by the
+// next Eval.
 func (e *OrderEvaluator) Eval(jobs []sim.WaitingJob, order []int, cost CostFn, bound job.Duration) (Cost, []bool) {
 	e.startNow = Resize(e.startNow, len(jobs))
 	e.undo = e.undo[:0]
 	var total Cost
 	for _, i := range order {
-		w := jobs[i]
+		w := &jobs[i]
 		start, pl := e.prof.PlaceEarliest(e.now, w.Job.Nodes, w.PlanEstimate())
 		e.undo = append(e.undo, pl)
-		total = total.Add(cost(w, start, e.now, bound))
+		total = total.Add(placementCost(cost, w, start, e.now, bound))
 		e.startNow[i] = start == e.now
 	}
 	for i := len(e.undo) - 1; i >= 0; i-- {

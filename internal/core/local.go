@@ -64,9 +64,6 @@ func (ls *LocalScheduler) Decide(snap *sim.Snapshot) []int {
 		return nil
 	}
 	cost := ls.Cost
-	if cost == nil {
-		cost = HierarchicalCost
-	}
 	limit := ls.NodeLimit
 	if limit < 1 {
 		limit = 1

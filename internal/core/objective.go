@@ -45,7 +45,8 @@ func (c Cost) Less(o Cost) bool {
 
 // CostFn scores the placement of one waiting job at a given start time.
 // The total cost of a schedule is the sum over its jobs. bound is the
-// target wait bound active at this decision point.
+// target wait bound active at this decision point. Wherever this package
+// takes a CostFn, nil means HierarchicalCost.
 type CostFn func(w sim.WaitingJob, start, now job.Time, bound job.Duration) Cost
 
 // HierarchicalCost is the paper's objective: level 0 accumulates the
@@ -53,6 +54,12 @@ type CostFn func(w sim.WaitingJob, start, now job.Time, bound job.Duration) Cost
 // job's bounded slowdown computed with the runtime estimate the
 // scheduler sees.
 func HierarchicalCost(w sim.WaitingJob, start, now job.Time, bound job.Duration) Cost {
+	return hierarchicalCost(&w, start, bound)
+}
+
+// hierarchicalCost is HierarchicalCost without the 64-byte job copy and
+// the indirect call: what a nil CostFn means on the search's hot path.
+func hierarchicalCost(w *sim.WaitingJob, start job.Time, bound job.Duration) Cost {
 	excess := (start - w.Job.Submit) - bound
 	if excess < 0 {
 		excess = 0
@@ -61,6 +68,15 @@ func HierarchicalCost(w sim.WaitingJob, start, now job.Time, bound job.Duration)
 		float64(excess),
 		job.BoundedSlowdownAt(w.Job.Submit, w.Estimate, start),
 	}
+}
+
+// placementCost scores one placement under cost, nil meaning the
+// paper's HierarchicalCost.
+func placementCost(cost CostFn, w *sim.WaitingJob, start, now job.Time, bound job.Duration) Cost {
+	if cost == nil {
+		return hierarchicalCost(w, start, bound)
+	}
+	return cost(*w, start, now, bound)
 }
 
 // RuntimeScaledCost is the paper's future-work variant: the target wait

@@ -323,8 +323,10 @@ func (sch *Scheduler) runParallel(snap *sim.Snapshot, workers int) bool {
 			s.bestPath = append(s.bestPath[:0], r.path...)
 		}
 	}
-	for _, b := range busy {
+	for w, b := range busy {
 		sch.SearchStats.BusyNs += b
+		s.tab.servedNodes += sch.wstates[w].tab.servedNodes
+		s.tab.hits += sch.wstates[w].tab.hits
 	}
 	return true
 }

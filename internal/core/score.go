@@ -50,10 +50,6 @@ func NewPlanScorer() *PlanScorer {
 // their earliest achievable start, not as an error — the ledger, not
 // the scorer, is the feasibility authority.
 func (ps *PlanScorer) Score(snap *sim.Snapshot, starts []int) Cost {
-	costFn := ps.Cost
-	if costFn == nil {
-		costFn = HierarchicalCost
-	}
 	bound := ps.Bound.At(snap)
 
 	n := len(snap.Queue)
@@ -77,7 +73,7 @@ func (ps *PlanScorer) Score(snap *sim.Snapshot, starts []int) Cost {
 		}
 	}
 	ps.ev.Reset(snap)
-	total, _ := ps.ev.Eval(snap.Queue, ps.order, costFn, bound)
+	total, _ := ps.ev.Eval(snap.Queue, ps.order, ps.Cost, bound)
 	return total
 }
 

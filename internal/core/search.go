@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"schedsearch/internal/cluster"
 	"schedsearch/internal/job"
 	"schedsearch/internal/sim"
 )
@@ -126,6 +125,13 @@ type Stats struct {
 	// means the best schedule was in hand earlier; NodesToBest/Decisions
 	// is the average search effort actually needed per decision.
 	NodesToBest int64
+	// TableNodes is the part of Nodes that was counted from the
+	// per-decision transposition table instead of walked — subtrees
+	// below a set of (job, start) pairs the same decision had already
+	// placed in another order — and TableHits the number of subtrees so
+	// served. Both are zero where the table is off (Prune, DFS).
+	TableNodes int64
+	TableHits  int64
 	// WarmDecisions counts decisions seeded from a carried ordering;
 	// WarmSeedNodes counts the job placements spent evaluating those
 	// seeds (charged separately from Nodes — the seed is not part of the
@@ -312,18 +318,16 @@ func (sch *Scheduler) Decide(snap *sim.Snapshot) []int {
 		sch.lastDecision = DecisionSummary{Trajectory: sch.lastDecision.Trajectory[:0]}
 		return nil
 	}
-	cost := sch.Cost
-	if cost == nil {
-		cost = HierarchicalCost
-	}
 	limit := sch.effectiveLimit()
 	sch.SearchStats.EffectiveLimit = limit
 	sch.SearchStats.EffectiveLimitSum += int64(limit)
 
 	t0 := time.Now()
 	s := &sch.s
-	s.reset(snap, sch.Algorithm, sch.Heuristic, sch.Bound.At(snap), cost, limit)
-	s.prune = sch.Prune
+	s.reset(snap, sch.Algorithm, sch.Heuristic, sch.Bound.At(snap), sch.Cost, limit)
+	if sch.Prune {
+		s.prune, s.tab.on = true, false
+	}
 	if sch.WarmStart {
 		sch.seedWarm(s)
 	}
@@ -338,14 +342,12 @@ func (sch *Scheduler) Decide(snap *sim.Snapshot) []int {
 		parallel = sch.runParallel(snap, workers)
 	}
 	if !parallel {
-		s.memoRecord = true // iteration 0 records the heuristic-path starts
 		switch sch.Algorithm {
 		case LDS:
 			s.runLDS()
 		case DDS, ADDS:
 			s.runDDS()
 		case DFS:
-			s.memoRecord = false // no iteration structure to replay against
 			s.runDFS(0)
 		case CDDS:
 			s.runCDDS()
@@ -362,6 +364,8 @@ func (sch *Scheduler) Decide(snap *sim.Snapshot) []int {
 	sch.SearchStats.Pruned += s.pruned
 	sch.SearchStats.WallNs += wall
 	sch.SearchStats.NodesToBest += s.nodesToBest
+	sch.SearchStats.TableNodes += s.tab.servedNodes
+	sch.SearchStats.TableHits += s.tab.hits
 	if !parallel {
 		sch.SearchStats.BusyNs += wall
 	}
@@ -385,6 +389,8 @@ func (sch *Scheduler) Decide(snap *sim.Snapshot) []int {
 		Leaves:         s.leaves,
 		Pruned:         s.pruned,
 		NodesToBest:    s.nodesToBest,
+		TableNodes:     s.tab.servedNodes,
+		TableHits:      s.tab.hits,
 		BudgetHit:      s.aborted,
 		WarmSeeded:     s.seedSet,
 		SeedHeld:       s.seedSet && s.bestFound && !s.bestCost.Less(s.seedCost),
@@ -449,6 +455,8 @@ type DecisionSummary struct {
 	Leaves         int64
 	Pruned         int64
 	NodesToBest    int64
+	TableNodes     int64
+	TableHits      int64
 	BudgetHit      bool
 	WarmSeeded     bool
 	SeedHeld       bool
@@ -532,17 +540,13 @@ type searchState struct {
 	recordImprov bool
 	improv       []improvement
 
-	// Memo of the current reference path's placements, keyed on the
-	// surviving ordered prefix: while the partial path matches
-	// memoPath, each level's start time is known from iteration 0 (or,
-	// for CDDS, the last climb target), so visit skips the EarliestFit
-	// scan and places directly. Sound because an identical placement
-	// prefix yields an identical profile, hence an identical earliest
-	// fit; bit-identical by construction.
-	memoPath    []int
-	memoStart   []job.Time
-	memoMatched int // length of the curPath prefix matching memoPath
-	memoRecord  bool
+	// tab is the decision's transposition table (table.go). It is off
+	// where a subtree is not a function of the placed set and ctx, or
+	// must be seen: under Prune (what is explored depends on the
+	// incumbent), for DFS (the ablation baseline stays naive) and with a
+	// leafHook. noTable (tests only) turns it off to compare with a walk.
+	tab     table
+	noTable bool
 
 	// leafHook, when set (tests only), observes every complete path in
 	// exploration order.
@@ -570,11 +574,13 @@ func (s *searchState) reset(snap *sim.Snapshot, algo Algorithm, h Heuristic, bou
 
 	s.resetSearch()
 	s.width = algo.width(len(s.ordered))
+	s.tab.reset(algo != DFS && s.leafHook == nil && !s.noTable, len(s.ordered), s.limit)
 	s.ev.Reset(snap)
 }
 
 // resetWorker prepares a parallel worker state from the master state:
-// same decision parameters and branch order, its own profile copy.
+// same decision parameters and branch order, its own profile copy and
+// its own table, kept across the iterations it runs for this decision.
 func (s *searchState) resetWorker(snap *sim.Snapshot, master *searchState) {
 	s.bound = master.bound
 	s.cost = master.cost
@@ -587,6 +593,7 @@ func (s *searchState) resetWorker(snap *sim.Snapshot, master *searchState) {
 
 	s.resetSearch()
 	s.width = master.width
+	s.tab.reset(master.tab.on, len(s.ordered), s.limit)
 	s.ev.Reset(snap)
 }
 
@@ -605,10 +612,6 @@ func (s *searchState) resetSearch() {
 	s.nodesToBest = 0
 	s.recordImprov = false
 	s.improv = s.improv[:0]
-	s.memoPath = s.memoPath[:0]
-	s.memoStart = s.memoStart[:0]
-	s.memoMatched = 0
-	s.memoRecord = false
 
 	s.freeNext = Resize(s.freeNext, n)
 	s.freePrev = Resize(s.freePrev, n)
@@ -718,59 +721,43 @@ func (s *searchState) relink(oi int) {
 }
 
 // visit places the job at ordered index oi (which must be on the free
-// list), recurses via down, and undoes the placement. It returns false
-// when the search aborted on budget.
-func (s *searchState) visit(oi int, down func()) bool {
+// list), recurses via down, and undoes the placement. ctx is what the
+// subtree below depends on besides the placed set (see table.go): 0 when
+// it is the heuristic tail. It returns false when the search aborted on
+// budget.
+func (s *searchState) visit(oi int, ctx int32, down func()) bool {
 	if s.overBudget() {
 		s.aborted = true
 		return false
 	}
 	s.nodes++
 
-	w := s.ordered[oi]
+	w := &s.ordered[oi]
 	now := s.ev.now
-	est := w.PlanEstimate()
-	level := len(s.curPath)
-	var start job.Time
-	var pl cluster.Placement
-	memoHit := s.memoMatched == level && level < len(s.memoPath) && s.memoPath[level] == oi
-	if memoHit {
-		// The path so far equals the memoized reference prefix, so the
-		// profile is in the exact state it was when the reference path
-		// placed this job: its earliest fit is already known.
-		start = s.memoStart[level]
-		pl = s.ev.prof.Place(start, w.Job.Nodes, est)
-		s.memoMatched = level + 1
-	} else {
-		start, pl = s.ev.prof.PlaceEarliest(now, w.Job.Nodes, est)
-		if s.memoRecord {
-			s.memoPath = append(s.memoPath, oi)
-			s.memoStart = append(s.memoStart, start)
-		}
-	}
-	delta := s.cost(w, start, now, s.bound)
+	start, pl := s.ev.prof.PlaceEarliest(now, w.Job.Nodes, w.PlanEstimate())
 	prevCost := s.curCost
-	s.curCost = s.curCost.Add(delta)
+	s.curCost = prevCost.Add(placementCost(s.cost, w, start, now, s.bound))
 	s.unlink(oi)
 	s.curStartNow[oi] = start == now
 	s.curStart[oi] = start
 	s.curPath = append(s.curPath, oi)
 
-	// Branch and bound: per-job costs are non-negative, so the partial
-	// cost lower-bounds every completion of this path. Once an
-	// enumerated schedule exists, a better warm seed tightens the bound
-	// further (the first leaf is exempt so a complete schedule can
-	// always be committed).
-	if s.prune && s.bestFound && !s.curCost.Less(s.pruneBound()) {
+	switch {
+	case s.prune && s.bestFound && !s.curCost.Less(s.pruneBound()):
+		// Branch and bound: per-job costs are non-negative, so the
+		// partial cost lower-bounds every completion of this path. Once
+		// an enumerated schedule exists, a better warm seed tightens the
+		// bound further (the first leaf is exempt so a complete schedule
+		// can always be committed).
 		s.pruned++
-	} else {
+	case s.tab.on && len(s.curPath) < len(s.ordered):
+		// (Below the last job there is only the leaf: nothing to serve.)
+		s.tableDown(oi, start, ctx, down)
+	default:
 		down()
 	}
 
 	s.curPath = s.curPath[:len(s.curPath)-1]
-	if memoHit {
-		s.memoMatched = level
-	}
 	s.relink(oi)
 	s.curCost = prevCost
 	s.ev.prof.Undo(pl)
@@ -789,7 +776,6 @@ func (s *searchState) pruneBound() Cost {
 // leaf records the completed schedule if it beats the best so far.
 func (s *searchState) leaf() {
 	s.leaves++
-	s.memoRecord = false // iteration 0's path is complete
 	if s.leafHook != nil {
 		s.leafHook(s.curPath, s.curCost)
 	}
@@ -848,7 +834,7 @@ func (s *searchState) ldsDFS(depth, rem int) {
 			if rem > choiceBelow {
 				continue // cannot consume all remaining discrepancies below
 			}
-			if !s.visit(oi, func() { s.ldsDFS(depth+1, rem) }) {
+			if !s.visit(oi, int32(rem), func() { s.ldsDFS(depth+1, rem) }) {
 				return
 			}
 			continue
@@ -857,7 +843,7 @@ func (s *searchState) ldsDFS(depth, rem int) {
 		if rem == 0 {
 			break // every b > 0 would add a discrepancy
 		}
-		if !s.visit(oi, func() { s.ldsDFS(depth+1, rem-1) }) {
+		if !s.visit(oi, int32(rem-1), func() { s.ldsDFS(depth+1, rem-1) }) {
 			return
 		}
 	}
@@ -884,7 +870,7 @@ func (s *searchState) runDFS(level int) {
 		return
 	}
 	for oi := s.freeHead; oi >= 0; oi = s.freeNext[oi] {
-		if !s.visit(oi, func() { s.runDFS(level + 1) }) {
+		if !s.visit(oi, 0, func() { s.runDFS(level + 1) }) {
 			return
 		}
 	}
@@ -906,6 +892,12 @@ func (s *searchState) ddsDFS(level, iter int) {
 	// branching above it.
 	heuristicOnly := iter == 0 || level > iter-1
 	forced := iter > 0 && level == iter-1
+	// Below this level's nodes the enumerator still branches only while
+	// above the forced level; from it down the subtree is the tail.
+	ctx := int32(iter)
+	if heuristicOnly || forced {
+		ctx = 0
+	}
 	b := 0
 	for oi := s.freeHead; oi >= 0; oi = s.freeNext[oi] {
 		if forced && b == 0 {
@@ -913,7 +905,7 @@ func (s *searchState) ddsDFS(level, iter int) {
 			continue
 		}
 		b++
-		if !s.visit(oi, func() { s.ddsDFS(level+1, iter) }) {
+		if !s.visit(oi, ctx, func() { s.ddsDFS(level+1, iter) }) {
 			return
 		}
 		if heuristicOnly || b >= s.width {

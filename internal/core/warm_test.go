@@ -298,4 +298,7 @@ func TestDecideSteadyStateAllocFree(t *testing.T) {
 	if avg := testing.AllocsPerRun(20, func() { sch.Decide(snap) }); avg > 0 {
 		t.Errorf("Decide allocates %.1f times per decision in steady state", avg)
 	}
+	if sch.SearchStats.TableNodes == 0 {
+		t.Error("the transposition table served nothing: its arena and index went unmeasured")
+	}
 }

@@ -27,6 +27,10 @@ type Counters struct {
 	// Both are zero for backfill policies.
 	SearchWallMs  float64 `json:"search_wall_ms"`
 	SearchSpeedup float64 `json:"search_speedup"`
+	// SearchTableNodes is the part of SearchNodes the search counted
+	// from its per-decision transposition table instead of walking
+	// (zero, and absent, for policies that search without it).
+	SearchTableNodes int64 `json:"search_table_nodes,omitempty"`
 	// AvgDecideMs and MaxDecideMs are wall-clock decision latencies in
 	// milliseconds (always wall time, even on a virtual clock).
 	AvgDecideMs float64 `json:"avg_decide_ms"`
@@ -156,6 +160,7 @@ func (c *Counters) fillSearch(sch *core.Scheduler) {
 	c.BudgetHits = int64(st.BudgetHits)
 	c.SearchWallMs = float64(st.WallNs) / 1e6
 	c.SearchSpeedup = st.Speedup()
+	c.SearchTableNodes = st.TableNodes
 	if sch.WarmStart {
 		c.SearchNodesToBest = st.NodesToBest
 		c.WarmDecisions = int64(st.WarmDecisions)

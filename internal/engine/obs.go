@@ -52,6 +52,8 @@ func FillDecisionRecord(rec *obs.DecisionRecord, pol sim.Policy, now job.Time, q
 		rec.Leaves = sum.Leaves
 		rec.Pruned = sum.Pruned
 		rec.NodesToBest = sum.NodesToBest
+		rec.TableNodes = sum.TableNodes
+		rec.TableHits = sum.TableHits
 		rec.BudgetHit = sum.BudgetHit
 		rec.WarmSeeded = sum.WarmSeeded
 		rec.SeedHeld = sum.SeedHeld

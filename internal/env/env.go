@@ -58,7 +58,13 @@ func New(cfg Config) (*Env, error) {
 	if cfg.Label == "" {
 		cfg.Label = "env"
 	}
-	return &Env{cfg: cfg, scorer: core.NewPlanScorer()}, nil
+	// Both lists start empty, not nil, so an idle machine or an empty
+	// queue encodes as [] on every observation, the first included.
+	return &Env{
+		cfg:    cfg,
+		scorer: core.NewPlanScorer(),
+		obs:    Observation{Running: []RunningFeature{}, Queue: []QueueFeature{}},
+	}, nil
 }
 
 // Reset (re)starts the episode from the beginning of the workload and

@@ -1,7 +1,9 @@
 package env
 
 import (
+	"encoding/json"
 	"slices"
+	"strings"
 	"testing"
 
 	"schedsearch/internal/core"
@@ -117,8 +119,7 @@ func TestResetReplaysTheSameObservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Observations reuse their buffers, so compare against a copy; an
-	// empty list may be nil the first time and empty afterwards.
+	// Observations reuse their buffers, so compare against a copy.
 	first := *mustReset(t, e)
 	first.Running, first.Queue = slices.Clone(first.Running), slices.Clone(first.Queue)
 	if _, _, _, err := e.Step(Action{Kind: "order", Order: []int{1, 0, 2}}); err != nil {
@@ -132,5 +133,22 @@ func TestResetReplaysTheSameObservation(t *testing.T) {
 	}
 	if e.TotalReward() != 0 || e.Decisions() != 1 {
 		t.Errorf("Reset kept episode state: reward %v, %d decisions", e.TotalReward(), e.Decisions())
+	}
+}
+
+// TestFirstObservationEncodesEmptyLists: on a fresh Env with an idle
+// machine the first observation's running list is "[]", as on every
+// later one, never "null".
+func TestFirstObservationEncodesEmptyLists(t *testing.T) {
+	e, err := New(Config{Input: twoWideJobs()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(mustReset(t, e))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(raw); !strings.Contains(got, `"running":[]`) || strings.Contains(got, "null") {
+		t.Errorf("first observation of an idle machine encodes as %s", got)
 	}
 }

@@ -33,6 +33,10 @@ type DecisionRecord struct {
 	// NodesToBest is how deep into the expansion the final incumbent
 	// was found.
 	NodesToBest int64 `json:"nodes_to_best,omitempty"`
+	// TableNodes is the part of Nodes counted from the search's
+	// transposition table instead of walked, over TableHits subtrees.
+	TableNodes int64 `json:"table_nodes,omitempty"`
+	TableHits  int64 `json:"table_hits,omitempty"`
 	// BudgetHit marks a search cut off by its node budget.
 	BudgetHit bool `json:"budget_hit,omitempty"`
 	// WarmSeeded marks a decision seeded from the previous best plan;

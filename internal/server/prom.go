@@ -106,6 +106,7 @@ func writeProm(w http.ResponseWriter, m engine.Metrics, fed *engine.FederationMe
 	counter("schedsearch_search_wall_seconds_total", "Wall time spent searching.", m.Engine.SearchWallMs/1e3)
 	// Warm-start / adaptive-budget series, present only when the search
 	// policy runs with WarmStart or an SLO budget (see engine.Counters).
+	counter("schedsearch_search_table_nodes_total", "Search tree nodes counted from the transposition table instead of walked (part of schedsearch_search_nodes_total).", float64(m.Engine.SearchTableNodes))
 	if m.Engine.WarmDecisions > 0 || m.Engine.SearchNodesToBest > 0 {
 		counter("schedsearch_search_nodes_to_best_total", "Search nodes spent before the last incumbent improvement.", float64(m.Engine.SearchNodesToBest))
 		counter("schedsearch_warm_decisions_total", "Decisions seeded from the carried warm-start ordering.", float64(m.Engine.WarmDecisions))
