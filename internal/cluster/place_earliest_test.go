@@ -119,6 +119,74 @@ func TestPlaceEarliestBoundaryShapes(t *testing.T) {
 	}
 }
 
+// sized is a job to place: nodes for a duration.
+type sized struct {
+	n int
+	d Duration
+}
+
+// saveRestoreChecked brackets the given placements, each at its earliest
+// fit from the origin, with Save and Restore and requires the steps a
+// clone held beforehand back — whatever the placements inserted.
+func saveRestoreChecked(t *testing.T, p *Profile, jobs []sized) {
+	t.Helper()
+	before := p.Clone()
+	p.Save()
+	for _, j := range jobs {
+		p.PlaceEarliest(p.Origin(), j.n, j.d)
+		if err := p.CheckInvariants(); err != nil {
+			t.Fatalf("between Save and Restore: %v", err)
+		}
+	}
+	p.Restore()
+	if !slices.Equal(p.steps, before.steps) {
+		t.Fatalf("Restore after %d placements left %v, Save saw %v", len(jobs), p.steps, before.steps)
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatalf("after Restore: %v", err)
+	}
+}
+
+// TestSaveRestore interleaves Save → k placements → Restore with LIFO
+// place/undo sequences: Restore gives back the saved steps whether the
+// run in between was empty, short or longer than anything saved before
+// (the storage is reused), and the undo records taken before the Save
+// still unwind to the empty machine afterwards.
+func TestSaveRestore(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 200; trial++ {
+		capacity := 1 + rng.Intn(24)
+		p := New(capacity, Time(rng.Intn(50)))
+		empty := p.Clone()
+		var stack []Placement
+		for step := 0; step < 30; step++ {
+			switch rng.Intn(4) {
+			case 0:
+				if len(stack) > 0 {
+					p.Undo(stack[len(stack)-1])
+					stack = stack[:len(stack)-1]
+				}
+			case 1:
+				jobs := make([]sized, rng.Intn(12))
+				for i := range jobs {
+					jobs[i] = sized{1 + rng.Intn(capacity), Duration(1 + rng.Intn(90))}
+				}
+				saveRestoreChecked(t, p, jobs)
+			default:
+				_, pl := p.PlaceEarliest(p.Origin(), 1+rng.Intn(capacity), Duration(1+rng.Intn(90)))
+				stack = append(stack, pl)
+			}
+		}
+		for len(stack) > 0 {
+			p.Undo(stack[len(stack)-1])
+			stack = stack[:len(stack)-1]
+		}
+		if !slices.Equal(p.steps, empty.steps) {
+			t.Fatalf("trial %d: unwinding after Save/Restore left %v", trial, p.steps)
+		}
+	}
+}
+
 func TestPlaceEarliestArgValidation(t *testing.T) {
 	for name, call := range map[string]func(p *Profile){
 		"zero nodes":        func(p *Profile) { p.PlaceEarliest(0, 0, 5) },
@@ -138,11 +206,13 @@ func TestPlaceEarliestArgValidation(t *testing.T) {
 }
 
 // FuzzPlaceEarliest decodes a place/undo sequence from the fuzz bytes
-// and holds every placement to EarliestFit + Place.
+// and holds every placement to EarliestFit + Place, and every bracketed
+// run of placements to Save + Restore.
 func FuzzPlaceEarliest(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0, 15, 9, 0, 0, 15, 9, 0, 1, 3, 9, 5})
 	f.Add([]byte{255, 128, 64, 32, 16, 8, 4, 2, 1, 0, 0, 0})
+	f.Add([]byte{0, 3, 20, 0, 6, 9, 30, 5, 3, 0, 0, 0, 6, 1, 1, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const capacity = 16
 		p := New(capacity, 100)
@@ -157,6 +227,14 @@ func FuzzPlaceEarliest(f *testing.F) {
 			}
 			nodes := int(data[i+1])%capacity + 1
 			d := Duration(data[i+2])%60 + 1
+			if data[i]%8 == 6 {
+				jobs := make([]sized, data[i+3]%6)
+				for k := range jobs {
+					jobs[k] = sized{(nodes+5*k)%capacity + 1, d + Duration(13*k)}
+				}
+				saveRestoreChecked(t, p, jobs)
+				continue
+			}
 			// Half the queries start from the origin (or before it).
 			after := Time(98)
 			if data[i]%2 == 1 {

@@ -3,9 +3,12 @@
 // capacity as a step function of time — supporting earliest-fit queries
 // and undoable placements. The profile is the inner-loop data structure
 // of both the backfill policies and the search-based scheduler: a search
-// visiting 100K tree nodes performs one PlaceEarliest and one Undo per
-// node. PlaceEarliest is one pass over the steps; EarliestFit and Place
-// remain for planners that place elsewhere than the earliest fit.
+// visiting 100K tree nodes performs one PlaceEarliest per node, and one
+// Undo per node it branches at. PlaceEarliest is one pass over the steps;
+// EarliestFit and Place remain for planners that place elsewhere than the
+// earliest fit. A caller that places a whole run of jobs and keeps none
+// of them — a plan evaluation, the search's heuristic tail — brackets the
+// run with Save and Restore instead of undoing it step by step.
 package cluster
 
 import "fmt"
@@ -33,6 +36,7 @@ type step struct {
 type Profile struct {
 	capacity int
 	steps    []step
+	saved    []step // Save's copy of steps, storage reused
 }
 
 // New returns a profile for a machine with the given node capacity,
@@ -79,6 +83,16 @@ func (p *Profile) Clone() *Profile {
 	copy(c.steps, p.steps)
 	return c
 }
+
+// Save remembers the profile as it stands, replacing any earlier Save;
+// Restore returns to it, whatever was placed or undone in between. The
+// copy goes into storage the profile keeps, so a steady caller allocates
+// nothing.
+func (p *Profile) Save() { p.saved = append(p.saved[:0], p.steps...) }
+
+// Restore brings back the steps of the most recent Save. The capacity
+// must not have been Reset since.
+func (p *Profile) Restore() { p.steps = append(p.steps[:0], p.saved...) }
 
 // find returns the index of the step covering time t: the greatest i
 // with steps[i].At <= t. t must be >= Origin.

@@ -121,7 +121,7 @@ func TestCDDSLeafSetOnFlatQueue(t *testing.T) {
 			seen[permKey(append([]int(nil), path...))]++
 			leaves++
 		}
-		s.reset(snap, CDDS, HeuristicFCFS, 0, HierarchicalCost, 1)
+		s.reset(snap, CDDS, HeuristicFCFS, 0, HierarchicalCost, 1, false)
 		s.limit = satCap
 		s.runCDDS()
 		if s.aborted {
@@ -158,7 +158,7 @@ func TestCDDSLocalOptimum(t *testing.T) {
 		bestCost := sch.s.bestCost
 
 		var es searchState
-		es.reset(snap, CDDS, HeuristicLXF, sch.Bound.At(snap), HierarchicalCost, 1)
+		es.reset(snap, CDDS, HeuristicLXF, sch.Bound.At(snap), HierarchicalCost, 1, false)
 		perm := make([]int, n)
 		for l := 0; l < n-1; l++ {
 			copy(perm, best)

@@ -11,16 +11,16 @@ import (
 // OrderEvaluator evaluates complete queue orderings on one decision's
 // availability profile — the paper's basic operation, written once:
 // place each job at its earliest fit in the given order, sum the
-// placement costs, note which jobs start now, and undo. The search
-// enumerates on the same profile (searchState.visit is the incremental
-// form of Eval); the warm seed, local search, PlanScorer and the
-// environment export all evaluate through Eval. The zero value is
+// placement costs, note which jobs start now, and restore the profile.
+// The search enumerates on the same profile (searchState.tail is Eval
+// from a partial path on, one node charged per job; visit is the
+// branching step above it); the warm seed, local search, PlanScorer and
+// the environment export all evaluate through Eval. The zero value is
 // ready for Reset.
 type OrderEvaluator struct {
 	prof     cluster.Profile
 	now      job.Time
 	startNow []bool
-	undo     []cluster.Placement
 }
 
 // Reset points the evaluator at a new decision: the profile is rebuilt
@@ -37,18 +37,15 @@ func (e *OrderEvaluator) Reset(snap *sim.Snapshot) {
 // next Eval.
 func (e *OrderEvaluator) Eval(jobs []sim.WaitingJob, order []int, cost CostFn, bound job.Duration) (Cost, []bool) {
 	e.startNow = Resize(e.startNow, len(jobs))
-	e.undo = e.undo[:0]
+	e.prof.Save()
 	var total Cost
 	for _, i := range order {
 		w := &jobs[i]
-		start, pl := e.prof.PlaceEarliest(e.now, w.Job.Nodes, w.PlanEstimate())
-		e.undo = append(e.undo, pl)
+		start, _ := e.prof.PlaceEarliest(e.now, w.Job.Nodes, w.PlanEstimate())
 		total = total.Add(placementCost(cost, w, start, e.now, bound))
 		e.startNow[i] = start == e.now
 	}
-	for i := len(e.undo) - 1; i >= 0; i-- {
-		e.prof.Undo(e.undo[i])
-	}
+	e.prof.Restore()
 	return total, e.startNow
 }
 

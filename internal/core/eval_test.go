@@ -29,7 +29,7 @@ func TestEvaluatorMatchesSearchLeaves(t *testing.T) {
 			s.leafHook = func(path []int, cost Cost) {
 				leaves = append(leaves, leaf{slices.Clone(path), cost, slices.Clone(s.curStartNow)})
 			}
-			s.reset(snap, algo, HeuristicLXF, DynamicBound().At(snap), HierarchicalCost, 1)
+			s.reset(snap, algo, HeuristicLXF, DynamicBound().At(snap), HierarchicalCost, 1, false)
 			s.limit = satCap
 			switch algo {
 			case LDS:

@@ -75,7 +75,7 @@ func (ls *LocalScheduler) Decide(snap *sim.Snapshot) []int {
 	// in hybrid mode (the DDS pass consumes half the budget).
 	s := &ls.s
 	bound := ls.Bound.At(snap)
-	s.reset(snap, DDS, ls.Heuristic, bound, cost, limit)
+	s.reset(snap, DDS, ls.Heuristic, bound, cost, limit, false)
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i

@@ -324,10 +324,7 @@ func (sch *Scheduler) Decide(snap *sim.Snapshot) []int {
 
 	t0 := time.Now()
 	s := &sch.s
-	s.reset(snap, sch.Algorithm, sch.Heuristic, sch.Bound.At(snap), sch.Cost, limit)
-	if sch.Prune {
-		s.prune, s.tab.on = true, false
-	}
+	s.reset(snap, sch.Algorithm, sch.Heuristic, sch.Bound.At(snap), sch.Cost, limit, sch.Prune)
 	if sch.WarmStart {
 		sch.seedWarm(s)
 	}
@@ -483,8 +480,9 @@ type searchState struct {
 	leaves int64
 
 	// ev owns the decision's instant and availability profile: visit
-	// places and undoes on it, and whole orderings (the warm seed, local
-	// search) are evaluated on it between enumerations.
+	// places and undoes on it, tail places a run and restores it, and
+	// whole orderings (the warm seed, local search) are evaluated on it
+	// between enumerations.
 	ev        OrderEvaluator
 	ordered   []sim.WaitingJob // heuristic branch order
 	orderKeys []float64        // scratch: precomputed heuristic sort keys
@@ -551,6 +549,9 @@ type searchState struct {
 	// leafHook, when set (tests only), observes every complete path in
 	// exploration order.
 	leafHook func(path []int, cost Cost)
+	// tailHook, when set (tests only), walks every tail in place of tail:
+	// the reference tail is compared with.
+	tailHook func(s *searchState)
 }
 
 // improvement is one incumbent improvement inside a single iteration:
@@ -561,12 +562,13 @@ type improvement struct {
 }
 
 // reset prepares the state for one decision; algo fixes the branch
-// width of the depth-bounded enumerator (the only thing read from it).
-func (s *searchState) reset(snap *sim.Snapshot, algo Algorithm, h Heuristic, bound job.Duration, cost CostFn, limit int) {
+// width of the depth-bounded enumerator and, with prune, whether the
+// table is on (the only things read from it).
+func (s *searchState) reset(snap *sim.Snapshot, algo Algorithm, h Heuristic, bound job.Duration, cost CostFn, limit int, prune bool) {
 	s.bound = bound
 	s.cost = cost
 	s.limit = int64(limit)
-	s.prune = false
+	s.prune = prune
 	s.hardBudget = false
 
 	s.ordered = append(s.ordered[:0], snap.Queue...)
@@ -574,7 +576,7 @@ func (s *searchState) reset(snap *sim.Snapshot, algo Algorithm, h Heuristic, bou
 
 	s.resetSearch()
 	s.width = algo.width(len(s.ordered))
-	s.tab.reset(algo != DFS && s.leafHook == nil && !s.noTable, len(s.ordered), s.limit)
+	s.tab.reset(algo != DFS && !prune && s.leafHook == nil && !s.noTable, len(s.ordered), s.limit)
 	s.ev.Reset(snap)
 }
 
@@ -588,6 +590,7 @@ func (s *searchState) resetWorker(snap *sim.Snapshot, master *searchState) {
 	s.prune = false
 	s.hardBudget = false
 	s.leafHook = nil
+	s.tailHook = master.tailHook
 
 	s.ordered = append(s.ordered[:0], master.ordered...)
 
@@ -721,10 +724,10 @@ func (s *searchState) relink(oi int) {
 }
 
 // visit places the job at ordered index oi (which must be on the free
-// list), recurses via down, and undoes the placement. ctx is what the
-// subtree below depends on besides the placed set (see table.go): 0 when
-// it is the heuristic tail. It returns false when the search aborted on
-// budget.
+// list), recurses via down, and undoes the placement: one branching step
+// of an enumerator. ctx is what the subtree below depends on besides the
+// placed set (see table.go): 0 when it is the heuristic tail. It returns
+// false when the search aborted on budget.
 func (s *searchState) visit(oi int, ctx int32, down func()) bool {
 	if s.overBudget() {
 		s.aborted = true
@@ -762,6 +765,67 @@ func (s *searchState) visit(oi int, ctx int32, down func()) bool {
 	s.curCost = prevCost
 	s.ev.prof.Undo(pl)
 	return !s.aborted
+}
+
+// tail walks the heuristic completion of the current path — every free
+// job in free-list order, each at its earliest fit, then the leaf. Both
+// enumerators end every path this way, and most of a budget's nodes are
+// tail nodes. Per node it is visit (budget, place, cost, prune, table),
+// but a tail node has one child and is never come back to: the free list
+// is walked, not unlinked, nothing is undone on its own, and the way out
+// restores the profile, cost, path and table position whole.
+func (s *searchState) tail() {
+	if s.tailHook != nil {
+		s.tailHook(s)
+		return
+	}
+	n, base := len(s.ordered), len(s.curPath)
+	prof, tb, now := &s.ev.prof, &s.tab, s.ev.now
+	cost, hash, cur := s.curCost, tb.hash, tb.cur
+	prof.Save()
+	// A tail the budget covers whole is walked to its leaf, so what lies
+	// below each of its nodes is known on arrival: the rest of the tail
+	// and one leaf. One that aborts leaves its entries incomplete.
+	whole := !(s.hardBudget || s.bestFound) || s.nodes+int64(n-base) <= s.limit
+	oi := s.freeHead
+	for ; oi >= 0; oi = s.freeNext[oi] {
+		if s.overBudget() {
+			s.aborted = true
+			break
+		}
+		s.nodes++
+		w := &s.ordered[oi]
+		start, _ := prof.PlaceEarliest(now, w.Job.Nodes, w.PlanEstimate())
+		s.curCost = s.curCost.Add(placementCost(s.cost, w, start, now, s.bound))
+		s.curStartNow[oi] = start == now
+		s.curStart[oi] = start
+		s.curPath = append(s.curPath, oi)
+		if s.prune && s.bestFound && !s.curCost.Less(s.pruneBound()) {
+			s.pruned++
+			break
+		}
+		if below := int64(n - len(s.curPath)); tb.on && below > 0 {
+			if s.tableEnter(oi, start, 0) {
+				break
+			}
+			if whole && tb.cur > 0 {
+				e := &tb.entries[tb.cur]
+				e.nodes, e.leaves = below, 1
+			}
+		}
+	}
+	if oi < 0 {
+		s.leaf()
+	}
+	if tb.on {
+		for _, oi := range s.curPath[base:] {
+			tb.placed[oi] = false
+		}
+		tb.hash, tb.cur = hash, cur
+	}
+	s.curPath = s.curPath[:base]
+	s.curCost = cost
+	prof.Restore()
 }
 
 // pruneBound is the branch-and-bound cutoff: the best enumerated cost,
@@ -812,18 +876,15 @@ func (s *searchState) runLDS() {
 }
 
 // ldsDFS explores, below the current partial path, all completions that
-// consume exactly rem further discrepancies.
+// consume exactly rem further discrepancies: with none left, the tail.
 func (s *searchState) ldsDFS(depth, rem int) {
-	n := len(s.ordered)
-	if depth == n {
-		if rem == 0 {
-			s.leaf()
-		}
+	if rem == 0 {
+		s.tail()
 		return
 	}
 	// Levels strictly below this one that can still host a discrepancy
 	// (a level needs at least two branches).
-	choiceBelow := n - 2 - depth
+	choiceBelow := len(s.ordered) - 2 - depth
 	if choiceBelow < 0 {
 		choiceBelow = 0
 	}
@@ -840,9 +901,6 @@ func (s *searchState) ldsDFS(depth, rem int) {
 			continue
 		}
 		b++
-		if rem == 0 {
-			break // every b > 0 would add a discrepancy
-		}
 		if !s.visit(oi, int32(rem-1), func() { s.ldsDFS(depth+1, rem-1) }) {
 			return
 		}
@@ -878,24 +936,21 @@ func (s *searchState) runDFS(level int) {
 
 // ddsDFS explores iteration iter of DDS from the given level. Level l
 // chooses the node at tree depth l+1, so iteration iter forces the
-// discrepancy at level iter-1. Iteration 0 is the leftmost path. No
-// level tries more than s.width branches (counting a skipped heuristic
-// branch), which is the whole difference between DDS and ADDS.
+// discrepancy at level iter-1: free branching above it, every branch but
+// the heuristic one at it, and below it — everywhere, in iteration 0 —
+// the tail. No level tries more than s.width branches (counting a
+// skipped heuristic branch), which is the whole difference between DDS
+// and ADDS.
 func (s *searchState) ddsDFS(level, iter int) {
-	n := len(s.ordered)
-	if level == n {
-		s.leaf()
+	if iter == 0 || level > iter-1 {
+		s.tail()
 		return
 	}
-	// Heuristic-only below the forced depth (and everywhere in
-	// iteration 0); forced discrepancy exactly at level iter-1; free
-	// branching above it.
-	heuristicOnly := iter == 0 || level > iter-1
-	forced := iter > 0 && level == iter-1
 	// Below this level's nodes the enumerator still branches only while
 	// above the forced level; from it down the subtree is the tail.
+	forced := level == iter-1
 	ctx := int32(iter)
-	if heuristicOnly || forced {
+	if forced {
 		ctx = 0
 	}
 	b := 0
@@ -908,7 +963,7 @@ func (s *searchState) ddsDFS(level, iter int) {
 		if !s.visit(oi, ctx, func() { s.ddsDFS(level+1, iter) }) {
 			return
 		}
-		if heuristicOnly || b >= s.width {
+		if b >= s.width {
 			break
 		}
 	}

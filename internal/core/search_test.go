@@ -34,7 +34,7 @@ func collectPaths(t *testing.T, snap *sim.Snapshot, algo Algorithm, limit int) [
 		copy(cp, path)
 		paths = append(paths, cp)
 	}
-	s.reset(snap, algo, HeuristicFCFS, 0, HierarchicalCost, limit)
+	s.reset(snap, algo, HeuristicFCFS, 0, HierarchicalCost, limit, false)
 	switch algo {
 	case LDS:
 		s.runLDS()
@@ -229,7 +229,7 @@ func TestIterationPathCountsMatchFormulas(t *testing.T) {
 func TestBudgetStopsSearch(t *testing.T) {
 	snap := fourJobSnapshot()
 	var s searchState
-	s.reset(snap, DDS, HeuristicFCFS, 0, HierarchicalCost, 4)
+	s.reset(snap, DDS, HeuristicFCFS, 0, HierarchicalCost, 4, false)
 	s.runDDS()
 	if !s.aborted {
 		t.Error("search with L=4 over a 64-node tree did not abort")
@@ -247,7 +247,7 @@ func TestBudgetStopsSearch(t *testing.T) {
 func TestFirstScheduleAlwaysCompletes(t *testing.T) {
 	snap := fourJobSnapshot()
 	var s searchState
-	s.reset(snap, LDS, HeuristicFCFS, 0, HierarchicalCost, 1)
+	s.reset(snap, LDS, HeuristicFCFS, 0, HierarchicalCost, 1, false)
 	s.runLDS()
 	if !s.bestFound {
 		t.Fatal("no schedule found with L=1")

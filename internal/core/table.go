@@ -78,10 +78,11 @@ func mixPair(oi int, start job.Time) uint64 {
 }
 
 // reset prepares the table for a decision over n jobs under a budget of
-// limit nodes; with on false every visit walks. The index is sized for
-// the nodes the decision can walk — the budget, the whole tree of a
-// short queue, or the arena's cap, whichever is least — so a small
-// decision under a large budget does not pay to clear a large index.
+// limit nodes; with on false every node is walked and nothing else here
+// is touched. The index is sized for the nodes the decision can walk —
+// the budget, the whole tree of a short queue, or the arena's cap,
+// whichever is least — so a small decision under a large budget does not
+// pay to clear a large index.
 func (tb *table) reset(on bool, n int, limit int64) {
 	tb.on = on
 	tb.servedNodes, tb.hits = 0, 0
@@ -112,19 +113,23 @@ func (tb *table) forget() {
 	tb.cur, tb.hash = 0, 0
 }
 
-// tableDown is down() through the table, called by visit once the job
-// at ordered index oi is placed at start and on the path: serve the
-// subtree from an entry for the same placed set and ctx if there is one
-// and the budget covers it, otherwise walk it and remember its counts.
-func (s *searchState) tableDown(oi int, start job.Time, ctx int32, down func()) {
+// tableEnter puts the job just placed at ordered index oi, at start, on
+// the table's path and looks the placed set up under ctx. If an entry for
+// that set and ctx holds counts the budget covers, they are added to the
+// counters and tableEnter reports true: the subtree is served. Otherwise
+// the caller walks it, with tb.cur naming the set's entry — the one
+// found, or one inserted here with nodes -1, or -1 where the arena is
+// full or the chain broken above — for the caller to complete once the
+// subtree has been walked to its end. Either way the caller takes oi off
+// the table's path afterwards: tb.hash and tb.cur back to what they were,
+// tb.placed[oi] cleared.
+func (s *searchState) tableEnter(oi int, start job.Time, ctx int32) (served bool) {
 	tb := &s.tab
-	var ph uint64
 	if tb.pairHash != nil {
-		ph = tb.pairHash(oi, start)
+		tb.hash ^= tb.pairHash(oi, start)
 	} else {
-		ph = mixPair(oi, start)
+		tb.hash ^= mixPair(oi, start)
 	}
-	tb.hash ^= ph
 	tb.placed[oi] = true
 	level := int32(len(s.curPath) - 1)
 	key := tb.hash ^ uint64(ctx)*0xD6E8FEB86659FD93
@@ -145,37 +150,46 @@ func (s *searchState) tableDown(oi int, start job.Time, ctx int32, down func()) 
 		slot = (slot + 1) & mask
 	}
 
-	// Serve only what the budget covers whole: otherwise the abort must
-	// land on the node it lands on in a walk, so walk.
-	if id != 0 && tb.entries[id].nodes >= 0 && s.nodes+tb.entries[id].nodes <= s.limit {
+	switch {
+	case id == 0:
+		id = -1
+		if tb.cur >= 0 && len(tb.entries) <= len(tb.index)/2 {
+			id = int32(len(tb.entries))
+			tb.entries = append(tb.entries, tableEntry{
+				key: key, start: start, nodes: -1, parent: tb.cur, oi: int32(oi), ctx: ctx, level: level,
+			})
+			tb.index[slot] = id
+		}
+	case tb.entries[id].nodes >= 0 && s.nodes+tb.entries[id].nodes <= s.limit:
+		// Serve only what the budget covers whole: otherwise the abort
+		// must land on the node it lands on in a walk, so walk.
 		e := &tb.entries[id]
 		s.nodes += e.nodes
 		s.leaves += e.leaves
 		tb.servedNodes += e.nodes
 		tb.hits++
-	} else {
-		if id == 0 {
-			id = -1
-			if tb.cur >= 0 && len(tb.entries) <= len(tb.index)/2 {
-				id = int32(len(tb.entries))
-				tb.entries = append(tb.entries, tableEntry{
-					key: key, start: start, nodes: -1, parent: tb.cur, oi: int32(oi), ctx: ctx, level: level,
-				})
-				tb.index[slot] = id
-			}
-		}
-		parent := tb.cur
-		tb.cur = id
-		nodes, leaves := s.nodes, s.leaves
+		return true
+	}
+	tb.cur = id
+	return false
+}
+
+// tableDown is down() through the table, called by visit once the job
+// at ordered index oi is placed at start and on the path: serve the
+// subtree if the table can, otherwise walk it and remember its counts.
+func (s *searchState) tableDown(oi int, start job.Time, ctx int32, down func()) {
+	tb := &s.tab
+	hash, parent := tb.hash, tb.cur
+	if !s.tableEnter(oi, start, ctx) {
+		id, nodes, leaves := tb.cur, s.nodes, s.leaves
 		down()
-		tb.cur = parent
 		if id > 0 && !s.aborted {
 			e := &tb.entries[id] // the arena may have moved under down
 			e.nodes, e.leaves = s.nodes-nodes, s.leaves-leaves
 		}
 	}
 	tb.placed[oi] = false
-	tb.hash ^= ph
+	tb.hash, tb.cur = hash, parent
 }
 
 // onPath reports whether the chain of entry id is the current placed

@@ -257,8 +257,8 @@ func TestTableEntriesMatchFreshWalks(t *testing.T) {
 		for _, algo := range []Algorithm{LDS, DDS, ADDS} {
 			var s, fresh searchState
 			fresh.noTable = true
-			s.reset(snap, algo, HeuristicLXF, bound, nil, 1<<30)
-			fresh.reset(snap, algo, HeuristicLXF, bound, nil, 1<<30)
+			s.reset(snap, algo, HeuristicLXF, bound, nil, 1<<30, false)
+			fresh.reset(snap, algo, HeuristicLXF, bound, nil, 1<<30, false)
 			if algo == LDS {
 				s.runLDS()
 			} else {
@@ -305,7 +305,7 @@ func TestTableHitsAreTheSamePlacedSet(t *testing.T) {
 		n := 2 + rng.Intn(5)
 		snap := tableSnapshot(rng, n, trial%2 == 0)
 		var s searchState
-		s.reset(snap, DDS, HeuristicLXF, DynamicBound().At(snap), nil, 1<<30)
+		s.reset(snap, DDS, HeuristicLXF, DynamicBound().At(snap), nil, 1<<30, false)
 
 		// subtree[m] is what lies below a node with m jobs left: every
 		// ordering of them.

@@ -53,7 +53,7 @@ func TestWarmSeedSplice(t *testing.T) {
 	sch.warm.valid = true
 
 	s := &sch.s
-	s.reset(snap, DDS, HeuristicFCFS, 0, HierarchicalCost, 100)
+	s.reset(snap, DDS, HeuristicFCFS, 0, HierarchicalCost, 100, false)
 	sch.seedWarm(s)
 
 	// Survivors in carried order: 4, 3, 1 -> ordered indices 3, 2, 0.

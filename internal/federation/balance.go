@@ -132,7 +132,10 @@ func (r *Router) moveLocked(id, src, dst int) bool {
 }
 
 // resolvePendingLocked retries every parked wire-uncertain step once;
-// steps whose shard is still dark stay parked for the next tick.
+// steps whose shard is still dark stay parked for the next tick. Every
+// step that leaves the parked set — resolved one way or the other (the
+// fail path sets r.failure, which routes report) — records a reconcile
+// span and a log line.
 func (r *Router) resolvePendingLocked() {
 	if len(r.pending) == 0 {
 		return
@@ -140,66 +143,67 @@ func (r *Router) resolvePendingLocked() {
 	var still []pendingMig
 	for _, p := range r.pending {
 		t0 := r.cfg.Tracer.Now()
-		kept := len(still)
-		switch p.stage {
-		case stageWithdraw:
-			j, err := r.shards[p.shard].Withdraw(p.id)
-			if err == nil {
-				// Committed — originally (tombstone) or just now. The
-				// migration itself is stale; put the job back where it
-				// came from.
-				if aerr := r.shards[p.shard].Admit(j); aerr != nil {
-					if errors.Is(aerr, ErrUncertain) || errors.Is(aerr, ErrUnreachable) {
-						still = append(still, pendingMig{id: p.id, shard: p.shard, j: j, stage: stageAdmit})
-						continue
-					}
-					r.failLocked(fmt.Errorf("federation: job %d lost reconciling withdraw on shard %d: %v",
-						p.id, p.shard, aerr))
-				}
-				continue
-			}
-			if errors.Is(err, engine.ErrNotQueued) {
-				// Never withdrawn — the job started (or finished) on
-				// the source. Resolved.
-				continue
-			}
-			still = append(still, p)
-		case stageAdmit:
-			err := r.shards[p.shard].Admit(p.j)
-			if err == nil || errors.Is(err, engine.ErrDuplicateID) {
-				// Landed now, or had landed all along.
-				r.dir[p.id] = p.shard
-				continue
-			}
-			still = append(still, p)
-		case stageSubmit:
-			if pr, ok := r.shards[p.shard].(remoteProbe); ok {
-				_, present, err := pr.LookupJob(p.id)
-				if err != nil {
-					still = append(still, p)
-					continue
-				}
-				if present {
-					r.dir[p.id] = p.shard
-				} else {
-					// Certainly never admitted; free the directory
-					// entry (the ID stays burned).
-					delete(r.dir, p.id)
-				}
-				continue
-			}
-			if _, present := r.shards[p.shard].Job(p.id); !present {
-				delete(r.dir, p.id)
-			}
+		if next, parked := r.retryPendingLocked(p); parked {
+			still = append(still, next)
+			continue
 		}
-		if len(still) == kept {
-			// The step left the parked set — resolved one way or the
-			// other (the fail path sets r.failure, which routes report).
-			r.traceSpan("reconcile", p.id, p.shard, t0)
-			r.logJob(p.id).Info("reconciled parked step", "shard", p.shard, "stage", p.stage)
-		}
+		r.traceSpan("reconcile", p.id, p.shard, t0)
+		r.logJob(p.id).Info("reconciled parked step", "shard", p.shard, "stage", p.stage)
 	}
 	r.pending = still
+}
+
+// retryPendingLocked retries one parked step. While the outcome is
+// still unknown it reports the step to park for the next tick: p
+// itself, or the admit that follows a withdraw now known to have
+// committed.
+func (r *Router) retryPendingLocked(p pendingMig) (next pendingMig, parked bool) {
+	switch p.stage {
+	case stageWithdraw:
+		j, err := r.shards[p.shard].Withdraw(p.id)
+		if errors.Is(err, engine.ErrNotQueued) {
+			// Never withdrawn — the job started (or finished) on the
+			// source. Resolved.
+			return pendingMig{}, false
+		}
+		if err != nil {
+			return p, true
+		}
+		// Committed — originally (tombstone) or just now. The migration
+		// itself is stale; put the job back where it came from.
+		if aerr := r.shards[p.shard].Admit(j); aerr != nil {
+			if errors.Is(aerr, ErrUncertain) || errors.Is(aerr, ErrUnreachable) {
+				return pendingMig{id: p.id, shard: p.shard, j: j, stage: stageAdmit}, true
+			}
+			r.failLocked(fmt.Errorf("federation: job %d lost reconciling withdraw on shard %d: %v",
+				p.id, p.shard, aerr))
+		}
+	case stageAdmit:
+		err := r.shards[p.shard].Admit(p.j)
+		if err != nil && !errors.Is(err, engine.ErrDuplicateID) {
+			return p, true
+		}
+		// Landed now, or had landed all along.
+		r.dir[p.id] = p.shard
+	case stageSubmit:
+		var present bool
+		if pr, ok := r.shards[p.shard].(remoteProbe); ok {
+			var err error
+			if _, present, err = pr.LookupJob(p.id); err != nil {
+				return p, true
+			}
+		} else {
+			_, present = r.shards[p.shard].Job(p.id)
+		}
+		if present {
+			r.dir[p.id] = p.shard
+		} else {
+			// Certainly never admitted; free the directory entry (the
+			// ID stays burned).
+			delete(r.dir, p.id)
+		}
+	}
+	return pendingMig{}, false
 }
 
 // migrateOneLocked moves one still-queued job from the most to the

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -18,6 +20,7 @@ import (
 	"schedsearch/internal/core"
 	"schedsearch/internal/engine"
 	"schedsearch/internal/job"
+	"schedsearch/internal/obs"
 	"schedsearch/internal/policy"
 	"schedsearch/internal/server"
 	"schedsearch/internal/sim"
@@ -354,6 +357,102 @@ func TestParkedSubmitReconcilesOnOneShard(t *testing.T) {
 	}
 	if st, ok := r.Job(recs[0].Job.ID); !ok || st.State != engine.StateDone {
 		t.Errorf("reconciled job through the router: ok=%v %+v", ok, st)
+	}
+}
+
+// TestResolvedRemoteStepsRecordReconcile parks one step of every stage
+// and outcome against a remote shard — a withdraw that commits and is put
+// back, a withdraw of a job that had started, an admit that lands, a
+// submission the shard has and one it never saw — and lets one
+// reconciliation pass resolve them all. Every step that leaves the
+// parked set must record one reconcile span and one log line, whichever
+// way it resolved.
+func TestResolvedRemoteStepsRecordReconcile(t *testing.T) {
+	vc := engine.NewVirtualClock()
+	tr := obs.NewTracer(obs.TracerOptions{Seed: 5})
+	var logs bytes.Buffer
+	_, rs := startShardProc(t, engine.Config{
+		Capacity: 32,
+		Policy:   policy.FCFSBackfill(),
+		Clock:    vc,
+	}, RemoteShardOptions{})
+	r, err := NewWithShards(Config{
+		Clock:  vc,
+		Tracer: tr,
+		Logger: slog.New(slog.NewJSONHandler(&logs, nil)),
+	}, []engine.Shard{rs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	running := job.Job{ID: 1, Nodes: 32, Runtime: 7200, Request: 7200}
+	queued := job.Job{ID: 2, Nodes: 8, Runtime: 600, Request: 600}
+	held := job.Job{ID: 3, Nodes: 8, Runtime: 600, Request: 600}
+	landed := job.Job{ID: 4, Nodes: 8, Runtime: 600, Request: 600}
+	const neverSeen = 5
+	vc.AfterFunc(0, func() {
+		for _, j := range []job.Job{running, queued, landed} {
+			if err := r.SubmitJob(j); err != nil {
+				t.Errorf("submit job %d: %v", j.ID, err)
+			}
+		}
+	})
+	vc.AfterFunc(60, func() {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		for _, id := range []int{held.ID, neverSeen} {
+			tr.Bind(id, tr.Mint())
+			r.dir[id] = 0
+		}
+		r.pending = []pendingMig{
+			{id: queued.ID, stage: stageWithdraw},
+			{id: running.ID, stage: stageWithdraw},
+			{id: held.ID, j: held, stage: stageAdmit},
+			{id: landed.ID, stage: stageSubmit},
+			{id: neverSeen, stage: stageSubmit},
+		}
+		r.resolvePendingLocked()
+		if len(r.pending) != 0 {
+			t.Errorf("steps still parked with the shard reachable: %+v", r.pending)
+		}
+		if _, ok := r.dir[neverSeen]; ok {
+			t.Errorf("directory keeps job %d, which the shard never saw", neverSeen)
+		}
+	})
+	vc.Run()
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(r.Records()); n != 4 {
+		t.Errorf("%d jobs completed, want 4", n)
+	}
+
+	if got := tr.Stats()["reconcile"].Count; got != 5 {
+		t.Errorf("%d reconcile spans for 5 resolved steps", got)
+	}
+	type step struct{ Job, Stage int }
+	logged := map[step]int{}
+	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+		var rec struct {
+			Msg   string `json:"msg"`
+			Job   int    `json:"job"`
+			Stage int    `json:"stage"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		if rec.Msg == "reconciled parked step" {
+			logged[step{rec.Job, rec.Stage}]++
+		}
+	}
+	want := map[step]int{
+		{queued.ID, stageWithdraw}:  1,
+		{running.ID, stageWithdraw}: 1,
+		{held.ID, stageAdmit}:       1,
+		{landed.ID, stageSubmit}:    1,
+		{neverSeen, stageSubmit}:    1,
+	}
+	if !maps.Equal(logged, want) {
+		t.Errorf("reconciliation log records (job, stage): got %v, want %v", logged, want)
 	}
 }
 
