@@ -128,24 +128,25 @@ func TestChaosSoakFederation(t *testing.T) {
 
 // TestChaosSoakFederationRemote soaks the out-of-process federation:
 // every shard is a real engine+HTTP-server process-equivalent with its
-// own journal, the router drives them over TCP, and on top of the full
-// in-process fault mix one shard process is killed outright and
-// restarted from its journal while partition faults (refused
-// connections, black-hole timeouts, responses dropped after delivery —
-// including mid-migration) hit the wire between the router and a
-// seeded shard. chaos.RunFederationRemote fails on any invariant
-// violation: an acknowledged job lost, a job admitted on two shards,
-// or an oracle violation in the merged schedule.
+// own journal, the router drives them as JSON over an in-memory wire,
+// and on top of the full in-process fault mix one shard process is
+// killed outright and restarted from its journal while partition faults
+// (refused connections, black-hole timeouts, responses dropped after
+// delivery — including mid-migration, and with the read-back that would
+// verify them lost too) hit the wire between the router and a seeded
+// shard. chaos.RunFederationRemote fails on any invariant violation: an
+// acknowledged job lost, a job admitted on two shards, or an oracle
+// violation in the merged schedule. The soak itself fails unless its
+// faults reached degraded routing and every one of the router's three
+// reconcile stages; nothing here waits on a socket or the wall clock, so
+// -short runs it whole.
 func TestChaosSoakFederationRemote(t *testing.T) {
-	seeds := 6
-	if testing.Short() {
-		seeds = 2
-	}
 	totalReroutes := int64(0)
+	parked, reconciled := map[string]int{}, map[string]int{}
 	for _, place := range soakPlacements {
 		place := place
 		t.Run(placementName(place), func(t *testing.T) {
-			for seed := uint64(1); seed <= uint64(seeds); seed++ {
+			for seed := uint64(1); seed <= 6; seed++ {
 				res, err := chaos.RunFederationRemote(chaos.RemoteFederationConfig{
 					FederationConfig: chaos.FederationConfig{
 						Config: chaos.Config{
@@ -173,14 +174,25 @@ func TestChaosSoakFederationRemote(t *testing.T) {
 					t.Fatalf("seed %d: the shard-process kill/restart never fired", seed)
 				}
 				totalReroutes += res.Reroutes
-				t.Logf("seed %d: %d completed, %d rejected, %d wire-uncertain, shard %d killed+restarted, shard %d partitioned, %d reroutes, %d migrations",
+				for _, stage := range []string{"submit", "withdraw", "admit"} {
+					parked[stage] += res.Parked[stage]
+					reconciled[stage] += res.Reconciled[stage]
+				}
+				t.Logf("seed %d: %d completed, %d rejected, %d wire-uncertain, shard %d killed+restarted, shard %d partitioned, %d reroutes, %d migrations, parked %+v, reconciled %+v",
 					seed, len(res.Records), res.Rejected, res.Uncertain,
-					res.RebuiltShard, res.PartitionedShard, res.Reroutes, res.Federation.Migrations)
+					res.RebuiltShard, res.PartitionedShard, res.Reroutes, res.Federation.Migrations,
+					res.Parked, res.Reconciled)
 			}
 		})
 	}
 	if totalReroutes == 0 {
 		t.Error("no submission was ever rerouted across the whole soak; the degraded-routing path went untested")
+	}
+	for stage, n := range parked {
+		if n == 0 || reconciled[stage] == 0 {
+			t.Errorf("%s steps across the whole soak: %d parked, %d reconciled; a reconcile stage went untested",
+				stage, n, reconciled[stage])
+		}
 	}
 }
 

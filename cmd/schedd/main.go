@@ -172,7 +172,6 @@ type config struct {
 	nodeLimit int
 	workers   int
 	warm      bool
-	slo       time.Duration
 	capacity  int
 	addr      string
 	requested bool
@@ -205,7 +204,6 @@ func parseConfig(args []string) (config, error) {
 	fs.IntVar(&c.nodeLimit, "L", 1000, "search node limit per decision")
 	fs.IntVar(&c.workers, "workers", 1, "parallel search workers for search policies (0 or 1 sequential, -1 one per CPU)")
 	fs.BoolVar(&c.warm, "warm", false, "warm-start the search from the previous decision's best ordering (search policies)")
-	fs.DurationVar(&c.slo, "slo", 0, "per-decision latency SLO; adapts the node budget to the observed ns/node rate (0 = fixed -L)")
 	fs.IntVar(&c.capacity, "capacity", workload.Capacity, "machine size in nodes")
 	fs.StringVar(&c.addr, "addr", ":8080", "HTTP listen address (serving mode)")
 	fs.BoolVar(&c.requested, "requested", false, "policies plan with requested runtimes (R* = R)")
@@ -283,7 +281,6 @@ func parseConfig(args []string) (config, error) {
 			"-L", strconv.Itoa(c.nodeLimit),
 			"-workers", strconv.Itoa(c.workers),
 			fmt.Sprintf("-warm=%v", c.warm),
-			"-slo", c.slo.String(),
 			fmt.Sprintf("-requested=%v", c.requested),
 			"-speedup", strconv.FormatFloat(c.speedup, 'g', -1, 64),
 			"-ingest-pending", "0",
@@ -299,7 +296,7 @@ func (c config) newPolicy(int) sim.Policy {
 	if err != nil {
 		panic(err) // parseConfig validated it
 	}
-	schedsearch.ApplySearchOptions(pol, c.workers, c.warm, c.slo)
+	schedsearch.ApplySearchOptions(pol, c.workers, c.warm)
 	return pol
 }
 

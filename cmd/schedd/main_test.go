@@ -1,9 +1,14 @@
 package main
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+
+	"schedsearch/internal/engine"
+	"schedsearch/internal/job"
+	"schedsearch/internal/sim"
 )
 
 // TestParseConfigRejects covers every flag combination no mode can
@@ -83,12 +88,76 @@ func TestParseConfigAccepts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("-fanout: %v", err)
 	}
-	want := "-policy LDS/fcfs/100h -L 50 -workers 1 -warm=true -slo 0s -requested=false -speedup 600 -ingest-pending 0"
+	want := "-policy LDS/fcfs/100h -L 50 -workers 1 -warm=true -requested=false -speedup 600 -ingest-pending 0"
 	if got := strings.Join(c.fed.childArgs, " "); got != want {
 		t.Errorf("fanout child flags\n got %s\nwant %s", got, want)
 	}
 	// The forwarded flags must themselves parse as a bare shard daemon.
 	if child, err := parseConfig(c.fed.childArgs); err != nil || child.fed.remote() || child.ing.pending != 0 {
 		t.Errorf("child flags re-parse: %v, %+v", err, child)
+	}
+}
+
+// TestCompactEveryWithoutJournal: -compact-every bounds the in-memory
+// event tail of a daemon started without -journal (the default), bare
+// engine and in-process shards alike, and folding the tail changes no
+// metric of the run.
+func TestCompactEveryWithoutJournal(t *testing.T) {
+	const capacity, jobs, every = 64, 120, 32
+	// run returns the whole-machine report and every engine's own counters
+	// (the router's report does not carry its shards' journal tails).
+	run := func(args string) (engine.Metrics, []engine.Counters) {
+		t.Helper()
+		c, err := parseConfig(strings.Fields(args))
+		if err != nil {
+			t.Fatalf("schedd %s: %v", args, err)
+		}
+		vc := engine.NewVirtualClock()
+		st, err := buildBackend(c, vc, sim.Input{Capacity: capacity}, nil, nil)
+		if err != nil {
+			t.Fatalf("schedd %s: %v", args, err)
+		}
+		for i := 0; i < jobs; i++ {
+			spec := job.Job{Nodes: 1 + (i*7)%(capacity/4), Runtime: job.Duration(600 + 90*(i%11)), User: i % 5}
+			spec.Request = spec.Runtime + 300
+			vc.AfterFunc(job.Time(100*i), func() {
+				if _, err := st.bk.Submit(spec); err != nil {
+					t.Errorf("submit: %v", err)
+				}
+			})
+		}
+		vc.Run()
+		if err := st.bk.Err(); err != nil {
+			t.Fatal(err)
+		}
+		m := st.bk.Metrics()
+		if st.router == nil {
+			return m, []engine.Counters{m.Engine}
+		}
+		var per []engine.Counters
+		for _, sh := range st.router.Federation().PerShard {
+			per = append(per, sh.Metrics.Engine)
+		}
+		return m, per
+	}
+	for _, mode := range []string{"-policy FCFS-backfill", "-policy FCFS-backfill -shards 2 -rebalance 0"} {
+		full, fullPer := run(mode + " -compact-every 0")
+		got, gotPer := run(fmt.Sprintf("%s -compact-every %d", mode, every))
+		for i := range gotPer {
+			// A submit, a start and an end per job: well past the bound.
+			if fullPer[i].JournalTail < 3*jobs/int64(len(fullPer))/2 || fullPer[i].Compactions != 0 {
+				t.Fatalf("schedd %s: uncompacted engine %d holds %d events after %d compactions",
+					mode, i, fullPer[i].JournalTail, fullPer[i].Compactions)
+			}
+			// An engine folds at the first commit that finds `every` events,
+			// and one commit adds a handful at most.
+			if gotPer[i].Compactions == 0 || gotPer[i].JournalTail >= every+16 {
+				t.Errorf("schedd %s -compact-every %d: engine %d journal_tail %d after %d compactions",
+					mode, every, i, gotPer[i].JournalTail, gotPer[i].Compactions)
+			}
+		}
+		if !reflect.DeepEqual(got.Summary, full.Summary) {
+			t.Errorf("schedd %s: compaction changed the summary\n got %+v\nwant %+v", mode, got.Summary, full.Summary)
+		}
 	}
 }

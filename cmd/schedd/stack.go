@@ -48,9 +48,12 @@ func buildBackend(c config, clock engine.Clock, window sim.Input, tr *obs.Tracer
 			MeasureStart:   window.MeasureStart,
 			MeasureEnd:     window.MeasureEnd,
 			RebalanceEvery: fed.rebalance,
-			Tracer:         tr,
-			Flight:         st.flight,
-			Logger:         obs.NewLogger(os.Stderr, "router"),
+			// With or without a journal file: the in-memory event tail is
+			// what a journal-less daemon would otherwise grow for life.
+			CompactEvery: dur.compactEvery,
+			Tracer:       tr,
+			Flight:       st.flight,
+			Logger:       obs.NewLogger(os.Stderr, "router"),
 		}
 		var err error
 		if fed.remote() {
@@ -85,7 +88,6 @@ func buildBackend(c config, clock engine.Clock, window sim.Input, tr *obs.Tracer
 					st.journals = append(st.journals, fj)
 				}
 				fcfg.Journal = func(shard int) engine.JournalSink { return st.journals[shard] }
-				fcfg.CompactEvery = dur.compactEvery
 				logger.Info("journaling shards (write-only; start-up recovery is single-engine)",
 					"shards", fed.shards, "path", dur.path+".shard-N")
 			}
@@ -106,6 +108,7 @@ func buildBackend(c config, clock engine.Clock, window sim.Input, tr *obs.Tracer
 		Measured:     measured,
 		MeasureStart: window.MeasureStart,
 		MeasureEnd:   window.MeasureEnd,
+		CompactEvery: dur.compactEvery,
 		Flight:       st.flight,
 		Tracer:       tr,
 	}
@@ -116,7 +119,6 @@ func buildBackend(c config, clock engine.Clock, window sim.Input, tr *obs.Tracer
 		}
 		st.journals = append(st.journals, fj)
 		cfg.Journal = fj
-		cfg.CompactEvery = dur.compactEvery
 	}
 	if recovered == nil {
 		e, err := engine.New(cfg)

@@ -84,7 +84,7 @@ func serveConfig(month string, seed uint64, scale, load float64, requested bool,
 			if err != nil {
 				return nil, err
 			}
-			schedsearch.ApplySearchOptions(pol, workers, warm, 0)
+			schedsearch.ApplySearchOptions(pol, workers, warm)
 			return pol, nil
 		},
 	}

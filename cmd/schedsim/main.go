@@ -36,7 +36,6 @@ func main() {
 		nodeLimit = flag.Int("L", 1000, "search node limit per decision")
 		workers   = flag.Int("workers", 1, "parallel search workers for search policies (0 or 1 sequential, -1 one per CPU)")
 		warm      = flag.Bool("warm", false, "warm-start the search from the previous decision's best ordering (search policies)")
-		slo       = flag.Duration("slo", 0, "per-decision latency SLO; adapts the node budget to the observed ns/node rate (0 = fixed -L)")
 		load      = flag.Float64("load", 0, "target offered load (0 = original)")
 		seed      = flag.Uint64("seed", 1, "workload generation seed")
 		scale     = flag.Float64("scale", 1, "job-count/duration scale factor")
@@ -50,7 +49,7 @@ func main() {
 	)
 	flag.Parse()
 
-	opts := searchOpts{nodeLimit: *nodeLimit, workers: *workers, warm: *warm, slo: *slo, flight: *flightN}
+	opts := searchOpts{nodeLimit: *nodeLimit, workers: *workers, warm: *warm, flight: *flightN}
 	in, m, err := schedsearch.LoadInput(*swfIn, *capacity,
 		workload.Config{Seed: *seed, JobScale: *scale}, *month,
 		workload.SimOptions{TargetLoad: *load, UseRequested: *requested})
@@ -76,7 +75,6 @@ type searchOpts struct {
 	nodeLimit int
 	workers   int
 	warm      bool
-	slo       time.Duration
 	flight    int
 }
 
@@ -89,7 +87,7 @@ func parsePolicy(policyArg string, o searchOpts) (sim.Policy, *obs.FlightRecorde
 	if err != nil {
 		return nil, nil, err
 	}
-	schedsearch.ApplySearchOptions(pol, o.workers, o.warm, o.slo)
+	schedsearch.ApplySearchOptions(pol, o.workers, o.warm)
 	if o.flight <= 0 {
 		return pol, nil, nil
 	}
@@ -226,10 +224,6 @@ func printSummary(res *sim.Result, s metrics.Summary, pol sim.Policy) {
 			fmt.Printf("  warm start: %d seeded decisions, seed held %d, avg nodes-to-best %.1f\n",
 				st.WarmDecisions, st.WarmSeedHeld,
 				float64(st.NodesToBest)/float64(st.Decisions))
-		}
-		if sch.SLO > 0 && st.Decisions > 0 {
-			fmt.Printf("  slo %v: avg effective L %.0f\n",
-				sch.SLO, float64(st.EffectiveLimitSum)/float64(st.Decisions))
 		}
 	}
 }

@@ -14,12 +14,18 @@
 // records are swept again with oracle.CheckRecords, so a Run that
 // returns a Result with a nil error is a machine-checked certificate
 // that the invariants held under that fault mix.
+//
+// Run, RunFederation and RunFederationRemote are one scenario runner
+// (scenario.go) over three targets — the bare engine, the in-process
+// router, and a router whose shards are engine+server "processes" on
+// file journals behind an in-memory wire (remote.go); RunIngest drives
+// the accept queue and ends with the same conservation sweep and oracle.
 package chaos
 
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"strings"
 	"time"
 
 	"schedsearch/internal/core"
@@ -74,36 +80,26 @@ const AllFaults = FaultClockJumps | FaultBurstSubmits | FaultDuplicateIDs |
 	FaultReorderedSubmits | FaultHostileSpecs | FaultPolicyPanic |
 	FaultPolicyLatency | FaultCrashRebuild
 
-var faultNames = []struct {
-	f    Fault
-	name string
-}{
-	{FaultClockJumps, "clock-jumps"},
-	{FaultBurstSubmits, "burst-submits"},
-	{FaultDuplicateIDs, "duplicate-ids"},
-	{FaultReorderedSubmits, "reordered-submits"},
-	{FaultHostileSpecs, "hostile-specs"},
-	{FaultPolicyPanic, "policy-panic"},
-	{FaultPolicyLatency, "policy-latency"},
-	{FaultCrashRebuild, "crash-rebuild"},
-	{FaultPartition, "partition"},
-}
+// faultNames names the Fault bits in bit order.
+var faultNames = []string{"clock-jumps", "burst-submits", "duplicate-ids", "reordered-submits",
+	"hostile-specs", "policy-panic", "policy-latency", "crash-rebuild", "partition"}
 
 // String names the enabled fault classes.
-func (f Fault) String() string {
-	if f == 0 {
-		return "none"
-	}
-	out := ""
-	for _, fn := range faultNames {
-		if f&fn.f != 0 {
-			if out != "" {
-				out += "+"
-			}
-			out += fn.name
+func (f Fault) String() string { return bitNames(uint(f), faultNames) }
+
+// bitNames joins the names of the bits set in mask, names[i] naming bit
+// 1<<i; an empty mask is "none".
+func bitNames(mask uint, names []string) string {
+	var set []string
+	for i, name := range names {
+		if mask&(1<<i) != 0 {
+			set = append(set, name)
 		}
 	}
-	return out
+	if len(set) == 0 {
+		return "none"
+	}
+	return strings.Join(set, "+")
 }
 
 // Config describes one chaos scenario.
@@ -280,25 +276,58 @@ func buildPlan(cfg Config) plan {
 	return p
 }
 
-// harness tracks the current engine incarnation; a crash-rebuild swaps
-// it while pending submission timers keep routing to the live one.
-type harness struct {
-	mu  sync.Mutex
-	cur *engine.Engine
-	orc *oracle.Oracle
-
-	accepted  int
-	rejected  int
-	failure   error // first unexpected submit outcome or rebuild error
-	panics    int64 // carried across incarnations
-	rebuilt   bool
-	incarnate func() (*engine.Engine, *oracle.Oracle, error) // rebuild factory
+// incarnate starts an engine (cp nil) or rebuilds one from a checkpoint.
+func incarnate(cfg engine.Config, cp *engine.Checkpoint) (*engine.Engine, error) {
+	if cp == nil {
+		return engine.New(cfg)
+	}
+	return engine.Rebuild(cfg, *cp)
 }
 
-func (h *harness) fail(err error) {
-	if h.failure == nil {
-		h.failure = err
+// engineTarget is the bare engine under its live oracle. A crash-rebuild
+// swaps the incarnation (and its oracle) while pending submission
+// timers keep routing to the live one.
+type engineTarget struct {
+	capacity int
+	mkCfg    func() engine.Config // fresh policy per incarnation
+	cur      *engine.Engine
+	orc      *oracle.Oracle
+	panics   int64 // recovered by incarnations since discarded
+}
+
+func (t *engineTarget) incarnate(cp *engine.Checkpoint) error {
+	ec, orc := t.mkCfg(), oracle.New(t.capacity)
+	ec.Observer = orc
+	e, err := incarnate(ec, cp)
+	if err == nil {
+		t.cur, t.orc = e, orc
 	}
+	return err
+}
+
+func (t *engineTarget) submit(j job.Job) error              { return t.cur.SubmitJob(j) }
+func (t *engineTarget) open(error) bool                     { return false }
+func (t *engineTarget) job(id int) (engine.JobStatus, bool) { return t.cur.Job(id) }
+func (t *engineTarget) err() error                          { return t.cur.Err() }
+
+func (t *engineTarget) crash(*stats.RNG) (func(), func() error, job.Duration) {
+	var cp engine.Checkpoint
+	kill := func() {
+		// The dying engine carries its recovered-panic count into the
+		// totals before it is discarded.
+		t.panics += t.cur.Metrics().Engine.PolicyPanics
+		cp = t.cur.Checkpoint()
+	}
+	return kill, func() error { return t.incarnate(&cp) }, 0
+}
+
+// verify: live invariants, end-of-run conservation, and an independent
+// replay sweep of the committed records.
+func (t *engineTarget) verify(accepted []job.Job) error {
+	if err := t.orc.Final(); err != nil {
+		return err
+	}
+	return oracle.CheckRecords(t.capacity, accepted, t.cur.Records())
 }
 
 // Run executes one scenario to completion and verifies the oracle
@@ -310,142 +339,25 @@ func Run(config Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := buildPlan(cfg)
-	vc := engine.NewVirtualClock()
-
-	newPolicy := func() sim.Policy {
-		pol := cfg.Policy()
-		if cfg.Faults&(FaultPolicyPanic|FaultPolicyLatency) != 0 {
-			fp := &FlakyPolicy{Inner: pol}
-			if cfg.Faults&FaultPolicyPanic != 0 {
-				fp.PanicEvery = cfg.PanicEvery
-			}
-			if cfg.Faults&FaultPolicyLatency != 0 {
-				fp.Latency = cfg.Latency
-				fp.LatencyEvery = 3
-			}
-			return fp
+	t := &engineTarget{capacity: cfg.Capacity}
+	out, err := runScenario(cfg, cfg.Capacity, func(vc *engine.VirtualClock, newPolicy func() sim.Policy) (target, error) {
+		t.mkCfg = func() engine.Config {
+			return engine.Config{Capacity: cfg.Capacity, Policy: newPolicy(), Clock: vc}
 		}
-		return pol
-	}
-	engCfg := func() engine.Config {
-		return engine.Config{Capacity: cfg.Capacity, Clock: vc}
-	}
-
-	h := &harness{}
-	ec := engCfg()
-	ec.Policy = newPolicy()
-	h.orc = oracle.New(cfg.Capacity)
-	ec.Observer = h.orc
-	h.cur, err = engine.New(ec)
+		return t, t.incarnate(nil)
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
-
-	for _, ps := range p.submits {
-		ps := ps
-		vc.AfterFunc(ps.at, func() {
-			h.mu.Lock()
-			e := h.cur
-			h.mu.Unlock()
-			err := e.SubmitJob(ps.spec)
-			h.mu.Lock()
-			defer h.mu.Unlock()
-			switch {
-			case ps.wantErr && err == nil:
-				h.fail(fmt.Errorf("chaos: injected-fault submission of job %d was accepted", ps.spec.ID))
-			case ps.wantErr:
-				h.rejected++
-			case err != nil:
-				h.fail(fmt.Errorf("chaos: legitimate job %d rejected: %w", ps.spec.ID, err))
-			default:
-				h.accepted++
-			}
-		})
-	}
-	if cfg.Faults&FaultCrashRebuild != 0 {
-		vc.AfterFunc(p.crashAt, func() {
-			h.mu.Lock()
-			defer h.mu.Unlock()
-			// The dying engine carries its recovered-panic count into
-			// the totals before it is discarded.
-			h.panics += h.cur.Metrics().Engine.PolicyPanics
-			cp := h.cur.Checkpoint()
-			ec := engCfg()
-			ec.Policy = newPolicy()
-			orc := oracle.New(cfg.Capacity)
-			ec.Observer = orc
-			rebuilt, err := engine.Rebuild(ec, cp)
-			if err != nil {
-				h.fail(fmt.Errorf("chaos: rebuild at t=%d: %w", p.crashAt, err))
-				return
-			}
-			h.cur, h.orc, h.rebuilt = rebuilt, orc, true
-		})
-	}
-
-	if cfg.Faults&FaultClockJumps != 0 {
-		driveJumps(vc, stats.NewRNG(cfg.Seed, 103))
-	} else {
-		vc.Run()
-	}
-
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	e, orc := h.cur, h.orc
-	if h.failure != nil {
-		return nil, h.failure
-	}
-	if err := e.Err(); err != nil {
-		return nil, err
-	}
-	m := e.Metrics()
-	res := &Result{
-		Records:  e.Records(),
-		Rejected: h.rejected,
-		Panics:   h.panics + m.Engine.PolicyPanics,
-		Rebuilt:  h.rebuilt,
+	m := t.cur.Metrics()
+	return &Result{
+		Records:  t.cur.Records(),
+		Accepted: out.accepted,
+		Rejected: out.rejected,
+		Panics:   t.panics + m.Engine.PolicyPanics,
+		Rebuilt:  out.rebuilt,
 		Metrics:  m,
-	}
-	for id := 1; id <= cfg.Jobs; id++ {
-		st, ok := e.Job(id)
-		if !ok {
-			return nil, fmt.Errorf("chaos: job %d lost (accepted %d)", id, h.accepted)
-		}
-		if st.State != engine.StateDone {
-			return nil, fmt.Errorf("chaos: job %d still %v after the run", id, st.State)
-		}
-		res.Accepted = append(res.Accepted, st.Job)
-	}
-	// Live invariants, end-of-run conservation, and an independent
-	// replay sweep of the committed records.
-	if err := orc.Final(); err != nil {
-		return nil, err
-	}
-	if err := oracle.CheckRecords(cfg.Capacity, res.Accepted, res.Records); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// driveJumps advances the virtual clock in seeded irregular leaps: most
-// steps go exactly to the next pending timer, but some overshoot far
-// past it, forcing the engine to absorb a whole span of completions and
-// decisions inside one advancement. Timer callbacks still observe their
-// exact due times, so the committed schedule must not change — which is
-// precisely the invariant the chaos tests pin down.
-func driveJumps(vc *engine.VirtualClock, rng *stats.RNG) {
-	for {
-		next, ok := vc.NextAt()
-		if !ok {
-			return
-		}
-		target := next
-		if rng.IntN(3) == 0 {
-			target += job.Time(rng.IntN(200000))
-		}
-		vc.AdvanceTo(target)
-	}
+	}, nil
 }
 
 // FlakyPolicy wraps a policy with deterministic fault injection: every

@@ -2,10 +2,12 @@ package chaos
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"schedsearch/internal/core"
 	"schedsearch/internal/engine"
+	"schedsearch/internal/job"
 	"schedsearch/internal/policy"
 	"schedsearch/internal/sim"
 	"schedsearch/internal/workload"
@@ -214,5 +216,34 @@ func TestSearchCountersSurviveWrapper(t *testing.T) {
 		t.Errorf("wrapped counters nodes=%d leaves=%d budget_hits=%d, bare nodes=%d leaves=%d budget_hits=%d",
 			wrapped.SearchNodes, wrapped.SearchLeaves, wrapped.BudgetHits,
 			bare.SearchNodes, bare.SearchLeaves, bare.BudgetHits)
+	}
+}
+
+// TestSweep pins the conservation check every tier ends with: on a
+// correct system no scenario loses a job, so nothing else would notice
+// the sweep going lenient.
+func TestSweep(t *testing.T) {
+	status := map[int]engine.JobStatus{
+		1: {Job: job.Job{ID: 1}, State: engine.StateDone},
+		2: {Job: job.Job{ID: 2}, State: engine.StateDone},
+		3: {Job: job.Job{ID: 3}, State: engine.StateRunning},
+	}
+	lookup := func(id int) (engine.JobStatus, bool) { st, ok := status[id]; return st, ok }
+	never := func(int) bool { return false }
+	if got, err := sweep(2, lookup, never); err != nil || len(got) != 2 || got[1].ID != 2 {
+		t.Fatalf("two done jobs: %v, %v", got, err)
+	}
+	if _, err := sweep(3, lookup, never); err == nil || !strings.Contains(err.Error(), "job 3 still running") {
+		t.Fatalf("an unfinished job passed the sweep: %v", err)
+	}
+	if _, err := sweep(3, lookup, func(int) bool { return true }); err == nil {
+		t.Fatal("an excuse for absence excused an unfinished job")
+	}
+	status[3] = engine.JobStatus{Job: job.Job{ID: 3}, State: engine.StateDone}
+	if _, err := sweep(4, lookup, never); err == nil || !strings.Contains(err.Error(), "job 4 lost") {
+		t.Fatalf("a lost job passed the sweep: %v", err)
+	}
+	if got, err := sweep(4, lookup, func(id int) bool { return id == 4 }); err != nil || len(got) != 3 {
+		t.Fatalf("an excused absence: %v, %v", got, err)
 	}
 }

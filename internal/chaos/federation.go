@@ -47,6 +47,58 @@ type FederationResult struct {
 	Federation engine.FederationMetrics
 }
 
+// routerTarget is the federation router over in-process shards — and the
+// part of the remote target (remote.go) that does not touch a wire.
+type routerTarget struct {
+	capacity int // whole machine
+	router   *federation.Router
+	victim   int // FaultCrashRebuild's shard
+}
+
+func (t *routerTarget) submit(j job.Job) error              { return t.router.SubmitJob(j) }
+func (t *routerTarget) open(error) bool                     { return false }
+func (t *routerTarget) job(id int) (engine.JobStatus, bool) { return t.router.Job(id) }
+func (t *routerTarget) err() error                          { return t.router.Err() }
+
+func (t *routerTarget) crash(rng *stats.RNG) (func(), func() error, job.Duration) {
+	t.victim = rng.IntN(t.router.NumShards())
+	return func() {}, func() error { return t.router.RebuildShard(t.victim) }, 0
+}
+
+// verify checks the cross-shard invariants: no job completed on two
+// shards (migration withdraws before re-admitting; retries are answered
+// by tombstones, never by a second copy), then oracle.CheckFederation.
+func (t *routerTarget) verify(accepted []job.Job) error {
+	shardRecs := make([][]sim.Record, t.router.NumShards())
+	owner := make(map[int]int)
+	for i := range shardRecs {
+		shardRecs[i] = t.router.ShardRecords(i)
+		for _, rec := range shardRecs[i] {
+			if prev, dup := owner[rec.Job.ID]; dup {
+				return fmt.Errorf("chaos: job %d double-admitted: completed on shards %d and %d",
+					rec.Job.ID, prev, i)
+			}
+			owner[rec.Job.ID] = i
+		}
+	}
+	return oracle.CheckFederation(t.capacity, t.router.ShardCapacities(), accepted, shardRecs)
+}
+
+// result assembles the federated result once the run is verified.
+func (t *routerTarget) result(out *outcome) FederationResult {
+	res := FederationResult{
+		Records:      t.router.Records(),
+		Accepted:     out.accepted,
+		Rejected:     out.rejected,
+		RebuiltShard: -1,
+		Federation:   t.router.Federation(),
+	}
+	if out.rebuilt {
+		res.RebuiltShard = t.victim
+	}
+	return res
+}
+
 // RunFederation executes one federated scenario to completion and
 // verifies the cross-shard invariants with oracle.CheckFederation: job
 // conservation across migrations and the shard crash, shard-local node
@@ -58,122 +110,29 @@ func RunFederation(config FederationConfig) (*FederationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if config.Shards < 1 {
-		return nil, fmt.Errorf("chaos: %d shards", config.Shards)
-	}
 	caps, err := federation.PartitionCapacity(cfg.Capacity, config.Shards)
 	if err != nil {
 		return nil, err
 	}
-	minCap := caps[len(caps)-1] // partitions are non-increasing
-
-	// The plan's widths are drawn against the narrowest partition so a
-	// legitimate job always fits some shard; hostile oversized specs
-	// overflow minCap and must be refused (by whole-machine validation
-	// or ErrTooWide — either way, refused).
-	planCfg := cfg
-	planCfg.Capacity = minCap
-	p := buildPlan(planCfg)
-
-	vc := engine.NewVirtualClock()
-	newPolicy := func(int) sim.Policy {
-		pol := cfg.Policy()
-		if cfg.Faults&(FaultPolicyPanic|FaultPolicyLatency) != 0 {
-			fp := &FlakyPolicy{Inner: pol}
-			if cfg.Faults&FaultPolicyPanic != 0 {
-				fp.PanicEvery = cfg.PanicEvery
-			}
-			if cfg.Faults&FaultPolicyLatency != 0 {
-				fp.Latency = cfg.Latency
-				fp.LatencyEvery = 3
-			}
-			return fp
-		}
-		return pol
-	}
-	router, err := federation.New(federation.Config{
-		Capacity:       cfg.Capacity,
-		Shards:         config.Shards,
-		Policy:         newPolicy,
-		Placement:      config.Placement,
-		Clock:          vc,
-		RebalanceEvery: config.RebalanceEvery,
-	})
+	t := &routerTarget{capacity: cfg.Capacity}
+	// The plan's widths are drawn against the narrowest partition (they
+	// are non-increasing) so a legitimate job always fits some shard;
+	// hostile oversized specs overflow it and must be refused (by
+	// whole-machine validation or ErrTooWide — either way, refused).
+	out, err := runScenario(cfg, caps[len(caps)-1], func(vc *engine.VirtualClock, newPolicy func() sim.Policy) (target, error) {
+		t.router, err = federation.New(federation.Config{
+			Capacity:       cfg.Capacity,
+			Shards:         config.Shards,
+			Policy:         func(int) sim.Policy { return newPolicy() },
+			Placement:      config.Placement,
+			Clock:          vc,
+			RebalanceEvery: config.RebalanceEvery,
+		})
+		return t, err
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
-
-	h := &harness{}
-	for _, ps := range p.submits {
-		ps := ps
-		vc.AfterFunc(ps.at, func() {
-			err := router.SubmitJob(ps.spec)
-			h.mu.Lock()
-			defer h.mu.Unlock()
-			switch {
-			case ps.wantErr && err == nil:
-				h.fail(fmt.Errorf("chaos: injected-fault submission of job %d was accepted", ps.spec.ID))
-			case ps.wantErr:
-				h.rejected++
-			case err != nil:
-				h.fail(fmt.Errorf("chaos: legitimate job %d rejected: %w", ps.spec.ID, err))
-			default:
-				h.accepted++
-			}
-		})
-	}
-	rebuiltShard := -1
-	if cfg.Faults&FaultCrashRebuild != 0 {
-		rngC := stats.NewRNG(cfg.Seed, 104)
-		victim := rngC.IntN(config.Shards)
-		vc.AfterFunc(p.crashAt, func() {
-			h.mu.Lock()
-			defer h.mu.Unlock()
-			if err := router.RebuildShard(victim); err != nil {
-				h.fail(fmt.Errorf("chaos: rebuild shard %d at t=%d: %w", victim, p.crashAt, err))
-				return
-			}
-			rebuiltShard = victim
-			h.rebuilt = true
-		})
-	}
-
-	if cfg.Faults&FaultClockJumps != 0 {
-		driveJumps(vc, stats.NewRNG(cfg.Seed, 103))
-	} else {
-		vc.Run()
-	}
-
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.failure != nil {
-		return nil, h.failure
-	}
-	if err := router.Err(); err != nil {
-		return nil, err
-	}
-	res := &FederationResult{
-		Records:      router.Records(),
-		Rejected:     h.rejected,
-		RebuiltShard: rebuiltShard,
-		Federation:   router.Federation(),
-	}
-	for id := 1; id <= cfg.Jobs; id++ {
-		st, ok := router.Job(id)
-		if !ok {
-			return nil, fmt.Errorf("chaos: job %d lost (accepted %d)", id, h.accepted)
-		}
-		if st.State != engine.StateDone {
-			return nil, fmt.Errorf("chaos: job %d still %v after the run", id, st.State)
-		}
-		res.Accepted = append(res.Accepted, st.Job)
-	}
-	shardRecs := make([][]sim.Record, router.NumShards())
-	for i := range shardRecs {
-		shardRecs[i] = router.ShardRecords(i)
-	}
-	if err := oracle.CheckFederation(cfg.Capacity, router.ShardCapacities(), res.Accepted, shardRecs); err != nil {
-		return nil, err
-	}
-	return res, nil
+	res := t.result(out)
+	return &res, nil
 }

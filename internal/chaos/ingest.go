@@ -3,12 +3,12 @@ package chaos
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"schedsearch/internal/engine"
 	"schedsearch/internal/ingest"
 	"schedsearch/internal/job"
-	"schedsearch/internal/oracle"
 	"schedsearch/internal/sim"
 	"schedsearch/internal/stats"
 )
@@ -46,32 +46,9 @@ const (
 const AllIngestFaults = IngestFaultBursts | IngestFaultSlowClients |
 	IngestFaultDisconnects | IngestFaultDuplicates | IngestFaultQuotaStorm
 
-var ingestFaultNames = []struct {
-	f    IngestFault
-	name string
-}{
-	{IngestFaultBursts, "bursts"},
-	{IngestFaultSlowClients, "slow-clients"},
-	{IngestFaultDisconnects, "disconnects"},
-	{IngestFaultDuplicates, "duplicate-ids"},
-	{IngestFaultQuotaStorm, "quota-storm"},
-}
-
 // String names the enabled fault classes.
 func (f IngestFault) String() string {
-	if f == 0 {
-		return "none"
-	}
-	out := ""
-	for _, fn := range ingestFaultNames {
-		if f&fn.f != 0 {
-			if out != "" {
-				out += "+"
-			}
-			out += fn.name
-		}
-	}
-	return out
+	return bitNames(uint(f), []string{"bursts", "slow-clients", "disconnects", "duplicate-ids", "quota-storm"})
 }
 
 // IngestConfig describes one ingest chaos scenario.
@@ -273,16 +250,15 @@ func RunIngest(config IngestConfig) (*IngestResult, error) {
 	rngF := stats.NewRNG(cfg.Seed, 203) // run-time fault choices
 
 	vc := engine.NewVirtualClock()
-	orc := oracle.New(cfg.Capacity)
-	e, err := engine.New(engine.Config{
-		Capacity: cfg.Capacity,
-		Policy:   cfg.Policy(),
-		Clock:    vc,
-		Observer: orc,
-	})
-	if err != nil {
+	// The engine under its live oracle, as Run's target builds it; no
+	// crash is injected here, so the incarnation never changes.
+	t := &engineTarget{capacity: cfg.Capacity, mkCfg: func() engine.Config {
+		return engine.Config{Capacity: cfg.Capacity, Policy: cfg.Policy(), Clock: vc}
+	}}
+	if err := t.incarnate(nil); err != nil {
 		return nil, err
 	}
+	e := t.cur
 	backend := &stallableBackend{e: e}
 	icfg := ingest.Config{
 		Backend:    backend,
@@ -299,7 +275,6 @@ func RunIngest(config IngestConfig) (*IngestResult, error) {
 	defer q.Close()
 
 	res := &IngestResult{}
-	quotaRejected := make(map[int]bool)
 	committed := []int{} // IDs committed so far, for duplicate picks
 	dupUser := 0         // distinct synthetic user per injected duplicate
 
@@ -311,9 +286,7 @@ func RunIngest(config IngestConfig) (*IngestResult, error) {
 			case r.Err == nil:
 				committed = append(committed, batch[r.Index].ID)
 			case errors.Is(r.Err, ingest.ErrQuota):
-				id := batch[r.Index].ID
-				quotaRejected[id] = true
-				res.QuotaRejected = append(res.QuotaRejected, id)
+				res.QuotaRejected = append(res.QuotaRejected, batch[r.Index].ID)
 			default:
 				return fmt.Errorf("chaos: legitimate job %d rejected: %w", batch[r.Index].ID, r.Err)
 			}
@@ -479,21 +452,13 @@ func RunIngest(config IngestConfig) (*IngestResult, error) {
 
 	// Every legitimate job either committed exactly once and completed,
 	// or was quota-rejected and must be absent.
-	for id := 1; id <= cfg.Jobs; id++ {
-		st, ok := e.Job(id)
-		if quotaRejected[id] {
-			if ok {
-				return nil, fmt.Errorf("chaos: quota-rejected job %d reached the engine", id)
-			}
-			continue
+	for _, id := range res.QuotaRejected {
+		if _, ok := e.Job(id); ok {
+			return nil, fmt.Errorf("chaos: quota-rejected job %d reached the engine", id)
 		}
-		if !ok {
-			return nil, fmt.Errorf("chaos: job %d lost", id)
-		}
-		if st.State != engine.StateDone {
-			return nil, fmt.Errorf("chaos: job %d still %v after the run", id, st.State)
-		}
-		res.Accepted = append(res.Accepted, st.Job)
+	}
+	if res.Accepted, err = sweep(cfg.Jobs, e.Job, func(id int) bool { return slices.Contains(res.QuotaRejected, id) }); err != nil {
+		return nil, err
 	}
 
 	res.Records = e.Records()
@@ -506,11 +471,5 @@ func RunIngest(config IngestConfig) (*IngestResult, error) {
 	if res.Stats.Accepted != res.Stats.Committed+res.Stats.Rejected {
 		return nil, fmt.Errorf("chaos: queue accounting broken: %+v", res.Stats)
 	}
-	if err := orc.Final(); err != nil {
-		return nil, err
-	}
-	if err := oracle.CheckRecords(cfg.Capacity, res.Accepted, res.Records); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return res, t.verify(res.Accepted)
 }

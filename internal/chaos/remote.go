@@ -1,19 +1,21 @@
 package chaos
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"io"
+	"log/slog"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"schedsearch/internal/engine"
 	"schedsearch/internal/federation"
 	"schedsearch/internal/job"
-	"schedsearch/internal/oracle"
 	"schedsearch/internal/server"
 	"schedsearch/internal/sim"
 	"schedsearch/internal/stats"
@@ -22,16 +24,17 @@ import (
 // RemoteFederationConfig describes a chaos scenario against an
 // out-of-process-style federation: every shard is a full
 // engine+HTTP-server "process" with its own journal file, fronted by
-// federation.RemoteShard clients, and the router drives them over real
-// TCP. On top of the embedded Config's fault classes,
-// FaultCrashRebuild becomes a whole-process shard kill (server torn
-// down, journal handle closed) followed by a journal-rebuild restart
-// on the same address, and FaultPartition injects wire faults between
-// the router and one shard: connection-refused windows (certain,
-// rerouted), black-hole timeouts and dropped responses (uncertain,
-// parked and reconciled on rebalance ticks). Reconciliation rides the
-// router's one periodic pass, so a RebalanceEvery of 0 means 45 engine
-// seconds here, not off.
+// federation.RemoteShard clients, and the router drives them over an
+// in-memory wire (every request crosses as JSON through the shard's own
+// server.Server handler; nothing listens on a socket, so a scenario
+// replays from its seed). On top of the embedded Config's fault classes,
+// FaultCrashRebuild becomes a whole-process shard kill (handler gone,
+// journal handle closed) followed by a journal-rebuild restart, and
+// FaultPartition injects wire faults between the router and one shard:
+// connection-refused windows (certain, rerouted), black-hole timeouts
+// and dropped responses (uncertain, parked and reconciled on rebalance
+// ticks). Reconciliation rides the router's one periodic pass, so a
+// RebalanceEvery of 0 means 45 engine seconds here, not off.
 type RemoteFederationConfig struct {
 	FederationConfig
 	// Dir is the scratch directory for the per-shard journal files
@@ -64,90 +67,47 @@ type RemoteFederationResult struct {
 	// way, so leftovers are not an invariant violation by themselves).
 	Reroutes int64
 	Pending  int
+	// Parked and Reconciled count, per stage ("submit", "withdraw",
+	// "admit": a routed submission, a migration's withdraw, its admit),
+	// the steps the router parked with their wire outcome unknown and the
+	// steps its rebalance tick resolved — read off the router's own log
+	// records, so a soak can tell which of the three reconcile stages its
+	// faults reached.
+	Parked, Reconciled map[string]int
 }
 
-// shardProc is one emulated shard process: an engine journaling to its
-// own file behind a real TCP HTTP server. kill tears the whole thing
-// down like a SIGKILL (in-flight state lost, journal handle closed so
-// the abandoned engine incarnation goes fatal on its next write, the
-// listener refuses connections); start(recover=true) plays the restart:
-// recover the journal, rebuild the engine, rebind the same address.
-type shardProc struct {
-	path  string // journal file
-	group int
-	addr  string // "127.0.0.1:0" until the first listen fixes the port
-	mkCfg func() engine.Config
+// stageLog is the router's log handler in a remote scenario: it counts
+// the "parked" and "reconciled" records by the stage each one names and
+// drops the rest.
+type stageLog struct{ parked, reconciled map[string]int }
 
-	eng *engine.Engine
-	fj  *engine.FileJournal
-	srv *http.Server
-}
+func (l stageLog) Enabled(context.Context, slog.Level) bool { return true }
+func (l stageLog) WithAttrs([]slog.Attr) slog.Handler       { return l }
+func (l stageLog) WithGroup(string) slog.Handler            { return l }
 
-// start boots (or, with recover, restarts) the shard process. All
-// calls happen on the virtual-clock driver goroutine.
-func (sp *shardProc) start(recover bool) error {
-	cfg := sp.mkCfg()
-	var cp *engine.Checkpoint
-	if recover {
-		if st, err := os.Stat(sp.path); err == nil && st.Size() > 0 {
-			c, err := engine.RecoverCheckpoint(sp.path)
-			if err != nil {
-				return fmt.Errorf("chaos: recover %s: %w", sp.path, err)
-			}
-			cp = &c
+func (l stageLog) Handle(_ context.Context, rec slog.Record) error {
+	var n map[string]int
+	switch rec.Message {
+	case "parked wire-uncertain step":
+		n = l.parked
+	case "reconciled parked step":
+		n = l.reconciled
+	}
+	rec.Attrs(func(a slog.Attr) bool {
+		if n != nil && a.Key == "stage" {
+			n[a.Value.String()]++
 		}
-	}
-	fj, err := engine.OpenFileJournal(sp.path, sp.group)
-	if err != nil {
-		return err
-	}
-	cfg.Journal = fj
-	var e *engine.Engine
-	if cp != nil {
-		e, err = engine.Rebuild(cfg, *cp)
-	} else {
-		e, err = engine.New(cfg)
-	}
-	if err != nil {
-		fj.Close()
-		return fmt.Errorf("chaos: shard engine %s: %w", sp.path, err)
-	}
-	ln, err := net.Listen("tcp", sp.addr)
-	if err != nil {
-		fj.Close()
-		return fmt.Errorf("chaos: shard listen %s: %w", sp.addr, err)
-	}
-	sp.addr = ln.Addr().String()
-	srv := &http.Server{Handler: server.New(e, nil)}
-	go srv.Serve(ln)
-	sp.eng, sp.fj, sp.srv = e, fj, srv
+		return true
+	})
 	return nil
 }
 
-// kill emulates a whole-process crash: the listener and every open
-// connection close (future dials are refused), and the journal handle
-// closes so the abandoned engine incarnation fails fatally on its next
-// committed event instead of scheduling on. Everything the journal had
-// committed stays on disk for the restart.
-func (sp *shardProc) kill() {
-	if sp.srv != nil {
-		sp.srv.Close()
-	}
-	if sp.fj != nil {
-		sp.fj.Close()
-	}
-	sp.eng, sp.fj, sp.srv = nil, nil, nil
-}
-
-func (sp *shardProc) stop() { sp.kill() }
-
-// Wire-fault modes a faultTransport can be switched through.
+// Wire-fault actions: what a matching row of a wire's fault table does
+// to a request.
 const (
-	ftClear = iota
-	// ftRefuse answers every round trip with a dial error before
-	// anything is sent: the request certainly never happened, the
-	// router may reroute.
-	ftRefuse
+	// ftRefuse answers with a dial error before anything is sent: the
+	// request certainly never happened, the router may reroute.
+	ftRefuse = iota
 	// ftBlackhole loses the request without delivering it, but the
 	// client cannot know that — a non-dial transport failure, so the
 	// outcome is uncertain from the caller's side.
@@ -158,62 +118,202 @@ const (
 	ftDrop
 )
 
-// faultTransport wraps a shard client's HTTP transport with two fault
-// shapes, both flipped from virtual-clock timers so every injection is
-// deterministic:
-//
-//   - a whole-window mode (mode) failing every request — the shard
-//     looks dark, the router's health probes see it immediately and
-//     degraded routing steers around it;
-//   - POST-only strike counters (refusePosts/dropPosts) that pass the
-//     read-side health probes untouched and hit the next mutations —
-//     the mid-operation case: placement already picked the shard, the
-//     migration already withdrew the job, and THEN the wire fails.
-//
-// All accesses happen on the virtual-clock driver goroutine (requests
-// resolve synchronously inside timer callbacks), so no lock is needed.
-type faultTransport struct {
-	inner       http.RoundTripper
-	mode        int
-	refusePosts int // refuse the next N POSTs before delivery (certain)
-	dropPosts   int // deliver the next N POSTs, lose the responses (uncertain)
+// wireFault is one row of a wire's fault table. It matches requests by
+// method and path prefix (empty matches any) while armed: open is a
+// whole-window fault — the shard looks dark, the router's health probes
+// see it at once and degraded routing steers around it — and left a
+// strike on the next left matching requests. Strikes are how the wire
+// fails mid-operation: reads stay live, so placement already picked the
+// shard, or the migration already withdrew the job, and THEN the call
+// fails. A strike's last hit arms row chain with then strikes: "lose
+// this answer and the k lookups that would verify it", as data.
+type wireFault struct {
+	method, prefix string
+	action         int
+	open           bool
+	left           int
+	then, chain    int
 }
 
-// set switches the whole-window fault mode.
-func (ft *faultTransport) set(mode int) { ft.mode = mode }
+// The rows of every wire's table, in match order (the first armed match
+// decides). A new strike shape is a new row.
+const (
+	rowRefusePosts = iota // refused before delivery: submissions must reroute
+	rowDropPosts          // delivered, ack lost: retries must hit idempotency tombstones, withdraws park
+	rowWindow             // every request; the action is set per window
+	rowLoseSubmit         // a job POST's answer, then its read-back: the router parks a submit
+	rowLoseAdmit          // a migration admit's answer, then its read-back: the router parks an admit
+	rowLoseLookups        // the read-back; armed only by the two rows above
+)
 
-func (ft *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.Method == http.MethodPost && ft.refusePosts > 0 {
-		ft.refusePosts--
-		return nil, &net.OpError{Op: "dial", Net: "tcp",
-			Err: errors.New("chaos: injected connection refused")}
+func newFaultTable() []wireFault {
+	return []wireFault{
+		rowRefusePosts: {method: http.MethodPost, action: ftRefuse},
+		rowDropPosts:   {method: http.MethodPost, action: ftDrop},
+		rowWindow:      {},
+		rowLoseSubmit:  {method: http.MethodPost, prefix: "/v1/jobs", action: ftDrop, chain: rowLoseLookups},
+		rowLoseAdmit:   {method: http.MethodPost, prefix: "/v1/shard/admit", action: ftDrop, chain: rowLoseLookups},
+		rowLoseLookups: {method: http.MethodGet, prefix: "/v1/jobs/", action: ftBlackhole},
 	}
-	if req.Method == http.MethodPost && ft.dropPosts > 0 {
-		ft.dropPosts--
-		resp, err := ft.inner.RoundTrip(req)
+}
+
+// shardProc is one emulated shard process: an engine journaling to its
+// own file behind its server.Server handler, and the in-memory wire to
+// it — the shard client's http.RoundTripper. Every request is one
+// decision in the fault table, taken on the virtual-clock driver
+// goroutine: no lock, no wall clock, no socket.
+type shardProc struct {
+	path  string // journal file
+	group int
+	mkCfg func() engine.Config
+
+	fj      *engine.FileJournal
+	handler http.Handler // nil while the process is down
+	faults  []wireFault
+}
+
+// start boots the shard process or, with recover, plays the restart:
+// recover the journal, rebuild the engine, serve again.
+func (sp *shardProc) start(recover bool) error {
+	var cp *engine.Checkpoint
+	if st, err := os.Stat(sp.path); recover && err == nil && st.Size() > 0 {
+		c, err := engine.RecoverCheckpoint(sp.path)
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("chaos: recover %s: %w", sp.path, err)
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return nil, errors.New("chaos: injected response loss after delivery")
+		cp = &c
 	}
-	switch ft.mode {
-	case ftRefuse:
-		return nil, &net.OpError{Op: "dial", Net: "tcp",
-			Err: errors.New("chaos: injected connection refused")}
-	case ftBlackhole:
+	fj, err := engine.OpenFileJournal(sp.path, sp.group)
+	if err != nil {
+		return err
+	}
+	cfg := sp.mkCfg()
+	cfg.Journal = fj
+	e, err := incarnate(cfg, cp)
+	if err != nil {
+		fj.Close()
+		return fmt.Errorf("chaos: shard engine %s: %w", sp.path, err)
+	}
+	sp.fj, sp.handler = fj, server.New(e, nil)
+	return nil
+}
+
+// kill emulates a whole-process crash, like a SIGKILL: in-flight state
+// is lost, every dial is refused (no handler), and the journal handle
+// closes so the abandoned engine incarnation fails fatally on its next
+// committed event instead of scheduling on. Everything the journal had
+// committed stays on disk for the restart.
+func (sp *shardProc) kill() {
+	if sp.fj != nil {
+		sp.fj.Close()
+	}
+	sp.fj, sp.handler = nil, nil
+}
+
+// RoundTrip is the wire: one fault decision, then the shard's handler.
+func (sp *shardProc) RoundTrip(req *http.Request) (*http.Response, error) {
+	action := -1
+	for i := range sp.faults {
+		f := &sp.faults[i]
+		if !f.open && f.left == 0 || f.method != "" && f.method != req.Method || !strings.HasPrefix(req.URL.Path, f.prefix) {
+			continue
+		}
+		if action = f.action; f.left > 0 {
+			if f.left--; f.left == 0 {
+				sp.faults[f.chain].left += f.then
+			}
+		}
+		break
+	}
+	if req.Body != nil {
+		defer req.Body.Close()
+	}
+	// A black hole swallows the request before it could find the process
+	// down, so the fault decides first: the caller stays uncertain.
+	switch {
+	case action == ftBlackhole:
 		return nil, errors.New("chaos: injected black-hole timeout")
-	case ftDrop:
-		resp, err := ft.inner.RoundTrip(req)
-		if err != nil {
-			return nil, err
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
+	case action == ftRefuse || sp.handler == nil:
+		return nil, &net.OpError{Op: "dial", Net: "mem", Err: errors.New("chaos: injected connection refused")}
+	}
+	rec := httptest.NewRecorder()
+	sp.handler.ServeHTTP(rec, req)
+	if action == ftDrop {
 		return nil, errors.New("chaos: injected response loss after delivery")
 	}
-	return ft.inner.RoundTrip(req)
+	return rec.Result(), nil
+}
+
+// remoteTarget is the router over shard processes.
+type remoteTarget struct {
+	routerTarget
+	seed      uint64
+	procs     []*shardProc
+	partShard int // FaultPartition's shard, -1 when off
+}
+
+func (t *remoteTarget) open(err error) bool {
+	return errors.Is(err, federation.ErrUncertain) || errors.Is(err, federation.ErrUnreachable)
+}
+
+func (t *remoteTarget) crash(rng *stats.RNG) (func(), func() error, job.Duration) {
+	t.victim = rng.IntN(len(t.procs))
+	sp := t.procs[t.victim]
+	return sp.kill, func() error { return sp.start(true) }, job.Duration(300 + rng.IntN(900))
+}
+
+// partition arms FaultPartition's schedule against one seeded shard.
+func (t *remoteTarget) partition(p plan, vc *engine.VirtualClock) {
+	rngP := stats.NewRNG(t.seed, 105)
+	t.partShard = rngP.IntN(len(t.procs))
+	faults := t.procs[t.partShard].faults
+	span := 1
+	for _, ps := range p.submits {
+		span = max(span, int(ps.at))
+	}
+	// Whole-window outages share one slot: a later window overrides an
+	// open one, and the first close ends both.
+	for w := 0; w < 3; w++ {
+		at := job.Time(rngP.IntN(span))
+		dur := job.Time(60 + rngP.IntN(540))
+		action := []int{ftRefuse, ftBlackhole, ftDrop}[rngP.IntN(3)]
+		vc.AfterFunc(at, func() { faults[rowWindow].action, faults[rowWindow].open = action, true })
+		vc.AfterFunc(at+dur, func() { faults[rowWindow].open = false })
+	}
+	// Mid-operation strikes on the next k mutations.
+	for s := 0; s < 6; s++ {
+		at := job.Time(rngP.IntN(span))
+		k := 2 + rngP.IntN(3)
+		row := rowRefusePosts + rngP.IntN(2)
+		vc.AfterFunc(at, func() { faults[row].left += k })
+	}
+	// The answer-and-lookups strikes draw from a substream of their own,
+	// so the schedule above is what the seed always gave. RemoteShard
+	// reads a lost answer back once per attempt; k covers every attempt.
+	rngS := stats.NewRNG(t.seed, 106)
+	for s := 0; s < 6; s++ {
+		at := job.Time(rngS.IntN(span))
+		row, k := rowLoseSubmit+s%2, 2+rngS.IntN(2)
+		vc.AfterFunc(at, func() { faults[row].left, faults[row].then = 1, k })
+	}
+}
+
+// err heals every wire first: the run is over, and the checks that
+// follow read the shards, not the strikes still armed.
+func (t *remoteTarget) err() error {
+	for _, sp := range t.procs {
+		clear(sp.faults)
+	}
+	return t.router.Err()
+}
+
+func (t *remoteTarget) verify(accepted []job.Job) error {
+	for i, sh := range t.router.ShardHealth() {
+		if !sh.Healthy {
+			return fmt.Errorf("chaos: shard %d still unhealthy after the run: %s", i, sh.Err)
+		}
+	}
+	return t.routerTarget.verify(accepted)
 }
 
 // RunFederationRemote executes one remote federated scenario to
@@ -234,248 +334,61 @@ func RunFederationRemote(config RemoteFederationConfig) (*RemoteFederationResult
 	if config.Dir == "" {
 		return nil, errors.New("chaos: RemoteFederationConfig.Dir is required")
 	}
-	group := config.GroupCommit
-	if group <= 0 {
-		group = 1
-	}
-	rebalance := config.RebalanceEvery
-	if rebalance <= 0 {
-		rebalance = 45
+	if config.RebalanceEvery <= 0 {
+		config.RebalanceEvery = 45
 	}
 	caps, err := federation.PartitionCapacity(cfg.Capacity, config.Shards)
 	if err != nil {
 		return nil, err
 	}
-	minCap := caps[len(caps)-1]
-	planCfg := cfg
-	planCfg.Capacity = minCap
-	p := buildPlan(planCfg)
-
-	vc := engine.NewVirtualClock()
-	newPolicy := func() sim.Policy {
-		pol := cfg.Policy()
-		if cfg.Faults&(FaultPolicyPanic|FaultPolicyLatency) != 0 {
-			fp := &FlakyPolicy{Inner: pol}
-			if cfg.Faults&FaultPolicyPanic != 0 {
-				fp.PanicEvery = cfg.PanicEvery
-			}
-			if cfg.Faults&FaultPolicyLatency != 0 {
-				fp.Latency = cfg.Latency
-				fp.LatencyEvery = 3
-			}
-			return fp
-		}
-		return pol
-	}
-
-	procs := make([]*shardProc, config.Shards)
-	fts := make([]*faultTransport, config.Shards)
-	shards := make([]engine.Shard, config.Shards)
+	stages := stageLog{parked: map[string]int{}, reconciled: map[string]int{}}
+	t := &remoteTarget{routerTarget: routerTarget{capacity: cfg.Capacity}, seed: cfg.Seed, partShard: -1}
 	defer func() {
-		for _, sp := range procs {
-			if sp != nil {
-				sp.stop()
-			}
+		for _, sp := range t.procs {
+			sp.kill()
 		}
 	}()
-	for i := range procs {
-		capI := caps[i]
-		sp := &shardProc{
-			path:  filepath.Join(config.Dir, fmt.Sprintf("shard-%d.journal", i)),
-			group: group,
-			addr:  "127.0.0.1:0",
-			mkCfg: func() engine.Config {
-				return engine.Config{Capacity: capI, Policy: newPolicy(), Clock: vc}
-			},
+	out, err := runScenario(cfg, caps[len(caps)-1], func(vc *engine.VirtualClock, newPolicy func() sim.Policy) (target, error) {
+		shards := make([]engine.Shard, config.Shards)
+		for i, capI := range caps {
+			sp := &shardProc{
+				path:   filepath.Join(config.Dir, fmt.Sprintf("shard-%d.journal", i)),
+				group:  max(config.GroupCommit, 1),
+				faults: newFaultTable(),
+				mkCfg: func() engine.Config {
+					return engine.Config{Capacity: capI, Policy: newPolicy(), Clock: vc}
+				},
+			}
+			if err := sp.start(false); err != nil {
+				return nil, err
+			}
+			t.procs = append(t.procs, sp)
+			shards[i] = federation.NewRemoteShard(fmt.Sprintf("http://shard-%d", i), federation.RemoteShardOptions{
+				Timeout:   30 * time.Second,
+				Retries:   1,
+				Sleep:     func(time.Duration) {},
+				Transport: sp,
+			})
 		}
-		if err := sp.start(false); err != nil {
-			return nil, err
-		}
-		procs[i] = sp
-		fts[i] = &faultTransport{inner: http.DefaultTransport}
-		shards[i] = federation.NewRemoteShard("http://"+sp.addr, federation.RemoteShardOptions{
-			Timeout:   30 * time.Second,
-			Retries:   1,
-			Sleep:     func(time.Duration) {},
-			Transport: fts[i],
-		})
-	}
-
-	router, err := federation.NewWithShards(federation.Config{
-		Clock:          vc,
-		Placement:      config.Placement,
-		RebalanceEvery: rebalance,
-	}, shards)
+		t.router, err = federation.NewWithShards(federation.Config{
+			Clock:          vc,
+			Placement:      config.Placement,
+			RebalanceEvery: config.RebalanceEvery,
+			Logger:         slog.New(stages),
+		}, shards)
+		return t, err
+	}, t.partition)
 	if err != nil {
 		return nil, err
 	}
-
-	h := &harness{}
-	uncertain := make(map[int]bool) // legit submissions with unknown wire outcome
-	wireFailed := 0
-	for _, ps := range p.submits {
-		ps := ps
-		vc.AfterFunc(ps.at, func() {
-			err := router.SubmitJob(ps.spec)
-			h.mu.Lock()
-			defer h.mu.Unlock()
-			switch {
-			case ps.wantErr && err == nil:
-				if uncertain[ps.spec.ID] {
-					// The original submission of this ID was wire-lost and
-					// reconciled as never-admitted, so this "duplicate"
-					// played the client's retry and won the slot.
-					delete(uncertain, ps.spec.ID)
-					h.accepted++
-					return
-				}
-				h.fail(fmt.Errorf("chaos: injected-fault submission of job %d was accepted", ps.spec.ID))
-			case ps.wantErr:
-				h.rejected++
-			case err == nil:
-				h.accepted++
-			case errors.Is(err, federation.ErrUncertain) || errors.Is(err, federation.ErrUnreachable):
-				// The wire failed the submitter; the job may or may not
-				// have landed. The client contract is "retry"; the
-				// invariant checked below is that the job is either
-				// definitively absent or admitted exactly once.
-				uncertain[ps.spec.ID] = true
-				wireFailed++
-			default:
-				h.fail(fmt.Errorf("chaos: legitimate job %d rejected: %w", ps.spec.ID, err))
-			}
-		})
-	}
-
-	restartedShard := -1
-	if cfg.Faults&FaultCrashRebuild != 0 {
-		rngC := stats.NewRNG(cfg.Seed, 104)
-		victim := rngC.IntN(config.Shards)
-		downFor := job.Duration(300 + rngC.IntN(900))
-		vc.AfterFunc(p.crashAt, func() {
-			procs[victim].kill()
-		})
-		vc.AfterFunc(p.crashAt+job.Time(downFor), func() {
-			if err := procs[victim].start(true); err != nil {
-				h.mu.Lock()
-				h.fail(fmt.Errorf("chaos: restart shard %d at t=%d: %w",
-					victim, p.crashAt+job.Time(downFor), err))
-				h.mu.Unlock()
-				return
-			}
-			restartedShard = victim
-			h.mu.Lock()
-			h.rebuilt = true
-			h.mu.Unlock()
-		})
-	}
-
-	partShard := -1
-	if cfg.Faults&FaultPartition != 0 {
-		rngP := stats.NewRNG(cfg.Seed, 105)
-		partShard = rngP.IntN(config.Shards)
-		span := job.Time(1)
-		for _, ps := range p.submits {
-			if ps.at > span {
-				span = ps.at
-			}
-		}
-		ft := fts[partShard]
-		// Whole-window outages: every request to the victim fails for a
-		// while; health probes catch it and routing degrades around it.
-		modes := []int{ftRefuse, ftBlackhole, ftDrop}
-		for w := 0; w < 3; w++ {
-			at := job.Time(rngP.IntN(int(span)))
-			dur := job.Duration(60 + rngP.IntN(540))
-			mode := modes[rngP.IntN(len(modes))]
-			vc.AfterFunc(at, func() { ft.set(mode) })
-			vc.AfterFunc(at+job.Time(dur), func() { ft.set(ftClear) })
-		}
-		// Mid-operation strikes: reads stay live (the victim looks
-		// healthy, so placement and migration still pick it) and the
-		// next K mutations fail — refused before delivery (submissions
-		// must reroute) or delivered with the ack lost (retries must hit
-		// idempotency tombstones, withdraw/admit legs must park and
-		// reconcile instead of duplicating or dropping the job).
-		for s := 0; s < 6; s++ {
-			at := job.Time(rngP.IntN(int(span)))
-			k := 2 + rngP.IntN(3)
-			if rngP.IntN(2) == 0 {
-				vc.AfterFunc(at, func() { ft.refusePosts += k })
-			} else {
-				vc.AfterFunc(at, func() { ft.dropPosts += k })
-			}
-		}
-	}
-
-	if cfg.Faults&FaultClockJumps != 0 {
-		driveJumps(vc, stats.NewRNG(cfg.Seed, 103))
-	} else {
-		vc.Run()
-	}
-
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.failure != nil {
-		return nil, h.failure
-	}
-	if err := router.Err(); err != nil {
-		return nil, err
-	}
 	res := &RemoteFederationResult{
-		FederationResult: FederationResult{
-			Records:      router.Records(),
-			Rejected:     h.rejected,
-			RebuiltShard: restartedShard,
-			Federation:   router.Federation(),
-		},
-		Uncertain:        wireFailed,
-		PartitionedShard: partShard,
-		Reroutes:         0,
-		Pending:          router.PendingReconciliations(),
+		FederationResult: t.result(out),
+		Uncertain:        out.wireFailed,
+		PartitionedShard: t.partShard,
+		Pending:          t.router.PendingReconciliations(),
+		Parked:           stages.parked,
+		Reconciled:       stages.reconciled,
 	}
 	res.Reroutes = res.Federation.Reroutes
-
-	// Conservation: every legitimate job is either done, or its submit
-	// call reported a wire failure (the client was told to retry) and
-	// the job is certainly admitted nowhere.
-	for id := 1; id <= cfg.Jobs; id++ {
-		st, ok := router.Job(id)
-		if !ok {
-			if uncertain[id] {
-				continue
-			}
-			return nil, fmt.Errorf("chaos: job %d lost (accepted %d, wire-failed %d)",
-				id, h.accepted, wireFailed)
-		}
-		if st.State != engine.StateDone {
-			return nil, fmt.Errorf("chaos: job %d still %v after the run", id, st.State)
-		}
-		res.Accepted = append(res.Accepted, st.Job)
-	}
-
-	// No double admission: a job ID may complete on at most one shard
-	// (migration withdraws before re-admitting; retries are answered by
-	// tombstones, never by a second copy).
-	shardRecs := make([][]sim.Record, router.NumShards())
-	owner := make(map[int]int)
-	for i := range shardRecs {
-		shardRecs[i] = router.ShardRecords(i)
-		for _, rec := range shardRecs[i] {
-			if prev, dup := owner[rec.Job.ID]; dup {
-				return nil, fmt.Errorf("chaos: job %d double-admitted: completed on shards %d and %d",
-					rec.Job.ID, prev, i)
-			}
-			owner[rec.Job.ID] = i
-		}
-	}
-	for i, sh := range router.ShardHealth() {
-		if !sh.Healthy {
-			return nil, fmt.Errorf("chaos: shard %d still unhealthy after the run: %s", i, sh.Err)
-		}
-	}
-	if err := oracle.CheckFederation(cfg.Capacity, router.ShardCapacities(), res.Accepted, shardRecs); err != nil {
-		return nil, err
-	}
 	return res, nil
 }

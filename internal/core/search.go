@@ -140,12 +140,6 @@ type Stats struct {
 	WarmDecisions int
 	WarmSeedNodes int64
 	WarmSeedHeld  int
-	// EffectiveLimit is the node budget applied at the most recent
-	// decision and EffectiveLimitSum its total across decisions
-	// (EffectiveLimitSum/Decisions is the average effective L). Both
-	// track NodeLimit unless an SLO adapts the budget per decision.
-	EffectiveLimit    int
-	EffectiveLimitSum int64
 }
 
 // Speedup returns the effective search parallelism: summed worker busy
@@ -204,15 +198,6 @@ type Scheduler struct {
 	// with Prune on, a bound that is tight from the first enumerated
 	// leaf onward.
 	WarmStart bool
-	// SLO, when positive, makes the node budget adaptive: an
-	// exponentially weighted average of the observed ns/node converts
-	// the per-decision latency target into an effective NodeLimit for
-	// each decision (clamped to [1, 1<<30]; the first decision, with no
-	// rate observed yet, uses NodeLimit). Stats.EffectiveLimit records
-	// the result. Adaptive budgets depend on wall-clock measurements,
-	// so runs with an SLO are NOT bit-reproducible across machines or
-	// runs — leave it zero where determinism matters.
-	SLO time.Duration
 
 	// SearchStats accumulates effort counters across the run.
 	SearchStats Stats
@@ -222,7 +207,6 @@ type Scheduler struct {
 	startsBuf    []int
 	s            searchState // reusable scratch (sequential search + merge target)
 	warm         warmState   // WarmStart carry + scratch
-	nsPerNode    float64     // EWMA of observed search pace (SLO budget)
 
 	// Parallel-search scratch, reused across decisions.
 	wstates []*searchState
@@ -263,46 +247,6 @@ func (sch *Scheduler) Name() string {
 	return fmt.Sprintf("%s/%s/%s", sch.Algorithm, sch.Heuristic, sch.Bound)
 }
 
-// maxAdaptiveLimit caps the node budget an SLO can grant per decision.
-const maxAdaptiveLimit = 1 << 30
-
-// effectiveLimit resolves the node budget for the next decision: the
-// configured NodeLimit, or — with an SLO set and a pace estimate in
-// hand — the node count the latency target buys at the observed pace.
-func (sch *Scheduler) effectiveLimit() int {
-	limit := sch.NodeLimit
-	if limit < 1 {
-		limit = 1
-	}
-	if sch.SLO > 0 && sch.nsPerNode > 0 {
-		l := float64(sch.SLO.Nanoseconds()) / sch.nsPerNode
-		switch {
-		case l < 1:
-			limit = 1
-		case l > maxAdaptiveLimit:
-			limit = maxAdaptiveLimit
-		default:
-			limit = int(l)
-		}
-	}
-	return limit
-}
-
-// observePace folds one decision's measured ns/node into the EWMA the
-// SLO budget converts from (alpha 0.2: a few decisions to adapt, stable
-// against one slow decision).
-func (sch *Scheduler) observePace(wallNs, nodes int64) {
-	if wallNs <= 0 || nodes <= 0 {
-		return
-	}
-	obs := float64(wallNs) / float64(nodes)
-	if sch.nsPerNode <= 0 {
-		sch.nsPerNode = obs
-		return
-	}
-	sch.nsPerNode += 0.2 * (obs - sch.nsPerNode)
-}
-
 // Decide implements sim.Policy. The returned slice is reused by the
 // next Decide.
 func (sch *Scheduler) Decide(snap *sim.Snapshot) []int {
@@ -318,9 +262,7 @@ func (sch *Scheduler) Decide(snap *sim.Snapshot) []int {
 		sch.lastDecision = DecisionSummary{Trajectory: sch.lastDecision.Trajectory[:0]}
 		return nil
 	}
-	limit := sch.effectiveLimit()
-	sch.SearchStats.EffectiveLimit = limit
-	sch.SearchStats.EffectiveLimitSum += int64(limit)
+	limit := max(sch.NodeLimit, 1)
 
 	t0 := time.Now()
 	s := &sch.s
@@ -353,7 +295,6 @@ func (sch *Scheduler) Decide(snap *sim.Snapshot) []int {
 		}
 	}
 	wall := time.Since(t0).Nanoseconds()
-	sch.observePace(wall, s.nodes)
 
 	sch.SearchStats.Decisions++
 	sch.SearchStats.Nodes += s.nodes

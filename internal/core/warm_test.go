@@ -204,39 +204,6 @@ func TestWarmSeedNeverCommitted(t *testing.T) {
 	}
 }
 
-// TestSLOAdaptsBudget: with an SLO set, the effective limit must move
-// off the configured NodeLimit once a pace estimate exists, stay within
-// its clamp, and be recorded in the stats.
-func TestSLOAdaptsBudget(t *testing.T) {
-	sch := New(DDS, HeuristicLXF, DynamicBound(), 50)
-	sch.SLO = 1 // 1ns: starves the budget to the minimum once paced
-	snap := fourJobSnapshot()
-	sch.Decide(snap)
-	if got := sch.SearchStats.EffectiveLimit; got != 50 {
-		t.Fatalf("first decision effective limit = %d, want NodeLimit 50", got)
-	}
-	if sch.nsPerNode <= 0 {
-		t.Fatal("no pace estimate after a decision")
-	}
-	sch.Decide(snap)
-	if got := sch.SearchStats.EffectiveLimit; got != 1 {
-		t.Errorf("1ns SLO effective limit = %d, want clamp to 1", got)
-	}
-
-	fast := New(DDS, HeuristicLXF, DynamicBound(), 50)
-	fast.SLO = 1 << 40 // ~18 minutes: buys more than the cap
-	fast.nsPerNode = 0.0001
-	fast.Decide(snap)
-	fast.Decide(snap)
-	if got := fast.SearchStats.EffectiveLimit; got != maxAdaptiveLimit {
-		t.Errorf("huge SLO effective limit = %d, want cap %d", got, maxAdaptiveLimit)
-	}
-	if fast.SearchStats.EffectiveLimitSum < int64(50)+maxAdaptiveLimit {
-		t.Errorf("EffectiveLimitSum = %d, want at least %d",
-			fast.SearchStats.EffectiveLimitSum, int64(50)+maxAdaptiveLimit)
-	}
-}
-
 // TestOrderJobsLXFKeysBitIdentical: the precomputed-key LXF sort must
 // order exactly as the direct recomputing comparator did.
 func TestOrderJobsLXFKeysBitIdentical(t *testing.T) {

@@ -94,9 +94,9 @@ func (e *Engine) captureBaseLocked() Base {
 	b := Base{
 		At:       e.clock.Now(),
 		NextID:   e.nextID,
-		QlenInt:  e.qlenInt,
-		QlenLast: e.qlenLast,
-		MaxQ:     e.maxQ,
+		QlenInt:  e.q.Area,
+		QlenLast: e.q.Last,
+		MaxQ:     e.q.Max,
 	}
 	for _, r := range e.records {
 		b.Done = append(b.Done, BaseRecord{Job: r.Job, Start: r.Start, End: r.End, NodeIDs: r.NodeIDs})
@@ -165,8 +165,6 @@ func (e *Engine) restoreBaseLocked(b Base) error {
 		e.l.Enqueue(w.Job, w.Estimate)
 		e.jobs[w.Job.ID] = &JobStatus{Job: w.Job, State: StateWaiting, Estimate: w.Estimate}
 	}
-	e.qlenInt = b.QlenInt
-	e.qlenLast = b.QlenLast
-	e.maxQ = b.MaxQ
+	e.q.Area, e.q.Last, e.q.Max = b.QlenInt, b.QlenLast, b.MaxQ
 	return nil
 }

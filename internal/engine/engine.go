@@ -174,12 +174,7 @@ type Engine struct {
 	decideDur    time.Duration
 	decideMax    time.Duration
 
-	qlenInt        float64
-	qlenLast       job.Time
-	maxQ           int
-	intStart       job.Time
-	intEnd         job.Time
-	explicitWindow bool
+	q sim.QueueStats // measurement window, queue-length integral, max queue
 
 	// flightScratch is the reused record observeDecision assembles
 	// before copying it into the flight recorder's ring.
@@ -208,12 +203,7 @@ func New(cfg Config) (*Engine, error) {
 		withdrawn: make(map[int]job.Job),
 		nextID:    1,
 		done:      make(chan struct{}),
-		intStart:  cfg.MeasureStart,
-		intEnd:    cfg.MeasureEnd,
-	}
-	e.explicitWindow = !(e.intStart == 0 && e.intEnd == 0)
-	if !e.explicitWindow {
-		e.intEnd = job.Time(1) << 59 // integrate everything
+		q:         sim.NewQueueStats(cfg.MeasureStart, cfg.MeasureEnd),
 	}
 	return e, nil
 }
@@ -358,9 +348,7 @@ func (e *Engine) onDecide() {
 	e.decidePending = false
 	e.completeDue()
 	e.decideLocked()
-	if now := e.clock.Now(); e.l.QueueLen() > e.maxQ && now >= e.intStart && now < e.intEnd {
-		e.maxQ = e.l.QueueLen()
-	}
+	e.q.Sample(e.clock.Now(), e.l.QueueLen())
 	e.commitLocked()
 	e.armFinish()
 	e.checkIdle()
@@ -538,24 +526,7 @@ func (e *Engine) armFinish() {
 
 // noteQueueChange integrates queue length × time up to now (clamped to
 // the measurement window), just before the queue length changes.
-func (e *Engine) noteQueueChange(now job.Time) {
-	if now <= e.qlenLast {
-		return
-	}
-	e.qlenInt = e.queueIntegralAt(now)
-	e.qlenLast = now
-}
-
-// queueIntegralAt returns the queue-length integral extended from the
-// last queue change to now at the current queue length, clamped to the
-// measurement window. It mutates nothing (Metrics reads through it).
-func (e *Engine) queueIntegralAt(now job.Time) float64 {
-	lo, hi := max(e.qlenLast, e.intStart), min(now, e.intEnd)
-	if hi <= lo {
-		return e.qlenInt
-	}
-	return e.qlenInt + float64(hi-lo)*float64(e.l.QueueLen())
-}
+func (e *Engine) noteQueueChange(now job.Time) { e.q.Advance(now, e.l.QueueLen()) }
 
 func (e *Engine) setFatal(err error) {
 	if e.fatal == nil {

@@ -35,17 +35,15 @@ type Counters struct {
 	// milliseconds (always wall time, even on a virtual clock).
 	AvgDecideMs float64 `json:"avg_decide_ms"`
 	MaxDecideMs float64 `json:"max_decide_ms"`
-	// Warm-start / adaptive-budget stats, emitted only when the search
-	// policy runs with WarmStart or an SLO budget (cold fixed-budget runs
-	// keep their serialized form unchanged). SearchNodesToBest is the
-	// cumulative node count at each decision's last incumbent
-	// improvement; WarmDecisions/WarmSeedHeld count seeded decisions and
-	// those where no enumerated schedule beat the carried seed;
-	// SearchEffLimit is the mean effective node budget per decision.
-	SearchNodesToBest int64   `json:"search_nodes_to_best,omitempty"`
-	WarmDecisions     int64   `json:"warm_decisions,omitempty"`
-	WarmSeedHeld      int64   `json:"warm_seed_held,omitempty"`
-	SearchEffLimit    float64 `json:"search_eff_limit,omitempty"`
+	// Warm-start stats, emitted only when the search policy runs with
+	// WarmStart (cold runs keep their serialized form unchanged).
+	// SearchNodesToBest is the cumulative node count at each decision's
+	// last incumbent improvement; WarmDecisions/WarmSeedHeld count seeded
+	// decisions and those where no enumerated schedule beat the carried
+	// seed.
+	SearchNodesToBest int64 `json:"search_nodes_to_best,omitempty"`
+	WarmDecisions     int64 `json:"warm_decisions,omitempty"`
+	WarmSeedHeld      int64 `json:"warm_seed_held,omitempty"`
 	// JournalTail is the in-memory event-tail length since the last
 	// compaction; Compactions counts journal compactions. When a
 	// persistent sink reports stats, JournalAppends and JournalSyncs
@@ -90,22 +88,19 @@ func (e *Engine) Metrics() Metrics {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	now := e.clock.Now()
-	measureEnd := now
-	if e.explicitWindow {
-		measureEnd = e.intEnd
-	}
+	measureEnd := e.q.MeasureEnd(now)
 	res := &sim.Result{
 		Policy:       e.cfg.Policy.Name(),
 		Records:      e.records,
 		Decisions:    int(e.decisions),
 		Capacity:     e.l.Capacity(),
-		MeasureStart: e.intStart,
+		MeasureStart: e.q.Start,
 		MeasureEnd:   measureEnd,
 	}
 	if window := float64(measureEnd - res.MeasureStart); window > 0 {
-		res.AvgQueueLen = e.queueIntegralAt(now) / window
+		res.AvgQueueLen = e.q.Integral(now, e.l.QueueLen()) / window
 	}
-	res.MaxQueueLen = e.maxQ
+	res.MaxQueueLen = e.q.Max
 
 	m := Metrics{
 		Policy:   res.Policy,
@@ -151,8 +146,8 @@ func (e *Engine) countersLocked() Counters {
 }
 
 // fillSearch copies a search policy's effort stats into the counters.
-// The warm/SLO fields are populated only when those modes are active so
-// cold fixed-budget runs serialize exactly as before.
+// The warm fields are populated only under WarmStart so cold runs
+// serialize exactly as before.
 func (c *Counters) fillSearch(sch *core.Scheduler) {
 	st := sch.SearchStats
 	c.SearchNodes = st.Nodes
@@ -165,9 +160,6 @@ func (c *Counters) fillSearch(sch *core.Scheduler) {
 		c.SearchNodesToBest = st.NodesToBest
 		c.WarmDecisions = int64(st.WarmDecisions)
 		c.WarmSeedHeld = int64(st.WarmSeedHeld)
-	}
-	if sch.SLO > 0 && st.Decisions > 0 {
-		c.SearchEffLimit = float64(st.EffectiveLimitSum) / float64(st.Decisions)
 	}
 }
 

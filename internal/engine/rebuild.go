@@ -219,9 +219,7 @@ func (e *Engine) replayEvent(i int, ev Event, events []Event) error {
 		// (after the whole batch of starts); mirror that at the last
 		// start of each replayed batch.
 		if i+1 >= len(events) || events[i+1].Kind != EvStart {
-			if e.l.QueueLen() > e.maxQ && ev.At >= e.intStart && ev.At < e.intEnd {
-				e.maxQ = e.l.QueueLen()
-			}
+			e.q.Sample(ev.At, e.l.QueueLen())
 		}
 	case EvFinish:
 		f, ok := e.l.PopDue(ev.At)

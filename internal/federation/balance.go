@@ -3,16 +3,20 @@ package federation
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"schedsearch/internal/engine"
 	"schedsearch/internal/job"
 )
 
-// Stages of a parked wire-uncertain step (pendingMig.stage).
+// stage is which call of a parked wire-uncertain step went unanswered
+// (pendingMig.stage); log records name it.
+type stage int
+
 const (
 	// stageWithdraw: a migration withdraw's outcome is unknown — the
 	// job is on the source, or tombstoned there with the ack lost.
-	stageWithdraw = iota
+	stageWithdraw stage = iota
 	// stageAdmit: the job is withdrawn and held by the router; its
 	// admission to pendingMig.shard has not certainly succeeded.
 	stageAdmit
@@ -22,13 +26,21 @@ const (
 	stageSubmit
 )
 
+func (s stage) String() string { return [...]string{"withdraw", "admit", "submit"}[s] }
+
 // pendingMig is one parked step: the job (held only in stageAdmit),
 // the shard whose answer resolves it, and the stage.
 type pendingMig struct {
 	id    int
 	shard int
 	j     job.Job
-	stage int
+	stage stage
+}
+
+// parkLocked parks one step for the next rebalance tick to retry.
+func (r *Router) parkLocked(p pendingMig) {
+	r.pending = append(r.pending, p)
+	r.logJob(p.id).Warn("parked wire-uncertain step", "shard", p.shard, "stage", p.stage.String())
 }
 
 // maxMigrationsPerPass bounds the jobs one rebalance pass moves.
@@ -97,8 +109,7 @@ func (r *Router) moveLocked(id, src, dst int) bool {
 		if errors.Is(err, ErrUncertain) {
 			// The withdraw may have committed with the ack lost; the
 			// source's tombstone will answer the reconciliation retry.
-			r.pending = append(r.pending, pendingMig{id: id, shard: src, stage: stageWithdraw})
-			r.logJob(id).Warn("parked wire-uncertain withdraw", "shard", src)
+			r.parkLocked(pendingMig{id: id, shard: src, stage: stageWithdraw})
 		}
 		// ErrUnreachable: certainly still queued on src. ErrNotQueued:
 		// started in the meantime. Either way, nothing moved.
@@ -110,15 +121,14 @@ func (r *Router) moveLocked(id, src, dst int) bool {
 			// double-admit. Hold the job and let reconciliation finish
 			// the admit once dst answers.
 			r.dir[id] = dst
-			r.pending = append(r.pending, pendingMig{id: id, shard: dst, j: j, stage: stageAdmit})
-			r.logJob(id).Warn("parked wire-uncertain admit", "shard", dst)
+			r.parkLocked(pendingMig{id: id, shard: dst, j: j, stage: stageAdmit})
 			return false
 		}
 		// Certainly not on dst (unreachable, or a definitive
 		// rejection): the job must not be lost — put it back.
 		if err2 := r.shards[src].Admit(j); err2 != nil {
 			if errors.Is(err2, ErrUncertain) || errors.Is(err2, ErrUnreachable) {
-				r.pending = append(r.pending, pendingMig{id: id, shard: src, j: j, stage: stageAdmit})
+				r.parkLocked(pendingMig{id: id, shard: src, j: j, stage: stageAdmit})
 				return false
 			}
 			r.failLocked(fmt.Errorf("federation: job %d lost in migration %d->%d: %v; re-admit: %v",
@@ -135,45 +145,44 @@ func (r *Router) moveLocked(id, src, dst int) bool {
 // steps whose shard is still dark stay parked for the next tick. Every
 // step that leaves the parked set — resolved one way or the other (the
 // fail path sets r.failure, which routes report) — records a reconcile
-// span and a log line.
+// span and a log line, so every "parked" record is answered by one
+// "reconciled" record of the same stage.
 func (r *Router) resolvePendingLocked() {
-	if len(r.pending) == 0 {
-		return
-	}
-	var still []pendingMig
-	for _, p := range r.pending {
+	pending := r.pending
+	r.pending = nil
+	for _, p := range pending {
 		t0 := r.cfg.Tracer.Now()
-		if next, parked := r.retryPendingLocked(p); parked {
-			still = append(still, next)
+		if r.retryPendingLocked(p) {
+			r.pending = append(r.pending, p)
 			continue
 		}
 		r.traceSpan("reconcile", p.id, p.shard, t0)
-		r.logJob(p.id).Info("reconciled parked step", "shard", p.shard, "stage", p.stage)
+		r.logJob(p.id).Info("reconciled parked step", "shard", p.shard, "stage", p.stage.String())
 	}
-	r.pending = still
 }
 
-// retryPendingLocked retries one parked step. While the outcome is
-// still unknown it reports the step to park for the next tick: p
-// itself, or the admit that follows a withdraw now known to have
-// committed.
-func (r *Router) retryPendingLocked(p pendingMig) (next pendingMig, parked bool) {
+// retryPendingLocked retries one parked step and reports whether its
+// outcome is still unknown. A withdraw now known to have committed is
+// resolved even when the admit that puts the job back parks in its turn:
+// that is a new step, parked where p stood.
+func (r *Router) retryPendingLocked(p pendingMig) (parked bool) {
 	switch p.stage {
 	case stageWithdraw:
 		j, err := r.shards[p.shard].Withdraw(p.id)
 		if errors.Is(err, engine.ErrNotQueued) {
 			// Never withdrawn — the job started (or finished) on the
 			// source. Resolved.
-			return pendingMig{}, false
+			return false
 		}
 		if err != nil {
-			return p, true
+			return true
 		}
 		// Committed — originally (tombstone) or just now. The migration
 		// itself is stale; put the job back where it came from.
 		if aerr := r.shards[p.shard].Admit(j); aerr != nil {
 			if errors.Is(aerr, ErrUncertain) || errors.Is(aerr, ErrUnreachable) {
-				return pendingMig{id: p.id, shard: p.shard, j: j, stage: stageAdmit}, true
+				r.parkLocked(pendingMig{id: p.id, shard: p.shard, j: j, stage: stageAdmit})
+				return false
 			}
 			r.failLocked(fmt.Errorf("federation: job %d lost reconciling withdraw on shard %d: %v",
 				p.id, p.shard, aerr))
@@ -181,7 +190,7 @@ func (r *Router) retryPendingLocked(p pendingMig) (next pendingMig, parked bool)
 	case stageAdmit:
 		err := r.shards[p.shard].Admit(p.j)
 		if err != nil && !errors.Is(err, engine.ErrDuplicateID) {
-			return p, true
+			return true
 		}
 		// Landed now, or had landed all along.
 		r.dir[p.id] = p.shard
@@ -190,7 +199,7 @@ func (r *Router) retryPendingLocked(p pendingMig) (next pendingMig, parked bool)
 		if pr, ok := r.shards[p.shard].(remoteProbe); ok {
 			var err error
 			if _, present, err = pr.LookupJob(p.id); err != nil {
-				return p, true
+				return true
 			}
 		} else {
 			_, present = r.shards[p.shard].Job(p.id)
@@ -203,7 +212,7 @@ func (r *Router) retryPendingLocked(p pendingMig) (next pendingMig, parked bool)
 			delete(r.dir, p.id)
 		}
 	}
-	return pendingMig{}, false
+	return false
 }
 
 // migrateOneLocked moves one still-queued job from the most to the
@@ -233,7 +242,11 @@ func (r *Router) migrateOneLocked(loads []engine.Load) bool {
 	queue := r.shards[src].Queue()
 	for k := len(queue) - 1; k >= 0; k-- {
 		st := queue[k]
-		if st.Job.Nodes > r.caps[dst] {
+		// A job with a parked step is not this pass's to move: where it is
+		// is exactly what is unknown, and the reconcile retry would
+		// re-admit the copy it holds (or drop the directory entry) behind
+		// the migration's back — one job on two shards.
+		if st.Job.Nodes > r.caps[dst] || slices.ContainsFunc(r.pending, func(p pendingMig) bool { return p.id == st.Job.ID }) {
 			continue
 		}
 		d := st.Demand()

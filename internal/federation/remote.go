@@ -286,12 +286,17 @@ func (rs *RemoteShard) mark(err error) {
 // landed, when non-nil, is the per-attempt verification of a
 // job-delivering POST: after an uncertain attempt the shard is read
 // back before resending, and a duplicate-ID rejection following an
-// uncertain attempt is checked the same way (ruling out a genuine ID
-// collision) — either proves the original landed, which is success.
-func (rs *RemoteShard) do(method, path string, reqBody, out any, id int, landed func() bool) error {
+// uncertain attempt is checked the same way — jobLanded proves the
+// original landed, which is success; jobAbsent leaves the rejection
+// definitive. When that read-back cannot be made (jobUnknown) the 409
+// may be this call's own first delivery answering its retry, so the
+// call ends ErrUncertain: reporting ErrDuplicateID would free the router
+// to admit the same ID on a second shard.
+func (rs *RemoteShard) do(method, path string, reqBody, out any, id int, landed func() landing) error {
 	mutation := method != http.MethodGet
 	uncertain := false
 	var lastErr error
+attempts:
 	for a := 0; a <= rs.retries; a++ {
 		if a > 0 {
 			rs.sleep(rs.backoff << (a - 1)) // doubling per retry
@@ -302,8 +307,14 @@ func (rs *RemoteShard) do(method, path string, reqBody, out any, id int, landed 
 		}
 		var ae *apiError
 		if errors.As(err, &ae) {
-			if ae.Code == "duplicate_id" && uncertain && landed != nil && landed() {
-				return nil
+			if ae.Code == "duplicate_id" && uncertain && landed != nil {
+				switch landed() {
+				case jobLanded:
+					return nil
+				case jobUnknown:
+					lastErr = err
+					break attempts
+				}
 			}
 			return mapAPIError(ae)
 		}
@@ -311,7 +322,7 @@ func (rs *RemoteShard) do(method, path string, reqBody, out any, id int, landed 
 		jobLogger(rs.log, rs.tracer, id).Debug("wire attempt failed", "method", method, "path", path, "attempt", a+1, "err", err)
 		if mutation && !isDialError(err) {
 			uncertain = true
-			if landed != nil && landed() {
+			if landed != nil && landed() == jobLanded {
 				return nil
 			}
 		}
@@ -335,11 +346,26 @@ func (rs *RemoteShard) get(path string, out any) error {
 	return rs.do(http.MethodGet, path, nil, out, 0, nil)
 }
 
+// landing is what reading the shard back after a job-delivering POST
+// learned: the lookup failing is not the shard answering "no such job".
+type landing int
+
+const (
+	jobUnknown landing = iota // the shard could not be asked
+	jobAbsent                 // the shard answered: no such job
+	jobLanded
+)
+
 // postJobVerified delivers a job-admitting POST (SubmitJob or the
 // migration Admit) with landed-verification (see do).
 func (rs *RemoteShard) postJobVerified(path string, reqBody any, id int) error {
-	return rs.do(http.MethodPost, path, reqBody, nil, id, func() bool {
-		st, ok, err := rs.LookupJob(id)
-		return err == nil && ok && st.Job.ID == id
+	return rs.do(http.MethodPost, path, reqBody, nil, id, func() landing {
+		switch _, ok, err := rs.LookupJob(id); {
+		case err != nil:
+			return jobUnknown
+		case ok:
+			return jobLanded
+		}
+		return jobAbsent
 	})
 }

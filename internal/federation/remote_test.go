@@ -186,6 +186,8 @@ type dropResponses struct {
 	path string
 	n    int // drop the first n matching responses
 	hits int
+	// spare, when non-nil, exempts a matching request it reports true for.
+	spare func(*http.Request) bool
 }
 
 func (d *dropResponses) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -194,7 +196,7 @@ func (d *dropResponses) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, err
 	}
 	d.mu.Lock()
-	drop := d.n > 0 && strings.HasPrefix(req.URL.Path, d.path)
+	drop := d.n > 0 && strings.HasPrefix(req.URL.Path, d.path) && (d.spare == nil || !d.spare(req))
 	if drop {
 		d.n--
 		d.hits++
@@ -360,6 +362,158 @@ func TestParkedSubmitReconcilesOnOneShard(t *testing.T) {
 	}
 }
 
+// TestDuplicateAfterUncertainParks is the double admission the remote
+// chaos tier could not reach: a submission's POST lands with its answer
+// lost, the read-back lookups are lost too, and the retry is answered
+// 409 by the job's own first delivery. With no lookup to tell that from
+// a genuine collision the call must end ErrUncertain — the router burns
+// the ID and parks the step — never ErrDuplicateID, which leaves the ID
+// free for the next submission to land on a second shard.
+func TestDuplicateAfterUncertainParks(t *testing.T) {
+	vc := engine.NewVirtualClock()
+	posts := 0
+	fault := &dropResponses{path: "/v1/jobs", spare: func(req *http.Request) bool {
+		if req.Method != http.MethodPost {
+			return false
+		}
+		posts++
+		return posts > 1 // only the first POST's answer is lost; the retry hears its 409
+	}}
+	engines := make([]*engine.Engine, 2)
+	shards := make([]engine.Shard, 2)
+	for i := range shards {
+		opts := RemoteShardOptions{Retries: 1}
+		if i == 0 {
+			opts.Transport = fault
+		}
+		engines[i], shards[i] = startShardProc(t, engine.Config{
+			Capacity: 32,
+			Policy:   policy.FCFSBackfill(),
+			Clock:    vc,
+		}, opts)
+	}
+	r, err := NewWithShards(Config{Clock: vc, RebalanceEvery: 30}, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Whole-shard jobs: the first fills shard 0, so the second can only
+	// start on shard 1.
+	spec := job.Job{Nodes: 32, Runtime: 600, Request: 600}
+	vc.AfterFunc(0, func() {
+		fault.mu.Lock()
+		fault.n = 1 << 20
+		fault.mu.Unlock()
+		if _, err := r.Submit(spec); !errors.Is(err, ErrUncertain) {
+			t.Errorf("submit answered 409 after a lost answer, lookups lost: %v, want ErrUncertain", err)
+		}
+		fault.mu.Lock()
+		fault.n = 0
+		fault.mu.Unlock()
+		if len(r.pending) != 1 || r.pending[0].stage != stageSubmit {
+			t.Errorf("parked steps after the submit: %+v", r.pending)
+		}
+		if id, err := r.Submit(spec); err != nil || id != 2 {
+			t.Errorf("second submit: id=%d err=%v, want the next ID", id, err)
+		}
+	})
+	vc.Run()
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if posts != 2 || fault.hits < 3 {
+		t.Fatalf("fault transport saw %d POSTs and lost %d answers; want 2 and the POST's plus two lookups'", posts, fault.hits)
+	}
+	if len(r.pending) != 0 {
+		t.Fatalf("steps still parked after the run: %+v", r.pending)
+	}
+	copies := 0
+	for _, e := range engines {
+		for _, rec := range e.Records() {
+			if rec.Job.ID == 1 {
+				copies++
+			}
+		}
+	}
+	if copies != 1 || len(r.Records()) != 2 {
+		t.Fatalf("%d records for job 1 across the shards, %d in all; want 1 and 2", copies, len(r.Records()))
+	}
+	if st, ok := r.Job(1); !ok || st.State != engine.StateDone {
+		t.Errorf("job 1 through the router: ok=%v %+v", ok, st)
+	}
+}
+
+// TestParkedJobIsNotMigrated: a put-back admit whose answer and
+// read-back are lost parks a step that holds a copy of the job — while
+// the job itself sits in the shard's queue, in plain sight of the
+// migration pass that follows in the same tick. Were it moved, the
+// reconcile retry on the next tick would admit the held copy behind it:
+// one job on two shards. (The remote chaos tier found this once its wire
+// could park an admit.)
+func TestParkedJobIsNotMigrated(t *testing.T) {
+	vc := engine.NewVirtualClock()
+	admits := 0
+	// Lose the first admit's answer and the two lookups that read it back;
+	// everything else (the retry's 409, loads, queues, withdraws) passes.
+	fault := &dropResponses{path: "/v1/", n: 3, spare: func(req *http.Request) bool {
+		if req.Method == http.MethodPost && req.URL.Path == "/v1/shard/admit" {
+			admits++
+			return admits > 1
+		}
+		return !(req.Method == http.MethodGet && strings.HasPrefix(req.URL.Path, "/v1/jobs/"))
+	}}
+	engines := make([]*engine.Engine, 2)
+	shards := make([]engine.Shard, 2)
+	for i := range shards {
+		opts := RemoteShardOptions{Retries: 1}
+		if i == 0 {
+			opts.Transport = fault
+		}
+		engines[i], shards[i] = startShardProc(t, engine.Config{
+			Capacity: 32,
+			Policy:   policy.FCFSBackfill(),
+			Clock:    vc,
+		}, opts)
+	}
+	r, err := NewWithShards(Config{Clock: vc, Placement: pinFirst{}, RebalanceEvery: 30}, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const mover = 2
+	vc.AfterFunc(0, func() {
+		// Shard 0 holds a whole-shard job and a queued one; shard 1 idles,
+		// so every tick wants to move the queued job there.
+		for _, j := range []job.Job{{ID: 1, Nodes: 32, Runtime: 7200, Request: 7200}, {ID: mover, Nodes: 8, Runtime: 600, Request: 600}} {
+			if err := r.SubmitJob(j); err != nil {
+				t.Errorf("submit job %d: %v", j.ID, err)
+			}
+		}
+		// A migration's withdraw of the queued job went uncertain: the
+		// first tick withdraws it for real and puts it back — into the
+		// fault.
+		r.mu.Lock()
+		r.pending = []pendingMig{{id: mover, shard: 0, stage: stageWithdraw}}
+		r.mu.Unlock()
+	})
+	vc.Run()
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if fault.hits != 3 || admits < 2 {
+		t.Fatalf("fault transport lost %d answers over %d admits; the put-back never parked", fault.hits, admits)
+	}
+	copies := 0
+	for _, e := range engines {
+		for _, rec := range e.Records() {
+			if rec.Job.ID == mover {
+				copies++
+			}
+		}
+	}
+	if copies != 1 || len(r.pending) != 0 {
+		t.Fatalf("%d records for job %d across the shards, %d steps still parked; want 1 and 0", copies, mover, len(r.pending))
+	}
+}
+
 // TestResolvedRemoteStepsRecordReconcile parks one step of every stage
 // and outcome against a remote shard — a withdraw that commits and is put
 // back, a withdraw of a job that had started, an admit that lands, a
@@ -429,13 +583,16 @@ func TestResolvedRemoteStepsRecordReconcile(t *testing.T) {
 	if got := tr.Stats()["reconcile"].Count; got != 5 {
 		t.Errorf("%d reconcile spans for 5 resolved steps", got)
 	}
-	type step struct{ Job, Stage int }
+	type step struct {
+		Job   int
+		Stage string
+	}
 	logged := map[step]int{}
 	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
 		var rec struct {
 			Msg   string `json:"msg"`
 			Job   int    `json:"job"`
-			Stage int    `json:"stage"`
+			Stage string `json:"stage"`
 		}
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatalf("log line %q: %v", line, err)
@@ -445,11 +602,11 @@ func TestResolvedRemoteStepsRecordReconcile(t *testing.T) {
 		}
 	}
 	want := map[step]int{
-		{queued.ID, stageWithdraw}:  1,
-		{running.ID, stageWithdraw}: 1,
-		{held.ID, stageAdmit}:       1,
-		{landed.ID, stageSubmit}:    1,
-		{neverSeen, stageSubmit}:    1,
+		{queued.ID, "withdraw"}:  1,
+		{running.ID, "withdraw"}: 1,
+		{held.ID, "admit"}:       1,
+		{landed.ID, "submit"}:    1,
+		{neverSeen, "submit"}:    1,
 	}
 	if !maps.Equal(logged, want) {
 		t.Errorf("reconciliation log records (job, stage): got %v, want %v", logged, want)

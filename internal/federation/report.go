@@ -120,17 +120,13 @@ func (r *Router) Records() []sim.Record {
 func (r *Router) Metrics() engine.Metrics {
 	per := r.shardMetrics()
 	now := r.cfg.Clock.Now()
-	measureEnd := now
-	if r.explicitWindow {
-		measureEnd = r.cfg.MeasureEnd
-	}
 	records := r.Records()
 	res := &sim.Result{
 		Policy:       r.polName,
 		Records:      records,
 		Capacity:     r.cfg.Capacity,
 		MeasureStart: r.cfg.MeasureStart,
-		MeasureEnd:   measureEnd,
+		MeasureEnd:   r.window.MeasureEnd(now),
 	}
 	m := engine.Metrics{
 		Policy:   r.polName,

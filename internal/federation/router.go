@@ -135,8 +135,8 @@ type Router struct {
 	// unknown; resolvePendingLocked retires them on rebalance ticks.
 	pending []pendingMig
 
-	polName        string
-	explicitWindow bool
+	polName string
+	window  sim.QueueStats // the measurement-window rule only; shards keep the books
 
 	rebArmed         bool
 	migrations       int64
@@ -194,10 +194,10 @@ func newRouter(cfg Config) *Router {
 		cfg.Logger = obs.NopLogger()
 	}
 	return &Router{
-		cfg:            cfg,
-		dir:            make(map[int]int),
-		nextID:         1,
-		explicitWindow: !(cfg.MeasureStart == 0 && cfg.MeasureEnd == 0),
+		cfg:    cfg,
+		dir:    make(map[int]int),
+		nextID: 1,
+		window: sim.NewQueueStats(cfg.MeasureStart, cfg.MeasureEnd),
 	}
 }
 
@@ -406,8 +406,7 @@ func (r *Router) routeLocked(j job.Job) error {
 		r.nextID = j.ID + 1
 	}
 	if err != nil {
-		r.pending = append(r.pending, pendingMig{id: j.ID, shard: pick, stage: stageSubmit})
-		r.logJob(j.ID).Warn("parked wire-uncertain submission", "shard", pick)
+		r.parkLocked(pendingMig{id: j.ID, shard: pick, stage: stageSubmit})
 	}
 	r.armRebalanceLocked()
 	return err

@@ -14,9 +14,7 @@
 // scoring runs on a private profile), and loss normalization and arm
 // selection are pure arithmetic — so the full choice sequence and
 // regret series replay bit-identically. Wall-clock is
-// measured for Stats only and never influences a decision; for that
-// same reason member schedulers must not run with an SLO budget (see
-// SetSearchOptions).
+// measured for Stats only and never influences a decision.
 //
 // A singleton portfolio commits its only member's decisions untouched
 // — meta(P) is bit-identical to bare P (keystone differential).
@@ -137,9 +135,6 @@ func (m *Meta) Members() []sim.Policy { return m.members }
 // SetSearchOptions applies the per-process search tuning (worker count,
 // warm start) to every member that is a search scheduler — the same
 // knobs cmd/schedsim and cmd/schedd apply to a bare *core.Scheduler.
-// SLO budgets are deliberately NOT propagated: an SLO adapts node
-// budgets from wall-clock pace, which would make shadow plans — and
-// therefore bandit choices — machine-dependent.
 func (m *Meta) SetSearchOptions(workers int, warmStart bool) {
 	for _, p := range m.members {
 		if sch, ok := p.(*core.Scheduler); ok {

@@ -23,7 +23,7 @@ type DecisionRecord struct {
 	Policy string `json:"policy"`
 	// QueueDepth is the waiting-queue length the policy saw.
 	QueueDepth int `json:"queue_depth"`
-	// EffectiveLimit is the node budget after SLO adaptation (search
+	// EffectiveLimit is the node budget the decision ran under (search
 	// policies; 0 for heuristic baselines).
 	EffectiveLimit int64 `json:"effective_limit,omitempty"`
 	// Nodes/Leaves/Pruned count search-tree work this decision.

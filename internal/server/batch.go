@@ -45,8 +45,12 @@ type BatchResponse struct {
 }
 
 // submitStatus maps an admission error to its HTTP status and stable
-// error code; both the single and the batched submit path use it.
-func submitStatus(err error) (int, string) {
+// error code; the single, the batched and the shard-admit path use it.
+// An error of no known kind is the job's fault only while the backend is
+// alive: a backend with a fatal error (a journal on a full device)
+// refuses every job with that error, and telling the client its job is
+// malformed would have it drop a good job instead of retrying elsewhere.
+func (s *Server) submitStatus(err error) (int, string) {
 	switch {
 	case errors.Is(err, engine.ErrDraining):
 		return http.StatusServiceUnavailable, "draining"
@@ -54,6 +58,8 @@ func submitStatus(err error) (int, string) {
 		return http.StatusConflict, "duplicate_id"
 	case errors.Is(err, ingest.ErrQuota):
 		return http.StatusTooManyRequests, "quota_exceeded"
+	case s.e.Err() != nil:
+		return http.StatusInternalServerError, "backend_failed"
 	default:
 		return http.StatusBadRequest, "invalid_job"
 	}
@@ -137,7 +143,7 @@ func (s *Server) submitBatch(w http.ResponseWriter, body []byte, st submitTrace)
 	for k, r := range results {
 		i := idx[k]
 		if r.Err != nil {
-			status, code := submitStatus(r.Err)
+			status, code := s.submitStatus(r.Err)
 			resp.Items[i] = BatchItemResult{
 				Index: i, Status: status, Code: code, Error: r.Err.Error(),
 			}
@@ -184,7 +190,8 @@ type HealthResponse struct {
 
 // ReadyResponse is the GET /v1/readyz body; Ready is false (and the
 // status 503) while the backend drains, the accept queue is saturated,
-// or — on a federated router — any shard is unreachable or rebuilding.
+// the backend has a fatal error (GET /v1/metrics carries it) or — on a
+// federated router — any shard is unreachable or rebuilding.
 // Shards carries the per-shard breakdown on federated backends so an
 // operator (or orchestrator) can see which shard is holding readiness
 // down.
@@ -200,8 +207,8 @@ func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, HealthResponse{OK: true})
 }
 
-// readyz is readiness: 200 only while the daemon is admitting work and
-// every federated shard is reachable.
+// readyz is readiness: 200 only while the daemon is admitting work, its
+// backend is alive and every federated shard is reachable.
 func (s *Server) readyz(w http.ResponseWriter, r *http.Request) {
 	resp := ReadyResponse{Draining: s.e.Draining()}
 	if s.ingest != nil && !s.ingest.Ready() {
@@ -216,7 +223,7 @@ func (s *Server) readyz(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	resp.Ready = !resp.Draining && !resp.Saturated && allShardsHealthy
+	resp.Ready = !resp.Draining && !resp.Saturated && allShardsHealthy && s.e.Err() == nil
 	status := http.StatusOK
 	if !resp.Ready {
 		status = http.StatusServiceUnavailable

@@ -236,7 +236,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if rerr := results[0].Err; rerr != nil {
-			status, code := submitStatus(rerr)
+			status, code := s.submitStatus(rerr)
 			if status == http.StatusTooManyRequests {
 				w.Header().Set("Retry-After", retryAfterSeconds)
 			}
@@ -252,7 +252,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 			serr = s.e.SubmitJob(spec)
 		}
 		if serr != nil {
-			status, code := submitStatus(serr)
+			status, code := s.submitStatus(serr)
 			writeError(w, status, code, serr)
 			return
 		}

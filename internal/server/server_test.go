@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"schedsearch/internal/core"
 	"schedsearch/internal/engine"
+	"schedsearch/internal/ingest"
 	"schedsearch/internal/policy"
 	"schedsearch/internal/sim"
 )
@@ -228,5 +230,74 @@ func TestServerSingleSubmitSyncsJournal(t *testing.T) {
 	}
 	if len(events) == 0 || events[0].Kind != engine.EvSubmit {
 		t.Fatalf("journal holds %d events, want the acknowledged EvSubmit first", len(events))
+	}
+}
+
+// TestServerDeadBackend: an engine whose journal sits on a full device
+// goes fatal on its first committed event. From then on no submission is
+// the client's fault — the single, batched and shard-admit paths must
+// answer 5xx with a code of their own instead of 400 invalid_job — and
+// the daemon is not ready.
+func TestServerDeadBackend(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	newDead := func(withIngest bool) *Server {
+		fj, err := engine.OpenFileJournal("/dev/full", 1)
+		if err != nil {
+			t.Skipf("open /dev/full: %v", err)
+		}
+		e, err := engine.New(engine.Config{
+			Capacity: 8, Policy: policy.FCFSBackfill(), Clock: engine.NewVirtualClock(), Journal: fj,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !withIngest {
+			return New(e, nil)
+		}
+		q, err := ingest.NewQueue(ingest.Config{Backend: e})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(q.Close)
+		return New(e, nil, WithIngest(q))
+	}
+	const spec = `{"id":7,"nodes":4,"runtime_s":60,"request_s":60}`
+	for _, tc := range []struct {
+		name, method, path, body string
+		ingest                   bool
+	}{
+		{"single submit", "POST", "/v1/jobs", spec, false},
+		{"single submit through ingest", "POST", "/v1/jobs", spec, true},
+		{"batched item", "POST", "/v1/jobs", "[" + spec + "]", true},
+		{"shard admit", "POST", "/v1/shard/admit", `{"id":7,"submit_s":0,"nodes":4,"runtime_s":60,"request_s":60}`, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := newDead(tc.ingest)
+			// The first answer carries the ENOSPC itself, the second the
+			// fatal error it left behind; neither is the job's fault.
+			for attempt := 1; attempt <= 2; attempt++ {
+				w := httptest.NewRecorder()
+				srv.ServeHTTP(w, httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body)))
+				status, code := w.Code, ""
+				if batch := (BatchResponse{}); w.Code == http.StatusOK && json.Unmarshal(w.Body.Bytes(), &batch) == nil && len(batch.Items) == 1 {
+					status, code = batch.Items[0].Status, batch.Items[0].Code
+				} else {
+					var er struct{ Code string }
+					_ = json.Unmarshal(w.Body.Bytes(), &er)
+					code = er.Code
+				}
+				if status != http.StatusInternalServerError || code != "backend_failed" {
+					t.Fatalf("attempt %d: %d %q (%s), want 500 backend_failed", attempt, status, code, w.Body.String())
+				}
+			}
+			w := httptest.NewRecorder()
+			srv.ServeHTTP(w, httptest.NewRequest("GET", "/v1/readyz", nil))
+			var ready ReadyResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &ready); err != nil || w.Code != http.StatusServiceUnavailable || ready.Ready {
+				t.Fatalf("readyz of a dead backend: %d %s", w.Code, w.Body.String())
+			}
+		})
 	}
 }

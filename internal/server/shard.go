@@ -107,7 +107,7 @@ func (s *Server) shardAdmit(w http.ResponseWriter, r *http.Request, sb ShardBack
 		return
 	}
 	if err := sb.Admit(wj.ToJob()); err != nil {
-		status, code := submitStatus(err)
+		status, code := s.submitStatus(err)
 		writeError(w, status, code, err)
 		return
 	}

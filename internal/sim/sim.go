@@ -183,14 +183,9 @@ type engine struct {
 	nextIdx int // next arrival in in.Jobs
 	l       *Ledger
 
-	records        []Record
-	decisions      int
-	qlenInt        float64 // integral of queue length over measurement window
-	qlenLast       job.Time
-	maxQ           int
-	intStart       job.Time
-	intEnd         job.Time
-	explicitWindow bool
+	records   []Record
+	decisions int
+	q         QueueStats
 }
 
 func newEngine(in Input, p Policy) (*engine, error) {
@@ -208,15 +203,10 @@ func newEngine(in Input, p Policy) (*engine, error) {
 	}
 	l.SetObserver(in.Observer)
 	e := &engine{
-		in:       in,
-		policy:   p,
-		l:        l,
-		intStart: in.MeasureStart,
-		intEnd:   in.MeasureEnd,
-	}
-	e.explicitWindow = !(e.intStart == 0 && e.intEnd == 0)
-	if !e.explicitWindow {
-		e.intEnd = job.Time(1) << 59 // integrate everything
+		in:     in,
+		policy: p,
+		l:      l,
+		q:      NewQueueStats(in.MeasureStart, in.MeasureEnd),
 	}
 	if p != nil {
 		e.name = p.Name()
@@ -243,22 +233,6 @@ func (e *engine) estimate(j job.Job) job.Duration {
 		est = 1
 	}
 	return est
-}
-
-// advanceQueueIntegral accumulates queue-length × time up to now.
-func (e *engine) advanceQueueIntegral(now job.Time) {
-	lo := e.qlenLast
-	if lo < e.intStart {
-		lo = e.intStart
-	}
-	hi := now
-	if hi > e.intEnd {
-		hi = e.intEnd
-	}
-	if hi > lo {
-		e.qlenInt += float64(hi-lo) * float64(e.l.QueueLen())
-	}
-	e.qlenLast = now
 }
 
 // run drives the step/apply pair with the configured policy — the
@@ -310,7 +284,7 @@ func (e *engine) step() (*Snapshot, error) {
 			return nil, nil
 		}
 
-		e.advanceQueueIntegral(next)
+		e.q.Advance(next, e.l.QueueLen())
 		e.clock = next
 
 		// Process all finishes at this instant first (free the nodes),
@@ -355,51 +329,37 @@ func (e *engine) apply(starts []int) ([]Started, error) {
 				e.name, e.l.QueueLen(), e.clock)
 		}
 	} else {
-		e.advanceQueueIntegral(e.clock) // queue length changes now (zero dt, keeps bookkeeping exact)
 		var err error
 		started, err = e.l.Start(e.name, e.clock, starts)
 		if err != nil {
 			return nil, err
 		}
 	}
-	if e.l.QueueLen() > e.maxQ && e.clock >= e.intStart && e.clock < e.intEnd {
-		e.maxQ = e.l.QueueLen()
-	}
+	e.q.Sample(e.clock, e.l.QueueLen())
 	return started, nil
 }
 
 func (e *engine) result() *Result {
-	var window float64
-	if e.explicitWindow {
-		window = float64(e.intEnd - e.intStart)
-		if e.qlenLast < e.intEnd {
-			// Integrate the tail of the window (queue is empty by now).
-			e.advanceQueueIntegral(e.intEnd)
-		}
-	} else {
-		// No explicit window: average over the span of activity.
-		var first job.Time
-		if len(e.in.Jobs) > 0 {
-			first = e.in.Jobs[0].Submit
-		}
-		window = float64(e.qlenLast - first)
+	// An explicit window is averaged whole (its tail integrates at the
+	// queue length left by the last event); without one, the average is
+	// over the span of activity.
+	measureEnd := e.q.MeasureEnd(e.q.Last)
+	first := e.q.Start
+	if !e.q.Explicit && len(e.in.Jobs) > 0 {
+		first = e.in.Jobs[0].Submit
 	}
 	avgQ := 0.0
-	if window > 0 {
-		avgQ = e.qlenInt / window
-	}
-	measureEnd := e.intEnd
-	if !e.explicitWindow {
-		measureEnd = e.qlenLast
+	if window := float64(measureEnd - first); window > 0 {
+		avgQ = e.q.Integral(measureEnd, e.l.QueueLen()) / window
 	}
 	return &Result{
 		Policy:       e.name,
 		Records:      e.records,
 		Decisions:    e.decisions,
 		AvgQueueLen:  avgQ,
-		MaxQueueLen:  e.maxQ,
+		MaxQueueLen:  e.q.Max,
 		Capacity:     e.in.Capacity,
-		MeasureStart: e.intStart,
+		MeasureStart: e.q.Start,
 		MeasureEnd:   measureEnd,
 	}
 }

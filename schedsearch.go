@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"schedsearch/internal/core"
 	"schedsearch/internal/engine"
@@ -289,15 +288,13 @@ func ParsePolicy(name string, nodeLimit int) (Policy, error) {
 }
 
 // ApplySearchOptions applies a command's per-process search tuning to a
-// parsed policy: a search scheduler takes all three, every search
-// member of a meta(...) portfolio takes workers and warm (never the SLO,
-// see MetaScheduler.SetSearchOptions), other policies ignore them.
-func ApplySearchOptions(p Policy, workers int, warm bool, slo time.Duration) {
+// parsed policy: a search scheduler and every search member of a
+// meta(...) portfolio take both, other policies ignore them.
+func ApplySearchOptions(p Policy, workers int, warm bool) {
 	switch pol := p.(type) {
 	case *SearchScheduler:
 		pol.Workers = workers
 		pol.WarmStart = warm
-		pol.SLO = slo
 	case *MetaScheduler:
 		pol.SetSearchOptions(workers, warm)
 	}
