@@ -14,10 +14,10 @@ import (
 
 // spawnShardProcs launches n schedd shard child processes on loopback
 // ports (fanout mode): each child re-executes this binary with the
-// pass-through policy flags in baseArgs plus its own near-even slice of
-// capacity, and — when dur.path is set — its own journal at
-// <path>.shard-N with the supervisor's group-commit and compaction
-// settings. The children's listen addresses are read from their
+// pass-through policy and compaction flags in baseArgs plus its own
+// near-even slice of capacity, and — when dur.path is set — its own
+// journal at <path>.shard-N with the supervisor's group-commit setting.
+// The children's listen addresses are read from their
 // parseable "listening on HOST:PORT" start-up lines; base URLs are
 // returned in shard order once every child is accepting.
 //
@@ -51,10 +51,7 @@ func spawnShardProcs(n, capacity int, baseArgs []string, dur durOptions) (urls [
 			if spath, err = rotateShardJournal(dur.path, i); err != nil {
 				return nil, nil, err
 			}
-			args = append(args,
-				"-journal", spath,
-				"-group-commit", strconv.Itoa(dur.group),
-				"-compact-every", strconv.Itoa(dur.compactEvery))
+			args = append(args, "-journal", spath, "-group-commit", strconv.Itoa(dur.group))
 		}
 		cmd := exec.Command(self, args...)
 		// Children do not inherit the supervisor's stderr: N processes

@@ -171,7 +171,6 @@ type config struct {
 	policy    string
 	nodeLimit int
 	workers   int
-	warm      bool
 	capacity  int
 	addr      string
 	requested bool
@@ -203,7 +202,6 @@ func parseConfig(args []string) (config, error) {
 	fs.StringVar(&c.policy, "policy", "DDS/lxf/dynB", "scheduling policy name (see ParsePolicy)")
 	fs.IntVar(&c.nodeLimit, "L", 1000, "search node limit per decision")
 	fs.IntVar(&c.workers, "workers", 1, "parallel search workers for search policies (0 or 1 sequential, -1 one per CPU)")
-	fs.BoolVar(&c.warm, "warm", false, "warm-start the search from the previous decision's best ordering (search policies)")
 	fs.IntVar(&c.capacity, "capacity", workload.Capacity, "machine size in nodes")
 	fs.StringVar(&c.addr, "addr", ":8080", "HTTP listen address (serving mode)")
 	fs.BoolVar(&c.requested, "requested", false, "policies plan with requested runtimes (R* = R)")
@@ -273,16 +271,18 @@ func parseConfig(args []string) (config, error) {
 		case c.fed.rebalance <= 0:
 			return config{}, fmt.Errorf("-rebalance %d: -join/-fanout need the periodic pass (it reconciles wire-uncertain steps and re-probes dark shards)", c.fed.rebalance)
 		}
-		// Children re-run this binary with the policy flags forwarded;
-		// they admit synchronously (no accept queue) — batching belongs
-		// to the front-end, and migration steps bypass ingest anyway.
+		// Children re-run this binary with the policy flags and the
+		// compaction bound forwarded (the bound folds a journal-less
+		// child's in-memory tail too); they admit synchronously (no
+		// accept queue) — batching belongs to the front-end, and
+		// migration steps bypass ingest anyway.
 		c.fed.childArgs = []string{
 			"-policy", c.policy,
 			"-L", strconv.Itoa(c.nodeLimit),
 			"-workers", strconv.Itoa(c.workers),
-			fmt.Sprintf("-warm=%v", c.warm),
 			fmt.Sprintf("-requested=%v", c.requested),
 			"-speedup", strconv.FormatFloat(c.speedup, 'g', -1, 64),
+			"-compact-every", strconv.Itoa(c.dur.compactEvery),
 			"-ingest-pending", "0",
 		}
 	}
@@ -296,7 +296,7 @@ func (c config) newPolicy(int) sim.Policy {
 	if err != nil {
 		panic(err) // parseConfig validated it
 	}
-	schedsearch.ApplySearchOptions(pol, c.workers, c.warm)
+	schedsearch.ApplySearchOptions(pol, c.workers)
 	return pol
 }
 

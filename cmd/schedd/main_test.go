@@ -84,17 +84,28 @@ func TestParseConfigAccepts(t *testing.T) {
 		t.Errorf("-join URLs %q, want %q", c.fed.join, want)
 	}
 
-	c, err = parseConfig(strings.Fields("-fanout 4 -policy LDS/fcfs/100h -L 50 -warm -speedup 600 -journal j"))
-	if err != nil {
-		t.Fatalf("-fanout: %v", err)
-	}
-	want := "-policy LDS/fcfs/100h -L 50 -workers 1 -warm=true -requested=false -speedup 600 -ingest-pending 0"
-	if got := strings.Join(c.fed.childArgs, " "); got != want {
-		t.Errorf("fanout child flags\n got %s\nwant %s", got, want)
-	}
-	// The forwarded flags must themselves parse as a bare shard daemon.
-	if child, err := parseConfig(c.fed.childArgs); err != nil || child.fed.remote() || child.ing.pending != 0 {
-		t.Errorf("child flags re-parse: %v, %+v", err, child)
+	for _, tc := range []struct {
+		args, want   string
+		compactEvery int
+	}{
+		{"-fanout 4 -policy LDS/fcfs/100h -L 50 -speedup 600 -journal j",
+			"-policy LDS/fcfs/100h -L 50 -workers 1 -requested=false -speedup 600 -compact-every 4096 -ingest-pending 0", 4096},
+		// Without -journal the bound still folds each child's in-memory tail.
+		{"-fanout 4 -compact-every 100",
+			"-policy DDS/lxf/dynB -L 1000 -workers 1 -requested=false -speedup 1 -compact-every 100 -ingest-pending 0", 100},
+	} {
+		c, err := parseConfig(strings.Fields(tc.args))
+		if err != nil {
+			t.Fatalf("schedd %s: %v", tc.args, err)
+		}
+		if got := strings.Join(c.fed.childArgs, " "); got != tc.want {
+			t.Errorf("schedd %s: fanout child flags\n got %s\nwant %s", tc.args, got, tc.want)
+		}
+		// The forwarded flags must themselves parse as a bare shard daemon.
+		child, err := parseConfig(c.fed.childArgs)
+		if err != nil || child.fed.remote() || child.ing.pending != 0 || child.dur.compactEvery != tc.compactEvery {
+			t.Errorf("schedd %s: child flags re-parse: %v, %+v", tc.args, err, child)
+		}
 	}
 }
 

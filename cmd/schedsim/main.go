@@ -35,7 +35,6 @@ func main() {
 		policyArg = flag.String("policy", "DDS/lxf/dynB", "policy name")
 		nodeLimit = flag.Int("L", 1000, "search node limit per decision")
 		workers   = flag.Int("workers", 1, "parallel search workers for search policies (0 or 1 sequential, -1 one per CPU)")
-		warm      = flag.Bool("warm", false, "warm-start the search from the previous decision's best ordering (search policies)")
 		load      = flag.Float64("load", 0, "target offered load (0 = original)")
 		seed      = flag.Uint64("seed", 1, "workload generation seed")
 		scale     = flag.Float64("scale", 1, "job-count/duration scale factor")
@@ -49,7 +48,7 @@ func main() {
 	)
 	flag.Parse()
 
-	opts := searchOpts{nodeLimit: *nodeLimit, workers: *workers, warm: *warm, flight: *flightN}
+	opts := searchOpts{nodeLimit: *nodeLimit, workers: *workers, flight: *flightN}
 	in, m, err := schedsearch.LoadInput(*swfIn, *capacity,
 		workload.Config{Seed: *seed, JobScale: *scale}, *month,
 		workload.SimOptions{TargetLoad: *load, UseRequested: *requested})
@@ -74,7 +73,6 @@ func main() {
 type searchOpts struct {
 	nodeLimit int
 	workers   int
-	warm      bool
 	flight    int
 }
 
@@ -87,7 +85,7 @@ func parsePolicy(policyArg string, o searchOpts) (sim.Policy, *obs.FlightRecorde
 	if err != nil {
 		return nil, nil, err
 	}
-	schedsearch.ApplySearchOptions(pol, o.workers, o.warm)
+	schedsearch.ApplySearchOptions(pol, o.workers)
 	if o.flight <= 0 {
 		return pol, nil, nil
 	}
@@ -219,11 +217,6 @@ func printSummary(res *sim.Result, s metrics.Summary, pol sim.Policy) {
 		if st.Nodes > 0 {
 			fmt.Printf("  nodes-to-best share %.3f, table share %.3f (%d subtrees counted, not walked)\n",
 				float64(st.NodesToBest)/float64(st.Nodes), float64(st.TableNodes)/float64(st.Nodes), st.TableHits)
-		}
-		if sch.WarmStart && st.Decisions > 0 {
-			fmt.Printf("  warm start: %d seeded decisions, seed held %d, avg nodes-to-best %.1f\n",
-				st.WarmDecisions, st.WarmSeedHeld,
-				float64(st.NodesToBest)/float64(st.Decisions))
 		}
 	}
 }

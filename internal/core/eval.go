@@ -14,9 +14,8 @@ import (
 // placement costs, note which jobs start now, and restore the profile.
 // The search enumerates on the same profile (searchState.tail is Eval
 // from a partial path on, one node charged per job; visit is the
-// branching step above it); the warm seed, local search, PlanScorer and
-// the environment export all evaluate through Eval. The zero value is
-// ready for Reset.
+// branching step above it); local search and PlanScorer evaluate
+// through Eval. The zero value is ready for Reset.
 type OrderEvaluator struct {
 	prof     cluster.Profile
 	now      job.Time

@@ -57,9 +57,9 @@ type iterResult struct {
 	nodes    int64
 	leaves   int64
 	// improv logs the iteration-local incumbent improvements (cost and
-	// local node counter); the merge threads the global incumbent —
-	// warm seed included — through these logs in ascending iteration
-	// order, reproducing the sequential nodesToBest exactly.
+	// local node counter); the merge threads the global incumbent
+	// through these logs in ascending iteration order, reproducing the
+	// sequential nodesToBest exactly.
 	improv []improvement
 }
 
@@ -283,24 +283,24 @@ func (sch *Scheduler) runParallel(snap *sim.Snapshot, workers int) bool {
 
 	// Deterministic merge: ascending iteration order, strict
 	// improvement only — ties keep the lowest iteration, matching the
-	// sequential scan. The nodes-to-best incumbent (seeded by seedWarm
-	// on warm decisions) is threaded through the per-iteration
-	// improvement logs the same way: an improvement counts only if it
-	// beats everything from earlier iterations and the seed, and its
+	// sequential scan. The nodes-to-best incumbent is threaded through
+	// the per-iteration improvement logs the same way: an improvement
+	// counts only if it beats everything from earlier iterations, and its
 	// node position is the sum of the preceding iterations' spend plus
 	// its local counter — exactly the sequential node counter.
 	s.nodes, s.leaves = 0, 0
 	s.bestFound = false
 	s.aborted = aborted
+	var ntb Cost
+	ntbSet := false
 	for i := range results {
 		r := &results[i]
 		if !r.run {
 			continue
 		}
 		for _, im := range r.improv {
-			if !s.ntbSet || im.cost.Less(s.ntbCost) {
-				s.ntbCost = im.cost
-				s.ntbSet = true
+			if !ntbSet || im.cost.Less(ntb) {
+				ntb, ntbSet = im.cost, true
 				s.nodesToBest = s.nodes + im.nodes
 				if s.recordImprov {
 					// Thread the accepted improvement into the master's log
@@ -349,7 +349,6 @@ func (ws *searchState) runIteration(algo Algorithm, t iterTask, r *iterResult) {
 	ws.hardBudget = t.iter > 0
 	// Log iteration-local incumbent improvements for the merge's
 	// nodes-to-best replay.
-	ws.ntbSet = false
 	ws.nodesToBest = 0
 	ws.recordImprov = true
 	ws.improv = ws.improv[:0]

@@ -107,7 +107,7 @@ func TestIterNodeCountsSaturate(t *testing.T) {
 
 // assertSameDecision runs one decision on both schedulers and requires
 // bit-identical outcomes: committed starts, best cost, planned starts,
-// and all effort counters.
+// and all effort counters, nodes-to-best included.
 func assertSameDecision(t *testing.T, tag string, snap *sim.Snapshot, seq, par *Scheduler) {
 	t.Helper()
 	seqStarts := append([]int(nil), seq.Decide(snap)...)
@@ -141,6 +141,9 @@ func assertSameDecision(t *testing.T, tag string, snap *sim.Snapshot, seq, par *
 	if ss.BudgetHits != ps.BudgetHits || ss.Exhausted != ps.Exhausted {
 		t.Fatalf("%s: budgetHits/exhausted %d/%d parallel, %d/%d sequential",
 			tag, ps.BudgetHits, ps.Exhausted, ss.BudgetHits, ss.Exhausted)
+	}
+	if ss.NodesToBest != ps.NodesToBest {
+		t.Fatalf("%s: nodes-to-best %d parallel, %d sequential", tag, ps.NodesToBest, ss.NodesToBest)
 	}
 }
 

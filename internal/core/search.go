@@ -120,10 +120,9 @@ type Stats struct {
 	// BusyNs/WallNs is the effective parallelism (see Speedup).
 	BusyNs int64
 	// NodesToBest sums, over decisions, the node count at which the
-	// search last improved its incumbent (the warm seed counts as the
-	// initial incumbent when WarmStart is on, at zero nodes). Lower
-	// means the best schedule was in hand earlier; NodesToBest/Decisions
-	// is the average search effort actually needed per decision.
+	// search last improved its incumbent. Lower means the best schedule
+	// was in hand earlier; NodesToBest/Decisions is the average search
+	// effort actually needed per decision.
 	NodesToBest int64
 	// TableNodes is the part of Nodes that was counted from the
 	// per-decision transposition table instead of walked — subtrees
@@ -132,14 +131,6 @@ type Stats struct {
 	// served. Both are zero where the table is off (Prune, DFS).
 	TableNodes int64
 	TableHits  int64
-	// WarmDecisions counts decisions seeded from a carried ordering;
-	// WarmSeedNodes counts the job placements spent evaluating those
-	// seeds (charged separately from Nodes — the seed is not part of the
-	// enumerated tree); WarmSeedHeld counts warm decisions where no
-	// enumerated schedule beat the seed's cost.
-	WarmDecisions int
-	WarmSeedNodes int64
-	WarmSeedHeld  int
 }
 
 // Speedup returns the effective search parallelism: summed worker busy
@@ -186,18 +177,6 @@ type Scheduler struct {
 	// additive. Custom Cost functions returning negative components
 	// must leave this off. Off by default (paper-faithful search).
 	Prune bool
-	// WarmStart makes Decide incremental: the previous decision's best
-	// ordering is carried across decision points (departed jobs
-	// dropped, arrivals spliced in at their heuristic rank), evaluated
-	// once against the new profile, and installed as the initial
-	// incumbent. The seed never enters the enumeration and is never
-	// committable, so warm-started search commits bit-identical
-	// schedules to cold search at equal budget; what it buys is
-	// NodesToBest (the seed usually already is the best reachable
-	// schedule, so the effort needed to re-find it drops to ~zero) and,
-	// with Prune on, a bound that is tight from the first enumerated
-	// leaf onward.
-	WarmStart bool
 
 	// SearchStats accumulates effort counters across the run.
 	SearchStats Stats
@@ -206,7 +185,6 @@ type Scheduler struct {
 	lastDecision DecisionSummary
 	startsBuf    []int
 	s            searchState // reusable scratch (sequential search + merge target)
-	warm         warmState   // WarmStart carry + scratch
 
 	// Parallel-search scratch, reused across decisions.
 	wstates []*searchState
@@ -254,11 +232,10 @@ func (sch *Scheduler) Decide(snap *sim.Snapshot) []int {
 	if n == 0 {
 		// Nothing to schedule — and nothing from the previous decision
 		// is still planned, so LastPlan/LastCost must not report stale
-		// data and the warm carry has no survivors.
+		// data.
 		sch.lastPlan = sch.lastPlan[:0]
 		sch.s.bestCost = Cost{}
 		sch.s.bestFound = false
-		sch.warm.valid = false
 		sch.lastDecision = DecisionSummary{Trajectory: sch.lastDecision.Trajectory[:0]}
 		return nil
 	}
@@ -267,9 +244,6 @@ func (sch *Scheduler) Decide(snap *sim.Snapshot) []int {
 	t0 := time.Now()
 	s := &sch.s
 	s.reset(snap, sch.Algorithm, sch.Heuristic, sch.Bound.At(snap), sch.Cost, limit, sch.Prune)
-	if sch.WarmStart {
-		sch.seedWarm(s)
-	}
 	// The incumbent-improvement log feeds LastDecision's cost
 	// trajectory (flight recorder). Recording is strictly passive: leaf
 	// and the parallel merge append to a reused slice exactly at the
@@ -312,9 +286,6 @@ func (sch *Scheduler) Decide(snap *sim.Snapshot) []int {
 	} else {
 		sch.SearchStats.Exhausted++
 	}
-	if sch.WarmStart {
-		sch.carryBest(s)
-	}
 
 	traj := sch.lastDecision.Trajectory[:0]
 	for _, im := range s.improv {
@@ -330,8 +301,6 @@ func (sch *Scheduler) Decide(snap *sim.Snapshot) []int {
 		TableNodes:     s.tab.servedNodes,
 		TableHits:      s.tab.hits,
 		BudgetHit:      s.aborted,
-		WarmSeeded:     s.seedSet,
-		SeedHeld:       s.seedSet && s.bestFound && !s.bestCost.Less(s.seedCost),
 		Parallel:       parallel,
 		BestFound:      s.bestFound,
 		BestCost:       s.bestCost,
@@ -396,8 +365,6 @@ type DecisionSummary struct {
 	TableNodes     int64
 	TableHits      int64
 	BudgetHit      bool
-	WarmSeeded     bool
-	SeedHeld       bool
 	Parallel       bool
 	BestFound      bool
 	BestCost       Cost
@@ -422,8 +389,8 @@ type searchState struct {
 
 	// ev owns the decision's instant and availability profile: visit
 	// places and undoes on it, tail places a run and restores it, and
-	// whole orderings (the warm seed, local search) are evaluated on it
-	// between enumerations.
+	// whole orderings (local search) are evaluated on it between
+	// enumerations.
 	ev        OrderEvaluator
 	ordered   []sim.WaitingJob // heuristic branch order
 	orderKeys []float64        // scratch: precomputed heuristic sort keys
@@ -458,19 +425,8 @@ type searchState struct {
 	// equivalent sequential run the iteration-0 schedule already exists.
 	hardBudget bool
 
-	// Warm seed: the carried ordering's cost, installed before the
-	// search runs. The seed is never committable — it only initializes
-	// the nodes-to-best incumbent and, with prune on, tightens the
-	// branch-and-bound bound once an enumerated schedule exists.
-	seedCost Cost
-	seedSet  bool
-
-	// Nodes-to-best incumbent: strictly tighter than bestCost when the
-	// warm seed is better than anything enumerated. nodesToBest is the
-	// node counter at the incumbent's last improvement (0 when the seed
-	// was never beaten).
-	ntbCost     Cost
-	ntbSet      bool
+	// nodesToBest is the node counter at the incumbent's last
+	// improvement.
 	nodesToBest int64
 	// recordImprov makes leaf() log every incumbent improvement
 	// (parallel workers only; the merge threads the global incumbent
@@ -551,8 +507,6 @@ func (s *searchState) resetSearch() {
 	s.bestFound = false
 	s.aborted = false
 	s.curCost = Cost{}
-	s.seedSet = false
-	s.ntbSet = false
 	s.nodesToBest = 0
 	s.recordImprov = false
 	s.improv = s.improv[:0]
@@ -687,12 +641,11 @@ func (s *searchState) visit(oi int, ctx int32, down func()) bool {
 	s.curPath = append(s.curPath, oi)
 
 	switch {
-	case s.prune && s.bestFound && !s.curCost.Less(s.pruneBound()):
+	case s.prune && s.bestFound && !s.curCost.Less(s.bestCost):
 		// Branch and bound: per-job costs are non-negative, so the
-		// partial cost lower-bounds every completion of this path. Once
-		// an enumerated schedule exists, a better warm seed tightens the
-		// bound further (the first leaf is exempt so a complete schedule
-		// can always be committed).
+		// partial cost lower-bounds every completion of this path (the
+		// first leaf is exempt so a complete schedule can always be
+		// committed).
 		s.pruned++
 	case s.tab.on && len(s.curPath) < len(s.ordered):
 		// (Below the last job there is only the leaf: nothing to serve.)
@@ -741,7 +694,7 @@ func (s *searchState) tail() {
 		s.curStartNow[oi] = start == now
 		s.curStart[oi] = start
 		s.curPath = append(s.curPath, oi)
-		if s.prune && s.bestFound && !s.curCost.Less(s.pruneBound()) {
+		if s.prune && s.bestFound && !s.curCost.Less(s.bestCost) {
 			s.pruned++
 			break
 		}
@@ -769,15 +722,6 @@ func (s *searchState) tail() {
 	prof.Restore()
 }
 
-// pruneBound is the branch-and-bound cutoff: the best enumerated cost,
-// tightened by the warm seed when the seed is better.
-func (s *searchState) pruneBound() Cost {
-	if s.seedSet && s.seedCost.Less(s.bestCost) {
-		return s.seedCost
-	}
-	return s.bestCost
-}
-
 // leaf records the completed schedule if it beats the best so far.
 func (s *searchState) leaf() {
 	s.leaves++
@@ -790,12 +734,6 @@ func (s *searchState) leaf() {
 		copy(s.bestStartNow, s.curStartNow)
 		copy(s.bestStart, s.curStart)
 		s.bestPath = append(s.bestPath[:0], s.curPath...)
-	}
-	// Nodes-to-best incumbent: includes the warm seed, so it only moves
-	// when a leaf beats everything seen — including the carried plan.
-	if !s.ntbSet || s.curCost.Less(s.ntbCost) {
-		s.ntbCost = s.curCost
-		s.ntbSet = true
 		s.nodesToBest = s.nodes
 		if s.recordImprov {
 			s.improv = append(s.improv, improvement{cost: s.curCost, nodes: s.nodes})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -334,6 +335,93 @@ func TestSchedulerNames(t *testing.T) {
 		if got := c.sch.Name(); got != c.want {
 			t.Errorf("Name() = %q, want %q", got, c.want)
 		}
+	}
+}
+
+// TestSchedulerEmptyQueueClearsState is the regression for the stale
+// LastPlan/LastCost bug: after a decision over a non-empty queue, a
+// decision over an empty queue must not keep reporting the previous
+// plan and cost.
+func TestSchedulerEmptyQueueClearsState(t *testing.T) {
+	sch := New(DDS, HeuristicLXF, DynamicBound(), 100)
+	sch.Decide(fourJobSnapshot())
+	if len(sch.LastPlan()) != 4 || sch.LastCost() == (Cost{}) {
+		t.Fatalf("precondition: first decision planned %d jobs at cost %v",
+			len(sch.LastPlan()), sch.LastCost())
+	}
+	empty := &sim.Snapshot{Now: 2000, Capacity: 100, FreeNodes: 100}
+	if starts := sch.Decide(empty); len(starts) != 0 {
+		t.Fatalf("Decide on empty queue = %v, want empty", starts)
+	}
+	if got := sch.LastPlan(); len(got) != 0 {
+		t.Errorf("LastPlan after empty decision = %v, want empty", got)
+	}
+	if got := sch.LastCost(); got != (Cost{}) {
+		t.Errorf("LastCost after empty decision = %v, want zero", got)
+	}
+}
+
+// TestOrderJobsLXFKeysBitIdentical: the precomputed-key LXF sort must
+// order exactly as the direct recomputing comparator did.
+func TestOrderJobsLXFKeysBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	for trial := 0; trial < 50; trial++ {
+		now := job.Time(10000 + rng.Intn(50000))
+		n := 1 + rng.Intn(10)
+		mk := func() []sim.WaitingJob {
+			rj := rand.New(rand.NewSource(int64(trial)))
+			var jobs []sim.WaitingJob
+			for i := 0; i < n; i++ {
+				est := job.Duration(1 + rj.Intn(14400))
+				jobs = append(jobs, sim.WaitingJob{
+					Job: job.Job{
+						ID:     i + 1,
+						Submit: now - job.Time(rj.Intn(40000)),
+					},
+					Estimate: est, QueuePos: i,
+				})
+			}
+			return jobs
+		}
+		got := mk()
+		orderJobs(got, HeuristicLXF, now, nil)
+
+		// Reference: the original insertion sort recomputing the key in
+		// every comparison.
+		want := mk()
+		for i := 1; i < len(want); i++ {
+			for k := i; k > 0; k-- {
+				a, b := &want[k], &want[k-1]
+				sa := job.BoundedSlowdownAt(a.Job.Submit, a.Estimate, now)
+				sb := job.BoundedSlowdownAt(b.Job.Submit, b.Estimate, now)
+				if !(sa != sb && sa > sb ||
+					sa == sb && (a.Job.Submit < b.Job.Submit ||
+						a.Job.Submit == b.Job.Submit && a.Job.ID < b.Job.ID)) {
+					break
+				}
+				want[k], want[k-1] = want[k-1], want[k]
+			}
+		}
+		for i := range want {
+			if got[i].Job.ID != want[i].Job.ID {
+				t.Fatalf("trial %d: order %v, want %v at %d", trial, got[i].Job.ID, want[i].Job.ID, i)
+			}
+		}
+	}
+}
+
+// TestDecideSteadyStateAllocFree: the sequential search — LXF keys and
+// all — must not allocate per decision once its scratch is sized.
+func TestDecideSteadyStateAllocFree(t *testing.T) {
+	sch := New(DDS, HeuristicLXF, DynamicBound(), 200)
+	snap := fourJobSnapshot()
+	sch.Decide(snap) // size the scratch
+	sch.Decide(snap)
+	if avg := testing.AllocsPerRun(20, func() { sch.Decide(snap) }); avg > 0 {
+		t.Errorf("Decide allocates %.1f times per decision in steady state", avg)
+	}
+	if sch.SearchStats.TableNodes == 0 {
+		t.Error("the transposition table served nothing: its arena and index went unmeasured")
 	}
 }
 

@@ -37,8 +37,8 @@ func tableSnapshot(rng *rand.Rand, n int, idle bool) *sim.Snapshot {
 }
 
 // nextSnapshot is the decision after snap: a little later, the head of
-// the queue gone and one arrival, so a warm scheduler has a carry to
-// splice.
+// the queue gone and one arrival, so a scheduler decides again on
+// scratch a previous decision has used.
 func nextSnapshot(rng *rand.Rand, snap *sim.Snapshot) *sim.Snapshot {
 	next := *snap
 	next.Now += job.Time(1 + rng.Intn(300))
@@ -61,18 +61,17 @@ func nextSnapshot(rng *rand.Rand, snap *sim.Snapshot) *sim.Snapshot {
 type tableCase struct {
 	algo    Algorithm
 	limit   int
-	warm    bool
 	prune   bool
 	workers int
 }
 
 func (c tableCase) String() string {
-	return fmt.Sprintf("%s L=%d warm=%v prune=%v workers=%d", c.algo, c.limit, c.warm, c.prune, c.workers)
+	return fmt.Sprintf("%s L=%d prune=%v workers=%d", c.algo, c.limit, c.prune, c.workers)
 }
 
 func (c tableCase) scheduler() *Scheduler {
 	sch := New(c.algo, HeuristicLXF, DynamicBound(), c.limit)
-	sch.WarmStart, sch.Prune, sch.Workers = c.warm, c.prune, c.workers
+	sch.Prune, sch.Workers = c.prune, c.workers
 	return sch
 }
 
@@ -120,8 +119,8 @@ func compareTableWithWalk(t testing.TB, c tableCase, snaps []*sim.Snapshot, pair
 
 // tableCases is every configuration TestTableInert runs on an n-job
 // queue: the five algorithms at a budget of one node, one path, the
-// paper's L and (short queues) the whole tree, cold and warm, plain and
-// pruned, plus the parallel search where it exists.
+// paper's L and (short queues) the whole tree, plain and pruned, plus
+// the parallel search where it exists.
 func tableCases(n int) []tableCase {
 	limits := []int{1, n, 1000}
 	if n <= 7 {
@@ -130,10 +129,8 @@ func tableCases(n int) []tableCase {
 	var cases []tableCase
 	for _, algo := range []Algorithm{LDS, DDS, ADDS, CDDS, DFS} {
 		for _, limit := range limits {
-			for _, warm := range []bool{false, true} {
-				for _, prune := range []bool{false, true} {
-					cases = append(cases, tableCase{algo: algo, limit: limit, warm: warm, prune: prune})
-				}
+			for _, prune := range []bool{false, true} {
+				cases = append(cases, tableCase{algo: algo, limit: limit, prune: prune})
 			}
 			if algo != CDDS && algo != DFS {
 				cases = append(cases, tableCase{algo: algo, limit: limit, workers: 3})
@@ -144,7 +141,7 @@ func tableCases(n int) []tableCase {
 }
 
 // TestTableInert is the table's keystone: over random decision points,
-// idle and contended, every algorithm, budget, warm and prune setting
+// idle and contended, every algorithm, budget and prune setting
 // commits the same plan and reports the same counts, incumbent
 // trajectory and budget outcome with the table as with a plain walk.
 func TestTableInert(t *testing.T) {
@@ -377,8 +374,8 @@ func TestTableHitsAreTheSamePlacedSet(t *testing.T) {
 func FuzzSearchTable(f *testing.F) {
 	f.Add(int64(1), uint8(12), uint8(1), uint16(1000), uint8(0))
 	f.Add(int64(2), uint8(5), uint8(0), uint16(0), uint8(1))
-	f.Add(int64(3), uint8(30), uint8(3), uint16(200), uint8(2))
-	f.Add(int64(4), uint8(7), uint8(2), uint16(40), uint8(4))
+	f.Add(int64(3), uint8(30), uint8(3), uint16(200), uint8(4))
+	f.Add(int64(4), uint8(7), uint8(2), uint16(40), uint8(2))
 	f.Fuzz(func(t *testing.T, seed int64, n, algo uint8, limit uint16, mode uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		first := tableSnapshot(rng, 1+int(n)%40, mode&1 == 0)
@@ -386,10 +383,9 @@ func FuzzSearchTable(f *testing.F) {
 		c := tableCase{
 			algo:  []Algorithm{LDS, DDS, ADDS, CDDS, DFS}[int(algo)%5],
 			limit: 1 + int(limit)%3000,
-			warm:  mode&2 != 0,
-			prune: mode&4 != 0,
+			prune: mode&2 != 0,
 		}
-		if mode&8 != 0 && !c.prune && c.algo != CDDS && c.algo != DFS {
+		if mode&4 != 0 && !c.prune && c.algo != CDDS && c.algo != DFS {
 			c.workers = 3
 		}
 		compareTableWithWalk(t, c, snaps, nil)

@@ -158,9 +158,9 @@ func tailCases(n int) []tailCase {
 // points, idle and contended, a search whose tails are walked by the
 // loop is indistinguishable from one whose tails go through visit, node
 // by node — for every algorithm that has tails, at a budget of one node,
-// one path, the paper's L and the whole tree, cold and warm, plain and
-// pruned, sequential and on three workers, with the table, without it
-// and with every leaf observed.
+// one path, the paper's L and the whole tree, plain and pruned,
+// sequential and on three workers, with the table, without it and with
+// every leaf observed.
 func TestTailMatchesVisit(t *testing.T) {
 	trials := 18
 	if testing.Short() {
@@ -189,10 +189,10 @@ func TestTailMatchesVisit(t *testing.T) {
 func FuzzTail(f *testing.F) {
 	f.Add(int64(1), uint8(12), uint8(1), uint16(1000), uint8(0))
 	f.Add(int64(2), uint8(5), uint8(0), uint16(0), uint8(1))
-	f.Add(int64(3), uint8(30), uint8(3), uint16(200), uint8(2+16))
-	f.Add(int64(4), uint8(7), uint8(2), uint16(40), uint8(4))
-	f.Add(int64(5), uint8(20), uint8(1), uint16(333), uint8(8))
-	f.Add(int64(6), uint8(9), uint8(0), uint16(90), uint8(32))
+	f.Add(int64(3), uint8(30), uint8(3), uint16(200), uint8(8))
+	f.Add(int64(4), uint8(7), uint8(2), uint16(40), uint8(2))
+	f.Add(int64(5), uint8(20), uint8(1), uint16(333), uint8(4))
+	f.Add(int64(6), uint8(9), uint8(0), uint16(90), uint8(16))
 	f.Fuzz(func(t *testing.T, seed int64, n, algo uint8, limit uint16, mode uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		first := tableSnapshot(rng, 1+int(n)%40, mode&1 == 0)
@@ -201,15 +201,14 @@ func FuzzTail(f *testing.F) {
 			tableCase: tableCase{
 				algo:  []Algorithm{LDS, DDS, ADDS, CDDS}[int(algo)%4],
 				limit: 1 + int(limit)%3000,
-				warm:  mode&2 != 0,
-				prune: mode&4 != 0,
+				prune: mode&2 != 0,
 			},
-			noTable: mode&16 != 0,
+			noTable: mode&8 != 0,
 		}
-		if mode&8 != 0 && !c.prune && c.algo != CDDS {
+		if mode&4 != 0 && !c.prune && c.algo != CDDS {
 			c.workers = 3
 		} else {
-			c.hook = mode&32 != 0
+			c.hook = mode&16 != 0
 		}
 		compareTailWithVisit(t, c, snaps, &tailTally{})
 	})

@@ -35,15 +35,9 @@ type Counters struct {
 	// milliseconds (always wall time, even on a virtual clock).
 	AvgDecideMs float64 `json:"avg_decide_ms"`
 	MaxDecideMs float64 `json:"max_decide_ms"`
-	// Warm-start stats, emitted only when the search policy runs with
-	// WarmStart (cold runs keep their serialized form unchanged).
-	// SearchNodesToBest is the cumulative node count at each decision's
-	// last incumbent improvement; WarmDecisions/WarmSeedHeld count seeded
-	// decisions and those where no enumerated schedule beat the carried
-	// seed.
+	// SearchNodesToBest sums the node count at each decision's last
+	// incumbent improvement (zero, and absent, for backfill policies).
 	SearchNodesToBest int64 `json:"search_nodes_to_best,omitempty"`
-	WarmDecisions     int64 `json:"warm_decisions,omitempty"`
-	WarmSeedHeld      int64 `json:"warm_seed_held,omitempty"`
 	// JournalTail is the in-memory event-tail length since the last
 	// compaction; Compactions counts journal compactions. When a
 	// persistent sink reports stats, JournalAppends and JournalSyncs
@@ -146,8 +140,6 @@ func (e *Engine) countersLocked() Counters {
 }
 
 // fillSearch copies a search policy's effort stats into the counters.
-// The warm fields are populated only under WarmStart so cold runs
-// serialize exactly as before.
 func (c *Counters) fillSearch(sch *core.Scheduler) {
 	st := sch.SearchStats
 	c.SearchNodes = st.Nodes
@@ -156,11 +148,7 @@ func (c *Counters) fillSearch(sch *core.Scheduler) {
 	c.SearchWallMs = float64(st.WallNs) / 1e6
 	c.SearchSpeedup = st.Speedup()
 	c.SearchTableNodes = st.TableNodes
-	if sch.WarmStart {
-		c.SearchNodesToBest = st.NodesToBest
-		c.WarmDecisions = int64(st.WarmDecisions)
-		c.WarmSeedHeld = int64(st.WarmSeedHeld)
-	}
+	c.SearchNodesToBest = st.NodesToBest
 }
 
 // ShardStatus is one shard's slice of a federation report.

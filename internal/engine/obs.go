@@ -55,8 +55,6 @@ func FillDecisionRecord(rec *obs.DecisionRecord, pol sim.Policy, now job.Time, q
 		rec.TableNodes = sum.TableNodes
 		rec.TableHits = sum.TableHits
 		rec.BudgetHit = sum.BudgetHit
-		rec.WarmSeeded = sum.WarmSeeded
-		rec.SeedHeld = sum.SeedHeld
 		rec.Parallel = sum.Parallel
 		if sum.BestFound {
 			rec.BestExcess = sum.BestCost[0]

@@ -77,9 +77,7 @@ func replayInstrumented(t *testing.T, in sim.Input, pol sim.Policy,
 // paths as data-race free.
 func TestObservabilityInert(t *testing.T) {
 	newPolicy := func() sim.Policy {
-		sch := core.New(core.DDS, core.HeuristicLXF, core.DynamicBound(), 64)
-		sch.WarmStart = true
-		return sch
+		return core.New(core.DDS, core.HeuristicLXF, core.DynamicBound(), 64)
 	}
 	runObsInert(t, workload.MonthLabels(), newPolicy, "DDS/lxf/dynB", false)
 }

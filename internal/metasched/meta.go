@@ -100,7 +100,7 @@ type Meta struct {
 
 // New builds a meta-scheduler over the given member policies (at least
 // one). Members must be distinct policy instances — each arm carries
-// its own warm/search state.
+// its own search state.
 func New(members []sim.Policy, cfg Config) (*Meta, error) {
 	if len(members) == 0 {
 		return nil, errEmptyPortfolio
@@ -114,7 +114,7 @@ func New(members []sim.Policy, cfg Config) (*Meta, error) {
 		members: members,
 		name:    "meta(" + strings.Join(names, ",") + ")",
 		bandit:  newGreedyBandit(len(members)),
-		scorer:  &core.PlanScorer{Bound: core.DynamicBound()},
+		scorer:  core.NewPlanScorer(),
 		plans:   make([][]int, len(members)),
 		scores:  make([]float64, len(members)),
 		losses:  make([]float64, len(members)),
@@ -132,14 +132,13 @@ func (m *Meta) Name() string { return m.name }
 // mid-run).
 func (m *Meta) Members() []sim.Policy { return m.members }
 
-// SetSearchOptions applies the per-process search tuning (worker count,
-// warm start) to every member that is a search scheduler — the same
-// knobs cmd/schedsim and cmd/schedd apply to a bare *core.Scheduler.
-func (m *Meta) SetSearchOptions(workers int, warmStart bool) {
+// SetSearchOptions applies the per-process search tuning (worker count)
+// to every member that is a search scheduler — the same knob
+// cmd/schedsim and cmd/schedd apply to a bare *core.Scheduler.
+func (m *Meta) SetSearchOptions(workers int) {
 	for _, p := range m.members {
 		if sch, ok := p.(*core.Scheduler); ok {
 			sch.Workers = workers
-			sch.WarmStart = warmStart
 		}
 	}
 }

@@ -40,7 +40,7 @@ func TestShadowDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			m := testPortfolio(t, cfg)
-			m.SetSearchOptions(2, true) // parallel + warm members
+			m.SetSearchOptions(2) // parallel members
 			if _, err := sim.Run(in, m); err != nil {
 				t.Fatalf("%s rep %d: %v", month, rep, err)
 			}

@@ -39,10 +39,6 @@ type DecisionRecord struct {
 	TableHits  int64 `json:"table_hits,omitempty"`
 	// BudgetHit marks a search cut off by its node budget.
 	BudgetHit bool `json:"budget_hit,omitempty"`
-	// WarmSeeded marks a decision seeded from the previous best plan;
-	// SeedHeld that the seed survived as the final incumbent.
-	WarmSeeded bool `json:"warm_seeded,omitempty"`
-	SeedHeld   bool `json:"seed_held,omitempty"`
 	// Parallel marks a multi-worker search.
 	Parallel bool `json:"parallel,omitempty"`
 	// BestExcess/BestSlowdown are the committed plan's objective

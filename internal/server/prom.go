@@ -105,13 +105,7 @@ func writeProm(w http.ResponseWriter, m engine.Metrics, fed *engine.FederationMe
 	counter("schedsearch_search_budget_hits_total", "Search budget cutoffs.", float64(m.Engine.BudgetHits))
 	counter("schedsearch_search_wall_seconds_total", "Wall time spent searching.", m.Engine.SearchWallMs/1e3)
 	counter("schedsearch_search_table_nodes_total", "Search tree nodes counted from the transposition table instead of walked (part of schedsearch_search_nodes_total).", float64(m.Engine.SearchTableNodes))
-	// Warm-start series, present only when the search policy runs with
-	// WarmStart (see engine.Counters).
-	if m.Engine.WarmDecisions > 0 || m.Engine.SearchNodesToBest > 0 {
-		counter("schedsearch_search_nodes_to_best_total", "Search nodes spent before the last incumbent improvement.", float64(m.Engine.SearchNodesToBest))
-		counter("schedsearch_warm_decisions_total", "Decisions seeded from the carried warm-start ordering.", float64(m.Engine.WarmDecisions))
-		counter("schedsearch_warm_seed_held_total", "Warm decisions where no enumerated schedule beat the seed.", float64(m.Engine.WarmSeedHeld))
-	}
+	counter("schedsearch_search_nodes_to_best_total", "Search nodes spent before the last incumbent improvement.", float64(m.Engine.SearchNodesToBest))
 	gauge("schedsearch_decide_avg_ms", "Mean decision latency in milliseconds.", m.Engine.AvgDecideMs)
 	gauge("schedsearch_decide_max_ms", "Max decision latency in milliseconds.", m.Engine.MaxDecideMs)
 

@@ -2,11 +2,13 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"schedsearch/internal/core"
 	"schedsearch/internal/engine"
 	"schedsearch/internal/federation"
 	"schedsearch/internal/obs"
@@ -91,6 +93,30 @@ func TestMetricsContentNegotiation(t *testing.T) {
 	}
 	if strings.Contains(body, "schedsearch_shard_util") {
 		t.Error("bare engine exposition leaked federation metrics")
+	}
+}
+
+// TestPromSearchNodesToBest: a cold search policy exports the node count
+// at which each decision found its incumbent, like every other search
+// counter.
+func TestPromSearchNodesToBest(t *testing.T) {
+	f := newFixture(t, 8, core.New(core.DDS, core.HeuristicLXF, core.DynamicBound(), 100))
+	for _, body := range []string{`{"nodes":8,"runtime_s":3600}`, `{"nodes":4,"runtime_s":600}`, `{"nodes":2,"runtime_s":60}`} {
+		if w, _ := f.do(t, "POST", "/v1/jobs", body); w.Code != http.StatusCreated {
+			t.Fatalf("submit %s: %d", body, w.Code)
+		}
+	}
+	f.vc.RunDue()
+	want := f.e.Metrics().Engine.SearchNodesToBest
+	if want == 0 {
+		t.Fatal("the search reported no nodes-to-best")
+	}
+	req := httptest.NewRequest("GET", "/v1/metrics", nil)
+	req.Header.Set("Accept", "text/plain")
+	w := httptest.NewRecorder()
+	f.srv.ServeHTTP(w, req)
+	if line := fmt.Sprintf("schedsearch_search_nodes_to_best_total %d\n", want); !strings.Contains(w.Body.String(), line) {
+		t.Errorf("prom body missing %q:\n%s", line, w.Body.String())
 	}
 }
 

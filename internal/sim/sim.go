@@ -62,8 +62,8 @@ type Snapshot struct {
 
 // FillProfile resets p (the zero Profile is fine) to the availability
 // profile the snapshot implies: capacity minus each running job until
-// its predicted end. Every planner — backfill, search, scoring, the
-// environment export — builds its profile here.
+// its predicted end. Every planner — backfill, search, scoring — builds
+// its profile here.
 func (snap *Snapshot) FillProfile(p *cluster.Profile) {
 	p.Reset(snap.Capacity, snap.Now)
 	for _, r := range snap.Running {
@@ -174,9 +174,8 @@ type running struct {
 type engine struct {
 	in     Input
 	policy Policy
-	// name labels the run in errors and the Result; it is the policy's
-	// name under Run, or the caller-supplied label under a Stepper
-	// (which has no policy).
+	// name labels the run in errors and the Result: the policy's name,
+	// read once.
 	name string
 
 	clock   job.Time
@@ -207,9 +206,7 @@ func newEngine(in Input, p Policy) (*engine, error) {
 		policy: p,
 		l:      l,
 		q:      NewQueueStats(in.MeasureStart, in.MeasureEnd),
-	}
-	if p != nil {
-		e.name = p.Name()
+		name:   p.Name(),
 	}
 	return e, nil
 }
@@ -236,10 +233,8 @@ func (e *engine) estimate(j job.Job) job.Duration {
 }
 
 // run drives the step/apply pair with the configured policy — the
-// classic closed-loop simulation. The same two primitives back the
-// step/observe/act export in internal/env, so an external driver that
-// feeds back the policy's own decisions replays this loop bit-
-// identically by construction.
+// classic closed-loop simulation: step surfaces a decision point, the
+// policy decides, apply commits it.
 func (e *engine) run() (*Result, error) {
 	for {
 		snap, err := e.step()
@@ -249,7 +244,7 @@ func (e *engine) run() (*Result, error) {
 		if snap == nil {
 			return e.result(), nil
 		}
-		if _, err := e.apply(e.policy.Decide(snap)); err != nil {
+		if err := e.apply(e.policy.Decide(snap)); err != nil {
 			return nil, err
 		}
 	}
@@ -321,22 +316,17 @@ func (e *engine) step() (*Snapshot, error) {
 // are the QueuePos indices of the snapshot step returned. An empty
 // decision is legal only while the machine is busy (a policy may wait
 // for nodes to free); on an idle machine it would stall the clock.
-func (e *engine) apply(starts []int) ([]Started, error) {
-	var started []Started
+func (e *engine) apply(starts []int) error {
 	if len(starts) == 0 {
 		if e.l.RunningLen() == 0 {
-			return nil, fmt.Errorf("sim: policy %q started nothing on an idle machine with %d queued jobs at t=%d",
+			return fmt.Errorf("sim: policy %q started nothing on an idle machine with %d queued jobs at t=%d",
 				e.name, e.l.QueueLen(), e.clock)
 		}
-	} else {
-		var err error
-		started, err = e.l.Start(e.name, e.clock, starts)
-		if err != nil {
-			return nil, err
-		}
+	} else if _, err := e.l.Start(e.name, e.clock, starts); err != nil {
+		return err
 	}
 	e.q.Sample(e.clock, e.l.QueueLen())
-	return started, nil
+	return nil
 }
 
 func (e *engine) result() *Result {

@@ -289,14 +289,13 @@ func ParsePolicy(name string, nodeLimit int) (Policy, error) {
 
 // ApplySearchOptions applies a command's per-process search tuning to a
 // parsed policy: a search scheduler and every search member of a
-// meta(...) portfolio take both, other policies ignore them.
-func ApplySearchOptions(p Policy, workers int, warm bool) {
+// meta(...) portfolio take it, other policies ignore it.
+func ApplySearchOptions(p Policy, workers int) {
 	switch pol := p.(type) {
 	case *SearchScheduler:
 		pol.Workers = workers
-		pol.WarmStart = warm
 	case *MetaScheduler:
-		pol.SetSearchOptions(workers, warm)
+		pol.SetSearchOptions(workers)
 	}
 }
 
