@@ -15,6 +15,8 @@ import (
 	"time"
 
 	"schedsearch/internal/engine"
+	"schedsearch/internal/job"
+	"schedsearch/internal/trace"
 )
 
 // buildCmd compiles one of the repo's commands into dir and returns
@@ -58,6 +60,26 @@ func TestSchedsimJSON(t *testing.T) {
 	}
 	if m.Summary.UtilizedLoad <= 0 || m.Summary.UtilizedLoad > 1 {
 		t.Errorf("utilized load %v out of range", m.Summary.UtilizedLoad)
+	}
+}
+
+// TestSchedsimSWFRejectsMonthFlags: the generated-month flags have
+// nothing to act on in a trace replay, so schedsim refuses them instead
+// of printing the run without them.
+func TestSchedsimSWFRejectsMonthFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the schedsim binary")
+	}
+	dir := t.TempDir()
+	bin := buildCmd(t, dir, "schedsim")
+	swf := filepath.Join(dir, "t.swf")
+	jobs := []job.Job{{ID: 1, Submit: 0, Nodes: 4, Runtime: 600, Request: 900, User: 1}}
+	if err := trace.WriteSWFFile(swf, jobs, trace.Header{MaxNodes: 16}); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(bin, "-swf", swf, "-load", "0.9").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "-load") {
+		t.Fatalf("schedsim -swf -load 0.9: exit %v, output %q; want a refusal naming -load", err, out)
 	}
 }
 

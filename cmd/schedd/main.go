@@ -241,20 +241,24 @@ func parseConfig(args []string) (config, error) {
 		}
 	}
 	if c.replayMode() {
-		var stray []string
+		var stray, monthOnly []string
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
 			case "addr", "journal", "ingest-pending", "ingest-batch", "quota-rate", "quota-burst":
 				stray = append(stray, "-"+f.Name)
+			case "month", "seed", "scale", "load":
+				if c.swf != "" {
+					monthOnly = append(monthOnly, "-"+f.Name)
+				}
 			}
 		})
 		if len(stray) > 0 {
 			return config{}, fmt.Errorf("%s: serving-mode only (a replay has no listener, journal, accept queue or quotas)",
 				strings.Join(stray, ", "))
 		}
-		if c.swf == "" && c.capacity < workload.Capacity {
-			return config{}, fmt.Errorf("-capacity %d: a generated month's jobs are drawn for %d nodes; replay it on at least that many",
-				c.capacity, workload.Capacity)
+		if len(monthOnly) > 0 {
+			return config{}, fmt.Errorf("%s: generated months only (-swf replays the trace as recorded)",
+				strings.Join(monthOnly, ", "))
 		}
 	}
 	if c.fed.fanout == 1 || c.fed.fanout < 0 {
@@ -535,11 +539,6 @@ func replay(c config) error {
 		workload.SimOptions{TargetLoad: c.load, UseRequested: c.requested})
 	if err != nil {
 		return err
-	}
-	if c.swf == "" {
-		// A generated month's jobs are drawn for workload.Capacity nodes
-		// whatever machine replays them; -capacity is that machine.
-		input.Capacity = c.capacity
 	}
 	vc := engine.NewVirtualClock()
 	// Replay span timestamps come from the virtual clock, so the trace

@@ -27,7 +27,8 @@ func TestParseConfigRejects(t *testing.T) {
 		{"-swf t.swf -join http://a:1", "serving-mode only"},
 		{"-join http://a:1 -rebalance 0", "-rebalance 0"},
 		{"-fanout 2 -rebalance 0", "-rebalance 0"},
-		{"-virtual -month 7/03 -capacity 64", "-capacity 64"},
+		{"-virtual -swf t.swf -load 0.9", "-load"},
+		{"-swf t.swf -month 1/04", "-month"},
 		{"-policy BFS/lxf/dynB", "unknown search algorithm"},
 		{"-policy meta(DDS/lxf/dynB,)", "empty member"},
 		{"-virtual -journal j", "-journal"},

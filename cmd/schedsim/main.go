@@ -6,10 +6,11 @@
 //	schedsim -month 7/03 -policy DDS/lxf/dynB -L 1000 -load 0.9
 //
 // Policies: FCFS-backfill, LXF-backfill, SJF-backfill, LXFW-backfill,
-// Selective-backfill, Relaxed-backfill, Slack-backfill, Lookahead, and
-// search policies of the form ALGO/HEUR/BOUND with ALGO in {DDS, LDS,
-// DFS, ADDS, CDDS}, HEUR in {fcfs, lxf} and BOUND either "dynB" or a
-// fixed bound like "100h".
+// Selective-backfill, Relaxed-backfill, Slack-backfill, Lookahead,
+// Conservative-backfill, Maui-backfill, MultiQueue-backfill, and search
+// policies of the form ALGO/HEUR/BOUND with ALGO in {DDS, LDS, DFS},
+// HEUR in {fcfs, lxf} and BOUND either "dynB" or a fixed bound like
+// "100h".
 package main
 
 import (
@@ -17,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"schedsearch"
@@ -42,11 +44,26 @@ func main() {
 		verbose   = flag.Bool("v", false, "print per-class wait grid")
 		swfIn     = flag.String("swf", "", "simulate this SWF trace file (plain or .gz) instead of a generated month")
 		timeline  = flag.Int("timeline", 0, "render a timeline of the first N measured jobs")
-		capacity  = flag.Int("capacity", 0, "machine size for -swf (default: trace header MaxNodes, else widest job)")
+		capacity  = flag.Int("capacity", 0, "machine size in nodes (default: 128 for a generated month, which rejects fewer; for -swf the trace header's MaxNodes, else the widest job)")
 		jsonOut   = flag.Bool("json", false, "emit the run summary as JSON on stdout (the schema schedd's /v1/metrics serves)")
 		flightN   = flag.Int("flight", 0, "record the last N scheduling decisions (queue depth, search effort, incumbent trajectory, commit) and print them as JSON after the summary (0 = off)")
 	)
 	flag.Parse()
+
+	var stray []string
+	if *swfIn != "" {
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "month", "seed", "scale", "load":
+				stray = append(stray, "-"+f.Name)
+			}
+		})
+	}
+	if len(stray) > 0 {
+		fmt.Fprintf(os.Stderr, "schedsim: %s: generated months only (-swf replays the trace as recorded)\n",
+			strings.Join(stray, ", "))
+		os.Exit(2)
+	}
 
 	opts := searchOpts{nodeLimit: *nodeLimit, workers: *workers, flight: *flightN}
 	in, m, err := schedsearch.LoadInput(*swfIn, *capacity,

@@ -19,7 +19,8 @@ func FuzzParsePolicy(f *testing.F) {
 		"DDS/lxf/", "DDS//dynB", "//", "DDS/lxf/99999999999999999999h",
 		"dds/LXF/DYNB", " FCFS-backfill", "FCFS-backfill ",
 		"CDDS/lxf/dynB", "ADDS/fcfs/dynB", "CDDS/fcfs/fixB=100h",
-		"ADDS/lxf/30m", "cdds/lxf/dynB", "ADDS//dynB",
+		"ADDS/lxf/30m", "cdds/lxf/dynB", "ADDS//dynB", "ADDS/lxf/dynB",
+		"Conservative-backfill(FCFS)",
 		"meta(DDS/lxf/dynB)", "meta(DDS/lxf/dynB,FCFS-backfill)",
 		"meta(DDS/lxf/fixB=100h,LDS/fcfs/dynB,LXF-backfill)",
 		"meta()", "meta(", "meta(DDS/lxf/dynB", "meta(DDS/lxf/dynB,)",

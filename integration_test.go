@@ -14,7 +14,7 @@ var allPolicies = []string{
 	"Lookahead", "Conservative-backfill", "Maui-backfill",
 	"MultiQueue-backfill",
 	"DDS/lxf/dynB", "DDS/fcfs/dynB", "LDS/lxf/dynB", "DFS/lxf/dynB",
-	"DDS/lxf/50h", "CDDS/lxf/dynB", "ADDS/fcfs/dynB",
+	"DDS/lxf/50h",
 	"meta(DDS/lxf/dynB,FCFS-backfill)",
 }
 

@@ -260,7 +260,7 @@ func buildPlan(cfg Config) plan {
 			case 0:
 				p.submits = append(p.submits, mk(func(j *job.Job) { j.Nodes = 0 }))
 			case 1:
-				p.submits = append(p.submits, mk(func(j *job.Job) { j.Nodes = cfg.Capacity + 1 + rngF.IntN(64) }))
+				p.submits = append(p.submits, mk(func(j *job.Job) { j.Nodes = cfg.Capacity + 2 + rngF.IntN(64) })) // past every shard: see RunFederation
 			case 2:
 				p.submits = append(p.submits, mk(func(j *job.Job) { j.Runtime = -job.Duration(1 + rngF.IntN(3600)) }))
 			case 3:

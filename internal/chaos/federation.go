@@ -116,9 +116,9 @@ func RunFederation(config FederationConfig) (*FederationResult, error) {
 	}
 	t := &routerTarget{capacity: cfg.Capacity}
 	// The plan's widths are drawn against the narrowest partition (they
-	// are non-increasing) so a legitimate job always fits some shard;
-	// hostile oversized specs overflow it and must be refused (by
-	// whole-machine validation or ErrTooWide — either way, refused).
+	// are non-increasing, by one node at most) so a legitimate job fits
+	// every shard, and a hostile oversized spec, two nodes wider or more,
+	// none: it is refused by whole-machine validation or ErrTooWide.
 	out, err := runScenario(cfg, caps[len(caps)-1], func(vc *engine.VirtualClock, newPolicy func() sim.Policy) (target, error) {
 		t.router, err = federation.New(federation.Config{
 			Capacity:       cfg.Capacity,

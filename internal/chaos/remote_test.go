@@ -93,6 +93,35 @@ func TestRunFederationRemotePartitionOnly(t *testing.T) {
 		len(res.Records), res.Uncertain, res.Reroutes, res.Pending)
 }
 
+// FuzzRemoteFederation runs the remote federation under partition faults
+// plus a fuzzed mask of the other fault classes, on 2–5 shards and 40–60
+// jobs. The property is the run's own: its no-loss / no-double-admit
+// sweep and oracle.CheckFederation, so any error fails. The seed rows are
+// TestRunFederationRemote's seeds 3 and 9 and
+// TestRunFederationRemotePartitionOnly's seed 5.
+func FuzzRemoteFederation(f *testing.F) {
+	f.Add(uint64(3), uint8(AllFaults), uint8(2))
+	f.Add(uint64(9), uint8(AllFaults), uint8(2))
+	f.Add(uint64(5), uint8(0), uint8(1))
+	f.Fuzz(func(t *testing.T, seed uint64, faults uint8, shards uint8) {
+		cfg := RemoteFederationConfig{
+			FederationConfig: FederationConfig{
+				Config: Config{
+					Seed:   seed,
+					Faults: Fault(faults) | FaultPartition,
+					Policy: dds,
+					Jobs:   40 + int(seed%21),
+				},
+				Shards: 2 + int(shards%4),
+			},
+			Dir: t.TempDir(),
+		}
+		if _, err := RunFederationRemote(cfg); err != nil {
+			t.Fatalf("seed %d faults %v shards %d: %v", seed, cfg.Faults, cfg.Shards, err)
+		}
+	})
+}
+
 // TestRunFederationRemoteValidation covers the config seams.
 func TestRunFederationRemoteValidation(t *testing.T) {
 	if _, err := RunFederationRemote(RemoteFederationConfig{

@@ -23,7 +23,7 @@ func TestEvaluatorMatchesSearchLeaves(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		n := 1 + rng.Intn(6)
 		snap := randomSnapshot(rng, n)
-		for _, algo := range []Algorithm{LDS, DDS, ADDS, DFS} {
+		for _, algo := range []Algorithm{LDS, DDS, DFS} {
 			var s searchState
 			var leaves []leaf
 			s.leafHook = func(path []int, cost Cost) {
@@ -34,7 +34,7 @@ func TestEvaluatorMatchesSearchLeaves(t *testing.T) {
 			switch algo {
 			case LDS:
 				s.runLDS()
-			case DDS, ADDS:
+			case DDS:
 				s.runDDS()
 			case DFS:
 				s.runDFS(0)

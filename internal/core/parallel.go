@@ -133,15 +133,13 @@ func (sc *shardScratch) ldsIterNodes(n, k int) int64 {
 	return total
 }
 
-// ddsIterNodes returns the number of visit() calls iteration i of the
-// depth-bounded enumerator performs on an n-job tree at the given
-// branch width (saturating at satCap). Level l offers min(n-l, width)
+// ddsIterNodes returns the number of visit() calls DDS iteration i
+// performs on an n-job tree (saturating at satCap). Level l offers n-l
 // branches: free branching above the forced depth multiplies them up,
-// the forced level takes all but the heuristic one, and each resulting
-// path runs heuristically to depth n. At width n that is P(n,d) nodes
-// at depth d < i (DDS); at width 2 it is 2^d (ADDS). Iteration 0 is
-// the heuristic path.
-func ddsIterNodes(n, i, width int) int64 {
+// P(n,d) nodes at depth d < i, the forced level takes all but the
+// heuristic one, and each resulting path runs heuristically to depth n.
+// Iteration 0 is the heuristic path.
+func ddsIterNodes(n, i int) int64 {
 	if n <= 0 {
 		return 0
 	}
@@ -151,10 +149,10 @@ func ddsIterNodes(n, i, width int) int64 {
 	var total int64
 	p := int64(1) // prefixes reaching the current level
 	for l := 0; l <= i-2; l++ {
-		p = satMul(p, int64(min(n-l, width)))
+		p = satMul(p, int64(n-l))
 		total = satAdd(total, p)
 	}
-	paths := satMul(p, int64(min(n-i+1, width)-1)) // forced level i-1
+	paths := satMul(p, int64(n-i)) // forced level i-1
 	// Depths i..n: one node per path per depth.
 	total = satAdd(total, satMul(paths, int64(n-i+1)))
 	return total
@@ -165,8 +163,8 @@ func (sch *Scheduler) iterNodes(n, iter int) int64 {
 	switch sch.Algorithm {
 	case LDS:
 		return sch.shard.ldsIterNodes(n, iter)
-	case DDS, ADDS:
-		return ddsIterNodes(n, iter, sch.Algorithm.width(n))
+	case DDS:
+		return ddsIterNodes(n, iter)
 	default:
 		panic("core: iterNodes on non-iterative algorithm")
 	}
@@ -219,12 +217,9 @@ func (sch *Scheduler) parallelWorkers(n int) int {
 	if w <= 1 {
 		return 1
 	}
-	if sch.Prune || (sch.Algorithm != LDS && sch.Algorithm != DDS && sch.Algorithm != ADDS) {
-		// Pruning couples iterations; DFS has no iteration structure;
-		// CDDS climbs, which makes each iteration depend on the last.
-		return 1
-	}
-	if n < 2 {
+	if sch.Prune || sch.Algorithm == DFS || n < 2 {
+		// Pruning couples iterations; DFS has no iteration structure; one
+		// job has only iteration 0.
 		return 1
 	}
 	return w
@@ -356,7 +351,7 @@ func (ws *searchState) runIteration(algo Algorithm, t iterTask, r *iterResult) {
 	switch algo {
 	case LDS:
 		ws.ldsDFS(0, t.iter)
-	case DDS, ADDS:
+	case DDS:
 		ws.ddsDFS(0, t.iter)
 	default:
 		panic("core: runIteration on non-iterative algorithm")

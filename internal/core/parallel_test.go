@@ -29,7 +29,7 @@ func seqIterNodes(snap *sim.Snapshot, algo Algorithm, iter int) int64 {
 	switch algo {
 	case LDS:
 		s.ldsDFS(0, iter)
-	case DDS, ADDS:
+	case DDS:
 		s.ddsDFS(0, iter)
 	}
 	return s.nodes
@@ -46,11 +46,8 @@ func TestIterNodeCountsMatchSequential(t *testing.T) {
 			if got, want := sc.ldsIterNodes(n, iter), seqIterNodes(snap, LDS, iter); got != want {
 				t.Errorf("ldsIterNodes(%d, %d) = %d, sequential visits %d", n, iter, got, want)
 			}
-			if got, want := ddsIterNodes(n, iter, n), seqIterNodes(snap, DDS, iter); got != want {
-				t.Errorf("ddsIterNodes(%d, %d, %d) = %d, sequential visits %d", n, iter, n, got, want)
-			}
-			if got, want := ddsIterNodes(n, iter, 2), seqIterNodes(snap, ADDS, iter); got != want {
-				t.Errorf("ddsIterNodes(%d, %d, 2) = %d, sequential visits %d", n, iter, got, want)
+			if got, want := ddsIterNodes(n, iter), seqIterNodes(snap, DDS, iter); got != want {
+				t.Errorf("ddsIterNodes(%d, %d) = %d, sequential visits %d", n, iter, got, want)
 			}
 		}
 	}
@@ -70,7 +67,7 @@ func TestIterNodeCountsShapeOnly(t *testing.T) {
 				t.Errorf("trial %d: ldsIterNodes(%d, %d) = %d, sequential visits %d",
 					trial, n, iter, got, want)
 			}
-			if got, want := ddsIterNodes(n, iter, n), seqIterNodes(snap, DDS, iter); got != want {
+			if got, want := ddsIterNodes(n, iter), seqIterNodes(snap, DDS, iter); got != want {
 				t.Errorf("trial %d: ddsIterNodes(%d, %d) = %d, sequential visits %d",
 					trial, n, iter, got, want)
 			}
@@ -87,10 +84,8 @@ func TestIterNodeCountsSaturate(t *testing.T) {
 			if c := sc.ldsIterNodes(n, iter); c < int64(n) || c > satCap {
 				t.Fatalf("ldsIterNodes(%d, %d) = %d out of range", n, iter, c)
 			}
-			for _, width := range []int{n, 2} {
-				if c := ddsIterNodes(n, iter, width); c <= 0 || c > satCap {
-					t.Fatalf("ddsIterNodes(%d, %d, %d) = %d out of range", n, iter, width, c)
-				}
+			if c := ddsIterNodes(n, iter); c <= 0 || c > satCap {
+				t.Fatalf("ddsIterNodes(%d, %d) = %d out of range", n, iter, c)
 			}
 		}
 	}

@@ -26,21 +26,6 @@ const (
 	// heuristic schedule, which is why the paper uses discrepancy
 	// search instead (demonstrated by the ext-dfs experiment).
 	DFS
-	// ADDS is adjacent depth-bounded discrepancy search (the
-	// depth-bounded member of Lahimer, Lopez & Haouari's adjacent
-	// family): DDS with every discrepancy restricted to the branch
-	// adjacent to the heuristic one, so iteration i explores the
-	// orderings whose per-level branch rank is at most 1 with the
-	// deepest rank-1 choice exactly at level i-1. The restricted tree
-	// holds 2^(n-1) leaves instead of n!, concentrating the budget on
-	// near-heuristic orderings.
-	ADDS
-	// CDDS is climbing ADDS: the reference ordering the discrepancies
-	// are taken against starts as the heuristic order and is re-anchored
-	// to the incumbent whenever a sweep improves it, restarting the
-	// sweep from the shallowest discrepancy. The search ends at a local
-	// optimum of the adjacent neighborhood (or on budget).
-	CDDS
 )
 
 // String returns the paper's tag for the algorithm.
@@ -52,23 +37,9 @@ func (a Algorithm) String() string {
 		return "DDS"
 	case DFS:
 		return "DFS"
-	case ADDS:
-		return "ADDS"
-	case CDDS:
-		return "CDDS"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
-}
-
-// width is the number of branches the depth-bounded enumerator may try
-// per level of an n-job tree: all of them, except for the adjacent
-// family, which takes the heuristic choice or its neighbor.
-func (a Algorithm) width(n int) int {
-	if a == ADDS || a == CDDS {
-		return 2
-	}
-	return n
 }
 
 // Heuristic selects the branching heuristic that orders the branches at
@@ -258,12 +229,10 @@ func (sch *Scheduler) Decide(snap *sim.Snapshot) []int {
 		switch sch.Algorithm {
 		case LDS:
 			s.runLDS()
-		case DDS, ADDS:
+		case DDS:
 			s.runDDS()
 		case DFS:
 			s.runDFS(0)
-		case CDDS:
-			s.runCDDS()
 		default:
 			panic(fmt.Sprintf("core: unknown algorithm %d", sch.Algorithm))
 		}
@@ -403,10 +372,6 @@ type searchState struct {
 	freeHead int
 	freeNext []int
 	freePrev []int
-	// width caps the branches the depth-bounded enumerator (ddsDFS)
-	// tries per level: reset derives it from the algorithm, a parallel
-	// worker copies its master's.
-	width int
 
 	curCost      Cost
 	curPath      []int // ordered indices along the current partial path
@@ -458,9 +423,8 @@ type improvement struct {
 	nodes int64
 }
 
-// reset prepares the state for one decision; algo fixes the branch
-// width of the depth-bounded enumerator and, with prune, whether the
-// table is on (the only things read from it).
+// reset prepares the state for one decision; algo and prune decide
+// whether the table is on (the only thing read from algo).
 func (s *searchState) reset(snap *sim.Snapshot, algo Algorithm, h Heuristic, bound job.Duration, cost CostFn, limit int, prune bool) {
 	s.bound = bound
 	s.cost = cost
@@ -472,7 +436,6 @@ func (s *searchState) reset(snap *sim.Snapshot, algo Algorithm, h Heuristic, bou
 	s.orderKeys = orderJobs(s.ordered, h, snap.Now, s.orderKeys)
 
 	s.resetSearch()
-	s.width = algo.width(len(s.ordered))
 	s.tab.reset(algo != DFS && !prune && s.leafHook == nil && !s.noTable, len(s.ordered), s.limit)
 	s.ev.Reset(snap)
 }
@@ -492,7 +455,6 @@ func (s *searchState) resetWorker(snap *sim.Snapshot, master *searchState) {
 	s.ordered = append(s.ordered[:0], master.ordered...)
 
 	s.resetSearch()
-	s.width = master.width
 	s.tab.reset(master.tab.on, len(s.ordered), s.limit)
 	s.ev.Reset(snap)
 }
@@ -788,8 +750,7 @@ func (s *searchState) ldsDFS(depth, rem int) {
 
 // runDDS runs depth-bounded discrepancy search: iteration 0 is the pure
 // heuristic path; iteration i forces a discrepancy exactly at depth i,
-// allows any branch (up to s.width of them) above, and follows the
-// heuristic below. At full width that is DDS, at width 2 ADDS.
+// allows any branch above, and follows the heuristic below.
 func (s *searchState) runDDS() {
 	n := len(s.ordered)
 	s.ddsDFS(0, 0)
@@ -817,9 +778,7 @@ func (s *searchState) runDFS(level int) {
 // chooses the node at tree depth l+1, so iteration iter forces the
 // discrepancy at level iter-1: free branching above it, every branch but
 // the heuristic one at it, and below it — everywhere, in iteration 0 —
-// the tail. No level tries more than s.width branches (counting a
-// skipped heuristic branch), which is the whole difference between DDS
-// and ADDS.
+// the tail.
 func (s *searchState) ddsDFS(level, iter int) {
 	if iter == 0 || level > iter-1 {
 		s.tail()
@@ -841,9 +800,6 @@ func (s *searchState) ddsDFS(level, iter int) {
 		b++
 		if !s.visit(oi, ctx, func() { s.ddsDFS(level+1, iter) }) {
 			return
-		}
-		if b >= s.width {
-			break
 		}
 	}
 }

@@ -46,7 +46,7 @@ func iterationLeaves(t *testing.T, n int, algo Algorithm, iter int) [][]int {
 	switch algo {
 	case LDS:
 		s.ldsDFS(0, iter)
-	case DDS, ADDS:
+	case DDS:
 		s.ddsDFS(0, iter)
 	}
 	if s.aborted {

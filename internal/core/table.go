@@ -18,9 +18,9 @@ import "schedsearch/internal/job"
 // Key. Below the forced level of the depth-bounded enumerator, and once
 // LDS has no discrepancy left to spend, the remainder is the heuristic
 // tail, a function of the placed set alone. Above, what the enumerator
-// may still do depends on one more small integer — the iteration (DDS,
-// ADDS, CDDS) or the discrepancies still to spend below (LDS) — which
-// the enumerator hands to visit as ctx, 0 standing for the tail.
+// may still do depends on one more small integer — the iteration (DDS)
+// or the discrepancies still to spend below (LDS) — which the
+// enumerator hands to visit as ctx, 0 standing for the tail.
 //
 // Exact. The 64-bit hash only finds candidates. An entry is served only
 // after its chain of (job, start) pairs, linked through the arena by
@@ -103,11 +103,6 @@ func (tb *table) reset(on bool, n int, limit int64) {
 		slots <<= 1
 	}
 	tb.index = Resize(tb.index, slots)
-	tb.forget()
-}
-
-// forget empties the table; the current path must be empty.
-func (tb *table) forget() {
 	clear(tb.index)
 	tb.entries = append(tb.entries[:0], tableEntry{})
 	tb.cur, tb.hash = 0, 0

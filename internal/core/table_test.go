@@ -118,7 +118,7 @@ func compareTableWithWalk(t testing.TB, c tableCase, snaps []*sim.Snapshot, pair
 }
 
 // tableCases is every configuration TestTableInert runs on an n-job
-// queue: the five algorithms at a budget of one node, one path, the
+// queue: the three algorithms at a budget of one node, one path, the
 // paper's L and (short queues) the whole tree, plain and pruned, plus
 // the parallel search where it exists.
 func tableCases(n int) []tableCase {
@@ -127,12 +127,12 @@ func tableCases(n int) []tableCase {
 		limits = append(limits, 1<<30)
 	}
 	var cases []tableCase
-	for _, algo := range []Algorithm{LDS, DDS, ADDS, CDDS, DFS} {
+	for _, algo := range []Algorithm{LDS, DDS, DFS} {
 		for _, limit := range limits {
 			for _, prune := range []bool{false, true} {
 				cases = append(cases, tableCase{algo: algo, limit: limit, prune: prune})
 			}
-			if algo != CDDS && algo != DFS {
+			if algo != DFS {
 				cases = append(cases, tableCase{algo: algo, limit: limit, workers: 3})
 			}
 		}
@@ -169,7 +169,7 @@ func TestTableInert(t *testing.T) {
 			served[c.algo] += got
 		}
 	}
-	for _, algo := range []Algorithm{LDS, DDS, ADDS, CDDS} {
+	for _, algo := range []Algorithm{LDS, DDS} {
 		if served[algo] == 0 {
 			t.Errorf("%s: the table never served a node; the comparison proved nothing", algo)
 		}
@@ -188,7 +188,7 @@ func TestTableSurvivesCollisions(t *testing.T) {
 		n := 2 + rng.Intn(9)
 		first := tableSnapshot(rng, n, trial%2 == 0)
 		snaps := []*sim.Snapshot{first, nextSnapshot(rng, first)}
-		for _, algo := range []Algorithm{LDS, DDS, ADDS, CDDS} {
+		for _, algo := range []Algorithm{LDS, DDS} {
 			for _, limit := range []int{n + 3, 400} {
 				served += compareTableWithWalk(t, tableCase{algo: algo, limit: limit}, snaps, constant)
 			}
@@ -251,7 +251,7 @@ func TestTableEntriesMatchFreshWalks(t *testing.T) {
 		n := 2 + rng.Intn(5)
 		snap := tableSnapshot(rng, n, trial%2 == 0)
 		bound := DynamicBound().At(snap)
-		for _, algo := range []Algorithm{LDS, DDS, ADDS} {
+		for _, algo := range []Algorithm{LDS, DDS} {
 			var s, fresh searchState
 			fresh.noTable = true
 			s.reset(snap, algo, HeuristicLXF, bound, nil, 1<<30, false)
@@ -381,11 +381,11 @@ func FuzzSearchTable(f *testing.F) {
 		first := tableSnapshot(rng, 1+int(n)%40, mode&1 == 0)
 		snaps := []*sim.Snapshot{first, nextSnapshot(rng, first)}
 		c := tableCase{
-			algo:  []Algorithm{LDS, DDS, ADDS, CDDS, DFS}[int(algo)%5],
+			algo:  []Algorithm{LDS, DDS, DFS}[int(algo)%3],
 			limit: 1 + int(limit)%3000,
 			prune: mode&2 != 0,
 		}
-		if mode&4 != 0 && !c.prune && c.algo != CDDS && c.algo != DFS {
+		if mode&4 != 0 && !c.prune && c.algo != DFS {
 			c.workers = 3
 		}
 		compareTableWithWalk(t, c, snaps, nil)

@@ -199,13 +199,13 @@ func FuzzTail(f *testing.F) {
 		snaps := []*sim.Snapshot{first, nextSnapshot(rng, first)}
 		c := tailCase{
 			tableCase: tableCase{
-				algo:  []Algorithm{LDS, DDS, ADDS, CDDS}[int(algo)%4],
+				algo:  []Algorithm{LDS, DDS}[int(algo)%2],
 				limit: 1 + int(limit)%3000,
 				prune: mode&2 != 0,
 			},
 			noTable: mode&8 != 0,
 		}
-		if mode&4 != 0 && !c.prune && c.algo != CDDS {
+		if mode&4 != 0 && !c.prune {
 			c.workers = 3
 		} else {
 			c.hook = mode&16 != 0

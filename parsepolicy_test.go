@@ -21,6 +21,8 @@ func TestParsePolicyErrors(t *testing.T) {
 		{"four parts", "DDS/lxf/dynB/extra", "unknown policy"},
 		{"unknown algorithm", "BFS/lxf/dynB", "unknown search algorithm"},
 		{"lowercase algorithm", "dds/lxf/dynB", "unknown search algorithm"},
+		{"adjacent DDS", "ADDS/lxf/dynB", "unknown search algorithm"},
+		{"climbing adjacent DDS", "CDDS/lxf/dynB", "unknown search algorithm"},
 		{"unknown heuristic", "DDS/sjf/dynB", "unknown branching heuristic"},
 		{"uppercase heuristic", "DDS/LXF/dynB", "unknown branching heuristic"},
 		{"malformed bound", "DDS/lxf/12q", "bound"},
@@ -53,7 +55,7 @@ func TestParsePolicyErrors(t *testing.T) {
 // bound combinations — and the shorthand bound spellings must build the
 // same policy as the canonical "fixB=" form Scheduler.Name emits.
 func TestParsePolicyRoundTrips(t *testing.T) {
-	algos := []core.Algorithm{core.LDS, core.DDS, core.DFS, core.ADDS, core.CDDS}
+	algos := []core.Algorithm{core.LDS, core.DDS, core.DFS}
 	heurs := []core.Heuristic{core.HeuristicFCFS, core.HeuristicLXF}
 	bounds := []core.BoundSpec{
 		core.DynamicBound(),

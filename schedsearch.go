@@ -81,8 +81,6 @@ type (
 const (
 	LDS            = core.LDS
 	DDS            = core.DDS
-	ADDS           = core.ADDS
-	CDDS           = core.CDDS
 	HeuristicFCFS  = core.HeuristicFCFS
 	HeuristicLXF   = core.HeuristicLXF
 	Hour           = job.Hour
@@ -188,12 +186,21 @@ func RunMonthWithEstimator(s *Suite, label string, opt SimOptions, est Estimator
 // LoadInput assembles the simulator input the commands replay. A
 // non-empty swfPath reads that SWF trace (plain or .gz) onto a machine
 // of capacity nodes — capacity <= 0 means the header's MaxNodes — grown
-// to hold the widest job; opt.TargetLoad does not apply to traces and
-// the Month is nil. Otherwise it is the generated month of the suite
-// cfg describes, with warm-up/cool-down margins and measurement flags.
+// to hold the widest job; cfg, month and opt.TargetLoad do not apply to
+// traces and the Month is nil. Otherwise it is the generated month of
+// the suite cfg describes, with warm-up/cool-down margins and
+// measurement flags, on a machine of capacity nodes: its jobs are drawn
+// for the suite's capacity (DefaultCap unless cfg sets one), so a
+// smaller capacity is an error and capacity <= 0 means the suite's.
 func LoadInput(swfPath string, capacity int, cfg SuiteConfig, month string, opt SimOptions) (sim.Input, *Month, error) {
 	if swfPath == "" {
-		return NewSuite(cfg).Input(month, opt)
+		in, m, err := NewSuite(cfg).Input(month, opt)
+		if err == nil && capacity > 0 && capacity < in.Capacity {
+			return sim.Input{}, nil, fmt.Errorf("capacity %d: a generated month's jobs are drawn for %d nodes; replay it on at least that many",
+				capacity, in.Capacity)
+		}
+		in.Capacity = max(in.Capacity, capacity)
+		return in, m, err
 	}
 	jobs, header, err := trace.ReadSWFFile(swfPath)
 	if err != nil {
@@ -266,9 +273,10 @@ func NewMetaScheduler(members []Policy, cfg MetaConfig) (*MetaScheduler, error) 
 // ParsePolicy builds a policy from its report name. Backfill policies
 // are named "FCFS-backfill", "LXF-backfill", "SJF-backfill",
 // "LXFW-backfill", "Selective-backfill", "Relaxed-backfill",
-// "Slack-backfill" and "Lookahead"; search policies follow the paper's
-// ALGO/HEUR/BOUND scheme, e.g. "DDS/lxf/dynB" or "LDS/fcfs/100h";
-// ALGO is one of DDS, LDS, DFS, ADDS or CDDS.
+// "Slack-backfill", "Lookahead", "Conservative-backfill",
+// "Maui-backfill" and "MultiQueue-backfill"; search policies follow the
+// paper's ALGO/HEUR/BOUND scheme, e.g. "DDS/lxf/dynB" or
+// "LDS/fcfs/100h"; ALGO is one of DDS, LDS or DFS.
 // Fixed bounds accept both the shorthand ("100h", "30m", "90s") and
 // the canonical spelling Scheduler.Name emits ("fixB=100h"), and the
 // names the built policies report ("LXF&W-backfill",
@@ -339,10 +347,6 @@ func parseBasePolicy(name string, nodeLimit int) (Policy, error) {
 		algo = core.LDS
 	case "DFS":
 		algo = core.DFS
-	case "ADDS":
-		algo = core.ADDS
-	case "CDDS":
-		algo = core.CDDS
 	default:
 		return nil, fmt.Errorf("schedsearch: unknown search algorithm %q", parts[0])
 	}

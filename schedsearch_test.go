@@ -74,6 +74,26 @@ func TestRunMonthEndToEnd(t *testing.T) {
 	}
 }
 
+// TestLoadInputCapacity: a generated month's jobs are drawn for
+// DefaultCap nodes, so a smaller machine is refused, a larger one is
+// the machine replayed, and no capacity means DefaultCap.
+func TestLoadInputCapacity(t *testing.T) {
+	cfg := schedsearch.SuiteConfig{Seed: 1, JobScale: 0.02}
+	if _, _, err := schedsearch.LoadInput("", 64, cfg, "1/04", schedsearch.SimOptions{}); err == nil ||
+		!strings.Contains(err.Error(), "capacity 64") {
+		t.Errorf("capacity 64: error %v, want a refusal naming it", err)
+	}
+	for _, tc := range []struct{ capacity, want int }{{256, 256}, {0, schedsearch.DefaultCap}} {
+		in, m, err := schedsearch.LoadInput("", tc.capacity, cfg, "1/04", schedsearch.SimOptions{})
+		if err != nil {
+			t.Fatalf("capacity %d: %v", tc.capacity, err)
+		}
+		if in.Capacity != tc.want || m == nil || len(in.Jobs) == 0 {
+			t.Errorf("capacity %d: %d jobs on %d nodes, want %d nodes", tc.capacity, len(in.Jobs), in.Capacity, tc.want)
+		}
+	}
+}
+
 func TestRunMonthUnknownMonth(t *testing.T) {
 	suite := schedsearch.NewSuite(schedsearch.SuiteConfig{Seed: 1, JobScale: 0.05})
 	if _, _, err := schedsearch.RunMonth(suite, "4/03", schedsearch.SimOptions{},
