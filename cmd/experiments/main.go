@@ -25,7 +25,6 @@ func main() {
 		scale  = flag.Float64("scale", 1, "workload scale factor (1 = paper scale)")
 		months = flag.String("months", "", "comma-separated month labels (default all)")
 		lscale = flag.Float64("limitscale", 1, "scale factor on the paper's search node limits")
-		csvDir = flag.String("csv", "", "export headline figure data as CSV files into this directory")
 	)
 	flag.Parse()
 
@@ -39,15 +38,6 @@ func main() {
 	cfg := experiments.Config{Seed: *seed, Scale: *scale, LimitScale: *lscale}
 	if *months != "" {
 		cfg.Months = strings.Split(*months, ",")
-	}
-
-	if *csvDir != "" {
-		if err := experiments.ExportCSV(cfg, *csvDir); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("CSV series written to %s\n", *csvDir)
-		return
 	}
 
 	var ids []string

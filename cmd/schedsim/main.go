@@ -26,7 +26,6 @@ import (
 	"schedsearch/internal/engine"
 	"schedsearch/internal/metrics"
 	"schedsearch/internal/obs"
-	"schedsearch/internal/report"
 	"schedsearch/internal/sim"
 	"schedsearch/internal/workload"
 )
@@ -43,7 +42,6 @@ func main() {
 		requested = flag.Bool("requested", false, "schedulers use requested runtimes (R* = R)")
 		verbose   = flag.Bool("v", false, "print per-class wait grid")
 		swfIn     = flag.String("swf", "", "simulate this SWF trace file (plain or .gz) instead of a generated month")
-		timeline  = flag.Int("timeline", 0, "render a timeline of the first N measured jobs")
 		capacity  = flag.Int("capacity", 0, "machine size in nodes (default: 128 for a generated month, which rejects fewer; for -swf the trace header's MaxNodes, else the widest job)")
 		jsonOut   = flag.Bool("json", false, "emit the run summary as JSON on stdout (the schema schedd's /v1/metrics serves)")
 		flightN   = flag.Int("flight", 0, "record the last N scheduling decisions (queue depth, search effort, incumbent trajectory, commit) and print them as JSON after the summary (0 = off)")
@@ -77,7 +75,7 @@ func main() {
 			return fmt.Sprintf("month %s: %d jobs, offered load %.2f (spec %.2f)",
 				m.Spec.Label, jobs, effectiveLoad(m, *load), m.Spec.Load)
 		}
-		err = run(in, header, *policyArg, opts, *verbose, *timeline, *jsonOut)
+		err = run(in, header, *policyArg, opts, *verbose, *jsonOut)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "schedsim:", err)
@@ -163,7 +161,7 @@ func emitJSON(res *sim.Result, s metrics.Summary, pol sim.Policy) error {
 
 // run simulates the policy over the input and reports; header renders
 // the human summary's first line from the measured job count.
-func run(in sim.Input, header func(jobs int) string, policyArg string, opts searchOpts, verbose bool, timeline int, jsonOut bool) error {
+func run(in sim.Input, header func(jobs int) string, policyArg string, opts searchOpts, verbose bool, jsonOut bool) error {
 	pol, flight, err := parsePolicy(policyArg, opts)
 	if err != nil {
 		return err
@@ -187,34 +185,7 @@ func run(in sim.Input, header func(jobs int) string, policyArg string, opts sear
 	if verbose {
 		printGrid(metrics.ComputeClassGrid(res))
 	}
-	printTimeline(res, timeline)
 	return printFlight(flight)
-}
-
-// printTimeline renders the first n measured jobs as queue/run bars.
-func printTimeline(res *sim.Result, n int) {
-	if n <= 0 {
-		return
-	}
-	tl := report.NewTimeline()
-	added := 0
-	for _, r := range res.Records {
-		if !r.Measured {
-			continue
-		}
-		tl.Add(report.TimelineJob{
-			Label:  fmt.Sprintf("#%d n=%d", r.Job.ID, r.Job.Nodes),
-			Submit: r.Job.Submit,
-			Start:  r.Start,
-			End:    r.End,
-		})
-		added++
-		if added >= n {
-			break
-		}
-	}
-	fmt.Println()
-	tl.Write(os.Stdout)
 }
 
 func printSummary(res *sim.Result, s metrics.Summary, pol sim.Policy) {

@@ -60,7 +60,7 @@ func TestEvaluatorMatchesSearchLeaves(t *testing.T) {
 // "started jobs, then the rest, both in queue order".
 func TestPlanScorerIsStartedThenArrivalOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	ps := NewPlanScorer()
+	var ps PlanScorer
 	for trial := 0; trial < 40; trial++ {
 		n := 1 + rng.Intn(6)
 		snap := randomSnapshot(rng, n)

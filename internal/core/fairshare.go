@@ -21,16 +21,17 @@ type Fairshare struct {
 	// Alpha is the discount strength: a user at k times their fair
 	// share has their jobs' slowdown cost divided by 1 + Alpha*(k-1).
 	Alpha float64
-	// Halflife of the usage decay (default 24h via NewFairshare).
-	Halflife job.Duration
 
 	usage   map[int]float64 // user -> decayed node-seconds
 	lastNow job.Time
 }
 
-// NewFairshare wraps the scheduler with conventional parameters.
+// fairshareHalflife is the half-life of the usage decay.
+const fairshareHalflife = 24 * job.Hour
+
+// NewFairshare wraps the scheduler with discount strength alpha.
 func NewFairshare(inner *Scheduler, alpha float64) *Fairshare {
-	return &Fairshare{Inner: inner, Alpha: alpha, Halflife: 24 * job.Hour}
+	return &Fairshare{Inner: inner, Alpha: alpha}
 }
 
 // Name implements sim.Policy.
@@ -85,27 +86,26 @@ func (f *Fairshare) update(snap *sim.Snapshot) {
 		dt = 0
 	}
 	f.lastNow = snap.Now
-	if dt > 0 && f.Halflife > 0 {
-		decay := math.Exp2(-float64(dt) / float64(f.Halflife))
-		for u := range f.usage {
-			f.usage[u] *= decay
-			if f.usage[u] < 1e-6 {
-				delete(f.usage, u)
-			}
+	if dt <= 0 {
+		return
+	}
+	decay := math.Exp2(-float64(dt) / float64(fairshareHalflife))
+	for u := range f.usage {
+		f.usage[u] *= decay
+		if f.usage[u] < 1e-6 {
+			delete(f.usage, u)
 		}
 	}
 	// Accrue usage for the interval just elapsed. Decisions happen at
 	// every start and completion, so integrating running jobs over
 	// [lastNow, now] captures the full usage up to boundary overlaps.
-	if dt > 0 {
-		for _, r := range snap.Running {
-			span := dt
-			if r.Start > snap.Now-dt {
-				span = snap.Now - r.Start
-			}
-			if span > 0 && r.User != 0 {
-				f.usage[r.User] += float64(r.Nodes) * float64(span)
-			}
+	for _, r := range snap.Running {
+		span := dt
+		if r.Start > snap.Now-dt {
+			span = snap.Now - r.Start
+		}
+		if span > 0 && r.User != 0 {
+			f.usage[r.User] += float64(r.Nodes) * float64(span)
 		}
 	}
 }

@@ -18,13 +18,9 @@ type LocalScheduler struct {
 	Bound     BoundSpec
 	// NodeLimit is the shared budget L in tree-node visits.
 	NodeLimit int
-	// Cost scores placements; nil means HierarchicalCost.
-	Cost CostFn
 	// Hybrid spends half the budget on a DDS pass and starts the climb
 	// from its best schedule instead of the heuristic ordering.
 	Hybrid bool
-	// Seed makes the random walk deterministic.
-	Seed uint64
 
 	// SearchStats accumulates effort counters across the run.
 	SearchStats Stats
@@ -38,7 +34,7 @@ type LocalScheduler struct {
 
 // NewLocal returns a pure local-search scheduler.
 func NewLocal(h Heuristic, bound BoundSpec, nodeLimit int) *LocalScheduler {
-	return &LocalScheduler{Heuristic: h, Bound: bound, NodeLimit: nodeLimit, Seed: 1}
+	return &LocalScheduler{Heuristic: h, Bound: bound, NodeLimit: nodeLimit}
 }
 
 // NewHybrid returns the DDS-seeded local-search scheduler.
@@ -63,19 +59,20 @@ func (ls *LocalScheduler) Decide(snap *sim.Snapshot) []int {
 	if n == 0 {
 		return nil
 	}
-	cost := ls.Cost
 	limit := ls.NodeLimit
 	if limit < 1 {
 		limit = 1
 	}
 	ls.decisions++
-	rng := stats.NewRNG(ls.Seed, ls.decisions)
+	// Seed 1 with the decision count as the stream: the random walk is
+	// deterministic and independent across decisions.
+	rng := stats.NewRNG(1, ls.decisions)
 
 	// Current ordering: heuristic order by default, the best DDS path
 	// in hybrid mode (the DDS pass consumes half the budget).
 	s := &ls.s
 	bound := ls.Bound.At(snap)
-	s.reset(snap, DDS, ls.Heuristic, bound, cost, limit, false)
+	s.reset(snap, DDS, ls.Heuristic, bound, nil, limit, false)
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
@@ -94,7 +91,7 @@ func (ls *LocalScheduler) Decide(snap *sim.Snapshot) []int {
 
 	// Orderings are evaluated on the search's own profile, which the
 	// DDS pass (if any) has restored to the decision's starting state.
-	c0, sn0 := s.ev.Eval(s.ordered, order, cost, bound)
+	c0, sn0 := s.ev.Eval(s.ordered, order, nil, bound)
 	bestCost := c0
 	bestStartNow := append([]bool(nil), sn0...) // eval reuses its slice
 	used := int64(n)
@@ -109,7 +106,7 @@ func (ls *LocalScheduler) Decide(snap *sim.Snapshot) []int {
 			k = (k + 1) % n
 		}
 		cur[i], cur[k] = cur[k], cur[i]
-		c, startNow := s.ev.Eval(s.ordered, cur, cost, bound)
+		c, startNow := s.ev.Eval(s.ordered, cur, nil, bound)
 		used += int64(n)
 		if c.Less(curCost) {
 			curCost = c

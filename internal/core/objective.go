@@ -79,23 +79,6 @@ func placementCost(cost CostFn, w *sim.WaitingJob, start, now job.Time, bound jo
 	return cost(*w, start, now, bound)
 }
 
-// RuntimeScaledCost is the paper's future-work variant: the target wait
-// bound is scaled per job as a function of its runtime estimate, so
-// short jobs are held to tighter wait bounds. A job with estimate e gets
-// the bound min(bound, max(MinBound, Factor×e)).
-func RuntimeScaledCost(factor float64, minBound job.Duration) CostFn {
-	return func(w sim.WaitingJob, start, now job.Time, bound job.Duration) Cost {
-		b := job.Duration(factor * float64(w.Estimate))
-		if b < minBound {
-			b = minBound
-		}
-		if b > bound {
-			b = bound
-		}
-		return HierarchicalCost(w, start, now, b)
-	}
-}
-
 // BoundSpec selects the target wait bound of the first-level goal.
 type BoundSpec struct {
 	// Dynamic selects the paper's dynB bound: the wait time of the

@@ -89,24 +89,6 @@ func TestHierarchicalCostShortJobFloor(t *testing.T) {
 	}
 }
 
-func TestRuntimeScaledCost(t *testing.T) {
-	fn := RuntimeScaledCost(2.0, 600)
-	// Short job (est 300s): bound = max(600, 2*300) = 600, tighter than
-	// the global bound of 7200.
-	w := waiting(1, 0, 1, 300)
-	c := fn(w, 1000, 1000, 7200)
-	if c[0] != 400 { // wait 1000 - bound 600
-		t.Errorf("scaled excess = %v, want 400", c[0])
-	}
-	// Long job (est 10000s): 2*est = 20000 > global bound 7200, so the
-	// global bound applies.
-	w2 := waiting(2, 0, 1, 10000)
-	c2 := fn(w2, 8000, 8000, 7200)
-	if c2[0] != 800 {
-		t.Errorf("long-job excess = %v, want 800", c2[0])
-	}
-}
-
 func TestBoundSpecAt(t *testing.T) {
 	fixed := FixedBound(100 * job.Hour)
 	snap := &sim.Snapshot{Now: 5000}

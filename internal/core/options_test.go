@@ -100,17 +100,6 @@ func TestSchedulerWithPruneAndBudget(t *testing.T) {
 	}
 }
 
-// TestLocalSchedulerWithCustomCost: LocalScheduler accepts the same
-// CostFn extension point as the complete-search scheduler.
-func TestLocalSchedulerWithCustomCost(t *testing.T) {
-	ls := NewLocal(HeuristicLXF, DynamicBound(), 300)
-	ls.Cost = RuntimeScaledCost(2, job.Hour)
-	starts := ls.Decide(fourJobSnapshot())
-	if len(starts) != 4 {
-		t.Errorf("starts = %v, want all four trivial jobs", starts)
-	}
-}
-
 // TestFairshareWithFixedBound: the wrapper composes with any bound.
 func TestFairshareWithFixedBound(t *testing.T) {
 	fs := NewFairshare(New(DDS, HeuristicLXF, FixedBound(50*job.Hour), 300), 2)

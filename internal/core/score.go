@@ -2,45 +2,29 @@ package core
 
 import "schedsearch/internal/sim"
 
-// DefaultExcessWeight is the scalarization weight PlanScorer applies to
-// the first-level goal (excess wait seconds) relative to the second
-// (sum of bounded slowdowns). A run's excess is typically orders of
-// magnitude larger than a single job's slowdown, so the weight mostly
-// preserves the lexicographic preference while keeping the second
-// level as a tiebreak between excess-free plans.
-const DefaultExcessWeight = 1000
+// excessWeight is the scalarization weight PlanScorer applies to the
+// first-level goal (excess wait seconds) relative to the second (sum of
+// bounded slowdowns). A run's excess is typically orders of magnitude
+// larger than a single job's slowdown, so the weight mostly preserves
+// the lexicographic preference while keeping the second level as a
+// tiebreak between excess-free plans.
+const excessWeight = 1000
 
 // PlanScorer scores one decision — a set of jobs started now — on the
-// uniform objective the search policies optimize, independent of which
-// policy (or external agent) produced it. It is the common yardstick
-// the meta-scheduler compares portfolio arms with and the environment
-// export derives rewards from.
+// uniform objective the search policies optimize (dynB and the
+// hierarchical cost), independent of which policy produced it. It is
+// the common yardstick the meta-scheduler compares portfolio arms with.
 //
 // The score is the hierarchical cost of the induced plan: the started
 // jobs placed at the decision time, every remaining queued job placed
 // greedily at its earliest fit in arrival order (FCFS completion — the
 // neutral continuation, favoring no arm's private ordering). Scoring
 // is passive: it runs on its own profile scratch and never touches the
-// ledger or any policy state.
+// ledger or any policy state. The zero value is ready to use.
 type PlanScorer struct {
-	// Bound resolves the target wait bound per decision; zero value
-	// means the paper's dynB.
-	Bound BoundSpec
-	// Cost scores individual placements; nil means HierarchicalCost.
-	Cost CostFn
-	// ExcessWeight scalarizes the two cost levels; 0 means
-	// DefaultExcessWeight.
-	ExcessWeight float64
-
 	ev      OrderEvaluator
 	started []bool
 	order   []int // scratch: started jobs, then the rest, as queue positions
-}
-
-// NewPlanScorer returns a scorer with the paper's objective (dynB +
-// hierarchical cost) and the default scalarization.
-func NewPlanScorer() *PlanScorer {
-	return &PlanScorer{Bound: DynamicBound()}
 }
 
 // Score evaluates starting the given QueuePos set at snap.Now and
@@ -50,7 +34,7 @@ func NewPlanScorer() *PlanScorer {
 // their earliest achievable start, not as an error — the ledger, not
 // the scorer, is the feasibility authority.
 func (ps *PlanScorer) Score(snap *sim.Snapshot, starts []int) Cost {
-	bound := ps.Bound.At(snap)
+	bound := DynamicBound().At(snap)
 
 	n := len(snap.Queue)
 	ps.started = Resize(ps.started, n)
@@ -73,16 +57,10 @@ func (ps *PlanScorer) Score(snap *sim.Snapshot, starts []int) Cost {
 		}
 	}
 	ps.ev.Reset(snap)
-	total, _ := ps.ev.Eval(snap.Queue, ps.order, ps.Cost, bound)
+	total, _ := ps.ev.Eval(snap.Queue, ps.order, nil, bound)
 	return total
 }
 
 // Scalar collapses a hierarchical cost into one comparable number
-// (lower is better) using the configured excess weight.
-func (ps *PlanScorer) Scalar(c Cost) float64 {
-	w := ps.ExcessWeight
-	if w == 0 {
-		w = DefaultExcessWeight
-	}
-	return c[0]*w + c[1]
-}
+// (lower is better) using excessWeight.
+func (ps *PlanScorer) Scalar(c Cost) float64 { return c[0]*excessWeight + c[1] }

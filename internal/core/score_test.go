@@ -28,7 +28,7 @@ func scoreSnap() *sim.Snapshot {
 // started job is charged its committed start, the rest continue
 // greedily in arrival order.
 func TestPlanScorerHandComputed(t *testing.T) {
-	ps := NewPlanScorer()
+	var ps PlanScorer
 	snap := scoreSnap()
 
 	// Plan A: start job 2 now (fits the 2 free nodes). Job 2 waits
@@ -60,7 +60,7 @@ func TestPlanScorerHandComputed(t *testing.T) {
 // TestPlanScorerPrefersBetterPlans: delaying a wide urgent job behind a
 // started narrow one must score worse than the plan the search favors.
 func TestPlanScorerPrefersBetterPlans(t *testing.T) {
-	ps := NewPlanScorer()
+	var ps PlanScorer
 	snap := &sim.Snapshot{
 		Now:       10000,
 		Capacity:  4,

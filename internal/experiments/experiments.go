@@ -13,8 +13,6 @@ import (
 	"runtime"
 	"sync"
 
-	"schedsearch/internal/core"
-	"schedsearch/internal/job"
 	"schedsearch/internal/metrics"
 	"schedsearch/internal/sim"
 	"schedsearch/internal/workload"
@@ -77,12 +75,7 @@ type PolicySpec struct {
 	New func(month string) sim.Policy
 }
 
-// Baselines returns the paper's two baseline backfill policies.
-func searchSpec(name string, build func(limit int) *core.Scheduler, limitFor func(month string) int) PolicySpec {
-	return PolicySpec{Name: name, New: func(month string) sim.Policy { return build(limitFor(month)) }}
-}
-
-// task identifies one simulation.
+// runKey identifies one simulation.
 type runKey struct {
 	Month  string
 	Policy string
@@ -200,6 +193,3 @@ func ByID(id string) (Experiment, bool) {
 	}
 	return Experiment{}, false
 }
-
-// hoursLabel formats a duration in hours for chart units.
-func hoursOf(d job.Duration) float64 { return float64(d) / float64(job.Hour) }

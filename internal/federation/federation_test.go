@@ -14,7 +14,6 @@ import (
 	"schedsearch/internal/oracle"
 	"schedsearch/internal/policy"
 	"schedsearch/internal/sim"
-	"schedsearch/internal/stats"
 	"schedsearch/internal/workload"
 )
 
@@ -271,6 +270,53 @@ func TestFederatedSuiteMonth(t *testing.T) {
 	}
 }
 
+// TestMetricsSumsSearchCounters: every search counter of the federated
+// report is the sum of the shards' counters, so a sharded daemon's
+// /v1/metrics reads the same totals its per-shard report adds up to.
+func TestMetricsSumsSearchCounters(t *testing.T) {
+	const shards = 2
+	suite := workload.NewSuite(workload.Config{Seed: 1, JobScale: 0.1})
+	in, _, err := suite.Input("1/04", workload.SimOptions{TargetLoad: 0.9 * shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Capacity = shards * workload.Capacity
+	r := replayRouter(t, in, Config{
+		Shards: shards,
+		Policy: func(int) sim.Policy {
+			return core.New(core.DDS, core.HeuristicLXF, core.DynamicBound(), 1000)
+		},
+	})
+	fm := r.Federation()
+	var want engine.Counters
+	for _, s := range fm.PerShard {
+		c := s.Metrics.Engine
+		want.SearchNodes += c.SearchNodes
+		want.SearchLeaves += c.SearchLeaves
+		want.BudgetHits += c.BudgetHits
+		want.SearchTableNodes += c.SearchTableNodes
+		want.SearchNodesToBest += c.SearchNodesToBest
+	}
+	got := r.Metrics().Engine
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"search_nodes", got.SearchNodes, want.SearchNodes},
+		{"search_leaves", got.SearchLeaves, want.SearchLeaves},
+		{"budget_hits", got.BudgetHits, want.BudgetHits},
+		{"search_table_nodes", got.SearchTableNodes, want.SearchTableNodes},
+		{"search_nodes_to_best", got.SearchNodesToBest, want.SearchNodesToBest},
+	} {
+		if c.want <= 0 {
+			t.Errorf("%s: the shards' sum is %d; this input must drive it above 0", c.name, c.want)
+		}
+		if c.got != c.want {
+			t.Errorf("%s: federated %d, sum over shards %d", c.name, c.got, c.want)
+		}
+	}
+}
+
 // TestFederationQualityVsFCFS is the keystone for federated schedule
 // quality, on the benchmark's fed_remote regime: the ten suite months at
 // 0.9 of 512 nodes over four 128-node DDS/lxf/dynB shards (L = 1000),
@@ -321,7 +367,14 @@ func TestFederationQualityVsFCFS(t *testing.T) {
 	if len(bsld) < 8 || len(wait) < 8 {
 		t.Fatalf("only %d slowdown and %d wait ratios over ten months", len(bsld), len(wait))
 	}
-	b, w := stats.Mean(bsld), stats.Mean(wait)
+	mean := func(xs []float64) float64 {
+		var s float64
+		for _, x := range xs {
+			s += x
+		}
+		return s / float64(len(xs))
+	}
+	b, w := mean(bsld), mean(wait)
 	t.Logf("bsld_vs_fcfs %.4f, max_wait_vs_fcfs %.4f", b, w)
 	if b > maxBsld || w > maxWait {
 		t.Errorf("federated schedule quality against FCFS-backfill on one machine: bsld %.4f (bound %.2f), max wait %.4f (bound %.2f)",

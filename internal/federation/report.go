@@ -147,6 +147,8 @@ func (r *Router) Metrics() engine.Metrics {
 		c.SearchNodes += pm.Engine.SearchNodes
 		c.SearchLeaves += pm.Engine.SearchLeaves
 		c.BudgetHits += pm.Engine.BudgetHits
+		c.SearchTableNodes += pm.Engine.SearchTableNodes
+		c.SearchNodesToBest += pm.Engine.SearchNodesToBest
 		wallMs += pm.Engine.SearchWallMs
 		busyMs += pm.Engine.SearchWallMs * pm.Engine.SearchSpeedup
 		decideMsSum += pm.Engine.AvgDecideMs * float64(pm.Engine.Decisions)

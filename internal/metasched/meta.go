@@ -84,7 +84,7 @@ type Meta struct {
 	members []sim.Policy
 	name    string
 	bandit  *greedyBandit
-	scorer  *core.PlanScorer
+	scorer  core.PlanScorer
 
 	prevArm   int
 	havePrev  bool
@@ -114,7 +114,6 @@ func New(members []sim.Policy, cfg Config) (*Meta, error) {
 		members: members,
 		name:    "meta(" + strings.Join(names, ",") + ")",
 		bandit:  newGreedyBandit(len(members)),
-		scorer:  core.NewPlanScorer(),
 		plans:   make([][]int, len(members)),
 		scores:  make([]float64, len(members)),
 		losses:  make([]float64, len(members)),

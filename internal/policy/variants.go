@@ -94,7 +94,6 @@ func (r *RelaxedBackfill) Decide(snap *sim.Snapshot) []int {
 
 	// The head job is the highest-priority job that cannot start now.
 	headIdx := -1 // index into order
-	var headFit job.Time
 	var headLimit job.Time
 	for oi, qi := range order {
 		w := snap.Queue[qi]
@@ -106,7 +105,6 @@ func (r *RelaxedBackfill) Decide(snap *sim.Snapshot) []int {
 			continue
 		}
 		headIdx = oi
-		headFit = t
 		headLimit = t + job.Duration(r.Relax*float64(est))
 		break
 	}
@@ -133,7 +131,6 @@ func (r *RelaxedBackfill) Decide(snap *sim.Snapshot) []int {
 	}
 	// Note the head job holds no hard reservation: its protection is
 	// the relaxed limit test above, re-evaluated at every decision.
-	_ = headFit
 	return starts
 }
 

@@ -1,6 +1,5 @@
-// Package report renders experiment results as aligned text tables,
-// ASCII bar charts (the paper's figures are per-month bar groups), and
-// CSV for external plotting.
+// Package report renders experiment results as aligned text tables and
+// ASCII bar charts (the paper's figures are per-month bar groups).
 package report
 
 import (
@@ -82,29 +81,6 @@ func (t *Table) Write(w io.Writer) {
 	line(sep)
 	for _, r := range t.rows {
 		line(append([]string{r.label}, r.cells...))
-	}
-}
-
-// WriteCSV renders the table as CSV.
-func (t *Table) WriteCSV(w io.Writer) {
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-		}
-		return s
-	}
-	cells := append([]string{t.RowLabel}, t.Columns...)
-	for i := range cells {
-		cells[i] = esc(cells[i])
-	}
-	fmt.Fprintln(w, strings.Join(cells, ","))
-	for _, r := range t.rows {
-		out := make([]string, 0, len(r.cells)+1)
-		out = append(out, esc(r.label))
-		for _, c := range r.cells {
-			out = append(out, esc(c))
-		}
-		fmt.Fprintln(w, strings.Join(out, ","))
 	}
 }
 

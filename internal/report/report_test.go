@@ -37,23 +37,6 @@ func TestTableRowMismatchPanics(t *testing.T) {
 	tbl.AddRow("r", "only one")
 }
 
-func TestTableCSV(t *testing.T) {
-	tbl := NewTable("", "month", "avg,wait", `max"wait`)
-	tbl.AddRow("6/03", "1.5", "2.5")
-	var sb strings.Builder
-	tbl.WriteCSV(&sb)
-	out := sb.String()
-	if !strings.Contains(out, `"avg,wait"`) {
-		t.Errorf("comma not escaped: %s", out)
-	}
-	if !strings.Contains(out, `"max""wait"`) {
-		t.Errorf("quote not escaped: %s", out)
-	}
-	if !strings.Contains(out, "6/03,1.5,2.5") {
-		t.Errorf("row missing: %s", out)
-	}
-}
-
 func TestBarChart(t *testing.T) {
 	c := NewBarChart("max wait", "h", "FCFS", "DDS")
 	c.AddGroup("6/03", 50, 25)

@@ -1,8 +1,7 @@
 // Package stats provides the statistical substrate used by the workload
-// generator and the experiment harness: deterministic seeded random
-// streams, the distributions needed to synthesize job traces (log-uniform,
-// mean-targeted truncated exponential), descriptive statistics
-// (mean, percentiles, histograms) and small numeric solvers.
+// generator: deterministic seeded random streams, the distributions
+// needed to synthesize job traces (log-uniform, mean-targeted truncated
+// exponential, hyper-gamma) and small numeric solvers.
 //
 // Everything in this package is deterministic given a seed, so every
 // experiment in the repository is exactly reproducible.
@@ -96,9 +95,6 @@ func (r *RNG) Choose(weights []float64) int {
 	}
 	return len(weights) - 1
 }
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
 
 // Shuffle permutes xs in place.
 func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }

@@ -39,21 +39,6 @@ func TestExp(t *testing.T) {
 	}
 }
 
-func TestPerm(t *testing.T) {
-	r := NewRNG(3, 0)
-	p := r.Perm(10)
-	if len(p) != 10 {
-		t.Fatalf("Perm length %d", len(p))
-	}
-	seen := make([]bool, 10)
-	for _, v := range p {
-		if v < 0 || v >= 10 || seen[v] {
-			t.Fatalf("invalid permutation %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestShuffle(t *testing.T) {
 	r := NewRNG(4, 0)
 	xs := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
@@ -92,16 +77,5 @@ func TestSplitMix64Avalanche(t *testing.T) {
 	}
 	if diff < 16 {
 		t.Errorf("splitmix64(1) and splitmix64(2) differ in only %d bits", diff)
-	}
-}
-
-func TestPercentilesSorted(t *testing.T) {
-	sorted := []float64{1, 2, 3, 4, 5}
-	got := PercentilesSorted(sorted, 0, 50, 100)
-	want := []float64{1, 3, 5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("PercentilesSorted[%d] = %v, want %v", i, got[i], want[i])
-		}
 	}
 }

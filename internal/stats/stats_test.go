@@ -188,115 +188,3 @@ func TestSolveTruncExpProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSummaryStats(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	if got := Mean(xs); got != 2.5 {
-		t.Errorf("Mean = %v", got)
-	}
-	if got := Sum(xs); got != 10 {
-		t.Errorf("Sum = %v", got)
-	}
-	if got := Max(xs); got != 4 {
-		t.Errorf("Max = %v", got)
-	}
-	if got := Min(xs); got != 1 {
-		t.Errorf("Min = %v", got)
-	}
-	if got := Mean(nil); got != 0 {
-		t.Errorf("Mean(nil) = %v", got)
-	}
-	if got := Max(nil); got != 0 {
-		t.Errorf("Max(nil) = %v", got)
-	}
-	if got := StdDev([]float64{2, 2, 2}); got != 0 {
-		t.Errorf("StdDev of constants = %v", got)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{10, 20, 30, 40, 50}
-	cases := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 10}, {100, 50}, {50, 30}, {25, 20}, {98, 49.2},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Errorf("Percentile(nil) = %v", got)
-	}
-	// Percentile must not mutate its input.
-	ys := []float64{3, 1, 2}
-	Percentile(ys, 50)
-	if ys[0] != 3 || ys[1] != 1 || ys[2] != 2 {
-		t.Error("Percentile mutated input")
-	}
-}
-
-func TestPercentileMonotone(t *testing.T) {
-	prop := func(raw []float64, p1, p2 float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		p1 = math.Mod(math.Abs(p1), 100)
-		p2 = math.Mod(math.Abs(p2), 100)
-		if p1 > p2 {
-			p1, p2 = p2, p1
-		}
-		for _, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return true
-			}
-		}
-		return Percentile(raw, p1) <= Percentile(raw, p2)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 20, 30)
-	for _, v := range []float64{-5, 0, 5, 10, 15, 25, 30, 100} {
-		h.Add(v)
-	}
-	if h.Under != 1 {
-		t.Errorf("Under = %d, want 1 (-5)", h.Under)
-	}
-	if h.Over != 2 {
-		t.Errorf("Over = %d, want 2 (30, 100)", h.Over)
-	}
-	if h.Counts[0] != 2 { // 0, 5
-		t.Errorf("Counts[0] = %d, want 2", h.Counts[0])
-	}
-	if h.Counts[1] != 2 { // 10, 15
-		t.Errorf("Counts[1] = %d, want 2", h.Counts[1])
-	}
-	if h.Counts[2] != 1 { // 25
-		t.Errorf("Counts[2] = %d, want 1", h.Counts[2])
-	}
-	if h.Total() != 8 {
-		t.Errorf("Total = %d, want 8", h.Total())
-	}
-	if got := h.Fraction(0); got != 0.25 {
-		t.Errorf("Fraction(0) = %v", got)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, bounds := range [][]float64{{1}, {1, 1}, {2, 1}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewHistogram(%v) did not panic", bounds)
-				}
-			}()
-			NewHistogram(bounds...)
-		}()
-	}
-}

@@ -250,10 +250,12 @@ func TestFacadeConstructors(t *testing.T) {
 			schedsearch.DynamicBound(), 300)
 		run(t, schedsearch.NewFairshareScheduler(inner, 0.5))
 	})
-	t.Run("RuntimeScaledCost", func(t *testing.T) {
+	t.Run("CostFn", func(t *testing.T) {
 		p := schedsearch.NewSearchScheduler(schedsearch.DDS, schedsearch.HeuristicLXF,
 			schedsearch.DynamicBound(), 300)
-		p.Cost = schedsearch.RuntimeScaledCost(2.0, schedsearch.Hour)
+		p.Cost = func(w schedsearch.WaitingJob, start, now, bound int64) core.Cost {
+			return core.HierarchicalCost(w, start, now, bound/2)
+		}
 		run(t, p)
 	})
 	t.Run("NewUserHistoryPredictor", func(t *testing.T) {

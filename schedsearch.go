@@ -70,8 +70,8 @@ type (
 	SearchScheduler = core.Scheduler
 	// BoundSpec selects the target wait bound of the search objective.
 	BoundSpec = core.BoundSpec
-	// CostFn customizes the search objective (see RuntimeScaledCost for
-	// the paper's future-work variant).
+	// CostFn customizes the search objective; nil means the paper's
+	// hierarchical cost.
 	CostFn = core.CostFn
 	// Backfill is the EASY-style priority-backfill policy family.
 	Backfill = policy.Backfill
@@ -113,13 +113,6 @@ func FixedBound(omega int64) BoundSpec { return core.FixedBound(omega) }
 // policy is NewSearchScheduler(DDS, HeuristicLXF, DynamicBound(), 1000).
 func NewSearchScheduler(algo core.Algorithm, h core.Heuristic, bound BoundSpec, nodeLimit int) *SearchScheduler {
 	return core.New(algo, h, bound, nodeLimit)
-}
-
-// RuntimeScaledCost is the paper's future-work objective variant: the
-// target wait bound shrinks for short jobs (factor × estimate, floored
-// at minBound seconds), further improving short-job service.
-func RuntimeScaledCost(factor float64, minBound int64) CostFn {
-	return core.RuntimeScaledCost(factor, minBound)
 }
 
 // FCFSBackfill returns the paper's FCFS-backfill baseline.

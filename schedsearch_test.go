@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"schedsearch"
+	"schedsearch/internal/core"
 )
 
 func TestParsePolicyNames(t *testing.T) {
@@ -113,7 +114,10 @@ func TestCustomCostFnRuns(t *testing.T) {
 	suite := schedsearch.NewSuite(schedsearch.SuiteConfig{Seed: 1, JobScale: 0.1})
 	sch := schedsearch.NewSearchScheduler(schedsearch.DDS, schedsearch.HeuristicLXF,
 		schedsearch.DynamicBound(), 500)
-	sch.Cost = schedsearch.RuntimeScaledCost(4, schedsearch.Hour)
+	// A custom objective: the paper's cost held to half the active bound.
+	sch.Cost = func(w schedsearch.WaitingJob, start, now, bound int64) core.Cost {
+		return core.HierarchicalCost(w, start, now, bound/2)
+	}
 	sum, _, err := schedsearch.RunMonth(suite, "6/03", schedsearch.SimOptions{}, sch)
 	if err != nil {
 		t.Fatal(err)
