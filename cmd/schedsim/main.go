@@ -198,8 +198,8 @@ func printSummary(res *sim.Result, s metrics.Summary, pol sim.Policy) {
 	fmt.Printf("  decision points     %8d\n", res.Decisions)
 	if sch := core.SchedulerOf(pol); sch != nil {
 		st := sch.SearchStats
-		fmt.Printf("  search: %d decisions, %d nodes, %d schedules evaluated, budget hit %d times\n",
-			st.Decisions, st.Nodes, st.Leaves, st.BudgetHits)
+		fmt.Printf("  search: %d decisions, %d nodes, %d schedules evaluated, budget hit %d times, skipped %d\n",
+			st.Decisions, st.Nodes, st.Leaves, st.BudgetHits, st.Skipped)
 		fmt.Printf("  search time: %.1f ms wall, speedup %.2fx\n",
 			float64(st.WallNs)/1e6, st.Speedup())
 		if st.Nodes > 0 {

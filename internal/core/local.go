@@ -59,27 +59,26 @@ func (ls *LocalScheduler) Decide(snap *sim.Snapshot) []int {
 	if n == 0 {
 		return nil
 	}
-	limit := ls.NodeLimit
-	if limit < 1 {
-		limit = 1
-	}
-	ls.decisions++
 	// Seed 1 with the decision count as the stream: the random walk is
-	// deterministic and independent across decisions.
+	// deterministic and independent across decisions, skipped ones
+	// included.
+	ls.decisions++
 	rng := stats.NewRNG(1, ls.decisions)
 
 	// Current ordering: heuristic order by default, the best DDS path
-	// in hybrid mode (the DDS pass consumes half the budget).
+	// in hybrid mode (the DDS pass consumes half the budget). Where
+	// nothing fits the free nodes the budget is 1: the heuristic order,
+	// evaluated once.
 	s := &ls.s
 	bound := ls.Bound.At(snap)
-	s.reset(snap, DDS, ls.Heuristic, bound, nil, limit, false)
+	skip := s.prepare(snap, DDS, ls.Heuristic, bound, nil, max(ls.NodeLimit, 1), false)
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	budget := int64(limit)
-	if ls.Hybrid && n > 1 {
-		s.limit = int64(limit / 2)
+	budget := s.limit
+	if ls.Hybrid && n > 1 && !skip {
+		s.limit /= 2
 		s.runDDS()
 		budget -= s.nodes
 		if len(s.bestPath) == n {
@@ -120,6 +119,9 @@ func (ls *LocalScheduler) Decide(snap *sim.Snapshot) []int {
 	}
 
 	ls.SearchStats.Decisions++
+	if skip {
+		ls.SearchStats.Skipped++
+	}
 	ls.SearchStats.Nodes += used
 	ls.SearchStats.Leaves += used / int64(n)
 	ls.LastBestCost = bestCost

@@ -227,7 +227,7 @@ func (sch *Scheduler) parallelWorkers(n int) int {
 
 // runParallel runs the discrepancy iterations of the current decision
 // on a worker pool and merges the per-iteration results into the master
-// state sch.s, which must already be reset. It reports whether the
+// state sch.s, which must already be prepared. It reports whether the
 // parallel path ran (false falls back to sequential search).
 func (sch *Scheduler) runParallel(snap *sim.Snapshot, workers int) bool {
 	s := &sch.s

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"schedsearch/internal/job"
@@ -69,7 +70,8 @@ func (h Heuristic) String() string {
 
 // Stats aggregates search effort over a simulation run.
 type Stats struct {
-	// Decisions counts decision points where a search ran.
+	// Decisions counts non-empty-queue calls: Exhausted + BudgetHits +
+	// Skipped for the complete search.
 	Decisions int
 	// Nodes counts search-tree nodes visited (job placements).
 	Nodes int64
@@ -80,6 +82,9 @@ type Stats struct {
 	Exhausted int
 	// BudgetHits counts decisions cut off by the node limit.
 	BudgetHits int
+	// Skipped counts decisions where no queued job fit the free nodes,
+	// so only the heuristic schedule was walked (budget 1).
+	Skipped int
 	// Pruned counts subtrees cut by branch-and-bound (zero unless
 	// Prune is enabled).
 	Pruned int64
@@ -210,11 +215,10 @@ func (sch *Scheduler) Decide(snap *sim.Snapshot) []int {
 		sch.lastDecision = DecisionSummary{Trajectory: sch.lastDecision.Trajectory[:0]}
 		return nil
 	}
-	limit := max(sch.NodeLimit, 1)
 
 	t0 := time.Now()
 	s := &sch.s
-	s.reset(snap, sch.Algorithm, sch.Heuristic, sch.Bound.At(snap), sch.Cost, limit, sch.Prune)
+	skip := s.prepare(snap, sch.Algorithm, sch.Heuristic, sch.Bound.At(snap), sch.Cost, max(sch.NodeLimit, 1), sch.Prune)
 	// The incumbent-improvement log feeds LastDecision's cost
 	// trajectory (flight recorder). Recording is strictly passive: leaf
 	// and the parallel merge append to a reused slice exactly at the
@@ -250,9 +254,12 @@ func (sch *Scheduler) Decide(snap *sim.Snapshot) []int {
 	if !parallel {
 		sch.SearchStats.BusyNs += wall
 	}
-	if s.aborted {
+	switch {
+	case skip:
+		sch.SearchStats.Skipped++
+	case s.aborted:
 		sch.SearchStats.BudgetHits++
-	} else {
+	default:
 		sch.SearchStats.Exhausted++
 	}
 
@@ -262,14 +269,14 @@ func (sch *Scheduler) Decide(snap *sim.Snapshot) []int {
 	}
 	sch.lastDecision = DecisionSummary{
 		QueueDepth:     n,
-		EffectiveLimit: int64(limit),
+		EffectiveLimit: s.limit,
 		Nodes:          s.nodes,
 		Leaves:         s.leaves,
 		Pruned:         s.pruned,
 		NodesToBest:    s.nodesToBest,
 		TableNodes:     s.tab.servedNodes,
 		TableHits:      s.tab.hits,
-		BudgetHit:      s.aborted,
+		BudgetHit:      s.aborted && !skip,
 		Parallel:       parallel,
 		BestFound:      s.bestFound,
 		BestCost:       s.bestCost,
@@ -323,7 +330,8 @@ type CostPoint struct {
 // DecisionSummary describes the most recent Decide call for the
 // observability layer (the engine's decision flight recorder). It is
 // assembled from state the search already tracks; producing it never
-// perturbs a decision.
+// perturbs a decision. A skipped decision (no queued job fit the free
+// nodes) has EffectiveLimit 1 and is never a BudgetHit.
 type DecisionSummary struct {
 	QueueDepth     int
 	EffectiveLimit int64
@@ -423,21 +431,35 @@ type improvement struct {
 	nodes int64
 }
 
-// reset prepares the state for one decision; algo and prune decide
-// whether the table is on (the only thing read from algo).
-func (s *searchState) reset(snap *sim.Snapshot, algo Algorithm, h Heuristic, bound job.Duration, cost CostFn, limit int, prune bool) {
-	s.bound = bound
-	s.cost = cost
-	s.limit = int64(limit)
-	s.prune = prune
-	s.hardBudget = false
+// prepare readies the state for one decision under a budget of limit
+// nodes; algo and prune decide whether the table is on (the only thing
+// read from algo). Where no queued job is as narrow as the nodes free now
+// on the search's own profile, no ordering starts a job now: skip, and
+// the budget is 1 (parallel path included) — the heuristic schedule,
+// which iteration 0 always completes.
+func (s *searchState) prepare(snap *sim.Snapshot, algo Algorithm, h Heuristic, bound job.Duration, cost CostFn, limit int, prune bool) (skip bool) {
+	s.load(snap, h)
+	free := s.ev.prof.FreeAt(snap.Now)
+	skip = !slices.ContainsFunc(s.ordered, func(w sim.WaitingJob) bool { return w.Job.Nodes <= free })
+	if skip {
+		limit = 1
+	}
+	s.arm(algo, bound, cost, limit, prune)
+	return skip
+}
 
+// load takes the decision's queue in branch order and builds its profile.
+func (s *searchState) load(snap *sim.Snapshot, h Heuristic) {
 	s.ordered = append(s.ordered[:0], snap.Queue...)
 	s.orderKeys = orderJobs(s.ordered, h, snap.Now, s.orderKeys)
+	s.ev.Reset(snap)
+}
 
+// arm sets the decision's objective and budget and clears the search.
+func (s *searchState) arm(algo Algorithm, bound job.Duration, cost CostFn, limit int, prune bool) {
+	s.bound, s.cost, s.limit, s.prune, s.hardBudget = bound, cost, int64(limit), prune, false
 	s.resetSearch()
 	s.tab.reset(algo != DFS && !prune && s.leafHook == nil && !s.noTable, len(s.ordered), s.limit)
-	s.ev.Reset(snap)
 }
 
 // resetWorker prepares a parallel worker state from the master state:

@@ -2,8 +2,123 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
+
+	"schedsearch/internal/job"
+	"schedsearch/internal/sim"
 )
+
+// blockedSnapshot builds a random decision point at which nothing can
+// start: running jobs, some already past their estimate, hold all but
+// free nodes, and every queued job is wider than free. FreeNodes claims
+// the whole machine, so a guard that read it instead of the search's
+// profile would search.
+func blockedSnapshot(rng *rand.Rand, queueLen int) *sim.Snapshot {
+	capacity := 8 + rng.Intn(24)
+	now := job.Time(50000)
+	snap := &sim.Snapshot{Now: now, Capacity: capacity, FreeNodes: capacity}
+	free := rng.Intn(capacity)
+	for used := 0; used < capacity-free; {
+		n := 1 + rng.Intn(capacity-free-used)
+		snap.Running = append(snap.Running, sim.RunningJob{
+			ID: 100 + len(snap.Running), Nodes: n,
+			PredictedEnd: now - 600 + job.Duration(rng.Intn(7800)),
+		})
+		used += n
+	}
+	for i := 0; i < queueLen; i++ {
+		est := job.Duration(60 + rng.Intn(14400))
+		snap.Queue = append(snap.Queue, sim.WaitingJob{
+			Job: job.Job{
+				ID:      i + 1,
+				Submit:  now - job.Time(rng.Intn(40000)),
+				Nodes:   free + 1 + rng.Intn(capacity-free),
+				Runtime: est, Request: est,
+			},
+			Estimate: est,
+			QueuePos: i,
+		})
+	}
+	return snap
+}
+
+// TestSkipIsAShortcut: where no queued job is as narrow as the free
+// nodes, the unguarded walk over the whole tree — every algorithm, plain
+// and pruned — completes no schedule that starts a job now. So the
+// guarded Decide loses nothing by walking only the heuristic schedule:
+// it returns nil, marks the decision skipped (budget 1, no budget hit)
+// and plans exactly the walk's iteration-0 starts, with one worker or
+// two. The local-search policies skip the same decisions.
+func TestSkipIsAShortcut(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 60; trial++ {
+		snap := blockedSnapshot(rng, 1+rng.Intn(5))
+		n := len(snap.Queue)
+		for _, algo := range []Algorithm{LDS, DDS, DFS} {
+			for _, prune := range []bool{false, true} {
+				tag := fmt.Sprintf("trial %d %s prune=%v", trial, algo, prune)
+				var s searchState
+				var first []job.Time // iteration 0's planned starts
+				s.leafHook = func(path []int, _ Cost) {
+					for _, oi := range path {
+						if s.curStartNow[oi] {
+							t.Errorf("%s: schedule %v starts job %d now", tag, path, s.ordered[oi].Job.ID)
+						}
+					}
+					if first == nil {
+						first = slices.Clone(s.curStart)
+					}
+				}
+				s.reset(snap, algo, HeuristicLXF, DynamicBound().At(snap), nil, 1<<30, prune)
+				switch algo {
+				case LDS:
+					s.runLDS()
+				case DDS:
+					s.runDDS()
+				case DFS:
+					s.runDFS(0)
+				}
+				if s.aborted || slices.Contains(s.bestStartNow, true) {
+					t.Fatalf("%s: unguarded walk aborted=%v, best starts now %v", tag, s.aborted, s.bestStartNow)
+				}
+
+				for _, workers := range []int{1, 2} {
+					sch := New(algo, HeuristicLXF, DynamicBound(), 1<<30)
+					sch.Prune, sch.Workers = prune, workers
+					if starts := sch.Decide(snap); starts != nil {
+						t.Errorf("%s workers=%d: Decide = %v, want nil", tag, workers, starts)
+					}
+					d, st := sch.LastDecision(), sch.SearchStats
+					if d.EffectiveLimit != 1 || d.BudgetHit || d.Nodes != int64(n) || d.Leaves != 1 ||
+						st.Skipped != 1 || st.BudgetHits != 0 || st.Exhausted != 0 {
+						t.Errorf("%s workers=%d: decision %+v, stats %+v: want skipped, %d nodes, 1 leaf",
+							tag, workers, d, st, n)
+					}
+					plan := sch.LastPlan()
+					if len(plan) != n {
+						t.Fatalf("%s workers=%d: plan of %d jobs, want %d", tag, workers, len(plan), n)
+					}
+					for oi, p := range plan {
+						if p.JobID != s.ordered[oi].Job.ID || p.Planned != first[oi] {
+							t.Errorf("%s workers=%d: plan[%d] = %+v, iteration 0 planned job %d at %d",
+								tag, workers, oi, p, s.ordered[oi].Job.ID, first[oi])
+						}
+					}
+				}
+			}
+		}
+		for _, ls := range []*LocalScheduler{NewLocal(HeuristicLXF, DynamicBound(), 1000), NewHybrid(HeuristicLXF, DynamicBound(), 1000)} {
+			if starts := ls.Decide(snap); len(starts) != 0 {
+				t.Errorf("trial %d %s: Decide = %v, want none", trial, ls.Name(), starts)
+			}
+			if st := ls.SearchStats; st.Skipped != 1 || st.Nodes != int64(n) || st.Leaves != 1 {
+				t.Errorf("trial %d %s: stats %+v, want skipped with %d nodes, 1 leaf", trial, ls.Name(), st, n)
+			}
+		}
+	}
+}
 
 // permutations returns all permutations of 0..n-1.
 func permutations(n int) [][]int {

@@ -23,6 +23,13 @@ func fourJobSnapshot() *sim.Snapshot {
 	return snap
 }
 
+// reset is prepare without its shortcut: the unguarded decision the
+// tests walk, whatever fits the free nodes.
+func (s *searchState) reset(snap *sim.Snapshot, algo Algorithm, h Heuristic, bound job.Duration, cost CostFn, limit int, prune bool) {
+	s.load(snap, h)
+	s.arm(algo, bound, cost, limit, prune)
+}
+
 // collectPaths runs one algorithm with unlimited budget and returns the
 // explored complete paths (as ordered-index sequences) in exploration
 // order.
@@ -415,13 +422,24 @@ func TestOrderJobsLXFKeysBitIdentical(t *testing.T) {
 func TestDecideSteadyStateAllocFree(t *testing.T) {
 	sch := New(DDS, HeuristicLXF, DynamicBound(), 200)
 	snap := fourJobSnapshot()
-	sch.Decide(snap) // size the scratch
-	sch.Decide(snap)
+	// The same queue on a full machine: nothing fits, the search is skipped.
+	blocked := fourJobSnapshot()
+	blocked.Running = []sim.RunningJob{{ID: 99, Nodes: blocked.Capacity, PredictedEnd: blocked.Now + 600}}
+	blocked.FreeNodes = 0
+	for _, s := range []*sim.Snapshot{snap, blocked, snap, blocked} {
+		sch.Decide(s) // size the scratch
+	}
 	if avg := testing.AllocsPerRun(20, func() { sch.Decide(snap) }); avg > 0 {
 		t.Errorf("Decide allocates %.1f times per decision in steady state", avg)
 	}
+	if avg := testing.AllocsPerRun(20, func() { sch.Decide(blocked) }); avg > 0 {
+		t.Errorf("a skipped Decide allocates %.1f times per decision in steady state", avg)
+	}
 	if sch.SearchStats.TableNodes == 0 {
 		t.Error("the transposition table served nothing: its arena and index went unmeasured")
+	}
+	if sch.SearchStats.Skipped == 0 {
+		t.Error("the full machine's decisions were searched, not skipped")
 	}
 }
 
