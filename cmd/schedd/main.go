@@ -52,7 +52,7 @@
 // benchmark's two schedule-quality ratios picked over least-loaded and
 // hash-by-user). -rebalance T runs the router's one periodic pass
 // every T engine seconds (default 600, the period the benchmark
-// measures; 0 disables it in process): it polls every shard's load and
+// measures; 0 disables it in process): it reads every shard's load and
 // migrates still-queued jobs from the most to the least loaded shard.
 // GET /v1/federation reports the per-shard breakdown. Jobs wider than
 // every shard's partition are rejected (serving) or skipped with a note

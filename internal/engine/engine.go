@@ -695,6 +695,24 @@ type Load struct {
 	// node-seconds (see sim.Ledger.Demand).
 	QueuedNodeSec    int64
 	RemainingNodeSec int64
+	// The answer's exact window. Now is the engine time it was taken.
+	// Until StableUntil only RemainingNodeSec moves, falling by Slope
+	// node-seconds per second (see At). StableUntil is Now-1 (no window)
+	// while a decision is pending, else one second before the next
+	// completion or before a running job's remaining predicted time
+	// reaches its one-second floor, whichever comes first. Only an
+	// admission or withdrawal ends the window earlier.
+	Now         job.Time
+	Slope       int
+	StableUntil job.Time
+}
+
+// At returns the load at t, for t in [ld.Now, ld.StableUntil]: exactly
+// what Load would answer then, save for the window fields.
+func (ld Load) At(t job.Time) Load {
+	ld.RemainingNodeSec -= int64(ld.Slope) * (t - ld.Now)
+	ld.Now = t
+	return ld
 }
 
 // Score is the load measure placement and rebalancing compare:
@@ -716,7 +734,14 @@ func (st JobStatus) Demand() int64 { return sim.QueuedDemand(st.Job, st.Estimate
 func (e *Engine) Load() Load {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	queued, remaining := e.l.Demand(e.clock.Now())
+	now := e.clock.Now()
+	queued, remaining, slope, until := e.l.Demand(now)
+	if next, ok := e.l.NextFinish(); ok {
+		until = min(until, next-1)
+	}
+	if e.decidePending {
+		until = now - 1
+	}
 	return Load{
 		Capacity:         e.l.Capacity(),
 		FreeNodes:        e.l.FreeNodes(),
@@ -724,6 +749,9 @@ func (e *Engine) Load() Load {
 		Running:          e.l.RunningLen(),
 		QueuedNodeSec:    queued,
 		RemainingNodeSec: remaining,
+		Now:              now,
+		Slope:            slope,
+		StableUntil:      until,
 	}
 }
 

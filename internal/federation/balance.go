@@ -59,12 +59,12 @@ func (r *Router) armRebalanceLocked() {
 	r.cfg.Clock.AfterFunc(r.cfg.RebalanceEvery, r.onRebalance)
 }
 
-// onRebalance is the one periodic pass: retry every parked step, poll
-// every shard's load (one live call per shard — for remote shards that
-// also refreshes reachability and the last-known load degraded routing
-// falls back on), then migrate up to maxMigrationsPerPass queued jobs
-// (none while draining: a drain must not shuffle the remaining
-// backlog).
+// onRebalance is the one periodic pass: retry every parked step, read
+// every shard's load (a live call for a dark shard or a closed window —
+// for remote shards that also refreshes reachability and the last-known
+// load degraded routing falls back on), then migrate up to
+// maxMigrationsPerPass queued jobs (none while draining: a drain must
+// not shuffle the remaining backlog).
 func (r *Router) onRebalance() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -72,8 +72,8 @@ func (r *Router) onRebalance() {
 	r.resolvePendingLocked()
 	loads := make([]engine.Load, len(r.shards))
 	jobs := 0
-	for i, s := range r.shards {
-		loads[i] = s.Load()
+	for i := range r.shards {
+		loads[i] = r.loadLocked(i, 0)
 		jobs += loads[i].Waiting + loads[i].Running
 	}
 	if !r.draining {
@@ -104,7 +104,7 @@ func shiftLoad(loads []engine.Load, from, to int, demand int64) {
 // pending, or (certainly) still running on src.
 func (r *Router) moveLocked(id, src, dst int) bool {
 	t0 := r.cfg.Tracer.Now()
-	j, err := r.shards[src].Withdraw(id)
+	j, err := r.writeLocked(src).Withdraw(id)
 	if err != nil {
 		if errors.Is(err, ErrUncertain) {
 			// The withdraw may have committed with the ack lost; the
@@ -115,7 +115,7 @@ func (r *Router) moveLocked(id, src, dst int) bool {
 		// started in the meantime. Either way, nothing moved.
 		return false
 	}
-	if err := r.shards[dst].Admit(j); err != nil {
+	if err := r.writeLocked(dst).Admit(j); err != nil {
 		if errors.Is(err, ErrUncertain) {
 			// May be admitted on dst — re-admitting to src could
 			// double-admit. Hold the job and let reconciliation finish
@@ -126,7 +126,7 @@ func (r *Router) moveLocked(id, src, dst int) bool {
 		}
 		// Certainly not on dst (unreachable, or a definitive
 		// rejection): the job must not be lost — put it back.
-		if err2 := r.shards[src].Admit(j); err2 != nil {
+		if err2 := r.writeLocked(src).Admit(j); err2 != nil {
 			if errors.Is(err2, ErrUncertain) || errors.Is(err2, ErrUnreachable) {
 				r.parkLocked(pendingMig{id: id, shard: src, j: j, stage: stageAdmit})
 				return false
@@ -168,7 +168,7 @@ func (r *Router) resolvePendingLocked() {
 func (r *Router) retryPendingLocked(p pendingMig) (parked bool) {
 	switch p.stage {
 	case stageWithdraw:
-		j, err := r.shards[p.shard].Withdraw(p.id)
+		j, err := r.writeLocked(p.shard).Withdraw(p.id)
 		if errors.Is(err, engine.ErrNotQueued) {
 			// Never withdrawn — the job started (or finished) on the
 			// source. Resolved.
@@ -179,7 +179,7 @@ func (r *Router) retryPendingLocked(p pendingMig) (parked bool) {
 		}
 		// Committed — originally (tombstone) or just now. The migration
 		// itself is stale; put the job back where it came from.
-		if aerr := r.shards[p.shard].Admit(j); aerr != nil {
+		if aerr := r.writeLocked(p.shard).Admit(j); aerr != nil {
 			if errors.Is(aerr, ErrUncertain) || errors.Is(aerr, ErrUnreachable) {
 				r.parkLocked(pendingMig{id: p.id, shard: p.shard, j: j, stage: stageAdmit})
 				return false
@@ -188,7 +188,7 @@ func (r *Router) retryPendingLocked(p pendingMig) (parked bool) {
 				p.id, p.shard, aerr))
 		}
 	case stageAdmit:
-		err := r.shards[p.shard].Admit(p.j)
+		err := r.writeLocked(p.shard).Admit(p.j)
 		if err != nil && !errors.Is(err, engine.ErrDuplicateID) {
 			return true
 		}

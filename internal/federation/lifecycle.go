@@ -53,6 +53,7 @@ func (r *Router) RebuildShard(i int) error {
 	if err != nil {
 		return err
 	}
+	r.loads[i] = cachedLoad{}
 	r.shards[i] = ne
 	return nil
 }

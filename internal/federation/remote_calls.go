@@ -134,11 +134,12 @@ func (rs *RemoteShard) Machine() engine.Machine {
 	return m
 }
 
-// Load returns the shard's occupancy summary. It is called on every
-// placement decision, so it makes a single live attempt (no retries);
-// an unreachable shard answers with its last-known load — what the
-// last successful poll cached — while the health mark steers placement
-// away from it.
+// Load returns the shard's occupancy summary. The router calls it on a
+// placement or rebalance pass whenever its cached answer's window has
+// closed or the shard is dark, so it makes a single live attempt (no
+// retries); an unreachable shard answers with its last-known load —
+// what the last successful poll cached — while the health mark steers
+// placement away from it.
 func (rs *RemoteShard) Load() engine.Load {
 	var lr wire.LoadResponse
 	if err := rs.once(http.MethodGet, "/v1/shard/load", nil, &lr, 0); err != nil {

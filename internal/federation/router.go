@@ -86,11 +86,11 @@ type Config struct {
 	// the per-shard records.
 	Observer func(shard int) sim.Observer
 	// RebalanceEvery is the period of the one periodic pass on the
-	// shared clock: it resolves parked wire-uncertain steps, polls every
-	// shard's load (which refreshes remote shards' reachability) and
-	// migrates still-queued jobs from the most to the least loaded
-	// shard. 0 disables the pass — and with it reconciliation, so a
-	// remote federation must set it.
+	// shared clock: it resolves parked wire-uncertain steps, reads every
+	// shard's load (probing the dark ones, which refreshes their
+	// reachability) and migrates still-queued jobs from the most to the
+	// least loaded shard. 0 disables the pass — and with it
+	// reconciliation, so a remote federation must set it.
 	RebalanceEvery job.Duration
 	// Journal, when non-nil, constructs shard i's journal sink (fresh
 	// per incarnation; on crash recovery the sink reopens the shard's
@@ -125,6 +125,9 @@ type Router struct {
 	// by shard; fixed at construction.
 	caps  []int
 	bases []int
+	// loads caches each shard's last Load answer, re-anchored on the
+	// router's clock; loadLocked serves it while its window holds.
+	loads []cachedLoad
 
 	dir      map[int]int // job ID -> shard index, for the job's lifetime
 	nextID   int
@@ -182,8 +185,8 @@ func PartitionCapacity(total, n int) ([]int, error) {
 }
 
 // newRouter applies the config defaults and returns the router shell
-// both constructors fill with shards.
-func newRouter(cfg Config) *Router {
+// both constructors fill with n shards.
+func newRouter(cfg Config, n int) *Router {
 	if cfg.Clock == nil {
 		cfg.Clock = engine.NewRealClock(1)
 	}
@@ -195,6 +198,7 @@ func newRouter(cfg Config) *Router {
 	}
 	return &Router{
 		cfg:    cfg,
+		loads:  make([]cachedLoad, n),
 		dir:    make(map[int]int),
 		nextID: 1,
 		window: sim.NewQueueStats(cfg.MeasureStart, cfg.MeasureEnd),
@@ -210,7 +214,7 @@ func New(cfg Config) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := newRouter(cfg)
+	r := newRouter(cfg, len(caps))
 	r.caps = caps
 	base := 0
 	for i := range caps {
@@ -237,7 +241,7 @@ func NewWithShards(cfg Config, shards []engine.Shard) (*Router, error) {
 	if len(shards) < 1 {
 		return nil, errors.New("federation: no shards")
 	}
-	r := newRouter(cfg)
+	r := newRouter(cfg, len(shards))
 	// The ignored policy factory is dropped: a nil Policy is how
 	// RebuildShard knows this router did not construct its shards.
 	r.cfg.Policy = nil
@@ -375,7 +379,7 @@ func (r *Router) routeLocked(j job.Job) error {
 	r.routingNs += routeDur.Nanoseconds()
 	r.routingDecisions++
 	tr.Record("route", tc, j.ID, pick, tr.Now().Add(-routeDur), routeDur)
-	err := r.shards[pick].SubmitJob(j)
+	err := r.writeLocked(pick).SubmitJob(j)
 	// Degraded mode: an unreachable shard certainly never saw the job,
 	// so it is safe to route around it. Uncertain failures are the
 	// opposite — the job MAY be admitted there, so rerouting could
@@ -393,7 +397,7 @@ func (r *Router) routeLocked(j job.Job) error {
 		pick = cands[r.cfg.Placement.Pick(j, cands)].Shard
 		r.reroutes++
 		r.logJob(j.ID).Warn("rerouting around unreachable shard", "from", from, "to", pick)
-		err = r.shards[pick].SubmitJob(j)
+		err = r.writeLocked(pick).SubmitJob(j)
 	}
 	if err != nil && !errors.Is(err, ErrUncertain) {
 		return err
@@ -422,13 +426,11 @@ func (r *Router) routeLocked(j job.Job) error {
 func (r *Router) candidatesLocked(j job.Job) []Candidate {
 	cands := make([]Candidate, 0, len(r.shards))
 	var sick []Candidate
-	for i, s := range r.shards {
+	for i := range r.shards {
 		if j.Nodes > r.caps[i] {
 			continue
 		}
-		p0 := r.cfg.Tracer.Now()
-		c := Candidate{Shard: i, Load: s.Load()}
-		r.traceSpan("probe", j.ID, i, p0)
+		c := Candidate{Shard: i, Load: r.loadLocked(i, j.ID)}
 		if !r.healthyLocked(i) {
 			sick = append(sick, c)
 			continue
@@ -439,4 +441,43 @@ func (r *Router) candidatesLocked(j job.Job) []Candidate {
 		return sick
 	}
 	return cands
+}
+
+// cachedLoad is one shard's last Load answer, its window re-anchored on
+// the router's clock; ok is false until the shard answers a probe, and
+// again after a drop.
+type cachedLoad struct {
+	ld engine.Load
+	ok bool
+}
+
+// loadLocked returns shard i's load at the router's now. The cached
+// answer serves while its window holds and the shard is healthy: a
+// shard's load then changes only through the router's own writes,
+// which drop it first (writeLocked). Otherwise the shard is probed (a
+// "probe" span for job id), and a healthy answer is cached, shifted
+// onto the router's clock so a shard whose clock has another origin
+// caches too. The router's now is read before the call, so on a moving
+// clock the shift only ever closes the window early.
+func (r *Router) loadLocked(i, id int) engine.Load {
+	now := r.cfg.Clock.Now()
+	c := &r.loads[i]
+	if c.ok && now <= c.ld.StableUntil && r.healthyLocked(i) {
+		return c.ld.At(now)
+	}
+	p0 := r.cfg.Tracer.Now()
+	ld := r.shards[i].Load()
+	r.traceSpan("probe", id, i, p0)
+	ld.StableUntil += now - ld.Now
+	ld.Now = now
+	*c = cachedLoad{ld: ld, ok: r.healthyLocked(i)}
+	return ld
+}
+
+// writeLocked returns shard i for a submit, admit or withdraw, dropping
+// its cached load: the call changes the load, or failed and says
+// nothing about it.
+func (r *Router) writeLocked(i int) engine.Shard {
+	r.loads[i].ok = false
+	return r.shards[i]
 }

@@ -133,19 +133,27 @@ func QueuedDemand(j job.Job, est job.Duration) int64 {
 // is Σ nodes × remaining predicted time over running jobs (floored at
 // one second per job — a job past its predicted end still holds its
 // nodes). The federation router's placement and rebalance passes
-// consume these through engine.Load.
-func (l *Ledger) Demand(now job.Time) (queued, remaining int64) {
+// consume these through engine.Load. Until the ledger changes,
+// remaining falls by slope node-seconds per second up to and including
+// until: slope is the nodes of the running jobs more than one second
+// from their predicted end, and until the earliest such end minus one,
+// where the floor takes over (job.MaxRuntime when there is none).
+func (l *Ledger) Demand(now job.Time) (queued, remaining int64, slope int, until job.Time) {
 	for _, q := range l.queue {
 		queued += QueuedDemand(q.j, q.estimate)
 	}
+	until = job.MaxRuntime
 	for _, r := range l.running {
 		rem := r.predictedEnd - now
-		if rem < 1 {
+		if rem > 1 {
+			slope += r.j.Nodes
+			until = min(until, r.predictedEnd-1)
+		} else {
 			rem = 1
 		}
 		remaining += int64(r.j.Nodes) * rem
 	}
-	return queued, remaining
+	return queued, remaining, slope, until
 }
 
 // QueueIndex returns the current queue position of the waiting job with

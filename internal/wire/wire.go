@@ -138,14 +138,20 @@ type WithdrawResponse struct {
 }
 
 // LoadResponse is the GET /v1/shard/load body (engine.Load on the
-// wire).
+// wire, so the names match field for field). Now, Slope and StableUntil
+// are the answer's exact window: until StableUntil on the shard's clock
+// only remaining_node_sec moves, falling by Slope node-seconds per
+// second.
 type LoadResponse struct {
-	Capacity         int   `json:"capacity"`
-	FreeNodes        int   `json:"free_nodes"`
-	Waiting          int   `json:"waiting"`
-	Running          int   `json:"running"`
-	QueuedNodeSec    int64 `json:"queued_node_sec"`
-	RemainingNodeSec int64 `json:"remaining_node_sec"`
+	Capacity         int      `json:"capacity"`
+	FreeNodes        int      `json:"free_nodes"`
+	Waiting          int      `json:"waiting"`
+	Running          int      `json:"running"`
+	QueuedNodeSec    int64    `json:"queued_node_sec"`
+	RemainingNodeSec int64    `json:"remaining_node_sec"`
+	Now              job.Time `json:"now_s"`
+	Slope            int      `json:"slope_nodes"`
+	StableUntil      job.Time `json:"stable_until_s"`
 }
 
 // WireRecord is sim.Record on the wire.
