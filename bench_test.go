@@ -168,6 +168,23 @@ func BenchmarkProfilePlaceUndo(b *testing.B) {
 	}
 }
 
+// BenchmarkProfilePlaceUndoComb is BenchmarkProfilePlaceUndo on the
+// restart-heavy shape: 24 holes with every node free, each shorter than
+// the job, so the earliest fit rejects all of them before it lands past
+// the comb.
+func BenchmarkProfilePlaceUndoComb(b *testing.B) {
+	prof := cluster.New(128, 0)
+	for i := 0; i < 24; i++ {
+		prof.Place(job.Time(i*600), 120, 300)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, pl := prof.PlaceEarliest(0, 16, 3600)
+		prof.Undo(pl)
+	}
+}
+
 // BenchmarkProfileCopyPlace measures the rejected alternative: cloning
 // the profile before each speculative placement.
 func BenchmarkProfileCopyPlace(b *testing.B) {

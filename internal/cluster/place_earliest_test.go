@@ -7,23 +7,24 @@ import (
 )
 
 // placeEarliestChecked runs the one-pass PlaceEarliest on p and holds it
-// to its definition on clones taken beforehand: the start is
-// EarliestFit's, the steps are the ones Place at that start leaves, and
-// Undo gives back the steps it began with. It returns the start and the
-// placement, applied again.
+// to its definition on clones taken beforehand: the start is the
+// per-second reference's (not EarliestFit's, which shares the scan), the
+// steps are the ones Place at that start leaves, and Undo gives back the
+// steps it began with. It returns the start and the placement, applied
+// again.
 func placeEarliestChecked(t *testing.T, p *Profile, after Time, n int, d Duration) (Time, Placement) {
 	t.Helper()
 	before := p.Clone()
+	want := naiveOf(p).earliestFit(max(after, p.Origin()), n, d)
 	ref := p.Clone()
-	want := ref.EarliestFit(after, n, d)
 	ref.Place(want, n, d)
 
 	got, pl := p.PlaceEarliest(after, n, d)
 	if got != want {
-		t.Fatalf("PlaceEarliest(after=%d, n=%d, d=%d) started at %d, EarliestFit says %d", after, n, d, got, want)
+		t.Fatalf("PlaceEarliest(after=%d, n=%d, d=%d) started at %d, the reference says %d", after, n, d, got, want)
 	}
 	if !slices.Equal(p.steps, ref.steps) {
-		t.Fatalf("PlaceEarliest(after=%d, n=%d, d=%d) left %v, EarliestFit+Place leaves %v", after, n, d, p.steps, ref.steps)
+		t.Fatalf("PlaceEarliest(after=%d, n=%d, d=%d) left %v, Place at the reference's start leaves %v", after, n, d, p.steps, ref.steps)
 	}
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatalf("after PlaceEarliest(after=%d, n=%d, d=%d): %v", after, n, d, err)
@@ -119,6 +120,44 @@ func TestPlaceEarliestBoundaryShapes(t *testing.T) {
 	}
 }
 
+// TestPlaceEarliestComb pins the shape the scan's reset is for: holes
+// that are wide enough but shorter than the job, so a fit from the
+// origin or the first tooth lands past five rejected holes. Steps: teeth
+// with 2 of 8 nodes free at [20k, 20k+10) for k < 6 and at [130, 140),
+// full capacity between them.
+func TestPlaceEarliestComb(t *testing.T) {
+	p := New(8, 0)
+	for k := 0; k < 6; k++ {
+		p.Place(Time(20*k), 6, 10)
+	}
+	p.Place(130, 6, 10)
+
+	for _, c := range []struct {
+		name         string
+		after        Time
+		d            Duration
+		insLo, insHi bool
+	}{
+		{"from the origin, ending on a boundary", 0, 20, false, false},
+		{"from inside a tooth, ending inside a step", 5, 15, false, true},
+		{"from inside a hole, ending inside a step", 35, 15, false, true},
+	} {
+		start, pl := placeEarliestChecked(t, p, c.after, 4, c.d)
+		if start != 110 || pl.lo != 11 || pl.insLo != c.insLo || pl.insHi != c.insHi {
+			t.Errorf("%s: start %d lo %d insLo %v insHi %v, want 110, 11, %v, %v",
+				c.name, start, pl.lo, pl.insLo, pl.insHi, c.insLo, c.insHi)
+		}
+		p.Undo(pl)
+	}
+	for _, after := range []Time{0, 5, 15, 100, 135, 200} {
+		for _, n := range []int{1, 4, 8} {
+			if d0, d1 := p.EarliestFit(after, n, 0), p.EarliestFit(after, n, 1); d0 != d1 {
+				t.Errorf("EarliestFit(%d, %d, 0) = %d, EarliestFit(%d, %d, 1) = %d", after, n, d0, after, n, d1)
+			}
+		}
+	}
+}
+
 // sized is a job to place: nodes for a duration.
 type sized struct {
 	n int
@@ -126,17 +165,15 @@ type sized struct {
 }
 
 // saveRestoreChecked brackets the given placements, each at its earliest
-// fit from the origin, with Save and Restore and requires the steps a
-// clone held beforehand back — whatever the placements inserted.
+// fit from the origin and each checked, with Save and Restore and
+// requires the steps a clone held beforehand back — whatever the
+// placements inserted.
 func saveRestoreChecked(t *testing.T, p *Profile, jobs []sized) {
 	t.Helper()
 	before := p.Clone()
 	p.Save()
 	for _, j := range jobs {
-		p.PlaceEarliest(p.Origin(), j.n, j.d)
-		if err := p.CheckInvariants(); err != nil {
-			t.Fatalf("between Save and Restore: %v", err)
-		}
+		placeEarliestChecked(t, p, p.Origin(), j.n, j.d)
 	}
 	p.Restore()
 	if !slices.Equal(p.steps, before.steps) {
@@ -206,8 +243,8 @@ func TestPlaceEarliestArgValidation(t *testing.T) {
 }
 
 // FuzzPlaceEarliest decodes a place/undo sequence from the fuzz bytes
-// and holds every placement to EarliestFit + Place, and every bracketed
-// run of placements to Save + Restore.
+// and holds every placement to the per-second reference + Place, and
+// every bracketed run of placements to Save + Restore.
 func FuzzPlaceEarliest(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0, 15, 9, 0, 0, 15, 9, 0, 1, 3, 9, 5})

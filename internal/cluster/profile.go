@@ -4,7 +4,8 @@
 // and undoable placements. The profile is the inner-loop data structure
 // of both the backfill policies and the search-based scheduler: a search
 // visiting 100K tree nodes performs one PlaceEarliest per node, and one
-// Undo per node it branches at. PlaceEarliest is one pass over the steps;
+// Undo per node it branches at. PlaceEarliest is one pass over the steps
+// with no restart, and EarliestFit is that pass without the reservation;
 // EarliestFit and Place remain for planners that place elsewhere than the
 // earliest fit. A caller that places a whole run of jobs and keeps none
 // of them — a plan evaluation, the search's heuristic tail — brackets the
@@ -117,6 +118,8 @@ func (p *Profile) find(t Time) int {
 // EarliestFit returns the earliest time t >= after at which nodes free
 // capacity is at least n for the full duration d. For d == 0 it returns
 // the earliest time with free capacity >= n. n must be in [1, capacity].
+// It is PlaceEarliest's scan without the reservation; times are whole
+// seconds, so a fit for d == 0 is a fit for d == 1.
 func (p *Profile) EarliestFit(after Time, n int, d Duration) Time {
 	if n < 1 || n > p.capacity {
 		panic(fmt.Sprintf("cluster: EarliestFit n=%d outside [1,%d]", n, p.capacity))
@@ -124,45 +127,8 @@ func (p *Profile) EarliestFit(after Time, n int, d Duration) Time {
 	if d < 0 {
 		panic("cluster: EarliestFit negative duration")
 	}
-	if after < p.steps[0].At {
-		after = p.steps[0].At
-	}
-	i := p.find(after)
-	t := after
-	for {
-		// Advance to the first step at/after t with enough capacity.
-		for p.steps[i].Free < n {
-			i++
-			if i == len(p.steps) {
-				// Free capacity only ever returns to full capacity
-				// at the end, and n <= capacity, so this cannot
-				// happen: the last step is always feasible.
-				panic("cluster: EarliestFit ran off profile end")
-			}
-			t = p.steps[i].At
-		}
-		if t < p.steps[i].At {
-			t = p.steps[i].At
-		}
-		// Check [t, t+d) stays feasible.
-		end := t + d
-		j := i
-		ok := true
-		for j+1 < len(p.steps) && p.steps[j+1].At < end {
-			j++
-			if p.steps[j].Free < n {
-				// Infeasible at step j; restart from the next step
-				// after j with enough capacity.
-				i = j
-				t = p.steps[j].At
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return t
-		}
-	}
+	t, _, _ := p.scan(after, n, max(d, 1))
+	return t
 }
 
 // Placement is the undo record for one Place call. It is valid only
@@ -265,28 +231,36 @@ func (p *Profile) PlaceEarliest(after Time, n int, d Duration) (Time, Placement)
 	if d <= 0 {
 		panic("cluster: PlaceEarliest with non-positive duration")
 	}
+	t, lo, hi := p.scan(after, n, d)
+	return t, p.reserve(lo, hi, t, t+d, n)
+}
+
+// scan returns the earliest fit t >= after of n nodes for d > 0 seconds,
+// the step lo covering t and the first step hi with At >= t+d
+// (len(steps) if none). It is one pass with no restart: a step narrower
+// than n moves the candidate to the next step's start — two conditional
+// moves, not a branch — and the one exit that depends on the data is
+// taken once. The last step is free at full capacity, so a pass that
+// reaches it fits there.
+func (p *Profile) scan(after Time, n int, d Duration) (t Time, lo, hi int) {
 	steps := p.steps
-	lo, t := 0, steps[0].At
+	lo, t = 0, steps[0].At
 	if after > t {
 		lo, t = p.find(after), after
 	}
-	// The last step is free at full capacity, so neither loop runs off
-	// the end: the first stops there at the latest, the second is bounded.
-	for {
-		for steps[lo].Free < n {
-			lo++
-			t = steps[lo].At
+	base := lo
+	cur := steps[base : len(steps)-1]
+	next := steps[base+1:][:len(cur)]
+	for i := range cur {
+		at := next[i].At
+		if cur[i].Free < n {
+			lo, t = base+i+1, at
 		}
-		end := t + d
-		hi := lo + 1
-		for hi < len(steps) && steps[hi].At < end && steps[hi].Free >= n {
-			hi++
+		if at-t >= d {
+			return t, lo, base + i + 1
 		}
-		if hi == len(steps) || steps[hi].At >= end {
-			return t, p.reserve(lo, hi, t, end, n)
-		}
-		lo = hi // infeasible there: resume from the next step that fits
 	}
+	return t, lo, len(steps)
 }
 
 // CheckInvariants verifies structural invariants; tests call it after

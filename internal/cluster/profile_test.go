@@ -22,6 +22,19 @@ func newNaive(capacity int, origin Time, horizon int) *naive {
 	return n
 }
 
+// naiveOf returns the reference for p's steps: every second from the
+// origin to the last step's start (the machine is free after it).
+func naiveOf(p *Profile) *naive {
+	last := len(p.steps) - 1
+	n := newNaive(p.capacity, p.Origin(), int(p.steps[last].At-p.Origin()))
+	for i, s := range p.steps[:last] {
+		for x := s.At; x < p.steps[i+1].At; x++ {
+			n.free[x-n.origin] = s.Free
+		}
+	}
+	return n
+}
+
 func (n *naive) place(t Time, nodes int, d Duration) {
 	for x := t - n.origin; x < t-n.origin+d; x++ {
 		n.free[x] -= nodes

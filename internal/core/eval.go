@@ -32,15 +32,20 @@ func (e *OrderEvaluator) Reset(snap *sim.Snapshot) {
 // Eval places jobs[order[0]], jobs[order[1]], ... each at its earliest
 // fit and returns the plan's summed cost plus, per index into jobs,
 // whether that job starts now. A nil cost is HierarchicalCost. The
-// profile is restored before returning; the flags slice is reused by the
-// next Eval.
+// profile is restored before returning, so the last job is only fitted,
+// not placed; the flags slice is reused by the next Eval.
 func (e *OrderEvaluator) Eval(jobs []sim.WaitingJob, order []int, cost CostFn, bound job.Duration) (Cost, []bool) {
 	e.startNow = Resize(e.startNow, len(jobs))
 	e.prof.Save()
 	var total Cost
-	for _, i := range order {
+	for k, i := range order {
 		w := &jobs[i]
-		start, _ := e.prof.PlaceEarliest(e.now, w.Job.Nodes, w.PlanEstimate())
+		var start job.Time
+		if k == len(order)-1 { // the last job: Restore drops it anyway
+			start = e.prof.EarliestFit(e.now, w.Job.Nodes, w.PlanEstimate())
+		} else {
+			start, _ = e.prof.PlaceEarliest(e.now, w.Job.Nodes, w.PlanEstimate())
+		}
 		total = total.Add(placementCost(cost, w, start, e.now, bound))
 		e.startNow[i] = start == e.now
 	}

@@ -651,7 +651,9 @@ func (s *searchState) visit(oi int, ctx int32, down func()) bool {
 // tail nodes. Per node it is visit (budget, place, cost, prune, table),
 // but a tail node has one child and is never come back to: the free list
 // is walked, not unlinked, nothing is undone on its own, and the way out
-// restores the profile, cost, path and table position whole.
+// restores the profile, cost, path and table position whole. The last
+// job only needs its start, so it is fitted, not placed: it is still
+// charged and costed as a node.
 func (s *searchState) tail() {
 	if s.tailHook != nil {
 		s.tailHook(s)
@@ -673,7 +675,12 @@ func (s *searchState) tail() {
 		}
 		s.nodes++
 		w := &s.ordered[oi]
-		start, _ := prof.PlaceEarliest(now, w.Job.Nodes, w.PlanEstimate())
+		var start job.Time
+		if s.freeNext[oi] < 0 { // the last job: Restore drops it anyway
+			start = prof.EarliestFit(now, w.Job.Nodes, w.PlanEstimate())
+		} else {
+			start, _ = prof.PlaceEarliest(now, w.Job.Nodes, w.PlanEstimate())
+		}
 		s.curCost = s.curCost.Add(placementCost(s.cost, w, start, now, s.bound))
 		s.curStartNow[oi] = start == now
 		s.curStart[oi] = start
