@@ -87,7 +87,7 @@ func TestChaosSoakFederation(t *testing.T) {
 	if testing.Short() {
 		seeds = 2
 	}
-	totalMigrations := int64(0)
+	totalMigrations, totalPanics := int64(0), int64(0)
 	for _, place := range soakPlacements {
 		place := place
 		t.Run(placementName(place), func(t *testing.T) {
@@ -116,13 +116,17 @@ func TestChaosSoakFederation(t *testing.T) {
 					t.Fatalf("seed %d: crash-rebuild never fired", seed)
 				}
 				totalMigrations += res.Federation.Migrations
-				t.Logf("seed %d: %d completed, %d rejected, shard %d rebuilt, %d migrations",
-					seed, len(res.Records), res.Rejected, res.RebuiltShard, res.Federation.Migrations)
+				totalPanics += res.Panics
+				t.Logf("seed %d: %d completed, %d rejected, %d panics recovered, shard %d rebuilt, %d migrations",
+					seed, len(res.Records), res.Rejected, res.Panics, res.RebuiltShard, res.Federation.Migrations)
 			}
 		})
 	}
 	if totalMigrations == 0 {
 		t.Error("no migration occurred across the whole soak; the rebalance path went untested")
+	}
+	if totalPanics == 0 {
+		t.Error("no shard recovered a policy panic across the whole soak")
 	}
 }
 
@@ -173,14 +177,14 @@ func TestChaosSoakFederationRemote(t *testing.T) {
 				if res.RebuiltShard < 0 {
 					t.Fatalf("seed %d: the shard-process kill/restart never fired", seed)
 				}
-				totalReroutes += res.Reroutes
+				totalReroutes += res.Federation.Reroutes
 				for _, stage := range []string{"submit", "withdraw", "admit"} {
 					parked[stage] += res.Parked[stage]
 					reconciled[stage] += res.Reconciled[stage]
 				}
 				t.Logf("seed %d: %d completed, %d rejected, %d wire-uncertain, shard %d killed+restarted, shard %d partitioned, %d reroutes, %d migrations, parked %+v, reconciled %+v",
 					seed, len(res.Records), res.Rejected, res.Uncertain,
-					res.RebuiltShard, res.PartitionedShard, res.Reroutes, res.Federation.Migrations,
+					res.RebuiltShard, res.PartitionedShard, res.Federation.Reroutes, res.Federation.Migrations,
 					res.Parked, res.Reconciled)
 			}
 		})
@@ -196,14 +200,16 @@ func TestChaosSoakFederationRemote(t *testing.T) {
 	}
 }
 
-// TestChaosSoakIngest soaks the batched ingest path: seeded client
-// fleets pushing bursts past the accept-queue bound, slow clients
-// trickling items, disconnects abandoning tickets mid-batch, duplicate
-// IDs and a quota storm — all at once, per seed, across policies.
+// TestChaosSoakIngest soaks the batched ingest path: a saturating burst
+// past the accept-queue bound, slow clients trickling items,
+// disconnects abandoning tickets mid-batch and a quota storm, on top of
+// every engine fault the queue admits (all but hostile specs, whose zero
+// ID asks the queue for a fresh one) — the engine crash-rebuilt behind
+// the queue included — all at once, per seed, across policies.
 // chaos.RunIngest fails on any invariant violation: a lost or
-// double-committed job, an accepted duplicate, queue memory past
-// MaxPending (the bounded-backpressure guarantee), or an oracle
-// violation in the final schedule.
+// double-committed job, an accepted duplicate, queue memory past its
+// bound (the bounded-backpressure guarantee), or an oracle violation in
+// the final schedule.
 func TestChaosSoakIngest(t *testing.T) {
 	seeds := 10
 	if testing.Short() {
@@ -224,17 +230,20 @@ func TestChaosSoakIngest(t *testing.T) {
 		t.Run(pol.name, func(t *testing.T) {
 			t.Parallel()
 			for seed := uint64(1); seed <= uint64(seeds); seed++ {
-				res, err := chaos.RunIngest(chaos.IngestConfig{
+				res, err := chaos.RunIngest(chaos.Config{
 					Seed:   seed,
-					Faults: chaos.AllIngestFaults,
+					Faults: chaos.AllFaults&^chaos.FaultHostileSpecs | chaos.IngestFaults,
 					Policy: pol.make,
 					Jobs:   120,
 				})
 				if err != nil {
-					t.Fatalf("seed %d: %v (reproduce: chaos.RunIngest with this seed and AllIngestFaults)", seed, err)
+					t.Fatalf("seed %d: %v (reproduce: chaos.RunIngest with this seed and the same faults)", seed, err)
 				}
 				if res.Shed == 0 {
 					t.Fatalf("seed %d: no batch was ever shed; the burst never pressed the bound", seed)
+				}
+				if !res.Rebuilt {
+					t.Fatalf("seed %d: the engine behind the queue was never crash-rebuilt", seed)
 				}
 				t.Logf("seed %d: %d committed, %d shed+retried, %d dups rejected, %d quota-rejected, peak pending %d/%d",
 					seed, len(res.Records), res.Shed, res.DupRejected,

@@ -121,7 +121,7 @@ type flightPolicy struct {
 
 func (p *flightPolicy) Name() string { return p.inner.Name() }
 
-// Unwrap returns the recorded policy (see core.SchedulerOf).
+// Unwrap returns the recorded policy (see core.PolicyAs).
 func (p *flightPolicy) Unwrap() sim.Policy { return p.inner }
 
 func (p *flightPolicy) Decide(snap *sim.Snapshot) []int {

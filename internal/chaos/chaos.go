@@ -15,11 +15,11 @@
 // returns a Result with a nil error is a machine-checked certificate
 // that the invariants held under that fault mix.
 //
-// Run, RunFederation and RunFederationRemote are one scenario runner
-// (scenario.go) over three targets — the bare engine, the in-process
-// router, and a router whose shards are engine+server "processes" on
-// file journals behind an in-memory wire (remote.go); RunIngest drives
-// the accept queue and ends with the same conservation sweep and oracle.
+// Run, RunFederation, RunFederationRemote and RunIngest are one
+// scenario runner (scenario.go) over four targets — the bare engine, the
+// in-process router, a router whose shards are engine+server
+// "processes" on file journals behind an in-memory wire (remote.go), and
+// the engine behind the batched accept queue (ingest.go).
 package chaos
 
 import (
@@ -28,7 +28,6 @@ import (
 	"strings"
 	"time"
 
-	"schedsearch/internal/core"
 	"schedsearch/internal/engine"
 	"schedsearch/internal/job"
 	"schedsearch/internal/oracle"
@@ -73,6 +72,25 @@ const (
 	// honors it; it is deliberately NOT part of AllFaults so the
 	// in-process soak matrices keep their historical fault mix.
 	FaultPartition
+	// FaultSaturation lands more jobs than the accept queue's bound on
+	// one instant, delivered against a stalled backend: the queue must
+	// shed whole batches with ErrSaturated, and every shed batch, retried
+	// like a client honoring Retry-After, must land. The four ingest
+	// faults, from here on, are RunIngest's; like FaultPartition they
+	// stay outside AllFaults.
+	FaultSaturation
+	// FaultSlowClients has some clients deliver their batch one item per
+	// commit group.
+	FaultSlowClients
+	// FaultDisconnects has some clients abandon their ticket without
+	// reading the results; the batch must still commit (admission is not
+	// tied to the connection).
+	FaultDisconnects
+	// FaultQuotaStorm turns on per-user quotas and hands a run of jobs,
+	// all arriving at one instant, to one hot user: items past the
+	// user's token bucket must be refused with ErrQuota. Every other job
+	// is its own user, so nothing else can empty a bucket.
+	FaultQuotaStorm
 )
 
 // AllFaults enables every fault class.
@@ -80,19 +98,19 @@ const AllFaults = FaultClockJumps | FaultBurstSubmits | FaultDuplicateIDs |
 	FaultReorderedSubmits | FaultHostileSpecs | FaultPolicyPanic |
 	FaultPolicyLatency | FaultCrashRebuild
 
+// IngestFaults enables every fault class of the accept queue.
+const IngestFaults = FaultSaturation | FaultSlowClients | FaultDisconnects | FaultQuotaStorm
+
 // faultNames names the Fault bits in bit order.
 var faultNames = []string{"clock-jumps", "burst-submits", "duplicate-ids", "reordered-submits",
-	"hostile-specs", "policy-panic", "policy-latency", "crash-rebuild", "partition"}
+	"hostile-specs", "policy-panic", "policy-latency", "crash-rebuild", "partition",
+	"saturation", "slow-clients", "disconnects", "quota-storm"}
 
-// String names the enabled fault classes.
-func (f Fault) String() string { return bitNames(uint(f), faultNames) }
-
-// bitNames joins the names of the bits set in mask, names[i] naming bit
-// 1<<i; an empty mask is "none".
-func bitNames(mask uint, names []string) string {
+// String names the enabled fault classes, "none" for none.
+func (f Fault) String() string {
 	var set []string
-	for i, name := range names {
-		if mask&(1<<i) != 0 {
+	for i, name := range faultNames {
+		if f&(1<<i) != 0 {
 			set = append(set, name)
 		}
 	}
@@ -113,18 +131,18 @@ type Config struct {
 	Jobs int
 	// Faults selects the injected fault classes.
 	Faults Fault
-	// Policy constructs the scheduling policy; it is called once per
-	// engine incarnation (fresh instance after a crash-rebuild, like a
-	// restarted process). Default: a fresh FCFS-backfill-like fallback
-	// is NOT assumed — Policy is required.
+	// Policy (required) constructs the scheduling policy; it is called
+	// once per engine incarnation (fresh instance after a crash-rebuild,
+	// like a restarted process).
 	Policy func() sim.Policy
-	// PanicEvery makes every n-th Decide call panic when
-	// FaultPolicyPanic is set (default 5).
-	PanicEvery int
-	// Latency is the injected wall-clock Decide latency when
-	// FaultPolicyLatency is set (default 100µs).
-	Latency time.Duration
 }
+
+const (
+	// panicEvery is FaultPolicyPanic's cadence: every n-th Decide panics.
+	panicEvery = 5
+	// policyLatency is FaultPolicyLatency's wall-clock Decide latency.
+	policyLatency = 100 * time.Microsecond
+)
 
 func (c *Config) withDefaults() (Config, error) {
 	out := *c
@@ -136,12 +154,6 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if out.Jobs == 0 {
 		out.Jobs = 120
-	}
-	if out.PanicEvery == 0 {
-		out.PanicEvery = 5
-	}
-	if out.Latency == 0 {
-		out.Latency = 100 * time.Microsecond
 	}
 	return out, nil
 }
@@ -160,8 +172,6 @@ type Result struct {
 	Panics int64
 	// Rebuilt reports whether a crash-rebuild was injected.
 	Rebuilt bool
-	// Metrics is the final engine metrics snapshot.
-	Metrics engine.Metrics
 }
 
 // plannedSubmit is one scheduled submission.
@@ -213,6 +223,25 @@ func buildPlan(cfg Config) plan {
 			User:    rngW.IntN(8),
 		}
 	}
+	// The ingest faults gather a run of arrivals onto one instant each —
+	// the quota storm's a third of the way in, FaultSaturation's halfway
+	// — moving arrivals only earlier and drawing nothing, so the jobs'
+	// shapes are the same whatever the mask. Under the storm every job is
+	// its own user, and the storm's run goes to the hot user (below).
+	gather := func(from, k int) {
+		for i := from; i < min(from+k, n); i++ {
+			arrive[i] = arrive[from]
+		}
+	}
+	if cfg.Faults&FaultQuotaStorm != 0 {
+		gather(n/3, quotaStorm)
+		for i := range specs {
+			specs[i].User = specs[i].ID
+		}
+	}
+	if cfg.Faults&FaultSaturation != 0 {
+		gather(n/2, saturationRun)
+	}
 
 	// Reordering permutes which spec lands on which arrival slot, so
 	// IDs arrive out of order while the arrival-time sequence stays.
@@ -230,7 +259,11 @@ func buildPlan(cfg Config) plan {
 	arrivedAt := make([]job.Time, n) // by spec index
 	for slot := 0; slot < n; slot++ {
 		s := order[slot]
-		p.submits = append(p.submits, plannedSubmit{at: arrive[slot], spec: specs[s]})
+		ps := plannedSubmit{at: arrive[slot], spec: specs[s]}
+		if cfg.Faults&FaultQuotaStorm != 0 && slot >= n/3 && slot < n/3+quotaStorm {
+			ps.spec.User = hotUser // a duplicate of it stays the job's own user
+		}
+		p.submits = append(p.submits, ps)
 		arrivedAt[s] = arrive[slot]
 	}
 
@@ -305,7 +338,7 @@ func (t *engineTarget) incarnate(cp *engine.Checkpoint) error {
 	return err
 }
 
-func (t *engineTarget) submit(j job.Job) error              { return t.cur.SubmitJob(j) }
+func (t *engineTarget) submit(jobs []job.Job) []error       { return each(jobs, t.cur.SubmitJob) }
 func (t *engineTarget) open(error) bool                     { return false }
 func (t *engineTarget) job(id int) (engine.JobStatus, bool) { return t.cur.Job(id) }
 func (t *engineTarget) err() error                          { return t.cur.Err() }
@@ -330,6 +363,23 @@ func (t *engineTarget) verify(accepted []job.Job) error {
 	return oracle.CheckRecords(t.capacity, accepted, t.cur.Records())
 }
 
+// build is runScenario's constructor: the first incarnation, on the
+// scenario's clock and policy factory.
+func (t *engineTarget) build(vc *engine.VirtualClock, newPolicy func() sim.Policy) (target, error) {
+	t.mkCfg = func() engine.Config {
+		return engine.Config{Capacity: t.capacity, Policy: newPolicy(), Clock: vc}
+	}
+	return t, t.incarnate(nil)
+}
+
+// result completes the runner's result once the run is verified.
+func (t *engineTarget) result(out *outcome) Result {
+	res := out.Result
+	res.Records = t.cur.Records()
+	res.Panics = t.panics + t.cur.Metrics().Engine.PolicyPanics
+	return res
+}
+
 // Run executes one scenario to completion and verifies the oracle
 // invariants. The returned error is the first engine fatal, oracle
 // violation or harness expectation failure; a nil error means the run
@@ -340,36 +390,22 @@ func Run(config Config) (*Result, error) {
 		return nil, err
 	}
 	t := &engineTarget{capacity: cfg.Capacity}
-	out, err := runScenario(cfg, cfg.Capacity, func(vc *engine.VirtualClock, newPolicy func() sim.Policy) (target, error) {
-		t.mkCfg = func() engine.Config {
-			return engine.Config{Capacity: cfg.Capacity, Policy: newPolicy(), Clock: vc}
-		}
-		return t, t.incarnate(nil)
-	}, nil)
+	out, err := runScenario(cfg, cfg.Capacity, t.build, nil)
 	if err != nil {
 		return nil, err
 	}
-	m := t.cur.Metrics()
-	return &Result{
-		Records:  t.cur.Records(),
-		Accepted: out.accepted,
-		Rejected: out.rejected,
-		Panics:   t.panics + m.Engine.PolicyPanics,
-		Rebuilt:  out.rebuilt,
-		Metrics:  m,
-	}, nil
+	res := t.result(out)
+	return &res, nil
 }
 
-// FlakyPolicy wraps a policy with deterministic fault injection: every
-// PanicEvery-th Decide call panics (before reaching the inner policy,
-// so its state stays consistent) and every LatencyEvery-th call sleeps
-// for Latency of wall time. Call counting makes the pattern
-// reproducible run-to-run.
+// FlakyPolicy wraps a policy with deterministic fault injection. Call
+// counting makes the pattern reproducible run-to-run.
 type FlakyPolicy struct {
-	Inner        sim.Policy
-	PanicEvery   int
-	Latency      time.Duration
-	LatencyEvery int
+	Inner sim.Policy
+	// Panic makes every panicEvery-th Decide call panic (before the inner
+	// policy, whose state stays consistent); Slow makes every third call
+	// sleep policyLatency of wall time.
+	Panic, Slow bool
 
 	calls int
 }
@@ -377,32 +413,17 @@ type FlakyPolicy struct {
 // Name implements sim.Policy.
 func (p *FlakyPolicy) Name() string { return p.Inner.Name() }
 
-// Unwrap returns the wrapped policy (see core.SchedulerOf).
+// Unwrap returns the wrapped policy (see core.PolicyAs).
 func (p *FlakyPolicy) Unwrap() sim.Policy { return p.Inner }
 
 // Decide implements sim.Policy with injected faults.
 func (p *FlakyPolicy) Decide(snap *sim.Snapshot) []int {
 	p.calls++
-	if p.Latency > 0 && p.LatencyEvery > 0 && p.calls%p.LatencyEvery == 0 {
-		time.Sleep(p.Latency)
+	if p.Slow && p.calls%3 == 0 {
+		time.Sleep(policyLatency)
 	}
-	if p.PanicEvery > 0 && p.calls%p.PanicEvery == 0 {
+	if p.Panic && p.calls%panicEvery == 0 {
 		panic(fmt.Sprintf("chaos: injected policy panic (decision %d)", p.calls))
 	}
 	return p.Inner.Decide(snap)
-}
-
-// LastDecision forwards the inner policy's decision summary (a search
-// scheduler's, a meta-scheduler's chosen arm's) or, through further
-// wrappers, the search scheduler's underneath, so the flight recorder
-// sees through the fault-injection wrapper; a wrapped non-search policy
-// yields the zero summary (generic records).
-func (p *FlakyPolicy) LastDecision() core.DecisionSummary {
-	if ds, ok := p.Inner.(interface{ LastDecision() core.DecisionSummary }); ok {
-		return ds.LastDecision()
-	}
-	if sch := core.SchedulerOf(p.Inner); sch != nil {
-		return sch.LastDecision()
-	}
-	return core.DecisionSummary{}
 }

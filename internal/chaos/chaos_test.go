@@ -145,9 +145,9 @@ func (nopPolicy) Decide(*sim.Snapshot) []int { return nil }
 // TestFlakyPolicyCadence pins the injector's determinism: the panic
 // pattern depends only on the call count.
 func TestFlakyPolicyCadence(t *testing.T) {
-	p := &FlakyPolicy{Inner: nopPolicy{}, PanicEvery: 3}
+	p := &FlakyPolicy{Inner: nopPolicy{}, Panic: true}
 	panics := 0
-	for i := 0; i < 9; i++ {
+	for i := 0; i < 3*panicEvery; i++ {
 		func() {
 			defer func() {
 				if recover() != nil {
@@ -158,7 +158,7 @@ func TestFlakyPolicyCadence(t *testing.T) {
 		}()
 	}
 	if panics != 3 {
-		t.Fatalf("9 calls with PanicEvery=3 recovered %d panics, want 3", panics)
+		t.Fatalf("%d calls recovered %d panics, want 3", 3*panicEvery, panics)
 	}
 }
 
@@ -167,11 +167,16 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Seed: 1}); err == nil {
 		t.Fatal("Run without a policy must fail")
 	}
-	if got := (FaultClockJumps | FaultPolicyPanic).String(); got != "clock-jumps+policy-panic" {
-		t.Fatalf("Fault.String() = %q", got)
-	}
-	if got := Fault(0).String(); got != "none" {
-		t.Fatalf("Fault(0).String() = %q", got)
+	for _, tc := range []struct {
+		f    Fault
+		want string
+	}{
+		{0, "none"},
+		{FaultClockJumps | FaultPolicyPanic, "clock-jumps+policy-panic"},
+	} {
+		if got := tc.f.String(); got != tc.want {
+			t.Errorf("Fault(%#x).String() = %q, want %q", uint(tc.f), got, tc.want)
+		}
 	}
 }
 

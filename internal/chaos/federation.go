@@ -30,15 +30,12 @@ type FederationConfig struct {
 	RebalanceEvery job.Duration
 }
 
-// FederationResult is the outcome of one federated chaos scenario.
+// FederationResult is the outcome of one federated chaos scenario: its
+// Result is the merged global schedule's (too-wide jobs count as
+// Rejected); Panics sums the shards' final incarnations (a rebuilt
+// shard's count restarts from zero).
 type FederationResult struct {
-	// Records is the merged global schedule in completion order.
-	Records []sim.Record
-	// Accepted is every admitted job in ID order.
-	Accepted []job.Job
-	// Rejected counts refused submissions (duplicates, hostile specs
-	// and too-wide jobs; every injected one must be refused).
-	Rejected int
+	Result
 	// RebuiltShard is the shard that was crashed and rebuilt, -1 when
 	// FaultCrashRebuild was off.
 	RebuiltShard int
@@ -55,7 +52,7 @@ type routerTarget struct {
 	victim   int // FaultCrashRebuild's shard
 }
 
-func (t *routerTarget) submit(j job.Job) error              { return t.router.SubmitJob(j) }
+func (t *routerTarget) submit(jobs []job.Job) []error       { return each(jobs, t.router.SubmitJob) }
 func (t *routerTarget) open(error) bool                     { return false }
 func (t *routerTarget) job(id int) (engine.JobStatus, bool) { return t.router.Job(id) }
 func (t *routerTarget) err() error                          { return t.router.Err() }
@@ -86,14 +83,9 @@ func (t *routerTarget) verify(accepted []job.Job) error {
 
 // result assembles the federated result once the run is verified.
 func (t *routerTarget) result(out *outcome) FederationResult {
-	res := FederationResult{
-		Records:      t.router.Records(),
-		Accepted:     out.accepted,
-		Rejected:     out.rejected,
-		RebuiltShard: -1,
-		Federation:   t.router.Federation(),
-	}
-	if out.rebuilt {
+	res := FederationResult{Result: out.Result, RebuiltShard: -1, Federation: t.router.Federation()}
+	res.Records, res.Panics = t.router.Records(), res.Federation.Global.Engine.PolicyPanics
+	if out.Rebuilt {
 		res.RebuiltShard = t.victim
 	}
 	return res

@@ -7,28 +7,29 @@ import (
 
 // TestIngestFaultMatrix runs each ingest fault class in isolation and
 // in combination; RunIngest fails on any invariant violation (lost or
-// double-committed jobs, an accepted duplicate, unbounded queue
-// growth, an oracle violation), so a nil error is the main assertion.
-// On top of that, every fault class must demonstrably fire.
+// double-committed jobs, an accepted duplicate or one refused with
+// anything but ErrDuplicateID, unbounded queue growth, a saturation run
+// that shed nothing, an oracle violation), so a nil error is the main
+// assertion. On top of that, every fault class must demonstrably fire.
 func TestIngestFaultMatrix(t *testing.T) {
 	cases := []struct {
 		name   string
-		faults IngestFault
+		faults Fault
 	}{
 		{"none", 0},
-		{"bursts", IngestFaultBursts},
-		{"slow-clients", IngestFaultSlowClients},
-		{"disconnects", IngestFaultDisconnects},
-		{"duplicate-ids", IngestFaultDuplicates},
-		{"quota-storm", IngestFaultQuotaStorm},
-		{"everything", AllIngestFaults},
+		{"bursts", FaultSaturation},
+		{"slow-clients", FaultSlowClients},
+		{"disconnects", FaultDisconnects},
+		{"duplicate-ids", FaultDuplicateIDs},
+		{"quota-storm", FaultQuotaStorm},
+		{"everything", IngestFaults | FaultDuplicateIDs},
 	}
 	for _, tc := range cases {
 		for _, seed := range []uint64{1, 7} {
 			tc, seed := tc, seed
 			t.Run(fmt.Sprintf("%s/seed=%d", tc.name, seed), func(t *testing.T) {
 				t.Parallel()
-				res, err := RunIngest(IngestConfig{Seed: seed, Faults: tc.faults, Policy: fcfs})
+				res, err := RunIngest(Config{Seed: seed, Faults: tc.faults, Policy: fcfs})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -38,7 +39,7 @@ func TestIngestFaultMatrix(t *testing.T) {
 				if st := res.Stats; st.PeakPending > st.MaxPending {
 					t.Fatalf("peak pending %d exceeded bound %d", st.PeakPending, st.MaxPending)
 				}
-				if tc.faults&IngestFaultBursts != 0 {
+				if tc.faults&FaultSaturation != 0 {
 					if res.Shed == 0 {
 						t.Error("bursts enabled but no batch was shed")
 					}
@@ -52,13 +53,13 @@ func TestIngestFaultMatrix(t *testing.T) {
 				} else if res.Shed != 0 || res.Stats.Saturations != 0 {
 					t.Errorf("no burst fault but %d batches shed", res.Shed)
 				}
-				if tc.faults&IngestFaultDuplicates != 0 && res.DupRejected == 0 {
+				if tc.faults&FaultDuplicateIDs != 0 && res.DupRejected == 0 {
 					t.Error("duplicate injection enabled but none were rejected")
 				}
-				if tc.faults&IngestFaultDisconnects != 0 && res.Abandoned == 0 {
+				if tc.faults&FaultDisconnects != 0 && res.Abandoned == 0 {
 					t.Error("disconnects enabled but no ticket was abandoned")
 				}
-				if tc.faults&IngestFaultQuotaStorm != 0 {
+				if tc.faults&FaultQuotaStorm != 0 {
 					if len(res.QuotaRejected) == 0 {
 						t.Error("quota storm enabled but nothing was quota-rejected")
 					}
@@ -88,18 +89,21 @@ func ingestFingerprint(res *IngestResult) string {
 // TestIngestDeterminism replays fault mixes with the same seed and
 // requires bit-identical outcomes — committed schedule, shed counts,
 // quota-rejected IDs — even though the accept queue runs a concurrent
-// committer goroutine. The Flush rendezvous before every clock advance
-// is what makes this hold.
+// committer goroutine. The Flush that ends every delivery, before the
+// clock can move, is what makes this hold.
 func TestIngestDeterminism(t *testing.T) {
-	for _, faults := range []IngestFault{
-		IngestFaultBursts | IngestFaultDuplicates,
-		IngestFaultSlowClients | IngestFaultDisconnects | IngestFaultQuotaStorm,
-		AllIngestFaults,
+	for _, tc := range []struct {
+		name   string
+		faults Fault
+	}{
+		{"bursts+duplicate-ids", FaultSaturation | FaultDuplicateIDs},
+		{"slow-clients+disconnects+quota-storm", FaultSlowClients | FaultDisconnects | FaultQuotaStorm},
+		{"bursts+slow-clients+disconnects+duplicate-ids+quota-storm", IngestFaults | FaultDuplicateIDs},
 	} {
-		faults := faults
-		t.Run(faults.String(), func(t *testing.T) {
+		faults := tc.faults
+		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			cfg := IngestConfig{Seed: 42, Faults: faults, Policy: lxf}
+			cfg := Config{Seed: 42, Faults: faults, Policy: lxf}
 			a, err := RunIngest(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -118,7 +122,7 @@ func TestIngestDeterminism(t *testing.T) {
 // TestIngestSearchPolicy drives the full fault mix into a search-based
 // policy: scheduling cost must not break ingest invariants.
 func TestIngestSearchPolicy(t *testing.T) {
-	res, err := RunIngest(IngestConfig{Seed: 3, Faults: AllIngestFaults, Policy: dds, Jobs: 80})
+	res, err := RunIngest(Config{Seed: 3, Faults: IngestFaults | FaultDuplicateIDs, Policy: dds, Jobs: 80})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,20 +131,28 @@ func TestIngestSearchPolicy(t *testing.T) {
 	}
 }
 
+// TestIngestFaultString: the accept queue's fault classes are Fault bits
+// and name themselves like the rest.
 func TestIngestFaultString(t *testing.T) {
-	if got := IngestFault(0).String(); got != "none" {
-		t.Errorf("zero mask = %q", got)
-	}
-	if got := (IngestFaultBursts | IngestFaultQuotaStorm).String(); got != "bursts+quota-storm" {
-		t.Errorf("mask = %q", got)
-	}
-	if got := AllIngestFaults.String(); got != "bursts+slow-clients+disconnects+duplicate-ids+quota-storm" {
-		t.Errorf("all = %q", got)
+	for _, tc := range []struct {
+		f    Fault
+		want string
+	}{
+		{FaultSaturation | FaultQuotaStorm, "saturation+quota-storm"},
+		{IngestFaults, "saturation+slow-clients+disconnects+quota-storm"},
+		{IngestFaults | FaultDuplicateIDs, "duplicate-ids+saturation+slow-clients+disconnects+quota-storm"},
+	} {
+		if got := tc.f.String(); got != tc.want {
+			t.Errorf("Fault(%#x).String() = %q, want %q", uint(tc.f), got, tc.want)
+		}
 	}
 }
 
 func TestIngestConfigRequiresPolicy(t *testing.T) {
-	if _, err := RunIngest(IngestConfig{Seed: 1}); err == nil {
+	if _, err := RunIngest(Config{Seed: 1}); err == nil {
 		t.Fatal("RunIngest accepted a config without a policy")
+	}
+	if _, err := RunIngest(Config{Seed: 1, Faults: FaultHostileSpecs, Policy: fcfs}); err == nil {
+		t.Fatal("RunIngest accepted FaultHostileSpecs")
 	}
 }

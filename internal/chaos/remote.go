@@ -39,12 +39,8 @@ type RemoteFederationConfig struct {
 	FederationConfig
 	// Dir is the scratch directory for the per-shard journal files
 	// (required — the injected crash restarts the victim from its
-	// journal).
+	// journal). Every shard journal fsyncs each append.
 	Dir string
-	// GroupCommit is the shard journals' appends-per-fsync
-	// (default 1). Recovery correctness must not depend on it: the
-	// shard server fsyncs before acknowledging every mutation.
-	GroupCommit int
 }
 
 // RemoteFederationResult is the outcome of one remote federated chaos
@@ -60,13 +56,6 @@ type RemoteFederationResult struct {
 	// PartitionedShard is the shard the partition windows targeted,
 	// -1 when FaultPartition was off.
 	PartitionedShard int
-	// Reroutes and Pending come from the router: submissions routed
-	// around dark shards, and wire-uncertain steps still parked at the
-	// end of the run (after the final reconciliation ticks this is
-	// normally 0, but a job whose shard answered is resolved either
-	// way, so leftovers are not an invariant violation by themselves).
-	Reroutes int64
-	Pending  int
 	// Parked and Reconciled count, per stage ("submit", "withdraw",
 	// "admit": a routed submission, a migration's withdraw, its admit),
 	// the steps the router parked with their wire outcome unknown and the
@@ -164,7 +153,6 @@ func newFaultTable() []wireFault {
 // goroutine: no lock, no wall clock, no socket.
 type shardProc struct {
 	path  string // journal file
-	group int
 	mkCfg func() engine.Config
 
 	fj      *engine.FileJournal
@@ -183,7 +171,7 @@ func (sp *shardProc) start(recover bool) error {
 		}
 		cp = &c
 	}
-	fj, err := engine.OpenFileJournal(sp.path, sp.group)
+	fj, err := engine.OpenFileJournal(sp.path, 1)
 	if err != nil {
 		return err
 	}
@@ -353,7 +341,6 @@ func RunFederationRemote(config RemoteFederationConfig) (*RemoteFederationResult
 		for i, capI := range caps {
 			sp := &shardProc{
 				path:   filepath.Join(config.Dir, fmt.Sprintf("shard-%d.journal", i)),
-				group:  max(config.GroupCommit, 1),
 				faults: newFaultTable(),
 				mkCfg: func() engine.Config {
 					return engine.Config{Capacity: capI, Policy: newPolicy(), Clock: vc}
@@ -381,14 +368,11 @@ func RunFederationRemote(config RemoteFederationConfig) (*RemoteFederationResult
 	if err != nil {
 		return nil, err
 	}
-	res := &RemoteFederationResult{
+	return &RemoteFederationResult{
 		FederationResult: t.result(out),
-		Uncertain:        out.wireFailed,
+		Uncertain:        out.excused,
 		PartitionedShard: t.partShard,
-		Pending:          t.router.PendingReconciliations(),
 		Parked:           stages.parked,
 		Reconciled:       stages.reconciled,
-	}
-	res.Reroutes = res.Federation.Reroutes
-	return res, nil
+	}, nil
 }

@@ -52,7 +52,7 @@ func TestRunFederationRemote(t *testing.T) {
 			}
 			fp := func(r *RemoteFederationResult) string {
 				return fmt.Sprintf("uncertain=%d reroutes=%d migrations=%d parked=%+v reconciled=%+v\n", r.Uncertain,
-					r.Reroutes, r.Federation.Migrations, r.Parked, r.Reconciled) +
+					r.Federation.Reroutes, r.Federation.Migrations, r.Parked, r.Reconciled) +
 					recordFingerprint(&Result{Records: r.Records, Rejected: r.Rejected})
 			}
 			if a, b := fp(res), fp(again); a != b {
@@ -60,7 +60,7 @@ func TestRunFederationRemote(t *testing.T) {
 			}
 			t.Logf("seed %d: %d completed, %d rejected, %d wire-uncertain, shard %d killed+restarted, shard %d partitioned, %d reroutes, %d migrations, parked %+v, reconciled %+v",
 				seed, len(res.Records), res.Rejected, res.Uncertain,
-				res.RebuiltShard, res.PartitionedShard, res.Reroutes,
+				res.RebuiltShard, res.PartitionedShard, res.Federation.Reroutes,
 				res.Federation.Migrations, res.Parked, res.Reconciled)
 		})
 	}
@@ -89,8 +89,8 @@ func TestRunFederationRemotePartitionOnly(t *testing.T) {
 	if res.PartitionedShard < 0 {
 		t.Fatal("no partition windows were injected")
 	}
-	t.Logf("%d completed, %d wire-uncertain, %d reroutes, %d pending at end",
-		len(res.Records), res.Uncertain, res.Reroutes, res.Pending)
+	t.Logf("%d completed, %d wire-uncertain, %d reroutes",
+		len(res.Records), res.Uncertain, res.Federation.Reroutes)
 }
 
 // FuzzRemoteFederation runs the remote federation under partition faults

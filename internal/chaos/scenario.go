@@ -13,11 +13,12 @@ import (
 // virtual-clock driver goroutine: timers fire synchronously inside the
 // drive, and so does everything a target does in answer, wire included.
 type target interface {
-	// submit delivers one planned submission.
-	submit(j job.Job) error
-	// open reports whether a legitimate submission's error is a wire
-	// failure that leaves the job's fate unknown — its client was told to
-	// retry — rather than a refusal, which fails the run.
+	// submit delivers one instant's planned submissions, in plan order,
+	// and returns each one's error.
+	submit(jobs []job.Job) []error
+	// open reports whether a legitimate submission's error leaves the
+	// job's absence excused — a wire failure whose client was told to
+	// retry, or a quota refusal — rather than failing the run.
 	open(err error) bool
 	// job looks a job up once the run is over.
 	job(id int) (engine.JobStatus, bool)
@@ -32,22 +33,20 @@ type target interface {
 	verify(accepted []job.Job) error
 }
 
-// outcome is what the runner itself learned; the schedule and the
-// metrics are read off the target.
+// outcome is what the runner itself learned: Accepted, Rejected and
+// Rebuilt; the schedule and the rest are read off the target.
 type outcome struct {
-	accepted   []job.Job // legitimate jobs found done, in ID order
-	rejected   int       // injected submissions refused
-	wireFailed int       // legitimate submissions left open by the wire
-	rebuilt    bool      // the crash was injected and the victim came back
+	Result
+	excused int // legitimate submissions left open (see target.open)
 }
 
 // runScenario is the one scenario driver: build the plan (widths drawn
 // against planCap), let build construct the target on the scenario's
-// clock and policy factory, schedule the submits, arm the crash and —
-// partition, when the target has a wire to fault — FaultPartition's
-// timers, drive the clock, plain or in jumps, then sweep conservation and
-// hand the survivors to the target's oracle. The first unexpected outcome
-// ends the drive.
+// clock and policy factory, schedule each instant's submits as one
+// delivery, arm the crash and — partition, when the target has a wire to
+// fault — FaultPartition's timers, drive the clock, plain or in jumps,
+// then sweep conservation and hand the survivors to the target's oracle.
+// The first unexpected outcome ends the drive.
 func runScenario(cfg Config, planCap int, build func(*engine.VirtualClock, func() sim.Policy) (target, error),
 	partition func(plan, *engine.VirtualClock)) (*outcome, error) {
 	planCfg := cfg
@@ -55,19 +54,11 @@ func runScenario(cfg Config, planCap int, build func(*engine.VirtualClock, func(
 	p := buildPlan(planCfg)
 	vc := engine.NewVirtualClock()
 	newPolicy := func() sim.Policy {
-		pol := cfg.Policy()
-		if cfg.Faults&(FaultPolicyPanic|FaultPolicyLatency) != 0 {
-			fp := &FlakyPolicy{Inner: pol}
-			if cfg.Faults&FaultPolicyPanic != 0 {
-				fp.PanicEvery = cfg.PanicEvery
-			}
-			if cfg.Faults&FaultPolicyLatency != 0 {
-				fp.Latency = cfg.Latency
-				fp.LatencyEvery = 3
-			}
-			return fp
+		if cfg.Faults&(FaultPolicyPanic|FaultPolicyLatency) == 0 {
+			return cfg.Policy()
 		}
-		return pol
+		return &FlakyPolicy{Inner: cfg.Policy(),
+			Panic: cfg.Faults&FaultPolicyPanic != 0, Slow: cfg.Faults&FaultPolicyLatency != 0}
 	}
 	t, err := build(vc, newPolicy)
 	if err != nil {
@@ -81,50 +72,57 @@ func runScenario(cfg Config, planCap int, build func(*engine.VirtualClock, func(
 			failure = err
 		}
 	}
-	open := make(map[int]bool) // legitimate submissions the wire left open
-	for _, ps := range p.submits {
-		vc.AfterFunc(ps.at, func() {
-			err := t.submit(ps.spec)
+	open := make(map[int]bool) // legitimate submissions left open
+	deliver := func(batch []plannedSubmit) {
+		specs := make([]job.Job, len(batch))
+		for i, ps := range batch {
+			specs[i] = ps.spec
+		}
+		for i, err := range t.submit(specs) {
+			ps := batch[i]
 			switch {
 			case ps.wantErr && err == nil:
-				// Unless the original submission of this ID was wire-lost and
-				// reconciled as never-admitted: then this "duplicate" played
-				// the client's retry and won the slot.
+				// Unless the original submission of this ID was left open
+				// and never admitted: then this "duplicate" played the
+				// client's retry and won the slot.
 				if !open[ps.spec.ID] {
 					fail(fmt.Errorf("chaos: injected-fault submission of job %d was accepted", ps.spec.ID))
 				}
 				delete(open, ps.spec.ID)
 			case ps.wantErr:
-				out.rejected++
+				out.Rejected++
 			case err == nil:
 			case t.open(err):
 				// The job may or may not have landed; the sweep holds it to
 				// "definitively absent, or admitted exactly once".
 				open[ps.spec.ID] = true
-				out.wireFailed++
+				out.excused++
 			default:
 				fail(fmt.Errorf("chaos: legitimate job %d rejected: %w", ps.spec.ID, err))
 			}
-		})
+		}
+	}
+	// One timer per instant, registered where the plan first names it,
+	// delivers that instant's submissions in plan order.
+	at := make(map[job.Time][]plannedSubmit)
+	for _, ps := range p.submits {
+		if at[ps.at] == nil {
+			vc.AfterFunc(ps.at, func() { deliver(at[ps.at]) })
+		}
+		at[ps.at] = append(at[ps.at], ps)
 	}
 	if cfg.Faults&FaultCrashRebuild != 0 {
 		kill, restart, downFor := t.crash(stats.NewRNG(cfg.Seed, 104))
-		up := func() {
+		// Registered back to back, the two timers of a zero outage fire
+		// with nothing between them.
+		vc.AfterFunc(p.crashAt, kill)
+		vc.AfterFunc(p.crashAt+job.Time(downFor), func() {
 			if err := restart(); err != nil {
 				fail(fmt.Errorf("chaos: restart after the crash at t=%d: %w", p.crashAt, err))
 				return
 			}
-			out.rebuilt = true
-		}
-		vc.AfterFunc(p.crashAt, func() {
-			kill()
-			if downFor == 0 {
-				up()
-			}
+			out.Rebuilt = true
 		})
-		if downFor > 0 {
-			vc.AfterFunc(p.crashAt+job.Time(downFor), up)
-		}
 	}
 	if partition != nil && cfg.Faults&FaultPartition != 0 {
 		partition(p, vc)
@@ -159,10 +157,19 @@ func runScenario(cfg Config, planCap int, build func(*engine.VirtualClock, func(
 	if err := t.err(); err != nil {
 		return nil, err
 	}
-	if out.accepted, err = sweep(cfg.Jobs, t.job, func(id int) bool { return open[id] }); err != nil {
-		return nil, fmt.Errorf("%w (%d submissions wire-failed)", err, out.wireFailed)
+	if out.Accepted, err = sweep(cfg.Jobs, t.job, func(id int) bool { return open[id] }); err != nil {
+		return nil, fmt.Errorf("%w (%d submissions left open)", err, out.excused)
 	}
-	return out, t.verify(out.accepted)
+	return out, t.verify(out.Accepted)
+}
+
+// each delivers jobs one at a time through submit, in order.
+func each(jobs []job.Job, submit func(job.Job) error) []error {
+	errs := make([]error, len(jobs))
+	for i, j := range jobs {
+		errs[i] = submit(j)
+	}
+	return errs
 }
 
 // sweep is the conservation check every tier ends with: each legitimate

@@ -37,7 +37,7 @@ func NewFairshare(inner *Scheduler, alpha float64) *Fairshare {
 // Name implements sim.Policy.
 func (f *Fairshare) Name() string { return f.Inner.Name() + "+fs" }
 
-// Unwrap returns the wrapped scheduler (see SchedulerOf).
+// Unwrap returns the wrapped scheduler (see PolicyAs).
 func (f *Fairshare) Unwrap() sim.Policy { return f.Inner }
 
 // Decide implements sim.Policy.

@@ -175,24 +175,32 @@ func New(algo Algorithm, h Heuristic, bound BoundSpec, nodeLimit int) *Scheduler
 	return &Scheduler{Algorithm: algo, Heuristic: h, Bound: bound, NodeLimit: nodeLimit}
 }
 
-// SchedulerOf walks a chain of single-inner policy wrappers — anything
+// PolicyAs walks a chain of single-inner policy wrappers — anything
 // with an Unwrap() sim.Policy method: Fairshare, chaos.FlakyPolicy,
-// schedsim's flight shim — down to the search scheduler underneath,
-// and returns nil when the chain ends in anything else. Readers of
-// SearchStats go through it so the counters do not vanish behind a
-// wrapper.
-func SchedulerOf(p sim.Policy) *Scheduler {
+// schedsim's flight shim — and returns the first policy on it, p
+// included, that is a T. Readers of a policy's optional surfaces
+// (SearchStats, the flight recorder's decision summaries) go through
+// it so they do not vanish behind a wrapper.
+func PolicyAs[T any](p sim.Policy) (T, bool) {
 	for p != nil {
-		if sch, ok := p.(*Scheduler); ok {
-			return sch
+		if t, ok := p.(T); ok {
+			return t, true
 		}
 		w, ok := p.(interface{ Unwrap() sim.Policy })
 		if !ok {
-			return nil
+			break
 		}
 		p = w.Unwrap()
 	}
-	return nil
+	var zero T
+	return zero, false
+}
+
+// SchedulerOf returns the search scheduler under p's wrappers, or nil
+// when the chain ends in anything else (see PolicyAs).
+func SchedulerOf(p sim.Policy) *Scheduler {
+	sch, _ := PolicyAs[*Scheduler](p)
+	return sch
 }
 
 // Name implements sim.Policy, producing the paper's naming scheme, e.g.

@@ -10,9 +10,9 @@ import (
 )
 
 // decisionSummarizer is the optional policy surface the flight
-// recorder reads per-decision search detail from. core.Scheduler
-// implements it; chaos.FlakyPolicy forwards it to its inner policy;
-// heuristic baselines simply lack it and get generic records.
+// recorder reads per-decision search detail from, through any policy
+// wrappers (core.PolicyAs). core.Scheduler implements it; heuristic
+// baselines simply lack it and get generic records.
 type decisionSummarizer interface {
 	LastDecision() core.DecisionSummary
 }
@@ -39,13 +39,13 @@ func FillDecisionRecord(rec *obs.DecisionRecord, pol sim.Policy, now job.Time, q
 		WallUs:     wall.Microseconds(),
 		Started:    startedBuf,
 	}
-	if ms, ok := pol.(metaSummarizer); ok {
+	if ms, ok := core.PolicyAs[metaSummarizer](pol); ok {
 		if name, regret, ok := ms.LastMetaDecision(); ok {
 			rec.ChosenPolicy = name
 			rec.MetaRegret = regret
 		}
 	}
-	if ds, ok := pol.(decisionSummarizer); ok {
+	if ds, ok := core.PolicyAs[decisionSummarizer](pol); ok {
 		sum := ds.LastDecision()
 		rec.EffectiveLimit = sum.EffectiveLimit
 		rec.Nodes = sum.Nodes

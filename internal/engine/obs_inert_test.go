@@ -177,3 +177,30 @@ func runObsInert(t *testing.T, months []string, newPolicy func() sim.Policy, wan
 		})
 	}
 }
+
+// TestFlightSeesThroughWrappers: the flight recorder reads each
+// decision's search summary through policy wrappers, as the engine's
+// counters do, so under a Fairshare wrapper the nodes its records show
+// still add up to the scheduler's own count instead of to zero.
+func TestFlightSeesThroughWrappers(t *testing.T) {
+	in, _, err := workload.NewSuite(workload.Config{Seed: 11, JobScale: 0.025}).
+		Input("7/03", workload.SimOptions{TargetLoad: 0.9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch := core.New(core.DDS, core.HeuristicLXF, core.DynamicBound(), 64)
+	flight := obs.NewFlightRecorder(1 << 14)
+	replayInstrumented(t, in, core.NewFairshare(sch, 1), flight, obs.NewTracer(obs.TracerOptions{Seed: 1}))
+	recs := flight.Snapshot()
+	if flight.Total() == 0 || flight.Total() != int64(len(recs)) {
+		t.Fatalf("kept %d of %d decisions; the test needs all of them", len(recs), flight.Total())
+	}
+	var nodes int64
+	for _, rec := range recs {
+		nodes += rec.Nodes
+	}
+	if want := sch.SearchStats.Nodes; want == 0 || nodes != want {
+		t.Fatalf("flight records sum to %d search nodes over %d decisions, the scheduler visited %d",
+			nodes, len(recs), want)
+	}
+}

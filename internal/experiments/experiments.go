@@ -30,8 +30,6 @@ type Config struct {
 	// LimitScale scales the paper's search node limits L, so scaled-
 	// down runs spend proportionally less search effort. Default 1.
 	LimitScale float64
-	// Workers caps parallel simulations (default: GOMAXPROCS).
-	Workers int
 }
 
 func (c Config) withDefaults() Config {
@@ -46,9 +44,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LimitScale == 0 {
 		c.LimitScale = 1
-	}
-	if c.Workers == 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	return c
 }
@@ -101,9 +96,9 @@ func runGrid(cfg Config, opt workload.SimOptions, specs []PolicySpec) (map[runKe
 		}
 	}
 
-	// A fixed worker pool capped at cfg.Workers (default GOMAXPROCS)
-	// drains the task channel: spawning one goroutine per task would
-	// stack hundreds of simulations' worth of memory for a grid run.
+	// A fixed pool of GOMAXPROCS workers drains the task channel:
+	// spawning one goroutine per task would stack hundreds of
+	// simulations' worth of memory for a grid run.
 	// The first error is propagated and stops further work; remaining
 	// tasks are skipped.
 	results := make(map[runKey]*sim.Result, len(tasks))
@@ -114,10 +109,7 @@ func runGrid(cfg Config, opt workload.SimOptions, specs []PolicySpec) (map[runKe
 		defer mu.Unlock()
 		return firstErr != nil
 	}
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
+	workers := runtime.GOMAXPROCS(0)
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}

@@ -15,8 +15,7 @@ const histBuckets = 32
 // buckets). It trades per-sample precision for O(1) memory and
 // lock-cheap observation — the shape Prometheus histograms expect.
 // The zero value is ready to use. (It lives here so the ingest accept
-// latency and the journal fsync latency share one implementation;
-// internal/ingest aliases these names for compatibility.)
+// latency and the journal fsync latency share one implementation.)
 type Hist struct {
 	mu     sync.Mutex
 	counts [histBuckets]int64
