@@ -9,28 +9,37 @@ import (
 	"schedsearch/internal/federation"
 	"schedsearch/internal/job"
 	"schedsearch/internal/server"
+	"schedsearch/internal/sim"
 	"schedsearch/internal/workload"
 )
 
-// countLoads counts one shard's GET /v1/shard/load calls on its way to
-// the in-memory wire.
-type countLoads struct {
+// tap hands see each request one shard sends to the in-memory wire,
+// before delivering it.
+type tap struct {
 	inner http.RoundTripper
-	n     *int
+	shard int
+	see   func(shard int, req *http.Request)
 }
 
-func (c countLoads) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.Method == http.MethodGet && req.URL.Path == "/v1/shard/load" {
-		*c.n++
-	}
+func (c tap) RoundTrip(req *http.Request) (*http.Response, error) {
+	c.see(c.shard, req)
 	return c.inner.RoundTrip(req)
+}
+
+// countLoads counts each shard's GET /v1/shard/load calls into loads.
+func countLoads(loads []int) func(int, *http.Request) {
+	return func(i int, req *http.Request) {
+		if req.Method == http.MethodGet && req.URL.Path == "/v1/shard/load" {
+			loads[i]++
+		}
+	}
 }
 
 // memShards boots one engine per capacity on vc, each behind its own
 // server on the in-memory wire, and returns the engines, the wire ends
-// (whose fault tables a test arms) and RemoteShard clients whose load
-// probes are counted into loads.
-func memShards(vc *engine.VirtualClock, caps []int, loads []int) ([]*engine.Engine, []*shardProc, []engine.Shard, error) {
+// (whose fault tables a test arms) and RemoteShard clients whose
+// requests are handed to see on their way.
+func memShards(vc *engine.VirtualClock, caps []int, see func(int, *http.Request)) ([]*engine.Engine, []*shardProc, []engine.Shard, error) {
 	var engines []*engine.Engine
 	var procs []*shardProc
 	var shards []engine.Shard
@@ -45,10 +54,43 @@ func memShards(vc *engine.VirtualClock, caps []int, loads []int) ([]*engine.Engi
 			Timeout:   30 * time.Second,
 			Retries:   1,
 			Sleep:     func(time.Duration) {},
-			Transport: countLoads{inner: sp, n: &loads[i]},
+			Transport: tap{inner: sp, shard: i, see: see},
 		}))
 	}
 	return engines, procs, shards, nil
+}
+
+// suiteMonth is the month the load-cache tests replay: a suite month
+// at load 0.9 of four 128-node shards.
+func suiteMonth(t *testing.T) []job.Job {
+	t.Helper()
+	suite := workload.NewSuite(workload.Config{Seed: 1, JobScale: 0.2})
+	in, _, err := suite.Input("7/03", workload.SimOptions{TargetLoad: 0.9 * 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in.Jobs
+}
+
+// replayMonth submits jobs through router at their submit times, runs
+// vc dry and checks that every job completed.
+func replayMonth(t *testing.T, vc *engine.VirtualClock, router *federation.Router, jobs []job.Job) {
+	t.Helper()
+	for _, j := range jobs {
+		j := j
+		vc.AfterFunc(j.Submit, func() {
+			if err := router.SubmitJob(j); err != nil {
+				t.Errorf("submit job %d: %v", j.ID, err)
+			}
+		})
+	}
+	vc.Run()
+	if err := router.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(router.Records()); got != len(jobs) {
+		t.Fatalf("%d of %d jobs completed", got, len(jobs))
+	}
 }
 
 // liveLoads is BestFit, checking first that every candidate's load —
@@ -78,14 +120,10 @@ func (p *liveLoads) Pick(j job.Job, cands []federation.Candidate) int {
 // candidate's load must equal its engine's live Load, and the router
 // may probe at most twice per job.
 func TestCachedLoadsAreExact(t *testing.T) {
-	suite := workload.NewSuite(workload.Config{Seed: 1, JobScale: 0.2})
-	in, _, err := suite.Input("7/03", workload.SimOptions{TargetLoad: 0.9 * 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	jobs := suiteMonth(t)
 	vc := engine.NewVirtualClock()
 	probes := make([]int, 4)
-	engines, _, shards, err := memShards(vc, []int{128, 128, 128, 128}, probes)
+	engines, _, shards, err := memShards(vc, []int{128, 128, 128, 128}, countLoads(probes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,30 +133,94 @@ func TestCachedLoadsAreExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	clear(probes) // construction-time capacity discovery
-	for _, j := range in.Jobs {
-		j := j
-		vc.AfterFunc(j.Submit, func() {
-			if err := router.SubmitJob(j); err != nil {
-				t.Errorf("submit job %d: %v", j.ID, err)
-			}
-		})
-	}
-	vc.Run()
-	if err := router.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(router.Records()); got != len(in.Jobs) {
-		t.Fatalf("%d of %d jobs completed", got, len(in.Jobs))
-	}
+	replayMonth(t, vc, router, jobs)
 	total := 0
 	for _, n := range probes {
 		total += n
 	}
-	if total > 2*len(in.Jobs) {
-		t.Fatalf("%d load probes for %d jobs, want at most 2 per job", total, len(in.Jobs))
+	if total > 2*len(jobs) {
+		t.Fatalf("%d load probes for %d jobs, want at most 2 per job", total, len(jobs))
 	}
 	t.Logf("%d jobs, %d candidate loads checked, %d load probes (%.2f per job), %d migrations",
-		len(in.Jobs), place.checked, total, float64(total)/float64(len(in.Jobs)), router.Federation().Migrations)
+		len(jobs), place.checked, total, float64(total)/float64(len(jobs)), router.Federation().Migrations)
+}
+
+// TestQueueReadsFindAMove replays the same month and holds each
+// rebalance pass's GET /v1/queue to what it must find. The source
+// engine's live queue is non-empty, and some job on it passes the move
+// test against the live loads of the source and the least loaded
+// shard — except at a read after a move of the same pass, where the
+// source's smallest demand is only a lower bound. Skipping the other
+// reads moves nothing: the migrations are the in-process run's.
+func TestQueueReadsFindAMove(t *testing.T) {
+	jobs := suiteMonth(t)
+	caps := []int{128, 128, 128, 128}
+
+	vc := engine.NewVirtualClock()
+	ref, err := federation.New(federation.Config{
+		Capacity: 512, Shards: len(caps), Policy: func(int) sim.Policy { return dds() }, Clock: vc, RebalanceEvery: 600,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayMonth(t, vc, ref, jobs)
+
+	vc = engine.NewVirtualClock()
+	var engines []*engine.Engine
+	reads, afterMove := make([]int, len(caps)), 0
+	movedAt := job.Time(-1) // the instant of the last migration's admit
+	see := func(src int, req *http.Request) {
+		switch req.URL.Path {
+		case "/v1/shard/admit":
+			movedAt = vc.Now()
+			return
+		case "/v1/queue":
+		default:
+			return
+		}
+		reads[src]++
+		queue := engines[src].Queue()
+		if len(queue) == 0 {
+			t.Fatalf("t=%d: read shard %d's queue, which is empty", vc.Now(), src)
+		}
+		if movedAt == vc.Now() {
+			afterMove++
+			return
+		}
+		loads := make([]engine.Load, len(engines))
+		dst := 0
+		for i, e := range engines {
+			loads[i] = e.Load()
+			if loads[i].Score() < loads[dst].Score() {
+				dst = i
+			}
+		}
+		for _, st := range queue {
+			if st.Job.Nodes <= caps[dst] &&
+				loads[dst].Score()+float64(st.Demand())/float64(caps[dst]) < loads[src].Score() {
+				return
+			}
+		}
+		t.Fatalf("t=%d: read shard %d's queue of %d jobs, none of which can move to shard %d", vc.Now(), src, len(queue), dst)
+	}
+	engines, _, shards, err := memShards(vc, caps, see)
+	if err != nil {
+		t.Fatal(err)
+	}
+	router, err := federation.NewWithShards(federation.Config{Clock: vc, RebalanceEvery: 600}, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayMonth(t, vc, router, jobs)
+	got, want := router.Federation().Migrations, ref.Federation().Migrations
+	if got != want {
+		t.Fatalf("%d migrations over the wire, %d in process", got, want)
+	}
+	total := 0
+	for _, n := range reads {
+		total += n
+	}
+	t.Logf("%d jobs, %d migrations, %d queue reads (%d after a move of the same pass)", len(jobs), got, total, afterMove)
 }
 
 // TestDarkShardWithOpenWindow refuses every connection to a shard whose
@@ -129,7 +231,7 @@ func TestCachedLoadsAreExact(t *testing.T) {
 func TestDarkShardWithOpenWindow(t *testing.T) {
 	vc := engine.NewVirtualClock()
 	probes := make([]int, 4)
-	_, procs, shards, err := memShards(vc, []int{32, 32, 32, 32}, probes)
+	_, procs, shards, err := memShards(vc, []int{32, 32, 32, 32}, countLoads(probes))
 	if err != nil {
 		t.Fatal(err)
 	}

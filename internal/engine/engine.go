@@ -692,9 +692,11 @@ type Load struct {
 	Waiting int
 	Running int
 	// QueuedNodeSec and RemainingNodeSec are the outstanding work in
-	// node-seconds (see sim.Ledger.Demand).
+	// node-seconds (see sim.Ledger.Demand); MinQueuedNodeSec is the
+	// smallest waiting job's Demand, 0 for an empty queue.
 	QueuedNodeSec    int64
 	RemainingNodeSec int64
+	MinQueuedNodeSec int64
 	// The answer's exact window. Now is the engine time it was taken.
 	// Until StableUntil only RemainingNodeSec moves, falling by Slope
 	// node-seconds per second (see At). StableUntil is Now-1 (no window)
@@ -735,7 +737,7 @@ func (e *Engine) Load() Load {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	now := e.clock.Now()
-	queued, remaining, slope, until := e.l.Demand(now)
+	queued, minQueued, remaining, slope, until := e.l.Demand(now)
 	if next, ok := e.l.NextFinish(); ok {
 		until = min(until, next-1)
 	}
@@ -749,6 +751,7 @@ func (e *Engine) Load() Load {
 		Running:          e.l.RunningLen(),
 		QueuedNodeSec:    queued,
 		RemainingNodeSec: remaining,
+		MinQueuedNodeSec: minQueued,
 		Now:              now,
 		Slope:            slope,
 		StableUntil:      until,

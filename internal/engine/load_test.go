@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"schedsearch/internal/core"
+	"schedsearch/internal/job"
+	"schedsearch/internal/policy"
 	"schedsearch/internal/predict"
 	"schedsearch/internal/workload"
 )
@@ -34,7 +36,7 @@ func TestLoadWindowIsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	ld := e.Load() // the last answer
-	checks, floored := 0, 0
+	checks, queued, floored := 0, 0, 0
 	check := func() {
 		now := vc.Now()
 		if now < ld.Now || now > ld.StableUntil {
@@ -46,6 +48,9 @@ func TestLoadWindowIsExact(t *testing.T) {
 			t.Fatalf("t=%d: the answer of t=%d extrapolates to %+v, Load says %+v", now, ld.Now, got, want)
 		}
 		checks++
+		if want.Waiting > 0 {
+			queued++
+		}
 	}
 	for _, j := range in.Jobs {
 		j := j
@@ -82,8 +87,65 @@ func TestLoadWindowIsExact(t *testing.T) {
 	if got := len(e.Records()); got != len(in.Jobs) {
 		t.Fatalf("%d of %d jobs completed", got, len(in.Jobs))
 	}
-	if checks < 100_000 || floored == 0 {
-		t.Fatalf("%d checks, %d answers with a job on its floor: the month never exercised the window", checks, floored)
+	if checks < 100_000 || queued == 0 || floored == 0 {
+		t.Fatalf("%d checks (%d with a queue), %d answers with a job on its floor: the month never exercised the window",
+			checks, queued, floored)
 	}
-	t.Logf("%d jobs, %d extrapolations checked, %d answers with a job on its floor", len(in.Jobs), checks, floored)
+	t.Logf("%d jobs, %d extrapolations checked (%d with a queue), %d answers with a job on its floor",
+		len(in.Jobs), checks, queued, floored)
+}
+
+// TestLoadMinQueuedDemand follows MinQueuedNodeSec through the queue's
+// changes on a 10-node machine under FCFS-backfill, estimates being the
+// actual runtimes: 0 for an empty queue, a job not yet estimated at its
+// request, and the next-smallest demand once a decision starts the
+// smallest job or a withdraw removes it. At keeps it.
+func TestLoadMinQueuedDemand(t *testing.T) {
+	vc := NewVirtualClock()
+	e, err := New(Config{Capacity: 10, Policy: policy.FCFSBackfill(), Clock: vc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := func(step string, min int64) {
+		t.Helper()
+		ld := e.Load()
+		if ld.MinQueuedNodeSec != min {
+			t.Fatalf("%s: MinQueuedNodeSec %d, want %d", step, ld.MinQueuedNodeSec, min)
+		}
+		if got := ld.At(ld.Now + 1).MinQueuedNodeSec; got != min {
+			t.Fatalf("%s: At moved MinQueuedNodeSec from %d to %d", step, min, got)
+		}
+	}
+	submit := func(j job.Job) {
+		t.Helper()
+		if err := e.SubmitJob(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want("empty", 0)
+
+	// Not yet estimated, the decision still pending: nodes × request.
+	submit(job.Job{ID: 1, Nodes: 10, Runtime: 100, Request: 200})
+	want("pending", 10*200)
+	vc.RunDue() // job 1 starts on all ten nodes
+	want("job 1 started", 0)
+
+	// Queued behind job 1, estimated at their runtimes.
+	submit(job.Job{ID: 2, Nodes: 10, Runtime: 50, Request: 100})   // 500
+	submit(job.Job{ID: 3, Nodes: 10, Runtime: 100, Request: 100})  // 1000
+	submit(job.Job{ID: 4, Nodes: 1, Runtime: 2000, Request: 3000}) // 2000
+	vc.RunDue()
+	want("three queued", 500)
+
+	// Job 1 ends at 100 and job 2, the smallest, starts alone.
+	vc.AdvanceTo(100)
+	if q := e.Queue(); len(q) != 2 {
+		t.Fatalf("%d jobs queued at t=100, want 2", len(q))
+	}
+	want("smallest started", 1000)
+
+	if _, err := e.Withdraw(3); err != nil {
+		t.Fatal(err)
+	}
+	want("withdrawn", 2000)
 }

@@ -90,12 +90,23 @@ func (r *Router) onRebalance() {
 }
 
 // shiftLoad books one queued job's move in the pass's load view, so
-// the next move of the same pass sees it without polling again.
+// the next move of the same pass sees it without polling again. The
+// source's MinQueuedNodeSec stays as it was, a lower bound now.
 func shiftLoad(loads []engine.Load, from, to int, demand int64) {
 	loads[from].Waiting--
 	loads[from].QueuedNodeSec -= demand
+	if loads[to].Waiting == 0 || demand < loads[to].MinQueuedNodeSec {
+		loads[to].MinQueuedNodeSec = demand
+	}
 	loads[to].Waiting++
 	loads[to].QueuedNodeSec += demand
+}
+
+// lowersMax reports whether moving demand node-seconds from src to dst
+// leaves the destination strictly below the source's old score — else
+// the move just trades places.
+func lowersMax(loads []engine.Load, src, dst int, demand int64) bool {
+	return loads[dst].Score()+float64(demand)/float64(loads[dst].Capacity) < loads[src].Score()
 }
 
 // moveLocked withdraws job id from src and admits it on dst, parking
@@ -220,7 +231,10 @@ func (r *Router) retryPendingLocked(p pendingMig) (parked bool) {
 // pair's maximum load score, which rules out oscillation. Candidates
 // are taken from the back of the source queue (the youngest arrivals),
 // so the migration disturbs the source shard's arrival-order queue as
-// little as possible. Reports whether a job moved.
+// little as possible. The source's queue is read only when its load
+// says a job there can pass the move test: a waiting job, and a
+// smallest demand that lowers the pair's maximum (a larger one cannot
+// where the smallest does not). Reports whether a job moved.
 func (r *Router) migrateOneLocked(loads []engine.Load) bool {
 	src, dst := -1, -1
 	for i := range loads {
@@ -236,7 +250,8 @@ func (r *Router) migrateOneLocked(loads []engine.Load) bool {
 			dst = i
 		}
 	}
-	if src == -1 || src == dst || loads[src].Score() <= loads[dst].Score() {
+	if src == -1 || src == dst || loads[src].Waiting == 0 ||
+		!lowersMax(loads, src, dst, loads[src].MinQueuedNodeSec) {
 		return false
 	}
 	queue := r.shards[src].Queue()
@@ -250,9 +265,7 @@ func (r *Router) migrateOneLocked(loads []engine.Load) bool {
 			continue
 		}
 		d := st.Demand()
-		// The move must leave the destination strictly below the
-		// source's old score, or it just trades places.
-		if loads[dst].Score()+float64(d)/float64(loads[dst].Capacity) >= loads[src].Score() {
+		if !lowersMax(loads, src, dst, d) {
 			continue
 		}
 		if !r.moveLocked(st.Job.ID, src, dst) {

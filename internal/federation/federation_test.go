@@ -443,6 +443,31 @@ func TestRebalanceMigrates(t *testing.T) {
 	checkFederationRun(t, r, submitted)
 }
 
+// TestShiftLoadBoundsMinimum holds the pass's view to what lets a later
+// move of the same pass skip a queue read: after each move a shard's
+// MinQueuedNodeSec is at most its smallest queued demand, so a source
+// holding a movable job is never skipped.
+func TestShiftLoadBoundsMinimum(t *testing.T) {
+	loads := []engine.Load{
+		{Waiting: 2, QueuedNodeSec: 300, MinQueuedNodeSec: 100},
+		{Waiting: 1, QueuedNodeSec: 500, MinQueuedNodeSec: 500},
+		{},
+	}
+	shiftLoad(loads, 0, 1, 100) // below the destination's minimum
+	shiftLoad(loads, 0, 2, 200) // into an empty queue
+	shiftLoad(loads, 2, 1, 200) // above the destination's minimum
+	want := []engine.Load{
+		{Waiting: 0, QueuedNodeSec: 0, MinQueuedNodeSec: 100},
+		{Waiting: 3, QueuedNodeSec: 800, MinQueuedNodeSec: 100},
+		{Waiting: 0, QueuedNodeSec: 0, MinQueuedNodeSec: 200},
+	}
+	for i := range want {
+		if loads[i] != want[i] {
+			t.Errorf("shard %d: %+v, want %+v", i, loads[i], want[i])
+		}
+	}
+}
+
 // TestTooWide checks that a job no shard can hold is rejected with
 // ErrTooWide and leaves no trace in the directory.
 func TestTooWide(t *testing.T) {

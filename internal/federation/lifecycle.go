@@ -146,13 +146,5 @@ func (r *Router) ShardHealth() []engine.ShardHealth {
 	return out
 }
 
-// PendingReconciliations reports how many wire-uncertain steps are
-// parked awaiting a shard's answer (tests drain on zero).
-func (r *Router) PendingReconciliations() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.pending)
-}
-
 // Now returns the shared clock's current time.
 func (r *Router) Now() job.Time { return r.cfg.Clock.Now() }

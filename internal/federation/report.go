@@ -1,7 +1,8 @@
 package federation
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"schedsearch/internal/engine"
 	"schedsearch/internal/metrics"
@@ -57,11 +58,8 @@ func (r *Router) Queue() []engine.JobStatus {
 	for _, s := range r.shardList() {
 		out = append(out, s.Queue()...)
 	}
-	sort.Slice(out, func(i, k int) bool {
-		if out[i].Job.Submit != out[k].Job.Submit {
-			return out[i].Job.Submit < out[k].Job.Submit
-		}
-		return out[i].Job.ID < out[k].Job.ID
+	slices.SortFunc(out, func(a, b engine.JobStatus) int {
+		return cmp.Or(cmp.Compare(a.Job.Submit, b.Job.Submit), cmp.Compare(a.Job.ID, b.Job.ID))
 	})
 	return out
 }
@@ -76,11 +74,8 @@ func (r *Router) Machine() engine.Machine {
 		m.FreeNodes += sm.FreeNodes
 		m.Running = append(m.Running, sm.Running...)
 	}
-	sort.Slice(m.Running, func(i, k int) bool {
-		if m.Running[i].Start != m.Running[k].Start {
-			return m.Running[i].Start < m.Running[k].Start
-		}
-		return m.Running[i].ID < m.Running[k].ID
+	slices.SortFunc(m.Running, func(a, b sim.RunningJob) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.ID, b.ID))
 	})
 	return m
 }
@@ -103,11 +98,8 @@ func (r *Router) Records() []sim.Record {
 			merged = append(merged, rec)
 		}
 	}
-	sort.Slice(merged, func(i, k int) bool {
-		if merged[i].End != merged[k].End {
-			return merged[i].End < merged[k].End
-		}
-		return merged[i].Job.ID < merged[k].Job.ID
+	slices.SortFunc(merged, func(a, b sim.Record) int {
+		return cmp.Or(cmp.Compare(a.End, b.End), cmp.Compare(a.Job.ID, b.Job.ID))
 	})
 	return merged
 }

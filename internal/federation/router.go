@@ -386,13 +386,7 @@ func (r *Router) routeLocked(j job.Job) error {
 	// double-admit; the ID is burned, the directory entry parked, and
 	// the rebalance tick resolves it by asking the shard once it answers.
 	for errors.Is(err, ErrUnreachable) && len(cands) > 1 {
-		rest := make([]Candidate, 0, len(cands)-1)
-		for _, c := range cands {
-			if c.Shard != pick {
-				rest = append(rest, c)
-			}
-		}
-		cands = rest
+		cands = slices.DeleteFunc(cands, func(c Candidate) bool { return c.Shard == pick })
 		from := pick
 		pick = cands[r.cfg.Placement.Pick(j, cands)].Shard
 		r.reroutes++

@@ -129,7 +129,8 @@ func QueuedDemand(j job.Job, est job.Duration) int64 {
 }
 
 // Demand sums the outstanding work on the ledger at now, in
-// node-seconds: queued is Σ QueuedDemand over waiting jobs, remaining
+// node-seconds: queued is Σ QueuedDemand over waiting jobs and
+// minQueued the smallest of them (0 for an empty queue), remaining
 // is Σ nodes × remaining predicted time over running jobs (floored at
 // one second per job — a job past its predicted end still holds its
 // nodes). The federation router's placement and rebalance passes
@@ -138,9 +139,13 @@ func QueuedDemand(j job.Job, est job.Duration) int64 {
 // until: slope is the nodes of the running jobs more than one second
 // from their predicted end, and until the earliest such end minus one,
 // where the floor takes over (job.MaxRuntime when there is none).
-func (l *Ledger) Demand(now job.Time) (queued, remaining int64, slope int, until job.Time) {
+func (l *Ledger) Demand(now job.Time) (queued, minQueued, remaining int64, slope int, until job.Time) {
 	for _, q := range l.queue {
-		queued += QueuedDemand(q.j, q.estimate)
+		d := QueuedDemand(q.j, q.estimate)
+		queued += d
+		if minQueued == 0 || d < minQueued {
+			minQueued = d
+		}
 	}
 	until = job.MaxRuntime
 	for _, r := range l.running {
@@ -153,7 +158,7 @@ func (l *Ledger) Demand(now job.Time) (queued, remaining int64, slope int, until
 		}
 		remaining += int64(r.j.Nodes) * rem
 	}
-	return queued, remaining, slope, until
+	return queued, minQueued, remaining, slope, until
 }
 
 // QueueIndex returns the current queue position of the waiting job with

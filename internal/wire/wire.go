@@ -149,6 +149,7 @@ type LoadResponse struct {
 	Running          int      `json:"running"`
 	QueuedNodeSec    int64    `json:"queued_node_sec"`
 	RemainingNodeSec int64    `json:"remaining_node_sec"`
+	MinQueuedNodeSec int64    `json:"min_queued_node_sec"`
 	Now              job.Time `json:"now_s"`
 	Slope            int      `json:"slope_nodes"`
 	StableUntil      job.Time `json:"stable_until_s"`
