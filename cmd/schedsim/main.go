@@ -203,8 +203,9 @@ func printSummary(res *sim.Result, s metrics.Summary, pol sim.Policy) {
 		fmt.Printf("  search time: %.1f ms wall, speedup %.2fx\n",
 			float64(st.WallNs)/1e6, st.Speedup())
 		if st.Nodes > 0 {
-			fmt.Printf("  nodes-to-best share %.3f, table share %.3f (%d subtrees counted, not walked)\n",
-				float64(st.NodesToBest)/float64(st.Nodes), float64(st.TableNodes)/float64(st.Nodes), st.TableHits)
+			fmt.Printf("  nodes-to-best share %.3f, table share %.3f (%d subtrees counted, not walked), settled share %.3f\n",
+				float64(st.NodesToBest)/float64(st.Nodes), float64(st.TableNodes)/float64(st.Nodes), st.TableHits,
+				float64(st.SettledNodes)/float64(st.Nodes))
 		}
 	}
 }

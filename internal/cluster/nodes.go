@@ -35,14 +35,6 @@ func (s *NodeSet) Total() int { return s.total }
 // Free returns the number of free nodes.
 func (s *NodeSet) Free() int { return s.free }
 
-// IsFree reports whether the node is free.
-func (s *NodeSet) IsFree(id int) bool {
-	if id < 0 || id >= s.total {
-		return false
-	}
-	return s.words[id/64]&(1<<(id%64)) != 0
-}
-
 // Alloc claims the k lowest-numbered free nodes and returns their IDs.
 func (s *NodeSet) Alloc(k int) ([]int, error) {
 	if k < 1 {

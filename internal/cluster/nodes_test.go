@@ -5,6 +5,14 @@ import (
 	"testing"
 )
 
+// IsFree reports whether the node is free.
+func (s *NodeSet) IsFree(id int) bool {
+	if id < 0 || id >= s.total {
+		return false
+	}
+	return s.words[id/64]&(1<<(id%64)) != 0
+}
+
 func TestNodeSetAllocLowestFirst(t *testing.T) {
 	s := NewNodeSet(8)
 	ids, err := s.Alloc(3)

@@ -64,19 +64,11 @@ func (p *Profile) Reset(capacity int, origin Time) {
 	p.steps = append(p.steps[:0], step{At: origin, Free: capacity})
 }
 
-// Capacity returns the machine's total node count.
-func (p *Profile) Capacity() int { return p.capacity }
-
-// Origin returns the earliest time the profile covers.
-func (p *Profile) Origin() Time { return p.steps[0].At }
-
-// FreeAt returns the free capacity at time t. t must be >= Origin.
+// FreeAt returns the free capacity at time t, which must not precede
+// the profile's origin.
 func (p *Profile) FreeAt(t Time) int {
 	return p.steps[p.find(t)].Free
 }
-
-// Len returns the number of steps (for diagnostics and benchmarks).
-func (p *Profile) Len() int { return len(p.steps) }
 
 // Clone returns an independent copy of the profile.
 func (p *Profile) Clone() *Profile {
@@ -96,7 +88,7 @@ func (p *Profile) Save() { p.saved = append(p.saved[:0], p.steps...) }
 func (p *Profile) Restore() { p.steps = append(p.steps[:0], p.saved...) }
 
 // find returns the index of the step covering time t: the greatest i
-// with steps[i].At <= t. t must be >= Origin.
+// with steps[i].At <= t. t must not precede steps[0].At.
 func (p *Profile) find(t Time) int {
 	// Binary search; profiles are small (tens to a few hundred steps),
 	// but earliest-fit scans start here so keep it exact.

@@ -6,6 +6,12 @@ import (
 	"testing/quick"
 )
 
+// Origin returns the earliest time the profile covers.
+func (p *Profile) Origin() Time { return p.steps[0].At }
+
+// Len returns the number of steps.
+func (p *Profile) Len() int { return len(p.steps) }
+
 // naive is a brute-force reference: free capacity per second over a
 // bounded horizon.
 type naive struct {

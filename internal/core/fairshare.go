@@ -20,6 +20,7 @@ type Fairshare struct {
 	Inner *Scheduler
 	// Alpha is the discount strength: a user at k times their fair
 	// share has their jobs' slowdown cost divided by 1 + Alpha*(k-1).
+	// It must be non-negative, which keeps the cost so (see CostFn).
 	Alpha float64
 
 	usage   map[int]float64 // user -> decayed node-seconds

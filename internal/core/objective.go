@@ -47,6 +47,12 @@ func (c Cost) Less(o Cost) bool {
 // The total cost of a schedule is the sum over its jobs. bound is the
 // target wait bound active at this decision point. Wherever this package
 // takes a CostFn, nil means HierarchicalCost.
+//
+// Both components must be non-negative for every placement, a start
+// before the job's submit included. The search relies on it: a partial
+// schedule's cost then lower-bounds every completion of it, so a tail
+// whose partial cost is already no better than the incumbent's is
+// counted instead of walked, and Prune cuts such subtrees.
 type CostFn func(w sim.WaitingJob, start, now job.Time, bound job.Duration) Cost
 
 // HierarchicalCost is the paper's objective: level 0 accumulates the

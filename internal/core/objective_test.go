@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -86,6 +87,47 @@ func TestHierarchicalCostShortJobFloor(t *testing.T) {
 	want := float64(120+60) / 60
 	if c[1] != want {
 		t.Errorf("bsld = %v, want %v", c[1], want)
+	}
+}
+
+// TestCostFnsNonNegative checks CostFn's contract, which the search's
+// settled tails and Prune rely on, for the shipped costs: the paper's
+// and Fairshare's wrapping of it, on random placements, starts before
+// submit included.
+func TestCostFnsNonNegative(t *testing.T) {
+	// Fairshare builds its cost per decision: take the one the search
+	// is handed, after a first decision has accrued user 7's usage.
+	fs := NewFairshare(New(DDS, HeuristicLXF, DynamicBound(), 1000), 0)
+	var wrapped CostFn
+	fs.Inner.s.tailHook = func(s *searchState) {
+		wrapped = s.cost
+		refTail(s)
+	}
+	warm := fairshareScenario()
+	warm.Now -= 50000
+	fs.Decide(warm)
+	fs.Decide(fairshareScenario())
+	if wrapped == nil {
+		t.Fatal("the search was never handed Fairshare's cost")
+	}
+
+	rng := rand.New(rand.NewSource(37))
+	for i := 0; i < 20000; i++ {
+		now := job.Time(rng.Int63n(1 << 30))
+		w := waiting(1+rng.Intn(100), now-job.Time(rng.Int63n(1<<20)), 1+rng.Intn(128), job.Duration(rng.Int63n(1<<16)))
+		w.Job.User = []int{0, 7, 8}[rng.Intn(3)]
+		start := w.Job.Submit + job.Time(rng.Int63n(1<<21)) - 1<<20
+		bound := job.Duration(rng.Int63n(1 << 20))
+		fs.Alpha = rng.ExpFloat64() * 10
+		for name, c := range map[string]Cost{
+			"HierarchicalCost": HierarchicalCost(w, start, now, bound),
+			"Fairshare":        wrapped(w, start, now, bound),
+		} {
+			if c[0] < 0 || c[1] < 0 {
+				t.Fatalf("%s of job %+v started at %d (now %d, bound %d, alpha %g) = %v: a component is negative",
+					name, w.Job, start, now, bound, fs.Alpha, c)
+			}
+		}
 	}
 }
 

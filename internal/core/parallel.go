@@ -322,6 +322,7 @@ func (sch *Scheduler) runParallel(snap *sim.Snapshot, workers int) bool {
 		sch.SearchStats.BusyNs += b
 		s.tab.servedNodes += sch.wstates[w].tab.servedNodes
 		s.tab.hits += sch.wstates[w].tab.hits
+		s.tab.settledNodes += sch.wstates[w].tab.settledNodes
 	}
 	return true
 }

@@ -107,6 +107,10 @@ type Stats struct {
 	// served. Both are zero where the table is off (Prune, DFS).
 	TableNodes int64
 	TableHits  int64
+	// SettledNodes is the part of Nodes counted, not walked, in tails
+	// that could no longer beat the incumbent (searchState.settle); it is
+	// zero where the table is off.
+	SettledNodes int64
 }
 
 // Speedup returns the effective search parallelism: summed worker busy
@@ -149,9 +153,8 @@ type Scheduler struct {
 	// Prune enables branch-and-bound pruning (the paper's future-work
 	// suggestion): a subtree is cut as soon as the partial schedule's
 	// cost is already no better than the best complete schedule, which
-	// is admissible because per-job costs are non-negative and
-	// additive. Custom Cost functions returning negative components
-	// must leave this off. Off by default (paper-faithful search).
+	// is admissible under CostFn's non-negativity contract. Off by
+	// default (paper-faithful search: every node counted).
 	Prune bool
 
 	// SearchStats accumulates effort counters across the run.
@@ -259,6 +262,7 @@ func (sch *Scheduler) Decide(snap *sim.Snapshot) []int {
 	sch.SearchStats.NodesToBest += s.nodesToBest
 	sch.SearchStats.TableNodes += s.tab.servedNodes
 	sch.SearchStats.TableHits += s.tab.hits
+	sch.SearchStats.SettledNodes += s.tab.settledNodes
 	if !parallel {
 		sch.SearchStats.BusyNs += wall
 	}
@@ -656,12 +660,13 @@ func (s *searchState) visit(oi int, ctx int32, down func()) bool {
 // tail walks the heuristic completion of the current path — every free
 // job in free-list order, each at its earliest fit, then the leaf. Both
 // enumerators end every path this way, and most of a budget's nodes are
-// tail nodes. Per node it is visit (budget, place, cost, prune, table),
-// but a tail node has one child and is never come back to: the free list
-// is walked, not unlinked, nothing is undone on its own, and the way out
-// restores the profile, cost, path and table position whole. The last
-// job only needs its start, so it is fitted, not placed: it is still
-// charged and costed as a node.
+// tail nodes. Per node it is settle where the path has lost, otherwise
+// visit (budget, place, cost, prune, table), but a tail node has one
+// child and is never come back to: the free list is walked, not
+// unlinked, nothing is undone on its own, and the way out restores the
+// profile, cost, path and table position whole. The last job only needs
+// its start, so it is fitted, not placed: it is still charged and
+// costed as a node.
 func (s *searchState) tail() {
 	if s.tailHook != nil {
 		s.tailHook(s)
@@ -677,6 +682,10 @@ func (s *searchState) tail() {
 	whole := !(s.hardBudget || s.bestFound) || s.nodes+int64(n-base) <= s.limit
 	oi := s.freeHead
 	for ; oi >= 0; oi = s.freeNext[oi] {
+		if s.lost() {
+			s.settle()
+			break
+		}
 		if s.overBudget() {
 			s.aborted = true
 			break
@@ -719,6 +728,30 @@ func (s *searchState) tail() {
 	s.curPath = s.curPath[:base]
 	s.curCost = cost
 	prof.Restore()
+}
+
+// lost reports whether the path can no longer beat the incumbent, where
+// counting instead of walking is on (the table's switch): costs are
+// non-negative and added prefix first, so no completion of a partial
+// cost not Less than the incumbent is Less either (DESIGN §10). It is
+// kept apart from settle so that both fit the inliner's budget: a call
+// per tail node cost deep_decide about a tenth of its throughput.
+func (s *searchState) lost() bool {
+	return s.tab.on && s.bestFound && !s.curCost.Less(s.bestCost)
+}
+
+// settle counts the rest of a lost tail instead of walking it: its nodes
+// and its leaf, or, where the budget ends inside it, nodes up to the
+// limit and an abort, as a walk's overBudget would.
+func (s *searchState) settle() {
+	rest := int64(len(s.ordered) - len(s.curPath))
+	if s.nodes+rest > s.limit {
+		rest, s.aborted = s.limit-s.nodes, true
+	} else {
+		s.leaves++
+	}
+	s.nodes += rest
+	s.tab.settledNodes += rest
 }
 
 // leaf records the completed schedule if it beats the best so far.

@@ -61,9 +61,11 @@ type table struct {
 	pairHash func(oi int, start job.Time) uint64
 
 	// servedNodes is the part of the decision's node count that was
-	// added from entries instead of walked, over hits lookups.
-	servedNodes int64
-	hits        int64
+	// added from entries instead of walked, over hits lookups;
+	// settledNodes the part settle counted.
+	servedNodes  int64
+	hits         int64
+	settledNodes int64
 }
 
 // mixPair hashes one (ordered index, start) pair: the splitmix64
@@ -85,7 +87,7 @@ func mixPair(oi int, start job.Time) uint64 {
 // pay to clear a large index.
 func (tb *table) reset(on bool, n int, limit int64) {
 	tb.on = on
-	tb.servedNodes, tb.hits = 0, 0
+	tb.servedNodes, tb.hits, tb.settledNodes = 0, 0, 0
 	if !on {
 		return
 	}

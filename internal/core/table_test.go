@@ -57,12 +57,14 @@ func nextSnapshot(rng *rand.Rand, snap *sim.Snapshot) *sim.Snapshot {
 	return &next
 }
 
-// tableCase is one configuration of the table-versus-walk comparison.
+// tableCase is one configuration of the table-versus-walk comparison;
+// a nil cost is the paper's.
 type tableCase struct {
 	algo    Algorithm
 	limit   int
 	prune   bool
 	workers int
+	cost    CostFn
 }
 
 func (c tableCase) String() string {
@@ -71,15 +73,16 @@ func (c tableCase) String() string {
 
 func (c tableCase) scheduler() *Scheduler {
 	sch := New(c.algo, HeuristicLXF, DynamicBound(), c.limit)
-	sch.Prune, sch.Workers = c.prune, c.workers
+	sch.Prune, sch.Workers, sch.Cost = c.prune, c.workers, c.cost
 	return sch
 }
 
 // compareTableWithWalk decides every snapshot in turn on a scheduler
-// with the table and on one without, and fails unless the two agree on
-// everything a decision reports except how many of its nodes were
-// served. It returns the nodes the table served.
-func compareTableWithWalk(t testing.TB, c tableCase, snaps []*sim.Snapshot, pairHash func(int, job.Time) uint64) int64 {
+// with the table (and so settled tails) and on one without, and fails
+// unless the two agree on everything a decision reports except how many
+// of its nodes were served or settled. It returns the statistics of the
+// scheduler with the table.
+func compareTableWithWalk(t testing.TB, c tableCase, snaps []*sim.Snapshot, pairHash func(int, job.Time) uint64) Stats {
 	t.Helper()
 	with, without := c.scheduler(), c.scheduler()
 	with.s.tab.pairHash = pairHash
@@ -107,14 +110,16 @@ func compareTableWithWalk(t testing.TB, c tableCase, snaps []*sim.Snapshot, pair
 			t.Fatalf("%v decision %d:\nwith the table %+v\nwalked         %+v", c, i, a, b)
 		}
 	}
-	ws, wos := with.SearchStats, without.SearchStats
-	served := ws.TableNodes
-	ws.TableNodes, ws.TableHits = 0, 0
+	st, ws, wos := with.SearchStats, with.SearchStats, without.SearchStats
+	if ws.TableNodes+ws.SettledNodes > ws.Nodes {
+		t.Fatalf("%v: %d served and %d settled of %d nodes", c, ws.TableNodes, ws.SettledNodes, ws.Nodes)
+	}
+	ws.TableNodes, ws.TableHits, ws.SettledNodes = 0, 0, 0
 	ws.WallNs, ws.BusyNs, wos.WallNs, wos.BusyNs = 0, 0, 0, 0
 	if ws != wos {
 		t.Fatalf("%v: stats\nwith the table %+v\nwalked         %+v", c, ws, wos)
 	}
-	return served
+	return st
 }
 
 // tableCases is every configuration TestTableInert runs on an n-job
@@ -140,17 +145,18 @@ func tableCases(n int) []tableCase {
 	return cases
 }
 
-// TestTableInert is the table's keystone: over random decision points,
-// idle and contended, every algorithm, budget and prune setting
-// commits the same plan and reports the same counts, incumbent
-// trajectory and budget outcome with the table as with a plain walk.
+// TestTableInert is the keystone of counting instead of walking: over
+// random decision points, idle and contended, every algorithm, budget
+// and prune setting commits the same plan and reports the same counts,
+// incumbent trajectory and budget outcome with the table and settled
+// tails as with a plain walk.
 func TestTableInert(t *testing.T) {
 	trials := 36
 	if testing.Short() {
 		trials = 12
 	}
 	rng := rand.New(rand.NewSource(18))
-	served := map[Algorithm]int64{}
+	served, settled := map[Algorithm]int64{}, map[Algorithm]int64{}
 	for trial := 0; trial < trials; trial++ {
 		n := 1 + rng.Intn(40)
 		if trial%3 == 0 {
@@ -159,19 +165,20 @@ func TestTableInert(t *testing.T) {
 		first := tableSnapshot(rng, n, trial%2 == 0)
 		snaps := []*sim.Snapshot{first, nextSnapshot(rng, first)}
 		for _, c := range tableCases(n) {
-			got := compareTableWithWalk(t, c, snaps, nil)
+			st := compareTableWithWalk(t, c, snaps, nil)
 			if c.prune || c.algo == DFS {
-				if got != 0 {
-					t.Fatalf("%v: the table is off here, yet served %d nodes", c, got)
+				if st.TableNodes != 0 || st.SettledNodes != 0 {
+					t.Fatalf("%v: the table is off here, yet served %d nodes and settled %d", c, st.TableNodes, st.SettledNodes)
 				}
 				continue
 			}
-			served[c.algo] += got
+			served[c.algo] += st.TableNodes
+			settled[c.algo] += st.SettledNodes
 		}
 	}
 	for _, algo := range []Algorithm{LDS, DDS} {
-		if served[algo] == 0 {
-			t.Errorf("%s: the table never served a node; the comparison proved nothing", algo)
+		if served[algo] == 0 || settled[algo] == 0 {
+			t.Errorf("%s: the table served %d nodes and settle counted %d; the comparison proved nothing", algo, served[algo], settled[algo])
 		}
 	}
 }
@@ -190,7 +197,7 @@ func TestTableSurvivesCollisions(t *testing.T) {
 		snaps := []*sim.Snapshot{first, nextSnapshot(rng, first)}
 		for _, algo := range []Algorithm{LDS, DDS} {
 			for _, limit := range []int{n + 3, 400} {
-				served += compareTableWithWalk(t, tableCase{algo: algo, limit: limit}, snaps, constant)
+				served += compareTableWithWalk(t, tableCase{algo: algo, limit: limit}, snaps, constant).TableNodes
 			}
 		}
 	}

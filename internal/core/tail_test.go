@@ -14,10 +14,14 @@ import (
 // refTail walks a tail the way the enumerators did before tail existed:
 // the first free job through visit — unlinked, undone, its table entry
 // completed on the way back up — recursing from visit's closure down to
-// the leaf.
+// the leaf, unless the path has lost and settle counts the rest.
 func refTail(s *searchState) {
 	if s.freeHead < 0 {
 		s.leaf()
+		return
+	}
+	if s.lost() {
+		s.settle()
 		return
 	}
 	s.visit(s.freeHead, 0, func() { refTail(s) })
@@ -103,7 +107,10 @@ func compareTailWithVisit(t testing.TB, c tailCase, snaps []*sim.Snapshot, tally
 	ls, rs := loop.SearchStats, ref.SearchStats
 	ls.WallNs, ls.BusyNs, rs.WallNs, rs.BusyNs = 0, 0, 0, 0
 	if parallel {
+		// What a worker settles is measured against its own incumbent,
+		// which the subtrees its table served leave out.
 		ls.TableNodes, ls.TableHits, rs.TableNodes, rs.TableHits = 0, 0, 0, 0
+		ls.SettledNodes, rs.SettledNodes = 0, 0
 	}
 	if ls != rs {
 		t.Fatalf("%v: stats\nby tail  %+v\nby visit %+v", c, ls, rs)
