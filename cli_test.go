@@ -63,6 +63,53 @@ func TestSchedsimJSON(t *testing.T) {
 	}
 }
 
+// TestSchedsimFlight: with -json -flight N schedsim prints the metrics
+// and then the flight recorder's ring: one record per decision the run
+// made, of which the last N are kept, each naming the deciding policy.
+func TestSchedsimFlight(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the schedsim binary")
+	}
+	bin := buildCmd(t, t.TempDir(), "schedsim")
+	out, err := exec.Command(bin,
+		"-month", "7/03", "-scale", "0.1", "-json", "-flight", "16").Output()
+	if err != nil {
+		t.Fatalf("schedsim -json -flight 16: %v", err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(out))
+	var m engine.Metrics
+	var flight struct {
+		Total     int64 `json:"total"`
+		Decisions []struct {
+			Policy string `json:"policy"`
+		} `json:"decisions"`
+	}
+	if err := dec.Decode(&m); err != nil {
+		t.Fatalf("first document is not /v1/metrics JSON: %v\n%s", err, out)
+	}
+	if err := dec.Decode(&flight); err != nil {
+		t.Fatalf("second document is not the flight ring: %v\n%s", err, out)
+	}
+	if dec.More() {
+		t.Fatalf("more than two JSON documents:\n%s", out)
+	}
+	if m.Engine.Decisions == 0 || flight.Total != m.Engine.Decisions {
+		t.Errorf("flight total %d, the run made %d decisions", flight.Total, m.Engine.Decisions)
+	}
+	// The search counters are read through the wrapper (core.SchedulerOf).
+	if m.Engine.SearchNodes == 0 {
+		t.Errorf("the recorded run reports no search nodes: %+v", m.Engine)
+	}
+	if len(flight.Decisions) != 16 {
+		t.Errorf("flight ring holds %d records, want 16", len(flight.Decisions))
+	}
+	for i, d := range flight.Decisions {
+		if d.Policy != "DDS/lxf/dynB" {
+			t.Errorf("record %d: policy %q, want DDS/lxf/dynB", i, d.Policy)
+		}
+	}
+}
+
 // TestSchedsimSWFRejectsMonthFlags: the generated-month flags have
 // nothing to act on in a trace replay, so schedsim refuses them instead
 // of printing the run without them.

@@ -105,13 +105,15 @@
 // calls and the decide that starts the job — and writes the collected
 // spans on exit as Chrome trace-event JSON, loadable directly in
 // Perfetto or chrome://tracing. -debug-addr serves net/http/pprof on a
-// separate listener. -flight N keeps a ring of the last N scheduling
-// decisions (policy, queue depth, search effort, incumbent-cost
-// trajectory, commit summary) served at GET /v1/debug/decisions; the
-// recorder is inert — it reads only state the search already produced,
-// and never perturbs a schedule. Tracing and the flight recorder are
-// both bit-identical-off-vs-on by construction (the engine
-// differential tests pin this).
+// separate listener. -flight N (serving mode only) keeps a ring of the
+// last N scheduling decisions (policy, queue depth, search effort,
+// incumbent-cost trajectory, starts) served at GET /v1/debug/decisions;
+// in-process shards share one ring, and -fanout forwards the size to
+// each child, which serves its own. The recorder wraps the policy and
+// reads only what its decision produced, so it never perturbs a
+// schedule. Tracing and the flight recorder are both
+// bit-identical-off-vs-on by construction (the engine differential
+// tests pin this).
 package main
 
 import (
@@ -227,7 +229,7 @@ func parseConfig(args []string) (config, error) {
 
 	fs.StringVar(&c.obs.traceOut, "trace-out", "", "enable cross-process tracing and write the spans as Chrome trace-event JSON (Perfetto-loadable) to this file on exit")
 	fs.StringVar(&c.obs.debugAddr, "debug-addr", "", "serve net/http/pprof on this extra listen address (empty = off)")
-	fs.IntVar(&c.obs.flight, "flight", 256, "decision flight-recorder ring size, served at GET /v1/debug/decisions (0 = off)")
+	fs.IntVar(&c.obs.flight, "flight", 256, "decision flight-recorder ring size, served at GET /v1/debug/decisions (serving mode; 0 = off)")
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
 	}
@@ -244,7 +246,7 @@ func parseConfig(args []string) (config, error) {
 		var stray, monthOnly []string
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "addr", "journal", "ingest-pending", "ingest-batch", "quota-rate", "quota-burst":
+			case "addr", "journal", "flight", "ingest-pending", "ingest-batch", "quota-rate", "quota-burst":
 				stray = append(stray, "-"+f.Name)
 			case "month", "seed", "scale", "load":
 				if c.swf != "" {
@@ -253,7 +255,7 @@ func parseConfig(args []string) (config, error) {
 			}
 		})
 		if len(stray) > 0 {
-			return config{}, fmt.Errorf("%s: serving-mode only (a replay has no listener, journal, accept queue or quotas)",
+			return config{}, fmt.Errorf("%s: serving-mode only (a replay has no listener, journal, decisions endpoint, accept queue or quotas)",
 				strings.Join(stray, ", "))
 		}
 		if len(monthOnly) > 0 {
@@ -275,9 +277,10 @@ func parseConfig(args []string) (config, error) {
 		case c.fed.rebalance <= 0:
 			return config{}, fmt.Errorf("-rebalance %d: -join/-fanout need the periodic pass (it reconciles wire-uncertain steps and re-probes dark shards)", c.fed.rebalance)
 		}
-		// Children re-run this binary with the policy flags and the
-		// compaction bound forwarded (the bound folds a journal-less
-		// child's in-memory tail too); they admit synchronously (no
+		// Children re-run this binary with the policy flags, the
+		// compaction bound (it folds a journal-less child's in-memory
+		// tail too) and the flight-recorder size forwarded (each child
+		// serves its own decisions); they admit synchronously (no
 		// accept queue) — batching belongs to the front-end, and
 		// migration steps bypass ingest anyway.
 		c.fed.childArgs = []string{
@@ -287,6 +290,7 @@ func parseConfig(args []string) (config, error) {
 			fmt.Sprintf("-requested=%v", c.requested),
 			"-speedup", strconv.FormatFloat(c.speedup, 'g', -1, 64),
 			"-compact-every", strconv.Itoa(c.dur.compactEvery),
+			"-flight", strconv.Itoa(c.obs.flight),
 			"-ingest-pending", "0",
 		}
 	}
@@ -318,14 +322,6 @@ func (o obsOptions) tracer(now func() time.Time) *obs.Tracer {
 		return nil
 	}
 	return obs.NewTracer(obs.TracerOptions{Now: now})
-}
-
-// recorder builds the run's flight recorder, or nil when off.
-func (o obsOptions) recorder() *obs.FlightRecorder {
-	if o.flight <= 0 {
-		return nil
-	}
-	return obs.NewFlightRecorder(o.flight)
 }
 
 // writeTraceOut exports the collected spans as Chrome trace-event JSON;
@@ -428,8 +424,14 @@ func serve(c config) error {
 		}
 	}
 	tr := c.obs.tracer(nil)
+	// A remote front-end has no in-process engine to record; each shard
+	// daemon serves its own GET /v1/debug/decisions.
+	var flight *obs.FlightRecorder
+	if c.obs.flight > 0 && !c.fed.remote() {
+		flight = obs.NewFlightRecorder(c.obs.flight)
+	}
 	st, err := buildBackend(c, engine.NewRealClockAt(start, c.speedup),
-		sim.Input{Capacity: c.capacity, UseRequested: c.requested}, tr, recovered)
+		sim.Input{Capacity: c.capacity, UseRequested: c.requested}, tr, flight, recovered)
 	// Fanout children normally exit on their own after the drain the
 	// router forwards to them; this reap catches error paths (and is a
 	// no-op once the clean path below has waited for them).
@@ -458,10 +460,8 @@ func serve(c config) error {
 		}
 		opts = append(opts, server.WithIngest(q))
 	}
-	if st.flight != nil && !c.fed.remote() {
-		// A remote front-end has no in-process engines to record; each
-		// shard daemon serves its own /v1/debug/decisions.
-		opts = append(opts, server.WithFlight(st.flight))
+	if flight != nil {
+		opts = append(opts, server.WithFlight(flight))
 	}
 	if tr != nil {
 		opts = append(opts, server.WithTracer(tr, st.frontShard()))
@@ -544,7 +544,7 @@ func replay(c config) error {
 	// Replay span timestamps come from the virtual clock, so the trace
 	// timeline reads in engine time (span durations are still wall).
 	tr := c.obs.tracer(func() time.Time { return time.Unix(int64(vc.Now()), 0) })
-	st, err := buildBackend(c, vc, input, tr, nil)
+	st, err := buildBackend(c, vc, input, tr, nil, nil)
 	if err != nil {
 		return err
 	}

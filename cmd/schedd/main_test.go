@@ -8,6 +8,7 @@ import (
 
 	"schedsearch/internal/engine"
 	"schedsearch/internal/job"
+	"schedsearch/internal/obs"
 	"schedsearch/internal/sim"
 )
 
@@ -38,6 +39,7 @@ func TestParseConfigRejects(t *testing.T) {
 		{"-virtual -ingest-batch 8", "-ingest-batch"},
 		{"-virtual -quota-rate 1", "-quota-rate"},
 		{"-virtual -quota-burst 4", "-quota-burst"},
+		{"-virtual -flight 16", "-flight"},
 	} {
 		_, err := parseConfig(strings.Fields(tc.args))
 		if err == nil {
@@ -86,14 +88,14 @@ func TestParseConfigAccepts(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		args, want   string
-		compactEvery int
+		args, want           string
+		compactEvery, flight int
 	}{
-		{"-fanout 4 -policy LDS/fcfs/100h -L 50 -speedup 600 -journal j",
-			"-policy LDS/fcfs/100h -L 50 -workers 1 -requested=false -speedup 600 -compact-every 4096 -ingest-pending 0", 4096},
+		{"-fanout 4 -policy LDS/fcfs/100h -L 50 -speedup 600 -journal j -flight 0",
+			"-policy LDS/fcfs/100h -L 50 -workers 1 -requested=false -speedup 600 -compact-every 4096 -flight 0 -ingest-pending 0", 4096, 0},
 		// Without -journal the bound still folds each child's in-memory tail.
 		{"-fanout 4 -compact-every 100",
-			"-policy DDS/lxf/dynB -L 1000 -workers 1 -requested=false -speedup 1 -compact-every 100 -ingest-pending 0", 100},
+			"-policy DDS/lxf/dynB -L 1000 -workers 1 -requested=false -speedup 1 -compact-every 100 -flight 256 -ingest-pending 0", 100, 256},
 	} {
 		c, err := parseConfig(strings.Fields(tc.args))
 		if err != nil {
@@ -104,7 +106,8 @@ func TestParseConfigAccepts(t *testing.T) {
 		}
 		// The forwarded flags must themselves parse as a bare shard daemon.
 		child, err := parseConfig(c.fed.childArgs)
-		if err != nil || child.fed.remote() || child.ing.pending != 0 || child.dur.compactEvery != tc.compactEvery {
+		if err != nil || child.fed.remote() || child.ing.pending != 0 || child.dur.compactEvery != tc.compactEvery ||
+			child.obs.flight != tc.flight {
 			t.Errorf("schedd %s: child flags re-parse: %v, %+v", tc.args, err, child)
 		}
 	}
@@ -116,41 +119,13 @@ func TestParseConfigAccepts(t *testing.T) {
 // metric of the run.
 func TestCompactEveryWithoutJournal(t *testing.T) {
 	const capacity, jobs, every = 64, 120, 32
-	// run returns the whole-machine report and every engine's own counters
-	// (the router's report does not carry its shards' journal tails).
 	run := func(args string) (engine.Metrics, []engine.Counters) {
 		t.Helper()
 		c, err := parseConfig(strings.Fields(args))
 		if err != nil {
 			t.Fatalf("schedd %s: %v", args, err)
 		}
-		vc := engine.NewVirtualClock()
-		st, err := buildBackend(c, vc, sim.Input{Capacity: capacity}, nil, nil)
-		if err != nil {
-			t.Fatalf("schedd %s: %v", args, err)
-		}
-		for i := 0; i < jobs; i++ {
-			spec := job.Job{Nodes: 1 + (i*7)%(capacity/4), Runtime: job.Duration(600 + 90*(i%11)), User: i % 5}
-			spec.Request = spec.Runtime + 300
-			vc.AfterFunc(job.Time(100*i), func() {
-				if _, err := st.bk.Submit(spec); err != nil {
-					t.Errorf("submit: %v", err)
-				}
-			})
-		}
-		vc.Run()
-		if err := st.bk.Err(); err != nil {
-			t.Fatal(err)
-		}
-		m := st.bk.Metrics()
-		if st.router == nil {
-			return m, []engine.Counters{m.Engine}
-		}
-		var per []engine.Counters
-		for _, sh := range st.router.Federation().PerShard {
-			per = append(per, sh.Metrics.Engine)
-		}
-		return m, per
+		return runStack(t, c, capacity, jobs, nil)
 	}
 	for _, mode := range []string{"-policy FCFS-backfill", "-policy FCFS-backfill -shards 2 -rebalance 0"} {
 		full, fullPer := run(mode + " -compact-every 0")
@@ -170,6 +145,80 @@ func TestCompactEveryWithoutJournal(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.Summary, full.Summary) {
 			t.Errorf("schedd %s: compaction changed the summary\n got %+v\nwant %+v", mode, got.Summary, full.Summary)
+		}
+	}
+}
+
+// runStack builds c's stack on a virtual clock with flight as its
+// recorder, replays jobs synthetic jobs through it, and returns the
+// whole-machine report and every engine's own counters (the router's
+// report does not carry its shards' journal tails).
+func runStack(t *testing.T, c config, capacity, jobs int, flight *obs.FlightRecorder) (engine.Metrics, []engine.Counters) {
+	t.Helper()
+	vc := engine.NewVirtualClock()
+	st, err := buildBackend(c, vc, sim.Input{Capacity: capacity}, nil, flight, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < jobs; i++ {
+		spec := job.Job{Nodes: 1 + (i*7)%(capacity/4), Runtime: job.Duration(600 + 90*(i%11)), User: i % 5}
+		spec.Request = spec.Runtime + 300
+		vc.AfterFunc(job.Time(100*i), func() {
+			if _, err := st.bk.Submit(spec); err != nil {
+				t.Errorf("submit: %v", err)
+			}
+		})
+	}
+	vc.Run()
+	if err := st.bk.Err(); err != nil {
+		t.Fatal(err)
+	}
+	m := st.bk.Metrics()
+	if st.router == nil {
+		return m, []engine.Counters{m.Engine}
+	}
+	var per []engine.Counters
+	for _, sh := range st.router.Federation().PerShard {
+		per = append(per, sh.Metrics.Engine)
+	}
+	return m, per
+}
+
+// TestFlightRecordsEveryEngine: buildBackend wraps the policy in its
+// factory, so a bare engine and every in-process shard record into the
+// one ring — a record for each decision any engine made, and each job
+// started in exactly one of them.
+func TestFlightRecordsEveryEngine(t *testing.T) {
+	const capacity, jobs = 64, 120
+	for _, args := range []string{"-policy DDS/lxf/dynB -L 50", "-policy DDS/lxf/dynB -L 50 -shards 2"} {
+		c, err := parseConfig(strings.Fields(args))
+		if err != nil {
+			t.Fatalf("schedd %s: %v", args, err)
+		}
+		flight := obs.NewFlightRecorder(1 << 12)
+		_, per := runStack(t, c, capacity, jobs, flight)
+		var decisions int64
+		for i, ec := range per {
+			if ec.Decisions == 0 {
+				t.Errorf("schedd %s: engine %d made no decision", args, i)
+			}
+			decisions += ec.Decisions
+		}
+		recs := flight.Snapshot()
+		if flight.Total() != decisions || int64(len(recs)) != decisions {
+			t.Fatalf("schedd %s: ring holds %d of %d records, the engines made %d decisions",
+				args, len(recs), flight.Total(), decisions)
+		}
+		started := map[int]int{}
+		for _, rec := range recs {
+			for _, id := range rec.Started {
+				started[id]++
+			}
+		}
+		for id := 1; id <= jobs; id++ {
+			if started[id] != 1 {
+				t.Errorf("schedd %s: job %d started in %d records", args, id, started[id])
+			}
 		}
 	}
 }

@@ -19,7 +19,6 @@ import (
 type stack struct {
 	bk     server.Backend
 	router *federation.Router // nil for a bare engine
-	flight *obs.FlightRecorder
 
 	journals []*engine.FileJournal
 	children []*exec.Cmd // fanout shard processes
@@ -27,11 +26,15 @@ type stack struct {
 
 // buildBackend is the one place a stack is wired, for serve and replay
 // alike. window carries the machine size and, in replay, the
-// measurement window and measured flags; recovered, when non-nil, is
-// the single-engine journal the engine is rebuilt from. On error the
-// returned stack still holds any fanout children already started.
-func buildBackend(c config, clock engine.Clock, window sim.Input, tr *obs.Tracer, recovered *engine.Checkpoint) (*stack, error) {
-	st := &stack{flight: c.obs.recorder()}
+// measurement window and measured flags; flight, when non-nil, records
+// every in-process engine's decisions (a bare engine's, or all shards'
+// and their rebuilt incarnations' into the one ring); recovered, when
+// non-nil, is the single-engine journal the engine is rebuilt from. On
+// error the returned stack still holds any fanout children already
+// started.
+func buildBackend(c config, clock engine.Clock, window sim.Input, tr *obs.Tracer, flight *obs.FlightRecorder, recovered *engine.Checkpoint) (*stack, error) {
+	st := &stack{}
+	newPolicy := func(i int) sim.Policy { return engine.Recorded(c.newPolicy(i), flight) }
 	var measured func(id int) bool
 	if window.Measured != nil {
 		measured = func(id int) bool { return window.Measured[id] }
@@ -41,7 +44,7 @@ func buildBackend(c config, clock engine.Clock, window sim.Input, tr *obs.Tracer
 		fcfg := federation.Config{
 			Capacity:       window.Capacity,
 			Shards:         fed.shards,
-			Policy:         c.newPolicy,
+			Policy:         newPolicy,
 			Clock:          clock,
 			UseRequested:   window.UseRequested,
 			Measured:       measured,
@@ -52,7 +55,6 @@ func buildBackend(c config, clock engine.Clock, window sim.Input, tr *obs.Tracer
 			// what a journal-less daemon would otherwise grow for life.
 			CompactEvery: dur.compactEvery,
 			Tracer:       tr,
-			Flight:       st.flight,
 			Logger:       obs.NewLogger(os.Stderr, "router"),
 		}
 		var err error
@@ -102,14 +104,13 @@ func buildBackend(c config, clock engine.Clock, window sim.Input, tr *obs.Tracer
 
 	cfg := engine.Config{
 		Capacity:     window.Capacity,
-		Policy:       c.newPolicy(0),
+		Policy:       newPolicy(0),
 		Clock:        clock,
 		UseRequested: window.UseRequested,
 		Measured:     measured,
 		MeasureStart: window.MeasureStart,
 		MeasureEnd:   window.MeasureEnd,
 		CompactEvery: dur.compactEvery,
-		Flight:       st.flight,
 		Tracer:       tr,
 	}
 	if dur.path != "" {

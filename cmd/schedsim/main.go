@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"schedsearch"
 	"schedsearch/internal/core"
@@ -93,48 +92,19 @@ type searchOpts struct {
 
 // parsePolicy builds the policy and applies the search-only options to
 // search schedulers (other policies ignore them). With -flight N the
-// policy is wrapped in the passive flight-recorder shim; the returned
-// recorder is nil otherwise.
+// policy is wrapped in the flight recorder (engine.Recorded); the
+// returned recorder is nil otherwise.
 func parsePolicy(policyArg string, o searchOpts) (sim.Policy, *obs.FlightRecorder, error) {
 	pol, err := schedsearch.ParsePolicy(policyArg, o.nodeLimit)
 	if err != nil {
 		return nil, nil, err
 	}
 	schedsearch.ApplySearchOptions(pol, o.workers)
-	if o.flight <= 0 {
-		return pol, nil, nil
+	var f *obs.FlightRecorder
+	if o.flight > 0 {
+		f = obs.NewFlightRecorder(o.flight)
 	}
-	f := obs.NewFlightRecorder(o.flight)
-	return &flightPolicy{inner: pol, f: f}, f, nil
-}
-
-// flightPolicy shims a policy into the offline flight recorder: after
-// each Decide it copies the decision's summary (search policies expose
-// the full search story; heuristics get the generic record) into the
-// ring. Strictly passive — it forwards the decision untouched, so
-// recorded and unrecorded runs schedule identically.
-type flightPolicy struct {
-	inner sim.Policy
-	f     *obs.FlightRecorder
-	rec   obs.DecisionRecord
-}
-
-func (p *flightPolicy) Name() string { return p.inner.Name() }
-
-// Unwrap returns the recorded policy (see core.PolicyAs).
-func (p *flightPolicy) Unwrap() sim.Policy { return p.inner }
-
-func (p *flightPolicy) Decide(snap *sim.Snapshot) []int {
-	t0 := time.Now()
-	starts := p.inner.Decide(snap)
-	wall := time.Since(t0)
-	rec := &p.rec
-	engine.FillDecisionRecord(rec, p.inner, snap.Now, len(snap.Queue), wall)
-	for _, qi := range starts {
-		rec.Started = append(rec.Started, snap.Queue[qi].Job.ID)
-	}
-	p.f.Record(rec)
-	return starts
+	return engine.Recorded(pol, f), f, nil
 }
 
 // printFlight dumps the recorded decisions as a JSON document on

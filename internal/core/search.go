@@ -180,10 +180,10 @@ func New(algo Algorithm, h Heuristic, bound BoundSpec, nodeLimit int) *Scheduler
 
 // PolicyAs walks a chain of single-inner policy wrappers — anything
 // with an Unwrap() sim.Policy method: Fairshare, chaos.FlakyPolicy,
-// schedsim's flight shim — and returns the first policy on it, p
-// included, that is a T. Readers of a policy's optional surfaces
-// (SearchStats, the flight recorder's decision summaries) go through
-// it so they do not vanish behind a wrapper.
+// engine.Recorded — and returns the first policy on it, p included,
+// that is a T. Readers of a policy's optional surfaces (SearchStats,
+// the flight recorder's decision summaries) go through it so they do
+// not vanish behind a wrapper.
 func PolicyAs[T any](p sim.Policy) (T, bool) {
 	for p != nil {
 		if t, ok := p.(T); ok {
@@ -340,7 +340,7 @@ type CostPoint struct {
 }
 
 // DecisionSummary describes the most recent Decide call for the
-// observability layer (the engine's decision flight recorder). It is
+// observability layer (the decision flight recorder). It is
 // assembled from state the search already tracks; producing it never
 // perturbs a decision. A skipped decision (no queued job fit the free
 // nodes) has EffectiveLimit 1 and is never a BudgetHit.

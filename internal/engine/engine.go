@@ -75,16 +75,10 @@ type Config struct {
 	// the tail reaches this many events, so Rebuild cost stays bounded
 	// on long-running daemons.
 	CompactEvery int
-	// Flight, when non-nil, receives a structured record of every
-	// scheduling decision (queue depth, search effort, incumbent-cost
-	// trajectory, committed starts). Capture is strictly passive and
-	// alloc-free once the ring has wrapped: attaching a recorder never
-	// changes a schedule.
-	Flight *obs.FlightRecorder
 	// Tracer, when non-nil, records a "decide" span for every started
 	// job whose submission was traced (the trace context is looked up
-	// in the tracer's job registry, bound at submit). Same inertness
-	// guarantee as Flight.
+	// in the tracer's job registry, bound at submit). Capture is
+	// strictly passive: attaching a tracer never changes a schedule.
 	Tracer *obs.Tracer
 	// TraceShard tags this engine's spans with its shard index in a
 	// federation (0 for a standalone engine).
@@ -175,10 +169,6 @@ type Engine struct {
 	decideMax    time.Duration
 
 	q sim.QueueStats // measurement window, queue-length integral, max queue
-
-	// flightScratch is the reused record observeDecision assembles
-	// before copying it into the flight recorder's ring.
-	flightScratch obs.DecisionRecord
 }
 
 // New returns a started engine; it begins scheduling as soon as jobs
@@ -443,9 +433,6 @@ func (e *Engine) decideLocked() {
 			e.setFatal(fmt.Errorf("engine: policy %q started nothing on an idle machine with %d queued jobs at t=%d",
 				e.cfg.Policy.Name(), e.l.QueueLen(), now))
 		}
-		if e.cfg.Flight != nil || e.cfg.Tracer != nil {
-			e.observeDecision(now, len(snap.Queue), d, nil)
-		}
 		return
 	}
 	e.noteQueueChange(now)
@@ -464,8 +451,8 @@ func (e *Engine) decideLocked() {
 			NodeIDs: append([]int(nil), s.NodeIDs...),
 		})
 	}
-	if e.cfg.Flight != nil || e.cfg.Tracer != nil {
-		e.observeDecision(now, len(snap.Queue), d, started)
+	if e.cfg.Tracer != nil {
+		e.traceDecision(d, started)
 	}
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"schedsearch/internal/core"
@@ -31,7 +32,7 @@ func replayInstrumented(t *testing.T, in sim.Input, pol sim.Policy,
 	}
 	e, err := New(Config{
 		Capacity:     in.Capacity,
-		Policy:       pol,
+		Policy:       Recorded(pol, flight),
 		Clock:        vc,
 		Estimator:    in.Estimator,
 		UseRequested: in.UseRequested,
@@ -39,7 +40,6 @@ func replayInstrumented(t *testing.T, in sim.Input, pol sim.Policy,
 		MeasureStart: in.MeasureStart,
 		MeasureEnd:   in.MeasureEnd,
 		Observer:     orc,
-		Flight:       flight,
 		Tracer:       tr,
 	})
 	if err != nil {
@@ -202,5 +202,113 @@ func TestFlightSeesThroughWrappers(t *testing.T) {
 	if want := sch.SearchStats.Nodes; want == 0 || nodes != want {
 		t.Fatalf("flight records sum to %d search nodes over %d decisions, the scheduler visited %d",
 			nodes, len(recs), want)
+	}
+}
+
+// TestRecordedDriversAgree: the flight recorder is one policy wrapper,
+// so the offline simulator and the online engine, replaying the same
+// month under the same search, must record the same decisions — every
+// field but the wall time, in the same order.
+func TestRecordedDriversAgree(t *testing.T) {
+	newPolicy := func() sim.Policy {
+		return core.New(core.DDS, core.HeuristicLXF, core.DynamicBound(), 64)
+	}
+	suite := workload.NewSuite(workload.Config{Seed: 11, JobScale: 0.025})
+	for _, month := range workload.MonthLabels() {
+		month := month
+		t.Run(month, func(t *testing.T) {
+			in, _, err := suite.Input(month, workload.SimOptions{TargetLoad: 0.9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			offline, online := obs.NewFlightRecorder(1<<14), obs.NewFlightRecorder(1<<14)
+			res, err := sim.Run(in, Recorded(newPolicy(), offline))
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := replayInput(t, in, Recorded(newPolicy(), online))
+			simRecs, engRecs := offline.Snapshot(), online.Snapshot()
+			if int64(len(simRecs)) != offline.Total() || int64(len(engRecs)) != online.Total() {
+				t.Fatalf("rings kept %d of %d and %d of %d decisions; the test needs all of them",
+					len(simRecs), offline.Total(), len(engRecs), online.Total())
+			}
+			if int64(len(simRecs)) != int64(res.Decisions) || int64(len(engRecs)) != e.Metrics().Engine.Decisions {
+				t.Fatalf("recorded %d / %d decisions, the simulator made %d and the engine %d",
+					len(simRecs), len(engRecs), res.Decisions, e.Metrics().Engine.Decisions)
+			}
+			for _, recs := range [][]obs.DecisionRecord{simRecs, engRecs} {
+				for i := range recs {
+					recs[i].WallUs = 0
+				}
+			}
+			if !reflect.DeepEqual(simRecs, engRecs) {
+				for i := range simRecs {
+					if i >= len(engRecs) || !reflect.DeepEqual(simRecs[i], engRecs[i]) {
+						t.Fatalf("%d vs %d records; first difference at %d:\nsim    %+v\nengine %+v",
+							len(simRecs), len(engRecs), i, simRecs[i], engRecs[min(i, len(engRecs)-1)])
+					}
+				}
+				t.Fatalf("engine recorded %d decisions past the simulator's %d", len(engRecs), len(simRecs))
+			}
+		})
+	}
+}
+
+// panicEveryThird panics at every third decision, before consulting its
+// inner policy (as chaos.FlakyPolicy does), and logs the instants of
+// the decisions it did return.
+type panicEveryThird struct {
+	sim.Policy
+	calls   int
+	decided []int64
+}
+
+func (p *panicEveryThird) Decide(snap *sim.Snapshot) []int {
+	if p.calls++; p.calls%3 == 0 {
+		panic("injected policy failure")
+	}
+	p.decided = append(p.decided, int64(snap.Now))
+	return p.Policy.Decide(snap)
+}
+
+func (p *panicEveryThird) Unwrap() sim.Policy { return p.Policy }
+
+// TestRecordedSkipsPanickedDecisions: a decision whose policy panics
+// passes through the recorder and leaves no record (the engine's FCFS
+// fallback commits it and counts the panic), so the ring holds exactly
+// the decisions the policy returned, in order, and their search
+// summaries add up to the scheduler's own count — no record carries a
+// panicked instant or a stale summary.
+func TestRecordedSkipsPanickedDecisions(t *testing.T) {
+	in, _, err := workload.NewSuite(workload.Config{Seed: 11, JobScale: 0.025}).
+		Input("7/03", workload.SimOptions{TargetLoad: 0.9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch := core.New(core.DDS, core.HeuristicLXF, core.DynamicBound(), 64)
+	flaky := &panicEveryThird{Policy: sch}
+	flight := obs.NewFlightRecorder(1 << 14)
+	e := replayInput(t, in, Recorded(flaky, flight))
+	m := e.Metrics().Engine
+	if m.PolicyPanics == 0 || m.PolicyPanics != int64(flaky.calls/3) {
+		t.Fatalf("engine counted %d policy panics over %d calls", m.PolicyPanics, flaky.calls)
+	}
+	if got, want := flight.Total(), m.Decisions-m.PolicyPanics; got != want {
+		t.Fatalf("recorded %d decisions, want %d (%d made, %d panicked)", got, want, m.Decisions, m.PolicyPanics)
+	}
+	recs := flight.Snapshot()
+	if int64(len(recs)) != flight.Total() {
+		t.Fatalf("kept %d of %d decisions; the test needs all of them", len(recs), flight.Total())
+	}
+	var nodes int64
+	for i, rec := range recs {
+		if rec.NowS != flaky.decided[i] {
+			t.Fatalf("record %d is at t=%d, the policy's %d-th returned decision at t=%d",
+				i, rec.NowS, i+1, flaky.decided[i])
+		}
+		nodes += rec.Nodes
+	}
+	if nodes != sch.SearchStats.Nodes {
+		t.Fatalf("records sum to %d search nodes, the scheduler visited %d", nodes, sch.SearchStats.Nodes)
 	}
 }

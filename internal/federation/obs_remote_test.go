@@ -69,7 +69,7 @@ func TestRemoteTracedObservabilityInert(t *testing.T) {
 			for i := 0; i < shards; i++ {
 				_, rs := startShardProc(t, engine.Config{
 					Capacity:     caps[i],
-					Policy:       newPolicy(),
+					Policy:       engine.Recorded(newPolicy(), flight),
 					Clock:        vc,
 					UseRequested: in.UseRequested,
 					MeasureStart: in.MeasureStart,
@@ -77,7 +77,6 @@ func TestRemoteTracedObservabilityInert(t *testing.T) {
 					Measured:     isMeasured,
 					Tracer:       tr,
 					TraceShard:   i,
-					Flight:       flight,
 				}, RemoteShardOptions{Tracer: tr}, server.WithTracer(tr, i))
 				remotes[i] = rs
 			}

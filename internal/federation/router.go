@@ -104,12 +104,6 @@ type Config struct {
 	// shard index. Strictly passive: attaching a tracer never changes a
 	// placement or a schedule.
 	Tracer *obs.Tracer
-	// Flight, when non-nil, is shared by every in-process shard engine:
-	// all shards record their decisions into the one ring (the ring is
-	// internally locked), so the front-end serves a single federation-wide
-	// decision history. Ignored for externally-owned shards
-	// (NewWithShards) — a remote shard daemon owns its own recorder.
-	Flight *obs.FlightRecorder
 	// Logger receives structured routing events — reroutes around dark
 	// shards, parked wire-uncertain steps, reconciliations — with trace
 	// IDs attached when the job is traced (default: discard).
@@ -285,11 +279,9 @@ func (r *Router) shardConfig(i int) engine.Config {
 		MeasureEnd:   r.cfg.MeasureEnd,
 		CompactEvery: r.cfg.CompactEvery,
 		// In-process shards share the router's tracer (and so its job
-		// registry, bound at routing), tagging decide spans per shard,
-		// and the router-wide flight-recorder ring.
+		// registry, bound at routing), tagging decide spans per shard.
 		Tracer:     r.cfg.Tracer,
 		TraceShard: i,
-		Flight:     r.cfg.Flight,
 	}
 	if r.cfg.Journal != nil {
 		ec.Journal = r.cfg.Journal(i)

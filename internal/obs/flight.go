@@ -105,16 +105,6 @@ func (f *FlightRecorder) Record(rec *DecisionRecord) {
 	}
 }
 
-// Len reports how many records the ring currently holds.
-func (f *FlightRecorder) Len() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.n
-}
-
 // Total reports how many decisions have ever been recorded.
 func (f *FlightRecorder) Total() int64 {
 	if f == nil {

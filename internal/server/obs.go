@@ -7,9 +7,9 @@ import (
 	"schedsearch/internal/obs"
 )
 
-// WithFlight exposes the decision flight recorder the backend's engine
-// records into over GET /v1/debug/decisions. The recorder stays owned
-// by the caller (it is the same one wired into engine.Config.Flight).
+// WithFlight exposes the decision flight recorder the backend's
+// policies record into over GET /v1/debug/decisions. The recorder stays
+// owned by the caller (it is the one engine.Recorded wraps them with).
 func WithFlight(f *obs.FlightRecorder) Option {
 	return func(s *Server) { s.flight = f }
 }

@@ -282,7 +282,7 @@ func TestDebugDecisionsEndpoint(t *testing.T) {
 	vc := engine.NewVirtualClock()
 	flight := obs.NewFlightRecorder(16)
 	e, err := engine.New(engine.Config{
-		Capacity: 8, Policy: policy.FCFSBackfill(), Clock: vc, Flight: flight,
+		Capacity: 8, Policy: engine.Recorded(policy.FCFSBackfill(), flight), Clock: vc,
 	})
 	if err != nil {
 		t.Fatal(err)
