@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,9 +15,11 @@ import (
 	"testing"
 	"time"
 
+	"schedsearch"
 	"schedsearch/internal/engine"
 	"schedsearch/internal/job"
 	"schedsearch/internal/trace"
+	"schedsearch/internal/workload"
 )
 
 // buildCmd compiles one of the repo's commands into dir and returns
@@ -63,50 +66,91 @@ func TestSchedsimJSON(t *testing.T) {
 	}
 }
 
-// TestSchedsimFlight: with -json -flight N schedsim prints the metrics
-// and then the flight recorder's ring: one record per decision the run
-// made, of which the last N are kept, each naming the deciding policy.
-func TestSchedsimFlight(t *testing.T) {
+// TestSchedsimAudit: schedsim -audit re-decides a journal written by a
+// virtual-clock replay of 7/03: under the journaling policy it prints
+// one record per decision the engine made, naming the policy and
+// starting every job once; under another policy it diverges and exits 1.
+func TestSchedsimAudit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the schedsim binary")
 	}
-	bin := buildCmd(t, t.TempDir(), "schedsim")
-	out, err := exec.Command(bin,
-		"-month", "7/03", "-scale", "0.1", "-json", "-flight", "16").Output()
+	dir := t.TempDir()
+	bin := buildCmd(t, dir, "schedsim")
+	in, _, err := schedsearch.LoadInput("", 0, workload.Config{Seed: 1, JobScale: 0.1}, "7/03", workload.SimOptions{})
 	if err != nil {
-		t.Fatalf("schedsim -json -flight 16: %v", err)
+		t.Fatal(err)
 	}
-	dec := json.NewDecoder(bytes.NewReader(out))
-	var m engine.Metrics
-	var flight struct {
+	path := filepath.Join(dir, "7-03.journal")
+	fj, err := engine.OpenFileJournal(path, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol, err := schedsearch.ParsePolicy("DDS/lxf/dynB", 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vc := engine.NewVirtualClock()
+	e, err := engine.New(engine.Config{Capacity: in.Capacity, Policy: pol, Clock: vc, Journal: fj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range in.Jobs {
+		vc.AfterFunc(j.Submit, func() {
+			if err := e.SubmitJob(j); err != nil {
+				t.Errorf("submit job %d: %v", j.ID, err)
+			}
+		})
+	}
+	vc.Run()
+	if err := e.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fj.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	out, err := exec.Command(bin, "-audit", path, "-policy", "DDS/lxf/dynB", "-L", "200").Output()
+	if err != nil {
+		t.Fatalf("schedsim -audit: %v", err)
+	}
+	var audit struct {
 		Total     int64 `json:"total"`
 		Decisions []struct {
-			Policy string `json:"policy"`
+			Policy  string `json:"policy"`
+			Started []int  `json:"started"`
 		} `json:"decisions"`
 	}
-	if err := dec.Decode(&m); err != nil {
-		t.Fatalf("first document is not /v1/metrics JSON: %v\n%s", err, out)
+	if err := json.Unmarshal(out, &audit); err != nil {
+		t.Fatalf("output is not the audit document: %v\n%s", err, out)
 	}
-	if err := dec.Decode(&flight); err != nil {
-		t.Fatalf("second document is not the flight ring: %v\n%s", err, out)
+	if d := e.Metrics().Engine.Decisions; d == 0 || audit.Total != d || int64(len(audit.Decisions)) != d {
+		t.Fatalf("audit total %d with %d records, the engine made %d decisions", audit.Total, len(audit.Decisions), d)
 	}
-	if dec.More() {
-		t.Fatalf("more than two JSON documents:\n%s", out)
-	}
-	if m.Engine.Decisions == 0 || flight.Total != m.Engine.Decisions {
-		t.Errorf("flight total %d, the run made %d decisions", flight.Total, m.Engine.Decisions)
-	}
-	// The search counters are read through the wrapper (core.SchedulerOf).
-	if m.Engine.SearchNodes == 0 {
-		t.Errorf("the recorded run reports no search nodes: %+v", m.Engine)
-	}
-	if len(flight.Decisions) != 16 {
-		t.Errorf("flight ring holds %d records, want 16", len(flight.Decisions))
-	}
-	for i, d := range flight.Decisions {
+	started := map[int]int{}
+	for i, d := range audit.Decisions {
 		if d.Policy != "DDS/lxf/dynB" {
-			t.Errorf("record %d: policy %q, want DDS/lxf/dynB", i, d.Policy)
+			t.Fatalf("record %d: policy %q, want DDS/lxf/dynB", i, d.Policy)
 		}
+		for _, id := range d.Started {
+			started[id]++
+		}
+	}
+	for _, j := range in.Jobs {
+		if started[j.ID] != 1 {
+			t.Fatalf("job %d started in %d audited decisions", j.ID, started[j.ID])
+		}
+	}
+
+	out, err = exec.Command(bin, "-audit", path, "-policy", "FCFS-backfill").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "started") {
+		t.Fatalf("schedsim -audit -policy FCFS-backfill: %v, output %q; want exit 1 naming the divergence", err, out)
+	}
+	// The journal fixes the workload: the month and output flags have
+	// nothing to act on.
+	out, err = exec.Command(bin, "-audit", path, "-json", "-month", "7/03").CombinedOutput()
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "-json, -month") {
+		t.Fatalf("schedsim -audit -json -month 7/03: %v, output %q; want exit 2 naming both flags", err, out)
 	}
 }
 
@@ -302,14 +346,23 @@ func TestScheddFanout(t *testing.T) {
 		t.Fatalf("schedd exit: %v (stderr: %s)", err, stderr.String())
 	}
 
-	// Each shard child journaled its own events.
+	// Each shard child journaled its own events, and each journal,
+	// written on the wall clock with the rebalance pass's withdraws in
+	// it, re-decides clean under the shards' policy.
+	sim := buildCmd(t, dir, "schedsim")
 	for s := 0; s < 4; s++ {
-		fi, err := os.Stat(filepath.Join(dir, fmt.Sprintf("fan.journal.shard-%d", s)))
+		path := filepath.Join(dir, fmt.Sprintf("fan.journal.shard-%d", s))
+		fi, err := os.Stat(path)
 		if err != nil {
 			t.Fatalf("shard %d journal: %v", s, err)
 		}
 		if fi.Size() == 0 {
 			t.Fatalf("shard %d journal is empty", s)
+		}
+		out, err := exec.Command(sim, "-audit", path, "-capacity", "8", "-policy", "DDS/lxf/dynB", "-L", "200").CombinedOutput()
+		if err != nil {
+			raw, _ := os.ReadFile(path)
+			t.Fatalf("schedsim -audit shard %d: %v\n%s\njournal:\n%s", s, err, out, raw)
 		}
 	}
 }

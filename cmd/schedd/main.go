@@ -105,15 +105,12 @@
 // calls and the decide that starts the job — and writes the collected
 // spans on exit as Chrome trace-event JSON, loadable directly in
 // Perfetto or chrome://tracing. -debug-addr serves net/http/pprof on a
-// separate listener. -flight N (serving mode only) keeps a ring of the
-// last N scheduling decisions (policy, queue depth, search effort,
-// incumbent-cost trajectory, starts) served at GET /v1/debug/decisions;
-// in-process shards share one ring, and -fanout forwards the size to
-// each child, which serves its own. The recorder wraps the policy and
-// reads only what its decision produced, so it never perturbs a
-// schedule. Tracing and the flight recorder are both
-// bit-identical-off-vs-on by construction (the engine differential
-// tests pin this).
+// separate listener. Tracing is bit-identical-off-vs-on by construction
+// (the engine differential tests pin this). Decisions are explained
+// from the journal: `schedsim -audit JOURNAL` re-decides every
+// decision it records and prints each one (policy, queue depth, search
+// effort, incumbent-cost trajectory, starts); a daemon without
+// -journal keeps no decision history.
 package main
 
 import (
@@ -229,7 +226,6 @@ func parseConfig(args []string) (config, error) {
 
 	fs.StringVar(&c.obs.traceOut, "trace-out", "", "enable cross-process tracing and write the spans as Chrome trace-event JSON (Perfetto-loadable) to this file on exit")
 	fs.StringVar(&c.obs.debugAddr, "debug-addr", "", "serve net/http/pprof on this extra listen address (empty = off)")
-	fs.IntVar(&c.obs.flight, "flight", 256, "decision flight-recorder ring size, served at GET /v1/debug/decisions (serving mode; 0 = off)")
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
 	}
@@ -246,7 +242,7 @@ func parseConfig(args []string) (config, error) {
 		var stray, monthOnly []string
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "addr", "journal", "flight", "ingest-pending", "ingest-batch", "quota-rate", "quota-burst":
+			case "addr", "journal", "ingest-pending", "ingest-batch", "quota-rate", "quota-burst":
 				stray = append(stray, "-"+f.Name)
 			case "month", "seed", "scale", "load":
 				if c.swf != "" {
@@ -255,7 +251,7 @@ func parseConfig(args []string) (config, error) {
 			}
 		})
 		if len(stray) > 0 {
-			return config{}, fmt.Errorf("%s: serving-mode only (a replay has no listener, journal, decisions endpoint, accept queue or quotas)",
+			return config{}, fmt.Errorf("%s: serving-mode only (a replay has no listener, journal, accept queue or quotas)",
 				strings.Join(stray, ", "))
 		}
 		if len(monthOnly) > 0 {
@@ -277,11 +273,10 @@ func parseConfig(args []string) (config, error) {
 		case c.fed.rebalance <= 0:
 			return config{}, fmt.Errorf("-rebalance %d: -join/-fanout need the periodic pass (it reconciles wire-uncertain steps and re-probes dark shards)", c.fed.rebalance)
 		}
-		// Children re-run this binary with the policy flags, the
+		// Children re-run this binary with the policy flags and the
 		// compaction bound (it folds a journal-less child's in-memory
-		// tail too) and the flight-recorder size forwarded (each child
-		// serves its own decisions); they admit synchronously (no
-		// accept queue) — batching belongs to the front-end, and
+		// tail too) forwarded; they admit synchronously (no accept
+		// queue) — batching belongs to the front-end, and
 		// migration steps bypass ingest anyway.
 		c.fed.childArgs = []string{
 			"-policy", c.policy,
@@ -290,7 +285,6 @@ func parseConfig(args []string) (config, error) {
 			fmt.Sprintf("-requested=%v", c.requested),
 			"-speedup", strconv.FormatFloat(c.speedup, 'g', -1, 64),
 			"-compact-every", strconv.Itoa(c.dur.compactEvery),
-			"-flight", strconv.Itoa(c.obs.flight),
 			"-ingest-pending", "0",
 		}
 	}
@@ -309,11 +303,10 @@ func (c config) newPolicy(int) sim.Policy {
 }
 
 // obsOptions carry the observability flags. A non-empty traceOut turns
-// tracing on; flight <= 0 turns the decision flight recorder off.
+// tracing on.
 type obsOptions struct {
 	traceOut  string
 	debugAddr string
-	flight    int
 }
 
 // tracer builds the run's tracer, or nil when tracing is off.
@@ -424,14 +417,8 @@ func serve(c config) error {
 		}
 	}
 	tr := c.obs.tracer(nil)
-	// A remote front-end has no in-process engine to record; each shard
-	// daemon serves its own GET /v1/debug/decisions.
-	var flight *obs.FlightRecorder
-	if c.obs.flight > 0 && !c.fed.remote() {
-		flight = obs.NewFlightRecorder(c.obs.flight)
-	}
 	st, err := buildBackend(c, engine.NewRealClockAt(start, c.speedup),
-		sim.Input{Capacity: c.capacity, UseRequested: c.requested}, tr, flight, recovered)
+		sim.Input{Capacity: c.capacity, UseRequested: c.requested}, tr, recovered)
 	// Fanout children normally exit on their own after the drain the
 	// router forwards to them; this reap catches error paths (and is a
 	// no-op once the clean path below has waited for them).
@@ -459,9 +446,6 @@ func serve(c config) error {
 			return err
 		}
 		opts = append(opts, server.WithIngest(q))
-	}
-	if flight != nil {
-		opts = append(opts, server.WithFlight(flight))
 	}
 	if tr != nil {
 		opts = append(opts, server.WithTracer(tr, st.frontShard()))
@@ -544,7 +528,7 @@ func replay(c config) error {
 	// Replay span timestamps come from the virtual clock, so the trace
 	// timeline reads in engine time (span durations are still wall).
 	tr := c.obs.tracer(func() time.Time { return time.Unix(int64(vc.Now()), 0) })
-	st, err := buildBackend(c, vc, input, tr, nil, nil)
+	st, err := buildBackend(c, vc, input, tr, nil)
 	if err != nil {
 		return err
 	}

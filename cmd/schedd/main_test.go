@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -39,7 +40,6 @@ func TestParseConfigRejects(t *testing.T) {
 		{"-virtual -ingest-batch 8", "-ingest-batch"},
 		{"-virtual -quota-rate 1", "-quota-rate"},
 		{"-virtual -quota-burst 4", "-quota-burst"},
-		{"-virtual -flight 16", "-flight"},
 	} {
 		_, err := parseConfig(strings.Fields(tc.args))
 		if err == nil {
@@ -60,7 +60,7 @@ func TestParseConfigAccepts(t *testing.T) {
 		t.Fatalf("defaults: %v", err)
 	}
 	if c.replayMode() || c.fed.remote() || c.fed.rebalance != 600 || c.addr != ":8080" ||
-		c.ing.pending != 4096 || c.dur.group != 64 || c.obs.flight != 256 {
+		c.ing.pending != 4096 || c.dur.group != 64 {
 		t.Errorf("defaults parsed as %+v", c)
 	}
 
@@ -88,14 +88,14 @@ func TestParseConfigAccepts(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		args, want           string
-		compactEvery, flight int
+		args, want   string
+		compactEvery int
 	}{
-		{"-fanout 4 -policy LDS/fcfs/100h -L 50 -speedup 600 -journal j -flight 0",
-			"-policy LDS/fcfs/100h -L 50 -workers 1 -requested=false -speedup 600 -compact-every 4096 -flight 0 -ingest-pending 0", 4096, 0},
+		{"-fanout 4 -policy LDS/fcfs/100h -L 50 -speedup 600 -journal j",
+			"-policy LDS/fcfs/100h -L 50 -workers 1 -requested=false -speedup 600 -compact-every 4096 -ingest-pending 0", 4096},
 		// Without -journal the bound still folds each child's in-memory tail.
 		{"-fanout 4 -compact-every 100",
-			"-policy DDS/lxf/dynB -L 1000 -workers 1 -requested=false -speedup 1 -compact-every 100 -flight 256 -ingest-pending 0", 100, 256},
+			"-policy DDS/lxf/dynB -L 1000 -workers 1 -requested=false -speedup 1 -compact-every 100 -ingest-pending 0", 100},
 	} {
 		c, err := parseConfig(strings.Fields(tc.args))
 		if err != nil {
@@ -106,8 +106,7 @@ func TestParseConfigAccepts(t *testing.T) {
 		}
 		// The forwarded flags must themselves parse as a bare shard daemon.
 		child, err := parseConfig(c.fed.childArgs)
-		if err != nil || child.fed.remote() || child.ing.pending != 0 || child.dur.compactEvery != tc.compactEvery ||
-			child.obs.flight != tc.flight {
+		if err != nil || child.fed.remote() || child.ing.pending != 0 || child.dur.compactEvery != tc.compactEvery {
 			t.Errorf("schedd %s: child flags re-parse: %v, %+v", tc.args, err, child)
 		}
 	}
@@ -125,7 +124,7 @@ func TestCompactEveryWithoutJournal(t *testing.T) {
 		if err != nil {
 			t.Fatalf("schedd %s: %v", args, err)
 		}
-		return runStack(t, c, capacity, jobs, nil)
+		return runStack(t, c, capacity, jobs)
 	}
 	for _, mode := range []string{"-policy FCFS-backfill", "-policy FCFS-backfill -shards 2 -rebalance 0"} {
 		full, fullPer := run(mode + " -compact-every 0")
@@ -149,14 +148,14 @@ func TestCompactEveryWithoutJournal(t *testing.T) {
 	}
 }
 
-// runStack builds c's stack on a virtual clock with flight as its
-// recorder, replays jobs synthetic jobs through it, and returns the
-// whole-machine report and every engine's own counters (the router's
-// report does not carry its shards' journal tails).
-func runStack(t *testing.T, c config, capacity, jobs int, flight *obs.FlightRecorder) (engine.Metrics, []engine.Counters) {
+// runStack builds c's stack on a virtual clock, replays jobs synthetic
+// jobs through it, and returns the whole-machine report and every
+// engine's own counters (the router's report does not carry its shards'
+// journal tails).
+func runStack(t *testing.T, c config, capacity, jobs int) (engine.Metrics, []engine.Counters) {
 	t.Helper()
 	vc := engine.NewVirtualClock()
-	st, err := buildBackend(c, vc, sim.Input{Capacity: capacity}, nil, flight, nil)
+	st, err := buildBackend(c, vc, sim.Input{Capacity: capacity}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,6 +172,9 @@ func runStack(t *testing.T, c config, capacity, jobs int, flight *obs.FlightReco
 	if err := st.bk.Err(); err != nil {
 		t.Fatal(err)
 	}
+	if err := st.bk.SyncJournal(); err != nil {
+		t.Fatal(err)
+	}
 	m := st.bk.Metrics()
 	if st.router == nil {
 		return m, []engine.Counters{m.Engine}
@@ -184,40 +186,51 @@ func runStack(t *testing.T, c config, capacity, jobs int, flight *obs.FlightReco
 	return m, per
 }
 
-// TestFlightRecordsEveryEngine: buildBackend wraps the policy in its
-// factory, so a bare engine and every in-process shard record into the
-// one ring — a record for each decision any engine made, and each job
-// started in exactly one of them.
-func TestFlightRecordsEveryEngine(t *testing.T) {
+// TestAuditEveryEngine: the journal of a bare engine and of each
+// in-process shard re-decides clean under the daemon's policy, the
+// audits count exactly the decisions the engines made, and each job
+// starts in exactly one audited decision.
+func TestAuditEveryEngine(t *testing.T) {
 	const capacity, jobs = 64, 120
 	for _, args := range []string{"-policy DDS/lxf/dynB -L 50", "-policy DDS/lxf/dynB -L 50 -shards 2"} {
-		c, err := parseConfig(strings.Fields(args))
+		path := filepath.Join(t.TempDir(), "j")
+		c, err := parseConfig(append(strings.Fields(args), "-journal", path))
 		if err != nil {
 			t.Fatalf("schedd %s: %v", args, err)
 		}
-		flight := obs.NewFlightRecorder(1 << 12)
-		_, per := runStack(t, c, capacity, jobs, flight)
-		var decisions int64
+		_, per := runStack(t, c, capacity, jobs)
+		paths := []string{path}
+		if c.fed.shards > 1 {
+			paths = []string{path + ".shard-0", path + ".shard-1"}
+		}
+		var decisions, audited int64
+		started := map[int]int{}
 		for i, ec := range per {
 			if ec.Decisions == 0 {
 				t.Errorf("schedd %s: engine %d made no decision", args, i)
 			}
 			decisions += ec.Decisions
-		}
-		recs := flight.Snapshot()
-		if flight.Total() != decisions || int64(len(recs)) != decisions {
-			t.Fatalf("schedd %s: ring holds %d of %d records, the engines made %d decisions",
-				args, len(recs), flight.Total(), decisions)
-		}
-		started := map[int]int{}
-		for _, rec := range recs {
-			for _, id := range rec.Started {
-				started[id]++
+			cp, err := engine.LoadCheckpoint(paths[i])
+			if err != nil {
+				t.Fatal(err)
 			}
+			err = engine.Audit(engine.Config{Capacity: capacity / len(per), Policy: c.newPolicy(i)}, cp,
+				func(rec *obs.DecisionRecord) {
+					audited++
+					for _, id := range rec.Started {
+						started[id]++
+					}
+				})
+			if err != nil {
+				t.Errorf("schedd %s: engine %d: %v", args, i, err)
+			}
+		}
+		if audited != decisions {
+			t.Errorf("schedd %s: audited %d decisions, the engines made %d", args, audited, decisions)
 		}
 		for id := 1; id <= jobs; id++ {
 			if started[id] != 1 {
-				t.Errorf("schedd %s: job %d started in %d records", args, id, started[id])
+				t.Errorf("schedd %s: job %d started in %d audited decisions", args, id, started[id])
 			}
 		}
 	}

@@ -26,15 +26,11 @@ type stack struct {
 
 // buildBackend is the one place a stack is wired, for serve and replay
 // alike. window carries the machine size and, in replay, the
-// measurement window and measured flags; flight, when non-nil, records
-// every in-process engine's decisions (a bare engine's, or all shards'
-// and their rebuilt incarnations' into the one ring); recovered, when
-// non-nil, is the single-engine journal the engine is rebuilt from. On
-// error the returned stack still holds any fanout children already
-// started.
-func buildBackend(c config, clock engine.Clock, window sim.Input, tr *obs.Tracer, flight *obs.FlightRecorder, recovered *engine.Checkpoint) (*stack, error) {
+// measurement window and measured flags; recovered, when non-nil, is
+// the single-engine journal the engine is rebuilt from. On error the
+// returned stack still holds any fanout children already started.
+func buildBackend(c config, clock engine.Clock, window sim.Input, tr *obs.Tracer, recovered *engine.Checkpoint) (*stack, error) {
 	st := &stack{}
-	newPolicy := func(i int) sim.Policy { return engine.Recorded(c.newPolicy(i), flight) }
 	var measured func(id int) bool
 	if window.Measured != nil {
 		measured = func(id int) bool { return window.Measured[id] }
@@ -44,7 +40,7 @@ func buildBackend(c config, clock engine.Clock, window sim.Input, tr *obs.Tracer
 		fcfg := federation.Config{
 			Capacity:       window.Capacity,
 			Shards:         fed.shards,
-			Policy:         newPolicy,
+			Policy:         c.newPolicy,
 			Clock:          clock,
 			UseRequested:   window.UseRequested,
 			Measured:       measured,
@@ -104,7 +100,7 @@ func buildBackend(c config, clock engine.Clock, window sim.Input, tr *obs.Tracer
 
 	cfg := engine.Config{
 		Capacity:     window.Capacity,
-		Policy:       newPolicy(0),
+		Policy:       c.newPolicy(0),
 		Clock:        clock,
 		UseRequested: window.UseRequested,
 		Measured:     measured,

@@ -11,6 +11,15 @@
 // policies of the form ALGO/HEUR/BOUND with ALGO in {DDS, LDS, DFS},
 // HEUR in {fcfs, lxf} and BOUND either "dynB" or a fixed bound like
 // "100h".
+//
+// Audit:
+//
+//	schedsim -audit JOURNAL -policy DDS/lxf/dynB -L 1000 -capacity 128
+//
+// re-decides every decision a schedd journal records under the given
+// policy (engine.Audit) and prints one JSON record per decision (queue
+// depth, search effort, incumbent trajectory, starts). It exits 1 at
+// the first decision whose starts differ from the journal's.
 package main
 
 import (
@@ -41,40 +50,43 @@ func main() {
 		requested = flag.Bool("requested", false, "schedulers use requested runtimes (R* = R)")
 		verbose   = flag.Bool("v", false, "print per-class wait grid")
 		swfIn     = flag.String("swf", "", "simulate this SWF trace file (plain or .gz) instead of a generated month")
-		capacity  = flag.Int("capacity", 0, "machine size in nodes (default: 128 for a generated month, which rejects fewer; for -swf the trace header's MaxNodes, else the widest job)")
+		capacity  = flag.Int("capacity", 0, "machine size in nodes (default: 128 for a generated month, which rejects fewer, and for -audit; for -swf the trace header's MaxNodes, else the widest job)")
 		jsonOut   = flag.Bool("json", false, "emit the run summary as JSON on stdout (the schema schedd's /v1/metrics serves)")
-		flightN   = flag.Int("flight", 0, "record the last N scheduling decisions (queue depth, search effort, incumbent trajectory, commit) and print them as JSON after the summary (0 = off)")
+		auditIn   = flag.String("audit", "", "re-decide every decision this schedd journal records under -policy and print them as JSON; exit 1 at the first divergence")
 	)
 	flag.Parse()
 
 	var stray []string
-	if *swfIn != "" {
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "month", "seed", "scale", "load":
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "month", "seed", "scale", "load":
+			if *swfIn != "" || *auditIn != "" {
 				stray = append(stray, "-"+f.Name)
 			}
-		})
-	}
+		case "swf", "requested", "json", "v":
+			if *auditIn != "" {
+				stray = append(stray, "-"+f.Name)
+			}
+		}
+	})
 	if len(stray) > 0 {
-		fmt.Fprintf(os.Stderr, "schedsim: %s: generated months only (-swf replays the trace as recorded)\n",
-			strings.Join(stray, ", "))
+		why := "generated months only (-swf replays the trace as recorded)"
+		if *auditIn != "" {
+			why = "not with -audit (the journal fixes the workload and its estimates)"
+		}
+		fmt.Fprintf(os.Stderr, "schedsim: %s: %s\n", strings.Join(stray, ", "), why)
 		os.Exit(2)
 	}
 
-	opts := searchOpts{nodeLimit: *nodeLimit, workers: *workers, flight: *flightN}
-	in, m, err := schedsearch.LoadInput(*swfIn, *capacity,
-		workload.Config{Seed: *seed, JobScale: *scale}, *month,
-		workload.SimOptions{TargetLoad: *load, UseRequested: *requested})
+	pol, err := schedsearch.ParsePolicy(*policyArg, *nodeLimit)
 	if err == nil {
-		header := func(jobs int) string {
-			if m == nil {
-				return fmt.Sprintf("trace %s: %d jobs on %d nodes", *swfIn, jobs, in.Capacity)
-			}
-			return fmt.Sprintf("month %s: %d jobs, offered load %.2f (spec %.2f)",
-				m.Spec.Label, jobs, effectiveLoad(m, *load), m.Spec.Load)
+		schedsearch.ApplySearchOptions(pol, *workers)
+		if *auditIn != "" {
+			err = audit(*auditIn, *capacity, pol)
+		} else {
+			err = run(*swfIn, *capacity, workload.Config{Seed: *seed, JobScale: *scale}, *month,
+				workload.SimOptions{TargetLoad: *load, UseRequested: *requested}, pol, *verbose, *jsonOut)
 		}
-		err = run(in, header, *policyArg, opts, *verbose, *jsonOut)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "schedsim:", err)
@@ -82,43 +94,30 @@ func main() {
 	}
 }
 
-// searchOpts bundles the flags that only apply to search schedulers,
-// plus the flight-recorder size (which applies to every policy).
-type searchOpts struct {
-	nodeLimit int
-	workers   int
-	flight    int
-}
-
-// parsePolicy builds the policy and applies the search-only options to
-// search schedulers (other policies ignore them). With -flight N the
-// policy is wrapped in the flight recorder (engine.Recorded); the
-// returned recorder is nil otherwise.
-func parsePolicy(policyArg string, o searchOpts) (sim.Policy, *obs.FlightRecorder, error) {
-	pol, err := schedsearch.ParsePolicy(policyArg, o.nodeLimit)
+// audit re-decides the journal at path under pol on a machine of
+// capacity nodes (0 means the generated months' 128) and prints every
+// decision as one JSON document. It reads the journal without
+// truncating a torn tail.
+func audit(path string, capacity int, pol sim.Policy) error {
+	cp, err := engine.LoadCheckpoint(path)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	schedsearch.ApplySearchOptions(pol, o.workers)
-	var f *obs.FlightRecorder
-	if o.flight > 0 {
-		f = obs.NewFlightRecorder(o.flight)
+	if capacity == 0 {
+		capacity = workload.Capacity
 	}
-	return engine.Recorded(pol, f), f, nil
-}
-
-// printFlight dumps the recorded decisions as a JSON document on
-// stdout (after the summary; with -json it is the second document).
-func printFlight(f *obs.FlightRecorder) error {
-	if f == nil {
-		return nil
+	decisions := []obs.DecisionRecord{}
+	if err := engine.Audit(engine.Config{Capacity: capacity, Policy: pol}, cp, func(rec *obs.DecisionRecord) {
+		decisions = append(decisions, *rec)
+	}); err != nil {
+		return err
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(struct {
-		Total     int64                `json:"total"`
+		Total     int                  `json:"total"`
 		Decisions []obs.DecisionRecord `json:"decisions"`
-	}{Total: f.Total(), Decisions: f.Snapshot()})
+	}{Total: len(decisions), Decisions: decisions})
 }
 
 // emitJSON writes the run summary as machine-readable JSON in the
@@ -129,10 +128,10 @@ func emitJSON(res *sim.Result, s metrics.Summary, pol sim.Policy) error {
 	return enc.Encode(engine.OfflineMetrics(res, s, pol))
 }
 
-// run simulates the policy over the input and reports; header renders
-// the human summary's first line from the measured job count.
-func run(in sim.Input, header func(jobs int) string, policyArg string, opts searchOpts, verbose bool, jsonOut bool) error {
-	pol, flight, err := parsePolicy(policyArg, opts)
+// run loads the trace or generated month, simulates pol over it and
+// reports.
+func run(swfIn string, capacity int, cfg workload.Config, month string, opt workload.SimOptions, pol sim.Policy, verbose, jsonOut bool) error {
+	in, m, err := schedsearch.LoadInput(swfIn, capacity, cfg, month, opt)
 	if err != nil {
 		return err
 	}
@@ -145,17 +144,19 @@ func run(in sim.Input, header func(jobs int) string, policyArg string, opts sear
 	}
 	s := metrics.Summarize(res)
 	if jsonOut {
-		if err := emitJSON(res, s, pol); err != nil {
-			return err
-		}
-		return printFlight(flight)
+		return emitJSON(res, s, pol)
 	}
-	fmt.Println(header(s.Jobs))
+	if m == nil {
+		fmt.Printf("trace %s: %d jobs on %d nodes\n", swfIn, s.Jobs, in.Capacity)
+	} else {
+		fmt.Printf("month %s: %d jobs, offered load %.2f (spec %.2f)\n",
+			m.Spec.Label, s.Jobs, effectiveLoad(m, opt.TargetLoad), m.Spec.Load)
+	}
 	printSummary(res, s, pol)
 	if verbose {
 		printGrid(metrics.ComputeClassGrid(res))
 	}
-	return printFlight(flight)
+	return nil
 }
 
 func printSummary(res *sim.Result, s metrics.Summary, pol sim.Policy) {

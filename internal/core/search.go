@@ -179,11 +179,11 @@ func New(algo Algorithm, h Heuristic, bound BoundSpec, nodeLimit int) *Scheduler
 }
 
 // PolicyAs walks a chain of single-inner policy wrappers — anything
-// with an Unwrap() sim.Policy method: Fairshare, chaos.FlakyPolicy,
-// engine.Recorded — and returns the first policy on it, p included,
-// that is a T. Readers of a policy's optional surfaces (SearchStats,
-// the flight recorder's decision summaries) go through it so they do
-// not vanish behind a wrapper.
+// with an Unwrap() sim.Policy method: Fairshare, chaos.FlakyPolicy —
+// and returns the first policy on it, p included, that is a T. Readers
+// of a policy's optional surfaces (SearchStats, the decision summaries
+// engine.Audit reports) go through it so they do not vanish behind a
+// wrapper.
 func PolicyAs[T any](p sim.Policy) (T, bool) {
 	for p != nil {
 		if t, ok := p.(T); ok {
@@ -231,7 +231,7 @@ func (sch *Scheduler) Decide(snap *sim.Snapshot) []int {
 	s := &sch.s
 	skip := s.prepare(snap, sch.Algorithm, sch.Heuristic, sch.Bound.At(snap), sch.Cost, max(sch.NodeLimit, 1), sch.Prune)
 	// The incumbent-improvement log feeds LastDecision's cost
-	// trajectory (flight recorder). Recording is strictly passive: leaf
+	// trajectory (engine.Audit). Recording is strictly passive: leaf
 	// and the parallel merge append to a reused slice exactly at the
 	// improvements they already track, so enabling it unconditionally
 	// cannot perturb the search (the inertness differentials pin this).
@@ -340,7 +340,7 @@ type CostPoint struct {
 }
 
 // DecisionSummary describes the most recent Decide call for the
-// observability layer (the decision flight recorder). It is
+// observability layer (the records engine.Audit reports). It is
 // assembled from state the search already tracks; producing it never
 // perturbs a decision. A skipped decision (no queued job fit the free
 // nodes) has EffectiveLimit 1 and is never a BudgetHit.
@@ -413,10 +413,11 @@ type searchState struct {
 	// nodesToBest is the node counter at the incumbent's last
 	// improvement.
 	nodesToBest int64
-	// recordImprov makes leaf() log every incumbent improvement
-	// (parallel workers only; the merge threads the global incumbent
-	// through the per-iteration logs to reproduce the sequential
-	// nodesToBest exactly).
+	// recordImprov makes leaf() log every incumbent improvement. Decide
+	// sets it for every decision (the log is LastDecision's trajectory);
+	// parallel workers set it too, and the merge threads the global
+	// incumbent through their per-iteration logs to reproduce the
+	// sequential nodesToBest exactly.
 	recordImprov bool
 	improv       []improvement
 

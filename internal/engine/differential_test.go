@@ -19,7 +19,7 @@ import (
 // VirtualClock: every job is delivered by a clock timer at its submit
 // time, then the clock runs until the engine is idle. The correctness
 // oracle rides along on every replay.
-func replayInput(t *testing.T, in sim.Input, pol sim.Policy) *Engine {
+func replayInput(t *testing.T, in sim.Input, pol sim.Policy, opts ...func(*Config)) *Engine {
 	t.Helper()
 	vc := NewVirtualClock()
 	orc := oracle.New(in.Capacity)
@@ -29,7 +29,7 @@ func replayInput(t *testing.T, in sim.Input, pol sim.Policy) *Engine {
 		}
 		return in.Measured[id]
 	}
-	e, err := New(Config{
+	cfg := Config{
 		Capacity:     in.Capacity,
 		Policy:       pol,
 		Clock:        vc,
@@ -39,7 +39,11 @@ func replayInput(t *testing.T, in sim.Input, pol sim.Policy) *Engine {
 		MeasureStart: in.MeasureStart,
 		MeasureEnd:   in.MeasureEnd,
 		Observer:     orc,
-	})
+	}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

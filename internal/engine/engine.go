@@ -388,7 +388,9 @@ func (e *Engine) recordFinish(f sim.Finished) {
 	st.End = f.End
 }
 
-func (e *Engine) estimate(j job.Job) job.Duration {
+// estimate fixes a queued job's planning estimate at the decision
+// instant now; every event of one decision carries that instant.
+func (e *Engine) estimate(j job.Job, now job.Time) job.Duration {
 	est := j.Runtime
 	switch {
 	case e.cfg.Estimator != nil:
@@ -402,7 +404,7 @@ func (e *Engine) estimate(j job.Job) job.Duration {
 	if st := e.jobs[j.ID]; st != nil {
 		st.Estimate = est
 	}
-	e.appendEvent(Event{Kind: EvEstimate, At: e.clock.Now(), ID: j.ID, Estimate: est})
+	e.appendEvent(Event{Kind: EvEstimate, At: now, ID: j.ID, Estimate: est})
 	return est
 }
 
@@ -411,7 +413,7 @@ func (e *Engine) decideLocked() {
 		return
 	}
 	now := e.clock.Now()
-	e.l.FillEstimates(e.estimate)
+	e.l.FillEstimates(func(j job.Job) job.Duration { return e.estimate(j, now) })
 	snap := e.l.Snapshot(now)
 	e.decisions++
 	t0 := time.Now()

@@ -3,24 +3,23 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"testing"
 
 	"schedsearch/internal/core"
 	"schedsearch/internal/metasched"
 	"schedsearch/internal/obs"
 	"schedsearch/internal/oracle"
+	"schedsearch/internal/policy"
 	"schedsearch/internal/sim"
 	"schedsearch/internal/workload"
 )
 
-// replayInstrumented mirrors replayInput with the full observability
-// stack attached: a decision flight recorder, a tracer whose contexts
-// are minted and bound at submit (as schedd's replay front door does),
-// and the oracle riding along. The returned engine must have committed
-// the exact schedule the bare replay commits.
-func replayInstrumented(t *testing.T, in sim.Input, pol sim.Policy,
-	flight *obs.FlightRecorder, tr *obs.Tracer) *Engine {
+// replayInstrumented mirrors replayInput with tracing attached: a
+// tracer whose contexts are minted and bound at submit (as schedd's
+// replay front door does), and the oracle riding along. The returned
+// engine must have committed the exact schedule the bare replay
+// commits.
+func replayInstrumented(t *testing.T, in sim.Input, pol sim.Policy, tr *obs.Tracer) *Engine {
 	t.Helper()
 	vc := NewVirtualClock()
 	orc := oracle.New(in.Capacity)
@@ -32,7 +31,7 @@ func replayInstrumented(t *testing.T, in sim.Input, pol sim.Policy,
 	}
 	e, err := New(Config{
 		Capacity:     in.Capacity,
-		Policy:       Recorded(pol, flight),
+		Policy:       pol,
 		Clock:        vc,
 		Estimator:    in.Estimator,
 		UseRequested: in.UseRequested,
@@ -69,7 +68,7 @@ func replayInstrumented(t *testing.T, in sim.Input, pol sim.Policy,
 }
 
 // TestObservabilityInert is the observability keystone at the engine
-// layer: with the decision flight recorder and tracing both on, every
+// layer: with tracing on, every
 // suite month must commit a schedule bit-identical — starts, ends,
 // node IDs, completion order, decision count, whole summary — to the
 // bare engine's, while the instrumentation actually captures every
@@ -79,13 +78,11 @@ func TestObservabilityInert(t *testing.T) {
 	newPolicy := func() sim.Policy {
 		return core.New(core.DDS, core.HeuristicLXF, core.DynamicBound(), 64)
 	}
-	runObsInert(t, workload.MonthLabels(), newPolicy, "DDS/lxf/dynB", false)
+	runObsInert(t, workload.MonthLabels(), newPolicy)
 }
 
 // TestObservabilityInertMeta repeats the inertness keystone with a
-// meta-scheduling portfolio deciding: instrumentation must stay
-// bit-inert while every flight record now also carries the committed
-// member's name and the decision's regret estimate.
+// meta-scheduling portfolio deciding.
 func TestObservabilityInertMeta(t *testing.T) {
 	newPolicy := func() sim.Policy {
 		m, err := metasched.New([]sim.Policy{
@@ -97,10 +94,10 @@ func TestObservabilityInertMeta(t *testing.T) {
 		}
 		return m
 	}
-	runObsInert(t, []string{"7/03", "1/04"}, newPolicy, "meta(DDS/lxf/dynB,LDS/fcfs/dynB)", true)
+	runObsInert(t, []string{"7/03", "1/04"}, newPolicy)
 }
 
-func runObsInert(t *testing.T, months []string, newPolicy func() sim.Policy, wantPolicy string, wantMeta bool) {
+func runObsInert(t *testing.T, months []string, newPolicy func() sim.Policy) {
 	suite := workload.NewSuite(workload.Config{Seed: 11, JobScale: 0.025})
 	for _, month := range months {
 		month := month
@@ -111,9 +108,8 @@ func runObsInert(t *testing.T, months []string, newPolicy func() sim.Policy, wan
 			}
 
 			bare := replayInput(t, in, newPolicy())
-			flight := obs.NewFlightRecorder(256)
 			tr := obs.NewTracer(obs.TracerOptions{Seed: 1})
-			inst := replayInstrumented(t, in, newPolicy(), flight, tr)
+			inst := replayInstrumented(t, in, newPolicy(), tr)
 
 			bareRecs, instRecs := bare.Records(), inst.Records()
 			if len(bareRecs) != len(instRecs) {
@@ -140,20 +136,6 @@ func runObsInert(t *testing.T, months []string, newPolicy func() sim.Policy, wan
 			}
 
 			// The instrumentation must have been live, not vacuous.
-			if flight.Total() == 0 {
-				t.Fatal("flight recorder captured no decisions")
-			}
-			for _, rec := range flight.Snapshot() {
-				if rec.Policy != wantPolicy {
-					t.Fatalf("flight record policy %q, want %q", rec.Policy, wantPolicy)
-				}
-				if wantMeta && rec.ChosenPolicy == "" {
-					t.Fatalf("meta flight record at t=%d has no chosen policy", rec.NowS)
-				}
-				if !wantMeta && rec.ChosenPolicy != "" {
-					t.Fatalf("fixed-policy flight record claims chosen policy %q", rec.ChosenPolicy)
-				}
-			}
 			covered, total := tr.JobCoverage("submit", "decide")
 			if total != len(in.Jobs) {
 				t.Errorf("tracer saw %d jobs, workload has %d", total, len(in.Jobs))
@@ -178,137 +160,158 @@ func runObsInert(t *testing.T, months []string, newPolicy func() sim.Policy, wan
 	}
 }
 
-// TestFlightSeesThroughWrappers: the flight recorder reads each
-// decision's search summary through policy wrappers, as the engine's
-// counters do, so under a Fairshare wrapper the nodes its records show
-// still add up to the scheduler's own count instead of to zero.
-func TestFlightSeesThroughWrappers(t *testing.T) {
+// audit re-decides e's journal under pol and returns the decisions.
+func audit(t *testing.T, e *Engine, pol sim.Policy) ([]*obs.DecisionRecord, error) {
+	t.Helper()
+	var recs []*obs.DecisionRecord
+	err := Audit(Config{Capacity: e.l.Capacity(), Policy: pol}, e.Checkpoint(),
+		func(rec *obs.DecisionRecord) { recs = append(recs, rec) })
+	return recs, err
+}
+
+// TestAuditRedecidesEveryDecision: on every suite month, under a search
+// and a backfill policy, the audit re-decides exactly the decisions the
+// engine made with no divergence, and the auditing scheduler's search
+// counts equal the live one's. Cut at each compaction, the journal
+// audits clean stretch by stretch, each on its own base.
+func TestAuditRedecidesEveryDecision(t *testing.T) {
+	suite := workload.NewSuite(workload.Config{Seed: 11, JobScale: 0.025})
+	for _, month := range workload.MonthLabels() {
+		t.Run(month, func(t *testing.T) {
+			in, _, err := suite.Input(month, workload.SimOptions{TargetLoad: 0.9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, newPolicy := range []func() sim.Policy{
+				func() sim.Policy { return core.New(core.DDS, core.HeuristicLXF, core.DynamicBound(), 64) },
+				func() sim.Policy { return policy.FCFSBackfill() },
+			} {
+				live, auditor := newPolicy(), newPolicy()
+				e := replayInput(t, in, live)
+				recs, err := audit(t, e, auditor)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := e.Metrics().Engine.Decisions; d == 0 || int64(len(recs)) != d {
+					t.Fatalf("%s: audited %d decisions, the engine made %d", live.Name(), len(recs), d)
+				}
+				if sch := core.SchedulerOf(live); sch != nil {
+					got, want := core.SchedulerOf(auditor).SearchStats, sch.SearchStats
+					got.WallNs, got.BusyNs, want.WallNs, want.BusyNs = 0, 0, 0, 0
+					if got != want {
+						t.Fatalf("audit search stats %+v, live %+v", got, want)
+					}
+				}
+
+				// Every stretch between compactions audits clean on its own.
+				// Together they re-decide every decision once, save one that
+				// started nothing right after a cut: a base does not record
+				// the decision request pending when it was taken.
+				sink := &segmentSink{}
+				e = replayInput(t, in, newPolicy(), func(c *Config) { c.Journal, c.CompactEvery = sink, 100 })
+				var n int64
+				for _, cp := range append(sink.segs, sink.cur) {
+					err := Audit(Config{Capacity: in.Capacity, Policy: newPolicy()}, cp, func(*obs.DecisionRecord) { n++ })
+					if err != nil {
+						t.Fatalf("%s: segment after %d decisions: %v", live.Name(), n, err)
+					}
+				}
+				if d, cuts := e.Metrics().Engine.Decisions, int64(len(sink.segs)); cuts < 2 || n > d || n < d-cuts {
+					t.Fatalf("%s: %d segments audited %d decisions, the engine made %d", live.Name(), cuts+1, n, d)
+				}
+			}
+		})
+	}
+}
+
+// segmentSink keeps each stretch of the journal between compactions as
+// the checkpoint a recovery just before the next compaction would read:
+// the base (nil before the first compaction) and the tail after it.
+type segmentSink struct {
+	cur  Checkpoint
+	segs []Checkpoint
+}
+
+func (s *segmentSink) Append(ev Event) error { s.cur.Events = append(s.cur.Events, ev); return nil }
+func (s *segmentSink) Commit() error         { return nil }
+func (s *segmentSink) Sync() error           { return nil }
+func (s *segmentSink) Compact(b Base) error {
+	s.segs = append(s.segs, s.cur)
+	s.cur = Checkpoint{Base: &b}
+	return nil
+}
+
+// TestAuditSeesThroughWrappers: the audit reads each decision's search
+// summary through policy wrappers, as the engine's counters do, so
+// under a Fairshare wrapper the nodes its records show still add up to
+// the auditing scheduler's own count instead of to zero.
+func TestAuditSeesThroughWrappers(t *testing.T) {
 	in, _, err := workload.NewSuite(workload.Config{Seed: 11, JobScale: 0.025}).
 		Input("7/03", workload.SimOptions{TargetLoad: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sch := core.New(core.DDS, core.HeuristicLXF, core.DynamicBound(), 64)
-	flight := obs.NewFlightRecorder(1 << 14)
-	replayInstrumented(t, in, core.NewFairshare(sch, 1), flight, obs.NewTracer(obs.TracerOptions{Seed: 1}))
-	recs := flight.Snapshot()
-	if flight.Total() == 0 || flight.Total() != int64(len(recs)) {
-		t.Fatalf("kept %d of %d decisions; the test needs all of them", len(recs), flight.Total())
+	newPolicy := func() (sim.Policy, *core.Scheduler) {
+		sch := core.New(core.DDS, core.HeuristicLXF, core.DynamicBound(), 64)
+		return core.NewFairshare(sch, 1), sch
+	}
+	live, _ := newPolicy()
+	e := replayInstrumented(t, in, live, obs.NewTracer(obs.TracerOptions{Seed: 1}))
+	auditor, sch := newPolicy()
+	recs, err := audit(t, e, auditor)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var nodes int64
 	for _, rec := range recs {
 		nodes += rec.Nodes
 	}
 	if want := sch.SearchStats.Nodes; want == 0 || nodes != want {
-		t.Fatalf("flight records sum to %d search nodes over %d decisions, the scheduler visited %d",
+		t.Fatalf("audit records sum to %d search nodes over %d decisions, the scheduler visited %d",
 			nodes, len(recs), want)
 	}
 }
 
-// TestRecordedDriversAgree: the flight recorder is one policy wrapper,
-// so the offline simulator and the online engine, replaying the same
-// month under the same search, must record the same decisions — every
-// field but the wall time, in the same order.
-func TestRecordedDriversAgree(t *testing.T) {
-	newPolicy := func() sim.Policy {
-		return core.New(core.DDS, core.HeuristicLXF, core.DynamicBound(), 64)
-	}
-	suite := workload.NewSuite(workload.Config{Seed: 11, JobScale: 0.025})
-	for _, month := range workload.MonthLabels() {
-		month := month
-		t.Run(month, func(t *testing.T) {
-			in, _, err := suite.Input(month, workload.SimOptions{TargetLoad: 0.9})
-			if err != nil {
-				t.Fatal(err)
-			}
-			offline, online := obs.NewFlightRecorder(1<<14), obs.NewFlightRecorder(1<<14)
-			res, err := sim.Run(in, Recorded(newPolicy(), offline))
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := replayInput(t, in, Recorded(newPolicy(), online))
-			simRecs, engRecs := offline.Snapshot(), online.Snapshot()
-			if int64(len(simRecs)) != offline.Total() || int64(len(engRecs)) != online.Total() {
-				t.Fatalf("rings kept %d of %d and %d of %d decisions; the test needs all of them",
-					len(simRecs), offline.Total(), len(engRecs), online.Total())
-			}
-			if int64(len(simRecs)) != int64(res.Decisions) || int64(len(engRecs)) != e.Metrics().Engine.Decisions {
-				t.Fatalf("recorded %d / %d decisions, the simulator made %d and the engine %d",
-					len(simRecs), len(engRecs), res.Decisions, e.Metrics().Engine.Decisions)
-			}
-			for _, recs := range [][]obs.DecisionRecord{simRecs, engRecs} {
-				for i := range recs {
-					recs[i].WallUs = 0
-				}
-			}
-			if !reflect.DeepEqual(simRecs, engRecs) {
-				for i := range simRecs {
-					if i >= len(engRecs) || !reflect.DeepEqual(simRecs[i], engRecs[i]) {
-						t.Fatalf("%d vs %d records; first difference at %d:\nsim    %+v\nengine %+v",
-							len(simRecs), len(engRecs), i, simRecs[i], engRecs[min(i, len(engRecs)-1)])
-					}
-				}
-				t.Fatalf("engine recorded %d decisions past the simulator's %d", len(engRecs), len(simRecs))
-			}
-		})
-	}
-}
-
 // panicEveryThird panics at every third decision, before consulting its
-// inner policy (as chaos.FlakyPolicy does), and logs the instants of
-// the decisions it did return.
+// inner policy (as chaos.FlakyPolicy does), and logs the instants at
+// which it panicked.
 type panicEveryThird struct {
 	sim.Policy
-	calls   int
-	decided []int64
+	calls    int
+	panicked map[int64]bool
 }
 
 func (p *panicEveryThird) Decide(snap *sim.Snapshot) []int {
 	if p.calls++; p.calls%3 == 0 {
+		p.panicked[int64(snap.Now)] = true
 		panic("injected policy failure")
 	}
-	p.decided = append(p.decided, int64(snap.Now))
 	return p.Policy.Decide(snap)
 }
 
 func (p *panicEveryThird) Unwrap() sim.Policy { return p.Policy }
 
-// TestRecordedSkipsPanickedDecisions: a decision whose policy panics
-// passes through the recorder and leaves no record (the engine's FCFS
-// fallback commits it and counts the panic), so the ring holds exactly
-// the decisions the policy returned, in order, and their search
-// summaries add up to the scheduler's own count — no record carries a
-// panicked instant or a stale summary.
-func TestRecordedSkipsPanickedDecisions(t *testing.T) {
+// TestAuditCatchesPanickedDecisions: where the live policy panicked,
+// the engine committed its FCFS fallback instead, so re-deciding the
+// journal under the policy alone must diverge, and first at an instant
+// where it panicked.
+func TestAuditCatchesPanickedDecisions(t *testing.T) {
 	in, _, err := workload.NewSuite(workload.Config{Seed: 11, JobScale: 0.025}).
 		Input("7/03", workload.SimOptions{TargetLoad: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sch := core.New(core.DDS, core.HeuristicLXF, core.DynamicBound(), 64)
-	flaky := &panicEveryThird{Policy: sch}
-	flight := obs.NewFlightRecorder(1 << 14)
-	e := replayInput(t, in, Recorded(flaky, flight))
-	m := e.Metrics().Engine
-	if m.PolicyPanics == 0 || m.PolicyPanics != int64(flaky.calls/3) {
-		t.Fatalf("engine counted %d policy panics over %d calls", m.PolicyPanics, flaky.calls)
+	newPolicy := func() sim.Policy { return core.New(core.DDS, core.HeuristicLXF, core.DynamicBound(), 64) }
+	flaky := &panicEveryThird{Policy: newPolicy(), panicked: map[int64]bool{}}
+	e := replayInput(t, in, flaky)
+	if m := e.Metrics().Engine; m.PolicyPanics == 0 {
+		t.Fatal("the policy never panicked")
 	}
-	if got, want := flight.Total(), m.Decisions-m.PolicyPanics; got != want {
-		t.Fatalf("recorded %d decisions, want %d (%d made, %d panicked)", got, want, m.Decisions, m.PolicyPanics)
+	recs, err := audit(t, e, newPolicy())
+	if err == nil {
+		t.Fatalf("audited %d decisions clean over %d fallbacks", len(recs), len(flaky.panicked))
 	}
-	recs := flight.Snapshot()
-	if int64(len(recs)) != flight.Total() {
-		t.Fatalf("kept %d of %d decisions; the test needs all of them", len(recs), flight.Total())
-	}
-	var nodes int64
-	for i, rec := range recs {
-		if rec.NowS != flaky.decided[i] {
-			t.Fatalf("record %d is at t=%d, the policy's %d-th returned decision at t=%d",
-				i, rec.NowS, i+1, flaky.decided[i])
-		}
-		nodes += rec.Nodes
-	}
-	if nodes != sch.SearchStats.Nodes {
-		t.Fatalf("records sum to %d search nodes, the scheduler visited %d", nodes, sch.SearchStats.Nodes)
+	if at := recs[len(recs)-1].NowS; !flaky.panicked[at] {
+		t.Fatalf("first divergence at t=%d, where the policy did not panic: %v", at, err)
 	}
 }

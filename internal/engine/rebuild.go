@@ -2,8 +2,12 @@ package engine
 
 import (
 	"fmt"
+	"slices"
+	"time"
 
 	"schedsearch/internal/job"
+	"schedsearch/internal/obs"
+	"schedsearch/internal/sim"
 )
 
 // EventKind tags one committed engine event in the journal.
@@ -172,6 +176,117 @@ func Rebuild(cfg Config, cp Checkpoint) (*Engine, error) {
 	return e, nil
 }
 
+// Audit re-decides every decision the checkpoint's journal records. It
+// replays cp onto a fresh ledger, as Rebuild does, and at each decision
+// point asks cfg.Policy to decide on the snapshot the live policy saw.
+// visit receives each re-decided decision (and may keep it); Audit then
+// requires its starts, in order, to equal the journal's, and at the
+// first difference returns an error naming the event index, the instant
+// and both ID lists. Only cfg.Capacity and cfg.Policy are read.
+//
+// A decision point is one of three things in the journal:
+//   - a run of EvEstimate events, which only a decision writes, and the
+//     EvStart run after it at the same instant;
+//   - an EvStart run with no estimates before it;
+//   - a requested decision that left no event: after a submit, or after
+//     finishes that leave jobs waiting (onFinish requests a decision
+//     only then), the instant's events end with neither run while jobs
+//     wait, all estimated, and the journal goes on. It is re-decided
+//     after the instant's last event and must start nothing.
+//
+// Withdraws request no decision. On a VirtualClock this is exact: the
+// count equals the engine's decisions. On a RealClock a decision fires
+// a little after its request, so one that started nothing may be
+// re-decided at the wrong instant, and a policy whose state changes at
+// every Decide (Fairshare, meta) can then report a divergence.
+func Audit(cfg Config, cp Checkpoint, visit func(*obs.DecisionRecord)) error {
+	e, err := New(Config{Capacity: cfg.Capacity, Policy: cfg.Policy})
+	if err != nil {
+		return err
+	}
+	if cp.Base != nil {
+		if err := e.restoreBaseLocked(*cp.Base); err != nil {
+			return err
+		}
+	}
+	var seq int64
+	decide := func(i int, at job.Time, want []int) error {
+		snap := e.l.Snapshot(at)
+		t0 := time.Now()
+		starts := cfg.Policy.Decide(snap)
+		rec := &obs.DecisionRecord{}
+		fillDecisionRecord(rec, cfg.Policy, at, len(snap.Queue), time.Since(t0))
+		seq++
+		rec.Seq = seq
+		for _, qi := range starts {
+			rec.Started = append(rec.Started, snap.Queue[qi].Job.ID)
+		}
+		visit(rec)
+		if !slices.Equal(rec.Started, want) {
+			return fmt.Errorf("engine: audit: event %d, t=%d: the journal started %v, %s started %v",
+				i, at, want, cfg.Policy.Name(), rec.Started)
+		}
+		return nil
+	}
+	// pending marks a decision requested at instant requested that the
+	// journal has not shown yet.
+	pending, requested := false, job.Time(0)
+	events := cp.Events
+	for i := 0; i < len(events); {
+		ev := events[i]
+		if ev.Kind != EvEstimate && ev.Kind != EvStart {
+			if pending && ev.At > requested {
+				// A decision that left no event, unless a job still lacks
+				// its estimate (the decision is still to come).
+				snap := e.l.Snapshot(requested)
+				if !slices.ContainsFunc(snap.Queue, func(w sim.WaitingJob) bool { return w.Estimate == 0 }) {
+					pending = false
+					if len(snap.Queue) > 0 {
+						if err := decide(i, requested, nil); err != nil {
+							return err
+						}
+					}
+				}
+			}
+			if err := e.replayEvent(i, ev, events); err != nil {
+				return err
+			}
+			if ev.Kind == EvSubmit || ev.Kind == EvFinish && e.l.QueueLen() > 0 {
+				// A decision never precedes an event already journaled.
+				pending, requested = true, max(requested, ev.At)
+			}
+			i++
+			continue
+		}
+		// One decision: its estimates, then its starts, all at ev.At. It
+		// answers the pending request, whatever that request's instant.
+		var want []int
+		k := i
+		for ; k < len(events) && events[k].At == ev.At; k++ {
+			if events[k].Kind == EvStart {
+				want = append(want, events[k].ID)
+			} else if events[k].Kind != EvEstimate || len(want) > 0 {
+				break
+			} else if err := e.replayEvent(k, events[k], events); err != nil {
+				return err
+			}
+		}
+		pending = false
+		if err := decide(i, ev.At, want); err != nil {
+			return err
+		}
+		for ; i < k; i++ {
+			if events[i].Kind == EvStart {
+				if err := e.replayEvent(i, events[i], events); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	// A request still pending at the end is answered after the journal.
+	return nil
+}
+
 func (e *Engine) replayEvent(i int, ev Event, events []Event) error {
 	switch ev.Kind {
 	case EvSubmit:
@@ -207,7 +322,7 @@ func (e *Engine) replayEvent(i int, ev Event, events []Event) error {
 			return fmt.Errorf("engine: rebuild: event %d: %w", i, err)
 		}
 		s := started[0]
-		if !equalInts(s.NodeIDs, ev.NodeIDs) {
+		if !slices.Equal(s.NodeIDs, ev.NodeIDs) {
 			return fmt.Errorf("engine: rebuild: event %d: job %d reallocated nodes %v, recorded %v",
 				i, ev.ID, s.NodeIDs, ev.NodeIDs)
 		}
@@ -250,16 +365,4 @@ func (e *Engine) replayEvent(i int, ev Event, events []Event) error {
 	}
 	e.journal = append(e.journal, ev)
 	return nil
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -281,7 +281,7 @@ func (m *Meta) MetaStats() Stats { return m.stats }
 func (m *Meta) History() []MetaDecision { return m.history }
 
 // LastMetaDecision reports the most recent committed decision's policy
-// name and regret estimate for the flight recorder; ok is false before
+// name and regret estimate for engine.Audit's records; ok is false before
 // the first decision.
 func (m *Meta) LastMetaDecision() (policy string, regret float64, ok bool) {
 	if !m.haveLast {
@@ -291,7 +291,7 @@ func (m *Meta) LastMetaDecision() (policy string, regret float64, ok bool) {
 }
 
 // LastDecision forwards the committed arm's search summary when that
-// arm exposes one (flight-recorder detail: node counts, trajectory).
+// arm exposes one (audit record detail: node counts, trajectory).
 func (m *Meta) LastDecision() core.DecisionSummary {
 	if !m.haveLast {
 		return core.DecisionSummary{}

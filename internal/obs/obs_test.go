@@ -131,47 +131,6 @@ func TestJobCoverage(t *testing.T) {
 	}
 }
 
-func TestFlightRecorderWrap(t *testing.T) {
-	f := NewFlightRecorder(16)
-	for i := 0; i < 40; i++ {
-		f.Record(&DecisionRecord{
-			NowS:       int64(i),
-			QueueDepth: i,
-			Started:    []int{i, i + 1},
-			Trajectory: []TrajectoryPoint{{Nodes: int64(i), Excess: float64(i)}},
-		})
-	}
-	if f.Total() != 40 {
-		t.Fatalf("total %d", f.Total())
-	}
-	snap := f.Snapshot()
-	if len(snap) != 16 {
-		t.Fatalf("snapshot %d", len(snap))
-	}
-	for k, rec := range snap {
-		i := 24 + k // oldest retained decision
-		if rec.NowS != int64(i) || rec.Seq != int64(i+1) {
-			t.Fatalf("slot %d: now=%d seq=%d", k, rec.NowS, rec.Seq)
-		}
-		if len(rec.Started) != 2 || rec.Started[0] != i {
-			t.Fatalf("slot %d started %v", k, rec.Started)
-		}
-		if len(rec.Trajectory) != 1 || rec.Trajectory[0].Nodes != int64(i) {
-			t.Fatalf("slot %d trajectory %v", k, rec.Trajectory)
-		}
-	}
-	// Snapshot is a deep copy: mutating it must not reach the ring.
-	snap[0].Started[0] = -1
-	if f.Snapshot()[0].Started[0] == -1 {
-		t.Fatal("snapshot aliases ring storage")
-	}
-	var nilF *FlightRecorder
-	nilF.Record(&DecisionRecord{})
-	if nilF.Total() != 0 || nilF.Snapshot() != nil {
-		t.Fatal("nil recorder")
-	}
-}
-
 func TestHistFsyncShape(t *testing.T) {
 	var h Hist
 	h.Observe(3 * time.Microsecond)

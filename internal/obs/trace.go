@@ -1,6 +1,6 @@
-// Package obs is the observability layer: a decision flight recorder
-// (bounded ring of structured per-decision records), cross-process
-// trace propagation (trace/span IDs minted at submit and carried on
+// Package obs is the observability layer: the structured per-decision
+// record a journal audit reports (engine.Audit), cross-process trace
+// propagation (trace/span IDs minted at submit and carried on
 // every shard wire call), Chrome trace-event export, latency
 // histograms, runtime self-metrics and structured-logging helpers.
 //

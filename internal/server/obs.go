@@ -7,13 +7,6 @@ import (
 	"schedsearch/internal/obs"
 )
 
-// WithFlight exposes the decision flight recorder the backend's
-// policies record into over GET /v1/debug/decisions. The recorder stays
-// owned by the caller (it is the one engine.Recorded wraps them with).
-func WithFlight(f *obs.FlightRecorder) Option {
-	return func(s *Server) { s.flight = f }
-}
-
 // WithTracer attaches the cross-process tracer: the submit paths parse
 // (or mint) X-Schedsearch-Trace contexts, bind them to admitted job
 // IDs, and record the front-door span — "admit" when the context
@@ -61,22 +54,4 @@ func (s *Server) bindSubmitTrace(st *submitTrace, id, item int) {
 	}
 	tr.Bind(id, tc)
 	tr.Record(name, tc, id, s.traceShard, st.start, tr.Now().Sub(st.start))
-}
-
-// DecisionsResponse is the GET /v1/debug/decisions body: the retained
-// window of the decision flight recorder, oldest first, plus the
-// all-time decision count (Total - len(Decisions) decisions have
-// scrolled out of the ring).
-type DecisionsResponse struct {
-	Total     int64                `json:"total"`
-	Decisions []obs.DecisionRecord `json:"decisions"`
-}
-
-// debugDecisions serves GET /v1/debug/decisions; registered only when
-// a flight recorder is attached (WithFlight).
-func (s *Server) debugDecisions(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, DecisionsResponse{
-		Total:     s.flight.Total(),
-		Decisions: s.flight.Snapshot(),
-	})
 }

@@ -273,60 +273,3 @@ func TestPromRuntimeJournalAndSpanSeries(t *testing.T) {
 		t.Error("runtime gauges should be unconditional")
 	}
 }
-
-// TestDebugDecisionsEndpoint drives the decision flight recorder
-// through GET /v1/debug/decisions: records appear after submissions,
-// carry the deciding policy and the started job IDs, and the route is
-// absent entirely on a server wired without a recorder.
-func TestDebugDecisionsEndpoint(t *testing.T) {
-	vc := engine.NewVirtualClock()
-	flight := obs.NewFlightRecorder(16)
-	e, err := engine.New(engine.Config{
-		Capacity: 8, Policy: engine.Recorded(policy.FCFSBackfill(), flight), Clock: vc,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(e, nil, WithFlight(flight))
-
-	for i := 0; i < 2; i++ {
-		w := httptest.NewRecorder()
-		srv.ServeHTTP(w, httptest.NewRequest("POST", "/v1/jobs",
-			strings.NewReader(`{"nodes":2,"runtime_s":600}`)))
-		if w.Code != http.StatusCreated {
-			t.Fatalf("submit %d: %d %s", i, w.Code, w.Body.String())
-		}
-		vc.RunDue() // fire the decision point
-	}
-
-	w := httptest.NewRecorder()
-	srv.ServeHTTP(w, httptest.NewRequest("GET", "/v1/debug/decisions", nil))
-	if w.Code != http.StatusOK {
-		t.Fatalf("GET /v1/debug/decisions: %d", w.Code)
-	}
-	var resp DecisionsResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
-		t.Fatalf("decisions body: %v", err)
-	}
-	if resp.Total < 2 || len(resp.Decisions) < 2 {
-		t.Fatalf("want >= 2 decisions, got total %d, %d held", resp.Total, len(resp.Decisions))
-	}
-	started := 0
-	for _, d := range resp.Decisions {
-		if d.Policy != "FCFS-backfill" {
-			t.Errorf("decision policy %q", d.Policy)
-		}
-		started += len(d.Started)
-	}
-	if started != 2 {
-		t.Errorf("decisions started %d jobs in total, want 2", started)
-	}
-
-	// Without WithFlight the route does not exist.
-	bare := newFixture(t, 8, policy.FCFSBackfill())
-	w = httptest.NewRecorder()
-	bare.srv.ServeHTTP(w, httptest.NewRequest("GET", "/v1/debug/decisions", nil))
-	if w.Code != http.StatusNotFound {
-		t.Fatalf("bare GET /v1/debug/decisions: %d, want 404", w.Code)
-	}
-}

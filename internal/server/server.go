@@ -90,9 +90,6 @@ type Server struct {
 	// per-item results, quotas and backpressure apply, and admissions
 	// are group-committed to the journal.
 	ingest *ingest.Queue
-	// flight, when configured (WithFlight), serves the decision flight
-	// recorder over GET /v1/debug/decisions.
-	flight *obs.FlightRecorder
 	// tracer, when configured (WithTracer), propagates and originates
 	// X-Schedsearch-Trace contexts on the submit paths; traceShard tags
 	// this server's spans.
@@ -133,9 +130,6 @@ func New(e Backend, onDrained func(), opts ...Option) *Server {
 	s.mux.HandleFunc("POST /v1/drain", s.drain)
 	if _, ok := e.(FederationBackend); ok {
 		s.mux.HandleFunc("GET /v1/federation", s.federation)
-	}
-	if s.flight != nil {
-		s.mux.HandleFunc("GET /v1/debug/decisions", s.debugDecisions)
 	}
 	if sb, ok := e.(ShardBackend); ok {
 		// A bare engine can serve as one shard of a distributed
@@ -365,10 +359,11 @@ func (s *Server) BeginDrain() {
 
 func (s *Server) drain(w http.ResponseWriter, r *http.Request) {
 	s.BeginDrain()
-	m := s.e.Metrics()
+	// Counts only: Metrics would summarize the whole history (and fetch
+	// every shard's records on a router) to answer with two numbers.
 	writeJSON(w, http.StatusAccepted, wire.DrainResponse{
-		Draining: m.Jobs.Waiting,
-		Running:  m.Jobs.Running,
+		Draining: len(s.e.Queue()),
+		Running:  len(s.e.Machine().Running),
 	})
 }
 
