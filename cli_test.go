@@ -287,11 +287,16 @@ func TestScheddFanout(t *testing.T) {
 		}
 	}
 
-	// Submit eight 4-node jobs (each shard partition holds 8 nodes);
-	// every one must complete on some shard, over the wire.
+	// Each shard partition holds 8 nodes. Four 8-node jobs fill the
+	// machine, so the four 4-node jobs after them must wait; every job
+	// must complete on some shard, over the wire.
 	var ids []int
 	for k := 0; k < 8; k++ {
-		body := fmt.Sprintf(`{"nodes":4,"runtime_s":300,"user":%d}`, k)
+		nodes := 8
+		if k >= 4 {
+			nodes = 4
+		}
+		body := fmt.Sprintf(`{"nodes":%d,"runtime_s":300,"user":%d}`, nodes, k)
 		resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatalf("POST /v1/jobs: %v", err)
@@ -307,10 +312,14 @@ func TestScheddFanout(t *testing.T) {
 		ids = append(ids, int(m["id"].(float64)))
 	}
 	deadline := time.Now().Add(30 * time.Second)
+	waited := 0
 	for _, id := range ids {
 		for {
 			st := getJSON(fmt.Sprintf("/v1/jobs/%d", id), 0)
 			if st["state"] == "done" {
+				if st["wait_s"].(float64) >= 150 { // half a runtime, far past the wall clock's lag
+					waited++
+				}
 				break
 			}
 			if time.Now().After(deadline) {
@@ -318,6 +327,9 @@ func TestScheddFanout(t *testing.T) {
 			}
 			time.Sleep(20 * time.Millisecond)
 		}
+	}
+	if waited == 0 {
+		t.Fatal("no job waited for nodes: the fan-out never queued one")
 	}
 
 	fedRep := getJSON("/v1/federation", http.StatusOK)
@@ -347,23 +359,43 @@ func TestScheddFanout(t *testing.T) {
 	}
 
 	// Each shard child journaled its own events, and each journal,
-	// written on the wall clock with the rebalance pass's withdraws in
-	// it, re-decides clean under the shards' policy.
+	// written on the wall clock with whatever the rebalance pass moved
+	// in it, re-decides clean under the shards' policy: every EvDecide,
+	// some of which started nothing while a job waited.
 	sim := buildCmd(t, dir, "schedsim")
+	idle := 0
 	for s := 0; s < 4; s++ {
 		path := filepath.Join(dir, fmt.Sprintf("fan.journal.shard-%d", s))
-		fi, err := os.Stat(path)
+		cp, err := engine.LoadCheckpoint(path)
 		if err != nil {
 			t.Fatalf("shard %d journal: %v", s, err)
 		}
-		if fi.Size() == 0 {
-			t.Fatalf("shard %d journal is empty", s)
+		decides := 0
+		for _, ev := range cp.Events {
+			if ev.Kind == engine.EvDecide {
+				decides++
+				if len(ev.Starts) == 0 {
+					idle++
+				}
+			}
+		}
+		if decides == 0 {
+			t.Fatalf("shard %d journal holds no decision", s)
 		}
 		out, err := exec.Command(sim, "-audit", path, "-capacity", "8", "-policy", "DDS/lxf/dynB", "-L", "200").CombinedOutput()
-		if err != nil {
-			raw, _ := os.ReadFile(path)
-			t.Fatalf("schedsim -audit shard %d: %v\n%s\njournal:\n%s", s, err, out, raw)
+		var audit struct {
+			Total int `json:"total"`
 		}
+		if err == nil {
+			err = json.Unmarshal(out, &audit)
+		}
+		if err != nil || audit.Total != decides {
+			raw, _ := os.ReadFile(path)
+			t.Fatalf("schedsim -audit shard %d: %v, re-decided %d of %d decisions\n%s\njournal:\n%s", s, err, audit.Total, decides, out, raw)
+		}
+	}
+	if idle == 0 {
+		t.Fatal("no shard journal holds a decision that started nothing")
 	}
 }
 

@@ -118,23 +118,26 @@ func TestRebuildEdgeCases(t *testing.T) {
 			{Kind: EvSubmit, At: 0, Job: job.Job{ID: 1, Nodes: 99, Runtime: 10}},
 		}},
 		{"start-unknown-job", []Event{
-			{Kind: EvStart, At: 0, ID: 42, NodeIDs: []int{0}},
+			{Kind: EvDecide, At: 0, Starts: []Start{{ID: 42, NodeIDs: []int{0}}}},
 		}},
 		{"estimate-unknown-job", []Event{
-			{Kind: EvEstimate, At: 0, ID: 42, Estimate: 10},
+			{Kind: EvDecide, At: 0, Estimates: []Estimate{{ID: 42, Estimate: 10}}},
 		}},
 		{"finish-nothing-due", []Event{
 			{Kind: EvFinish, At: 50, ID: 1},
 		}},
 		{"finish-wrong-time", []Event{
 			{Kind: EvSubmit, At: 0, Job: ok},
-			{Kind: EvEstimate, At: 0, ID: 1, Estimate: 100},
-			{Kind: EvStart, At: 0, ID: 1, NodeIDs: []int{0, 1}},
+			{Kind: EvDecide, At: 0, Estimates: []Estimate{{ID: 1, Estimate: 100}}, Starts: []Start{{ID: 1, NodeIDs: []int{0, 1}}}},
 			{Kind: EvFinish, At: 50, ID: 1},
 		}},
 		{"reallocated-nodes", []Event{
 			{Kind: EvSubmit, At: 0, Job: ok},
-			{Kind: EvStart, At: 0, ID: 1, NodeIDs: []int{6, 7}},
+			{Kind: EvDecide, At: 0, Estimates: []Estimate{{ID: 1, Estimate: 100}}, Starts: []Start{{ID: 1, NodeIDs: []int{6, 7}}}},
+		}},
+		{"start-twice", []Event{
+			{Kind: EvSubmit, At: 0, Job: ok},
+			{Kind: EvDecide, At: 0, Estimates: []Estimate{{ID: 1, Estimate: 100}}, Starts: []Start{{ID: 1, NodeIDs: []int{0, 1}}, {ID: 1, NodeIDs: []int{2, 3}}}},
 		}},
 		{"unknown-kind", []Event{
 			{Kind: EventKind(99), At: 0},

@@ -14,8 +14,8 @@ import (
 // recorded nodes (allocation is lowest-free-first, a pure function of
 // the allocated set, so the tail replays onto identical allocations),
 // waiting jobs in queue order — and then replays the tail as usual.
-// The queue-length integral and max-queue statistic ride along so the
-// running Summary stays bit-identical with a full-journal replay.
+// The queue-length integral rides along so the running Summary stays
+// bit-identical with a full-journal replay.
 type Base struct {
 	// At is the compaction instant.
 	At job.Time `json:"at"`
@@ -30,11 +30,10 @@ type Base struct {
 	// Waiting holds the queue in arrival order; Estimate 0 means the
 	// job had not been estimated yet.
 	Waiting []BaseWaiting `json:"waiting,omitempty"`
-	// QlenInt, QlenLast and MaxQ carry the queue-length integral for
-	// metrics continuity.
+	// QlenInt and QlenLast carry the queue-length integral for metrics
+	// continuity.
 	QlenInt  float64  `json:"qlen_int"`
 	QlenLast job.Time `json:"qlen_last"`
-	MaxQ     int      `json:"max_q"`
 }
 
 // BaseRecord is one completed job in a Base.
@@ -96,7 +95,6 @@ func (e *Engine) captureBaseLocked() Base {
 		NextID:   e.nextID,
 		QlenInt:  e.q.Area,
 		QlenLast: e.q.Last,
-		MaxQ:     e.q.Max,
 	}
 	for _, r := range e.records {
 		b.Done = append(b.Done, BaseRecord{Job: r.Job, Start: r.Start, End: r.End, NodeIDs: r.NodeIDs})
@@ -165,6 +163,6 @@ func (e *Engine) restoreBaseLocked(b Base) error {
 		e.l.Enqueue(w.Job, w.Estimate)
 		e.jobs[w.Job.ID] = &JobStatus{Job: w.Job, State: StateWaiting, Estimate: w.Estimate}
 	}
-	e.q.Area, e.q.Last, e.q.Max = b.QlenInt, b.QlenLast, b.MaxQ
+	e.q.Area, e.q.Last = b.QlenInt, b.QlenLast
 	return nil
 }

@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -150,7 +151,9 @@ type Engine struct {
 	base        *Base
 	compactions int64
 	// replaying suppresses sink writes while Rebuild re-applies
-	// recovered history (the sink already holds those events).
+	// recovered history (the sink already holds those events), and
+	// makes decide take each decision's estimates and starts from the
+	// journal (Rebuild and Audit).
 	replaying bool
 
 	decidePending bool
@@ -168,7 +171,7 @@ type Engine struct {
 	decideDur    time.Duration
 	decideMax    time.Duration
 
-	q sim.QueueStats // measurement window, queue-length integral, max queue
+	q sim.QueueStats // measurement window and queue-length integral
 }
 
 // New returns a started engine; it begins scheduling as soon as jobs
@@ -338,7 +341,6 @@ func (e *Engine) onDecide() {
 	e.decidePending = false
 	e.completeDue()
 	e.decideLocked()
-	e.q.Sample(e.clock.Now(), e.l.QueueLen())
 	e.commitLocked()
 	e.armFinish()
 	e.checkIdle()
@@ -388,9 +390,9 @@ func (e *Engine) recordFinish(f sim.Finished) {
 	st.End = f.End
 }
 
-// estimate fixes a queued job's planning estimate at the decision
-// instant now; every event of one decision carries that instant.
-func (e *Engine) estimate(j job.Job, now job.Time) job.Duration {
+// estimate is a queued job's planning estimate, fixed at the first
+// decision point after its arrival.
+func (e *Engine) estimate(j job.Job) job.Duration {
 	est := j.Runtime
 	switch {
 	case e.cfg.Estimator != nil:
@@ -398,64 +400,111 @@ func (e *Engine) estimate(j job.Job, now job.Time) job.Duration {
 	case e.cfg.UseRequested:
 		est = j.Request
 	}
-	if est < 1 {
-		est = 1
-	}
-	if st := e.jobs[j.ID]; st != nil {
-		st.Estimate = est
-	}
-	e.appendEvent(Event{Kind: EvEstimate, At: now, ID: j.ID, Estimate: est})
-	return est
+	return max(est, 1)
 }
 
 func (e *Engine) decideLocked() {
 	if e.fatal != nil || e.l.QueueLen() == 0 {
 		return
 	}
-	now := e.clock.Now()
-	e.l.FillEstimates(func(j job.Job) job.Duration { return e.estimate(j, now) })
-	snap := e.l.Snapshot(now)
+	ev := Event{Kind: EvDecide, At: e.clock.Now()}
 	e.decisions++
-	t0 := time.Now()
-	starts, panicked := e.safeDecide(snap)
-	if panicked {
-		// A panicking policy must not take the machine down: fall back
-		// to a strict FCFS prefix decision, which is always feasible
-		// and never starves the queue head.
-		e.policyPanics++
-		starts = fcfsFallback(snap)
-	}
-	d := time.Since(t0)
-	e.decideDur += d
-	if d > e.decideMax {
-		e.decideMax = d
-	}
-	if len(starts) == 0 {
-		if e.l.RunningLen() == 0 {
-			e.setFatal(fmt.Errorf("engine: policy %q started nothing on an idle machine with %d queued jobs at t=%d",
-				e.cfg.Policy.Name(), e.l.QueueLen(), now))
+	var d time.Duration
+	started, err := e.decide(&ev, func(snap *sim.Snapshot) []int {
+		t0 := time.Now()
+		starts, panicked := e.safeDecide(snap)
+		if panicked {
+			// A panicking policy must not take the machine down: fall
+			// back to a strict FCFS prefix decision, which is always
+			// feasible and never starves the queue head.
+			e.policyPanics++
+			starts = fcfsFallback(snap)
 		}
-		return
-	}
-	e.noteQueueChange(now)
-	started, err := e.l.Start(e.cfg.Policy.Name(), now, starts)
-	if err != nil {
+		d = time.Since(t0)
+		return starts
+	})
+	e.decideDur += d
+	e.decideMax = max(e.decideMax, d)
+	e.appendEvent(ev)
+	switch {
+	case err != nil:
 		e.setFatal(err)
-		return
+	case len(started) == 0 && e.l.RunningLen() == 0:
+		e.setFatal(fmt.Errorf("engine: policy %q started nothing on an idle machine with %d queued jobs at t=%d",
+			e.cfg.Policy.Name(), e.l.QueueLen(), ev.At))
+	case e.cfg.Tracer != nil:
+		e.traceDecision(d, started)
 	}
-	for _, s := range started {
+}
+
+// decide applies one decision at ev.At, live or replayed from the
+// journal: it fixes the estimates of the queued jobs that have none,
+// hands the snapshot the policy sees to choose, starts the queue
+// positions choose returns as one batch and turns those jobs running.
+// Live, the estimator supplies the estimates and ev records them and
+// the starts. Replayed, they come from ev, whose starts the batch must
+// equal, each on its recorded nodes; a nil choose starts them as
+// recorded.
+func (e *Engine) decide(ev *Event, choose func(*sim.Snapshot) []int) ([]sim.Started, error) {
+	if e.replaying {
+		for _, fix := range ev.Estimates {
+			if !e.l.SetEstimate(fix.ID, fix.Estimate) {
+				return nil, fmt.Errorf("estimate for job %d not in queue", fix.ID)
+			}
+			e.jobs[fix.ID].Estimate = fix.Estimate
+		}
+	} else {
+		e.l.FillEstimates(func(j job.Job) job.Duration {
+			est := e.estimate(j)
+			e.jobs[j.ID].Estimate = est
+			ev.Estimates = append(ev.Estimates, Estimate{ID: j.ID, Estimate: est})
+			return est
+		})
+	}
+	var qis []int
+	if choose != nil {
+		qis = choose(e.l.Snapshot(ev.At))
+	} else {
+		for _, s := range ev.Starts {
+			qi, ok := e.l.QueueIndex(s.ID)
+			if !ok {
+				return nil, fmt.Errorf("started job %d not in queue", s.ID)
+			}
+			qis = append(qis, qi)
+		}
+	}
+	var started []sim.Started
+	if len(qis) > 0 {
+		e.noteQueueChange(ev.At)
+		var err error
+		if started, err = e.l.Start(e.cfg.Policy.Name(), ev.At, qis); err != nil {
+			return nil, err
+		}
+	}
+	if e.replaying {
+		var want, got []int
+		for _, r := range ev.Starts {
+			want = append(want, r.ID)
+		}
+		for _, s := range started {
+			got = append(got, s.Job.ID)
+		}
+		if !slices.Equal(got, want) {
+			return nil, fmt.Errorf("t=%d: the journal started %v, %s started %v", ev.At, want, e.cfg.Policy.Name(), got)
+		}
+	}
+	for k, s := range started {
+		if !e.replaying {
+			ev.Starts = append(ev.Starts, Start{ID: s.Job.ID, NodeIDs: slices.Clone(s.NodeIDs)})
+		} else if !slices.Equal(s.NodeIDs, ev.Starts[k].NodeIDs) {
+			return nil, fmt.Errorf("job %d reallocated nodes %v, recorded %v", s.Job.ID, s.NodeIDs, ev.Starts[k].NodeIDs)
+		}
 		st := e.jobs[s.Job.ID]
 		st.State = StateRunning
 		st.Start = s.Start
 		st.NodeIDs = s.NodeIDs
-		e.appendEvent(Event{
-			Kind: EvStart, At: now, ID: s.Job.ID,
-			NodeIDs: append([]int(nil), s.NodeIDs...),
-		})
 	}
-	if e.cfg.Tracer != nil {
-		e.traceDecision(d, started)
-	}
+	return started, nil
 }
 
 // safeDecide consults the policy, converting a panic into a recovered

@@ -240,18 +240,20 @@ type journalLine struct {
 }
 
 // eventWire is the on-disk shape of an Event; pointers and omitempty
-// keep the common lines short.
+// keep the common lines short. The keys of the retired kinds 1 and 2
+// ("est", "nodes") are not reused, so their lines still decode and
+// replay refuses them by kind.
 type eventWire struct {
-	Kind     uint8        `json:"k"`
-	At       job.Time     `json:"t"`
-	Job      *job.Job     `json:"job,omitempty"`
-	ID       int          `json:"id,omitempty"`
-	Estimate job.Duration `json:"est,omitempty"`
-	NodeIDs  []int        `json:"nodes,omitempty"`
+	Kind      uint8      `json:"k"`
+	At        job.Time   `json:"t"`
+	Job       *job.Job   `json:"job,omitempty"`
+	ID        int        `json:"id,omitempty"`
+	Estimates []Estimate `json:"ests,omitempty"`
+	Starts    []Start    `json:"starts,omitempty"`
 }
 
 func eventToWire(ev Event) *eventWire {
-	w := &eventWire{Kind: uint8(ev.Kind), At: ev.At, ID: ev.ID, Estimate: ev.Estimate, NodeIDs: ev.NodeIDs}
+	w := &eventWire{Kind: uint8(ev.Kind), At: ev.At, ID: ev.ID, Estimates: ev.Estimates, Starts: ev.Starts}
 	if ev.Kind == EvSubmit {
 		j := ev.Job
 		w.Job = &j
@@ -260,7 +262,7 @@ func eventToWire(ev Event) *eventWire {
 }
 
 func eventFromWire(w *eventWire) Event {
-	ev := Event{Kind: EventKind(w.Kind), At: w.At, ID: w.ID, Estimate: w.Estimate, NodeIDs: w.NodeIDs}
+	ev := Event{Kind: EventKind(w.Kind), At: w.At, ID: w.ID, Estimates: w.Estimates, Starts: w.Starts}
 	if w.Job != nil {
 		ev.Job = *w.Job
 	}
@@ -281,23 +283,17 @@ func writeLine(w *bufio.Writer, line journalLine) error {
 	return nil
 }
 
-// LoadJournal reads a journal file back: the optional leading base
-// snapshot and the event tail in commit order. A torn tail (a crash
-// mid-write before the fsync boundary: a line that fails to decode, or
-// any data after the file's last newline — a sync flushes each line's
-// trailing newline before the fsync that acknowledges it, so such data
-// was never acknowledged) is ignored, but corruption anywhere else is
-// an error. Lines are read without a length cap, so a compacted base
-// snapshot of any size loads back.
-func LoadJournal(path string) (*Base, []Event, error) {
-	base, events, _, err := loadJournal(path)
-	return base, events, err
-}
-
-// loadJournal is LoadJournal plus the byte offset just past the last
-// cleanly-parsed, newline-terminated line — the length recovery
-// truncates the file to so post-crash appends start on a clean line
-// boundary.
+// loadJournal reads a journal file back: the optional leading base
+// snapshot, the event tail in commit order, and the byte offset just
+// past the last cleanly-parsed, newline-terminated line — the length
+// recovery truncates the file to so post-crash appends start on a clean
+// line boundary. A torn tail (a crash mid-write before the fsync
+// boundary: a line that fails to decode, or any data after the file's
+// last newline — a sync flushes each line's trailing newline before the
+// fsync that acknowledges it, so such data was never acknowledged) is
+// ignored, but corruption anywhere else is an error. Lines are read
+// without a length cap, so a compacted base snapshot of any size loads
+// back.
 func loadJournal(path string) (*Base, []Event, int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -372,7 +368,7 @@ func loadJournal(path string) (*Base, []Event, int64, error) {
 // decided is absorbed by the coalescing (the policy sees the same
 // snapshot it already answered).
 func LoadCheckpoint(path string) (Checkpoint, error) {
-	base, events, err := LoadJournal(path)
+	base, events, _, err := loadJournal(path)
 	if err != nil {
 		return Checkpoint{}, err
 	}

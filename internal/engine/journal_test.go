@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"schedsearch/internal/job"
@@ -71,27 +72,23 @@ func TestFileJournalRoundtrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	e := runWithJournal(t, in, path, 8, 0)
 
-	base, events, err := LoadJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base != nil {
-		t.Fatal("uncompacted journal decoded a base")
-	}
-	mem := e.Checkpoint().Events
-	if len(events) != len(mem) {
-		t.Fatalf("loaded %d events, engine holds %d", len(events), len(mem))
-	}
-	for i := range events {
-		if !reflect.DeepEqual(events[i], mem[i]) {
-			t.Fatalf("event %d: loaded %+v, engine %+v", i, events[i], mem[i])
-		}
-	}
-
 	cp, err := LoadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if cp.Base != nil {
+		t.Fatal("uncompacted journal decoded a base")
+	}
+	mem := e.Checkpoint().Events
+	if len(cp.Events) != len(mem) {
+		t.Fatalf("loaded %d events, engine holds %d", len(cp.Events), len(mem))
+	}
+	for i := range cp.Events {
+		if !reflect.DeepEqual(cp.Events[i], mem[i]) {
+			t.Fatalf("event %d: loaded %+v, engine %+v", i, cp.Events[i], mem[i])
+		}
+	}
+
 	re, err := Rebuild(Config{
 		Capacity: in.Capacity, Policy: policy.FCFSBackfill(), Clock: NewVirtualClock(),
 		MeasureStart: in.MeasureStart, MeasureEnd: in.MeasureEnd,
@@ -111,25 +108,21 @@ func TestFileJournalCompactedRoundtrip(t *testing.T) {
 	const every = 32
 	e := runWithJournal(t, in, path, 8, every)
 
-	base, events, err := LoadJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base == nil {
-		t.Fatal("compacted journal has no base line")
-	}
-	tail := e.Checkpoint().Events
-	if len(events) != len(tail) {
-		t.Fatalf("file tail %d events, engine tail %d", len(events), len(tail))
-	}
-	if len(events) > every+in.Capacity {
-		t.Fatalf("tail %d events, want bounded near %d", len(events), every)
-	}
-
 	cp, err := LoadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if cp.Base == nil {
+		t.Fatal("compacted journal has no base line")
+	}
+	tail := e.Checkpoint().Events
+	if len(cp.Events) != len(tail) {
+		t.Fatalf("file tail %d events, engine tail %d", len(cp.Events), len(tail))
+	}
+	if len(cp.Events) > every+in.Capacity {
+		t.Fatalf("tail %d events, want bounded near %d", len(cp.Events), every)
+	}
+
 	re, err := Rebuild(Config{
 		Capacity: in.Capacity, Policy: policy.FCFSBackfill(), Clock: NewVirtualClock(),
 		MeasureStart: in.MeasureStart, MeasureEnd: in.MeasureEnd,
@@ -260,12 +253,12 @@ func TestFileJournalGroupCommit(t *testing.T) {
 	if err := fj.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, events, err := LoadJournal(path)
+	cp, err := LoadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != n {
-		t.Fatalf("loaded %d events, want %d", len(events), n)
+	if len(cp.Events) != n {
+		t.Fatalf("loaded %d events, want %d", len(cp.Events), n)
 	}
 }
 
@@ -298,12 +291,12 @@ func TestLoadJournalTornTail(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, events, err := LoadJournal(path)
+	cp, err := LoadCheckpoint(path)
 	if err != nil {
 		t.Fatalf("torn tail should be tolerated: %v", err)
 	}
-	if len(events) != 3 {
-		t.Fatalf("loaded %d events, want 3", len(events))
+	if len(cp.Events) != 3 {
+		t.Fatalf("loaded %d events, want 3", len(cp.Events))
 	}
 
 	// Mid-file corruption: a broken line followed by a good one errors.
@@ -315,7 +308,7 @@ func TestLoadJournalTornTail(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadJournal(path); err == nil {
+	if _, err := LoadCheckpoint(path); err == nil {
 		t.Fatal("mid-file corruption silently ignored")
 	}
 }
@@ -378,15 +371,15 @@ func TestRecoverCheckpointTruncatesTornTail(t *testing.T) {
 	if err := fj2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, events, err := LoadJournal(path)
+	cp, err = LoadCheckpoint(path)
 	if err != nil {
 		t.Fatalf("journal unreadable after post-recovery append: %v", err)
 	}
-	if len(events) != 4 {
-		t.Fatalf("loaded %d events after post-recovery append, want 4", len(events))
+	if len(cp.Events) != 4 {
+		t.Fatalf("loaded %d events after post-recovery append, want 4", len(cp.Events))
 	}
-	if events[3].Job.ID != 4 {
-		t.Fatalf("post-recovery event holds job %d, want 4", events[3].Job.ID)
+	if cp.Events[3].Job.ID != 4 {
+		t.Fatalf("post-recovery event holds job %d, want 4", cp.Events[3].Job.ID)
 	}
 }
 
@@ -417,12 +410,12 @@ func TestLoadJournalUnterminatedTail(t *testing.T) {
 	if err := os.WriteFile(path, append(raw, raw[:len(raw)-1]...), 0644); err != nil {
 		t.Fatal(err)
 	}
-	_, events, err := LoadJournal(path)
+	cp, err := LoadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 1 {
-		t.Fatalf("loaded %d events, want 1 (unterminated tail kept)", len(events))
+	if len(cp.Events) != 1 {
+		t.Fatalf("loaded %d events, want 1 (unterminated tail kept)", len(cp.Events))
 	}
 	if _, err := RecoverCheckpoint(path); err != nil {
 		t.Fatal(err)
@@ -468,22 +461,18 @@ func TestFileJournalCompactRewritesFile(t *testing.T) {
 	if err := fj.Close(); err != nil {
 		t.Fatal(err)
 	}
-	base, events, err := LoadJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base == nil {
-		t.Fatal("compacted file has no base")
-	}
-	if len(events) != 0 {
-		t.Fatalf("compacted file has %d tail events, want 0", len(events))
-	}
-	if len(base.Done) != len(in.Jobs) {
-		t.Fatalf("base holds %d done jobs, want %d", len(base.Done), len(in.Jobs))
-	}
 	cp, err := LoadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cp.Base == nil {
+		t.Fatal("compacted file has no base")
+	}
+	if len(cp.Events) != 0 {
+		t.Fatalf("compacted file has %d tail events, want 0", len(cp.Events))
+	}
+	if len(cp.Base.Done) != len(in.Jobs) {
+		t.Fatalf("base holds %d done jobs, want %d", len(cp.Base.Done), len(in.Jobs))
 	}
 	re, err := Rebuild(Config{
 		Capacity: in.Capacity, Policy: policy.FCFSBackfill(), Clock: NewVirtualClock(),
@@ -492,4 +481,50 @@ func TestFileJournalCompactRewritesFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	diffRecords(t, e.Records(), re.Records())
+}
+
+// TestEventKindsAreTheFormat pins the journal's kind numbers, which are
+// its on-disk format, and that a line of a retired kind (1 or 2, from a
+// journal written before a decision was one event) still decodes but
+// is refused at replay instead of being read as something else.
+func TestEventKindsAreTheFormat(t *testing.T) {
+	for k, want := range map[EventKind]uint8{EvSubmit: 0, EvFinish: 3, EvWithdraw: 4, EvDecide: 5} {
+		if uint8(k) != want {
+			t.Errorf("%v is kind %d, the format says %d", k, uint8(k), want)
+		}
+	}
+	for _, old := range []string{
+		`{"ev":{"k":1,"t":0,"id":1,"est":100}}`,
+		`{"ev":{"k":2,"t":0,"id":1,"nodes":[0,1]}}`,
+	} {
+		path := filepath.Join(t.TempDir(), "journal.jsonl")
+		fj, err := OpenFileJournal(path, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fj.Append(Event{Kind: EvSubmit, Job: job.Job{ID: 1, Nodes: 2, Runtime: 100, Request: 100}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := fj.Close(); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteString(old + "\n"); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		cp, err := LoadCheckpoint(path)
+		if err != nil || len(cp.Events) != 2 {
+			t.Fatalf("%s: loaded %d events, err %v; want both lines decoded", old, len(cp.Events), err)
+		}
+		_, err = Rebuild(Config{Capacity: 8, Policy: policy.FCFSBackfill(), Clock: NewVirtualClock()}, cp)
+		if err == nil || !strings.Contains(err.Error(), "unknown kind") {
+			t.Fatalf("%s: rebuild returned %v, want an unknown kind", old, err)
+		}
+	}
 }

@@ -94,7 +94,6 @@ func (e *Engine) Metrics() Metrics {
 	if window := float64(measureEnd - res.MeasureStart); window > 0 {
 		res.AvgQueueLen = e.q.Integral(now, e.l.QueueLen()) / window
 	}
-	res.MaxQueueLen = e.q.Max
 
 	m := Metrics{
 		Policy:   res.Policy,

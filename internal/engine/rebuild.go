@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"schedsearch/internal/job"
@@ -10,24 +9,26 @@ import (
 	"schedsearch/internal/sim"
 )
 
-// EventKind tags one committed engine event in the journal.
+// EventKind tags one committed engine event in the journal. The
+// numbers are the on-disk format: 1 and 2 are retired (a journal that
+// holds them predates EvDecide and is refused at replay, never read
+// as something else) and are not reused.
 type EventKind uint8
 
 const (
 	// EvSubmit is a job admission; Job carries the admitted job with
 	// its stamped submit time.
-	EvSubmit EventKind = iota
-	// EvEstimate fixes a queued job's planning estimate (assigned at
-	// the first decision point after arrival).
-	EvEstimate
-	// EvStart dispatches a job; NodeIDs records the concrete
-	// allocation for verification on rebuild.
-	EvStart
-	// EvFinish completes a job at time At.
-	EvFinish
-	// EvWithdraw removes a still-waiting job from the queue without
+	EvSubmit EventKind = 0
+	// EvFinish completes job ID at time At.
+	EvFinish EventKind = 3
+	// EvWithdraw removes still-waiting job ID from the queue without
 	// starting it (a federation migration moved it to another shard).
-	EvWithdraw
+	EvWithdraw EventKind = 4
+	// EvDecide is one policy decision at instant At: the planning
+	// estimates it fixed and the jobs it started, in order, with their
+	// concrete nodes. Every decision the engine makes writes one,
+	// including one that starts nothing.
+	EvDecide EventKind = 5
 )
 
 // String names the event kind.
@@ -35,14 +36,12 @@ func (k EventKind) String() string {
 	switch k {
 	case EvSubmit:
 		return "submit"
-	case EvEstimate:
-		return "estimate"
-	case EvStart:
-		return "start"
 	case EvFinish:
 		return "finish"
 	case EvWithdraw:
 		return "withdraw"
+	case EvDecide:
+		return "decide"
 	default:
 		return fmt.Sprintf("EventKind(%d)", int(k))
 	}
@@ -55,12 +54,25 @@ type Event struct {
 	At   job.Time
 	// Job is the admitted job (EvSubmit only).
 	Job job.Job
-	// ID identifies the job for every other kind.
+	// ID identifies the job (EvFinish and EvWithdraw).
 	ID int
-	// Estimate is the fixed planning estimate (EvEstimate only).
-	Estimate job.Duration
-	// NodeIDs is the recorded concrete allocation (EvStart only).
-	NodeIDs []int
+	// Estimates and Starts are the decision (EvDecide only).
+	Estimates []Estimate
+	Starts    []Start
+}
+
+// Estimate is one planning estimate a decision fixed for a queued job
+// (at the first decision point after its arrival).
+type Estimate struct {
+	ID       int          `json:"id"`
+	Estimate job.Duration `json:"est"`
+}
+
+// Start is one job a decision started, with the concrete nodes it was
+// given; replay requires the job to land on the same nodes.
+type Start struct {
+	ID      int   `json:"id"`
+	NodeIDs []int `json:"nodes"`
 }
 
 // Checkpoint is a consistent snapshot of the engine's committed
@@ -127,9 +139,8 @@ func (e *Engine) Checkpoint() Checkpoint {
 // construction (the crash lost them); estimator state is reconstructed
 // by replaying completions in order. Attach a fresh Observer — it
 // re-observes the replayed history before live events. The effort
-// counters (decisions, latency) and the max-queue statistic restart at
-// the rebuild point; the committed schedule and the queue-length
-// integral do not.
+// counters (decisions, latency) restart at the rebuild point; the
+// committed schedule and the queue-length integral do not.
 //
 // A compacted checkpoint (cp.Base != nil) restores the base state
 // directly — running jobs land on their exact recorded nodes, so the
@@ -162,7 +173,7 @@ func Rebuild(cfg Config, cp Checkpoint) (*Engine, error) {
 		e.base = &b
 	}
 	for i, ev := range cp.Events {
-		if err := e.replayEvent(i, ev, cp.Events); err != nil {
+		if err := e.replayEvent(i, ev, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -177,117 +188,52 @@ func Rebuild(cfg Config, cp Checkpoint) (*Engine, error) {
 }
 
 // Audit re-decides every decision the checkpoint's journal records. It
-// replays cp onto a fresh ledger, as Rebuild does, and at each decision
-// point asks cfg.Policy to decide on the snapshot the live policy saw.
-// visit receives each re-decided decision (and may keep it); Audit then
-// requires its starts, in order, to equal the journal's, and at the
-// first difference returns an error naming the event index, the instant
-// and both ID lists. Only cfg.Capacity and cfg.Policy are read.
-//
-// A decision point is one of three things in the journal:
-//   - a run of EvEstimate events, which only a decision writes, and the
-//     EvStart run after it at the same instant;
-//   - an EvStart run with no estimates before it;
-//   - a requested decision that left no event: after a submit, or after
-//     finishes that leave jobs waiting (onFinish requests a decision
-//     only then), the instant's events end with neither run while jobs
-//     wait, all estimated, and the journal goes on. It is re-decided
-//     after the instant's last event and must start nothing.
-//
-// Withdraws request no decision. On a VirtualClock this is exact: the
-// count equals the engine's decisions. On a RealClock a decision fires
-// a little after its request, so one that started nothing may be
-// re-decided at the wrong instant, and a policy whose state changes at
-// every Decide (Fairshare, meta) can then report a divergence.
+// replays cp onto a fresh ledger, as Rebuild does, and at each EvDecide
+// fixes the decision's estimates and asks cfg.Policy to decide on the
+// snapshot the live policy saw. visit receives each re-decided decision
+// (and may keep it); Audit then requires its starts, in order, to equal
+// the journal's, and at the first difference returns an error naming
+// the event index, the instant and both ID lists. Only cfg.Capacity and
+// cfg.Policy are read. Every decision the engine made is one EvDecide,
+// so on any clock, and stretch by stretch across compactions, Audit
+// re-decides exactly the engine's decisions.
 func Audit(cfg Config, cp Checkpoint, visit func(*obs.DecisionRecord)) error {
 	e, err := New(Config{Capacity: cfg.Capacity, Policy: cfg.Policy})
 	if err != nil {
 		return err
 	}
+	e.replaying = true
 	if cp.Base != nil {
 		if err := e.restoreBaseLocked(*cp.Base); err != nil {
 			return err
 		}
 	}
 	var seq int64
-	decide := func(i int, at job.Time, want []int) error {
-		snap := e.l.Snapshot(at)
+	redecide := func(snap *sim.Snapshot) []int {
 		t0 := time.Now()
 		starts := cfg.Policy.Decide(snap)
 		rec := &obs.DecisionRecord{}
-		fillDecisionRecord(rec, cfg.Policy, at, len(snap.Queue), time.Since(t0))
+		fillDecisionRecord(rec, cfg.Policy, snap.Now, len(snap.Queue), time.Since(t0))
 		seq++
 		rec.Seq = seq
 		for _, qi := range starts {
 			rec.Started = append(rec.Started, snap.Queue[qi].Job.ID)
 		}
 		visit(rec)
-		if !slices.Equal(rec.Started, want) {
-			return fmt.Errorf("engine: audit: event %d, t=%d: the journal started %v, %s started %v",
-				i, at, want, cfg.Policy.Name(), rec.Started)
-		}
-		return nil
+		return starts
 	}
-	// pending marks a decision requested at instant requested that the
-	// journal has not shown yet.
-	pending, requested := false, job.Time(0)
-	events := cp.Events
-	for i := 0; i < len(events); {
-		ev := events[i]
-		if ev.Kind != EvEstimate && ev.Kind != EvStart {
-			if pending && ev.At > requested {
-				// A decision that left no event, unless a job still lacks
-				// its estimate (the decision is still to come).
-				snap := e.l.Snapshot(requested)
-				if !slices.ContainsFunc(snap.Queue, func(w sim.WaitingJob) bool { return w.Estimate == 0 }) {
-					pending = false
-					if len(snap.Queue) > 0 {
-						if err := decide(i, requested, nil); err != nil {
-							return err
-						}
-					}
-				}
-			}
-			if err := e.replayEvent(i, ev, events); err != nil {
-				return err
-			}
-			if ev.Kind == EvSubmit || ev.Kind == EvFinish && e.l.QueueLen() > 0 {
-				// A decision never precedes an event already journaled.
-				pending, requested = true, max(requested, ev.At)
-			}
-			i++
-			continue
-		}
-		// One decision: its estimates, then its starts, all at ev.At. It
-		// answers the pending request, whatever that request's instant.
-		var want []int
-		k := i
-		for ; k < len(events) && events[k].At == ev.At; k++ {
-			if events[k].Kind == EvStart {
-				want = append(want, events[k].ID)
-			} else if events[k].Kind != EvEstimate || len(want) > 0 {
-				break
-			} else if err := e.replayEvent(k, events[k], events); err != nil {
-				return err
-			}
-		}
-		pending = false
-		if err := decide(i, ev.At, want); err != nil {
+	for i, ev := range cp.Events {
+		if err := e.replayEvent(i, ev, redecide); err != nil {
 			return err
 		}
-		for ; i < k; i++ {
-			if events[i].Kind == EvStart {
-				if err := e.replayEvent(i, events[i], events); err != nil {
-					return err
-				}
-			}
-		}
 	}
-	// A request still pending at the end is answered after the journal.
 	return nil
 }
 
-func (e *Engine) replayEvent(i int, ev Event, events []Event) error {
+// replayEvent applies journaled event i. An EvDecide goes through
+// decide like a live decision; choose, when non-nil, re-decides it
+// (Audit), else it starts what the journal recorded (Rebuild).
+func (e *Engine) replayEvent(i int, ev Event, choose func(*sim.Snapshot) []int) error {
 	switch ev.Kind {
 	case EvSubmit:
 		j := ev.Job
@@ -304,37 +250,9 @@ func (e *Engine) replayEvent(i int, ev Event, events []Event) error {
 		if j.ID >= e.nextID {
 			e.nextID = j.ID + 1
 		}
-	case EvEstimate:
-		if !e.l.SetEstimate(ev.ID, ev.Estimate) {
-			return fmt.Errorf("engine: rebuild: event %d: estimate for job %d not in queue", i, ev.ID)
-		}
-		if st := e.jobs[ev.ID]; st != nil {
-			st.Estimate = ev.Estimate
-		}
-	case EvStart:
-		qi, ok := e.l.QueueIndex(ev.ID)
-		if !ok {
-			return fmt.Errorf("engine: rebuild: event %d: started job %d not in queue", i, ev.ID)
-		}
-		e.noteQueueChange(ev.At)
-		started, err := e.l.Start(e.cfg.Policy.Name(), ev.At, []int{qi})
-		if err != nil {
+	case EvDecide:
+		if _, err := e.decide(&ev, choose); err != nil {
 			return fmt.Errorf("engine: rebuild: event %d: %w", i, err)
-		}
-		s := started[0]
-		if !slices.Equal(s.NodeIDs, ev.NodeIDs) {
-			return fmt.Errorf("engine: rebuild: event %d: job %d reallocated nodes %v, recorded %v",
-				i, ev.ID, s.NodeIDs, ev.NodeIDs)
-		}
-		st := e.jobs[ev.ID]
-		st.State = StateRunning
-		st.Start = s.Start
-		st.NodeIDs = s.NodeIDs
-		// The live engine samples the queue length at decision points
-		// (after the whole batch of starts); mirror that at the last
-		// start of each replayed batch.
-		if i+1 >= len(events) || events[i+1].Kind != EvStart {
-			e.q.Sample(ev.At, e.l.QueueLen())
 		}
 	case EvFinish:
 		f, ok := e.l.PopDue(ev.At)

@@ -286,11 +286,11 @@ func TestWithdrawRetryIdempotent(t *testing.T) {
 	}
 	countEvents := func(path string, id int) (submits, withdraws int) {
 		t.Helper()
-		_, events, err := engine.LoadJournal(path)
+		cp, err := engine.LoadCheckpoint(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ev := range events {
+		for _, ev := range cp.Events {
 			switch {
 			case ev.Kind == engine.EvSubmit && ev.Job.ID == id:
 				submits++

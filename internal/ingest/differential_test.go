@@ -192,17 +192,17 @@ func TestBatchedIngestMatchesSerial(t *testing.T) {
 			if err := batchSink.Close(); err != nil {
 				t.Fatal(err)
 			}
-			_, serialEvents, err := engine.LoadJournal(serialSink.Path())
+			serial, err := engine.LoadCheckpoint(serialSink.Path())
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, batchEvents, err := engine.LoadJournal(batchSink.Path())
+			batch, err := engine.LoadCheckpoint(batchSink.Path())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(serialEvents, batchEvents) {
+			if !reflect.DeepEqual(serial.Events, batch.Events) {
 				t.Errorf("journal event streams diverge: serial %d events, batched %d",
-					len(serialEvents), len(batchEvents))
+					len(serial.Events), len(batch.Events))
 			}
 			// ...while the batched side actually coalesced fsyncs.
 			ss, bs := serialSink.Stats(), batchSink.Stats()

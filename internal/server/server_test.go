@@ -294,12 +294,12 @@ func TestServerSingleSubmitSyncsJournal(t *testing.T) {
 		t.Fatalf("acknowledged submit left %d appends unsynced (stats %+v)", st.Appends, st)
 	}
 	// The acknowledged submit is already on disk.
-	_, events, err := engine.LoadJournal(path)
+	cp, err := engine.LoadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) == 0 || events[0].Kind != engine.EvSubmit {
-		t.Fatalf("journal holds %d events, want the acknowledged EvSubmit first", len(events))
+	if len(cp.Events) == 0 || cp.Events[0].Kind != engine.EvSubmit {
+		t.Fatalf("journal holds %d events, want the acknowledged EvSubmit first", len(cp.Events))
 	}
 }
 

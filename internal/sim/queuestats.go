@@ -14,8 +14,8 @@ type QueueStats struct {
 	Start, End job.Time
 	Explicit   bool
 	// Area integrates queue length over the window up to Last, the last
-	// queue change; Max is the longest queue sampled inside the window.
-	// (engine.Base persists these three.)
+	// queue change (engine.Base persists both); Max is the longest
+	// queue Run sampled inside the window.
 	Area float64
 	Last job.Time
 	Max  int
