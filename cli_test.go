@@ -288,15 +288,15 @@ func TestScheddFanout(t *testing.T) {
 	}
 
 	// Each shard partition holds 8 nodes. Four 8-node jobs fill the
-	// machine, so the four 4-node jobs after them must wait; every job
-	// must complete on some shard, over the wire.
+	// machine, one per shard, so the four 4-node jobs after them must
+	// wait. The first 8-node job ends soonest, so best-fit stacks all
+	// four behind it, and the last and longest makes that shard's
+	// backlog the largest by more than a short job's share: the
+	// rebalance pass must move a waiting job off it. Every job must
+	// complete on some shard, over the wire.
 	var ids []int
-	for k := 0; k < 8; k++ {
-		nodes := 8
-		if k >= 4 {
-			nodes = 4
-		}
-		body := fmt.Sprintf(`{"nodes":%d,"runtime_s":300,"user":%d}`, nodes, k)
+	for k, spec := range [][2]int{{8, 300}, {8, 900}, {8, 900}, {8, 900}, {4, 150}, {4, 150}, {4, 150}, {4, 1200}} {
+		body := fmt.Sprintf(`{"nodes":%d,"runtime_s":%d,"user":%d}`, spec[0], spec[1], k)
 		resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatalf("POST /v1/jobs: %v", err)
@@ -359,11 +359,12 @@ func TestScheddFanout(t *testing.T) {
 	}
 
 	// Each shard child journaled its own events, and each journal,
-	// written on the wall clock with whatever the rebalance pass moved
-	// in it, re-decides clean under the shards' policy: every EvDecide,
-	// some of which started nothing while a job waited.
+	// written on the wall clock with what the rebalance pass moved out
+	// of it (an EvWithdraw) and into it, re-decides clean under the
+	// shards' policy: every EvDecide, some of which started nothing
+	// while a job waited.
 	sim := buildCmd(t, dir, "schedsim")
-	idle := 0
+	idle, withdraws := 0, 0
 	for s := 0; s < 4; s++ {
 		path := filepath.Join(dir, fmt.Sprintf("fan.journal.shard-%d", s))
 		cp, err := engine.LoadCheckpoint(path)
@@ -372,11 +373,14 @@ func TestScheddFanout(t *testing.T) {
 		}
 		decides := 0
 		for _, ev := range cp.Events {
-			if ev.Kind == engine.EvDecide {
+			switch ev.Kind {
+			case engine.EvDecide:
 				decides++
 				if len(ev.Starts) == 0 {
 					idle++
 				}
+			case engine.EvWithdraw:
+				withdraws++
 			}
 		}
 		if decides == 0 {
@@ -396,6 +400,9 @@ func TestScheddFanout(t *testing.T) {
 	}
 	if idle == 0 {
 		t.Fatal("no shard journal holds a decision that started nothing")
+	}
+	if withdraws == 0 {
+		t.Fatal("no shard journal holds a withdrawal: the rebalance pass never migrated a job")
 	}
 }
 

@@ -202,7 +202,6 @@ type vtimer struct {
 	stopped bool
 	fired   bool
 	c       *VirtualClock
-	idx     int
 }
 
 // Stop implements Timer. A stopped timer stays in the heap and is
@@ -227,15 +226,8 @@ func (h *vtimerHeap) Less(i, k int) bool {
 	}
 	return h.ts[i].seq < h.ts[k].seq
 }
-func (h *vtimerHeap) Swap(i, k int) {
-	h.ts[i], h.ts[k] = h.ts[k], h.ts[i]
-	h.ts[i].idx, h.ts[k].idx = i, k
-}
-func (h *vtimerHeap) Push(x any) {
-	t := x.(*vtimer)
-	t.idx = len(h.ts)
-	h.ts = append(h.ts, t)
-}
+func (h *vtimerHeap) Swap(i, k int) { h.ts[i], h.ts[k] = h.ts[k], h.ts[i] }
+func (h *vtimerHeap) Push(x any)    { h.ts = append(h.ts, x.(*vtimer)) }
 func (h *vtimerHeap) Pop() any {
 	last := len(h.ts) - 1
 	t := h.ts[last]

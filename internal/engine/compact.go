@@ -81,7 +81,7 @@ func (e *Engine) compactLocked() error {
 		}
 	}
 	e.base = &base
-	e.journal = e.journal[:0]
+	e.journal.reset()
 	e.compactions++
 	return nil
 }

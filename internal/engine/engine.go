@@ -137,7 +137,7 @@ type Engine struct {
 	jobs    map[int]*JobStatus
 	nextID  int
 	records []sim.Record
-	journal []Event
+	journal eventLog
 	// withdrawn tombstones every job Withdraw removed, keyed by ID.
 	// They make migration withdrawals idempotent over a lossy wire: a
 	// retried Withdraw whose original landed finds the tombstone and
@@ -281,7 +281,7 @@ func (e *Engine) submitLocked(j job.Job, preserveSubmit bool) error {
 // fatal: the engine must not keep scheduling decisions it cannot
 // recover.
 func (e *Engine) appendEvent(ev Event) {
-	e.journal = append(e.journal, ev)
+	e.journal.append(ev)
 	if e.cfg.Journal != nil && !e.replaying {
 		if err := e.cfg.Journal.Append(ev); err != nil {
 			e.setFatal(fmt.Errorf("engine: journal append: %w", err))
@@ -302,7 +302,7 @@ func (e *Engine) commitLocked() {
 			return
 		}
 	}
-	if e.cfg.CompactEvery > 0 && len(e.journal) >= e.cfg.CompactEvery {
+	if e.cfg.CompactEvery > 0 && e.journal.n >= e.cfg.CompactEvery {
 		_ = e.compactLocked()
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"time"
 
@@ -62,16 +63,20 @@ type SyncLatencyReporter interface {
 
 // FileJournal is a durable JournalSink: a JSON-lines file holding an
 // optional leading {"base": ...} snapshot followed by {"ev": ...}
-// events in commit order. Commit fsyncs only once `group` events have
-// accumulated since the last sync (group commit); Sync forces the
-// boundary early (the ingest committer calls it once per accepted
-// batch group, so a batch is acknowledged only after its events are
-// durable). Compact rewrites the file atomically (temp file + rename).
+// events in commit order: Append writes event lines with
+// appendEventLine, byte-equal to encoding/json's, Compact base lines
+// with encoding/json, and loadJournal reads both. Commit fsyncs only
+// once `group` events have accumulated since the last sync (group
+// commit); Sync forces the boundary early (the ingest committer calls
+// it once per accepted batch group, so a batch is acknowledged only
+// after its events are durable). Compact rewrites the file atomically
+// (temp file + rename).
 type FileJournal struct {
 	mu      sync.Mutex
 	path    string
 	f       *os.File
 	w       *bufio.Writer
+	line    []byte // Append's encoding buffer, reused
 	group   int
 	pending int
 	stats   JournalStats
@@ -104,8 +109,9 @@ func (fj *FileJournal) Append(ev Event) error {
 	if fj.f == nil {
 		return errors.New("engine: journal closed")
 	}
-	if err := writeLine(fj.w, journalLine{Ev: eventToWire(ev)}); err != nil {
-		return err
+	fj.line = appendEventLine(fj.line[:0], ev)
+	if _, err := fj.w.Write(fj.line); err != nil {
+		return fmt.Errorf("engine: journal write: %w", err)
 	}
 	fj.pending++
 	fj.stats.Appends++
@@ -159,29 +165,14 @@ func (fj *FileJournal) Compact(base Base) error {
 		return errors.New("engine: journal closed")
 	}
 	tmp := fj.path + ".compact"
-	nf, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	nf, err := writeBase(tmp, base)
+	if err == nil {
+		if err = os.Rename(tmp, fj.path); err != nil {
+			nf.Close()
+			os.Remove(tmp)
+		}
+	}
 	if err != nil {
-		return fmt.Errorf("engine: journal compact: %w", err)
-	}
-	nw := bufio.NewWriter(nf)
-	if err := writeLine(nw, journalLine{Base: &base}); err != nil {
-		nf.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := nw.Flush(); err != nil {
-		nf.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("engine: journal compact: %w", err)
-	}
-	if err := nf.Sync(); err != nil {
-		nf.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("engine: journal compact: %w", err)
-	}
-	if err := os.Rename(tmp, fj.path); err != nil {
-		nf.Close()
-		os.Remove(tmp)
 		return fmt.Errorf("engine: journal compact: %w", err)
 	}
 	// The rename is durable once the directory entry is synced.
@@ -191,12 +182,35 @@ func (fj *FileJournal) Compact(base Base) error {
 	}
 	old := fj.f
 	fj.f = nf
-	fj.w = nw
+	fj.w.Reset(nf)
 	fj.pending = 0
 	fj.stats.Compactions++
 	fj.stats.Syncs++
 	old.Close()
 	return nil
+}
+
+// writeBase writes a journal holding only base's line to path, fsyncs
+// it and returns it open for appending; on an error nothing is left at
+// path.
+func writeBase(path string, base Base) (*os.File, error) {
+	buf, err := json.Marshal(journalLine{Base: &base})
+	if err != nil {
+		return nil, err
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if _, err = f.Write(append(buf, '\n')); err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(path)
+		return nil, err
+	}
+	return f, nil
 }
 
 // Stats implements StatsReporter.
@@ -242,7 +256,8 @@ type journalLine struct {
 // eventWire is the on-disk shape of an Event; pointers and omitempty
 // keep the common lines short. The keys of the retired kinds 1 and 2
 // ("est", "nodes") are not reused, so their lines still decode and
-// replay refuses them by kind.
+// replay refuses them by kind. appendEventLine writes this shape by
+// hand and must change with it.
 type eventWire struct {
 	Kind      uint8      `json:"k"`
 	At        job.Time   `json:"t"`
@@ -250,15 +265,6 @@ type eventWire struct {
 	ID        int        `json:"id,omitempty"`
 	Estimates []Estimate `json:"ests,omitempty"`
 	Starts    []Start    `json:"starts,omitempty"`
-}
-
-func eventToWire(ev Event) *eventWire {
-	w := &eventWire{Kind: uint8(ev.Kind), At: ev.At, ID: ev.ID, Estimates: ev.Estimates, Starts: ev.Starts}
-	if ev.Kind == EvSubmit {
-		j := ev.Job
-		w.Job = &j
-	}
-	return w
 }
 
 func eventFromWire(w *eventWire) Event {
@@ -269,18 +275,64 @@ func eventFromWire(w *eventWire) Event {
 	return ev
 }
 
-func writeLine(w *bufio.Writer, line journalLine) error {
-	buf, err := json.Marshal(line)
-	if err != nil {
-		return fmt.Errorf("engine: journal encode: %w", err)
+// appendEventLine appends ev's journal line to b, trailing newline
+// included: byte for byte what encoding/json writes for the line
+// {"ev": eventWire} (keys in eventWire's order, job only on EvSubmit,
+// empty id, ests and starts omitted, a nil node list as null), but
+// without reflection or allocation. TestJournalLineMatchesMarshal holds
+// the two equal, so a change to eventWire changes this too.
+func appendEventLine(b []byte, ev Event) []byte {
+	b = appendInt(b, `{"ev":{"k":`, int64(ev.Kind))
+	b = appendInt(b, `,"t":`, ev.At)
+	if ev.Kind == EvSubmit {
+		j := ev.Job
+		b = appendInt(b, `,"job":{"ID":`, int64(j.ID))
+		b = appendInt(b, `,"Submit":`, j.Submit)
+		b = appendInt(b, `,"Nodes":`, int64(j.Nodes))
+		b = appendInt(b, `,"Runtime":`, j.Runtime)
+		b = appendInt(b, `,"Request":`, j.Request)
+		b = appendInt(b, `,"User":`, int64(j.User))
+		b = append(b, '}')
 	}
-	if _, err := w.Write(buf); err != nil {
-		return fmt.Errorf("engine: journal write: %w", err)
+	if ev.ID != 0 {
+		b = appendInt(b, `,"id":`, int64(ev.ID))
 	}
-	if err := w.WriteByte('\n'); err != nil {
-		return fmt.Errorf("engine: journal write: %w", err)
+	if len(ev.Estimates) > 0 {
+		b = append(b, `,"ests":[`...)
+		for _, fix := range ev.Estimates {
+			b = appendInt(b, `{"id":`, int64(fix.ID))
+			b = appendInt(b, `,"est":`, fix.Estimate)
+			b = append(b, "},"...)
+		}
+		b[len(b)-1] = ']'
 	}
-	return nil
+	if len(ev.Starts) > 0 {
+		b = append(b, `,"starts":[`...)
+		for _, s := range ev.Starts {
+			b = appendInt(b, `{"id":`, int64(s.ID))
+			b = append(b, `,"nodes":`...)
+			if s.NodeIDs == nil {
+				b = append(b, "null"...)
+			} else {
+				b = append(b, '[')
+				for k, n := range s.NodeIDs {
+					if k > 0 {
+						b = append(b, ',')
+					}
+					b = strconv.AppendInt(b, int64(n), 10)
+				}
+				b = append(b, ']')
+			}
+			b = append(b, "},"...)
+		}
+		b[len(b)-1] = ']'
+	}
+	return append(b, "}}\n"...)
+}
+
+// appendInt appends key and then v in decimal.
+func appendInt(b []byte, key string, v int64) []byte {
+	return strconv.AppendInt(append(b, key...), v, 10)
 }
 
 // loadJournal reads a journal file back: the optional leading base

@@ -120,7 +120,7 @@ func (e *Engine) countersLocked() Counters {
 		c.AvgDecideMs = float64(e.decideDur.Microseconds()) / 1000 / float64(e.decisions)
 	}
 	c.MaxDecideMs = float64(e.decideMax.Microseconds()) / 1000
-	c.JournalTail = int64(len(e.journal))
+	c.JournalTail = int64(e.journal.n)
 	c.Compactions = e.compactions
 	if sr, ok := e.cfg.Journal.(StatsReporter); ok {
 		st := sr.Stats()

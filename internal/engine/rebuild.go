@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"schedsearch/internal/job"
@@ -75,6 +76,37 @@ type Start struct {
 	NodeIDs []int `json:"nodes"`
 }
 
+// eventLog is the engine's in-memory journal tail: events in commit
+// order, held in fixed chunks of logChunk, so an append never copies or
+// re-clears the events before it.
+type eventLog struct {
+	chunks [][]Event // full before chunk n/logChunk, empty after it
+	n      int
+}
+
+const logChunk = 1024
+
+func (l *eventLog) append(ev Event) {
+	c := l.n / logChunk
+	if c == len(l.chunks) {
+		l.chunks = append(l.chunks, make([]Event, 0, logChunk))
+	}
+	l.chunks[c] = append(l.chunks[c], ev)
+	l.n++
+}
+
+// events returns a copy of the log, nil when it is empty.
+func (l *eventLog) events() []Event { return slices.Concat(l.chunks...) }
+
+// reset empties the log and keeps its chunks for reuse.
+func (l *eventLog) reset() {
+	for i := range l.chunks {
+		clear(l.chunks[i])
+		l.chunks[i] = l.chunks[i][:0]
+	}
+	l.n = 0
+}
+
 // Checkpoint is a consistent snapshot of the engine's committed
 // history, sufficient to Rebuild an equivalent engine after a crash.
 type Checkpoint struct {
@@ -112,7 +144,7 @@ func (e *Engine) Checkpoint() Checkpoint {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	cp := Checkpoint{
-		Events:        append([]Event(nil), e.journal...),
+		Events:        e.journal.events(),
 		DecidePending: e.decidePending,
 		Draining:      e.draining,
 	}
@@ -281,6 +313,6 @@ func (e *Engine) replayEvent(i int, ev Event, choose func(*sim.Snapshot) []int) 
 	default:
 		return fmt.Errorf("engine: rebuild: event %d: unknown kind %d", i, int(ev.Kind))
 	}
-	e.journal = append(e.journal, ev)
+	e.journal.append(ev)
 	return nil
 }
