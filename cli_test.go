@@ -12,6 +12,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -22,47 +23,80 @@ import (
 	"schedsearch/internal/workload"
 )
 
-// buildCmd compiles one of the repo's commands into dir and returns
-// the binary path.
-func buildCmd(t *testing.T, dir, name string) string {
+// binDir holds the commands the CLI tests run, each built once per
+// test run (buildCmd).
+var binDir string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "schedsearch-cmd")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	binDir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+var (
+	buildMu sync.Mutex
+	built   = map[string]error{}
+)
+
+// buildCmd compiles one of the repo's commands into binDir, the first
+// time a test asks for it, and returns the binary path.
+func buildCmd(t *testing.T, name string) string {
 	t.Helper()
-	bin := filepath.Join(dir, name)
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/"+name)
-	cmd.Dir = "."
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go build ./cmd/%s: %v\n%s", name, err, out)
+	buildMu.Lock()
+	defer buildMu.Unlock()
+	bin := filepath.Join(binDir, name)
+	err, ok := built[name]
+	if !ok {
+		if out, berr := exec.Command("go", "build", "-o", bin, "./cmd/"+name).CombinedOutput(); berr != nil {
+			err = fmt.Errorf("%v\n%s", berr, out)
+		}
+		built[name] = err
+	}
+	if err != nil {
+		t.Fatalf("go build ./cmd/%s: %v", name, err)
 	}
 	return bin
 }
 
-// TestSchedsimJSON runs the schedsim binary with -json and checks the
-// output parses as the daemon's /v1/metrics schema with coherent
-// values.
+// TestSchedsimJSON runs the schedsim binary with -json on the flags of
+// the DDS/lxf/dynB 7/03 golden: the engine-driven replay must report
+// the schedule and the search counts sim.Run pinned there.
 func TestSchedsimJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the schedsim binary")
 	}
-	bin := buildCmd(t, t.TempDir(), "schedsim")
+	bin := buildCmd(t, "schedsim")
 	out, err := exec.Command(bin,
-		"-json", "-month", "7/03", "-scale", "0.05", "-policy", "DDS/lxf/dynB", "-L", "200").Output()
+		"-json", "-seed", "1", "-month", "7/03", "-scale", "0.05", "-policy", "DDS/lxf/dynB", "-L", "200").Output()
 	if err != nil {
 		t.Fatalf("schedsim -json: %v", err)
 	}
-	var m engine.Metrics
-	if err := json.Unmarshal(out, &m); err != nil {
+	var got, want engine.Metrics
+	if err := json.Unmarshal(out, &got); err != nil {
 		t.Fatalf("output is not /v1/metrics JSON: %v\n%s", err, out)
 	}
-	if m.Policy != "DDS/lxf/dynB" {
-		t.Errorf("policy %q, want DDS/lxf/dynB", m.Policy)
+	raw, err := os.ReadFile(filepath.Join("testdata", "golden", "DDS_lxf_dynB-7_03.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m.Summary.Jobs == 0 || m.Jobs.Done == 0 {
-		t.Errorf("empty run: %+v", m)
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
 	}
-	if m.Engine.Decisions == 0 || m.Engine.SearchNodes == 0 {
-		t.Errorf("missing engine counters: %+v", m.Engine)
+	if got.Policy != want.Policy || got.Capacity != want.Capacity || got.Jobs != want.Jobs || got.Summary != want.Summary {
+		t.Errorf("schedsim -json reports\n%s/%d nodes %+v %+v\nthe golden\n%s/%d nodes %+v %+v",
+			got.Policy, got.Capacity, got.Jobs, got.Summary, want.Policy, want.Capacity, want.Jobs, want.Summary)
 	}
-	if m.Summary.UtilizedLoad <= 0 || m.Summary.UtilizedLoad > 1 {
-		t.Errorf("utilized load %v out of range", m.Summary.UtilizedLoad)
+	counts := func(c engine.Counters) [5]int64 {
+		return [5]int64{c.Decisions, c.SearchNodes, c.SearchLeaves, c.BudgetHits, c.SearchNodesToBest}
+	}
+	if g, w := counts(got.Engine), counts(want.Engine); g != w || w[1] == 0 {
+		t.Errorf("decisions, search nodes, leaves, budget hits, nodes to best: %v, the golden %v", g, w)
 	}
 }
 
@@ -75,7 +109,7 @@ func TestSchedsimAudit(t *testing.T) {
 		t.Skip("builds and runs the schedsim binary")
 	}
 	dir := t.TempDir()
-	bin := buildCmd(t, dir, "schedsim")
+	bin := buildCmd(t, "schedsim")
 	in, _, err := schedsearch.LoadInput("", 0, workload.Config{Seed: 1, JobScale: 0.1}, "7/03", workload.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -146,11 +180,16 @@ func TestSchedsimAudit(t *testing.T) {
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "started") {
 		t.Fatalf("schedsim -audit -policy FCFS-backfill: %v, output %q; want exit 1 naming the divergence", err, out)
 	}
-	// The journal fixes the workload: the month and output flags have
-	// nothing to act on.
-	out, err = exec.Command(bin, "-audit", path, "-json", "-month", "7/03").CombinedOutput()
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "-json, -month") {
-		t.Fatalf("schedsim -audit -json -month 7/03: %v, output %q; want exit 2 naming both flags", err, out)
+	// The journal fixes the workload and its engine: the month, output
+	// and replay flags have nothing to act on.
+	for _, tc := range []struct{ args, names string }{
+		{"-json -month 7/03", "-json, -month"},
+		{"-shards 2 -rebalance 60 -trace-out t.json", "-rebalance, -shards, -trace-out"},
+	} {
+		out, err = exec.Command(bin, append([]string{"-audit", path}, strings.Fields(tc.args)...)...).CombinedOutput()
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), tc.names) {
+			t.Fatalf("schedsim -audit %s: %v, output %q; want exit 2 naming %s", tc.args, err, out, tc.names)
+		}
 	}
 }
 
@@ -162,7 +201,7 @@ func TestSchedsimSWFRejectsMonthFlags(t *testing.T) {
 		t.Skip("builds and runs the schedsim binary")
 	}
 	dir := t.TempDir()
-	bin := buildCmd(t, dir, "schedsim")
+	bin := buildCmd(t, "schedsim")
 	swf := filepath.Join(dir, "t.swf")
 	jobs := []job.Job{{ID: 1, Submit: 0, Nodes: 4, Runtime: 600, Request: 900, User: 1}}
 	if err := trace.WriteSWFFile(swf, jobs, trace.Header{MaxNodes: 16}); err != nil {
@@ -174,20 +213,20 @@ func TestSchedsimSWFRejectsMonthFlags(t *testing.T) {
 	}
 }
 
-// TestScheddReplayHonoursCapacity replays a generated month on a
+// TestSchedsimReplayHonoursCapacity replays a generated month on a
 // machine larger than the 128 nodes its jobs are drawn for — the
 // benchmark's 4 x 128 federation, from the command line: the report
 // must show the machine that was asked for, not the suite's.
-func TestScheddReplayHonoursCapacity(t *testing.T) {
+func TestSchedsimReplayHonoursCapacity(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and runs the schedd binary")
+		t.Skip("builds and runs the schedsim binary")
 	}
-	bin := buildCmd(t, t.TempDir(), "schedd")
+	bin := buildCmd(t, "schedsim")
 	out, err := exec.Command(bin,
-		"-virtual", "-month", "7/03", "-scale", "0.05", "-load", "3.6", "-L", "200",
-		"-capacity", "512", "-shards", "4").Output()
+		"-month", "7/03", "-scale", "0.05", "-load", "3.6", "-L", "200",
+		"-capacity", "512", "-shards", "4", "-json").Output()
 	if err != nil {
-		t.Fatalf("schedd -virtual: %v", err)
+		t.Fatalf("schedsim -shards 4: %v", err)
 	}
 	// Two JSON documents: the whole-machine metrics, then the
 	// federation report.
@@ -224,7 +263,7 @@ func TestScheddFanout(t *testing.T) {
 		t.Skip("builds and runs a 5-process schedd cluster")
 	}
 	dir := t.TempDir()
-	bin := buildCmd(t, dir, "schedd")
+	bin := buildCmd(t, "schedd")
 	cmd := exec.Command(bin,
 		"-addr", "127.0.0.1:0", "-fanout", "4", "-policy", "DDS/lxf/dynB", "-L", "200",
 		"-capacity", "32", "-speedup", "600", "-rebalance", "30",
@@ -363,7 +402,7 @@ func TestScheddFanout(t *testing.T) {
 	// of it (an EvWithdraw) and into it, re-decides clean under the
 	// shards' policy: every EvDecide, some of which started nothing
 	// while a job waited.
-	sim := buildCmd(t, dir, "schedsim")
+	sim := buildCmd(t, "schedsim")
 	idle, withdraws := 0, 0
 	for s := 0; s < 4; s++ {
 		path := filepath.Join(dir, fmt.Sprintf("fan.journal.shard-%d", s))
@@ -414,7 +453,7 @@ func TestScheddHTTP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the schedd binary")
 	}
-	bin := buildCmd(t, t.TempDir(), "schedd")
+	bin := buildCmd(t, "schedd")
 	// 600 engine seconds per wall second: the 300-second jobs below
 	// complete in ~0.5s wall.
 	cmd := exec.Command(bin,

@@ -1,8 +1,8 @@
 // Command schedd is the online scheduling daemon: it serves the
 // paper's policies (backfill baselines and the search schedulers)
 // against a live clock, with jobs submitted over an HTTP/JSON API.
-//
-// Serving mode (default):
+// Replaying a month or a trace through the same engine and router on a
+// virtual clock is schedsim's job.
 //
 //	schedd -policy DDS/lxf/dynB -L 1000 -addr :8080
 //
@@ -16,7 +16,7 @@
 // GET /v1/metrics also serves the Prometheus text exposition format to
 // clients whose Accept header prefers text/plain.
 //
-// Durability and ingest (serving mode):
+// Durability and ingest:
 //
 //	schedd -journal sched.journal -group-commit 64 -compact-every 4096
 //
@@ -55,10 +55,9 @@
 // measures; 0 disables it in process): it reads every shard's load and
 // migrates still-queued jobs from the most to the least loaded shard.
 // GET /v1/federation reports the per-shard breakdown. Jobs wider than
-// every shard's partition are rejected (serving) or skipped with a note
-// (replay). Works in both serving and replay modes.
+// every shard's partition are rejected.
 //
-// Distributed federation (serving mode):
+// Distributed federation:
 //
 //	schedd -fanout 16 -capacity 512 -policy DDS/lxf/dynB -journal sched.journal
 //	schedd -join http://10.0.0.1:8080,http://10.0.0.2:8080
@@ -70,8 +69,8 @@
 // over them. A supervisor start always begins clean: every non-empty
 // shard journal is rotated to <path>.shard-N.old before its child
 // starts, because the front-end restarts job IDs and the clock. Only a
-// shard daemon restarted by hand on its own journal (plain serving
-// mode, -journal <path>.shard-N) recovers from it. -join instead
+// shard daemon restarted by hand on its own journal (a plain daemon,
+// -journal <path>.shard-N) recovers from it. -join instead
 // fronts shard daemons that are already running (anywhere reachable),
 // discovering their capacities over the wire. Either way the shards are driven
 // through per-call timeouts with bounded retries; an unreachable
@@ -82,18 +81,6 @@
 // blindly (so -rebalance 0 is rejected with -join/-fanout). A drain
 // (POST /v1/drain or SIGINT/SIGTERM) propagates to every shard; fanout
 // children exit with the supervisor.
-//
-// Replay mode:
-//
-//	schedd -virtual -month 7/03 -policy DDS/lxf/dynB
-//	schedd -virtual -swf trace.swf.gz -policy LXF-backfill
-//
-// feeds a generated month or an SWF trace through the engine on a
-// deterministic virtual clock (as fast as the hardware allows; -speedup
-// has no effect in this mode) and prints the final metrics as JSON —
-// the same schema GET /v1/metrics serves, with the same measurement
-// window as the offline simulator, so the summary is directly
-// comparable with `schedsim -json`.
 //
 // Observability:
 //
@@ -127,13 +114,10 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
-	"time"
 
 	"schedsearch"
 	"schedsearch/internal/engine"
-	"schedsearch/internal/federation"
 	"schedsearch/internal/ingest"
 	"schedsearch/internal/job"
 	"schedsearch/internal/obs"
@@ -148,11 +132,7 @@ func main() {
 		return // the flag set already printed the usage
 	}
 	if err == nil {
-		if cfg.replayMode() {
-			err = replay(cfg)
-		} else {
-			err = serve(cfg)
-		}
+		err = serve(cfg)
 	}
 	if err != nil {
 		logger.Error(err.Error())
@@ -174,12 +154,6 @@ type config struct {
 	addr      string
 	requested bool
 	speedup   float64
-	virtual   bool
-	swf       string
-	month     string
-	seed      uint64
-	scale     float64
-	load      float64
 
 	fed fedOptions
 	dur durOptions
@@ -187,12 +161,8 @@ type config struct {
 	obs obsOptions
 }
 
-// replayMode reports whether the run replays a workload on the virtual
-// clock instead of serving.
-func (c config) replayMode() bool { return c.virtual || c.swf != "" }
-
-// parseConfig parses the command line and rejects flag combinations no
-// mode can honour, so every such mistake is an error here instead of an
+// parseConfig parses the command line and rejects flag combinations the
+// daemon cannot honour, so every such mistake is an error here instead of an
 // exit deep in start-up.
 func parseConfig(args []string) (config, error) {
 	var c config
@@ -202,21 +172,15 @@ func parseConfig(args []string) (config, error) {
 	fs.IntVar(&c.nodeLimit, "L", 1000, "search node limit per decision")
 	fs.IntVar(&c.workers, "workers", 1, "parallel search workers for search policies (0 or 1 sequential, -1 one per CPU)")
 	fs.IntVar(&c.capacity, "capacity", workload.Capacity, "machine size in nodes")
-	fs.StringVar(&c.addr, "addr", ":8080", "HTTP listen address (serving mode)")
+	fs.StringVar(&c.addr, "addr", ":8080", "HTTP listen address")
 	fs.BoolVar(&c.requested, "requested", false, "policies plan with requested runtimes (R* = R)")
 	fs.Float64Var(&c.speedup, "speedup", 1, "engine seconds per wall second")
-	fs.BoolVar(&c.virtual, "virtual", false, "replay a workload on a virtual clock instead of serving")
-	fs.StringVar(&c.swf, "swf", "", "replay this SWF trace file (plain or .gz)")
-	fs.StringVar(&c.month, "month", "7/03", "generated month to replay (6/03 .. 3/04)")
-	fs.Uint64Var(&c.seed, "seed", 1, "workload generation seed")
-	fs.Float64Var(&c.scale, "scale", 1, "job-count/duration scale factor for generated months")
-	fs.Float64Var(&c.load, "load", 0, "target offered load for generated months (0 = original)")
 	fs.IntVar(&c.fed.shards, "shards", 1, "engine shards; >1 federates the machine behind a routing front-end")
 	fs.Int64Var(&c.fed.rebalance, "rebalance", 600, "federation rebalance period in engine seconds (0 = off, in-process only); remote federations also reconcile parked wire-uncertain steps and re-probe dark shards on this tick")
 	fs.StringVar(&join, "join", "", "serve as a federation front-end over these already-running out-of-process shard daemons (comma-separated base URLs, e.g. http://10.0.0.1:8080,http://10.0.0.2:8080)")
-	fs.IntVar(&c.fed.fanout, "fanout", 0, "spawn N schedd shard child processes on loopback ports and front them (serving mode; each child owns its slice of -capacity and, with -journal, its own <path>.shard-N journal)")
+	fs.IntVar(&c.fed.fanout, "fanout", 0, "spawn N schedd shard child processes on loopback ports and front them (each child owns its slice of -capacity and, with -journal, its own <path>.shard-N journal)")
 
-	fs.StringVar(&c.dur.path, "journal", "", "append committed events to this journal file and recover from it on start (serving mode; federation appends to <path>.shard-N)")
+	fs.StringVar(&c.dur.path, "journal", "", "append committed events to this journal file and recover from it on start (federation appends to <path>.shard-N)")
 	fs.IntVar(&c.dur.group, "group-commit", 64, "journal appends per fsync (1 = fsync every commit)")
 	fs.IntVar(&c.dur.compactEvery, "compact-every", 4096, "fold the journal into a checkpoint once the tail exceeds N events (0 = never compact)")
 	fs.IntVar(&c.ing.pending, "ingest-pending", 4096, "accept-queue bound on accepted-but-uncommitted submissions; saturated submits get 503 + Retry-After (0 = admit synchronously, no queue)")
@@ -238,27 +202,6 @@ func parseConfig(args []string) (config, error) {
 			c.fed.join = append(c.fed.join, u)
 		}
 	}
-	if c.replayMode() {
-		var stray, monthOnly []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "addr", "journal", "ingest-pending", "ingest-batch", "quota-rate", "quota-burst":
-				stray = append(stray, "-"+f.Name)
-			case "month", "seed", "scale", "load":
-				if c.swf != "" {
-					monthOnly = append(monthOnly, "-"+f.Name)
-				}
-			}
-		})
-		if len(stray) > 0 {
-			return config{}, fmt.Errorf("%s: serving-mode only (a replay has no listener, journal, accept queue or quotas)",
-				strings.Join(stray, ", "))
-		}
-		if len(monthOnly) > 0 {
-			return config{}, fmt.Errorf("%s: generated months only (-swf replays the trace as recorded)",
-				strings.Join(monthOnly, ", "))
-		}
-	}
 	if c.fed.fanout == 1 || c.fed.fanout < 0 {
 		return config{}, fmt.Errorf("-fanout %d: want at least 2 shard processes", c.fed.fanout)
 	}
@@ -268,8 +211,6 @@ func parseConfig(args []string) (config, error) {
 			return config{}, errors.New("-join and -fanout are mutually exclusive")
 		case c.fed.shards > 1:
 			return config{}, errors.New("-shards federates in process; drop it when using -join or -fanout")
-		case c.replayMode():
-			return config{}, errors.New("-join/-fanout are serving-mode only (replay has no remote shards)")
 		case c.fed.rebalance <= 0:
 			return config{}, fmt.Errorf("-rebalance %d: -join/-fanout need the periodic pass (it reconciles wire-uncertain steps and re-probes dark shards)", c.fed.rebalance)
 		}
@@ -307,35 +248,6 @@ func (c config) newPolicy(int) sim.Policy {
 type obsOptions struct {
 	traceOut  string
 	debugAddr string
-}
-
-// tracer builds the run's tracer, or nil when tracing is off.
-func (o obsOptions) tracer(now func() time.Time) *obs.Tracer {
-	if o.traceOut == "" {
-		return nil
-	}
-	return obs.NewTracer(obs.TracerOptions{Now: now})
-}
-
-// writeTraceOut exports the collected spans as Chrome trace-event JSON;
-// a no-op unless -trace-out was given.
-func (o obsOptions) writeTraceOut(tr *obs.Tracer) error {
-	if o.traceOut == "" {
-		return nil
-	}
-	f, err := os.Create(o.traceOut)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	logger.Info("wrote trace", "path", o.traceOut, "spans", len(tr.Spans()), "dropped", tr.Dropped())
-	return nil
 }
 
 // serveDebug mounts net/http/pprof on its own listener, so profiling
@@ -416,9 +328,11 @@ func serve(c config) error {
 			start = cp.LastInstant()
 		}
 	}
-	tr := c.obs.tracer(nil)
-	st, err := buildBackend(c, engine.NewRealClockAt(start, c.speedup),
-		sim.Input{Capacity: c.capacity, UseRequested: c.requested}, tr, recovered)
+	var tr *obs.Tracer // nil: tracing off
+	if c.obs.traceOut != "" {
+		tr = obs.NewTracer(obs.TracerOptions{})
+	}
+	st, err := buildBackend(c, engine.NewRealClockAt(start, c.speedup), tr, recovered)
 	// Fanout children normally exit on their own after the drain the
 	// router forwards to them; this reap catches error paths (and is a
 	// no-op once the clean path below has waited for them).
@@ -510,85 +424,18 @@ func serve(c config) error {
 		return err
 	}
 	st.waitChildren()
-	return st.report(c, tr)
-}
-
-// replay feeds a workload through the engine (or federation) on the
-// deterministic virtual clock (as fast as the hardware allows) and
-// prints the final metrics. Each job is delivered by a clock timer at
-// its submit time, exactly like the engine's differential tests.
-func replay(c config) error {
-	input, _, err := schedsearch.LoadInput(c.swf, c.capacity,
-		workload.Config{Seed: c.seed, JobScale: c.scale}, c.month,
-		workload.SimOptions{TargetLoad: c.load, UseRequested: c.requested})
-	if err != nil {
-		return err
+	if c.obs.traceOut != "" {
+		if err := tr.WriteTraceFile(c.obs.traceOut); err != nil {
+			return err
+		}
+		logger.Info("wrote trace", "path", c.obs.traceOut, "spans", len(tr.Spans()), "dropped", tr.Dropped())
 	}
-	vc := engine.NewVirtualClock()
-	// Replay span timestamps come from the virtual clock, so the trace
-	// timeline reads in engine time (span durations are still wall).
-	tr := c.obs.tracer(func() time.Time { return time.Unix(int64(vc.Now()), 0) })
-	st, err := buildBackend(c, vc, input, tr, nil)
-	if err != nil {
-		return err
-	}
-	bk := st.bk
-	// The replay loop is the front door, so it mints the traces a live
-	// run's HTTP submit handler would (the router then adds route spans;
-	// the engine adds decide spans).
-	frontShard := st.frontShard()
-
-	var submitErr error
-	var once sync.Once
-	var skipped int
-	for _, j := range input.Jobs {
-		j := j
-		vc.AfterFunc(j.Submit, func() {
-			// With tracing off (nil tracer) these mint, bind and record nothing.
-			tc := tr.Mint()
-			tr.Bind(j.ID, tc)
-			t0 := tr.Now()
-			err := bk.SubmitJob(j)
-			if err == nil {
-				tr.Record("submit", tc, j.ID, frontShard, t0, tr.Now().Sub(t0))
-				return
-			}
-			if errors.Is(err, federation.ErrTooWide) {
-				// A partitioned machine cannot hold the trace's widest
-				// jobs; skip them rather than abort the replay.
-				skipped++
-				return
-			}
-			once.Do(func() { submitErr = err })
-		})
-	}
-	vc.Run()
-	if skipped > 0 {
-		logger.Warn("skipped jobs wider than every shard partition", "count", skipped)
-	}
-	if submitErr != nil {
-		return submitErr
-	}
-	if err := bk.Err(); err != nil {
-		return err
-	}
-	return st.report(c, tr)
-}
-
-// report ends a run: the trace file, then the final whole-machine
-// metrics on stdout (a federated run appends the per-shard federation
-// report).
-func (st *stack) report(c config, tr *obs.Tracer) error {
-	if err := c.obs.writeTraceOut(tr); err != nil {
-		return err
-	}
+	// The final whole-machine metrics go to stdout; a federated daemon
+	// appends the per-shard federation report.
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(st.bk.Metrics()); err != nil {
+	if err := enc.Encode(bk.Metrics()); err != nil || st.router == nil {
 		return err
 	}
-	if st.router != nil {
-		return enc.Encode(st.router.Federation())
-	}
-	return nil
+	return enc.Encode(st.router.Federation())
 }

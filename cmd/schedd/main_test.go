@@ -10,12 +10,11 @@ import (
 	"schedsearch/internal/engine"
 	"schedsearch/internal/job"
 	"schedsearch/internal/obs"
-	"schedsearch/internal/sim"
 )
 
-// TestParseConfigRejects covers every flag combination no mode can
-// honour: each must come back as an error naming the offending flag,
-// not as a silently ignored option.
+// TestParseConfigRejects covers every flag combination the daemon
+// cannot honour: each must come back as an error naming the offending
+// flag, not as a silently ignored option.
 func TestParseConfigRejects(t *testing.T) {
 	for _, tc := range []struct {
 		args    string
@@ -25,21 +24,14 @@ func TestParseConfigRejects(t *testing.T) {
 		{"-fanout 1", "-fanout 1"},
 		{"-fanout -3", "-fanout -3"},
 		{"-shards 2 -join http://a:1", "-shards"},
-		{"-virtual -fanout 2", "serving-mode only"},
-		{"-swf t.swf -join http://a:1", "serving-mode only"},
 		{"-join http://a:1 -rebalance 0", "-rebalance 0"},
 		{"-fanout 2 -rebalance 0", "-rebalance 0"},
-		{"-virtual -swf t.swf -load 0.9", "-load"},
-		{"-swf t.swf -month 1/04", "-month"},
 		{"-policy BFS/lxf/dynB", "unknown search algorithm"},
 		{"-policy meta(DDS/lxf/dynB,)", "empty member"},
-		{"-virtual -journal j", "-journal"},
-		{"-swf t.swf -journal j", "-journal"},
-		{"-virtual -addr :9", "-addr"},
-		{"-virtual -ingest-pending 8", "-ingest-pending"},
-		{"-virtual -ingest-batch 8", "-ingest-batch"},
-		{"-virtual -quota-rate 1", "-quota-rate"},
-		{"-virtual -quota-burst 4", "-quota-burst"},
+		// Replay is schedsim's: the daemon has no replay flag left.
+		{"-virtual", "-virtual"},
+		{"-month 1/04", "-month"},
+		{"-swf t.swf", "-swf"},
 	} {
 		_, err := parseConfig(strings.Fields(tc.args))
 		if err == nil {
@@ -51,32 +43,24 @@ func TestParseConfigRejects(t *testing.T) {
 }
 
 // TestParseConfigAccepts pins what the cross-checks must let through
-// and what they derive: the shipped defaults, a replay that sets only
-// replay flags, trimmed -join URLs and the flags a fanout supervisor
-// forwards to its children.
+// and what they derive: the shipped defaults, trimmed -join URLs and the
+// flags a fanout supervisor forwards to its children.
 func TestParseConfigAccepts(t *testing.T) {
 	c, err := parseConfig(nil)
 	if err != nil {
 		t.Fatalf("defaults: %v", err)
 	}
-	if c.replayMode() || c.fed.remote() || c.fed.rebalance != 600 || c.addr != ":8080" ||
+	if c.fed.remote() || c.fed.rebalance != 600 || c.addr != ":8080" ||
 		c.ing.pending != 4096 || c.dur.group != 64 {
 		t.Errorf("defaults parsed as %+v", c)
 	}
 
-	c, err = parseConfig(strings.Fields("-virtual -month 1/04 -shards 4 -capacity 512 -rebalance 0 -speedup 50"))
+	c, err = parseConfig(strings.Fields("-shards 4 -capacity 512 -rebalance 0 -speedup 50"))
 	if err != nil {
-		t.Fatalf("federated replay: %v", err)
+		t.Fatalf("in-process federation: %v", err)
 	}
-	if !c.replayMode() || c.fed.shards != 4 || c.capacity != 512 || c.fed.rebalance != 0 {
-		t.Errorf("federated replay parsed as %+v", c)
-	}
-	// An SWF trace brings its own machine size; a serving daemon's is
-	// whatever it is told.
-	for _, args := range []string{"-swf t.swf -capacity 64", "-capacity 64"} {
-		if _, err := parseConfig(strings.Fields(args)); err != nil {
-			t.Errorf("schedd %s: %v", args, err)
-		}
+	if c.fed.shards != 4 || c.capacity != 512 || c.fed.rebalance != 0 || c.speedup != 50 {
+		t.Errorf("in-process federation parsed as %+v", c)
 	}
 
 	c, err = parseConfig([]string{"-join", " http://a:1, http://b:2 ,"})
@@ -155,7 +139,8 @@ func TestCompactEveryWithoutJournal(t *testing.T) {
 func runStack(t *testing.T, c config, capacity, jobs int) (engine.Metrics, []engine.Counters) {
 	t.Helper()
 	vc := engine.NewVirtualClock()
-	st, err := buildBackend(c, vc, sim.Input{Capacity: capacity}, nil, nil)
+	c.capacity = capacity
+	st, err := buildBackend(c, vc, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,12 +10,11 @@ import (
 	"schedsearch/internal/federation"
 	"schedsearch/internal/obs"
 	"schedsearch/internal/server"
-	"schedsearch/internal/sim"
 )
 
-// stack is the serving stack both run modes drive: the backend (a bare
-// engine, an in-process federation or a remote one) and everything that
-// was opened or started to build it.
+// stack is what the daemon serves: the backend (a bare engine, an
+// in-process federation or a remote one) and everything that was opened
+// or started to build it.
 type stack struct {
 	bk     server.Backend
 	router *federation.Router // nil for a bare engine
@@ -24,28 +23,20 @@ type stack struct {
 	children []*exec.Cmd // fanout shard processes
 }
 
-// buildBackend is the one place a stack is wired, for serve and replay
-// alike. window carries the machine size and, in replay, the
-// measurement window and measured flags; recovered, when non-nil, is
-// the single-engine journal the engine is rebuilt from. On error the
-// returned stack still holds any fanout children already started.
-func buildBackend(c config, clock engine.Clock, window sim.Input, tr *obs.Tracer, recovered *engine.Checkpoint) (*stack, error) {
+// buildBackend is the one place a stack is wired. recovered, when
+// non-nil, is the single-engine journal the engine is rebuilt from. On
+// error the returned stack still holds any fanout children already
+// started.
+func buildBackend(c config, clock engine.Clock, tr *obs.Tracer, recovered *engine.Checkpoint) (*stack, error) {
 	st := &stack{}
-	var measured func(id int) bool
-	if window.Measured != nil {
-		measured = func(id int) bool { return window.Measured[id] }
-	}
 	fed, dur := c.fed, c.dur
 	if fed.federated() {
 		fcfg := federation.Config{
-			Capacity:       window.Capacity,
+			Capacity:       c.capacity,
 			Shards:         fed.shards,
 			Policy:         c.newPolicy,
 			Clock:          clock,
-			UseRequested:   window.UseRequested,
-			Measured:       measured,
-			MeasureStart:   window.MeasureStart,
-			MeasureEnd:     window.MeasureEnd,
+			UseRequested:   c.requested,
 			RebalanceEvery: fed.rebalance,
 			// With or without a journal file: the in-memory event tail is
 			// what a journal-less daemon would otherwise grow for life.
@@ -57,7 +48,7 @@ func buildBackend(c config, clock engine.Clock, window sim.Input, tr *obs.Tracer
 		if fed.remote() {
 			urls := fed.join
 			if fed.fanout > 0 {
-				urls, st.children, err = spawnShardProcs(fed.fanout, window.Capacity, fed.childArgs, dur)
+				urls, st.children, err = spawnShardProcs(fed.fanout, c.capacity, fed.childArgs, dur)
 				if err != nil {
 					return st, err
 				}
@@ -99,13 +90,10 @@ func buildBackend(c config, clock engine.Clock, window sim.Input, tr *obs.Tracer
 	}
 
 	cfg := engine.Config{
-		Capacity:     window.Capacity,
+		Capacity:     c.capacity,
 		Policy:       c.newPolicy(0),
 		Clock:        clock,
-		UseRequested: window.UseRequested,
-		Measured:     measured,
-		MeasureStart: window.MeasureStart,
-		MeasureEnd:   window.MeasureEnd,
+		UseRequested: c.requested,
 		CompactEvery: dur.compactEvery,
 		Tracer:       tr,
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"schedsearch"
+	"schedsearch/internal/core"
 	"schedsearch/internal/engine"
 	"schedsearch/internal/metrics"
 	"schedsearch/internal/oracle"
@@ -19,9 +20,9 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden trace files")
 
-// goldenRun reproduces the `schedsim -json` pipeline in-process at
-// reduced scale and returns the serialized metrics with the
-// wall-clock-dependent fields zeroed (search timing varies run to run;
+// goldenRun simulates one month at reduced scale with sim.Run and
+// returns the serialized metrics in the `schedsim -json` schema, without
+// the wall-clock-dependent fields (search timing varies run to run;
 // everything else is bit-deterministic).
 func goldenRun(t *testing.T, month, polName string) []byte {
 	t.Helper()
@@ -41,14 +42,23 @@ func goldenRun(t *testing.T, month, polName string) []byte {
 	if err := oracle.CheckRecords(in.Capacity, in.Jobs, res.Records); err != nil {
 		t.Fatal(err)
 	}
-	m := engine.OfflineMetrics(res, metrics.Summarize(res), pol)
-	m.Engine.SearchWallMs = 0
-	m.Engine.SearchSpeedup = 0
-	m.Engine.AvgDecideMs = 0
-	m.Engine.MaxDecideMs = 0
-	// How many of the nodes were walked is the search's business, like
-	// its wall time; the goldens pin the schedule and the counts.
-	m.Engine.SearchTableNodes = 0
+	m := engine.Metrics{
+		Policy:   res.Policy,
+		NowS:     res.MeasureEnd,
+		Capacity: res.Capacity,
+		Jobs:     engine.JobCounts{Done: len(res.Records)},
+		Summary:  metrics.Summarize(res),
+		Engine:   engine.Counters{Decisions: int64(res.Decisions)},
+	}
+	// Wall times, and how many of the nodes were walked, are the
+	// search's business and stay zero; the goldens pin the schedule and
+	// the counts.
+	if sch := core.SchedulerOf(pol); sch != nil {
+		st := sch.SearchStats
+		m.Engine.SearchNodes, m.Engine.SearchLeaves = st.Nodes, st.Leaves
+		m.Engine.BudgetHits = int64(st.BudgetHits)
+		m.Engine.SearchNodesToBest = st.NodesToBest
+	}
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
@@ -58,11 +68,11 @@ func goldenRun(t *testing.T, month, polName string) []byte {
 	return buf.Bytes()
 }
 
-// TestGoldenTraces pins the complete `schedsim -json` output for three
-// seeded months under the paper's baseline and best policies. Any
-// schedule drift — a changed start time anywhere in the month shifts
-// the waits, slowdowns and queue integrals — fails the diff. Run with
-// -update after an intended behavior change.
+// TestGoldenTraces pins the simulator's metrics for three seeded months
+// under the paper's baseline and best policies (TestSchedsimJSON holds
+// `schedsim -json` to them). Any schedule drift — a changed start time
+// anywhere in the month shifts the waits, slowdowns and queue integrals
+// — fails the diff. Run with -update after an intended behavior change.
 func TestGoldenTraces(t *testing.T) {
 	months := []string{"7/03", "10/03", "1/04"}
 	policies := []string{"FCFS-backfill", "LXF-backfill", "DDS/lxf/dynB"}

@@ -224,22 +224,3 @@ func AggregateShards(per []Metrics, caps, bases []int) FederationMetrics {
 	}
 	return fm
 }
-
-// OfflineMetrics packages an offline simulation result in the same
-// schema the daemon's /v1/metrics endpoint serves (`schedsim -json`
-// uses it; the engine counters carry the simulator's decision count and
-// the policy's search stats).
-func OfflineMetrics(res *sim.Result, sum metrics.Summary, pol sim.Policy) Metrics {
-	m := Metrics{
-		Policy:   res.Policy,
-		NowS:     res.MeasureEnd,
-		Capacity: res.Capacity,
-		Jobs:     JobCounts{Done: len(res.Records)},
-		Summary:  sum,
-		Engine:   Counters{Decisions: int64(res.Decisions)},
-	}
-	if sch := core.SchedulerOf(pol); sch != nil {
-		m.Engine.fillSearch(sch)
-	}
-	return m
-}

@@ -31,7 +31,7 @@ func (r *Router) healthyLocked(i int) bool {
 }
 
 // RebuildShard simulates a crash of shard i: the shard's committed
-// journal is checkpointed, a fresh engine (fresh policy, estimator and
+// journal is checkpointed, a fresh engine (fresh policy and
 // observer instances, same clock) is rebuilt from it via
 // engine.Rebuild, and the router swaps it in. The other shards keep
 // scheduling throughout; the abandoned incarnation's timers may still

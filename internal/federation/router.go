@@ -70,9 +70,6 @@ type Config struct {
 	Placement Placement
 	// Clock drives every shard; nil means one shared NewRealClock(1).
 	Clock engine.Clock
-	// Estimator, when non-nil, constructs shard i's estimator (fresh
-	// per incarnation). Per-user history is per-shard.
-	Estimator func(shard int) sim.Estimator
 	// UseRequested, Measured, MeasureStart and MeasureEnd are passed
 	// through to every shard (see engine.Config).
 	UseRequested bool
@@ -228,7 +225,7 @@ func New(cfg Config) (*Router, error) {
 // clients for out-of-process schedd shards — instead of constructing
 // in-process engines. Partition capacities are discovered from the
 // shards themselves, so cfg.Capacity, cfg.Shards and the per-shard
-// factories (Policy, Estimator, Observer, Journal) are ignored: each
+// factories (Policy, Observer, Journal) are ignored: each
 // shard process owns its policy and journal. cfg.Clock still drives
 // the router's own rebalance timer.
 func NewWithShards(cfg Config, shards []engine.Shard) (*Router, error) {
@@ -265,7 +262,7 @@ func NewWithShards(cfg Config, shards []engine.Shard) (*Router, error) {
 }
 
 // shardConfig assembles shard i's engine configuration with fresh
-// policy/estimator/observer instances (New and RebuildShard both use
+// policy/observer instances (New and RebuildShard both use
 // it — a rebuilt incarnation gets fresh instances like a restarted
 // process).
 func (r *Router) shardConfig(i int) engine.Config {
@@ -285,9 +282,6 @@ func (r *Router) shardConfig(i int) engine.Config {
 	}
 	if r.cfg.Journal != nil {
 		ec.Journal = r.cfg.Journal(i)
-	}
-	if r.cfg.Estimator != nil {
-		ec.Estimator = r.cfg.Estimator(i)
 	}
 	if r.cfg.Observer != nil {
 		if obs := r.cfg.Observer(i); obs != nil {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"sync"
 	"time"
@@ -313,4 +314,17 @@ func (t *Tracer) WriteTrace(w io.Writer) error {
 	}
 	bw.WriteString("]}\n")
 	return bw.Flush()
+}
+
+// WriteTraceFile writes the trace (WriteTrace) to a new file at path.
+func (t *Tracer) WriteTraceFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := t.WriteTrace(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

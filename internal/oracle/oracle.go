@@ -11,7 +11,7 @@
 //     event is validated as it happens, and Err/Final report the
 //     verdict.
 //   - Replay: CheckRecords sweeps a finished run's completion records
-//     against the submitted jobs (what `schedsim`, `schedd -virtual`
+//     against the submitted jobs (what the chaos runner, the benchmark
 //     and the golden-trace tests use).
 //
 // Invariants enforced (the non-preemptive space-sharing contract the

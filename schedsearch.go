@@ -179,9 +179,10 @@ func RunMonthWithEstimator(s *Suite, label string, opt SimOptions, est Estimator
 
 // LoadInput assembles the simulator input the commands replay. A
 // non-empty swfPath reads that SWF trace (plain or .gz) onto a machine
-// of capacity nodes — capacity <= 0 means the header's MaxNodes — grown
-// to hold the widest job; cfg, month and opt.TargetLoad do not apply to
-// traces and the Month is nil. Otherwise it is the generated month of
+// of capacity nodes: a capacity narrower than the widest job is an
+// error, and capacity <= 0 means the header's MaxNodes, grown to hold
+// the widest job. cfg, month and opt.TargetLoad do not apply to traces
+// and the Month is nil. Otherwise it is the generated month of
 // the suite cfg describes, with warm-up/cool-down margins and
 // measurement flags, on a machine of capacity nodes: its jobs are drawn
 // for the suite's capacity (DefaultCap unless cfg sets one), so a
@@ -204,13 +205,16 @@ func LoadInput(swfPath string, capacity int, cfg SuiteConfig, month string, opt 
 		return sim.Input{}, nil, fmt.Errorf("%s: no usable jobs", swfPath)
 	}
 	sort.Sort(job.BySubmit(jobs))
-	if capacity <= 0 {
-		capacity = header.MaxNodes
-	}
+	widest := 0
 	for _, j := range jobs {
-		if j.Nodes > capacity {
-			capacity = j.Nodes
-		}
+		widest = max(widest, j.Nodes)
+	}
+	switch {
+	case capacity <= 0:
+		capacity = max(header.MaxNodes, widest)
+	case capacity < widest:
+		return sim.Input{}, nil, fmt.Errorf("capacity %d: %s holds a %d-node job; replay it on at least that many",
+			capacity, swfPath, widest)
 	}
 	return sim.Input{Capacity: capacity, Jobs: jobs, UseRequested: opt.UseRequested}, nil, nil
 }

@@ -1,11 +1,14 @@
 package schedsearch_test
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"schedsearch"
 	"schedsearch/internal/core"
+	"schedsearch/internal/job"
+	"schedsearch/internal/trace"
 )
 
 func TestParsePolicyNames(t *testing.T) {
@@ -77,7 +80,9 @@ func TestRunMonthEndToEnd(t *testing.T) {
 
 // TestLoadInputCapacity: a generated month's jobs are drawn for
 // DefaultCap nodes, so a smaller machine is refused, a larger one is
-// the machine replayed, and no capacity means DefaultCap.
+// the machine replayed, and no capacity means DefaultCap. A trace is
+// refused a machine narrower than its widest job; no capacity means its
+// header's MaxNodes, grown to hold that job.
 func TestLoadInputCapacity(t *testing.T) {
 	cfg := schedsearch.SuiteConfig{Seed: 1, JobScale: 0.02}
 	if _, _, err := schedsearch.LoadInput("", 64, cfg, "1/04", schedsearch.SimOptions{}); err == nil ||
@@ -91,6 +96,28 @@ func TestLoadInputCapacity(t *testing.T) {
 		}
 		if in.Capacity != tc.want || m == nil || len(in.Jobs) == 0 {
 			t.Errorf("capacity %d: %d jobs on %d nodes, want %d nodes", tc.capacity, len(in.Jobs), in.Capacity, tc.want)
+		}
+	}
+
+	dir := t.TempDir()
+	jobs := []job.Job{
+		{ID: 1, Submit: 0, Nodes: 4, Runtime: 600, Request: 900, User: 1},
+		{ID: 2, Submit: 60, Nodes: 16, Runtime: 600, Request: 900, User: 2},
+	}
+	for _, tc := range []struct {
+		header, capacity, want int // want 0: refused
+	}{{8, 8, 0}, {8, 15, 0}, {8, 16, 16}, {8, 32, 32}, {8, 0, 16}, {64, 0, 64}} {
+		swf := filepath.Join(dir, "t.swf")
+		if err := trace.WriteSWFFile(swf, jobs, trace.Header{MaxNodes: tc.header}); err != nil {
+			t.Fatal(err)
+		}
+		in, _, err := schedsearch.LoadInput(swf, tc.capacity, cfg, "", schedsearch.SimOptions{})
+		switch {
+		case tc.want == 0 && (err == nil || !strings.Contains(err.Error(), "16-node job")):
+			t.Errorf("trace with MaxNodes %d, capacity %d: error %v, want a refusal naming the 16-node job", tc.header, tc.capacity, err)
+		case tc.want != 0 && (err != nil || in.Capacity != tc.want || len(in.Jobs) != 2):
+			t.Errorf("trace with MaxNodes %d, capacity %d: %d jobs on %d nodes (%v), want 2 on %d",
+				tc.header, tc.capacity, len(in.Jobs), in.Capacity, err, tc.want)
 		}
 	}
 }
