@@ -83,6 +83,7 @@ func placementName(p federation.Placement) string {
 // schedule invariants). Run under -race this also hammers the router's
 // locking against concurrent shard timers.
 func TestChaosSoakFederation(t *testing.T) {
+	t.Parallel()
 	seeds := 8
 	if testing.Short() {
 		seeds = 2
@@ -145,6 +146,7 @@ func TestChaosSoakFederation(t *testing.T) {
 // reconcile stages; nothing here waits on a socket or the wall clock, so
 // -short runs it whole.
 func TestChaosSoakFederationRemote(t *testing.T) {
+	t.Parallel()
 	totalReroutes := int64(0)
 	parked, reconciled := map[string]int{}, map[string]int{}
 	for _, place := range soakPlacements {

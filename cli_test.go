@@ -68,6 +68,7 @@ func buildCmd(t *testing.T, name string) string {
 // the DDS/lxf/dynB 7/03 golden: the engine-driven replay must report
 // the schedule and the search counts sim.Run pinned there.
 func TestSchedsimJSON(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("builds and runs the schedsim binary")
 	}
@@ -259,6 +260,7 @@ func TestSchedsimReplayHonoursCapacity(t *testing.T) {
 // and federation metrics, then drains — children and supervisor all
 // exiting cleanly.
 func TestScheddFanout(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("builds and runs a 5-process schedd cluster")
 	}
@@ -450,6 +452,7 @@ func TestScheddFanout(t *testing.T) {
 // them schedule, read coherent metrics, then drain and wait for a
 // clean exit.
 func TestScheddHTTP(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("builds and runs the schedd binary")
 	}

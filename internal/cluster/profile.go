@@ -127,11 +127,10 @@ func (p *Profile) EarliestFit(after Time, n int, d Duration) Time {
 // until the next Place or Undo on the profile (placements undo in LIFO
 // order).
 type Placement struct {
-	lo, hi   int  // modified region [lo, hi) in the post-place steps
-	insLo    bool // a step was inserted at the start boundary
-	insHi    bool // a step was inserted at the end boundary
-	n        int  // nodes subtracted
-	origFree int  // free value the inserted end-boundary step restored
+	lo, hi int  // modified region [lo, hi) in the post-place steps
+	insLo  bool // a step was inserted at the start boundary
+	insHi  bool // a step was inserted at the end boundary
+	n      int  // nodes subtracted
 }
 
 // Place reserves n nodes during [t, t+d), decreasing free capacity, and
@@ -179,10 +178,10 @@ func (p *Profile) reserve(lo, hi int, t, end Time, n int) Placement {
 	}
 	// The step hi-1 extends past end unless one already starts there.
 	if hi == len(p.steps) || p.steps[hi].At > end {
-		pl.origFree = p.steps[hi-1].Free
+		free := p.steps[hi-1].Free
 		p.steps = append(p.steps, step{})
 		copy(p.steps[hi+1:], p.steps[hi:])
-		p.steps[hi] = step{At: end, Free: pl.origFree}
+		p.steps[hi] = step{At: end, Free: free}
 		pl.insHi = true
 	}
 	for i := lo; i < hi; i++ {

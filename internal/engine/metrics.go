@@ -71,7 +71,8 @@ type Metrics struct {
 	Draining bool      `json:"draining"`
 	Jobs     JobCounts `json:"jobs"`
 	// Summary covers completed measured jobs only; utilization and
-	// queue length integrate from engine start to now.
+	// queue length are taken over the measurement window, or without
+	// one from the first arrival to the last event.
 	Summary metrics.Summary `json:"summary"`
 	Engine  Counters        `json:"engine"`
 	Error   string          `json:"error,omitempty"`
@@ -82,17 +83,24 @@ func (e *Engine) Metrics() Metrics {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	now := e.clock.Now()
-	measureEnd := e.q.MeasureEnd(now)
+	// The first arrival and the last event: a queue change (submit,
+	// start or withdraw) or the last completion.
+	first, last := now, e.q.Last
+	for _, st := range e.jobs {
+		first = min(first, st.Job.Submit)
+	}
+	if n := len(e.records); n > 0 {
+		last = max(last, e.records[n-1].End)
+	}
+	start, end := e.q.Window(first, last)
 	res := &sim.Result{
 		Policy:       e.cfg.Policy.Name(),
 		Records:      e.records,
 		Decisions:    int(e.decisions),
+		AvgQueueLen:  e.q.AvgQueueLen(now, start, end, e.l.QueueLen()),
 		Capacity:     e.l.Capacity(),
-		MeasureStart: e.q.Start,
-		MeasureEnd:   measureEnd,
-	}
-	if window := float64(measureEnd - res.MeasureStart); window > 0 {
-		res.AvgQueueLen = e.q.Integral(now, e.l.QueueLen()) / window
+		MeasureStart: start,
+		MeasureEnd:   end,
 	}
 
 	m := Metrics{

@@ -218,6 +218,77 @@ func TestOneShardMatchesEngine(t *testing.T) {
 	}
 }
 
+// TestImplicitWindowMatchesSim: without an explicit window every driver
+// measures from the first arrival to the last event. On a month whose
+// first arrival is far from 0, sim.Run, a bare engine and a 1-shard
+// router report the same average queue length and utilization; a
+// 2-shard router, whose last rebalance tick moves its clock past the
+// last completion, still ends its window at that completion.
+func TestImplicitWindowMatchesSim(t *testing.T) {
+	suite := workload.NewSuite(workload.Config{Seed: 11, JobScale: 0.025})
+	in, _, err := suite.Input("7/03", workload.SimOptions{TargetLoad: 0.9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.MeasureStart, in.MeasureEnd, in.Measured = 0, 0, nil
+	for i := range in.Jobs {
+		in.Jobs[i].Submit += 500000
+	}
+	res, err := sim.Run(in, policy.FCFSBackfill())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := metrics.Summarize(res)
+	if res.MeasureStart != in.Jobs[0].Submit || want.AvgQueueLen == 0 {
+		t.Fatalf("sim.Run measured from %d (first arrival %d), average queue %v", res.MeasureStart, in.Jobs[0].Submit, want.AvgQueueLen)
+	}
+
+	vc := engine.NewVirtualClock()
+	e, err := engine.New(engine.Config{Capacity: in.Capacity, Policy: policy.FCFSBackfill(), Clock: vc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range in.Jobs {
+		vc.AfterFunc(j.Submit, func() {
+			if err := e.SubmitJob(j); err != nil {
+				t.Errorf("engine submit %d: %v", j.ID, err)
+			}
+		})
+	}
+	vc.Run()
+	one := replayRouter(t, in, Config{Shards: 1, Policy: func(int) sim.Policy { return policy.FCFSBackfill() }, RebalanceEvery: 10 * job.Minute})
+	for name, got := range map[string]metrics.Summary{"engine": e.Metrics().Summary, "1-shard router": one.Metrics().Summary} {
+		if got.AvgQueueLen != want.AvgQueueLen || got.UtilizedLoad != want.UtilizedLoad {
+			t.Errorf("%s: avg queue %v, utilization %v; sim.Run %v, %v", name, got.AvgQueueLen, got.UtilizedLoad, want.AvgQueueLen, want.UtilizedLoad)
+		}
+	}
+
+	jobs := in.Jobs[:0]
+	for _, j := range in.Jobs {
+		if j.Nodes <= in.Capacity/2 {
+			jobs = append(jobs, j)
+		}
+	}
+	in.Jobs = jobs
+	two := replayRouter(t, in, Config{Shards: 2, Policy: func(int) sim.Policy { return policy.FCFSBackfill() }, RebalanceEvery: 10 * job.Minute})
+	recs := two.Records()
+	span := &sim.Result{Records: recs, Capacity: in.Capacity, MeasureStart: in.Jobs[0].Submit}
+	queued := int64(0)
+	for _, r := range recs {
+		span.MeasureEnd = max(span.MeasureEnd, r.End)
+		queued += r.Start - r.Job.Submit
+	}
+	m := two.Metrics()
+	if m.NowS <= span.MeasureEnd {
+		t.Fatalf("the clock stopped at %d, not past the last completion at %d: the case is not exercised", m.NowS, span.MeasureEnd)
+	}
+	avgQ := float64(queued) / float64(span.MeasureEnd-span.MeasureStart)
+	if util := metrics.Utilization(span); m.Summary.UtilizedLoad != util || m.Summary.AvgQueueLen != avgQ {
+		t.Errorf("2 shards: avg queue %v, utilization %v; over [first arrival, last completion] %v, %v",
+			m.Summary.AvgQueueLen, m.Summary.UtilizedLoad, avgQ, util)
+	}
+}
+
 // TestFederatedSuiteMonth runs a 4-shard federation with rebalancing
 // over a suite month and checks the global invariants: job conservation
 // across migrations, shard-local node IDs, whole-machine capacity.

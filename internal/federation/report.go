@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"schedsearch/internal/engine"
+	"schedsearch/internal/job"
 	"schedsearch/internal/metrics"
 	"schedsearch/internal/sim"
 )
@@ -114,11 +115,21 @@ func (r *Router) Metrics() engine.Metrics {
 	now := r.cfg.Clock.Now()
 	records := r.Records()
 	res := &sim.Result{
-		Policy:       r.polName,
-		Records:      records,
-		Capacity:     r.cfg.Capacity,
-		MeasureStart: r.cfg.MeasureStart,
-		MeasureEnd:   r.window.MeasureEnd(now),
+		Policy:   r.polName,
+		Records:  records,
+		Capacity: r.cfg.Capacity,
+	}
+	// Shards share an explicit window, so their averages add up; without
+	// one each shard's span is its own, and the federation's queue
+	// integral is rebuilt from the jobs over the federation's span.
+	var first, last job.Time
+	var queued int64
+	if !r.window.Explicit {
+		first, last, queued = r.activity(records, per)
+	}
+	res.MeasureStart, res.MeasureEnd = r.window.Window(first, last)
+	if !r.window.Explicit && res.MeasureEnd > res.MeasureStart {
+		res.AvgQueueLen = float64(queued) / float64(res.MeasureEnd-res.MeasureStart)
 	}
 	m := engine.Metrics{
 		Policy:   r.polName,
@@ -128,7 +139,9 @@ func (r *Router) Metrics() engine.Metrics {
 	var wallMs, busyMs, decideMsSum float64
 	for _, pm := range per {
 		res.Decisions += int(pm.Engine.Decisions)
-		res.AvgQueueLen += pm.Summary.AvgQueueLen
+		if r.window.Explicit {
+			res.AvgQueueLen += pm.Summary.AvgQueueLen
+		}
 		m.Jobs.Waiting += pm.Jobs.Waiting
 		m.Jobs.Running += pm.Jobs.Running
 		m.Jobs.Done += pm.Jobs.Done
@@ -183,6 +196,39 @@ func (r *Router) Federation() engine.FederationMetrics {
 	r.mu.Unlock()
 	fm.Global = r.Metrics()
 	return fm
+}
+
+// activity returns the federation's first arrival, its last event and
+// the job-seconds spent queued up to that event: a job is queued from
+// its submit time, which a migration keeps, to its start. That is the
+// integral of the federation's queue length, which a shard's own books
+// only hold for the jobs it had. per, the shards' metrics, spares the
+// reads of an empty queue or machine.
+func (r *Router) activity(records []sim.Record, per []engine.Metrics) (first, last job.Time, queued int64) {
+	first = r.cfg.Clock.Now()
+	for _, rec := range records {
+		first, last = min(first, rec.Job.Submit), max(last, rec.End)
+		queued += rec.Start - rec.Job.Submit
+	}
+	var waiting, submits int64
+	for i, s := range r.shardList() {
+		if per[i].Jobs.Running > 0 {
+			for _, rj := range s.Machine().Running {
+				if st, ok := s.Job(rj.ID); ok {
+					first, last = min(first, st.Job.Submit), max(last, st.Start)
+					queued += st.Start - st.Job.Submit
+				}
+			}
+		}
+		if per[i].Jobs.Waiting > 0 {
+			for _, st := range s.Queue() {
+				first, last = min(first, st.Job.Submit), max(last, st.Job.Submit)
+				waiting++
+				submits += st.Job.Submit
+			}
+		}
+	}
+	return first, last, queued + waiting*last - submits
 }
 
 func (r *Router) shardMetrics() []engine.Metrics {

@@ -2,15 +2,15 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
+	"sync"
 
 	"schedsearch/internal/engine"
 	"schedsearch/internal/ingest"
 	"schedsearch/internal/job"
-	"schedsearch/internal/wire"
 )
 
 // maxBatchItems caps the jobs in one batched submit. It exists so a
@@ -65,17 +65,15 @@ func (s *Server) submitStatus(err error) (int, string) {
 	}
 }
 
-// specFromRequest converts one wire.SubmitRequest to the job the
-// backend admits.
-func specFromRequest(req wire.SubmitRequest) job.Job {
-	return job.Job{
-		ID:      req.ID,
-		Nodes:   req.Nodes,
-		Runtime: req.RuntimeS,
-		Request: req.RequestS,
-		User:    req.User,
-	}
+// batchScratch is one batched submit's reusable memory: the decoded
+// jobs, the per-item results and the reply's bytes.
+type batchScratch struct {
+	jobs  []job.Job
+	items []BatchItemResult
+	out   []byte
 }
+
+var batchScratches = sync.Pool{New: func() any { return new(batchScratch) }}
 
 // submitBatch handles an array-bodied POST /v1/jobs through the ingest
 // queue: per-item results, group-committed admission, explicit
@@ -87,79 +85,77 @@ func (s *Server) submitBatch(w http.ResponseWriter, body []byte, st submitTrace)
 			errors.New("batched submits need the ingest queue (run with -ingest-pending > 0)"))
 		return
 	}
-	var reqs []wire.SubmitRequest
-	if err := json.Unmarshal(body, &reqs); err != nil {
+	sc := batchScratches.Get().(*batchScratch)
+	defer func() {
+		// A body of a million {} items must not pin its memory.
+		if cap(sc.jobs) <= maxBatchItems {
+			batchScratches.Put(sc)
+		}
+	}()
+	jobs, err := decodeJobs(sc.jobs, body)
+	sc.jobs = jobs
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_json", err)
 		return
 	}
-	if len(reqs) == 0 {
+	if len(jobs) == 0 {
 		writeError(w, http.StatusBadRequest, "empty_batch", errors.New("batch holds no jobs"))
 		return
 	}
-	if len(reqs) > maxBatchItems {
+	if len(jobs) > maxBatchItems {
 		writeError(w, http.StatusRequestEntityTooLarge, "batch_too_large",
-			fmt.Errorf("batch of %d jobs exceeds the %d-item cap", len(reqs), maxBatchItems))
+			fmt.Errorf("batch of %d jobs exceeds the %d-item cap", len(jobs), maxBatchItems))
 		return
 	}
-	jobs := make([]job.Job, len(reqs))
-	pre := make([]*BatchItemResult, len(reqs)) // resolved before enqueue
-	for i, req := range reqs {
-		if req.ID < 0 {
-			pre[i] = &BatchItemResult{
+	// Items that fail the cheap checks are resolved here; the rest move
+	// to the front of jobs, in order, and stay 201 until the queue says
+	// otherwise.
+	sc.items = slices.Grow(sc.items[:0], len(jobs))[:len(jobs)]
+	items := sc.items
+	live := jobs[:0]
+	for i, j := range jobs {
+		if j.ID < 0 {
+			items[i] = BatchItemResult{
 				Index: i, Status: http.StatusBadRequest, Code: "invalid_job",
-				Error: fmt.Sprintf("invalid job ID %d", req.ID),
+				Error: fmt.Sprintf("invalid job ID %d", j.ID),
 			}
 			continue
 		}
-		jobs[i] = specFromRequest(req)
-	}
-	// Submit only the items that passed the cheap checks, remembering
-	// their original indexes.
-	live := make([]job.Job, 0, len(jobs))
-	idx := make([]int, 0, len(jobs))
-	for i := range jobs {
-		if pre[i] == nil {
-			live = append(live, jobs[i])
-			idx = append(idx, i)
-		}
+		items[i] = BatchItemResult{Index: i, Status: http.StatusCreated}
+		live = append(live, j)
 	}
 	var results []ingest.ItemResult
 	if len(live) > 0 {
-		var err error
 		results, err = s.ingest.SubmitBatch(live)
 		if err != nil {
 			s.writeSaturated(w, err)
 			return
 		}
 	}
-	resp := BatchResponse{Items: make([]BatchItemResult, len(reqs))}
-	for i := range reqs {
-		if pre[i] != nil {
-			resp.Items[i] = *pre[i]
-			continue
-		}
-		resp.Items[i] = BatchItemResult{Index: i, Status: http.StatusCreated}
-	}
-	for k, r := range results {
-		i := idx[k]
-		if r.Err != nil {
-			status, code := s.submitStatus(r.Err)
-			resp.Items[i] = BatchItemResult{
-				Index: i, Status: status, Code: code, Error: r.Err.Error(),
+	resp := BatchResponse{Items: items}
+	k := 0
+	for i := range items {
+		it := &items[i]
+		if it.Status == http.StatusCreated {
+			if r := results[k]; r.Err != nil {
+				status, code := s.submitStatus(r.Err)
+				*it = BatchItemResult{Index: i, Status: status, Code: code, Error: r.Err.Error()}
+			} else {
+				s.bindSubmitTrace(&st, r.ID, k)
+				it.ID = r.ID
 			}
-			continue
+			k++
 		}
-		s.bindSubmitTrace(&st, r.ID, k)
-		resp.Items[i] = BatchItemResult{Index: i, ID: r.ID, Status: http.StatusCreated}
-	}
-	for _, it := range resp.Items {
 		if it.Status == http.StatusCreated {
 			resp.Accepted++
 		} else {
 			resp.Rejected++
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	sc.out = appendBatchResponse(sc.out[:0], &resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(sc.out)
 }
 
 // writeSaturated renders a whole-request backpressure rejection: 503

@@ -209,18 +209,17 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		s.submitBatch(w, body, st)
 		return
 	}
-	var req wire.SubmitRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	spec, err := decodeJob(body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_json", err)
 		return
 	}
-	if req.ID < 0 {
+	if spec.ID < 0 {
 		writeError(w, http.StatusBadRequest, "invalid_job",
-			fmt.Errorf("invalid job ID %d", req.ID))
+			fmt.Errorf("invalid job ID %d", spec.ID))
 		return
 	}
-	spec := specFromRequest(req)
-	id := req.ID
+	id := spec.ID
 	if s.ingest != nil {
 		// Single submits share the ingest path so quotas and
 		// backpressure apply uniformly; the response shape is the same.

@@ -58,11 +58,23 @@ func (q *QueueStats) Sample(now job.Time, qlen int) {
 	}
 }
 
-// MeasureEnd is the end of the measured span as of now: the explicit
-// window's end, or now itself when everything is measured.
-func (q *QueueStats) MeasureEnd(now job.Time) job.Time {
+// Window is the measured span [start, end): the explicit window, or
+// else the run's activity, from its first arrival to its last event.
+// Every driver takes both the average queue length and utilization
+// over it, so no run is measured from engine time 0 or past its last
+// event to wherever its clock stopped.
+func (q *QueueStats) Window(first, last job.Time) (start, end job.Time) {
 	if q.Explicit {
-		return q.End
+		return q.Start, q.End
 	}
-	return now
+	return first, last
+}
+
+// AvgQueueLen is the time-averaged queue length over [start, end) as of
+// now, with qlen jobs queued since Last.
+func (q *QueueStats) AvgQueueLen(now, start, end job.Time, qlen int) float64 {
+	if end <= start {
+		return 0
+	}
+	return q.Integral(min(now, end), qlen) / float64(end-start)
 }

@@ -113,8 +113,9 @@ type Result struct {
 	AvgQueueLen float64
 	// MaxQueueLen is the maximum queue length observed in the window.
 	MaxQueueLen int
-	// Capacity and the measurement window, echoed from the input so
-	// measures like utilization can be derived from the result alone.
+	// Capacity and the measured span (QueueStats.Window: the input's
+	// window, or first arrival to last event without one), so measures
+	// like utilization can be derived from the result alone.
 	Capacity                 int
 	MeasureStart, MeasureEnd job.Time
 }
@@ -330,27 +331,20 @@ func (e *engine) apply(starts []int) error {
 }
 
 func (e *engine) result() *Result {
-	// An explicit window is averaged whole (its tail integrates at the
-	// queue length left by the last event); without one, the average is
-	// over the span of activity.
-	measureEnd := e.q.MeasureEnd(e.q.Last)
-	first := e.q.Start
-	if !e.q.Explicit && len(e.in.Jobs) > 0 {
+	first := e.q.Last
+	if len(e.in.Jobs) > 0 {
 		first = e.in.Jobs[0].Submit
 	}
-	avgQ := 0.0
-	if window := float64(measureEnd - first); window > 0 {
-		avgQ = e.q.Integral(measureEnd, e.l.QueueLen()) / window
-	}
+	start, end := e.q.Window(first, e.q.Last)
 	return &Result{
 		Policy:       e.name,
 		Records:      e.records,
 		Decisions:    e.decisions,
-		AvgQueueLen:  avgQ,
+		AvgQueueLen:  e.q.AvgQueueLen(e.clock, start, end, e.l.QueueLen()),
 		MaxQueueLen:  e.q.Max,
 		Capacity:     e.in.Capacity,
-		MeasureStart: e.q.Start,
-		MeasureEnd:   measureEnd,
+		MeasureStart: start,
+		MeasureEnd:   end,
 	}
 }
 
