@@ -253,47 +253,87 @@ func TestSchedsimReplayHonoursCapacity(t *testing.T) {
 	}
 }
 
-// TestScheddFanout is the end-to-end multi-process federation test: a
-// schedd supervisor spawns four shard child processes (each a full
-// daemon with its own journal), fronts them over real TCP, and the
-// whole cluster schedules submitted jobs, reports per-shard readiness
-// and federation metrics, then drains — children and supervisor all
-// exiting cleanly.
-func TestScheddFanout(t *testing.T) {
+// scheddProc is one schedd process a CLI test started.
+type scheddProc struct {
+	cmd    *exec.Cmd
+	line   string // its start-up line
+	base   string // http://HOST:PORT, from that line
+	stdout *bufio.Reader
+	stderr *bytes.Buffer
+}
+
+// startSchedd runs schedd on a loopback port with args and waits for
+// its "… listening on HOST:PORT" line. The process is killed when the
+// test ends, if it has not exited by then.
+func startSchedd(t *testing.T, args ...string) *scheddProc {
+	t.Helper()
+	cmd := exec.Command(buildCmd(t, "schedd"), append([]string{"-addr", "127.0.0.1:0"}, args...)...)
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &scheddProc{cmd: cmd, stdout: bufio.NewReader(stdout), stderr: &bytes.Buffer{}}
+	cmd.Stderr = p.stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cmd.Process.Kill() })
+	if p.line, err = p.stdout.ReadString('\n'); err != nil {
+		t.Fatalf("schedd %s: reading listen line: %v (stderr: %s)", strings.Join(args, " "), err, p.stderr)
+	}
+	i := strings.LastIndex(p.line, "listening on ")
+	if i < 0 {
+		t.Fatalf("unexpected startup line %q", p.line)
+	}
+	p.base = "http://" + strings.TrimSpace(p.line[i+len("listening on "):])
+	return p
+}
+
+// exit waits until deadline for the process to exit by itself and
+// returns what it printed on stdout after its start-up line. Stdout is
+// read to EOF before Wait, which closes the pipe and would discard the
+// buffered output.
+func (p *scheddProc) exit(deadline time.Time) ([]byte, error) {
+	restCh := make(chan []byte, 1)
+	go func() {
+		rest, _ := io.ReadAll(p.stdout)
+		restCh <- rest
+	}()
+	select {
+	case rest := <-restCh:
+		if err := p.cmd.Wait(); err != nil {
+			return rest, fmt.Errorf("%v (stderr: %s)", err, p.stderr)
+		}
+		return rest, nil
+	case <-time.After(time.Until(deadline)):
+		return nil, errors.New("did not exit")
+	}
+}
+
+// TestScheddJoin is the end-to-end multi-process federation test: four
+// plain shard daemons, each with its own journal, and one -join front
+// over them on real TCP. The whole cluster schedules submitted jobs,
+// reports per-shard readiness and federation metrics, then drains
+// through the front, and all five processes exit cleanly.
+func TestScheddJoin(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
 		t.Skip("builds and runs a 5-process schedd cluster")
 	}
 	dir := t.TempDir()
-	bin := buildCmd(t, "schedd")
-	cmd := exec.Command(bin,
-		"-addr", "127.0.0.1:0", "-fanout", "4", "-policy", "DDS/lxf/dynB", "-L", "200",
-		"-capacity", "32", "-speedup", "600", "-rebalance", "30",
-		"-journal", filepath.Join(dir, "fan.journal"))
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
+	var shardProcs []*scheddProc
+	var urls []string
+	for s := 0; s < 4; s++ {
+		p := startSchedd(t, "-capacity", "8", "-journal", filepath.Join(dir, fmt.Sprintf("join.journal.shard-%d", s)),
+			"-policy", "DDS/lxf/dynB", "-L", "200", "-speedup", "600")
+		shardProcs = append(shardProcs, p)
+		urls = append(urls, p.base)
 	}
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
+	front := startSchedd(t, "-join", strings.Join(urls, ","), "-rebalance", "30", "-speedup", "600")
+	if !strings.Contains(front.line, "4 remote shards") {
+		t.Fatalf("startup line %q does not announce the remote federation", front.line)
 	}
-	defer cmd.Process.Kill()
-
-	reader := bufio.NewReader(stdout)
-	line, err := reader.ReadString('\n')
-	if err != nil {
-		t.Fatalf("reading listen line: %v (stderr: %s)", err, stderr.String())
-	}
-	if !strings.Contains(line, "4 remote shards") {
-		t.Fatalf("startup line %q does not announce the remote federation", line)
-	}
-	i := strings.LastIndex(line, "listening on ")
-	if i < 0 {
-		t.Fatalf("unexpected startup line %q", line)
-	}
-	base := "http://" + strings.TrimSpace(line[i+len("listening on "):])
+	base := front.base
 
 	getJSON := func(path string, wantStatus int) map[string]any {
 		t.Helper()
@@ -370,7 +410,7 @@ func TestScheddFanout(t *testing.T) {
 		}
 	}
 	if waited == 0 {
-		t.Fatal("no job waited for nodes: the fan-out never queued one")
+		t.Fatal("no job waited for nodes: the federation never queued one")
 	}
 
 	fedRep := getJSON("/v1/federation", http.StatusOK)
@@ -378,28 +418,21 @@ func TestScheddFanout(t *testing.T) {
 		t.Fatalf("federation report %v, want 4 shards", fedRep["shards"])
 	}
 
-	// Drain: must propagate to every child, which then exit on their
-	// own; the supervisor reaps them and exits cleanly.
+	// Drain: the front forwards it to every shard, which then exits
+	// once its machine is empty; the front exits after them.
 	resp, err := http.Post(base+"/v1/drain", "application/json", nil)
 	if err != nil {
 		t.Fatalf("POST /v1/drain: %v", err)
 	}
 	resp.Body.Close()
-	restCh := make(chan struct{}, 1)
-	go func() {
-		io.Copy(io.Discard, reader)
-		restCh <- struct{}{}
-	}()
-	select {
-	case <-restCh:
-	case <-time.After(30 * time.Second):
-		t.Fatal("schedd supervisor did not exit after drain")
-	}
-	if err := cmd.Wait(); err != nil {
-		t.Fatalf("schedd exit: %v (stderr: %s)", err, stderr.String())
+	deadline = time.Now().Add(30 * time.Second)
+	for k, p := range append(shardProcs, front) {
+		if _, err := p.exit(deadline); err != nil {
+			t.Fatalf("schedd process %d after the drain: %v", k, err)
+		}
 	}
 
-	// Each shard child journaled its own events, and each journal,
+	// Each shard daemon journaled its own events, and each journal,
 	// written on the wall clock with what the rebalance pass moved out
 	// of it (an EvWithdraw) and into it, re-decides clean under the
 	// shards' policy: every EvDecide, some of which started nothing
@@ -407,7 +440,7 @@ func TestScheddFanout(t *testing.T) {
 	sim := buildCmd(t, "schedsim")
 	idle, withdraws := 0, 0
 	for s := 0; s < 4; s++ {
-		path := filepath.Join(dir, fmt.Sprintf("fan.journal.shard-%d", s))
+		path := filepath.Join(dir, fmt.Sprintf("join.journal.shard-%d", s))
 		cp, err := engine.LoadCheckpoint(path)
 		if err != nil {
 			t.Fatalf("shard %d journal: %v", s, err)
@@ -456,34 +489,10 @@ func TestScheddHTTP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the schedd binary")
 	}
-	bin := buildCmd(t, "schedd")
 	// 600 engine seconds per wall second: the 300-second jobs below
 	// complete in ~0.5s wall.
-	cmd := exec.Command(bin,
-		"-addr", "127.0.0.1:0", "-policy", "DDS/lxf/dynB", "-L", "500",
-		"-capacity", "16", "-speedup", "600")
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer cmd.Process.Kill()
-
-	// The daemon prints "… listening on HOST:PORT" once ready.
-	reader := bufio.NewReader(stdout)
-	line, err := reader.ReadString('\n')
-	if err != nil {
-		t.Fatalf("reading listen line: %v (stderr: %s)", err, stderr.String())
-	}
-	i := strings.LastIndex(line, "listening on ")
-	if i < 0 {
-		t.Fatalf("unexpected startup line %q", line)
-	}
-	base := "http://" + strings.TrimSpace(line[i+len("listening on "):])
+	d := startSchedd(t, "-policy", "DDS/lxf/dynB", "-L", "500", "-capacity", "16", "-speedup", "600")
+	base := d.base
 
 	post := func(path, body string) map[string]any {
 		t.Helper()
@@ -556,22 +565,11 @@ func TestScheddHTTP(t *testing.T) {
 	}
 
 	// Drain: the daemon must refuse new work, then exit cleanly and
-	// print final metrics on stdout. Read stdout to EOF before Wait —
-	// Wait closes the pipe and would discard the buffered JSON.
+	// print final metrics on stdout.
 	post("/v1/drain", "")
-	restCh := make(chan []byte, 1)
-	go func() {
-		rest, _ := io.ReadAll(reader)
-		restCh <- rest
-	}()
-	var rest []byte
-	select {
-	case rest = <-restCh:
-	case <-time.After(30 * time.Second):
-		t.Fatal("schedd did not exit after drain")
-	}
-	if err := cmd.Wait(); err != nil {
-		t.Fatalf("schedd exit: %v (stderr: %s)", err, stderr.String())
+	rest, err := d.exit(time.Now().Add(30 * time.Second))
+	if err != nil {
+		t.Fatalf("schedd after the drain: %v", err)
 	}
 	var final engine.Metrics
 	if err := json.Unmarshal(rest, &final); err != nil {

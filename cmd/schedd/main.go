@@ -59,28 +59,24 @@
 //
 // Distributed federation:
 //
-//	schedd -fanout 16 -capacity 512 -policy DDS/lxf/dynB -journal sched.journal
-//	schedd -join http://10.0.0.1:8080,http://10.0.0.2:8080
+//	schedd -addr :8081 -capacity 128 -journal a.journal   # one per shard
+//	schedd -join http://10.0.0.1:8081,http://10.0.0.2:8081 -addr :8080
 //
-// -fanout N spawns N schedd shard child processes on loopback ports —
-// each owns its near-even slice of -capacity, runs the forwarded
-// policy flags, and (with -journal) appends to its own
-// <path>.shard-N journal — then serves as the federation front-end
-// over them. A supervisor start always begins clean: every non-empty
-// shard journal is rotated to <path>.shard-N.old before its child
-// starts, because the front-end restarts job IDs and the clock. Only a
-// shard daemon restarted by hand on its own journal (a plain daemon,
-// -journal <path>.shard-N) recovers from it. -join instead
-// fronts shard daemons that are already running (anywhere reachable),
-// discovering their capacities over the wire. Either way the shards are driven
-// through per-call timeouts with bounded retries; an unreachable
-// shard's work is routed around it (GET /v1/readyz answers 503 with
-// the per-shard breakdown while any shard is dark), certain-failure
-// submissions are rerouted, and wire-uncertain migration steps are
-// parked and reconciled on the rebalance tick instead of being retried
-// blindly (so -rebalance 0 is rejected with -join/-fanout). A drain
-// (POST /v1/drain or SIGINT/SIGTERM) propagates to every shard; fanout
-// children exit with the supervisor.
+// -join fronts shard daemons that are already running (anywhere
+// reachable): each is a plain schedd with its own capacity, policy and
+// journal, and the front discovers their capacities, and the first job
+// ID none of them has taken, over the wire. The front therefore
+// refuses the flags it would ignore (-policy, -L, -workers,
+// -requested, -capacity, -journal, -group-commit, -compact-every).
+// The shards are driven through per-call timeouts with bounded
+// retries; an unreachable shard's work is routed around it
+// (GET /v1/readyz answers 503 with the per-shard breakdown while any
+// shard is dark), certain-failure submissions are rerouted, and
+// wire-uncertain migration steps are parked and reconciled on the
+// rebalance tick instead of being retried blindly (so -rebalance 0 is
+// rejected with -join). A drain (POST /v1/drain or SIGINT/SIGTERM on
+// the front) propagates to every shard, and each shard daemon exits
+// once its machine has emptied.
 //
 // Observability:
 //
@@ -112,7 +108,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 
@@ -140,9 +135,7 @@ func main() {
 	}
 }
 
-// logger is the daemon's structured stderr logger; fanout children get
-// their own (their stderr is forwarded line-by-line through the
-// supervisor's, tagged with the shard index).
+// logger is the daemon's structured stderr logger.
 var logger = obs.NewLogger(os.Stderr, "schedd")
 
 // config is the parsed and cross-checked command line.
@@ -178,7 +171,6 @@ func parseConfig(args []string) (config, error) {
 	fs.IntVar(&c.fed.shards, "shards", 1, "engine shards; >1 federates the machine behind a routing front-end")
 	fs.Int64Var(&c.fed.rebalance, "rebalance", 600, "federation rebalance period in engine seconds (0 = off, in-process only); remote federations also reconcile parked wire-uncertain steps and re-probe dark shards on this tick")
 	fs.StringVar(&join, "join", "", "serve as a federation front-end over these already-running out-of-process shard daemons (comma-separated base URLs, e.g. http://10.0.0.1:8080,http://10.0.0.2:8080)")
-	fs.IntVar(&c.fed.fanout, "fanout", 0, "spawn N schedd shard child processes on loopback ports and front them (each child owns its slice of -capacity and, with -journal, its own <path>.shard-N journal)")
 
 	fs.StringVar(&c.dur.path, "journal", "", "append committed events to this journal file and recover from it on start (federation appends to <path>.shard-N)")
 	fs.IntVar(&c.dur.group, "group-commit", 64, "journal appends per fsync (1 = fsync every commit)")
@@ -202,31 +194,24 @@ func parseConfig(args []string) (config, error) {
 			c.fed.join = append(c.fed.join, u)
 		}
 	}
-	if c.fed.fanout == 1 || c.fed.fanout < 0 {
-		return config{}, fmt.Errorf("-fanout %d: want at least 2 shard processes", c.fed.fanout)
-	}
 	if c.fed.remote() {
 		switch {
-		case len(c.fed.join) > 0 && c.fed.fanout > 0:
-			return config{}, errors.New("-join and -fanout are mutually exclusive")
 		case c.fed.shards > 1:
-			return config{}, errors.New("-shards federates in process; drop it when using -join or -fanout")
+			return config{}, errors.New("-shards federates in process; drop it when using -join")
 		case c.fed.rebalance <= 0:
-			return config{}, fmt.Errorf("-rebalance %d: -join/-fanout need the periodic pass (it reconciles wire-uncertain steps and re-probes dark shards)", c.fed.rebalance)
+			return config{}, fmt.Errorf("-rebalance %d: -join needs the periodic pass (it reconciles wire-uncertain steps and re-probes dark shards)", c.fed.rebalance)
 		}
-		// Children re-run this binary with the policy flags and the
-		// compaction bound (it folds a journal-less child's in-memory
-		// tail too) forwarded; they admit synchronously (no accept
-		// queue) — batching belongs to the front-end, and
-		// migration steps bypass ingest anyway.
-		c.fed.childArgs = []string{
-			"-policy", c.policy,
-			"-L", strconv.Itoa(c.nodeLimit),
-			"-workers", strconv.Itoa(c.workers),
-			fmt.Sprintf("-requested=%v", c.requested),
-			"-speedup", strconv.FormatFloat(c.speedup, 'g', -1, 64),
-			"-compact-every", strconv.Itoa(c.dur.compactEvery),
-			"-ingest-pending", "0",
+		// Each shard daemon owns its machine, policy and journal: a
+		// front would silently ignore these.
+		var stray []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "policy", "L", "workers", "requested", "capacity", "journal", "group-commit", "compact-every":
+				stray = append(stray, "-"+f.Name)
+			}
+		})
+		if len(stray) > 0 {
+			return config{}, fmt.Errorf("%s: not with -join (each shard daemon sets its own)", strings.Join(stray, ", "))
 		}
 	}
 	return c, nil
@@ -288,21 +273,18 @@ type ingOptions struct {
 	quotaBurst float64
 }
 
-// fedOptions carry the federation flags; shards <= 1 with neither join
-// URLs nor a fanout count means a bare engine.
+// fedOptions carry the federation flags; shards <= 1 without join URLs
+// means a bare engine.
 type fedOptions struct {
 	shards    int
 	rebalance job.Duration
-	// join lists out-of-process shard base URLs to front; fanout spawns
-	// that many shard child processes instead. Either makes the stack a
-	// remote federation (RemoteShard clients behind the router).
-	join      []string
-	fanout    int
-	childArgs []string // pass-through flags for fanout children
+	// join lists out-of-process shard base URLs to front: RemoteShard
+	// clients behind the router.
+	join []string
 }
 
 // remote reports whether the federation is out of process.
-func (f fedOptions) remote() bool { return len(f.join) > 0 || f.fanout > 0 }
+func (f fedOptions) remote() bool { return len(f.join) > 0 }
 
 // federated reports whether a router fronts the machine at all.
 func (f fedOptions) federated() bool { return f.shards > 1 || f.remote() }
@@ -333,10 +315,6 @@ func serve(c config) error {
 		tr = obs.NewTracer(obs.TracerOptions{})
 	}
 	st, err := buildBackend(c, engine.NewRealClockAt(start, c.speedup), tr, recovered)
-	// Fanout children normally exit on their own after the drain the
-	// router forwards to them; this reap catches error paths (and is a
-	// no-op once the clean path below has waited for them).
-	defer st.killChildren()
 	if err != nil {
 		return err
 	}
@@ -423,7 +401,6 @@ func serve(c config) error {
 	if err := bk.Err(); err != nil {
 		return err
 	}
-	st.waitChildren()
 	if c.obs.traceOut != "" {
 		if err := tr.WriteTraceFile(c.obs.traceOut); err != nil {
 			return err

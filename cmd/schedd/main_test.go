@@ -20,12 +20,20 @@ func TestParseConfigRejects(t *testing.T) {
 		args    string
 		wantSub string
 	}{
-		{"-join http://a:1 -fanout 2", "mutually exclusive"},
-		{"-fanout 1", "-fanout 1"},
-		{"-fanout -3", "-fanout -3"},
 		{"-shards 2 -join http://a:1", "-shards"},
 		{"-join http://a:1 -rebalance 0", "-rebalance 0"},
-		{"-fanout 2 -rebalance 0", "-rebalance 0"},
+		// -join is the one remote mode: the process supervisor is gone.
+		{"-fanout 2", "flag provided but not defined: -fanout"},
+		// A -join front runs no engine of its own, so the flags only a
+		// shard daemon honours are refused rather than ignored.
+		{"-join http://a:1 -policy LDS/fcfs/100h", "-policy"},
+		{"-join http://a:1 -L 50", "-L"},
+		{"-join http://a:1 -workers 2", "-workers"},
+		{"-join http://a:1 -requested", "-requested"},
+		{"-join http://a:1 -capacity 64", "-capacity"},
+		{"-join http://a:1 -journal j", "-journal"},
+		{"-join http://a:1 -group-commit 1", "-group-commit"},
+		{"-join http://a:1 -compact-every 100", "-compact-every"},
 		{"-policy BFS/lxf/dynB", "unknown search algorithm"},
 		{"-policy meta(DDS/lxf/dynB,)", "empty member"},
 		// Replay is schedsim's: the daemon has no replay flag left.
@@ -43,8 +51,7 @@ func TestParseConfigRejects(t *testing.T) {
 }
 
 // TestParseConfigAccepts pins what the cross-checks must let through
-// and what they derive: the shipped defaults, trimmed -join URLs and the
-// flags a fanout supervisor forwards to its children.
+// and what they derive: the shipped defaults and trimmed -join URLs.
 func TestParseConfigAccepts(t *testing.T) {
 	c, err := parseConfig(nil)
 	if err != nil {
@@ -63,36 +70,18 @@ func TestParseConfigAccepts(t *testing.T) {
 		t.Errorf("in-process federation parsed as %+v", c)
 	}
 
-	c, err = parseConfig([]string{"-join", " http://a:1, http://b:2 ,"})
+	// The front's own flags (its clock, its pass, its accept queue)
+	// pass the -join check.
+	c, err = parseConfig([]string{"-join", " http://a:1, http://b:2 ,",
+		"-speedup", "600", "-rebalance", "30", "-ingest-pending", "16", "-quota-rate", "0.5"})
 	if err != nil {
 		t.Fatalf("-join: %v", err)
 	}
 	if want := []string{"http://a:1", "http://b:2"}; !reflect.DeepEqual(c.fed.join, want) {
 		t.Errorf("-join URLs %q, want %q", c.fed.join, want)
 	}
-
-	for _, tc := range []struct {
-		args, want   string
-		compactEvery int
-	}{
-		{"-fanout 4 -policy LDS/fcfs/100h -L 50 -speedup 600 -journal j",
-			"-policy LDS/fcfs/100h -L 50 -workers 1 -requested=false -speedup 600 -compact-every 4096 -ingest-pending 0", 4096},
-		// Without -journal the bound still folds each child's in-memory tail.
-		{"-fanout 4 -compact-every 100",
-			"-policy DDS/lxf/dynB -L 1000 -workers 1 -requested=false -speedup 1 -compact-every 100 -ingest-pending 0", 100},
-	} {
-		c, err := parseConfig(strings.Fields(tc.args))
-		if err != nil {
-			t.Fatalf("schedd %s: %v", tc.args, err)
-		}
-		if got := strings.Join(c.fed.childArgs, " "); got != tc.want {
-			t.Errorf("schedd %s: fanout child flags\n got %s\nwant %s", tc.args, got, tc.want)
-		}
-		// The forwarded flags must themselves parse as a bare shard daemon.
-		child, err := parseConfig(c.fed.childArgs)
-		if err != nil || child.fed.remote() || child.ing.pending != 0 || child.dur.compactEvery != tc.compactEvery {
-			t.Errorf("schedd %s: child flags re-parse: %v, %+v", tc.args, err, child)
-		}
+	if c.speedup != 600 || c.fed.rebalance != 30 || c.ing.pending != 16 || c.ing.quotaRate != 0.5 {
+		t.Errorf("-join front parsed as %+v", c)
 	}
 }
 

@@ -3,8 +3,6 @@ package main
 import (
 	"fmt"
 	"os"
-	"os/exec"
-	"time"
 
 	"schedsearch/internal/engine"
 	"schedsearch/internal/federation"
@@ -20,13 +18,10 @@ type stack struct {
 	router *federation.Router // nil for a bare engine
 
 	journals []*engine.FileJournal
-	children []*exec.Cmd // fanout shard processes
 }
 
 // buildBackend is the one place a stack is wired. recovered, when
-// non-nil, is the single-engine journal the engine is rebuilt from. On
-// error the returned stack still holds any fanout children already
-// started.
+// non-nil, is the single-engine journal the engine is rebuilt from.
 func buildBackend(c config, clock engine.Clock, tr *obs.Tracer, recovered *engine.Checkpoint) (*stack, error) {
 	st := &stack{}
 	fed, dur := c.fed, c.dur
@@ -46,17 +41,8 @@ func buildBackend(c config, clock engine.Clock, tr *obs.Tracer, recovered *engin
 		}
 		var err error
 		if fed.remote() {
-			urls := fed.join
-			if fed.fanout > 0 {
-				urls, st.children, err = spawnShardProcs(fed.fanout, c.capacity, fed.childArgs, dur)
-				if err != nil {
-					return st, err
-				}
-			} else if dur.path != "" {
-				logger.Warn("-journal is ignored with -join (each shard daemon owns its journal)")
-			}
-			shards := make([]engine.Shard, len(urls))
-			for i, u := range urls {
+			shards := make([]engine.Shard, len(fed.join))
+			for i, u := range fed.join {
 				shards[i] = federation.NewRemoteShard(u, federation.RemoteShardOptions{Logger: logger, Tracer: tr})
 			}
 			st.router, err = federation.NewWithShards(fcfg, shards)
@@ -128,8 +114,8 @@ func buildBackend(c config, clock engine.Clock, tr *obs.Tracer, recovered *engin
 }
 
 // rotateShardJournal names shard i's journal under base and moves a
-// leftover non-empty one aside to <path>.old. Federated start-up
-// (in-process or fanout) does not recover from shard journals, and the
+// leftover non-empty one aside to <path>.old. In-process federated
+// start-up does not recover from shard journals, and the
 // front-end assigns job IDs from 1 on every boot, so appending a fresh
 // run (restarted clock, reused IDs) after the old run's events would
 // corrupt both.
@@ -152,33 +138,4 @@ func (st *stack) frontShard() int {
 		return -1
 	}
 	return 0
-}
-
-// waitChildren reaps drained fanout children, which exit by themselves
-// once their machines empty, so their journals are closed before the
-// run reports. A child that never got the drain (its wire was down
-// during shutdown) is killed after a grace period rather than hanging
-// the supervisor.
-func (st *stack) waitChildren() {
-	for _, c := range st.children {
-		c := c
-		done := make(chan struct{})
-		go func() { _ = c.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			_ = c.Process.Kill()
-			<-done
-		}
-	}
-	st.children = nil
-}
-
-// killChildren kills and reaps whatever fanout children are left.
-func (st *stack) killChildren() {
-	for _, c := range st.children {
-		_ = c.Process.Kill()
-		_ = c.Wait()
-	}
-	st.children = nil
 }

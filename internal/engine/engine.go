@@ -745,6 +745,10 @@ type Load struct {
 	Now         job.Time
 	Slope       int
 	StableUntil job.Time
+	// NextID is one past the largest job ID the engine has ever
+	// admitted, done and withdrawn jobs included: a router fronting
+	// running shards starts its own IDs there.
+	NextID int
 }
 
 // At returns the load at t, for t in [ld.Now, ld.StableUntil]: exactly
@@ -793,6 +797,7 @@ func (e *Engine) Load() Load {
 		Now:              now,
 		Slope:            slope,
 		StableUntil:      until,
+		NextID:           e.nextID,
 	}
 }
 

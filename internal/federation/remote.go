@@ -32,6 +32,9 @@ var ErrUnreachable = errors.New("federation: shard unreachable")
 // uncertain migrations for reconciliation instead.
 var ErrUncertain = errors.New("federation: request outcome unknown")
 
+// retryBackoff is the first retry's delay; it doubles per attempt.
+const retryBackoff = 25 * time.Millisecond
+
 // RemoteShardOptions tunes a RemoteShard's wire behavior.
 type RemoteShardOptions struct {
 	// Timeout bounds each HTTP call (default 5s).
@@ -40,9 +43,6 @@ type RemoteShardOptions struct {
 	// so 3 attempts total). Structured API errors are never retried —
 	// only transport failures.
 	Retries int
-	// Backoff is the first retry's delay, doubling per attempt
-	// (default 25ms).
-	Backoff time.Duration
 	// Sleep replaces time.Sleep between retries (tests and
 	// virtual-clock harnesses pass a no-op).
 	Sleep func(time.Duration)
@@ -80,7 +80,6 @@ type RemoteShard struct {
 	hc      *http.Client
 	timeout time.Duration
 	retries int
-	backoff time.Duration
 	sleep   func(time.Duration)
 	log     *slog.Logger
 	tracer  *obs.Tracer
@@ -113,9 +112,6 @@ func NewRemoteShard(baseURL string, opts RemoteShardOptions) *RemoteShard {
 	} else if opts.Retries == 0 {
 		opts.Retries = 2
 	}
-	if opts.Backoff <= 0 {
-		opts.Backoff = 25 * time.Millisecond
-	}
 	if opts.Sleep == nil {
 		opts.Sleep = time.Sleep
 	}
@@ -133,7 +129,6 @@ func NewRemoteShard(baseURL string, opts RemoteShardOptions) *RemoteShard {
 		hc:      &http.Client{Transport: tr},
 		timeout: opts.Timeout,
 		retries: opts.Retries,
-		backoff: opts.Backoff,
 		sleep:   opts.Sleep,
 		log:     logger.With("shard", base),
 		tracer:  opts.Tracer,
@@ -299,7 +294,7 @@ func (rs *RemoteShard) do(method, path string, reqBody, out any, id int, landed 
 attempts:
 	for a := 0; a <= rs.retries; a++ {
 		if a > 0 {
-			rs.sleep(rs.backoff << (a - 1)) // doubling per retry
+			rs.sleep(retryBackoff << (a - 1)) // doubling per retry
 		}
 		err := rs.once(method, path, reqBody, out, id)
 		if err == nil {

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -736,6 +737,63 @@ func FuzzRemoteShardDecode(f *testing.F) {
 		_ = rs.Admit(job.Job{ID: 5, Nodes: 1, Runtime: 1, Request: 1})
 		_ = rs.SubmitJob(job.Job{ID: 6, Nodes: 1, Runtime: 1, Request: 1})
 	})
+}
+
+// TestRestartedFrontSkipsTakenIDs restarts a front over running
+// shards: a second router over the same two shard processes must start
+// its IDs past every ID the first one handed out, so no ID is ever held
+// by two shards.
+func TestRestartedFrontSkipsTakenIDs(t *testing.T) {
+	vc := engine.NewVirtualClock()
+	var engines []*engine.Engine
+	var shards []engine.Shard
+	for i := 0; i < 2; i++ {
+		e, rs := startShardProc(t, engine.Config{Capacity: 8, Policy: policy.FCFSBackfill(), Clock: vc}, RemoteShardOptions{})
+		engines = append(engines, e)
+		shards = append(shards, rs)
+	}
+	first, err := NewWithShards(Config{Clock: vc}, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := job.Job{Nodes: 4, Runtime: 600, Request: 600}
+	var ids []int
+	submit := func(r *Router) {
+		id, err := r.Submit(spec)
+		if err != nil {
+			t.Errorf("submit: %v", err)
+		}
+		ids = append(ids, id)
+	}
+	vc.AfterFunc(0, func() {
+		for i := 0; i < 3; i++ {
+			submit(first)
+		}
+	})
+	vc.AfterFunc(1, func() {
+		second, err := NewWithShards(Config{Clock: vc}, shards)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		submit(second)
+		submit(second)
+	})
+	vc.Run()
+	if want := []int{1, 2, 3, 4, 5}; !slices.Equal(ids, want) {
+		t.Errorf("IDs handed out %v, want %v", ids, want)
+	}
+	for id := 1; id <= 5; id++ {
+		held := 0
+		for _, e := range engines {
+			if _, ok := e.Job(id); ok {
+				held++
+			}
+		}
+		if held != 1 {
+			t.Errorf("job %d is held by %d shards", id, held)
+		}
+	}
 }
 
 // TestRemoteShardUnreachable pins the error taxonomy down: a dead

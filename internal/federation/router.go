@@ -227,7 +227,9 @@ func New(cfg Config) (*Router, error) {
 // shards themselves, so cfg.Capacity, cfg.Shards and the per-shard
 // factories (Policy, Observer, Journal) are ignored: each
 // shard process owns its policy and journal. cfg.Clock still drives
-// the router's own rebalance timer.
+// the router's own rebalance timer. The router's first ID is past
+// every ID a shard has already admitted, so a front restarted over
+// running shards never hands out a taken one.
 func NewWithShards(cfg Config, shards []engine.Shard) (*Router, error) {
 	if len(shards) < 1 {
 		return nil, errors.New("federation: no shards")
@@ -254,6 +256,7 @@ func NewWithShards(cfg Config, shards []engine.Shard) (*Router, error) {
 		r.caps = append(r.caps, ld.Capacity)
 		r.bases = append(r.bases, total)
 		total += ld.Capacity
+		r.nextID = max(r.nextID, ld.NextID)
 	}
 	r.cfg.Capacity = total
 	r.cfg.Shards = len(r.shards)

@@ -141,7 +141,7 @@ type WithdrawResponse struct {
 // wire, so the names match field for field). Now, Slope and StableUntil
 // are the answer's exact window: until StableUntil on the shard's clock
 // only remaining_node_sec moves, falling by Slope node-seconds per
-// second.
+// second. NextID is one past the largest job ID the shard has admitted.
 type LoadResponse struct {
 	Capacity         int      `json:"capacity"`
 	FreeNodes        int      `json:"free_nodes"`
@@ -153,6 +153,7 @@ type LoadResponse struct {
 	Now              job.Time `json:"now_s"`
 	Slope            int      `json:"slope_nodes"`
 	StableUntil      job.Time `json:"stable_until_s"`
+	NextID           int      `json:"next_id"`
 }
 
 // WireRecord is sim.Record on the wire.
