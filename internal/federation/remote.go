@@ -202,18 +202,36 @@ func isDialError(err error) bool {
 // hostile or corrupted shard cannot balloon the router's memory.
 const maxResponseBytes = 64 << 20
 
-// once performs a single HTTP attempt. A returned *apiError means the
-// shard answered; any other error is a transport failure. Health is
-// updated either way. jobID, when non-zero, names the job the call is
-// about; a bound trace for it rides along as X-Schedsearch-Trace.
-func (rs *RemoteShard) once(method, path string, reqBody, out any, jobID int) error {
+// jsonBody encodes a rare message's request body: an integer-only wire
+// type (WireJob, WithdrawRequest), which json.Marshal cannot refuse.
+func jsonBody(v any) []byte {
+	b, _ := json.Marshal(v)
+	return b
+}
+
+// jsonInto returns the decoder of a rare message's reply into out.
+func jsonInto(out any) func([]byte) error {
+	return func(data []byte) error { return json.Unmarshal(data, out) }
+}
+
+// loadInto returns the decoder of a load answer into lr.
+func loadInto(lr *wire.LoadResponse) func([]byte) error {
+	return func(data []byte) (err error) {
+		*lr, err = wire.DecodeLoad(data)
+		return err
+	}
+}
+
+// once performs a single HTTP attempt, sending reqBody (none when nil)
+// and handing a success reply's bytes to decode (ignored when nil). A
+// returned *apiError means the shard answered; any other error is a
+// transport failure. Health is updated either way. jobID, when
+// non-zero, names the job the call is about; a bound trace for it rides
+// along as X-Schedsearch-Trace.
+func (rs *RemoteShard) once(method, path string, reqBody []byte, decode func([]byte) error, jobID int) error {
 	var body io.Reader
 	if reqBody != nil {
-		b, err := json.Marshal(reqBody)
-		if err != nil {
-			return fmt.Errorf("federation: encode %s: %w", path, err)
-		}
-		body = bytes.NewReader(b)
+		body = bytes.NewReader(reqBody)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), rs.timeout)
 	defer cancel()
@@ -251,8 +269,8 @@ func (rs *RemoteShard) once(method, path string, reqBody, out any, jobID int) er
 		}
 		return &apiError{Status: resp.StatusCode, Code: er.Code, Msg: er.Error}
 	}
-	if out != nil {
-		if err := json.Unmarshal(data, out); err != nil {
+	if decode != nil {
+		if err := decode(data); err != nil {
 			// A garbled success body: the operation's outcome on the
 			// shard is fine, but the caller cannot use the answer.
 			// Treated as a transport-class failure (retryable).
@@ -287,7 +305,7 @@ func (rs *RemoteShard) mark(err error) {
 // may be this call's own first delivery answering its retry, so the
 // call ends ErrUncertain: reporting ErrDuplicateID would free the router
 // to admit the same ID on a second shard.
-func (rs *RemoteShard) do(method, path string, reqBody, out any, id int, landed func() landing) error {
+func (rs *RemoteShard) do(method, path string, reqBody []byte, decode func([]byte) error, id int, landed func() landing) error {
 	mutation := method != http.MethodGet
 	uncertain := false
 	var lastErr error
@@ -296,7 +314,7 @@ attempts:
 		if a > 0 {
 			rs.sleep(retryBackoff << (a - 1)) // doubling per retry
 		}
-		err := rs.once(method, path, reqBody, out, id)
+		err := rs.once(method, path, reqBody, decode, id)
 		if err == nil {
 			return nil
 		}
@@ -337,8 +355,8 @@ attempts:
 
 // get performs an idempotent GET with retries; exhaustion wraps
 // ErrUnreachable.
-func (rs *RemoteShard) get(path string, out any) error {
-	return rs.do(http.MethodGet, path, nil, out, 0, nil)
+func (rs *RemoteShard) get(path string, decode func([]byte) error) error {
+	return rs.do(http.MethodGet, path, nil, decode, 0, nil)
 }
 
 // landing is what reading the shard back after a job-delivering POST
@@ -353,7 +371,7 @@ const (
 
 // postJobVerified delivers a job-admitting POST (SubmitJob or the
 // migration Admit) with landed-verification (see do).
-func (rs *RemoteShard) postJobVerified(path string, reqBody any, id int) error {
+func (rs *RemoteShard) postJobVerified(path string, reqBody []byte, id int) error {
 	return rs.do(http.MethodPost, path, reqBody, nil, id, func() landing {
 		switch _, ok, err := rs.LookupJob(id); {
 		case err != nil:

@@ -24,7 +24,7 @@ import (
 // submission need the difference Job's boolean cannot carry.
 func (rs *RemoteShard) LookupJob(id int) (engine.JobStatus, bool, error) {
 	var jr wire.JobResponse
-	err := rs.once(http.MethodGet, fmt.Sprintf("/v1/jobs/%d", id), nil, &jr, id)
+	err := rs.once(http.MethodGet, fmt.Sprintf("/v1/jobs/%d", id), nil, jsonInto(&jr), id)
 	if err == nil {
 		return statusFromResponse(jr), true, nil
 	}
@@ -69,14 +69,13 @@ func statusFromResponse(jr wire.JobResponse) engine.JobStatus {
 // SubmitJob admits a job with a caller-assigned ID on the shard (the
 // shard stamps the submit time from its own clock).
 func (rs *RemoteShard) SubmitJob(j job.Job) error {
-	return rs.postJobVerified("/v1/jobs", wire.SubmitRequest{
-		ID: j.ID, Nodes: j.Nodes, RuntimeS: j.Runtime, RequestS: j.Request, User: j.User,
-	}, j.ID)
+	req := wire.SubmitRequest{ID: j.ID, Nodes: j.Nodes, RuntimeS: j.Runtime, RequestS: j.Request, User: j.User}
+	return rs.postJobVerified("/v1/jobs", wire.AppendSubmit(nil, &req), j.ID)
 }
 
 // Admit admits a migrated job preserving its ID and submit time.
 func (rs *RemoteShard) Admit(j job.Job) error {
-	return rs.postJobVerified("/v1/shard/admit", wire.JobToWire(j), j.ID)
+	return rs.postJobVerified("/v1/shard/admit", jsonBody(wire.JobToWire(j)), j.ID)
 }
 
 // Withdraw removes a still-queued job from the shard and returns it.
@@ -85,7 +84,7 @@ func (rs *RemoteShard) Admit(j job.Job) error {
 // returns the same job instead of failing.
 func (rs *RemoteShard) Withdraw(id int) (job.Job, error) {
 	var resp wire.WithdrawResponse
-	if err := rs.do(http.MethodPost, "/v1/shard/withdraw", wire.WithdrawRequest{ID: id}, &resp, id, nil); err != nil {
+	if err := rs.do(http.MethodPost, "/v1/shard/withdraw", jsonBody(wire.WithdrawRequest{ID: id}), jsonInto(&resp), id, nil); err != nil {
 		return job.Job{}, err
 	}
 	return resp.Job.ToJob(), nil
@@ -95,7 +94,7 @@ func (rs *RemoteShard) Withdraw(id int) (job.Job, error) {
 // not know the job or cannot be reached.
 func (rs *RemoteShard) Job(id int) (engine.JobStatus, bool) {
 	var jr wire.JobResponse
-	if err := rs.get(fmt.Sprintf("/v1/jobs/%d", id), &jr); err != nil {
+	if err := rs.get(fmt.Sprintf("/v1/jobs/%d", id), jsonInto(&jr)); err != nil {
 		return engine.JobStatus{}, false
 	}
 	return statusFromResponse(jr), true
@@ -105,7 +104,7 @@ func (rs *RemoteShard) Job(id int) (engine.JobStatus, bool) {
 // unreachable.
 func (rs *RemoteShard) Queue() []engine.JobStatus {
 	var qr wire.QueueResponse
-	if err := rs.get("/v1/queue", &qr); err != nil {
+	if err := rs.get("/v1/queue", jsonInto(&qr)); err != nil {
 		return nil
 	}
 	out := make([]engine.JobStatus, len(qr.Jobs))
@@ -118,7 +117,7 @@ func (rs *RemoteShard) Queue() []engine.JobStatus {
 // Machine returns the shard's occupancy snapshot.
 func (rs *RemoteShard) Machine() engine.Machine {
 	var mr wire.MachineResponse
-	if err := rs.get("/v1/machine", &mr); err != nil {
+	if err := rs.get("/v1/machine", jsonInto(&mr)); err != nil {
 		return engine.Machine{}
 	}
 	m := engine.Machine{
@@ -142,7 +141,7 @@ func (rs *RemoteShard) Machine() engine.Machine {
 // placement away from it.
 func (rs *RemoteShard) Load() engine.Load {
 	var lr wire.LoadResponse
-	if err := rs.once(http.MethodGet, "/v1/shard/load", nil, &lr, 0); err != nil {
+	if err := rs.once(http.MethodGet, "/v1/shard/load", nil, loadInto(&lr), 0); err != nil {
 		rs.mu.Lock()
 		defer rs.mu.Unlock()
 		return rs.lastLoad
@@ -156,7 +155,7 @@ func (rs *RemoteShard) Load() engine.Load {
 // temporarily dead shard it had already joined.
 func (rs *RemoteShard) Probe() (engine.Load, error) {
 	var lr wire.LoadResponse
-	if err := rs.get("/v1/shard/load", &lr); err != nil {
+	if err := rs.get("/v1/shard/load", loadInto(&lr)); err != nil {
 		rs.mu.Lock()
 		defer rs.mu.Unlock()
 		if rs.haveLoad {
@@ -184,7 +183,7 @@ func (rs *RemoteShard) cacheLoad(lr wire.LoadResponse) engine.Load {
 // carrying the wire error.
 func (rs *RemoteShard) Metrics() engine.Metrics {
 	var m engine.Metrics
-	if err := rs.get("/v1/metrics", &m); err != nil {
+	if err := rs.get("/v1/metrics", jsonInto(&m)); err != nil {
 		rs.mu.Lock()
 		defer rs.mu.Unlock()
 		if rs.haveMetrics {
@@ -206,7 +205,7 @@ func (rs *RemoteShard) Metrics() engine.Metrics {
 // IDs); nil when unreachable.
 func (rs *RemoteShard) Records() []sim.Record {
 	var resp wire.RecordsResponse
-	if err := rs.get("/v1/shard/records", &resp); err != nil {
+	if err := rs.get("/v1/shard/records", jsonInto(&resp)); err != nil {
 		return nil
 	}
 	out := make([]sim.Record, len(resp.Records))
@@ -235,7 +234,7 @@ func (rs *RemoteShard) Drain(ctx context.Context) error {
 	}
 	for {
 		var m engine.Metrics
-		err := rs.once(http.MethodGet, "/v1/metrics", nil, &m, 0)
+		err := rs.once(http.MethodGet, "/v1/metrics", nil, jsonInto(&m), 0)
 		if err == nil {
 			rs.mu.Lock()
 			rs.lastMetrics = m

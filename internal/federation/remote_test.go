@@ -12,9 +12,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -739,16 +741,25 @@ func FuzzRemoteShardDecode(f *testing.F) {
 	})
 }
 
+// countCalls is a transport that counts the requests it carries.
+type countCalls struct{ n atomic.Int64 }
+
+func (c *countCalls) RoundTrip(req *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	return http.DefaultTransport.RoundTrip(req)
+}
+
 // TestRestartedFrontSkipsTakenIDs restarts a front over running
 // shards: a second router over the same two shard processes must start
 // its IDs past every ID the first one handed out, so no ID is ever held
-// by two shards.
+// by two shards, and must answer for the jobs the first one routed.
 func TestRestartedFrontSkipsTakenIDs(t *testing.T) {
 	vc := engine.NewVirtualClock()
+	calls := new(countCalls)
 	var engines []*engine.Engine
 	var shards []engine.Shard
 	for i := 0; i < 2; i++ {
-		e, rs := startShardProc(t, engine.Config{Capacity: 8, Policy: policy.FCFSBackfill(), Clock: vc}, RemoteShardOptions{})
+		e, rs := startShardProc(t, engine.Config{Capacity: 8, Policy: policy.FCFSBackfill(), Clock: vc}, RemoteShardOptions{Transport: calls})
 		engines = append(engines, e)
 		shards = append(shards, rs)
 	}
@@ -770,8 +781,9 @@ func TestRestartedFrontSkipsTakenIDs(t *testing.T) {
 			submit(first)
 		}
 	})
+	var second *Router
 	vc.AfterFunc(1, func() {
-		second, err := NewWithShards(Config{Clock: vc}, shards)
+		second, err = NewWithShards(Config{Clock: vc}, shards)
 		if err != nil {
 			t.Error(err)
 			return
@@ -793,6 +805,30 @@ func TestRestartedFrontSkipsTakenIDs(t *testing.T) {
 		if held != 1 {
 			t.Errorf("job %d is held by %d shards", id, held)
 		}
+	}
+	if second == nil {
+		t.FailNow()
+	}
+	for id := 1; id <= 3; id++ {
+		for si, e := range engines {
+			want, ok := e.Job(id)
+			if !ok {
+				continue
+			}
+			for k := range want.NodeIDs {
+				want.NodeIDs[k] += 8 * si
+			}
+			if got, ok := second.Job(id); !ok || !reflect.DeepEqual(got, want) {
+				t.Errorf("restarted front: job %d is %+v, %v; shard %d holds %+v", id, got, ok, si, want)
+			}
+		}
+	}
+	before := calls.n.Load()
+	if st, ok := second.Job(6); ok {
+		t.Errorf("restarted front: job 6, never submitted, answers %+v", st)
+	}
+	if n := calls.n.Load() - before; n != 0 {
+		t.Errorf("restarted front: job 6 past every ID made %d wire calls, want 0", n)
 	}
 }
 

@@ -25,15 +25,26 @@ func (r *Router) ShardRecords(i int) []sim.Record {
 }
 
 // Job returns the job's current status, with node IDs mapped to the
-// global node space.
+// global node space. An ID below nextID that the directory lacks may be
+// held by a shard all the same (a front restarted over running shards
+// did not route it): the shards are asked in order, and the one that
+// holds it is recorded.
 func (r *Router) Job(id int) (engine.JobStatus, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	si, ok := r.dir[id]
-	if !ok {
-		return engine.JobStatus{}, false
+	var st engine.JobStatus
+	switch {
+	case ok:
+		st, ok = r.shards[si].Job(id)
+	case id > 0 && id < r.nextID:
+		for si = range r.shards {
+			if st, ok = r.shards[si].Job(id); ok {
+				r.dir[id] = si
+				break
+			}
+		}
 	}
-	st, ok := r.shards[si].Job(id)
 	if !ok {
 		return engine.JobStatus{}, false
 	}

@@ -11,6 +11,7 @@ import (
 	"schedsearch/internal/engine"
 	"schedsearch/internal/ingest"
 	"schedsearch/internal/job"
+	"schedsearch/internal/wire"
 )
 
 // maxBatchItems caps the jobs in one batched submit. It exists so a
@@ -66,11 +67,10 @@ func (s *Server) submitStatus(err error) (int, string) {
 }
 
 // batchScratch is one batched submit's reusable memory: the decoded
-// jobs, the per-item results and the reply's bytes.
+// jobs and the per-item results.
 type batchScratch struct {
 	jobs  []job.Job
 	items []BatchItemResult
-	out   []byte
 }
 
 var batchScratches = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -92,7 +92,7 @@ func (s *Server) submitBatch(w http.ResponseWriter, body []byte, st submitTrace)
 			batchScratches.Put(sc)
 		}
 	}()
-	jobs, err := decodeJobs(sc.jobs, body)
+	jobs, err := wire.DecodeJobs(sc.jobs, body)
 	sc.jobs = jobs
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_json", err)
@@ -152,10 +152,38 @@ func (s *Server) submitBatch(w http.ResponseWriter, body []byte, st submitTrace)
 			resp.Rejected++
 		}
 	}
-	sc.out = appendBatchResponse(sc.out[:0], &resp)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(sc.out)
+	writeAppended(w, http.StatusOK, func(b []byte) []byte { return appendBatchResponse(b, &resp) })
+}
+
+// appendBatchResponse appends resp as writeJSON writes it: indented by
+// two spaces, an empty id, code and error omitted, a trailing newline.
+func appendBatchResponse(b []byte, resp *BatchResponse) []byte {
+	b = wire.AppendInt(b, "{\n  \"accepted\": ", resp.Accepted)
+	b = wire.AppendInt(b, ",\n  \"rejected\": ", resp.Rejected)
+	switch {
+	case resp.Items == nil:
+		b = append(b, ",\n  \"items\": null"...)
+	case len(resp.Items) == 0:
+		b = append(b, ",\n  \"items\": []"...)
+	default:
+		sep := ",\n  \"items\": [\n    {\n      \"index\": "
+		for _, it := range resp.Items {
+			b = wire.AppendInt(b, sep, it.Index)
+			sep = "\n    },\n    {\n      \"index\": "
+			if it.ID != 0 {
+				b = wire.AppendInt(b, ",\n      \"id\": ", it.ID)
+			}
+			b = wire.AppendInt(b, ",\n      \"status\": ", it.Status)
+			if it.Code != "" {
+				b = wire.AppendString(b, ",\n      \"code\": ", it.Code)
+			}
+			if it.Error != "" {
+				b = wire.AppendString(b, ",\n      \"error\": ", it.Error)
+			}
+		}
+		b = append(b, "\n    }\n  ]"...)
+	}
+	return append(b, "\n}\n"...)
 }
 
 // writeSaturated renders a whole-request backpressure rejection: 503

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -19,15 +21,17 @@ func jobOf(req wire.SubmitRequest) job.Job {
 	return job.Job{ID: req.ID, Nodes: req.Nodes, Runtime: req.RuntimeS, Request: req.RequestS, User: req.User}
 }
 
-// checkDecode holds decodeJob and decodeJobs to json.Unmarshal into a
-// wire.SubmitRequest and a []wire.SubmitRequest: the same accept or
-// reject, the same jobs on accept, and a rejection that names its byte
-// offset. It reports whether the single and the array shape accepted.
+// checkDecode holds wire.DecodeJob and wire.DecodeJobs to json.Unmarshal
+// into a wire.SubmitRequest and a []wire.SubmitRequest: the same accept
+// or reject, the same jobs on accept, and a rejection that names its
+// byte offset. It reports whether the single and the array shape
+// accepted. The body is a load answer too, for checkLoad.
 func checkDecode(t *testing.T, body []byte) (one, many bool) {
 	t.Helper()
+	checkLoad(t, body)
 	var req wire.SubmitRequest
 	werr := json.Unmarshal(body, &req)
-	j, err := decodeJob(body)
+	j, err := wire.DecodeJob(body)
 	if (err == nil) != (werr == nil) {
 		t.Fatalf("single %q: decoder err %v, encoding/json err %v", body, err, werr)
 	}
@@ -42,7 +46,7 @@ func checkDecode(t *testing.T, body []byte) (one, many bool) {
 	werr = json.Unmarshal(body, &reqs)
 	// A dirty buffer: decodeJobs must not let a reused job leak through.
 	dirty := []job.Job{{ID: 9, Nodes: 9, Runtime: 9, Request: 9, User: 9, Submit: 9}}
-	jobs, merr := decodeJobs(dirty, body)
+	jobs, merr := wire.DecodeJobs(dirty, body)
 	if (merr == nil) != (werr == nil) {
 		t.Fatalf("array %q: decoder err %v, encoding/json err %v", body, merr, werr)
 	}
@@ -69,7 +73,9 @@ func nest(depth int, inner string) string {
 
 // decodeCases are the decoder's easy-to-get-wrong semantics, one case
 // each, with the outcome encoding/json gives them: whether the single
-// and the array shape accept, and the first job decoded.
+// and the array shape accept, and the first job decoded. checkDecode
+// also decodes each as a load answer, which must agree with
+// json.Unmarshal too.
 var decodeCases = []struct {
 	name      string
 	body      string
@@ -122,6 +128,7 @@ var decodeCases = []struct {
 	{"depth 10001 in an object", nest(10000, ""), false, false, job.Job{}},
 	{"depth 10000 in an array", "[" + nest(10000-2, "") + "]", false, true, job.Job{}},
 	{"depth 10001 in an array", "[" + nest(10000-1, "") + "]", false, false, job.Job{}},
+	{"load answer without next_id", `{"capacity":128,"free_nodes":64,"now_s":10,"stable_until_s":99}`, true, false, job.Job{}},
 }
 
 // TestDecodeSemantics: each case decodes as encoding/json decodes it,
@@ -136,9 +143,9 @@ func TestDecodeSemantics(t *testing.T) {
 			var got job.Job
 			switch {
 			case one:
-				got, _ = decodeJob([]byte(tc.body))
+				got, _ = wire.DecodeJob([]byte(tc.body))
 			case many:
-				if jobs, _ := decodeJobs(nil, []byte(tc.body)); len(jobs) > 0 {
+				if jobs, _ := wire.DecodeJobs(nil, []byte(tc.body)); len(jobs) > 0 {
 					got = jobs[0]
 				}
 			}
@@ -156,7 +163,8 @@ type bodyGen struct{ rng *rand.Rand }
 
 var (
 	genKeys = []string{`"id"`, `"nodes"`, `"runtime_s"`, `"request_s"`, `"user"`, `"ID"`, `"Nodes"`, `"RUNTIME_S"`,
-		"\"runtime_\u017f\"", `"\u0075ser"`, `"\u212a"`, `"x"`, `""`, `"nodes\u0000"`, `"\ud83d\ude00"`, `"\ud800"`}
+		"\"runtime_\u017f\"", `"\u0075ser"`, `"\u212a"`, `"x"`, `""`, `"nodes\u0000"`, `"\ud83d\ude00"`, `"\ud800"`,
+		`"capacity"`, `"NEXT_ID"`, `"now_s"`, `"queued_node_s\u0065c"`}
 	genInts    = []string{"0", "-0", "1", "-1", "64", "3600", "9223372036854775807", "-9223372036854775808"}
 	genBadInts = []string{"9223372036854775808", "-9223372036854775809", "1.0", "1e3", "-", "01", "1.", "2E-1"}
 	genScalars = []string{`null`, `true`, `false`, `"s"`, `"\"\\\/\b\f\n\r\t\u00e9"`, "\"\xff\"", `""`, `-0.5e+10`}
@@ -368,10 +376,11 @@ func TestSubmitBatchAllocations(t *testing.T) {
 	b.WriteByte(']')
 	body := []byte(b.String())
 	sc := new(batchScratch)
+	var out []byte
 	resp := BatchResponse{Accepted: 31, Rejected: 1}
 	allocs := testing.AllocsPerRun(1000, func() {
 		var err error
-		if sc.jobs, err = decodeJobs(sc.jobs, body); err != nil || len(sc.jobs) != 32 {
+		if sc.jobs, err = wire.DecodeJobs(sc.jobs, body); err != nil || len(sc.jobs) != 32 {
 			t.Fatalf("decoded %d jobs, err %v", len(sc.jobs), err)
 		}
 		if sc.items == nil {
@@ -382,10 +391,160 @@ func TestSubmitBatchAllocations(t *testing.T) {
 		}
 		sc.items[31] = BatchItemResult{Index: 31, Status: 429, Code: "quota_exceeded", Error: "user 14: quota exceeded"}
 		resp.Items = sc.items
-		sc.out = appendBatchResponse(sc.out[:0], &resp)
+		out = appendBatchResponse(out[:0], &resp)
 	})
 	if allocs != 0 {
 		t.Errorf("decoding a 32-item batch and encoding its reply allocates %v times, want 0", allocs)
 	}
 	checkBatchReply(t, &resp)
+}
+
+// checkLoad holds wire.DecodeLoad to json.Unmarshal into a
+// wire.LoadResponse, verdict and values, and an accepted answer's
+// re-encoding by wire.AppendLoad to writeJSON's bytes.
+func checkLoad(t *testing.T, body []byte) {
+	t.Helper()
+	var want wire.LoadResponse
+	werr := json.Unmarshal(body, &want)
+	got, err := wire.DecodeLoad(body)
+	if (err == nil) != (werr == nil) {
+		t.Fatalf("load %q: decoder err %v, encoding/json err %v", body, err, werr)
+	}
+	if err != nil {
+		return
+	}
+	if got != want {
+		t.Fatalf("load %q: decoded %+v, encoding/json %+v", body, got, want)
+	}
+	if b, ref := wire.AppendLoad(nil, &got), writeJSONBytes(got); !bytes.Equal(b, ref) {
+		t.Fatalf("load %+v:\nappender %q\nwriteJSON %q", got, b, ref)
+	}
+}
+
+// randomize sets every field reachable from v, as populate in
+// internal/wire's tests walks them, to a value drawn from what a codec
+// gets wrong: integer edges and zeros (omitempty), strings of escapes,
+// nil, empty and filled slices, nil pointers and floats in both of
+// encoding/json's formats. A field added to a wire type is filled too,
+// so a codec that does not know it fails its differential.
+func randomize(v reflect.Value, rng *rand.Rand) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			randomize(v.Field(i), rng)
+		}
+	case reflect.Pointer:
+		v.SetZero()
+		if rng.Intn(3) > 0 {
+			v.Set(reflect.New(v.Type().Elem()))
+			randomize(v.Elem(), rng)
+		}
+	case reflect.Slice:
+		v.SetZero()
+		if n := rng.Intn(5); n > 0 {
+			v.Set(reflect.MakeSlice(v.Type(), n-1, n-1))
+			for i := 0; i < n-1; i++ {
+				randomize(v.Index(i), rng)
+			}
+		}
+	case reflect.String:
+		v.SetString(randomString(rng))
+	case reflect.Int, reflect.Int64:
+		edges := []int64{0, 0, 1, -1, 201, 3600, 1<<31 - 1, -1 << 31, 1<<63 - 1, -1 << 63}
+		if n := rng.Intn(len(edges) + 2); n < len(edges) {
+			v.SetInt(edges[n])
+		} else {
+			v.SetInt(rng.Int63() >> rng.Intn(63) * int64(1-2*rng.Intn(2)))
+		}
+	case reflect.Float64:
+		x := []float64{0, math.Copysign(0, -1), 1, 1.5, 1e-6, 1e21, 9.99e20, 5e-324, math.MaxFloat64}[rng.Intn(9)]
+		if rng.Intn(2) == 0 {
+			x = math.Float64frombits(rng.Uint64())
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				x = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(61)-30))
+			}
+		}
+		v.SetFloat(x)
+	default:
+		panic("randomize does not know kind " + v.Kind().String())
+	}
+}
+
+// randomString strings together pieces an escaper gets wrong.
+func randomString(rng *rand.Rand) string {
+	pieces := []string{"", "a", "<", ">", "&", "\u2028", "\u2029", "\x00", "\x1f", "\b", "\f", "\n", "\r", "\t", "\x7f",
+		`"`, `\`, "\xff", "\xe2\x80", "\xc0\xaf", "\u00e9", "\U0001f600", "waiting", "running", "done"}
+	var b strings.Builder
+	for i := rng.Intn(4); i > 0; i-- {
+		b.WriteString(pieces[rng.Intn(len(pieces))])
+	}
+	return b.String()
+}
+
+// TestWireCodecMatchesEncodingJSON holds each hand-written encoder
+// byte-equal to encoding/json on 20 000 random values of its type: the
+// replies to writeJSON, the submit request to json.Marshal. Each random
+// load answer also decodes back, from both layouts, as json.Unmarshal
+// decodes it.
+func TestWireCodecMatchesEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for range 20000 {
+		var lr wire.LoadResponse
+		randomize(reflect.ValueOf(&lr).Elem(), rng)
+		checkLoad(t, writeJSONBytes(lr))
+		compact, _ := json.Marshal(lr)
+		checkLoad(t, compact)
+
+		var jr wire.JobResponse
+		randomize(reflect.ValueOf(&jr).Elem(), rng)
+		if got, want := wire.AppendJob(nil, &jr), writeJSONBytes(jr); !bytes.Equal(got, want) {
+			t.Fatalf("job answer %+v:\nappender %q\nwriteJSON %q", jr, got, want)
+		}
+
+		var req wire.SubmitRequest
+		randomize(reflect.ValueOf(&req).Elem(), rng)
+		if got, want := wire.AppendSubmit(nil, &req), must(json.Marshal(req)); !bytes.Equal(got, want) {
+			t.Fatalf("submit %+v:\nappender %q\njson.Marshal %q", req, got, want)
+		}
+	}
+}
+
+func must(b []byte, err error) []byte {
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// TestLoadCodecAllocations pins the load answer's codec at 0
+// allocations: appending it into a reused buffer and decoding it back.
+func TestLoadCodecAllocations(t *testing.T) {
+	lr := wire.LoadResponse{Capacity: 128, FreeNodes: 17, Waiting: 40, Running: 9, QueuedNodeSec: 1 << 40,
+		RemainingNodeSec: 1 << 33, MinQueuedNodeSec: 600, Now: 86400, Slope: 111, StableUntil: 90000, NextID: 123456}
+	var buf []byte
+	allocs := testing.AllocsPerRun(1000, func() {
+		buf = wire.AppendLoad(buf[:0], &lr)
+		if back, err := wire.DecodeLoad(buf); err != nil || back != lr {
+			t.Fatalf("decoded %+v, %v; want %+v", back, err, lr)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("appending and decoding a load answer allocates %v times, want 0", allocs)
+	}
+}
+
+// FuzzWireDecode: on any body both load decoders give the same verdict
+// and values, and an accepted load re-encodes to writeJSON's bytes.
+func FuzzWireDecode(f *testing.F) {
+	for _, s := range submitSeeds() {
+		f.Add([]byte(s))
+	}
+	lr := wire.LoadResponse{Capacity: 128, FreeNodes: 1, Waiting: 2, Running: 3, QueuedNodeSec: 4,
+		RemainingNodeSec: 5, MinQueuedNodeSec: 6, Now: 7, Slope: 8, StableUntil: 9, NextID: 10}
+	f.Add(wire.AppendLoad(nil, &lr))
+	f.Add(must(json.Marshal(lr)))
+	f.Add([]byte(`{"capacity":8,"CAPACITY":16,"next_id":null,"now_s":-1}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkLoad(t, body)
+	})
 }

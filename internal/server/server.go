@@ -209,7 +209,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		s.submitBatch(w, body, st)
 		return
 	}
-	spec, err := decodeJob(body)
+	spec, err := wire.DecodeJob(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_json", err)
 		return
@@ -260,7 +260,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.bindSubmitTrace(&st, id, 0)
 	js, _ := s.e.Job(id)
-	writeJSON(w, http.StatusCreated, s.jobResponse(js))
+	s.writeJob(w, http.StatusCreated, js)
 }
 
 func (s *Server) job(w http.ResponseWriter, r *http.Request) {
@@ -274,7 +274,7 @@ func (s *Server) job(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown_job", errors.New("no such job"))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.jobResponse(st))
+	s.writeJob(w, http.StatusOK, st)
 }
 
 func (s *Server) queue(w http.ResponseWriter, r *http.Request) {
@@ -364,6 +364,26 @@ func (s *Server) drain(w http.ResponseWriter, r *http.Request) {
 		Draining: len(s.e.Queue()),
 		Running:  len(s.e.Machine().Running),
 	})
+}
+
+// writeJob answers status with the job's wire.JobResponse.
+func (s *Server) writeJob(w http.ResponseWriter, status int, st engine.JobStatus) {
+	resp := s.jobResponse(st)
+	writeAppended(w, status, func(b []byte) []byte { return wire.AppendJob(b, &resp) })
+}
+
+// replyBufs holds the buffers the hand-encoded replies are appended into.
+var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeAppended answers status with the JSON document that add appends:
+// the bytes writeJSON writes for the same value.
+func writeAppended(w http.ResponseWriter, status int, add func([]byte) []byte) {
+	buf := replyBufs.Get().(*[]byte)
+	*buf = add((*buf)[:0])
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(*buf)
+	replyBufs.Put(buf)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -63,7 +63,8 @@ func (s *Server) registerShardRoutes(sb ShardBackend) {
 		s.shardWithdraw(w, r, sb)
 	})
 	s.mux.HandleFunc("GET /v1/shard/load", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, wire.LoadResponse(sb.Load()))
+		lr := wire.LoadResponse(sb.Load())
+		writeAppended(w, http.StatusOK, func(b []byte) []byte { return wire.AppendLoad(b, &lr) })
 	})
 	s.mux.HandleFunc("GET /v1/shard/records", func(w http.ResponseWriter, r *http.Request) {
 		recs := sb.Records()

@@ -10,6 +10,12 @@
 // processes can be different builds, so the schema is pinned by a
 // golden test (testdata/schema.golden.json).
 //
+// It also holds the one hand-written JSON codec (codec.go): the
+// messages that cross the wire once per job or more (the submit, its
+// job answer and the shard's load answer) are decoded and encoded
+// without reflection, byte for byte as encoding/json does, on both the
+// server and the router side. The rarer messages use encoding/json.
+//
 // The package may import only leaf domain packages (internal/job);
 // anything needing engine or sim types stays in internal/server.
 package wire
