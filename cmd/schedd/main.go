@@ -27,10 +27,7 @@
 // than history. On start, a non-empty journal is recovered: the engine
 // rebuilds its committed state and the clock resumes at the last
 // journaled instant (any torn tail from the crash is truncated before
-// appending resumes). With -shards > 1 each shard appends to
-// <path>.shard-N (write-only durability; crash recovery from shard
-// journals is not wired into start-up, so non-empty shard journals are
-// rotated to <path>.shard-N.old on start rather than appended to).
+// appending resumes).
 //
 // Submissions are admitted through a bounded async accept queue:
 // -ingest-pending caps accepted-but-uncommitted items (a saturated
@@ -40,23 +37,6 @@
 // per-user token bucket in front of admission (429 per item when
 // exhausted; rate 0 disables quotas).
 //
-// Federation mode:
-//
-//	schedd -shards 4 -policy DDS/lxf/dynB
-//
-// -shards N > 1 partitions the machine across N engine shards behind a
-// routing front-end (internal/federation): each shard runs the full
-// policy over its own node partition, and one placement rule routes
-// every job — the tightest immediate fit among shards with room and an
-// empty queue, else the least loaded shard (best-fit; the rule the
-// benchmark's two schedule-quality ratios picked over least-loaded and
-// hash-by-user). -rebalance T runs the router's one periodic pass
-// every T engine seconds (default 600, the period the benchmark
-// measures; 0 disables it in process): it reads every shard's load and
-// migrates still-queued jobs from the most to the least loaded shard.
-// GET /v1/federation reports the per-shard breakdown. Jobs wider than
-// every shard's partition are rejected.
-//
 // Distributed federation:
 //
 //	schedd -addr :8081 -capacity 128 -journal a.journal   # one per shard
@@ -64,10 +44,22 @@
 //
 // -join fronts shard daemons that are already running (anywhere
 // reachable): each is a plain schedd with its own capacity, policy and
-// journal, and the front discovers their capacities, and the first job
-// ID none of them has taken, over the wire. The front therefore
-// refuses the flags it would ignore (-policy, -L, -workers,
-// -requested, -capacity, -journal, -group-commit, -compact-every).
+// journal, from which it recovers on restart, and the front discovers
+// their capacities, and the first job ID none of them has taken, over
+// the wire. The front therefore refuses the flags it would ignore
+// (-policy, -L, -workers, -requested, -capacity, -journal,
+// -group-commit, -compact-every). One placement rule routes every
+// job: the tightest immediate fit among shards with room and an empty
+// queue, else the least loaded shard (best-fit; the rule the
+// benchmark's two schedule-quality ratios picked over least-loaded and
+// hash-by-user). -rebalance T runs the router's one periodic pass
+// every T engine seconds (default 600, the period the benchmark
+// measures): it reads every shard's load and migrates still-queued
+// jobs from the most to the least loaded shard. GET /v1/federation
+// reports the per-shard breakdown. Jobs wider than every shard are
+// rejected. One process federating its machine in memory is
+// schedsim -shards N, a replay.
+//
 // The shards are driven through per-call timeouts with bounded
 // retries; an unreachable shard's work is routed around it
 // (GET /v1/readyz answers 503 with the per-shard breakdown while any
@@ -168,11 +160,10 @@ func parseConfig(args []string) (config, error) {
 	fs.StringVar(&c.addr, "addr", ":8080", "HTTP listen address")
 	fs.BoolVar(&c.requested, "requested", false, "policies plan with requested runtimes (R* = R)")
 	fs.Float64Var(&c.speedup, "speedup", 1, "engine seconds per wall second")
-	fs.IntVar(&c.fed.shards, "shards", 1, "engine shards; >1 federates the machine behind a routing front-end")
-	fs.Int64Var(&c.fed.rebalance, "rebalance", 600, "federation rebalance period in engine seconds (0 = off, in-process only); remote federations also reconcile parked wire-uncertain steps and re-probe dark shards on this tick")
+	fs.Int64Var(&c.fed.rebalance, "rebalance", 600, "-join rebalance period in engine seconds; the front also reconciles parked wire-uncertain steps and re-probes dark shards on this tick")
 	fs.StringVar(&join, "join", "", "serve as a federation front-end over these already-running out-of-process shard daemons (comma-separated base URLs, e.g. http://10.0.0.1:8080,http://10.0.0.2:8080)")
 
-	fs.StringVar(&c.dur.path, "journal", "", "append committed events to this journal file and recover from it on start (federation appends to <path>.shard-N)")
+	fs.StringVar(&c.dur.path, "journal", "", "append committed events to this journal file and recover from it on start")
 	fs.IntVar(&c.dur.group, "group-commit", 64, "journal appends per fsync (1 = fsync every commit)")
 	fs.IntVar(&c.dur.compactEvery, "compact-every", 4096, "fold the journal into a checkpoint once the tail exceeds N events (0 = never compact)")
 	fs.IntVar(&c.ing.pending, "ingest-pending", 4096, "accept-queue bound on accepted-but-uncommitted submissions; saturated submits get 503 + Retry-After (0 = admit synchronously, no queue)")
@@ -194,32 +185,34 @@ func parseConfig(args []string) (config, error) {
 			c.fed.join = append(c.fed.join, u)
 		}
 	}
-	if c.fed.remote() {
-		switch {
-		case c.fed.shards > 1:
-			return config{}, errors.New("-shards federates in process; drop it when using -join")
-		case c.fed.rebalance <= 0:
-			return config{}, fmt.Errorf("-rebalance %d: -join needs the periodic pass (it reconciles wire-uncertain steps and re-probes dark shards)", c.fed.rebalance)
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if !c.fed.remote() {
+		// A bare engine has no pass to time: only the default may stand.
+		if set["rebalance"] {
+			return config{}, errors.New("-rebalance: only with -join (a bare engine has no shards to rebalance)")
 		}
-		// Each shard daemon owns its machine, policy and journal: a
-		// front would silently ignore these.
-		var stray []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "policy", "L", "workers", "requested", "capacity", "journal", "group-commit", "compact-every":
-				stray = append(stray, "-"+f.Name)
-			}
-		})
-		if len(stray) > 0 {
-			return config{}, fmt.Errorf("%s: not with -join (each shard daemon sets its own)", strings.Join(stray, ", "))
+		return c, nil
+	}
+	if c.fed.rebalance <= 0 {
+		return config{}, fmt.Errorf("-rebalance %d: -join needs the periodic pass (it reconciles wire-uncertain steps and re-probes dark shards)", c.fed.rebalance)
+	}
+	// Each shard daemon owns its machine, policy and journal: a front
+	// would silently ignore these.
+	var stray []string
+	for _, name := range []string{"L", "capacity", "compact-every", "group-commit", "journal", "policy", "requested", "workers"} {
+		if set[name] {
+			stray = append(stray, "-"+name)
 		}
+	}
+	if len(stray) > 0 {
+		return config{}, fmt.Errorf("%s: not with -join (each shard daemon sets its own)", strings.Join(stray, ", "))
 	}
 	return c, nil
 }
 
-// newPolicy builds one policy instance from the validated flags: every
-// shard (and every post-crash rebuild) gets its own.
-func (c config) newPolicy(int) sim.Policy {
+// newPolicy builds the engine's policy from the validated flags.
+func (c config) newPolicy() sim.Policy {
 	pol, err := schedsearch.ParsePolicy(c.policy, c.nodeLimit)
 	if err != nil {
 		panic(err) // parseConfig validated it
@@ -273,32 +266,28 @@ type ingOptions struct {
 	quotaBurst float64
 }
 
-// fedOptions carry the federation flags; shards <= 1 without join URLs
-// means a bare engine.
+// fedOptions carry the federation flags; no join URLs means a bare
+// engine.
 type fedOptions struct {
-	shards    int
 	rebalance job.Duration
 	// join lists out-of-process shard base URLs to front: RemoteShard
 	// clients behind the router.
 	join []string
 }
 
-// remote reports whether the federation is out of process.
+// remote reports whether the daemon fronts shard daemons.
 func (f fedOptions) remote() bool { return len(f.join) > 0 }
 
-// federated reports whether a router fronts the machine at all.
-func (f fedOptions) federated() bool { return f.shards > 1 || f.remote() }
-
-// serve runs the daemon: a real-clock engine (or federation) behind the
+// serve runs the daemon: a real-clock engine (or -join front) behind the
 // HTTP API. POST /v1/drain (or SIGINT/SIGTERM) triggers a graceful
 // shutdown once the machine has emptied.
 func serve(c config) error {
-	// A non-empty single-engine journal is recovered before the clock
+	// A non-empty journal is recovered before the clock
 	// starts: the rebuilt engine resumes at the last journaled instant,
 	// so re-armed completion timers fire in the future, never the past.
 	var recovered *engine.Checkpoint
 	start := job.Time(0)
-	if c.dur.path != "" && !c.fed.federated() {
+	if c.dur.path != "" {
 		if st, err := os.Stat(c.dur.path); err == nil && st.Size() > 0 {
 			// RecoverCheckpoint truncates any torn tail, so the O_APPEND
 			// handle opened by the stack starts on a clean line boundary.
@@ -340,7 +329,13 @@ func serve(c config) error {
 		opts = append(opts, server.WithIngest(q))
 	}
 	if tr != nil {
-		opts = append(opts, server.WithTracer(tr, st.frontShard()))
+		// A -join front's spans carry the router's lane (-1) in the
+		// trace timeline, a bare engine's shard 0.
+		lane := 0
+		if st.router != nil {
+			lane = -1
+		}
+		opts = append(opts, server.WithTracer(tr, lane))
 	}
 	dbg, err := c.obs.serveDebug()
 	if err != nil {
@@ -373,13 +368,9 @@ func serve(c config) error {
 
 	// The test harness and shell scripts parse this line for the port.
 	if st.router != nil {
-		kind := ""
-		if c.fed.remote() {
-			kind = " remote"
-		}
 		fm := st.router.Federation()
-		fmt.Printf("schedd: policy %s on %d nodes (%d%s shards, %s placement), listening on %s\n",
-			fm.Global.Policy, fm.Global.Capacity, fm.Shards, kind, fm.Placement, ln.Addr())
+		fmt.Printf("schedd: policy %s on %d nodes (%d remote shards, %s placement), listening on %s\n",
+			fm.Global.Policy, fm.Global.Capacity, fm.Shards, fm.Placement, ln.Addr())
 	} else {
 		fmt.Printf("schedd: policy %s on %d nodes, listening on %s\n",
 			bk.Metrics().Policy, c.capacity, ln.Addr())
@@ -393,8 +384,8 @@ func serve(c config) error {
 	if q != nil {
 		q.Close()
 	}
-	for _, fj := range st.journals {
-		if err := fj.Close(); err != nil {
+	if st.journal != nil {
+		if err := st.journal.Close(); err != nil {
 			return err
 		}
 	}
@@ -407,7 +398,7 @@ func serve(c config) error {
 		}
 		logger.Info("wrote trace", "path", c.obs.traceOut, "spans", len(tr.Spans()), "dropped", tr.Dropped())
 	}
-	// The final whole-machine metrics go to stdout; a federated daemon
+	// The final whole-machine metrics go to stdout; a -join front
 	// appends the per-shard federation report.
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")

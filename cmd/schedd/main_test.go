@@ -20,10 +20,13 @@ func TestParseConfigRejects(t *testing.T) {
 		args    string
 		wantSub string
 	}{
-		{"-shards 2 -join http://a:1", "-shards"},
 		{"-join http://a:1 -rebalance 0", "-rebalance 0"},
-		// -join is the one remote mode: the process supervisor is gone.
+		// Only a -join front has a pass to time.
+		{"-rebalance 300", "-rebalance"},
+		// -join is the one remote mode (the process supervisor is gone)
+		// and the one federated daemon (in-process shards are schedsim's).
 		{"-fanout 2", "flag provided but not defined: -fanout"},
+		{"-shards 2", "flag provided but not defined: -shards"},
 		// A -join front runs no engine of its own, so the flags only a
 		// shard daemon honours are refused rather than ignored.
 		{"-join http://a:1 -policy LDS/fcfs/100h", "-policy"},
@@ -62,14 +65,6 @@ func TestParseConfigAccepts(t *testing.T) {
 		t.Errorf("defaults parsed as %+v", c)
 	}
 
-	c, err = parseConfig(strings.Fields("-shards 4 -capacity 512 -rebalance 0 -speedup 50"))
-	if err != nil {
-		t.Fatalf("in-process federation: %v", err)
-	}
-	if c.fed.shards != 4 || c.capacity != 512 || c.fed.rebalance != 0 || c.speedup != 50 {
-		t.Errorf("in-process federation parsed as %+v", c)
-	}
-
 	// The front's own flags (its clock, its pass, its accept queue)
 	// pass the -join check.
 	c, err = parseConfig([]string{"-join", " http://a:1, http://b:2 ,",
@@ -86,12 +81,11 @@ func TestParseConfigAccepts(t *testing.T) {
 }
 
 // TestCompactEveryWithoutJournal: -compact-every bounds the in-memory
-// event tail of a daemon started without -journal (the default), bare
-// engine and in-process shards alike, and folding the tail changes no
-// metric of the run.
+// event tail of a daemon started without -journal (the default), and
+// folding the tail changes no metric of the run.
 func TestCompactEveryWithoutJournal(t *testing.T) {
 	const capacity, jobs, every = 64, 120, 32
-	run := func(args string) (engine.Metrics, []engine.Counters) {
+	run := func(args string) engine.Metrics {
 		t.Helper()
 		c, err := parseConfig(strings.Fields(args))
 		if err != nil {
@@ -99,33 +93,27 @@ func TestCompactEveryWithoutJournal(t *testing.T) {
 		}
 		return runStack(t, c, capacity, jobs)
 	}
-	for _, mode := range []string{"-policy FCFS-backfill", "-policy FCFS-backfill -shards 2 -rebalance 0"} {
-		full, fullPer := run(mode + " -compact-every 0")
-		got, gotPer := run(fmt.Sprintf("%s -compact-every %d", mode, every))
-		for i := range gotPer {
-			// A submit, a start and an end per job: well past the bound.
-			if fullPer[i].JournalTail < 3*jobs/int64(len(fullPer))/2 || fullPer[i].Compactions != 0 {
-				t.Fatalf("schedd %s: uncompacted engine %d holds %d events after %d compactions",
-					mode, i, fullPer[i].JournalTail, fullPer[i].Compactions)
-			}
-			// An engine folds at the first commit that finds `every` events,
-			// and one commit adds a handful at most.
-			if gotPer[i].Compactions == 0 || gotPer[i].JournalTail >= every+16 {
-				t.Errorf("schedd %s -compact-every %d: engine %d journal_tail %d after %d compactions",
-					mode, every, i, gotPer[i].JournalTail, gotPer[i].Compactions)
-			}
-		}
-		if !reflect.DeepEqual(got.Summary, full.Summary) {
-			t.Errorf("schedd %s: compaction changed the summary\n got %+v\nwant %+v", mode, got.Summary, full.Summary)
-		}
+	full := run("-policy FCFS-backfill -compact-every 0")
+	got := run(fmt.Sprintf("-policy FCFS-backfill -compact-every %d", every))
+	// A submit, a start and an end per job: well past the bound.
+	if full.Engine.JournalTail < 3*jobs/2 || full.Engine.Compactions != 0 {
+		t.Fatalf("uncompacted engine holds %d events after %d compactions",
+			full.Engine.JournalTail, full.Engine.Compactions)
+	}
+	// An engine folds at the first commit that finds `every` events, and
+	// one commit adds a handful at most.
+	if got.Engine.Compactions == 0 || got.Engine.JournalTail >= every+16 {
+		t.Errorf("-compact-every %d: journal_tail %d after %d compactions",
+			every, got.Engine.JournalTail, got.Engine.Compactions)
+	}
+	if !reflect.DeepEqual(got.Summary, full.Summary) {
+		t.Errorf("compaction changed the summary\n got %+v\nwant %+v", got.Summary, full.Summary)
 	}
 }
 
 // runStack builds c's stack on a virtual clock, replays jobs synthetic
-// jobs through it, and returns the whole-machine report and every
-// engine's own counters (the router's report does not carry its shards'
-// journal tails).
-func runStack(t *testing.T, c config, capacity, jobs int) (engine.Metrics, []engine.Counters) {
+// jobs through it, and returns the engine's report.
+func runStack(t *testing.T, c config, capacity, jobs int) engine.Metrics {
 	t.Helper()
 	vc := engine.NewVirtualClock()
 	c.capacity = capacity
@@ -149,63 +137,46 @@ func runStack(t *testing.T, c config, capacity, jobs int) (engine.Metrics, []eng
 	if err := st.bk.SyncJournal(); err != nil {
 		t.Fatal(err)
 	}
-	m := st.bk.Metrics()
-	if st.router == nil {
-		return m, []engine.Counters{m.Engine}
-	}
-	var per []engine.Counters
-	for _, sh := range st.router.Federation().PerShard {
-		per = append(per, sh.Metrics.Engine)
-	}
-	return m, per
+	return st.bk.Metrics()
 }
 
-// TestAuditEveryEngine: the journal of a bare engine and of each
-// in-process shard re-decides clean under the daemon's policy, the
-// audits count exactly the decisions the engines made, and each job
-// starts in exactly one audited decision.
+// TestAuditEveryEngine: the daemon's journal re-decides clean under
+// its policy, the audit counts exactly the decisions the engine made,
+// and each job starts in exactly one audited decision. (TestScheddJoin
+// audits every shard daemon's journal behind a -join front.)
 func TestAuditEveryEngine(t *testing.T) {
 	const capacity, jobs = 64, 120
-	for _, args := range []string{"-policy DDS/lxf/dynB -L 50", "-policy DDS/lxf/dynB -L 50 -shards 2"} {
-		path := filepath.Join(t.TempDir(), "j")
-		c, err := parseConfig(append(strings.Fields(args), "-journal", path))
-		if err != nil {
-			t.Fatalf("schedd %s: %v", args, err)
-		}
-		_, per := runStack(t, c, capacity, jobs)
-		paths := []string{path}
-		if c.fed.shards > 1 {
-			paths = []string{path + ".shard-0", path + ".shard-1"}
-		}
-		var decisions, audited int64
-		started := map[int]int{}
-		for i, ec := range per {
-			if ec.Decisions == 0 {
-				t.Errorf("schedd %s: engine %d made no decision", args, i)
+	path := filepath.Join(t.TempDir(), "j")
+	c, err := parseConfig([]string{"-policy", "DDS/lxf/dynB", "-L", "50", "-journal", path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := runStack(t, c, capacity, jobs)
+	if m.Engine.Decisions == 0 {
+		t.Fatal("the engine made no decision")
+	}
+	cp, err := engine.LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var audited int64
+	started := map[int]int{}
+	err = engine.Audit(engine.Config{Capacity: capacity, Policy: c.newPolicy()}, cp,
+		func(rec *obs.DecisionRecord) {
+			audited++
+			for _, id := range rec.Started {
+				started[id]++
 			}
-			decisions += ec.Decisions
-			cp, err := engine.LoadCheckpoint(paths[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = engine.Audit(engine.Config{Capacity: capacity / len(per), Policy: c.newPolicy(i)}, cp,
-				func(rec *obs.DecisionRecord) {
-					audited++
-					for _, id := range rec.Started {
-						started[id]++
-					}
-				})
-			if err != nil {
-				t.Errorf("schedd %s: engine %d: %v", args, i, err)
-			}
-		}
-		if audited != decisions {
-			t.Errorf("schedd %s: audited %d decisions, the engines made %d", args, audited, decisions)
-		}
-		for id := 1; id <= jobs; id++ {
-			if started[id] != 1 {
-				t.Errorf("schedd %s: job %d started in %d audited decisions", args, id, started[id])
-			}
+		})
+	if err != nil {
+		t.Error(err)
+	}
+	if audited != m.Engine.Decisions {
+		t.Errorf("audited %d decisions, the engine made %d", audited, m.Engine.Decisions)
+	}
+	for id := 1; id <= jobs; id++ {
+		if started[id] != 1 {
+			t.Errorf("job %d started in %d audited decisions", id, started[id])
 		}
 	}
 }

@@ -10,64 +10,33 @@ import (
 	"schedsearch/internal/server"
 )
 
-// stack is what the daemon serves: the backend (a bare engine, an
-// in-process federation or a remote one) and everything that was opened
-// or started to build it.
+// stack is what the daemon serves: the backend (a bare engine or a
+// -join front over shard daemons) and everything that was opened or
+// started to build it.
 type stack struct {
 	bk     server.Backend
 	router *federation.Router // nil for a bare engine
 
-	journals []*engine.FileJournal
+	journal *engine.FileJournal // nil without -journal
 }
 
 // buildBackend is the one place a stack is wired. recovered, when
-// non-nil, is the single-engine journal the engine is rebuilt from.
+// non-nil, is the journal the engine is rebuilt from.
 func buildBackend(c config, clock engine.Clock, tr *obs.Tracer, recovered *engine.Checkpoint) (*stack, error) {
 	st := &stack{}
 	fed, dur := c.fed, c.dur
-	if fed.federated() {
-		fcfg := federation.Config{
-			Capacity:       c.capacity,
-			Shards:         fed.shards,
-			Policy:         c.newPolicy,
-			Clock:          clock,
-			UseRequested:   c.requested,
-			RebalanceEvery: fed.rebalance,
-			// With or without a journal file: the in-memory event tail is
-			// what a journal-less daemon would otherwise grow for life.
-			CompactEvery: dur.compactEvery,
-			Tracer:       tr,
-			Logger:       obs.NewLogger(os.Stderr, "router"),
+	if fed.remote() {
+		shards := make([]engine.Shard, len(fed.join))
+		for i, u := range fed.join {
+			shards[i] = federation.NewRemoteShard(u, federation.RemoteShardOptions{Logger: logger, Tracer: tr})
 		}
 		var err error
-		if fed.remote() {
-			shards := make([]engine.Shard, len(fed.join))
-			for i, u := range fed.join {
-				shards[i] = federation.NewRemoteShard(u, federation.RemoteShardOptions{Logger: logger, Tracer: tr})
-			}
-			st.router, err = federation.NewWithShards(fcfg, shards)
-		} else {
-			if dur.path != "" {
-				// Shard journals are opened up front so factory calls (initial
-				// construction and any crash-rebuild) cannot fail; a rebuild of
-				// shard i keeps appending to the same open file.
-				for i := 0; i < fed.shards; i++ {
-					spath, err := rotateShardJournal(dur.path, i)
-					if err != nil {
-						return st, err
-					}
-					fj, err := engine.OpenFileJournal(spath, dur.group)
-					if err != nil {
-						return st, err
-					}
-					st.journals = append(st.journals, fj)
-				}
-				fcfg.Journal = func(shard int) engine.JournalSink { return st.journals[shard] }
-				logger.Info("journaling shards (write-only; start-up recovery is single-engine)",
-					"shards", fed.shards, "path", dur.path+".shard-N")
-			}
-			st.router, err = federation.New(fcfg)
-		}
+		st.router, err = federation.NewWithShards(federation.Config{
+			Clock:          clock,
+			RebalanceEvery: fed.rebalance,
+			Tracer:         tr,
+			Logger:         obs.NewLogger(os.Stderr, "router"),
+		}, shards)
 		if err != nil {
 			return st, err
 		}
@@ -77,7 +46,7 @@ func buildBackend(c config, clock engine.Clock, tr *obs.Tracer, recovered *engin
 
 	cfg := engine.Config{
 		Capacity:     c.capacity,
-		Policy:       c.newPolicy(0),
+		Policy:       c.newPolicy(),
 		Clock:        clock,
 		UseRequested: c.requested,
 		CompactEvery: dur.compactEvery,
@@ -88,7 +57,7 @@ func buildBackend(c config, clock engine.Clock, tr *obs.Tracer, recovered *engin
 		if err != nil {
 			return st, err
 		}
-		st.journals = append(st.journals, fj)
+		st.journal = fj
 		cfg.Journal = fj
 	}
 	if recovered == nil {
@@ -111,31 +80,4 @@ func buildBackend(c config, clock engine.Clock, tr *obs.Tracer, recovered *engin
 		"base_jobs", base, "tail_events", len(recovered.Events), "resumed_t", int64(clock.Now()))
 	st.bk = e
 	return st, nil
-}
-
-// rotateShardJournal names shard i's journal under base and moves a
-// leftover non-empty one aside to <path>.old. In-process federated
-// start-up does not recover from shard journals, and the
-// front-end assigns job IDs from 1 on every boot, so appending a fresh
-// run (restarted clock, reused IDs) after the old run's events would
-// corrupt both.
-func rotateShardJournal(base string, i int) (string, error) {
-	path := fmt.Sprintf("%s.shard-%d", base, i)
-	if st, err := os.Stat(path); err == nil && st.Size() > 0 {
-		if err := os.Rename(path, path+".old"); err != nil {
-			return "", fmt.Errorf("rotate shard journal %s: %w", path, err)
-		}
-		logger.Warn("rotated a non-empty shard journal (federated start-up does not recover it)", "to", path+".old")
-	}
-	return path, nil
-}
-
-// frontShard is the shard lane the front door's spans carry: 0 for a
-// bare engine, -1 (the router's lane in the trace timeline) when
-// federated.
-func (st *stack) frontShard() int {
-	if st.router != nil {
-		return -1
-	}
-	return 0
 }

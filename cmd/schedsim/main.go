@@ -15,8 +15,9 @@
 // "100h".
 //
 // Each job is submitted at its arrival time, on a virtual clock, to the
-// federation router schedd serves over -shards engines (default 1, which
-// schedules exactly as one engine of the whole machine); -rebalance sets
+// federation router a schedd -join front serves, here over -shards
+// in-process engines (default 1, which schedules exactly as one engine
+// of the whole machine); -rebalance sets
 // its migration pass. Jobs wider than every shard are skipped, and the
 // report shows the search effort shard by shard. -json
 // prints schedd's GET /v1/metrics schema (then, for -shards > 1, its

@@ -206,14 +206,9 @@ func (r *Router) retryPendingLocked(p pendingMig) (parked bool) {
 		// Landed now, or had landed all along.
 		r.dir[p.id] = p.shard
 	case stageSubmit:
-		var present bool
-		if pr, ok := r.shards[p.shard].(remoteProbe); ok {
-			var err error
-			if _, present, err = pr.LookupJob(p.id); err != nil {
-				return true
-			}
-		} else {
-			_, present = r.shards[p.shard].Job(p.id)
+		_, present, err := lookupJob(r.shards[p.shard], p.id)
+		if err != nil {
+			return true
 		}
 		if present {
 			r.dir[p.id] = p.shard

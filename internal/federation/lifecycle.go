@@ -31,8 +31,8 @@ func (r *Router) healthyLocked(i int) bool {
 }
 
 // RebuildShard simulates a crash of shard i: the shard's committed
-// journal is checkpointed, a fresh engine (fresh policy and
-// observer instances, same clock) is rebuilt from it via
+// journal is checkpointed, a fresh engine (fresh policy instance,
+// same clock) is rebuilt from it via
 // engine.Rebuild, and the router swaps it in. The other shards keep
 // scheduling throughout; the abandoned incarnation's timers may still
 // fire but mutate only the discarded engine.
@@ -43,7 +43,7 @@ func (r *Router) RebuildShard(i int) error {
 		return fmt.Errorf("federation: rebuild shard %d of %d", i, len(r.shards))
 	}
 	// Only an engine this router constructed can be rebuilt here: an
-	// externally-owned shard (NewWithShards, which clears the factories)
+	// externally-owned shard (NewWithShards, which clears Policy)
 	// owns its policy and journal, in-process engine or not.
 	e, ok := r.shards[i].(*engine.Engine)
 	if !ok || r.cfg.Policy == nil {
@@ -58,21 +58,10 @@ func (r *Router) RebuildShard(i int) error {
 	return nil
 }
 
-// SyncJournal forces group-buffered journal writes on every shard to
-// stable storage, so a federated backend satisfies ingest.Syncer: the
-// ingest committer makes a whole accepted batch group durable across
-// all shards with one call. Shards without a journal sink are no-ops.
-func (r *Router) SyncJournal() error {
-	var first error
-	for _, sh := range r.shardList() {
-		if s, ok := sh.(interface{ SyncJournal() error }); ok {
-			if err := s.SyncJournal(); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	return first
-}
+// SyncJournal is a no-op that satisfies server.Backend and
+// ingest.Syncer: in-process shards keep no journal, and a remote shard
+// fsyncs its own before it answers an admit or a submit.
+func (r *Router) SyncJournal() error { return nil }
 
 // Drain stops admitting jobs on the router and every shard, then blocks
 // until all shards have emptied (or ctx is cancelled). Rebalancing

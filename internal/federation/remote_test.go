@@ -741,18 +741,28 @@ func FuzzRemoteShardDecode(f *testing.F) {
 	})
 }
 
-// countCalls is a transport that counts the requests it carries.
-type countCalls struct{ n atomic.Int64 }
+// countCalls is a transport that counts the requests it carries, and
+// refuses every dial once dark.
+type countCalls struct {
+	n    atomic.Int64
+	dark atomic.Bool
+}
 
 func (c *countCalls) RoundTrip(req *http.Request) (*http.Response, error) {
 	c.n.Add(1)
+	if c.dark.Load() {
+		return refuseDial{}.RoundTrip(req)
+	}
 	return http.DefaultTransport.RoundTrip(req)
 }
 
 // TestRestartedFrontSkipsTakenIDs restarts a front over running
 // shards: a second router over the same two shard processes must start
-// its IDs past every ID the first one handed out, so no ID is ever held
-// by two shards, and must answer for the jobs the first one routed.
+// its IDs past every ID the first one handed out and must answer for
+// the jobs the first one routed. A front restarted again must refuse a
+// caller-assigned ID the first one routed, and must not admit one while
+// the shard that might hold it cannot be asked, so no ID is ever held
+// by two shards.
 func TestRestartedFrontSkipsTakenIDs(t *testing.T) {
 	vc := engine.NewVirtualClock()
 	calls := new(countCalls)
@@ -795,18 +805,24 @@ func TestRestartedFrontSkipsTakenIDs(t *testing.T) {
 	if want := []int{1, 2, 3, 4, 5}; !slices.Equal(ids, want) {
 		t.Errorf("IDs handed out %v, want %v", ids, want)
 	}
-	for id := 1; id <= 5; id++ {
-		held := 0
-		for _, e := range engines {
-			if _, ok := e.Job(id); ok {
-				held++
+	holders := func() []int {
+		var out []int
+		for id := 1; id <= 5; id++ {
+			held := 0
+			for si, e := range engines {
+				if _, ok := e.Job(id); ok {
+					held++
+					out = append(out, si)
+				}
+			}
+			if held != 1 {
+				t.Errorf("job %d is held by %d shards", id, held)
 			}
 		}
-		if held != 1 {
-			t.Errorf("job %d is held by %d shards", id, held)
-		}
+		return out
 	}
-	if second == nil {
+	holder := holders()
+	if second == nil || len(holder) != 5 {
 		t.FailNow()
 	}
 	for id := 1; id <= 3; id++ {
@@ -830,6 +846,40 @@ func TestRestartedFrontSkipsTakenIDs(t *testing.T) {
 	if n := calls.n.Load() - before; n != 0 {
 		t.Errorf("restarted front: job 6 past every ID made %d wire calls, want 0", n)
 	}
+
+	// Fresh fronts, so the look-up starts from an empty directory: the
+	// third over both shards, the fourth over shard 0 and a view of
+	// shard 1 that goes dark once the front has started.
+	third, err := NewWithShards(Config{Clock: vc}, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dim := new(countCalls)
+	fourth, err := NewWithShards(Config{Clock: vc}, []engine.Shard{
+		shards[0], NewRemoteShard(shards[1].(*RemoteShard).Addr(), RemoteShardOptions{Transport: dim, Sleep: noSleep}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dim.dark.Store(true)
+	if !slices.Contains(holder[:3], 1) {
+		t.Fatalf("jobs 1-3 are held by shards %v; the dark-shard case needs one on shard 1", holder[:3])
+	}
+	for id := 1; id <= 3; id++ {
+		j := spec
+		j.ID = id
+		if err := third.SubmitJob(j); !errors.Is(err, engine.ErrDuplicateID) {
+			t.Errorf("restarted front: SubmitJob of taken ID %d: %v, want ErrDuplicateID", id, err)
+		}
+		want := engine.ErrDuplicateID
+		if holder[id-1] == 1 {
+			want = ErrUnreachable
+		}
+		if err := fourth.SubmitJob(j); !errors.Is(err, want) {
+			t.Errorf("front with shard 1 dark: SubmitJob of taken ID %d (on shard %d): %v, want %v", id, holder[id-1], err, want)
+		}
+	}
+	holders()
 }
 
 // TestRemoteShardUnreachable pins the error taxonomy down: a dead

@@ -2,6 +2,7 @@ package federation
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"schedsearch/internal/engine"
@@ -25,26 +26,11 @@ func (r *Router) ShardRecords(i int) []sim.Record {
 }
 
 // Job returns the job's current status, with node IDs mapped to the
-// global node space. An ID below nextID that the directory lacks may be
-// held by a shard all the same (a front restarted over running shards
-// did not route it): the shards are asked in order, and the one that
-// holds it is recorded.
+// global node space.
 func (r *Router) Job(id int) (engine.JobStatus, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	si, ok := r.dir[id]
-	var st engine.JobStatus
-	switch {
-	case ok:
-		st, ok = r.shards[si].Job(id)
-	case id > 0 && id < r.nextID:
-		for si = range r.shards {
-			if st, ok = r.shards[si].Job(id); ok {
-				r.dir[id] = si
-				break
-			}
-		}
-	}
+	si, st, ok, _ := r.holderLocked(id)
 	if !ok {
 		return engine.JobStatus{}, false
 	}
@@ -52,6 +38,44 @@ func (r *Router) Job(id int) (engine.JobStatus, bool) {
 		st.NodeIDs[k] += r.bases[si]
 	}
 	return st, true
+}
+
+// holderLocked returns the shard that holds the job and the job's
+// shard-local status. An ID below firstID that the directory lacks may
+// be held by a shard all the same (a front restarted over running
+// shards did not route it): the shards are asked in order, and the one
+// that holds it is recorded. When no shard holds it but one could not
+// be asked, the error says so: "not held" is then not certain.
+func (r *Router) holderLocked(id int) (int, engine.JobStatus, bool, error) {
+	if si, ok := r.dir[id]; ok {
+		st, ok := r.shards[si].Job(id)
+		return si, st, ok, nil
+	}
+	var unasked error
+	if id > 0 && id < r.firstID {
+		for si, s := range r.shards {
+			st, ok, err := lookupJob(s, id)
+			if ok {
+				r.dir[id] = si
+				return si, st, true, nil
+			}
+			if err != nil && unasked == nil {
+				unasked = fmt.Errorf("%w: shard %d, job %d: %v", ErrUnreachable, si, id, err)
+			}
+		}
+	}
+	return 0, engine.JobStatus{}, false, unasked
+}
+
+// lookupJob asks shard s for the job, telling "the shard answered: no
+// such job" (false, nil) from "the shard could not be asked" (an
+// error). In-process shards always answer.
+func lookupJob(s engine.Shard, id int) (engine.JobStatus, bool, error) {
+	if pr, ok := s.(remoteProbe); ok {
+		return pr.LookupJob(id)
+	}
+	st, ok := s.Job(id)
+	return st, ok, nil
 }
 
 // JobShard returns the shard currently (or finally) responsible for the

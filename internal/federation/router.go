@@ -76,12 +76,6 @@ type Config struct {
 	Measured     func(id int) bool
 	MeasureStart job.Time
 	MeasureEnd   job.Time
-	// Observer, when non-nil, constructs shard i's observer (fresh per
-	// incarnation, as engine.Rebuild requires). Note that per-shard
-	// oracles see migrations as withdrawals and late-stamped
-	// admissions; the global verdict is oracle.CheckFederation over
-	// the per-shard records.
-	Observer func(shard int) sim.Observer
 	// RebalanceEvery is the period of the one periodic pass on the
 	// shared clock: it resolves parked wire-uncertain steps, reads every
 	// shard's load (probing the dark ones, which refreshes their
@@ -89,11 +83,6 @@ type Config struct {
 	// least loaded shard. 0 disables the pass — and with it
 	// reconciliation, so a remote federation must set it.
 	RebalanceEvery job.Duration
-	// Journal, when non-nil, constructs shard i's journal sink (fresh
-	// per incarnation; on crash recovery the sink reopens the shard's
-	// journal file). CompactEvery is passed through to every shard.
-	Journal      func(shard int) engine.JournalSink
-	CompactEvery int
 	// Tracer, when non-nil, records route/probe/migrate/reconcile spans
 	// for traced jobs, and mints a trace for any job submitted directly
 	// to the router (bypassing a traced front-end server). Router spans
@@ -122,6 +111,7 @@ type Router struct {
 
 	dir      map[int]int // job ID -> shard index, for the job's lifetime
 	nextID   int
+	firstID  int // nextID at construction: a shard's job at or past it is in dir
 	draining bool
 	failure  error
 
@@ -188,11 +178,12 @@ func newRouter(cfg Config, n int) *Router {
 		cfg.Logger = obs.NopLogger()
 	}
 	return &Router{
-		cfg:    cfg,
-		loads:  make([]cachedLoad, n),
-		dir:    make(map[int]int),
-		nextID: 1,
-		window: sim.NewQueueStats(cfg.MeasureStart, cfg.MeasureEnd),
+		cfg:     cfg,
+		loads:   make([]cachedLoad, n),
+		dir:     make(map[int]int),
+		nextID:  1,
+		firstID: 1,
+		window:  sim.NewQueueStats(cfg.MeasureStart, cfg.MeasureEnd),
 	}
 }
 
@@ -224,12 +215,12 @@ func New(cfg Config) (*Router, error) {
 // NewWithShards fronts pre-built shards — typically RemoteShard
 // clients for out-of-process schedd shards — instead of constructing
 // in-process engines. Partition capacities are discovered from the
-// shards themselves, so cfg.Capacity, cfg.Shards and the per-shard
-// factories (Policy, Observer, Journal) are ignored: each
-// shard process owns its policy and journal. cfg.Clock still drives
-// the router's own rebalance timer. The router's first ID is past
-// every ID a shard has already admitted, so a front restarted over
-// running shards never hands out a taken one.
+// shards themselves, so cfg.Capacity, cfg.Shards and cfg.Policy are
+// ignored: each shard process owns its policy and journal. cfg.Clock
+// still drives the router's own rebalance timer. The router's first ID is past every ID a shard has
+// already admitted, so a front restarted over running shards never
+// hands out a taken one, and a caller-assigned ID below it is looked
+// up on the shards before it is routed.
 func NewWithShards(cfg Config, shards []engine.Shard) (*Router, error) {
 	if len(shards) < 1 {
 		return nil, errors.New("federation: no shards")
@@ -258,18 +249,18 @@ func NewWithShards(cfg Config, shards []engine.Shard) (*Router, error) {
 		total += ld.Capacity
 		r.nextID = max(r.nextID, ld.NextID)
 	}
+	r.firstID = r.nextID
 	r.cfg.Capacity = total
 	r.cfg.Shards = len(r.shards)
 	r.polName = r.shards[0].Metrics().Policy
 	return r, nil
 }
 
-// shardConfig assembles shard i's engine configuration with fresh
-// policy/observer instances (New and RebuildShard both use
-// it — a rebuilt incarnation gets fresh instances like a restarted
-// process).
+// shardConfig assembles shard i's engine configuration with a fresh
+// policy instance (New and RebuildShard both use it — a rebuilt
+// incarnation gets a fresh instance like a restarted process).
 func (r *Router) shardConfig(i int) engine.Config {
-	ec := engine.Config{
+	return engine.Config{
 		Capacity:     r.caps[i],
 		Policy:       r.cfg.Policy(i),
 		Clock:        r.cfg.Clock,
@@ -277,21 +268,11 @@ func (r *Router) shardConfig(i int) engine.Config {
 		Measured:     r.cfg.Measured,
 		MeasureStart: r.cfg.MeasureStart,
 		MeasureEnd:   r.cfg.MeasureEnd,
-		CompactEvery: r.cfg.CompactEvery,
 		// In-process shards share the router's tracer (and so its job
 		// registry, bound at routing), tagging decide spans per shard.
 		Tracer:     r.cfg.Tracer,
 		TraceShard: i,
 	}
-	if r.cfg.Journal != nil {
-		ec.Journal = r.cfg.Journal(i)
-	}
-	if r.cfg.Observer != nil {
-		if obs := r.cfg.Observer(i); obs != nil {
-			ec.Observer = obs
-		}
-	}
-	return ec
 }
 
 // shardList returns a copy of the shard slice, so a caller can talk to
@@ -333,7 +314,18 @@ func (r *Router) routeLocked(j job.Job) error {
 	if j.ID < 1 {
 		return fmt.Errorf("federation: invalid job ID %d", j.ID)
 	}
-	if _, dup := r.dir[j.ID]; dup {
+	// An ID the directory lacks may still be held by a shard that a
+	// restarted front did not route it to; while a shard that might
+	// hold it cannot be asked, the job is refused rather than risk one
+	// ID on two shards.
+	_, dup := r.dir[j.ID]
+	if !dup {
+		var err error
+		if _, _, dup, err = r.holderLocked(j.ID); err != nil {
+			return err
+		}
+	}
+	if dup {
 		return fmt.Errorf("federation: %w: %d", engine.ErrDuplicateID, j.ID)
 	}
 	// The same normalization the engine applies at admission, so

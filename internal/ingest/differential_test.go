@@ -273,9 +273,9 @@ func TestBatchedIngestMatchesSerialWithSearch(t *testing.T) {
 }
 
 // TestBatchedIngestMatchesSerialFederated proves the queue is backend-
-// agnostic: batched submission through a 2-shard router (per-shard
-// group-committed journals) merges to the bit-identical global schedule
-// as serial submission through an identically configured router.
+// agnostic: batched submission through a 2-shard router merges to the
+// bit-identical global schedule as serial submission through an
+// identically configured router.
 func TestBatchedIngestMatchesSerialFederated(t *testing.T) {
 	suite := workload.NewSuite(workload.Config{Seed: 23, JobScale: 0.02})
 	in, _, err := suite.Input("9/03", workload.SimOptions{})
@@ -292,21 +292,14 @@ func TestBatchedIngestMatchesSerialFederated(t *testing.T) {
 	}
 	in.Jobs = fit
 
-	newRouter := func(t *testing.T, vc engine.Clock, dir string) *federation.Router {
+	newRouter := func(t *testing.T, vc engine.Clock) *federation.Router {
 		t.Helper()
 		measured := in.Measured
 		cfg := federation.Config{
-			Capacity: in.Capacity,
-			Shards:   2,
-			Policy:   func(int) sim.Policy { return policy.FCFSBackfill() },
-			Clock:    vc,
-			Journal: func(shard int) engine.JournalSink {
-				sink, err := engine.OpenFileJournal(filepath.Join(dir, "shard"+string(rune('0'+shard))+".journal"), 32)
-				if err != nil {
-					t.Fatalf("shard %d journal: %v", shard, err)
-				}
-				return sink
-			},
+			Capacity:     in.Capacity,
+			Shards:       2,
+			Policy:       func(int) sim.Policy { return policy.FCFSBackfill() },
+			Clock:        vc,
 			MeasureStart: in.MeasureStart,
 			MeasureEnd:   in.MeasureEnd,
 			Measured:     func(id int) bool { return measured[id] },
@@ -320,7 +313,7 @@ func TestBatchedIngestMatchesSerialFederated(t *testing.T) {
 
 	// Serial through the router.
 	svc := engine.NewVirtualClock()
-	sr := newRouter(t, svc, t.TempDir())
+	sr := newRouter(t, svc)
 	for _, j := range in.Jobs {
 		j := j
 		svc.AfterFunc(j.Submit, func() {
@@ -336,7 +329,7 @@ func TestBatchedIngestMatchesSerialFederated(t *testing.T) {
 
 	// Batched through an identical router.
 	bvc := engine.NewVirtualClock()
-	br := newRouter(t, bvc, t.TempDir())
+	br := newRouter(t, bvc)
 	q, err := NewQueue(Config{Backend: br, MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
