@@ -4,8 +4,12 @@
 // and undoable placements. The profile is the inner-loop data structure
 // of both the backfill policies and the search-based scheduler: a search
 // visiting 100K tree nodes performs one PlaceEarliest per node, and one
-// Undo per node it branches at. PlaceEarliest is one pass over the steps
-// with no restart, and EarliestFit is that pass without the reservation;
+// Undo per node it branches at. The steps hold changes in free capacity,
+// not free counts, so a placement and its undo each write two steps, the
+// job's start and its end, however many steps it spans; every walk
+// starts at the origin and sums the changes as it goes. PlaceEarliest is
+// one pass over the steps with no restart, and EarliestFit is that pass
+// without the reservation;
 // EarliestFit and Place remain for planners that place elsewhere than the
 // earliest fit. A caller that places a whole run of jobs and keeps none
 // of them — a plan evaluation, the search's heuristic tail — brackets the
@@ -24,12 +28,15 @@ type (
 // extends to Forever.
 const Forever Time = 1 << 60
 
-// step is one piece of the free-capacity step function: Free nodes are
-// available from At until the next step's At (the last step extends to
-// Forever).
+// step is one piece of the free-capacity step function, kept as a
+// change: from At until the next step's At (the last step extends to
+// Forever) the free count is the sum of Delta over this step and every
+// step before it, so steps[0].Delta is the free count at the origin. A
+// reservation then writes two steps, where it starts and where it ends,
+// whatever it spans, and a walk from the origin keeps the running sum.
 type step struct {
-	At   Time
-	Free int
+	At    Time
+	Delta int
 }
 
 // Profile is the free-capacity-over-time step function. The zero value
@@ -48,7 +55,7 @@ func New(capacity int, origin Time) *Profile {
 	}
 	return &Profile{
 		capacity: capacity,
-		steps:    []step{{At: origin, Free: capacity}},
+		steps:    []step{{At: origin, Delta: capacity}},
 	}
 }
 
@@ -61,13 +68,14 @@ func (p *Profile) Reset(capacity int, origin Time) {
 		panic("cluster: capacity must be positive")
 	}
 	p.capacity = capacity
-	p.steps = append(p.steps[:0], step{At: origin, Free: capacity})
+	p.steps = append(p.steps[:0], step{At: origin, Delta: capacity})
 }
 
 // FreeAt returns the free capacity at time t, which must not precede
 // the profile's origin.
 func (p *Profile) FreeAt(t Time) int {
-	return p.steps[p.find(t)].Free
+	i, free := p.find(t)
+	return free + p.steps[i].Delta
 }
 
 // Clone returns an independent copy of the profile.
@@ -87,24 +95,19 @@ func (p *Profile) Save() { p.saved = append(p.saved[:0], p.steps...) }
 // must not have been Reset since.
 func (p *Profile) Restore() { p.steps = append(p.steps[:0], p.saved...) }
 
-// find returns the index of the step covering time t: the greatest i
-// with steps[i].At <= t. t must not precede steps[0].At.
-func (p *Profile) find(t Time) int {
-	// Binary search; profiles are small (tens to a few hundred steps),
-	// but earliest-fit scans start here so keep it exact.
-	lo, hi := 0, len(p.steps)-1
+// find returns the index i of the step covering time t — the greatest i
+// with steps[i].At <= t — and the free count before it, the sum of the
+// changes of steps[:i]. It walks from the origin, since the free count
+// is a running sum; t must not precede steps[0].At.
+func (p *Profile) find(t Time) (i, free int) {
 	if t < p.steps[0].At {
 		panic(fmt.Sprintf("cluster: time %d precedes profile origin %d", t, p.steps[0].At))
 	}
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if p.steps[mid].At <= t {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
+	for i+1 < len(p.steps) && p.steps[i+1].At <= t {
+		free += p.steps[i].Delta
+		i++
 	}
-	return lo
+	return i, free
 }
 
 // EarliestFit returns the earliest time t >= after at which nodes free
@@ -127,7 +130,7 @@ func (p *Profile) EarliestFit(after Time, n int, d Duration) Time {
 // until the next Place or Undo on the profile (placements undo in LIFO
 // order).
 type Placement struct {
-	lo, hi int  // modified region [lo, hi) in the post-place steps
+	lo, hi int  // the steps where the reservation starts and ends
 	insLo  bool // a step was inserted at the start boundary
 	insHi  bool // a step was inserted at the end boundary
 	n      int  // nodes subtracted
@@ -146,16 +149,13 @@ func (p *Profile) Place(t Time, n int, d Duration) Placement {
 		panic(fmt.Sprintf("cluster: Place n=%d outside [1,%d]", n, p.capacity))
 	}
 	end := t + d
-	lo := 0
-	if t != p.steps[0].At { // rebuilding a profile places at its origin
-		lo = p.find(t)
-	}
+	lo, free := p.find(t)
 	// The region ends at the first step with At >= end.
 	hi := lo
 	for hi < len(p.steps) && p.steps[hi].At < end {
-		if p.steps[hi].Free < n {
+		if free += p.steps[hi].Delta; free < n {
 			panic(fmt.Sprintf("cluster: Place(%d, n=%d, d=%d) infeasible at step %d (free %d)",
-				t, n, d, hi, p.steps[hi].Free))
+				t, n, d, hi, free))
 		}
 		hi++
 	}
@@ -164,29 +164,29 @@ func (p *Profile) Place(t Time, n int, d Duration) Placement {
 
 // reserve subtracts n nodes over [t, end), given that steps[lo] covers
 // t, steps[hi] is the first step with At >= end (len(steps) if none)
-// and every step in [lo, hi) has at least n free. It splits a step at
-// either boundary that falls inside one.
+// and every step in [lo, hi) has at least n free. A boundary that falls
+// inside a step splits it with a step of no change; then steps[lo]
+// starts at t, steps[hi] at end, and the reservation is their two
+// changes.
 func (p *Profile) reserve(lo, hi int, t, end Time, n int) Placement {
 	pl := Placement{n: n}
 	if p.steps[lo].At < t {
 		p.steps = append(p.steps, step{})
 		copy(p.steps[lo+2:], p.steps[lo+1:])
-		p.steps[lo+1] = step{At: t, Free: p.steps[lo].Free}
+		p.steps[lo+1] = step{At: t}
 		lo++
 		hi++
 		pl.insLo = true
 	}
 	// The step hi-1 extends past end unless one already starts there.
 	if hi == len(p.steps) || p.steps[hi].At > end {
-		free := p.steps[hi-1].Free
 		p.steps = append(p.steps, step{})
 		copy(p.steps[hi+1:], p.steps[hi:])
-		p.steps[hi] = step{At: end, Free: free}
+		p.steps[hi] = step{At: end}
 		pl.insHi = true
 	}
-	for i := lo; i < hi; i++ {
-		p.steps[i].Free -= n
-	}
+	p.steps[lo].Delta -= n
+	p.steps[hi].Delta += n
 	pl.lo, pl.hi = lo, hi
 	return pl
 }
@@ -194,9 +194,8 @@ func (p *Profile) reserve(lo, hi int, t, end Time, n int) Placement {
 // Undo reverts the most recent Place. Placements must be undone in
 // strict LIFO order; undoing out of order corrupts the profile.
 func (p *Profile) Undo(pl Placement) {
-	for i := pl.lo; i < pl.hi; i++ {
-		p.steps[i].Free += pl.n
-	}
+	p.steps[pl.lo].Delta += pl.n
+	p.steps[pl.hi].Delta -= pl.n
 	// Remove inserted boundary steps (end first so indices stay valid).
 	if pl.insHi {
 		copy(p.steps[pl.hi:], p.steps[pl.hi+1:])
@@ -213,8 +212,8 @@ func (p *Profile) Undo(pl Placement) {
 // is EarliestFit followed by Place in one pass: the feasibility scan
 // ends knowing which steps [t, t+d) covers, so nothing is searched for
 // or scanned twice, and a query from the origin (every search node: the
-// profile is rebuilt at the decision instant) needs no binary search at
-// all. d must be positive.
+// profile is rebuilt at the decision instant) starts scanning at once,
+// with no walk to a later start. d must be positive.
 func (p *Profile) PlaceEarliest(after Time, n int, d Duration) (Time, Placement) {
 	if n < 1 || n > p.capacity {
 		panic(fmt.Sprintf("cluster: PlaceEarliest n=%d outside [1,%d]", n, p.capacity))
@@ -228,23 +227,26 @@ func (p *Profile) PlaceEarliest(after Time, n int, d Duration) (Time, Placement)
 
 // scan returns the earliest fit t >= after of n nodes for d > 0 seconds,
 // the step lo covering t and the first step hi with At >= t+d
-// (len(steps) if none). It is one pass with no restart: a step narrower
-// than n moves the candidate to the next step's start — two conditional
-// moves, not a branch — and the one exit that depends on the data is
-// taken once. The last step is free at full capacity, so a pass that
-// reaches it fits there.
+// (len(steps) if none). It is one pass with no restart: it adds each
+// step's change to the free count, a step narrower than n moves the
+// candidate to the next step's start — two conditional moves, not a
+// branch — and the one exit that depends on the data is taken once. The
+// last step is free at full capacity, so a pass that reaches it fits
+// there.
 func (p *Profile) scan(after Time, n int, d Duration) (t Time, lo, hi int) {
 	steps := p.steps
 	lo, t = 0, steps[0].At
+	free := 0
 	if after > t {
-		lo, t = p.find(after), after
+		lo, free = p.find(after)
+		t = after
 	}
 	base := lo
 	cur := steps[base : len(steps)-1]
 	next := steps[base+1:][:len(cur)]
 	for i := range cur {
 		at := next[i].At
-		if cur[i].Free < n {
+		if free += cur[i].Delta; free < n {
 			lo, t = base+i+1, at
 		}
 		if at-t >= d {
@@ -260,18 +262,18 @@ func (p *Profile) CheckInvariants() error {
 	if len(p.steps) == 0 {
 		return fmt.Errorf("empty profile")
 	}
+	free := 0
 	for i, s := range p.steps {
-		if s.Free < 0 || s.Free > p.capacity {
-			return fmt.Errorf("step %d free %d outside [0,%d]", i, s.Free, p.capacity)
+		if free += s.Delta; free < 0 || free > p.capacity {
+			return fmt.Errorf("step %d free %d outside [0,%d]", i, free, p.capacity)
 		}
 		if i > 0 && p.steps[i-1].At >= s.At {
 			return fmt.Errorf("steps not strictly increasing at %d: %d >= %d",
 				i, p.steps[i-1].At, s.At)
 		}
 	}
-	if p.steps[len(p.steps)-1].Free != p.capacity {
-		return fmt.Errorf("final step free %d != capacity %d",
-			p.steps[len(p.steps)-1].Free, p.capacity)
+	if free != p.capacity {
+		return fmt.Errorf("final step free %d != capacity %d", free, p.capacity)
 	}
 	return nil
 }

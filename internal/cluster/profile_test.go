@@ -33,9 +33,11 @@ func newNaive(capacity int, origin Time, horizon int) *naive {
 func naiveOf(p *Profile) *naive {
 	last := len(p.steps) - 1
 	n := newNaive(p.capacity, p.Origin(), int(p.steps[last].At-p.Origin()))
+	free := 0
 	for i, s := range p.steps[:last] {
+		free += s.Delta
 		for x := s.At; x < p.steps[i+1].At; x++ {
-			n.free[x-n.origin] = s.Free
+			n.free[x-n.origin] = free
 		}
 	}
 	return n

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"schedsearch/internal/job"
 	"schedsearch/internal/sim"
@@ -30,6 +32,10 @@ type Base struct {
 	// Waiting holds the queue in arrival order; Estimate 0 means the
 	// job had not been estimated yet.
 	Waiting []BaseWaiting `json:"waiting,omitempty"`
+	// Withdrawn holds the withdraw tombstones no later admit has
+	// cleared, sorted by ID, so a restarted shard still answers a
+	// retried withdraw with the job (Engine.Withdrawn).
+	Withdrawn []job.Job `json:"withdrawn,omitempty"`
 	// QlenInt and QlenLast carry the queue-length integral for metrics
 	// continuity.
 	QlenInt  float64  `json:"qlen_int"`
@@ -108,6 +114,10 @@ func (e *Engine) captureBaseLocked() Base {
 	for _, w := range snap.Queue {
 		b.Waiting = append(b.Waiting, BaseWaiting{Job: w.Job, Estimate: w.Estimate})
 	}
+	for _, j := range e.withdrawn {
+		b.Withdrawn = append(b.Withdrawn, j)
+	}
+	slices.SortFunc(b.Withdrawn, func(x, y job.Job) int { return cmp.Compare(x.ID, y.ID) })
 	return b
 }
 
@@ -162,6 +172,9 @@ func (e *Engine) restoreBaseLocked(b Base) error {
 		}
 		e.l.Enqueue(w.Job, w.Estimate)
 		e.jobs[w.Job.ID] = &JobStatus{Job: w.Job, State: StateWaiting, Estimate: w.Estimate}
+	}
+	for _, j := range b.Withdrawn {
+		e.withdrawn[j.ID] = j
 	}
 	e.q.Area, e.q.Last = b.QlenInt, b.QlenLast
 	return nil

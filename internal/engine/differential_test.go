@@ -8,6 +8,7 @@ import (
 	"schedsearch/internal/core"
 	"schedsearch/internal/job"
 	"schedsearch/internal/metrics"
+	"schedsearch/internal/obs"
 	"schedsearch/internal/oracle"
 	"schedsearch/internal/policy"
 	"schedsearch/internal/predict"
@@ -235,4 +236,52 @@ func TestEngineConcurrentSubmitMatchesSimulator(t *testing.T) {
 		t.Fatal(err)
 	}
 	diffRecords(t, res.Records, e.Records())
+}
+
+// namingPolicy counts the calls of its policy's Name.
+type namingPolicy struct {
+	sim.Policy
+	names int
+}
+
+func (p *namingPolicy) Name() string {
+	p.names++
+	return p.Policy.Name()
+}
+
+// TestPolicyNamedOncePerEngine pins that an engine asks its policy for
+// its name when it is built, not once per decision: a search policy's
+// Name is a Sprintf. A month's replay with its metrics, a rebuild from
+// the replay's checkpoint (which re-applies every decision) and an
+// audit of it are three engines, so three calls, whatever the number of
+// decisions.
+func TestPolicyNamedOncePerEngine(t *testing.T) {
+	suite := workload.NewSuite(workload.Config{Seed: 3, JobScale: 0.05})
+	in, _, err := suite.Input("7/03", workload.SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := &namingPolicy{Policy: policy.FCFSBackfill()}
+	e := replayInput(t, in, pol)
+	m := e.Metrics()
+	if m.Engine.Decisions < 100 || m.Summary.Policy != "FCFS-backfill" {
+		t.Fatalf("replay made %d decisions under %q, want a month's under FCFS-backfill", m.Engine.Decisions, m.Summary.Policy)
+	}
+	if pol.names != 1 {
+		t.Errorf("a month's %d decisions named the policy %d times, want 1", m.Engine.Decisions, pol.names)
+	}
+	cfg := Config{Capacity: in.Capacity, Policy: pol, Clock: NewVirtualClock()}
+	re, err := Rebuild(cfg, e.Checkpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(re.Records()), len(e.Records()); got != want || re.Metrics().Summary.Policy != "FCFS-backfill" {
+		t.Fatalf("rebuild replayed %d completions, want %d", got, want)
+	}
+	if err := Audit(cfg, e.Checkpoint(), func(*obs.DecisionRecord) {}); err != nil {
+		t.Fatal(err)
+	}
+	if pol.names != 3 {
+		t.Errorf("replay, rebuild and audit named the policy %d times, want 3", pol.names)
+	}
 }

@@ -30,6 +30,13 @@ import (
 // ErrDraining is returned by Submit after Drain has been requested.
 var ErrDraining = errors.New("engine: draining, not admitting jobs")
 
+// ErrUnreachable marks a wire failure where the request was certainly
+// never processed (connection refused, no route): the operation did not
+// happen and may be safely redirected elsewhere. A federation router
+// returns it; it lives here beside ErrDraining so that the server can
+// answer both as the retryable 503 they are.
+var ErrUnreachable = errors.New("federation: shard unreachable")
+
 // ErrDuplicateID is wrapped by SubmitJob when the caller-assigned job
 // ID is already in use (test with errors.Is).
 var ErrDuplicateID = errors.New("duplicate job ID")
@@ -129,10 +136,11 @@ type Machine struct {
 
 // Engine is the online scheduler. All methods are goroutine-safe.
 type Engine struct {
-	mu    sync.Mutex
-	cfg   Config
-	clock Clock
-	l     *sim.Ledger
+	mu     sync.Mutex
+	cfg    Config
+	policy string // cfg.Policy.Name(), computed once: a search's is a Sprintf
+	clock  Clock
+	l      *sim.Ledger
 
 	jobs    map[int]*JobStatus
 	nextID  int
@@ -142,9 +150,9 @@ type Engine struct {
 	// They make migration withdrawals idempotent over a lossy wire: a
 	// retried Withdraw whose original landed finds the tombstone and
 	// returns the same job instead of "not queued". Rebuild repopulates
-	// them from EvWithdraw replay, so they survive a crash; compaction
-	// folds the journal but keeps the in-memory tombstones for the
-	// incarnation's lifetime. Bounded by the shard's migration count.
+	// them from EvWithdraw replay and from Base.Withdrawn, so they
+	// survive a crash and a compaction. Bounded by the shard's migration
+	// count.
 	withdrawn map[int]job.Job
 	// base is the folded journal prefix after a compaction (nil until
 	// the first Compact); journal holds only the tail since.
@@ -190,6 +198,7 @@ func New(cfg Config) (*Engine, error) {
 	l.SetObserver(cfg.Observer)
 	e := &Engine{
 		cfg:       cfg,
+		policy:    cfg.Policy.Name(),
 		clock:     cfg.Clock,
 		l:         l,
 		jobs:      make(map[int]*JobStatus),
@@ -431,7 +440,7 @@ func (e *Engine) decideLocked() {
 		e.setFatal(err)
 	case len(started) == 0 && e.l.RunningLen() == 0:
 		e.setFatal(fmt.Errorf("engine: policy %q started nothing on an idle machine with %d queued jobs at t=%d",
-			e.cfg.Policy.Name(), e.l.QueueLen(), ev.At))
+			e.policy, e.l.QueueLen(), ev.At))
 	case e.cfg.Tracer != nil:
 		e.traceDecision(d, started)
 	}
@@ -477,7 +486,7 @@ func (e *Engine) decide(ev *Event, choose func(*sim.Snapshot) []int) ([]sim.Star
 	if len(qis) > 0 {
 		e.noteQueueChange(ev.At)
 		var err error
-		if started, err = e.l.Start(e.cfg.Policy.Name(), ev.At, qis); err != nil {
+		if started, err = e.l.Start(e.policy, ev.At, qis); err != nil {
 			return nil, err
 		}
 	}
@@ -490,7 +499,7 @@ func (e *Engine) decide(ev *Event, choose func(*sim.Snapshot) []int) ([]sim.Star
 			got = append(got, s.Job.ID)
 		}
 		if !slices.Equal(got, want) {
-			return nil, fmt.Errorf("t=%d: the journal started %v, %s started %v", ev.At, want, e.cfg.Policy.Name(), got)
+			return nil, fmt.Errorf("t=%d: the journal started %v, %s started %v", ev.At, want, e.policy, got)
 		}
 	}
 	for k, s := range started {

@@ -94,7 +94,7 @@ func (e *Engine) Metrics() Metrics {
 	}
 	start, end := e.q.Window(first, last)
 	res := &sim.Result{
-		Policy:       e.cfg.Policy.Name(),
+		Policy:       e.policy,
 		Records:      e.records,
 		Decisions:    int(e.decisions),
 		AvgQueueLen:  e.q.AvgQueueLen(now, start, end, e.l.QueueLen()),

@@ -29,10 +29,10 @@ type metaSummarizer interface {
 // heuristics get the generic record. Started comes back empty; the
 // caller appends the started job IDs. It only reads state the decision
 // already produced.
-func fillDecisionRecord(rec *obs.DecisionRecord, pol sim.Policy, now job.Time, queueDepth int, wall time.Duration) {
+func fillDecisionRecord(rec *obs.DecisionRecord, pol sim.Policy, name string, now job.Time, queueDepth int, wall time.Duration) {
 	*rec = obs.DecisionRecord{
 		NowS:       int64(now),
-		Policy:     pol.Name(),
+		Policy:     name,
 		QueueDepth: queueDepth,
 		WallUs:     wall.Microseconds(),
 	}

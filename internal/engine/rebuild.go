@@ -245,7 +245,7 @@ func Audit(cfg Config, cp Checkpoint, visit func(*obs.DecisionRecord)) error {
 		t0 := time.Now()
 		starts := cfg.Policy.Decide(snap)
 		rec := &obs.DecisionRecord{}
-		fillDecisionRecord(rec, cfg.Policy, snap.Now, len(snap.Queue), time.Since(t0))
+		fillDecisionRecord(rec, cfg.Policy, e.policy, snap.Now, len(snap.Queue), time.Since(t0))
 		seq++
 		rec.Seq = seq
 		for _, qi := range starts {

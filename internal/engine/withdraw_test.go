@@ -2,6 +2,8 @@ package engine
 
 import (
 	"errors"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"schedsearch/internal/job"
@@ -156,5 +158,58 @@ func TestLoadScore(t *testing.T) {
 	}
 	if want := float64(8*90+4*50) / 8; mid.Score() != want {
 		t.Fatalf("score %v, want %v", mid.Score(), want)
+	}
+}
+
+// TestCompactedRebuildKeepsTombstones compacts an engine holding a
+// withdraw tombstone into its file journal and rebuilds it from that
+// file: the rebuilt engine must still answer Withdrawn for the job, or
+// a retried withdraw after the restart reads "not queued" and the
+// router takes the job for started while it is on no shard.
+func TestCompactedRebuildKeepsTombstones(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal")
+	fj, err := OpenFileJournal(path, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fj.Close()
+	vc := NewVirtualClock()
+	cfg := Config{Capacity: 8, Policy: policy.FCFSBackfill(), Clock: vc}
+	live := cfg
+	live.Journal = fj
+	e, err := New(live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want job.Job
+	vc.AfterFunc(0, func() {
+		for i := 0; i < 2; i++ {
+			if _, err := e.Submit(job.Job{Nodes: 8, Runtime: 600, Request: 600}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	vc.AfterFunc(10, func() {
+		if want, err = e.Withdraw(2); err != nil {
+			t.Fatalf("withdraw the waiting job: %v", err)
+		}
+		if err := e.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	vc.AdvanceTo(10)
+	cp, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.Base == nil || len(cp.Events) != 0 {
+		t.Fatalf("compacted journal holds base %v and %d events, want a base alone", cp.Base != nil, len(cp.Events))
+	}
+	re, err := Rebuild(cfg, cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := re.Withdrawn(2); !ok || !reflect.DeepEqual(got, want) {
+		t.Errorf("rebuilt engine: Withdrawn(2) = %+v, %v; want %+v, true", got, ok, want)
 	}
 }

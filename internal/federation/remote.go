@@ -19,11 +19,10 @@ import (
 	"schedsearch/internal/wire"
 )
 
-// ErrUnreachable marks a wire failure where the request was certainly
-// never processed (connection refused, no route): the operation did
-// not happen and may be safely redirected elsewhere. The router's
-// degraded mode reroutes submissions on it.
-var ErrUnreachable = errors.New("federation: shard unreachable")
+// ErrUnreachable is engine.ErrUnreachable: the request certainly never
+// reached a shard. The router's degraded mode reroutes submissions on
+// it, and the server answers it 503.
+var ErrUnreachable = engine.ErrUnreachable
 
 // ErrUncertain marks a wire failure where the request MAY have been
 // processed (timeout or connection loss after the request was sent,

@@ -22,6 +22,7 @@ import (
 
 	"schedsearch/internal/core"
 	"schedsearch/internal/engine"
+	"schedsearch/internal/ingest"
 	"schedsearch/internal/job"
 	"schedsearch/internal/obs"
 	"schedsearch/internal/policy"
@@ -880,6 +881,85 @@ func TestRestartedFrontSkipsTakenIDs(t *testing.T) {
 		}
 	}
 	holders()
+}
+
+// TestDarkShardSubmitIs503 posts a caller-assigned ID through the
+// HTTP server over a front whose shard that might hold the ID is dark.
+// The job is good and a retry may find the shard back, so every submit
+// path — single without and with the ingest queue, and a batch item —
+// must answer 503 shard_unreachable, not 400 invalid_job, and a single
+// submit carries the Retry-After hint.
+func TestDarkShardSubmitIs503(t *testing.T) {
+	vc := engine.NewVirtualClock()
+	var engines []*engine.Engine
+	var shards []engine.Shard
+	for i := 0; i < 2; i++ {
+		e, rs := startShardProc(t, engine.Config{Capacity: 8, Policy: policy.FCFSBackfill(), Clock: vc}, RemoteShardOptions{})
+		engines = append(engines, e)
+		shards = append(shards, rs)
+	}
+	first, err := NewWithShards(Config{Clock: vc}, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vc.AfterFunc(0, func() {
+		for i := 0; i < 2; i++ {
+			if _, err := first.Submit(job.Job{Nodes: 8, Runtime: 600, Request: 600}); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	vc.Run()
+	dark, live := 0, 0
+	for id := 1; id <= 2; id++ {
+		if _, ok := engines[1].Job(id); ok {
+			dark = id
+		} else {
+			live = id
+		}
+	}
+	if dark == 0 || live == 0 {
+		t.Fatal("the two 8-node jobs share a shard; the test needs one on each")
+	}
+	dim := new(countCalls)
+	front, err := NewWithShards(Config{Clock: vc}, []engine.Shard{
+		shards[0], NewRemoteShard(shards[1].(*RemoteShard).Addr(), RemoteShardOptions{Transport: dim, Sleep: noSleep}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dim.dark.Store(true)
+	q, err := ingest.NewQueue(ingest.Config{Backend: front})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(q.Close)
+	post := func(srv *server.Server, body string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest("POST", "/v1/jobs", strings.NewReader(body)))
+		return w
+	}
+	body := func(id int) string {
+		return fmt.Sprintf(`{"id":%d,"nodes":1,"runtime_s":60,"request_s":60}`, id)
+	}
+	for _, srv := range []*server.Server{server.New(front, nil), server.New(front, nil, server.WithIngest(q))} {
+		if w := post(srv, body(live)); w.Code != http.StatusConflict {
+			t.Errorf("ID %d, held by the live shard: %d %s, want 409", live, w.Code, w.Body)
+		}
+		w := post(srv, body(dark))
+		var er wire.ErrorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || w.Code != http.StatusServiceUnavailable ||
+			er.Code != "shard_unreachable" || w.Header().Get("Retry-After") != "1" {
+			t.Errorf("ID %d, held by the dark shard: %d %s (Retry-After %q), want 503 shard_unreachable with Retry-After 1",
+				dark, w.Code, w.Body, w.Header().Get("Retry-After"))
+		}
+	}
+	w := post(server.New(front, nil, server.WithIngest(q)), "["+body(dark)+"]")
+	var br server.BatchResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &br); err != nil || w.Code != http.StatusOK || len(br.Items) != 1 ||
+		br.Items[0].Status != http.StatusServiceUnavailable || br.Items[0].Code != "shard_unreachable" {
+		t.Errorf("batch of ID %d, held by the dark shard: %d %s, want one item 503 shard_unreachable", dark, w.Code, w.Body)
+	}
 }
 
 // TestRemoteShardUnreachable pins the error taxonomy down: a dead

@@ -47,6 +47,8 @@ type BatchResponse struct {
 
 // submitStatus maps an admission error to its HTTP status and stable
 // error code; the single, the batched and the shard-admit path use it.
+// A front whose shards cannot be reached refuses with 503, since the
+// job is good and a retry may find the shard back.
 // An error of no known kind is the job's fault only while the backend is
 // alive: a backend with a fatal error (a journal on a full device)
 // refuses every job with that error, and telling the client its job is
@@ -55,6 +57,8 @@ func (s *Server) submitStatus(err error) (int, string) {
 	switch {
 	case errors.Is(err, engine.ErrDraining):
 		return http.StatusServiceUnavailable, "draining"
+	case errors.Is(err, engine.ErrUnreachable):
+		return http.StatusServiceUnavailable, "shard_unreachable"
 	case errors.Is(err, engine.ErrDuplicateID):
 		return http.StatusConflict, "duplicate_id"
 	case errors.Is(err, ingest.ErrQuota):
@@ -64,6 +68,17 @@ func (s *Server) submitStatus(err error) (int, string) {
 	default:
 		return http.StatusBadRequest, "invalid_job"
 	}
+}
+
+// writeSubmitError writes a single submit's admission error; a refusal
+// the client should retry (429, 503) carries the Retry-After hint, as
+// the saturated queue's does.
+func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
+	status, code := s.submitStatus(err)
+	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", retryAfterSeconds)
+	}
+	writeError(w, status, code, err)
 }
 
 // batchScratch is one batched submit's reusable memory: the decoded

@@ -26,7 +26,8 @@
 // All responses are JSON; errors are a structured
 // {"error": "...", "code": "..."} body with a matching status code
 // (400 malformed request, 404 unknown job, 409 duplicate job ID, 413
-// oversized body, 503 draining). A panic in a handler is recovered
+// oversized body, 503 draining or shards unreachable, with Retry-After
+// on a single submit). A panic in a handler is recovered
 // into a generic 500 JSON body — never a stack trace on the wire.
 package server
 
@@ -229,11 +230,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if rerr := results[0].Err; rerr != nil {
-			status, code := s.submitStatus(rerr)
-			if status == http.StatusTooManyRequests {
-				w.Header().Set("Retry-After", retryAfterSeconds)
-			}
-			writeError(w, status, code, rerr)
+			s.writeSubmitError(w, rerr)
 			return
 		}
 		id = results[0].ID
@@ -245,8 +242,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 			serr = s.e.SubmitJob(spec)
 		}
 		if serr != nil {
-			status, code := s.submitStatus(serr)
-			writeError(w, status, code, serr)
+			s.writeSubmitError(w, serr)
 			return
 		}
 		// Without an ingest queue there is no committer to force the
