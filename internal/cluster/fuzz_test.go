@@ -4,7 +4,8 @@ import "testing"
 
 // FuzzProfileOps drives the profile with an op sequence decoded from
 // fuzz bytes and checks invariants after every operation, cross-checking
-// FreeAt against a brute-force reference.
+// EarliestFit and FreeAt against a brute-force reference and FitsAt
+// against EarliestFit.
 func FuzzProfileOps(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0, 0, 0, 0})
@@ -32,6 +33,9 @@ func FuzzProfileOps(f *testing.F) {
 				want := ref.earliestFit(after, nodes, d)
 				if got != want {
 					t.Fatalf("EarliestFit(%d, %d, %d) = %d, want %d", after, nodes, d, got, want)
+				}
+				if fits := p.FitsAt(after, nodes, d); fits != (want == after) {
+					t.Fatalf("FitsAt(%d, %d, %d) = %v, EarliestFit answers %d", after, nodes, d, fits, want)
 				}
 				if int(got)+int(d) >= horizon {
 					continue

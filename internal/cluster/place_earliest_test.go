@@ -158,6 +158,47 @@ func TestPlaceEarliestComb(t *testing.T) {
 	}
 }
 
+// TestFitsAtIsFitNow holds FitsAt to its definition, EarliestFit(t, n,
+// d) == t, and to the per-second reference, on random profiles with
+// queries at the origin, inside steps, on boundaries and past every
+// reservation, for d == 0 and for intervals that span many steps, and
+// requires both answers to have been given often.
+func TestFitsAtIsFitNow(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	var fits, misses int
+	for trial := 0; trial < 200; trial++ {
+		capacity := 1 + rng.Intn(24)
+		origin := Time(rng.Intn(50))
+		p := New(capacity, origin)
+		for k := rng.Intn(12); k > 0; k-- {
+			p.PlaceEarliest(origin+Time(rng.Intn(150)), 1+rng.Intn(capacity), Duration(1+rng.Intn(60)))
+		}
+		ref := naiveOf(p)
+		for q := 0; q < 50; q++ {
+			at := origin + Time(rng.Intn(250))
+			if q%5 == 0 {
+				at = origin
+			}
+			n, d := 1+rng.Intn(capacity), Duration(rng.Intn(80))
+			got := p.FitsAt(at, n, d)
+			if want := p.EarliestFit(at, n, d) == at; got != want {
+				t.Fatalf("FitsAt(%d, %d, %d) = %v, but EarliestFit answers %d", at, n, d, got, p.EarliestFit(at, n, d))
+			}
+			if want := ref.earliestFit(at, n, max(d, 1)) == at; got != want {
+				t.Fatalf("FitsAt(%d, %d, %d) = %v, the per-second reference says %v", at, n, d, got, want)
+			}
+			if got {
+				fits++
+			} else {
+				misses++
+			}
+		}
+	}
+	if fits < 1000 || misses < 1000 {
+		t.Errorf("%d fits and %d misses: both answers must be exercised", fits, misses)
+	}
+}
+
 // sized is a job to place: nodes for a duration.
 type sized struct {
 	n int

@@ -9,7 +9,7 @@
 // job's start and its end, however many steps it spans; every walk
 // starts at the origin and sums the changes as it goes. PlaceEarliest is
 // one pass over the steps with no restart, and EarliestFit is that pass
-// without the reservation;
+// without the reservation; FitsAt asks only "can it start at t?".
 // EarliestFit and Place remain for planners that place elsewhere than the
 // earliest fit. A caller that places a whole run of jobs and keeps none
 // of them — a plan evaluation, the search's heuristic tail — brackets the
@@ -254,6 +254,20 @@ func (p *Profile) scan(after Time, n int, d Duration) (t Time, lo, hi int) {
 		}
 	}
 	return t, lo, len(steps)
+}
+
+// FitsAt reports whether EarliestFit(t, n, d) == t: whether n nodes are
+// free throughout [t, t+d). It walks only to t and across the interval,
+// and stops at the first step narrower than n.
+func (p *Profile) FitsAt(t Time, n int, d Duration) bool {
+	end := t + max(d, 1)
+	i, free := p.find(t)
+	for ; i < len(p.steps) && p.steps[i].At < end; i++ {
+		if free += p.steps[i].Delta; free < n {
+			return false
+		}
+	}
+	return true
 }
 
 // CheckInvariants verifies structural invariants; tests call it after

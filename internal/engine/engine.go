@@ -37,6 +37,11 @@ var ErrDraining = errors.New("engine: draining, not admitting jobs")
 // answer both as the retryable 503 they are.
 var ErrUnreachable = errors.New("federation: shard unreachable")
 
+// ErrUncertain marks a wire failure after which the request MAY have
+// been processed. A router returns it with the ID it burned, and the
+// server answers 202: the job may run under that ID.
+var ErrUncertain = errors.New("federation: request outcome unknown")
+
 // ErrDuplicateID is wrapped by SubmitJob when the caller-assigned job
 // ID is already in use (test with errors.Is).
 var ErrDuplicateID = errors.New("duplicate job ID")

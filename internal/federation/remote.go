@@ -24,12 +24,10 @@ import (
 // it, and the server answers it 503.
 var ErrUnreachable = engine.ErrUnreachable
 
-// ErrUncertain marks a wire failure where the request MAY have been
-// processed (timeout or connection loss after the request was sent,
-// retries exhausted): the operation's outcome is unknown. Mutations
-// failing this way must not be blindly redirected — the router parks
-// uncertain migrations for reconciliation instead.
-var ErrUncertain = errors.New("federation: request outcome unknown")
+// ErrUncertain is engine.ErrUncertain (timeout or connection loss after
+// the request was sent, retries exhausted). Mutations failing this way
+// are parked for reconciliation, never blindly redirected.
+var ErrUncertain = engine.ErrUncertain
 
 // retryBackoff is the first retry's delay; it doubles per attempt.
 const retryBackoff = 25 * time.Millisecond

@@ -962,6 +962,65 @@ func TestDarkShardSubmitIs503(t *testing.T) {
 	}
 }
 
+// TestUncertainSubmitIs202 posts through an HTTP server over a front
+// whose one shard loses every /v1/jobs answer: each POST lands and its
+// job runs, but neither the answer nor a read-back arrives. The outcome
+// is unknown, not the job's fault, so every submit path — single
+// without and with the ingest queue, and batch items with and without
+// a caller-assigned ID — must answer 202 outcome_unknown with the ID the
+// job may run under (a single submit's Location, a batch item's id),
+// not 400 invalid_job; and once the wire is back, the front finds each
+// job under that ID.
+func TestUncertainSubmitIs202(t *testing.T) {
+	vc := engine.NewVirtualClock()
+	fault := &dropResponses{path: "/v1/jobs", n: 1 << 20}
+	_, rs := startShardProc(t, engine.Config{Capacity: 32, Policy: policy.FCFSBackfill(), Clock: vc},
+		RemoteShardOptions{Transport: fault, Retries: 1})
+	front, err := NewWithShards(Config{Clock: vc}, []engine.Shard{rs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := ingest.NewQueue(ingest.Config{Backend: front})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(q.Close)
+	post := func(srv *server.Server, body string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest("POST", "/v1/jobs", strings.NewReader(body)))
+		return w
+	}
+	const spec = `"nodes":1,"runtime_s":600,"request_s":600}`
+	for id, srv := range map[int]*server.Server{1: server.New(front, nil), 2: server.New(front, nil, server.WithIngest(q))} {
+		w := post(srv, "{"+spec)
+		var er wire.ErrorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || w.Code != http.StatusAccepted ||
+			er.Code != "outcome_unknown" || w.Header().Get("Location") != fmt.Sprintf("/v1/jobs/%d", id) {
+			t.Errorf("single submit %d: %d %s (Location %q), want 202 outcome_unknown at /v1/jobs/%d",
+				id, w.Code, w.Body, w.Header().Get("Location"), id)
+		}
+	}
+	w := post(server.New(front, nil, server.WithIngest(q)), "[{"+spec+`,{"id":10,`+spec+"]")
+	var br server.BatchResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &br); err != nil || w.Code != http.StatusOK || len(br.Items) != 2 || br.Accepted != 2 {
+		t.Fatalf("batch: %d %s, want two items, both accepted", w.Code, w.Body)
+	}
+	for k, id := range []int{3, 10} {
+		if it := br.Items[k]; it.Status != http.StatusAccepted || it.Code != "outcome_unknown" || it.ID != id {
+			t.Errorf("batch item %d: %+v, want 202 outcome_unknown with id %d", k, it, id)
+		}
+	}
+	fault.mu.Lock()
+	fault.n = 0
+	fault.mu.Unlock()
+	vc.RunDue() // the shard's decision
+	for _, id := range []int{1, 2, 3, 10} {
+		if st, ok := front.Job(id); !ok || st.State != engine.StateRunning {
+			t.Errorf("job %d through the front once the wire is back: ok=%v %+v, want running", id, ok, st)
+		}
+	}
+}
+
 // TestRemoteShardUnreachable pins the error taxonomy down: a dead
 // process yields ErrUnreachable (certainly not delivered), health
 // reflects it, and the router reroutes submissions around the dark

@@ -285,15 +285,17 @@ func (r *Router) shardList() []engine.Shard {
 }
 
 // Submit admits a new job: the router assigns the next free global ID,
-// places the job on a shard, and the shard stamps the submit time.
+// places the job on a shard, and the shard stamps the submit time. With
+// ErrUncertain it returns the ID it burned: the job may run under it.
 func (r *Router) Submit(spec job.Job) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	spec.ID = r.nextID
-	if err := r.routeLocked(spec); err != nil {
+	err := r.routeLocked(spec)
+	if err != nil && !errors.Is(err, ErrUncertain) {
 		return 0, err
 	}
-	return spec.ID, nil
+	return spec.ID, err
 }
 
 // SubmitJob admits a job keeping its caller-assigned ID (trace replay),

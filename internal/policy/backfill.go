@@ -6,7 +6,8 @@
 package policy
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"schedsearch/internal/cluster"
 	"schedsearch/internal/job"
@@ -14,7 +15,7 @@ import (
 )
 
 // Priority scores a waiting job at a decision instant; larger scores
-// schedule first. Implementations must be deterministic.
+// schedule first. Implementations must be deterministic and never NaN.
 type Priority interface {
 	// Name is the short priority tag used in policy names ("FCFS").
 	Name() string
@@ -74,6 +75,7 @@ type Backfill struct {
 	Priority     Priority
 	Reservations int
 	name         string
+	scratch
 }
 
 // NewBackfill returns a backfill policy with one reservation, matching
@@ -109,26 +111,27 @@ func (b *Backfill) WithName(name string) *Backfill {
 	return b
 }
 
-// Decide implements sim.Policy.
+// Decide implements sim.Policy. While reservations remain, one
+// PlaceEarliest answers both "now?" and "where to reserve"; once they
+// are spent, FitsAt is the only test.
 func (b *Backfill) Decide(snap *sim.Snapshot) []int {
-	order := PriorityOrder(snap, b.Priority)
-	prof := BuildProfile(snap)
-	var starts []int
 	reserved := 0
-	for _, qi := range order {
-		w := snap.Queue[qi]
-		est := estimateOf(w)
-		t := prof.EarliestFit(snap.Now, w.Job.Nodes, est)
+	for _, qi := range b.begin(snap, b.Priority) {
+		w := &snap.Queue[qi]
+		n, est := w.Job.Nodes, estimateOf(*w)
 		switch {
-		case t == snap.Now:
-			prof.Place(t, w.Job.Nodes, est)
-			starts = append(starts, qi)
 		case reserved < b.Reservations:
-			prof.Place(t, w.Job.Nodes, est)
-			reserved++
+			if t, _ := b.prof.PlaceEarliest(snap.Now, n, est); t == snap.Now {
+				b.starts = append(b.starts, qi)
+			} else {
+				reserved++
+			}
+		case b.prof.FitsAt(snap.Now, n, est):
+			b.prof.Place(snap.Now, n, est)
+			b.starts = append(b.starts, qi)
 		}
 	}
-	return starts
+	return b.starts
 }
 
 // estimateOf floors the runtime estimate at one second so profile
@@ -140,32 +143,49 @@ func estimateOf(w sim.WaitingJob) job.Duration {
 	return w.Estimate
 }
 
-// PriorityOrder returns queue indices sorted by descending priority with
-// deterministic tiebreak (submit time, then job ID).
-func PriorityOrder(snap *sim.Snapshot, p Priority) []int {
-	type scored struct {
-		qi    int
-		score float64
-	}
-	ss := make([]scored, len(snap.Queue))
+// scratch is what a policy keeps between decisions, so a steady one
+// allocates nothing: its profile, its priority order and the starts it
+// returns, which its next Decide reuses.
+type scratch struct {
+	prof   cluster.Profile
+	ranked []ranked
+	order  []int
+	starts []int
+}
+
+// ranked is one queued job's sort key.
+type ranked struct {
+	score  float64
+	submit job.Time
+	id, qi int
+}
+
+// begin fills the profile, empties the starts and returns the order.
+func (s *scratch) begin(snap *sim.Snapshot, p Priority) []int {
+	snap.FillProfile(&s.prof)
+	s.starts = s.starts[:0]
+	return s.priorityOrder(snap, p)
+}
+
+// priorityOrder returns queue indices sorted by descending priority, ties
+// broken by submit time, then job ID, then queue position: no two keys
+// tie, so the sort needs no stability to give the stable order.
+func (s *scratch) priorityOrder(snap *sim.Snapshot, p Priority) []int {
+	s.ranked = s.ranked[:0]
 	for i, w := range snap.Queue {
-		ss[i] = scored{qi: i, score: p.Score(w, snap.Now)}
+		s.ranked = append(s.ranked, ranked{p.Score(w, snap.Now), w.Job.Submit, w.Job.ID, i})
 	}
-	sort.SliceStable(ss, func(a, c int) bool {
-		if ss[a].score != ss[c].score {
-			return ss[a].score > ss[c].score
+	slices.SortFunc(s.ranked, func(a, c ranked) int {
+		if a.score != c.score {
+			return cmp.Compare(c.score, a.score) // descending
 		}
-		ja, jc := snap.Queue[ss[a].qi].Job, snap.Queue[ss[c].qi].Job
-		if ja.Submit != jc.Submit {
-			return ja.Submit < jc.Submit
-		}
-		return ja.ID < jc.ID
+		return cmp.Or(cmp.Compare(a.submit, c.submit), cmp.Compare(a.id, c.id), cmp.Compare(a.qi, c.qi))
 	})
-	order := make([]int, len(ss))
-	for i, s := range ss {
-		order[i] = s.qi
+	s.order = s.order[:0]
+	for _, r := range s.ranked {
+		s.order = append(s.order, r.qi)
 	}
-	return order
+	return s.order
 }
 
 // BuildProfile constructs the availability profile implied by the

@@ -95,12 +95,12 @@ func TestLXFPriorityOrdersBySlowdown(t *testing.T) {
 		wjob(2, 0, 1, 100),   // slowdown (1000+100)/100 = 11
 	}
 	snap := snapOf(now, 4, nil, queue)
-	order := PriorityOrder(snap, LXF{})
+	order := new(scratch).priorityOrder(snap, LXF{})
 	if order[0] != 1 {
 		t.Errorf("LXF order = %v, want job 2 (queue index 1) first", order)
 	}
 	// FCFS prefers earlier submit with ID tiebreak.
-	order = PriorityOrder(snap, FCFS{})
+	order = new(scratch).priorityOrder(snap, FCFS{})
 	if order[0] != 0 {
 		t.Errorf("FCFS order = %v, want queue index 0 first", order)
 	}
@@ -111,7 +111,7 @@ func TestSJFPriority(t *testing.T) {
 		wjob(1, 0, 1, 5000),
 		wjob(2, 10, 1, 50),
 	}
-	order := PriorityOrder(snapOf(100, 4, nil, queue), SJF{})
+	order := new(scratch).priorityOrder(snapOf(100, 4, nil, queue), SJF{})
 	if order[0] != 1 {
 		t.Errorf("SJF order = %v, want the short job first", order)
 	}
@@ -123,7 +123,7 @@ func TestLXFWAddsWaitWeight(t *testing.T) {
 		wjob(1, 0, 1, 10000),      // long wait
 		wjob(2, 999*3600, 1, 100), // tiny wait, bigger slowdown
 	}
-	order := PriorityOrder(snapOf(1000*3600, 4, nil, queue), p)
+	order := new(scratch).priorityOrder(snapOf(1000*3600, 4, nil, queue), p)
 	if order[0] != 0 {
 		t.Errorf("LXF&W with huge wait weight should prefer the old job: %v", order)
 	}
@@ -135,7 +135,7 @@ func TestPriorityOrderDeterministicTiebreak(t *testing.T) {
 		wjob(2, 100, 1, 100),
 		wjob(9, 100, 1, 100),
 	}
-	order := PriorityOrder(snapOf(200, 4, nil, queue), FCFS{})
+	order := new(scratch).priorityOrder(snapOf(200, 4, nil, queue), FCFS{})
 	// Equal submit and score: lower job ID first.
 	wantIDs := []int{2, 5, 9}
 	for i, qi := range order {

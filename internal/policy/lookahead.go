@@ -16,6 +16,7 @@ import (
 // FCFS-backfill on these workloads.
 type Lookahead struct {
 	Priority Priority
+	scratch
 }
 
 // NewLookahead returns a lookahead scheduler over FCFS priority.
@@ -26,49 +27,43 @@ func (l *Lookahead) Name() string { return "Lookahead" }
 
 // Decide implements sim.Policy.
 func (l *Lookahead) Decide(snap *sim.Snapshot) []int {
-	order := PriorityOrder(snap, l.Priority)
-	prof := BuildProfile(snap)
+	order := l.begin(snap, l.Priority)
 
 	// Start priority jobs greedily until the first job that cannot
 	// start now; reserve for it.
-	var starts []int
 	rest := order
 	for len(rest) > 0 {
 		w := snap.Queue[rest[0]]
-		est := estimateOf(w)
-		t := prof.EarliestFit(snap.Now, w.Job.Nodes, est)
-		if t != snap.Now {
-			prof.Place(t, w.Job.Nodes, est) // reservation for the head job
-			break
+		if t, _ := l.prof.PlaceEarliest(snap.Now, w.Job.Nodes, estimateOf(w)); t != snap.Now {
+			break // the reservation for the head job is placed
 		}
-		prof.Place(t, w.Job.Nodes, est)
-		starts = append(starts, rest[0])
+		l.starts = append(l.starts, rest[0])
 		rest = rest[1:]
 	}
 	if len(rest) == 0 {
-		return starts
+		return l.starts
 	}
 	rest = rest[1:] // skip the reserved head job
 
 	// Candidates: jobs that could individually start now without
 	// delaying the reservation (the reservation is already in the
-	// profile, so EarliestFit == Now implies no conflict).
+	// profile, so fitting now implies no conflict).
 	type cand struct {
 		qi    int
 		nodes int
 		est   job.Duration
 	}
 	var cands []cand
-	free := prof.FreeAt(snap.Now)
+	free := l.prof.FreeAt(snap.Now)
 	for _, qi := range rest {
 		w := snap.Queue[qi]
 		est := estimateOf(w)
-		if w.Job.Nodes <= free && prof.EarliestFit(snap.Now, w.Job.Nodes, est) == snap.Now {
+		if l.prof.FitsAt(snap.Now, w.Job.Nodes, est) {
 			cands = append(cands, cand{qi: qi, nodes: w.Job.Nodes, est: est})
 		}
 	}
 	if len(cands) == 0 {
-		return starts
+		return l.starts
 	}
 
 	// 0/1 knapsack over free nodes maximizing utilized nodes. choice
@@ -108,10 +103,10 @@ func (l *Lookahead) Decide(snap *sim.Snapshot) []int {
 	}
 	sort.SliceStable(picked, func(a, b int) bool { return picked[a].nodes > picked[b].nodes })
 	for _, c := range picked {
-		if prof.EarliestFit(snap.Now, c.nodes, c.est) == snap.Now {
-			prof.Place(snap.Now, c.nodes, c.est)
-			starts = append(starts, c.qi)
+		if l.prof.FitsAt(snap.Now, c.nodes, c.est) {
+			l.prof.Place(snap.Now, c.nodes, c.est)
+			l.starts = append(l.starts, c.qi)
 		}
 	}
-	return starts
+	return l.starts
 }

@@ -33,6 +33,7 @@ type MultiQueue struct {
 	// Reservations protects the head of the highest-priority non-empty
 	// class (1 = EASY-style).
 	Reservations int
+	bf           Backfill // kept, so its scratch serves every decision
 }
 
 // NewMultiQueue returns the conventional three-queue configuration:
@@ -84,8 +85,8 @@ func (m *MultiQueue) Decide(snap *sim.Snapshot) []int {
 	if len(m.Classes) == 0 {
 		panic("policy: MultiQueue with no classes")
 	}
-	b := Backfill{Priority: queuePriority{m: m}, Reservations: m.Reservations}
-	return b.Decide(snap)
+	m.bf.Priority, m.bf.Reservations = queuePriority{m: m}, m.Reservations
+	return m.bf.Decide(snap)
 }
 
 // String describes the configuration.

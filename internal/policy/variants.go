@@ -18,6 +18,7 @@ type SelectiveBackfill struct {
 
 	startedXF  float64 // sum of expansion factors at start
 	startedCnt int
+	scratch
 }
 
 // NewSelectiveBackfill returns a Selective-backfill policy with the
@@ -43,27 +44,23 @@ func (s *SelectiveBackfill) Decide(snap *sim.Snapshot) []int {
 	// Jobs whose expansion factor exceeds the threshold get
 	// reservations, most-expanded first; the rest backfill in LXF
 	// order.
-	order := PriorityOrder(snap, LXF{})
 	thr := s.threshold()
-	prof := BuildProfile(snap)
-	var starts []int
-	for _, qi := range order {
+	for _, qi := range s.begin(snap, LXF{}) {
 		w := snap.Queue[qi]
 		est := estimateOf(w)
 		xf := job.BoundedSlowdownAt(w.Job.Submit, est, snap.Now)
-		t := prof.EarliestFit(snap.Now, w.Job.Nodes, est)
 		switch {
-		case t == snap.Now:
-			prof.Place(t, w.Job.Nodes, est)
-			starts = append(starts, qi)
+		case s.prof.FitsAt(snap.Now, w.Job.Nodes, est):
+			s.prof.Place(snap.Now, w.Job.Nodes, est)
+			s.starts = append(s.starts, qi)
 			s.startedXF += xf
 			s.startedCnt++
 		case xf >= thr:
 			// Expanded past the threshold: hold a reservation.
-			prof.Place(t, w.Job.Nodes, est)
+			s.prof.PlaceEarliest(snap.Now, w.Job.Nodes, est)
 		}
 	}
-	return starts
+	return s.starts
 }
 
 // RelaxedBackfill implements the relaxed backfill strategy of Ward,
@@ -75,6 +72,7 @@ type RelaxedBackfill struct {
 	// Relax is the tolerated delay of the head job as a fraction of its
 	// runtime estimate (Ward et al. study factors around 0.5-2).
 	Relax float64
+	scratch
 }
 
 // NewRelaxedBackfill returns relaxed backfill over FCFS priority with a
@@ -88,9 +86,7 @@ func (r *RelaxedBackfill) Name() string { return "Relaxed-backfill" }
 
 // Decide implements sim.Policy.
 func (r *RelaxedBackfill) Decide(snap *sim.Snapshot) []int {
-	order := PriorityOrder(snap, r.Priority)
-	prof := BuildProfile(snap)
-	var starts []int
+	order := r.begin(snap, r.Priority)
 
 	// The head job is the highest-priority job that cannot start now.
 	headIdx := -1 // index into order
@@ -98,18 +94,17 @@ func (r *RelaxedBackfill) Decide(snap *sim.Snapshot) []int {
 	for oi, qi := range order {
 		w := snap.Queue[qi]
 		est := estimateOf(w)
-		t := prof.EarliestFit(snap.Now, w.Job.Nodes, est)
-		if t == snap.Now {
-			prof.Place(t, w.Job.Nodes, est)
-			starts = append(starts, qi)
+		if r.prof.FitsAt(snap.Now, w.Job.Nodes, est) {
+			r.prof.Place(snap.Now, w.Job.Nodes, est)
+			r.starts = append(r.starts, qi)
 			continue
 		}
 		headIdx = oi
-		headLimit = t + job.Duration(r.Relax*float64(est))
+		headLimit = r.prof.EarliestFit(snap.Now, w.Job.Nodes, est) + job.Duration(r.Relax*float64(est))
 		break
 	}
 	if headIdx < 0 {
-		return starts
+		return r.starts
 	}
 	head := snap.Queue[order[headIdx]]
 	headEst := estimateOf(head)
@@ -119,19 +114,19 @@ func (r *RelaxedBackfill) Decide(snap *sim.Snapshot) []int {
 	for _, qi := range order[headIdx+1:] {
 		w := snap.Queue[qi]
 		est := estimateOf(w)
-		if prof.EarliestFit(snap.Now, w.Job.Nodes, est) != snap.Now {
+		if !r.prof.FitsAt(snap.Now, w.Job.Nodes, est) {
 			continue
 		}
-		pl := prof.Place(snap.Now, w.Job.Nodes, est)
-		if prof.EarliestFit(snap.Now, head.Job.Nodes, headEst) > headLimit {
-			prof.Undo(pl)
+		pl := r.prof.Place(snap.Now, w.Job.Nodes, est)
+		if r.prof.EarliestFit(snap.Now, head.Job.Nodes, headEst) > headLimit {
+			r.prof.Undo(pl)
 			continue
 		}
-		starts = append(starts, qi)
+		r.starts = append(r.starts, qi)
 	}
 	// Note the head job holds no hard reservation: its protection is
 	// the relaxed limit test above, re-evaluated at every decision.
-	return starts
+	return r.starts
 }
 
 // SlackBackfill implements a slack-based backfill in the spirit of Talby
@@ -148,6 +143,7 @@ type SlackBackfill struct {
 	MinSlack job.Duration
 
 	promises map[int]job.Time // job ID -> latest allowed start
+	scratch
 }
 
 // NewSlackBackfill returns slack-based backfill over FCFS priority.
@@ -163,8 +159,7 @@ func (s *SlackBackfill) Decide(snap *sim.Snapshot) []int {
 	if s.promises == nil {
 		s.promises = make(map[int]job.Time)
 	}
-	order := PriorityOrder(snap, s.Priority)
-	prof := BuildProfile(snap)
+	order := s.begin(snap, s.Priority)
 
 	// Issue promises to newly seen jobs and renew promises that have
 	// become unmeetable through load the policy did not control (e.g.
@@ -174,7 +169,7 @@ func (s *SlackBackfill) Decide(snap *sim.Snapshot) []int {
 	for _, qi := range order {
 		w := snap.Queue[qi]
 		est := estimateOf(w)
-		fit := prof.EarliestFit(snap.Now, w.Job.Nodes, est)
+		fit := s.prof.EarliestFit(snap.Now, w.Job.Nodes, est)
 		infos = append(infos, pinfo{qi: qi, est: est, fit: fit})
 		slack := job.Duration(s.SlackFactor * float64(est))
 		if slack < s.MinSlack {
@@ -188,26 +183,23 @@ func (s *SlackBackfill) Decide(snap *sim.Snapshot) []int {
 	// Start jobs in priority order when they fit now, but accept a
 	// backfill move only if it does not push any higher-priority held
 	// job from meeting its promise to missing it.
-	var starts []int
 	var held []pinfo
 	for _, in := range infos {
 		w := snap.Queue[in.qi]
-		t := prof.EarliestFit(snap.Now, w.Job.Nodes, in.est)
-		if t != snap.Now {
-			in.fit = t
-			held = append(held, in)
+		if !s.prof.FitsAt(snap.Now, w.Job.Nodes, in.est) {
+			held = append(held, in) // its fit is taken before each move
 			continue
 		}
 		// Record the held jobs' fits before the tentative placement.
 		for hi := range held {
 			hw := snap.Queue[held[hi].qi]
-			held[hi].fit = prof.EarliestFit(snap.Now, hw.Job.Nodes, held[hi].est)
+			held[hi].fit = s.prof.EarliestFit(snap.Now, hw.Job.Nodes, held[hi].est)
 		}
-		pl := prof.Place(snap.Now, w.Job.Nodes, in.est)
+		pl := s.prof.Place(snap.Now, w.Job.Nodes, in.est)
 		violated := false
 		for _, h := range held {
 			hw := snap.Queue[h.qi]
-			after := prof.EarliestFit(snap.Now, hw.Job.Nodes, h.est)
+			after := s.prof.EarliestFit(snap.Now, hw.Job.Nodes, h.est)
 			promise := s.promises[hw.Job.ID]
 			if after > promise && h.fit <= promise {
 				violated = true
@@ -215,11 +207,11 @@ func (s *SlackBackfill) Decide(snap *sim.Snapshot) []int {
 			}
 		}
 		if violated {
-			prof.Undo(pl)
+			s.prof.Undo(pl)
 			held = append(held, in)
 			continue
 		}
-		starts = append(starts, in.qi)
+		s.starts = append(s.starts, in.qi)
 	}
 
 	// Garbage-collect promises for jobs no longer queued.
@@ -232,7 +224,7 @@ func (s *SlackBackfill) Decide(snap *sim.Snapshot) []int {
 			delete(s.promises, id)
 		}
 	}
-	return starts
+	return s.starts
 }
 
 // pinfo pairs a queue index with the runtime estimate the policy plans

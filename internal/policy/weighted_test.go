@@ -77,7 +77,7 @@ func TestMultiQueuePrefersHighPriorityClass(t *testing.T) {
 		wjob(1, 0, 4, 10*job.Hour),     // long, first
 		wjob(2, 100, 4, 30*job.Minute), // short, later
 	}
-	order := PriorityOrder(snapOf(1000, 4, nil, queue), queuePriority{m: m})
+	order := new(scratch).priorityOrder(snapOf(1000, 4, nil, queue), queuePriority{m: m})
 	if order[0] != 1 {
 		t.Errorf("order = %v, want the short job first", order)
 	}

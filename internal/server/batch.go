@@ -26,8 +26,8 @@ const retryAfterSeconds = "1"
 
 // BatchItemResult is one item's outcome in a BatchResponse. Status is
 // the HTTP status the item would have received as a single submit
-// (201, 400, 409, 429, 503), so clients reuse their single-submit
-// error handling per item.
+// (201, 202, 400, 409, 429, 503), so clients reuse their single-submit
+// error handling per item; a 202 item carries its job's ID.
 type BatchItemResult struct {
 	Index  int    `json:"index"`
 	ID     int    `json:"id,omitempty"`
@@ -38,7 +38,8 @@ type BatchItemResult struct {
 
 // BatchResponse is the POST /v1/jobs body for an array request: the
 // batch itself succeeds (HTTP 200) even when individual items were
-// rejected — one bad job does not reject its neighbors.
+// rejected — one bad job does not reject its neighbors. Accepted counts
+// the 201 and 202 items.
 type BatchResponse struct {
 	Accepted int               `json:"accepted"`
 	Rejected int               `json:"rejected"`
@@ -59,6 +60,8 @@ func (s *Server) submitStatus(err error) (int, string) {
 		return http.StatusServiceUnavailable, "draining"
 	case errors.Is(err, engine.ErrUnreachable):
 		return http.StatusServiceUnavailable, "shard_unreachable"
+	case errors.Is(err, engine.ErrUncertain):
+		return http.StatusAccepted, "outcome_unknown"
 	case errors.Is(err, engine.ErrDuplicateID):
 		return http.StatusConflict, "duplicate_id"
 	case errors.Is(err, ingest.ErrQuota):
@@ -72,11 +75,14 @@ func (s *Server) submitStatus(err error) (int, string) {
 
 // writeSubmitError writes a single submit's admission error; a refusal
 // the client should retry (429, 503) carries the Retry-After hint, as
-// the saturated queue's does.
-func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
+// the saturated queue's does, and a 202 the job's Location under id.
+func (s *Server) writeSubmitError(w http.ResponseWriter, id int, err error) {
 	status, code := s.submitStatus(err)
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
+	switch status {
+	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 		w.Header().Set("Retry-After", retryAfterSeconds)
+	case http.StatusAccepted:
+		w.Header().Set("Location", fmt.Sprintf("/v1/jobs/%d", id))
 	}
 	writeError(w, status, code, err)
 }
@@ -155,13 +161,16 @@ func (s *Server) submitBatch(w http.ResponseWriter, body []byte, st submitTrace)
 			if r := results[k]; r.Err != nil {
 				status, code := s.submitStatus(r.Err)
 				*it = BatchItemResult{Index: i, Status: status, Code: code, Error: r.Err.Error()}
+				if status == http.StatusAccepted {
+					it.ID = max(r.ID, live[k].ID) // the burned ID or the caller's
+				}
 			} else {
 				s.bindSubmitTrace(&st, r.ID, k)
 				it.ID = r.ID
 			}
 			k++
 		}
-		if it.Status == http.StatusCreated {
+		if it.Status < 300 {
 			resp.Accepted++
 		} else {
 			resp.Rejected++

@@ -27,7 +27,8 @@
 // {"error": "...", "code": "..."} body with a matching status code
 // (400 malformed request, 404 unknown job, 409 duplicate job ID, 413
 // oversized body, 503 draining or shards unreachable, with Retry-After
-// on a single submit). A panic in a handler is recovered
+// on a single submit; 202 outcome_unknown when a front lost a shard's
+// answer, with the job's Location). A panic in a handler is recovered
 // into a generic 500 JSON body — never a stack trace on the wire.
 package server
 
@@ -230,7 +231,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if rerr := results[0].Err; rerr != nil {
-			s.writeSubmitError(w, rerr)
+			s.writeSubmitError(w, max(results[0].ID, id), rerr)
 			return
 		}
 		id = results[0].ID
@@ -242,7 +243,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 			serr = s.e.SubmitJob(spec)
 		}
 		if serr != nil {
-			s.writeSubmitError(w, serr)
+			s.writeSubmitError(w, id, serr)
 			return
 		}
 		// Without an ingest queue there is no committer to force the

@@ -85,6 +85,8 @@ type Policy interface {
 	// Decide returns the QueuePos indices of the jobs to start at
 	// snap.Now. The engine verifies feasibility; returning an
 	// infeasible set is a programming error and fails the simulation.
+	// The slice may be the policy's own storage, reused by its next
+	// Decide: a caller that keeps it past that copies it.
 	Decide(snap *Snapshot) []int
 }
 
