@@ -338,10 +338,10 @@ func (t *engineTarget) incarnate(cp *engine.Checkpoint) error {
 	return err
 }
 
-func (t *engineTarget) submit(jobs []job.Job) []error       { return each(jobs, t.cur.SubmitJob) }
-func (t *engineTarget) open(error) bool                     { return false }
-func (t *engineTarget) job(id int) (engine.JobStatus, bool) { return t.cur.Job(id) }
-func (t *engineTarget) err() error                          { return t.cur.Err() }
+func (t *engineTarget) submit(jobs []job.Job) []error              { return each(jobs, t.cur.SubmitJob) }
+func (t *engineTarget) open(error) bool                            { return false }
+func (t *engineTarget) job(id int) (engine.JobStatus, bool, error) { return t.cur.Job(id) }
+func (t *engineTarget) err() error                                 { return t.cur.Err() }
 
 func (t *engineTarget) crash(*stats.RNG) (func(), func() error, job.Duration) {
 	var cp engine.Checkpoint

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -233,7 +234,14 @@ func TestSweep(t *testing.T) {
 		2: {Job: job.Job{ID: 2}, State: engine.StateDone},
 		3: {Job: job.Job{ID: 3}, State: engine.StateRunning},
 	}
-	lookup := func(id int) (engine.JobStatus, bool) { st, ok := status[id]; return st, ok }
+	dark := map[int]bool{}
+	lookup := func(id int) (engine.JobStatus, bool, error) {
+		if dark[id] {
+			return engine.JobStatus{}, false, engine.ErrUnreachable
+		}
+		st, ok := status[id]
+		return st, ok, nil
+	}
 	never := func(int) bool { return false }
 	if got, err := sweep(2, lookup, never); err != nil || len(got) != 2 || got[1].ID != 2 {
 		t.Fatalf("two done jobs: %v, %v", got, err)
@@ -250,5 +258,10 @@ func TestSweep(t *testing.T) {
 	}
 	if got, err := sweep(4, lookup, func(id int) bool { return id == 4 }); err != nil || len(got) != 3 {
 		t.Fatalf("an excused absence: %v, %v", got, err)
+	}
+	// A job that could not be looked up is not absent: no excuse covers it.
+	dark[4] = true
+	if _, err := sweep(4, lookup, func(id int) bool { return id == 4 }); !errors.Is(err, engine.ErrUnreachable) {
+		t.Fatalf("an unanswered lookup passed the sweep as an excused absence: %v", err)
 	}
 }

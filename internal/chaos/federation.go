@@ -52,10 +52,10 @@ type routerTarget struct {
 	victim   int // FaultCrashRebuild's shard
 }
 
-func (t *routerTarget) submit(jobs []job.Job) []error       { return each(jobs, t.router.SubmitJob) }
-func (t *routerTarget) open(error) bool                     { return false }
-func (t *routerTarget) job(id int) (engine.JobStatus, bool) { return t.router.Job(id) }
-func (t *routerTarget) err() error                          { return t.router.Err() }
+func (t *routerTarget) submit(jobs []job.Job) []error              { return each(jobs, t.router.SubmitJob) }
+func (t *routerTarget) open(error) bool                            { return false }
+func (t *routerTarget) job(id int) (engine.JobStatus, bool, error) { return t.router.Job(id) }
+func (t *routerTarget) err() error                                 { return t.router.Err() }
 
 func (t *routerTarget) crash(rng *stats.RNG) (func(), func() error, job.Duration) {
 	t.victim = rng.IntN(t.router.NumShards())

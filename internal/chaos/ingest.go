@@ -201,7 +201,7 @@ func (t *ingestTarget) open(err error) bool { return errors.Is(err, ingest.ErrQu
 // than its bound, and its accounting balances.
 func (t *ingestTarget) verify(accepted []job.Job) error {
 	for id := range t.refused {
-		if _, ok := t.cur.Job(id); ok {
+		if _, ok, _ := t.cur.Job(id); ok {
 			return fmt.Errorf("chaos: quota-refused job %d reached the engine", id)
 		}
 	}

@@ -105,7 +105,8 @@ func (*liveLoads) Name() string { return "best-fit" }
 
 func (p *liveLoads) Pick(j job.Job, cands []federation.Candidate) int {
 	for _, c := range cands {
-		got, want := c.Load, p.engines[c.Shard].Load()
+		got := c.Load
+		want, _ := p.engines[c.Shard].Load()
 		got.Slope, got.StableUntil = want.Slope, want.StableUntil
 		if got != want {
 			p.t.Fatalf("job %d, shard %d: router placed by %+v, the shard's load is %+v", j.ID, c.Shard, got, want)
@@ -179,7 +180,7 @@ func TestQueueReadsFindAMove(t *testing.T) {
 			return
 		}
 		reads[src]++
-		queue := engines[src].Queue()
+		queue, _ := engines[src].Queue()
 		if len(queue) == 0 {
 			t.Fatalf("t=%d: read shard %d's queue, which is empty", vc.Now(), src)
 		}
@@ -190,7 +191,7 @@ func TestQueueReadsFindAMove(t *testing.T) {
 		loads := make([]engine.Load, len(engines))
 		dst := 0
 		for i, e := range engines {
-			loads[i] = e.Load()
+			loads[i], _ = e.Load()
 			if loads[i].Score() < loads[dst].Score() {
 				dst = i
 			}

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"cmp"
 	"fmt"
 
 	"schedsearch/internal/engine"
@@ -21,7 +22,7 @@ type target interface {
 	// retry, or a quota refusal — rather than failing the run.
 	open(err error) bool
 	// job looks a job up once the run is over.
-	job(id int) (engine.JobStatus, bool)
+	job(id int) (engine.JobStatus, bool, error)
 	// crash draws FaultCrashRebuild's victim from rng and returns the
 	// fault's two halves: kill at the plan's crash instant, restart from
 	// what the victim had committed downFor later (0: the same instant).
@@ -151,10 +152,7 @@ func runScenario(cfg Config, planCap int, build func(*engine.VirtualClock, func(
 		vc.AdvanceTo(next)
 	}
 
-	if failure != nil {
-		return nil, failure
-	}
-	if err := t.err(); err != nil {
+	if err := cmp.Or(failure, t.err()); err != nil {
 		return nil, err
 	}
 	if out.Accepted, err = sweep(cfg.Jobs, t.job, func(id int) bool { return open[id] }); err != nil {
@@ -176,17 +174,18 @@ func each(jobs []job.Job, submit func(job.Job) error) []error {
 // job 1..jobs is known and done — exactly once is the oracle's business
 // — unless mayMiss excuses its absence (a wire-failed or quota-refused
 // submission). It returns the jobs found, in ID order.
-func sweep(jobs int, lookup func(id int) (engine.JobStatus, bool), mayMiss func(id int) bool) ([]job.Job, error) {
+func sweep(jobs int, lookup func(id int) (engine.JobStatus, bool, error), mayMiss func(id int) bool) ([]job.Job, error) {
 	var accepted []job.Job
 	for id := 1; id <= jobs; id++ {
-		st, ok := lookup(id)
-		if !ok && mayMiss(id) {
+		st, ok, err := lookup(id)
+		switch {
+		case err != nil:
+			return nil, fmt.Errorf("chaos: job %d: %w", id, err)
+		case !ok && mayMiss(id):
 			continue
-		}
-		if !ok {
+		case !ok:
 			return nil, fmt.Errorf("chaos: job %d lost", id)
-		}
-		if st.State != engine.StateDone {
+		case st.State != engine.StateDone:
 			return nil, fmt.Errorf("chaos: job %d still %v after the run", id, st.State)
 		}
 		accepted = append(accepted, st.Job)

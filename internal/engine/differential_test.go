@@ -222,7 +222,7 @@ func TestEngineConcurrentSubmitMatchesSimulator(t *testing.T) {
 	// under the engine lock, so ascending ID = queue arrival order.
 	trace := make([]job.Job, 0, total)
 	for id := 1; id <= total; id++ {
-		st, ok := e.Job(id)
+		st, ok, _ := e.Job(id)
 		if !ok {
 			t.Fatalf("job %d missing from engine", id)
 		}

@@ -637,21 +637,22 @@ func (e *Engine) Err() error {
 // Now returns the engine's current time.
 func (e *Engine) Now() job.Time { return e.clock.Now() }
 
-// Job returns a copy of the job's current status.
-func (e *Engine) Job(id int) (JobStatus, bool) {
+// Job returns a copy of the job's current status. Like every read of
+// the Shard seam, its error is nil: an engine is always asked.
+func (e *Engine) Job(id int) (JobStatus, bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st, ok := e.jobs[id]
 	if !ok {
-		return JobStatus{}, false
+		return JobStatus{}, false, nil
 	}
 	out := *st
 	out.NodeIDs = append([]int(nil), st.NodeIDs...)
-	return out, true
+	return out, true, nil
 }
 
 // Queue returns the waiting jobs in queue (arrival) order.
-func (e *Engine) Queue() []JobStatus {
+func (e *Engine) Queue() ([]JobStatus, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	snap := e.l.Snapshot(e.clock.Now())
@@ -659,11 +660,11 @@ func (e *Engine) Queue() []JobStatus {
 	for i, w := range snap.Queue {
 		out[i] = JobStatus{Job: w.Job, State: StateWaiting, Estimate: w.Estimate}
 	}
-	return out
+	return out, nil
 }
 
 // Machine returns an atomic snapshot of machine occupancy.
-func (e *Engine) Machine() Machine {
+func (e *Engine) Machine() (Machine, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	snap := e.l.Snapshot(e.clock.Now())
@@ -672,8 +673,12 @@ func (e *Engine) Machine() Machine {
 		Capacity:  snap.Capacity,
 		FreeNodes: snap.FreeNodes,
 		Running:   snap.Running,
-	}
+	}, nil
 }
+
+// Healthy is nil: an in-process engine is always reachable (a fatal
+// engine error is Err's).
+func (e *Engine) Healthy() error { return nil }
 
 // Records returns a copy of the completion records so far, in
 // completion order (the same order the offline simulator emits).
@@ -789,7 +794,7 @@ func (ld Load) Score() float64 {
 func (st JobStatus) Demand() int64 { return sim.QueuedDemand(st.Job, st.Estimate) }
 
 // Load returns the engine's current occupancy summary.
-func (e *Engine) Load() Load {
+func (e *Engine) Load() (Load, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	now := e.clock.Now()
@@ -812,7 +817,7 @@ func (e *Engine) Load() Load {
 		Slope:            slope,
 		StableUntil:      until,
 		NextID:           e.nextID,
-	}
+	}, nil
 }
 
 // Shard is the narrow engine surface the federation router
@@ -829,15 +834,22 @@ type Shard interface {
 	Admit(j job.Job) error
 	// Withdraw removes a still-waiting job (migration source side).
 	Withdraw(id int) (job.Job, error)
-	// Job, Queue, Machine, Load, Metrics and Records expose state.
-	Job(id int) (JobStatus, bool)
-	Queue() []JobStatus
-	Machine() Machine
-	Load() Load
+	// Job, Queue, Machine and Load expose state. Their error says the
+	// shard could not be asked (a remote shard's wire failed): Job's
+	// false with a nil error is the shard's answer "no such job".
+	Job(id int) (JobStatus, bool, error)
+	Queue() ([]JobStatus, error)
+	Machine() (Machine, error)
+	Load() (Load, error)
+	// Metrics and Records merge what they can get: a remote shard
+	// answers them from its last-known report, or with nothing.
 	Metrics() Metrics
 	Records() []sim.Record
 	// Drain stops admission and waits for the shard to empty.
 	Drain(ctx context.Context) error
+	// Healthy is the error of the shard's last call (nil while it
+	// answers); Err is a fatal error the shard itself reported.
+	Healthy() error
 	Err() error
 }
 

@@ -26,21 +26,21 @@ func TestEngineLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, ok := e.Job(id)
+	st, ok, _ := e.Job(id)
 	if !ok || st.State != StateWaiting {
 		t.Fatalf("before decide: state %v, want waiting", st.State)
 	}
 	vc.RunDue() // fire the coalesced decision at t=0
-	st, _ = e.Job(id)
+	st, _, _ = e.Job(id)
 	if st.State != StateRunning || st.Start != 0 || len(st.NodeIDs) != 2 {
 		t.Fatalf("after decide: %+v, want running at t=0 on 2 nodes", st)
 	}
-	m := e.Machine()
+	m, _ := e.Machine()
 	if m.FreeNodes != 2 || len(m.Running) != 1 {
 		t.Fatalf("machine %+v, want 2 free, 1 running", m)
 	}
 	vc.AdvanceTo(100)
-	st, _ = e.Job(id)
+	st, _, _ = e.Job(id)
 	if st.State != StateDone || st.End != 100 {
 		t.Fatalf("after completion: %+v, want done at t=100", st)
 	}
@@ -59,14 +59,14 @@ func TestEngineQueuesWhenFull(t *testing.T) {
 	vc.RunDue()
 	b, _ := e.Submit(job.Job{Nodes: 4, Runtime: 50, Request: 50})
 	vc.RunDue()
-	if st, _ := e.Job(b); st.State != StateWaiting {
+	if st, _, _ := e.Job(b); st.State != StateWaiting {
 		t.Fatalf("job %d state %v, want waiting behind job %d", b, st.State, a)
 	}
-	if q := e.Queue(); len(q) != 1 || q[0].Job.ID != b {
+	if q, _ := e.Queue(); len(q) != 1 || q[0].Job.ID != b {
 		t.Fatalf("queue %+v, want just job %d", q, b)
 	}
 	vc.Run() // completes a at t=50, starts b, completes b at t=100
-	if st, _ := e.Job(b); st.State != StateDone || st.Start != 50 || st.End != 100 {
+	if st, _, _ := e.Job(b); st.State != StateDone || st.Start != 50 || st.End != 100 {
 		t.Fatalf("job %d %+v, want start=50 end=100", b, st)
 	}
 }

@@ -35,14 +35,15 @@ func TestLoadWindowIsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ld := e.Load() // the last answer
+	ld, _ := e.Load() // the last answer
 	checks, queued, floored := 0, 0, 0
 	check := func() {
 		now := vc.Now()
 		if now < ld.Now || now > ld.StableUntil {
 			return
 		}
-		got, want := ld.At(now), e.Load()
+		want, _ := e.Load()
+		got := ld.At(now)
 		got.Slope, got.StableUntil = want.Slope, want.StableUntil
 		if got != want {
 			t.Fatalf("t=%d: the answer of t=%d extrapolates to %+v, Load says %+v", now, ld.Now, got, want)
@@ -59,7 +60,7 @@ func TestLoadWindowIsExact(t *testing.T) {
 			if err := e.SubmitJob(j); err != nil {
 				t.Errorf("submit job %d: %v", j.ID, err)
 			}
-			ld = e.Load()
+			ld, _ = e.Load()
 		})
 	}
 	for {
@@ -73,8 +74,9 @@ func TestLoadWindowIsExact(t *testing.T) {
 		}
 		vc.AdvanceTo(next)
 		check()
-		ld = e.Load()
-		for _, r := range e.Machine().Running {
+		ld, _ = e.Load()
+		m, _ := e.Machine()
+		for _, r := range m.Running {
 			if r.PredictedEnd-ld.Now <= 1 {
 				floored++
 				break
@@ -108,7 +110,7 @@ func TestLoadMinQueuedDemand(t *testing.T) {
 	}
 	want := func(step string, min int64) {
 		t.Helper()
-		ld := e.Load()
+		ld, _ := e.Load()
 		if ld.MinQueuedNodeSec != min {
 			t.Fatalf("%s: MinQueuedNodeSec %d, want %d", step, ld.MinQueuedNodeSec, min)
 		}
@@ -139,7 +141,7 @@ func TestLoadMinQueuedDemand(t *testing.T) {
 
 	// Job 1 ends at 100 and job 2, the smallest, starts alone.
 	vc.AdvanceTo(100)
-	if q := e.Queue(); len(q) != 2 {
+	if q, _ := e.Queue(); len(q) != 2 {
 		t.Fatalf("%d jobs queued at t=100, want 2", len(q))
 	}
 	want("smallest started", 1000)

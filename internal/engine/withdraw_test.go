@@ -43,7 +43,7 @@ func TestWithdrawAdmit(t *testing.T) {
 		if j.ID != queued || j.Submit != 0 {
 			t.Fatalf("withdrew %+v, want ID %d submitted at 0", j, queued)
 		}
-		if _, ok := e.Job(queued); ok {
+		if _, ok, _ := e.Job(queued); ok {
 			t.Error("withdrawn job still known to the engine")
 		}
 		// Double withdraw must fail, re-admission must preserve the
@@ -54,7 +54,7 @@ func TestWithdrawAdmit(t *testing.T) {
 		if err := e.Admit(j); err != nil {
 			t.Fatalf("re-admit: %v", err)
 		}
-		st, ok := e.Job(queued)
+		st, ok, _ := e.Job(queued)
 		if !ok || st.Job.Submit != 0 {
 			t.Fatalf("re-admitted job: %+v, want submit time 0 preserved", st)
 		}
@@ -119,7 +119,7 @@ func TestRebuildReplaysWithdraw(t *testing.T) {
 	if err := rebuilt.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := rebuilt.Job(gone); ok {
+	if _, ok, _ := rebuilt.Job(gone); ok {
 		t.Error("rebuild resurrected the withdrawn job")
 	}
 	if got := len(rebuilt.Records()); got != 2 {
@@ -135,7 +135,7 @@ func TestLoadScore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l := e.Load(); l.Score() != 0 || l.FreeNodes != 8 {
+	if l, _ := e.Load(); l.Score() != 0 || l.FreeNodes != 8 {
 		t.Fatalf("idle load: %+v", l)
 	}
 	vc.AfterFunc(0, func() {
@@ -147,7 +147,7 @@ func TestLoadScore(t *testing.T) {
 		}
 	})
 	var mid Load
-	vc.AfterFunc(10, func() { mid = e.Load() })
+	vc.AfterFunc(10, func() { mid, _ = e.Load() })
 	vc.Run()
 	if mid.Running != 1 || mid.Waiting != 1 || mid.FreeNodes != 0 {
 		t.Fatalf("mid-run load: %+v", mid)

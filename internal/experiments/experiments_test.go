@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -322,6 +323,37 @@ func TestReplicateAggregates(t *testing.T) {
 	for id, n := range rep.ClaimPasses {
 		if n > 2 {
 			t.Errorf("claim %s passed %d times with 2 seeds", id, n)
+		}
+	}
+}
+
+// TestReplicationClaimsInIDOrder renders one replication report many
+// times: every render is the same bytes, with the claims in ascending
+// ID order, so the full experiments output diffs cleanly across runs.
+func TestReplicationClaimsInIDOrder(t *testing.T) {
+	rep := &Replication{Seeds: []uint64{1, 2}, ClaimPasses: map[string]int{}, ClaimTexts: map[string]string{}}
+	ids := []string{"g-last", "a-first", "d-mid", "b-second", "f-sixth", "c-third", "e-fifth"}
+	for i, id := range ids {
+		rep.ClaimTexts[id] = "claim " + id
+		rep.ClaimPasses[id] = i % 3
+	}
+	render := func() string {
+		var b strings.Builder
+		writeReplication(&b, rep)
+		return b.String()
+	}
+	first := render()
+	slices.Sort(ids)
+	var at []int
+	for _, id := range ids {
+		at = append(at, strings.Index(first, " "+id+" "))
+	}
+	if !slices.IsSorted(at) || slices.Contains(at, -1) {
+		t.Fatalf("claims not in ascending ID order (offsets %v):\n%s", at, first)
+	}
+	for i := 0; i < 20; i++ {
+		if got := render(); got != first {
+			t.Fatalf("render %d differs from the first:\n%s\nvs\n%s", i+2, got, first)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"schedsearch/internal/metrics"
 	"schedsearch/internal/report"
@@ -118,7 +119,14 @@ func RunReplicate(cfg Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "=== Replication across %d workload seeds (rho=0.9, month-mean +/- std) ===\n", len(seeds))
+	writeReplication(w, rep)
+	return nil
+}
+
+// writeReplication renders rep: each measure's month-mean and deviation
+// by policy, then each claim's passes in claim-ID order.
+func writeReplication(w io.Writer, rep *Replication) {
+	fmt.Fprintf(w, "=== Replication across %d workload seeds (rho=0.9, month-mean +/- std) ===\n", len(rep.Seeds))
 	cols := make([]string, len(rep.Policies))
 	copy(cols, rep.Policies)
 	t := report.NewTable("", "measure", cols...)
@@ -132,8 +140,12 @@ func RunReplicate(cfg Config, w io.Writer) error {
 	}
 	t.Write(w)
 	fmt.Fprintln(w, "\nclaim stability across seeds:")
-	for id, text := range rep.ClaimTexts {
-		fmt.Fprintf(w, "  %d/%d  %-32s %s\n", rep.ClaimPasses[id], len(seeds), id, text)
+	ids := make([]string, 0, len(rep.ClaimTexts))
+	for id := range rep.ClaimTexts {
+		ids = append(ids, id)
 	}
-	return nil
+	slices.Sort(ids)
+	for _, id := range ids {
+		fmt.Fprintf(w, "  %d/%d  %-32s %s\n", rep.ClaimPasses[id], len(rep.Seeds), id, rep.ClaimTexts[id])
+	}
 }

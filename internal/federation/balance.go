@@ -206,7 +206,7 @@ func (r *Router) retryPendingLocked(p pendingMig) (parked bool) {
 		// Landed now, or had landed all along.
 		r.dir[p.id] = p.shard
 	case stageSubmit:
-		_, present, err := lookupJob(r.shards[p.shard], p.id)
+		_, present, err := r.shards[p.shard].Job(p.id)
 		if err != nil {
 			return true
 		}
@@ -249,7 +249,10 @@ func (r *Router) migrateOneLocked(loads []engine.Load) bool {
 		!lowersMax(loads, src, dst, loads[src].MinQueuedNodeSec) {
 		return false
 	}
-	queue := r.shards[src].Queue()
+	queue, err := r.shards[src].Queue()
+	if err != nil {
+		return false
+	}
 	for k := len(queue) - 1; k >= 0; k-- {
 		st := queue[k]
 		// A job with a parked step is not this pass's to move: where it is

@@ -481,7 +481,7 @@ func TestRebalanceMigrates(t *testing.T) {
 				t.Errorf("submit: %v", err)
 				return
 			}
-			st, ok := r.Job(id)
+			st, ok, _ := r.Job(id)
 			if !ok {
 				t.Errorf("job %d vanished after submit", id)
 				return
@@ -587,7 +587,7 @@ func TestRebuildShard(t *testing.T) {
 			t.Errorf("submit: %v", err)
 			return
 		}
-		st, _ := r.Job(id)
+		st, _, _ := r.Job(id)
 		submitted = append(submitted, st.Job)
 	}
 	vc.AfterFunc(0, func() {

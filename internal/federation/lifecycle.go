@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -9,26 +10,8 @@ import (
 	"schedsearch/internal/job"
 )
 
-// remoteProbe is the optional shard surface of an out-of-process shard
-// (RemoteShard has it; in-process engines, always reachable, do not):
-// reachability, construction-time capacity discovery with retries, and
-// a job lookup that distinguishes "the shard answered: no such job"
-// from "the shard could not be asked" — reconciliation of an uncertain
-// submission needs the difference that Job's boolean cannot carry.
-type remoteProbe interface {
-	Healthy() error
-	Probe() (engine.Load, error)
-	LookupJob(id int) (engine.JobStatus, bool, error)
-}
-
-// healthyLocked reports shard i's reachability; in-process shards are
-// always reachable.
-func (r *Router) healthyLocked(i int) bool {
-	if hc, ok := r.shards[i].(remoteProbe); ok {
-		return hc.Healthy() == nil
-	}
-	return true
-}
+// healthyLocked reports whether shard i's last call reached it.
+func (r *Router) healthyLocked(i int) bool { return r.shards[i].Healthy() == nil }
 
 // RebuildShard simulates a crash of shard i: the shard's committed
 // journal is checkpointed, a fresh engine (fresh policy instance,
@@ -113,7 +96,7 @@ func (r *Router) Err() error {
 // ShardHealth reports per-shard reachability for readiness probes: a
 // federated /v1/readyz answers 503 with this breakdown while any shard
 // is dark. In-process shards are unhealthy only on a fatal engine
-// error; remote shards additionally on wire unreachability. A shard
+// error; remote shards also while their last call failed. A shard
 // mid journal-rebuild holds the router lock, so probes block until the
 // rebuilt shard is swapped in rather than reporting it ready early.
 func (r *Router) ShardHealth() []engine.ShardHealth {
@@ -121,13 +104,7 @@ func (r *Router) ShardHealth() []engine.ShardHealth {
 	out := make([]engine.ShardHealth, len(shards))
 	for i, s := range shards {
 		out[i] = engine.ShardHealth{Shard: i, Healthy: true}
-		var err error
-		if hc, ok := s.(remoteProbe); ok {
-			err = hc.Healthy()
-		} else {
-			err = s.Err()
-		}
-		if err != nil {
+		if err := cmp.Or(s.Healthy(), s.Err()); err != nil {
 			out[i].Healthy = false
 			out[i].Err = err.Error()
 		}

@@ -60,18 +60,22 @@ type RemoteShardOptions struct {
 // in-process engines: submissions, withdraw/admit migration steps,
 // load snapshots, records and metrics all cross the wire as JSON.
 //
-// Every call carries a per-call timeout and bounded retries with
-// exponential backoff. Failures are classified: a dial error means the
-// request was never delivered (certain, safe to reroute), anything
-// after the request may have been sent is uncertain — mutations then
-// resolve the uncertainty by reading the shard back (submit/admit
-// verify the job landed; withdraw retries against the shard's
-// idempotent tombstone) and only report ErrUncertain once retries are
-// exhausted with the shard still dark.
+// Every call carries a per-call timeout. Mutations and the queue and
+// machine reads retry with exponential backoff; Job and Load make one
+// attempt. Failures are classified: a dial error means the request was
+// never delivered (certain, safe to reroute), anything after the
+// request may have been sent is uncertain — mutations then resolve the
+// uncertainty by reading the shard back (submit/admit verify the job
+// landed; withdraw retries against the shard's idempotent tombstone)
+// and only report ErrUncertain once retries are exhausted with the
+// shard still dark.
 //
-// The shard's reachability is tracked across calls (Healthy); the
-// router skips unhealthy shards when placing work and readyz reports
-// the per-shard breakdown. All methods are goroutine-safe.
+// A read that cannot reach the shard returns an error, never a guess:
+// Job's false is the shard's own "no such job", and keeping a dark
+// shard's last-known load is the router's choice, not the client's.
+// Healthy is the error of the last call; the router skips unhealthy
+// shards when placing work and readyz reports the per-shard breakdown.
+// All methods are goroutine-safe.
 type RemoteShard struct {
 	base    string
 	hc      *http.Client
@@ -88,12 +92,9 @@ type RemoteShard struct {
 	// remoteFatal is a fatal error the shard itself reported via
 	// metrics (engine.Metrics.Error).
 	remoteFatal error
-	// Cached last-known views, served when the shard is unreachable so
-	// degraded routing still has loads to compare (and a front-end can
-	// report final metrics for shard daemons that exited after a
-	// drain).
-	lastLoad    engine.Load
-	haveLoad    bool
+	// The last-known metrics, served when the shard is unreachable so a
+	// front can report final metrics for shard daemons that exited after
+	// a drain.
 	lastMetrics engine.Metrics
 	haveMetrics bool
 }
@@ -149,8 +150,8 @@ func jobLogger(log *slog.Logger, tr *obs.Tracer, id int) *slog.Logger {
 // Addr returns the shard's base URL.
 func (rs *RemoteShard) Addr() string { return rs.base }
 
-// Healthy returns nil when the last wire interaction reached the shard
-// and the shard reports no fatal error; otherwise the blocking error.
+// Healthy returns nil when the last call reached the shard and the
+// shard reports no fatal error; otherwise the blocking error.
 func (rs *RemoteShard) Healthy() error {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -370,7 +371,7 @@ const (
 // migration Admit) with landed-verification (see do).
 func (rs *RemoteShard) postJobVerified(path string, reqBody []byte, id int) error {
 	return rs.do(http.MethodPost, path, reqBody, nil, id, func() landing {
-		switch _, ok, err := rs.LookupJob(id); {
+		switch _, ok, err := rs.Job(id); {
 		case err != nil:
 			return jobUnknown
 		case ok:

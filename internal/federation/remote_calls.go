@@ -17,12 +17,10 @@ import (
 	"schedsearch/internal/wire"
 )
 
-// LookupJob fetches one job's status in a single attempt, and
-// distinguishes "the shard answered: no such job" (ok=false, nil
-// error) from "the shard could not be asked" (non-nil error) —
-// landed-verification and the reconciliation of an uncertain
-// submission need the difference Job's boolean cannot carry.
-func (rs *RemoteShard) LookupJob(id int) (engine.JobStatus, bool, error) {
+// Job fetches one job's status in a single attempt: a 404 is the
+// shard's answer "no such job" (false, nil error), and any other
+// failure is an error — the router then knows it could not ask.
+func (rs *RemoteShard) Job(id int) (engine.JobStatus, bool, error) {
 	var jr wire.JobResponse
 	err := rs.once(http.MethodGet, fmt.Sprintf("/v1/jobs/%d", id), nil, jsonInto(&jr), id)
 	if err == nil {
@@ -90,35 +88,24 @@ func (rs *RemoteShard) Withdraw(id int) (job.Job, error) {
 	return resp.Job.ToJob(), nil
 }
 
-// Job returns the job's status on the shard; false when the shard does
-// not know the job or cannot be reached.
-func (rs *RemoteShard) Job(id int) (engine.JobStatus, bool) {
-	var jr wire.JobResponse
-	if err := rs.get(fmt.Sprintf("/v1/jobs/%d", id), jsonInto(&jr)); err != nil {
-		return engine.JobStatus{}, false
-	}
-	return statusFromResponse(jr), true
-}
-
-// Queue returns the shard's waiting queue in arrival order; nil when
-// unreachable.
-func (rs *RemoteShard) Queue() []engine.JobStatus {
+// Queue returns the shard's waiting queue in arrival order.
+func (rs *RemoteShard) Queue() ([]engine.JobStatus, error) {
 	var qr wire.QueueResponse
 	if err := rs.get("/v1/queue", jsonInto(&qr)); err != nil {
-		return nil
+		return nil, err
 	}
 	out := make([]engine.JobStatus, len(qr.Jobs))
 	for i, jr := range qr.Jobs {
 		out[i] = statusFromResponse(jr)
 	}
-	return out
+	return out, nil
 }
 
 // Machine returns the shard's occupancy snapshot.
-func (rs *RemoteShard) Machine() engine.Machine {
+func (rs *RemoteShard) Machine() (engine.Machine, error) {
 	var mr wire.MachineResponse
 	if err := rs.get("/v1/machine", jsonInto(&mr)); err != nil {
-		return engine.Machine{}
+		return engine.Machine{}, err
 	}
 	m := engine.Machine{
 		Now: mr.NowS, Capacity: mr.Capacity, FreeNodes: mr.FreeNodes,
@@ -130,51 +117,18 @@ func (rs *RemoteShard) Machine() engine.Machine {
 			Start: rj.StartS, PredictedEnd: rj.PredictedEndS,
 		}
 	}
-	return m
+	return m, nil
 }
 
-// Load returns the shard's occupancy summary. The router calls it on a
-// placement or rebalance pass whenever its cached answer's window has
-// closed or the shard is dark, so it makes a single live attempt (no
-// retries); an unreachable shard answers with its last-known load —
-// what the last successful poll cached — while the health mark steers
-// placement away from it.
-func (rs *RemoteShard) Load() engine.Load {
+// Load returns the shard's occupancy summary in a single attempt (no
+// retries): the router calls it whenever its cached answer's window has
+// closed or the shard is dark, and keeps the last answer itself.
+func (rs *RemoteShard) Load() (engine.Load, error) {
 	var lr wire.LoadResponse
 	if err := rs.once(http.MethodGet, "/v1/shard/load", nil, loadInto(&lr), 0); err != nil {
-		rs.mu.Lock()
-		defer rs.mu.Unlock()
-		return rs.lastLoad
-	}
-	return rs.cacheLoad(lr)
-}
-
-// Probe fetches the shard's load with retries, for construction-time
-// capacity discovery. A shard that answered before and has since gone
-// dark answers from the cache — a router can be rebuilt around a
-// temporarily dead shard it had already joined.
-func (rs *RemoteShard) Probe() (engine.Load, error) {
-	var lr wire.LoadResponse
-	if err := rs.get("/v1/shard/load", loadInto(&lr)); err != nil {
-		rs.mu.Lock()
-		defer rs.mu.Unlock()
-		if rs.haveLoad {
-			return rs.lastLoad, nil
-		}
 		return engine.Load{}, err
 	}
-	return rs.cacheLoad(lr), nil
-}
-
-// cacheLoad converts a load answer and remembers it as the last-known
-// load.
-func (rs *RemoteShard) cacheLoad(lr wire.LoadResponse) engine.Load {
-	ld := engine.Load(lr) // the wire type is engine.Load with JSON tags
-	rs.mu.Lock()
-	rs.lastLoad = ld
-	rs.haveLoad = true
-	rs.mu.Unlock()
-	return ld
+	return engine.Load(lr), nil // the wire type is engine.Load with JSON tags
 }
 
 // Metrics returns the shard's running report; when unreachable, the

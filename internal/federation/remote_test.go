@@ -269,10 +269,10 @@ func TestWithdrawRetryIdempotent(t *testing.T) {
 	if fault.hits != 1 {
 		t.Fatalf("fault transport dropped %d responses, want 1", fault.hits)
 	}
-	if _, ok := srcEng.Job(jMove.ID); ok {
+	if _, ok, _ := srcEng.Job(jMove.ID); ok {
 		t.Error("moved job still present on the source shard")
 	}
-	st, ok := dstEng.Job(jMove.ID)
+	st, ok, _ := dstEng.Job(jMove.ID)
 	if !ok || st.State != engine.StateDone {
 		t.Fatalf("moved job on destination: ok=%v state=%v", ok, st.State)
 	}
@@ -361,7 +361,7 @@ func TestParkedSubmitReconcilesOnOneShard(t *testing.T) {
 	if len(recs) != 1 || recs[0].Job.Nodes != 8 {
 		t.Fatalf("records after reconciliation: %+v", recs)
 	}
-	if st, ok := r.Job(recs[0].Job.ID); !ok || st.State != engine.StateDone {
+	if st, ok, _ := r.Job(recs[0].Job.ID); !ok || st.State != engine.StateDone {
 		t.Errorf("reconciled job through the router: ok=%v %+v", ok, st)
 	}
 }
@@ -441,7 +441,7 @@ func TestDuplicateAfterUncertainParks(t *testing.T) {
 	if copies != 1 || len(r.Records()) != 2 {
 		t.Fatalf("%d records for job 1 across the shards, %d in all; want 1 and 2", copies, len(r.Records()))
 	}
-	if st, ok := r.Job(1); !ok || st.State != engine.StateDone {
+	if st, ok, _ := r.Job(1); !ok || st.State != engine.StateDone {
 		t.Errorf("job 1 through the router: ok=%v %+v", ok, st)
 	}
 }
@@ -635,7 +635,7 @@ func TestAdmitRetryIdempotent(t *testing.T) {
 		if err := rs.Admit(j); err != nil {
 			t.Errorf("admit with dropped ack: %v", err)
 		}
-		if q := e.Queue(); len(q) != 0 {
+		if q, _ := e.Queue(); len(q) != 0 {
 			// The admit triggers a decide at this instant; the job may
 			// be waiting or already started, but never duplicated.
 			if len(q) != 1 || q[0].Job.ID != j.ID {
@@ -650,7 +650,7 @@ func TestAdmitRetryIdempotent(t *testing.T) {
 	if fault.hits != 1 {
 		t.Fatalf("fault transport dropped %d responses, want 1", fault.hits)
 	}
-	st, ok := e.Job(j.ID)
+	st, ok, _ := e.Job(j.ID)
 	if !ok || st.State != engine.StateDone {
 		t.Fatalf("job after run: ok=%v state=%v", ok, st.State)
 	}
@@ -735,7 +735,6 @@ func FuzzRemoteShardDecode(f *testing.F) {
 		rs.Metrics()
 		rs.Records()
 		rs.Job(7)
-		rs.LookupJob(7)
 		_, _ = rs.Withdraw(7)
 		_ = rs.Admit(job.Job{ID: 5, Nodes: 1, Runtime: 1, Request: 1})
 		_ = rs.SubmitJob(job.Job{ID: 6, Nodes: 1, Runtime: 1, Request: 1})
@@ -811,7 +810,7 @@ func TestRestartedFrontSkipsTakenIDs(t *testing.T) {
 		for id := 1; id <= 5; id++ {
 			held := 0
 			for si, e := range engines {
-				if _, ok := e.Job(id); ok {
+				if _, ok, _ := e.Job(id); ok {
 					held++
 					out = append(out, si)
 				}
@@ -828,20 +827,20 @@ func TestRestartedFrontSkipsTakenIDs(t *testing.T) {
 	}
 	for id := 1; id <= 3; id++ {
 		for si, e := range engines {
-			want, ok := e.Job(id)
+			want, ok, _ := e.Job(id)
 			if !ok {
 				continue
 			}
 			for k := range want.NodeIDs {
 				want.NodeIDs[k] += 8 * si
 			}
-			if got, ok := second.Job(id); !ok || !reflect.DeepEqual(got, want) {
+			if got, ok, _ := second.Job(id); !ok || !reflect.DeepEqual(got, want) {
 				t.Errorf("restarted front: job %d is %+v, %v; shard %d holds %+v", id, got, ok, si, want)
 			}
 		}
 	}
 	before := calls.n.Load()
-	if st, ok := second.Job(6); ok {
+	if st, ok, _ := second.Job(6); ok {
 		t.Errorf("restarted front: job 6, never submitted, answers %+v", st)
 	}
 	if n := calls.n.Load() - before; n != 0 {
@@ -912,7 +911,7 @@ func TestDarkShardSubmitIs503(t *testing.T) {
 	vc.Run()
 	dark, live := 0, 0
 	for id := 1; id <= 2; id++ {
-		if _, ok := engines[1].Job(id); ok {
+		if _, ok, _ := engines[1].Job(id); ok {
 			dark = id
 		} else {
 			live = id
@@ -991,7 +990,9 @@ func TestUncertainSubmitIs202(t *testing.T) {
 		return w
 	}
 	const spec = `"nodes":1,"runtime_s":600,"request_s":600}`
-	for id, srv := range map[int]*server.Server{1: server.New(front, nil), 2: server.New(front, nil, server.WithIngest(q))} {
+	// In order: each submit burns the next ID.
+	for i, srv := range []*server.Server{server.New(front, nil), server.New(front, nil, server.WithIngest(q))} {
+		id := i + 1
 		w := post(srv, "{"+spec)
 		var er wire.ErrorResponse
 		if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || w.Code != http.StatusAccepted ||
@@ -1015,9 +1016,132 @@ func TestUncertainSubmitIs202(t *testing.T) {
 	fault.mu.Unlock()
 	vc.RunDue() // the shard's decision
 	for _, id := range []int{1, 2, 3, 10} {
-		if st, ok := front.Job(id); !ok || st.State != engine.StateRunning {
+		if st, ok, _ := front.Job(id); !ok || st.State != engine.StateRunning {
 			t.Errorf("job %d through the front once the wire is back: ok=%v %+v, want running", id, ok, st)
 		}
+	}
+}
+
+// TestRetryOfParkedSubmitIs202 retries a 202'd submit under its ID while
+// the first submit's step is still parked: the front does not know
+// whether the shard holds the job, so the retry is as uncertain as the
+// first answer (202 again, never 409). Once the reconcile settles, a job
+// the shard holds answers 409 and one it does not is routed anew.
+func TestRetryOfParkedSubmitIs202(t *testing.T) {
+	vc := engine.NewVirtualClock()
+	fault := &dropResponses{path: "/v1/jobs", n: 1 << 20}
+	e, rs := startShardProc(t, engine.Config{Capacity: 8, Policy: policy.FCFSBackfill(), Clock: vc},
+		RemoteShardOptions{Transport: fault, Retries: 1})
+	front, err := NewWithShards(Config{Clock: vc, RebalanceEvery: 10}, []engine.Shard{rs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(front, nil)
+	do := func(method, path, body string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return w
+	}
+	const spec = `"nodes":1,"runtime_s":600,"request_s":600}`
+	for id := 1; id <= 2; id++ {
+		if w := do("POST", "/v1/jobs", "{"+spec); w.Code != http.StatusAccepted {
+			t.Fatalf("submit %d: %d %s, want 202", id, w.Code, w.Body)
+		}
+	}
+	w := do("POST", "/v1/jobs", `{"id":1,`+spec)
+	var er wire.ErrorResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || w.Code != http.StatusAccepted ||
+		er.Code != "outcome_unknown" || w.Header().Get("Location") != "/v1/jobs/1" {
+		t.Errorf("retry of job 1 while its submit is parked: %d %s (Location %q), want 202 outcome_unknown at /v1/jobs/1",
+			w.Code, w.Body, w.Header().Get("Location"))
+	}
+	if w := do("GET", "/v1/jobs/1", ""); w.Code != http.StatusServiceUnavailable {
+		t.Errorf("GET job 1 while the shard's answers are lost: %d %s, want 503", w.Code, w.Body)
+	}
+	// Job 1 leaves the shard before the reconcile asks; job 2 stays.
+	if _, err := e.Withdraw(1); err != nil {
+		t.Fatal(err)
+	}
+	fault.mu.Lock()
+	fault.n = 0
+	fault.mu.Unlock()
+	vc.AdvanceTo(10) // the reconcile tick
+	if w := do("POST", "/v1/jobs", `{"id":2,`+spec); w.Code != http.StatusConflict {
+		t.Errorf("retry of job 2, which the shard holds: %d %s, want 409", w.Code, w.Body)
+	}
+	if w := do("POST", "/v1/jobs", `{"id":1,`+spec); w.Code != http.StatusCreated {
+		t.Errorf("retry of job 1, which no shard holds: %d %s, want 201", w.Code, w.Body)
+	}
+}
+
+// TestDarkShardReadsAre503 closes one of two remote shards under a
+// front that routed six jobs over them. A read that needs the dark
+// shard is not answered from what the live one says: its jobs, the
+// queue and the machine answer 503 shard_unreachable, while the live
+// shard's jobs answer 200 and an ID the front never handed out answers
+// 404 without a wire call.
+func TestDarkShardReadsAre503(t *testing.T) {
+	vc := engine.NewVirtualClock()
+	calls := new(countCalls)
+	var engines []*engine.Engine
+	var servers []*httptest.Server
+	var shards []engine.Shard
+	for i := 0; i < 2; i++ {
+		e, err := engine.New(engine.Config{Capacity: 8, Policy: policy.FCFSBackfill(), Clock: vc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(server.New(e, nil))
+		t.Cleanup(ts.Close)
+		engines, servers = append(engines, e), append(servers, ts)
+		shards = append(shards, NewRemoteShard(ts.URL, RemoteShardOptions{Transport: calls, Sleep: noSleep, Timeout: 30 * time.Second}))
+	}
+	front, err := NewWithShards(Config{Clock: vc}, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if _, err := front.Submit(job.Job{Nodes: 8, Runtime: 600, Request: 600}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vc.RunDue()
+	for id := 1; id <= 6; id++ {
+		if _, ok, _ := engines[(id-1)%2].Job(id); !ok {
+			t.Fatalf("job %d is not on shard %d: the scenario wants jobs 1, 3, 5 on shard 0", id, (id-1)%2)
+		}
+	}
+	servers[1].Close()
+	srv := server.New(front, nil)
+	get := func(path string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest("GET", path, nil))
+		return w
+	}
+	unreachable := func(path string) {
+		t.Helper()
+		w := get(path)
+		var er wire.ErrorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || w.Code != http.StatusServiceUnavailable ||
+			er.Code != "shard_unreachable" || w.Header().Get("Retry-After") != "1" {
+			t.Errorf("GET %s with shard 1 dark: %d %s (Retry-After %q), want 503 shard_unreachable with Retry-After 1",
+				path, w.Code, w.Body, w.Header().Get("Retry-After"))
+		}
+	}
+	for id := 1; id <= 6; id += 2 {
+		if w := get(fmt.Sprintf("/v1/jobs/%d", id)); w.Code != http.StatusOK {
+			t.Errorf("GET job %d on the live shard: %d %s, want 200", id, w.Code, w.Body)
+		}
+		unreachable(fmt.Sprintf("/v1/jobs/%d", id+1))
+	}
+	unreachable("/v1/queue")
+	unreachable("/v1/machine")
+	before := calls.n.Load()
+	if w := get("/v1/jobs/7"); w.Code != http.StatusNotFound {
+		t.Errorf("GET job 7, never handed out: %d %s, want 404", w.Code, w.Body)
+	}
+	if n := calls.n.Load() - before; n != 0 {
+		t.Errorf("GET job 7 made %d wire calls, want 0", n)
 	}
 }
 
@@ -1032,30 +1156,25 @@ func TestRemoteShardUnreachable(t *testing.T) {
 		Policy:   policy.FCFSBackfill(),
 		Clock:    vc,
 	}, RemoteShardOptions{})
-	if _, err := live.Probe(); err != nil {
+	dying := new(countCalls)
+	_, dead := startShardProc(t, engine.Config{
+		Capacity: 32,
+		Policy:   policy.FCFSBackfill(),
+		Clock:    vc,
+	}, RemoteShardOptions{Transport: dying})
+
+	// A router fronting [live, dead], built while both answer, must route
+	// around the dead shard once it goes dark.
+	r, err := NewWithShards(Config{Clock: vc}, []engine.Shard{live, dead})
+	if err != nil {
 		t.Fatal(err)
 	}
-	dead := NewRemoteShard("http://127.0.0.1:1", RemoteShardOptions{
-		Transport: refuseDial{},
-		Sleep:     noSleep,
-	})
+	dying.dark.Store(true)
 	if err := dead.SubmitJob(job.Job{ID: 1, Nodes: 1, Runtime: 1, Request: 1}); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("dead shard submit: %v, want ErrUnreachable", err)
 	}
 	if dead.Healthy() == nil {
 		t.Fatal("dead shard reports healthy")
-	}
-
-	// A router fronting [live, dead] must route around the dead shard.
-	// The dead shard's capacity comes from a pre-warmed load cache so
-	// construction succeeds, mimicking a shard that died after joining.
-	dead.mu.Lock()
-	dead.lastLoad = engine.Load{Capacity: 32, FreeNodes: 32}
-	dead.haveLoad = true
-	dead.mu.Unlock()
-	r, err := NewWithShards(Config{Clock: vc}, []engine.Shard{live, dead})
-	if err != nil {
-		t.Fatal(err)
 	}
 	vc.AfterFunc(0, func() {
 		for i := 0; i < 4; i++ {

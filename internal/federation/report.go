@@ -2,6 +2,7 @@ package federation
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -26,56 +27,58 @@ func (r *Router) ShardRecords(i int) []sim.Record {
 }
 
 // Job returns the job's current status, with node IDs mapped to the
-// global node space.
-func (r *Router) Job(id int) (engine.JobStatus, bool) {
+// global node space. Its error says a shard that may hold the job could
+// not be asked: "not found" is then not an answer.
+func (r *Router) Job(id int) (engine.JobStatus, bool, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	si, st, ok, _ := r.holderLocked(id)
+	si, st, ok, err := r.holderLocked(id)
 	if !ok {
-		return engine.JobStatus{}, false
+		return engine.JobStatus{}, false, err
 	}
 	for k := range st.NodeIDs {
 		st.NodeIDs[k] += r.bases[si]
 	}
-	return st, true
+	return st, true, nil
 }
 
 // holderLocked returns the shard that holds the job and the job's
 // shard-local status. An ID below firstID that the directory lacks may
 // be held by a shard all the same (a front restarted over running
 // shards did not route it): the shards are asked in order, and the one
-// that holds it is recorded. When no shard holds it but one could not
-// be asked, the error says so: "not held" is then not certain.
+// that holds it is recorded. When no shard holds it but one that might
+// could not be asked, the error says so: "not held" is then not certain.
 func (r *Router) holderLocked(id int) (int, engine.JobStatus, bool, error) {
 	if si, ok := r.dir[id]; ok {
-		st, ok := r.shards[si].Job(id)
-		return si, st, ok, nil
+		st, ok, err := r.shards[si].Job(id)
+		if err != nil {
+			err = unasked(si, err)
+		}
+		return si, st, ok, err
 	}
-	var unasked error
+	var err error
 	if id > 0 && id < r.firstID {
 		for si, s := range r.shards {
-			st, ok, err := lookupJob(s, id)
+			st, ok, serr := s.Job(id)
 			if ok {
 				r.dir[id] = si
 				return si, st, true, nil
 			}
-			if err != nil && unasked == nil {
-				unasked = fmt.Errorf("%w: shard %d, job %d: %v", ErrUnreachable, si, id, err)
+			if serr != nil && err == nil {
+				err = unasked(si, serr)
 			}
 		}
 	}
-	return 0, engine.JobStatus{}, false, unasked
+	return 0, engine.JobStatus{}, false, err
 }
 
-// lookupJob asks shard s for the job, telling "the shard answered: no
-// such job" (false, nil) from "the shard could not be asked" (an
-// error). In-process shards always answer.
-func lookupJob(s engine.Shard, id int) (engine.JobStatus, bool, error) {
-	if pr, ok := s.(remoteProbe); ok {
-		return pr.LookupJob(id)
+// unasked marks shard i's failed read as ErrUnreachable: a view that
+// needed the shard is not an answer, and the server answers it 503.
+func unasked(i int, err error) error {
+	if !errors.Is(err, ErrUnreachable) {
+		err = fmt.Errorf("%w: %v", ErrUnreachable, err)
 	}
-	st, ok := s.Job(id)
-	return st, ok, nil
+	return fmt.Errorf("shard %d: %w", i, err)
 }
 
 // JobShard returns the shard currently (or finally) responsible for the
@@ -88,32 +91,39 @@ func (r *Router) JobShard(id int) (int, bool) {
 }
 
 // Queue returns every waiting job across the shards, in global arrival
-// order (submit time, then ID).
-func (r *Router) Queue() []engine.JobStatus {
+// order (submit time, then ID); it fails if any shard cannot be asked.
+func (r *Router) Queue() ([]engine.JobStatus, error) {
 	var out []engine.JobStatus
-	for _, s := range r.shardList() {
-		out = append(out, s.Queue()...)
+	for i, s := range r.shardList() {
+		q, err := s.Queue()
+		if err != nil {
+			return nil, unasked(i, err)
+		}
+		out = append(out, q...)
 	}
 	slices.SortFunc(out, func(a, b engine.JobStatus) int {
 		return cmp.Or(cmp.Compare(a.Job.Submit, b.Job.Submit), cmp.Compare(a.Job.ID, b.Job.ID))
 	})
-	return out
+	return out, nil
 }
 
 // Machine returns the whole-machine occupancy snapshot: total capacity
 // and free nodes, and the running set merged across shards in (start,
-// ID) order.
-func (r *Router) Machine() engine.Machine {
+// ID) order; it fails if any shard cannot be asked.
+func (r *Router) Machine() (engine.Machine, error) {
 	m := engine.Machine{Now: r.cfg.Clock.Now(), Capacity: r.cfg.Capacity}
-	for _, s := range r.shardList() {
-		sm := s.Machine()
+	for i, s := range r.shardList() {
+		sm, err := s.Machine()
+		if err != nil {
+			return engine.Machine{}, unasked(i, err)
+		}
 		m.FreeNodes += sm.FreeNodes
 		m.Running = append(m.Running, sm.Running...)
 	}
 	slices.SortFunc(m.Running, func(a, b sim.RunningJob) int {
 		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.ID, b.ID))
 	})
-	return m
+	return m, nil
 }
 
 // Records returns the federation's completion records merged into
@@ -238,7 +248,8 @@ func (r *Router) Federation() engine.FederationMetrics {
 // its submit time, which a migration keeps, to its start. That is the
 // integral of the federation's queue length, which a shard's own books
 // only hold for the jobs it had. per, the shards' metrics, spares the
-// reads of an empty queue or machine.
+// reads of an empty queue or machine. Like Metrics, it merges what the
+// shards answer (DESIGN §11).
 func (r *Router) activity(records []sim.Record, per []engine.Metrics) (first, last job.Time, queued int64) {
 	first = r.cfg.Clock.Now()
 	for _, rec := range records {
@@ -248,15 +259,17 @@ func (r *Router) activity(records []sim.Record, per []engine.Metrics) (first, la
 	var waiting, submits int64
 	for i, s := range r.shardList() {
 		if per[i].Jobs.Running > 0 {
-			for _, rj := range s.Machine().Running {
-				if st, ok := s.Job(rj.ID); ok {
+			m, _ := s.Machine()
+			for _, rj := range m.Running {
+				if st, ok, _ := s.Job(rj.ID); ok {
 					first, last = min(first, st.Job.Submit), max(last, st.Start)
 					queued += st.Start - st.Job.Submit
 				}
 			}
 		}
 		if per[i].Jobs.Waiting > 0 {
-			for _, st := range s.Queue() {
+			q, _ := s.Queue()
+			for _, st := range q {
 				first, last = min(first, st.Job.Submit), max(last, st.Job.Submit)
 				waiting++
 				submits += st.Job.Submit

@@ -232,15 +232,11 @@ func NewWithShards(cfg Config, shards []engine.Shard) (*Router, error) {
 	r.shards = append([]engine.Shard(nil), shards...)
 	total := 0
 	for i, s := range r.shards {
-		var ld engine.Load
-		if p, ok := s.(remoteProbe); ok {
-			var err error
-			if ld, err = p.Probe(); err != nil {
-				return nil, fmt.Errorf("federation: probe shard %d: %w", i, err)
-			}
-		} else {
-			ld = s.Load()
+		ld, err := s.Load()
+		if err != nil {
+			return nil, fmt.Errorf("federation: probe shard %d: %w", i, err)
 		}
+		r.loads[i].ld = ld // ok stays false: the first pick still asks
 		if ld.Capacity < 1 {
 			return nil, fmt.Errorf("federation: shard %d reports capacity %d", i, ld.Capacity)
 		}
@@ -315,6 +311,11 @@ func (r *Router) routeLocked(j job.Job) error {
 	}
 	if j.ID < 1 {
 		return fmt.Errorf("federation: invalid job ID %d", j.ID)
+	}
+	// A retry of an ID whose first submit is parked is as uncertain as
+	// that submit was, until the reconcile finds the job there or not.
+	if slices.ContainsFunc(r.pending, func(p pendingMig) bool { return p.id == j.ID && p.stage == stageSubmit }) {
+		return fmt.Errorf("%w: job %d: its first submit is not settled", ErrUncertain, j.ID)
 	}
 	// An ID the directory lacks may still be held by a shard that a
 	// restarted front did not route it to; while a shard that might
@@ -422,7 +423,7 @@ func (r *Router) candidatesLocked(j job.Job) []Candidate {
 
 // cachedLoad is one shard's last Load answer, its window re-anchored on
 // the router's clock; ok is false until the shard answers a probe, and
-// again after a drop.
+// again after a drop. A dark shard's ld is its last-known load.
 type cachedLoad struct {
 	ld engine.Load
 	ok bool
@@ -435,7 +436,10 @@ type cachedLoad struct {
 // "probe" span for job id), and a healthy answer is cached, shifted
 // onto the router's clock so a shard whose clock has another origin
 // caches too. The router's now is read before the call, so on a moving
-// clock the shift only ever closes the window early.
+// clock the shift only ever closes the window early. A shard that
+// cannot be asked answers with its last-known load, shifted to now:
+// placement compares dark shards on purpose, when no live one fits
+// (candidatesLocked), and a failed submit there is rerouted.
 func (r *Router) loadLocked(i, id int) engine.Load {
 	now := r.cfg.Clock.Now()
 	c := &r.loads[i]
@@ -443,8 +447,11 @@ func (r *Router) loadLocked(i, id int) engine.Load {
 		return c.ld.At(now)
 	}
 	p0 := r.cfg.Tracer.Now()
-	ld := r.shards[i].Load()
+	ld, err := r.shards[i].Load()
 	r.traceSpan("probe", id, i, p0)
+	if err != nil {
+		ld = c.ld
+	}
 	ld.StableUntil += now - ld.Now
 	ld.Now = now
 	*c = cachedLoad{ld: ld, ok: r.healthyLocked(i)}

@@ -73,10 +73,11 @@ func (s *Server) submitStatus(err error) (int, string) {
 	}
 }
 
-// writeSubmitError writes a single submit's admission error; a refusal
-// the client should retry (429, 503) carries the Retry-After hint, as
-// the saturated queue's does, and a 202 the job's Location under id.
-func (s *Server) writeSubmitError(w http.ResponseWriter, id int, err error) {
+// writeRefusal writes a single submit's admission error, or the error
+// of a read that a front could not ask a shard for (503); a refusal the
+// client should retry (429, 503) carries the Retry-After hint, as the
+// saturated queue's does, and a 202 the job's Location under id.
+func (s *Server) writeRefusal(w http.ResponseWriter, id int, err error) {
 	status, code := s.submitStatus(err)
 	switch status {
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable:

@@ -101,7 +101,7 @@ func TestBatchSubmit(t *testing.T) {
 	}
 	// The jobs really are in the engine, in batch order.
 	for id := 1; id <= 3; id++ {
-		if _, ok := f.e.Job(id); !ok {
+		if _, ok, _ := f.e.Job(id); !ok {
 			t.Fatalf("job %d missing from engine", id)
 		}
 	}

@@ -56,9 +56,11 @@ import (
 type Backend interface {
 	Submit(spec job.Job) (int, error)
 	SubmitJob(j job.Job) error
-	Job(id int) (engine.JobStatus, bool)
-	Queue() []engine.JobStatus
-	Machine() engine.Machine
+	// Job, Queue and Machine fail with engine.ErrUnreachable when a
+	// front could not ask a shard the answer needs (answered 503).
+	Job(id int) (engine.JobStatus, bool, error)
+	Queue() ([]engine.JobStatus, error)
+	Machine() (engine.Machine, error)
 	Metrics() engine.Metrics
 	Records() []sim.Record
 	// SyncJournal makes every committed event durable (a no-op without
@@ -231,7 +233,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if rerr := results[0].Err; rerr != nil {
-			s.writeSubmitError(w, max(results[0].ID, id), rerr)
+			s.writeRefusal(w, max(results[0].ID, id), rerr)
 			return
 		}
 		id = results[0].ID
@@ -243,7 +245,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 			serr = s.e.SubmitJob(spec)
 		}
 		if serr != nil {
-			s.writeSubmitError(w, id, serr)
+			s.writeRefusal(w, id, serr)
 			return
 		}
 		// Without an ingest queue there is no committer to force the
@@ -256,7 +258,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.bindSubmitTrace(&st, id, 0)
-	js, _ := s.e.Job(id)
+	js, _, _ := s.e.Job(id) // admitted: a failed read-back leaves the body's fields zero
 	s.writeJob(w, http.StatusCreated, js)
 }
 
@@ -266,7 +268,11 @@ func (s *Server) job(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_job_id", err)
 		return
 	}
-	st, ok := s.e.Job(id)
+	st, ok, err := s.e.Job(id)
+	if err != nil {
+		s.writeRefusal(w, id, err)
+		return
+	}
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown_job", errors.New("no such job"))
 		return
@@ -275,7 +281,11 @@ func (s *Server) job(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) queue(w http.ResponseWriter, r *http.Request) {
-	q := s.e.Queue()
+	q, err := s.e.Queue()
+	if err != nil {
+		s.writeRefusal(w, 0, err)
+		return
+	}
 	resp := wire.QueueResponse{Length: len(q), Jobs: make([]wire.JobResponse, len(q))}
 	for i, st := range q {
 		resp.Jobs[i] = s.jobResponse(st)
@@ -284,7 +294,11 @@ func (s *Server) queue(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) machine(w http.ResponseWriter, r *http.Request) {
-	m := s.e.Machine()
+	m, err := s.e.Machine()
+	if err != nil {
+		s.writeRefusal(w, 0, err)
+		return
+	}
 	resp := wire.MachineResponse{
 		NowS:      m.Now,
 		Capacity:  m.Capacity,
@@ -356,11 +370,11 @@ func (s *Server) BeginDrain() {
 func (s *Server) drain(w http.ResponseWriter, r *http.Request) {
 	s.BeginDrain()
 	// Counts only: Metrics would summarize the whole history (and fetch
-	// every shard's records on a router) to answer with two numbers.
-	writeJSON(w, http.StatusAccepted, wire.DrainResponse{
-		Draining: len(s.e.Queue()),
-		Running:  len(s.e.Machine().Running),
-	})
+	// every shard's records on a router) to answer with two numbers. A
+	// shard that cannot be asked counts nothing: the drain is under way.
+	q, _ := s.e.Queue()
+	m, _ := s.e.Machine()
+	writeJSON(w, http.StatusAccepted, wire.DrainResponse{Draining: len(q), Running: len(m.Running)})
 }
 
 // writeJob answers status with the job's wire.JobResponse.

@@ -43,14 +43,12 @@ import (
 // the remote chaos tier (chaos.RunFederationRemote) exercises.
 
 // ShardBackend is the engine-only extension of Backend the shard
-// endpoints need: the migration and inspection seams of engine.Shard. A
-// bare *engine.Engine satisfies it.
+// endpoints need: the whole engine.Shard seam and the withdraw
+// tombstones. A bare *engine.Engine satisfies it.
 type ShardBackend interface {
 	Backend
-	Admit(j job.Job) error
-	Withdraw(id int) (job.Job, error)
+	engine.Shard
 	Withdrawn(id int) (job.Job, bool)
-	Load() engine.Load
 }
 
 // registerShardRoutes mounts the shard wire protocol; called from New
@@ -63,7 +61,8 @@ func (s *Server) registerShardRoutes(sb ShardBackend) {
 		s.shardWithdraw(w, r, sb)
 	})
 	s.mux.HandleFunc("GET /v1/shard/load", func(w http.ResponseWriter, r *http.Request) {
-		lr := wire.LoadResponse(sb.Load())
+		ld, _ := sb.Load() // an engine is always asked: its reads return no error
+		lr := wire.LoadResponse(ld)
 		writeAppended(w, http.StatusOK, func(b []byte) []byte { return wire.AppendLoad(b, &lr) })
 	})
 	s.mux.HandleFunc("GET /v1/shard/records", func(w http.ResponseWriter, r *http.Request) {
@@ -161,7 +160,7 @@ func (s *Server) shardWithdraw(w http.ResponseWriter, r *http.Request, sb ShardB
 			writeJSON(w, http.StatusOK, wire.WithdrawResponse{Job: wire.JobToWire(tj), Retried: true})
 			return
 		}
-		if _, ok := sb.Job(req.ID); ok {
+		if _, ok, _ := sb.Job(req.ID); ok {
 			// Known but running or done: a legitimate race with the
 			// dispatcher, not an error worth retrying.
 			writeError(w, http.StatusConflict, "not_queued", err)
