@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // placeEarliestChecked runs the one-pass PlaceEarliest on p and holds it
@@ -77,12 +80,12 @@ func TestPlaceEarliestMatchesFitThenPlace(t *testing.T) {
 			} else {
 				pastOrigin++
 			}
-			if pl.insLo {
+			if pl.ins&insLo != 0 {
 				splitLo++
 			} else {
 				noSplitLo++
 			}
-			if pl.insHi {
+			if pl.ins&insHi != 0 {
 				splitHi++
 			} else {
 				noSplitHi++
@@ -109,14 +112,14 @@ func TestPlaceEarliestBoundaryShapes(t *testing.T) {
 	p.Place(10, 2, 20) // boundary at 30
 
 	start, pl := placeEarliestChecked(t, p, 0, 6, 20)
-	if start != 10 || pl.insLo || pl.insHi {
-		t.Fatalf("fit [10,30) on existing boundaries: start %d insLo %v insHi %v", start, pl.insLo, pl.insHi)
+	if start != 10 || pl.ins != 0 {
+		t.Fatalf("fit [10,30) on existing boundaries: start %d ins %b", start, pl.ins)
 	}
 	p.Undo(pl)
 
 	start, pl = placeEarliestChecked(t, p, 15, 6, 5)
-	if start != 15 || !pl.insLo || !pl.insHi {
-		t.Fatalf("fit [15,20) inside a step: start %d insLo %v insHi %v", start, pl.insLo, pl.insHi)
+	if start != 15 || pl.ins != insLo|insHi {
+		t.Fatalf("fit [15,20) inside a step: start %d ins %b", start, pl.ins)
 	}
 }
 
@@ -133,19 +136,18 @@ func TestPlaceEarliestComb(t *testing.T) {
 	p.Place(130, 6, 10)
 
 	for _, c := range []struct {
-		name         string
-		after        Time
-		d            Duration
-		insLo, insHi bool
+		name  string
+		after Time
+		d     Duration
+		ins   uint8
 	}{
-		{"from the origin, ending on a boundary", 0, 20, false, false},
-		{"from inside a tooth, ending inside a step", 5, 15, false, true},
-		{"from inside a hole, ending inside a step", 35, 15, false, true},
+		{"from the origin, ending on a boundary", 0, 20, 0},
+		{"from inside a tooth, ending inside a step", 5, 15, insHi},
+		{"from inside a hole, ending inside a step", 35, 15, insHi},
 	} {
 		start, pl := placeEarliestChecked(t, p, c.after, 4, c.d)
-		if start != 110 || pl.lo != 11 || pl.insLo != c.insLo || pl.insHi != c.insHi {
-			t.Errorf("%s: start %d lo %d insLo %v insHi %v, want 110, 11, %v, %v",
-				c.name, start, pl.lo, pl.insLo, pl.insHi, c.insLo, c.insHi)
+		if start != 110 || pl.lo != 11 || pl.ins != c.ins {
+			t.Errorf("%s: start %d lo %d ins %b, want 110, 11, %b", c.name, start, pl.lo, pl.ins, c.ins)
 		}
 		p.Undo(pl)
 	}
@@ -322,4 +324,46 @@ func FuzzPlaceEarliest(f *testing.F) {
 			stack = append(stack, pl)
 		}
 	})
+}
+
+// registerShape reports why the compiler would not keep a value of type
+// t in registers, or "" if it would. The rule is CanSSA's in
+// cmd/compile/internal/ssa (go1.24): at most four words, at most four
+// fields per struct (MaxStruct), no array longer than one element, and
+// the same for every field. A type that breaks it is built on the stack
+// and copied, and a 16-byte reload of two 8-byte stores stalls the CPU
+// (no store-to-load forwarding) on every search node (DESIGN §10).
+func registerShape(t reflect.Type) string {
+	if t.Size() > 4*unsafe.Sizeof(uintptr(0)) {
+		return fmt.Sprintf("%s is %d bytes, more than four words", t, t.Size())
+	}
+	switch t.Kind() {
+	case reflect.Array:
+		if t.Len() > 1 {
+			return fmt.Sprintf("%s is an array of %d elements", t, t.Len())
+		}
+		return registerShape(t.Elem())
+	case reflect.Struct:
+		if t.NumField() > 4 {
+			return fmt.Sprintf("%s has %d fields, more than four", t, t.NumField())
+		}
+		for i := 0; i < t.NumField(); i++ {
+			if why := registerShape(t.Field(i).Type); why != "" {
+				return why
+			}
+		}
+	}
+	return ""
+}
+
+// TestPlacementFitsInRegisters keeps the undo record every search node
+// returns from PlaceEarliest in registers.
+func TestPlacementFitsInRegisters(t *testing.T) {
+	typ := reflect.TypeOf(Placement{})
+	if typ.Kind() != reflect.Struct {
+		t.Fatalf("%s is of kind %s, want a struct", typ, typ.Kind())
+	}
+	if why := registerShape(typ); why != "" {
+		t.Error(why)
+	}
 }

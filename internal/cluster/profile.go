@@ -130,11 +130,16 @@ func (p *Profile) EarliestFit(after Time, n int, d Duration) Time {
 // until the next Place or Undo on the profile (placements undo in LIFO
 // order).
 type Placement struct {
-	lo, hi int  // the steps where the reservation starts and ends
-	insLo  bool // a step was inserted at the start boundary
-	insHi  bool // a step was inserted at the end boundary
-	n      int  // nodes subtracted
+	lo, hi int   // the steps where the reservation starts and ends
+	n      int   // nodes subtracted
+	ins    uint8 // insLo|insHi: the boundaries where a step was inserted
 }
+
+// The bits of Placement.ins.
+const (
+	insLo = 1 << iota // a step was inserted at the start boundary
+	insHi             // a step was inserted at the end boundary
+)
 
 // Place reserves n nodes during [t, t+d), decreasing free capacity, and
 // returns an undo record. It panics, leaving the profile untouched, if
@@ -169,26 +174,25 @@ func (p *Profile) Place(t Time, n int, d Duration) Placement {
 // starts at t, steps[hi] at end, and the reservation is their two
 // changes.
 func (p *Profile) reserve(lo, hi int, t, end Time, n int) Placement {
-	pl := Placement{n: n}
+	var ins uint8
 	if p.steps[lo].At < t {
 		p.steps = append(p.steps, step{})
 		copy(p.steps[lo+2:], p.steps[lo+1:])
 		p.steps[lo+1] = step{At: t}
 		lo++
 		hi++
-		pl.insLo = true
+		ins = insLo
 	}
 	// The step hi-1 extends past end unless one already starts there.
 	if hi == len(p.steps) || p.steps[hi].At > end {
 		p.steps = append(p.steps, step{})
 		copy(p.steps[hi+1:], p.steps[hi:])
 		p.steps[hi] = step{At: end}
-		pl.insHi = true
+		ins |= insHi
 	}
 	p.steps[lo].Delta -= n
 	p.steps[hi].Delta += n
-	pl.lo, pl.hi = lo, hi
-	return pl
+	return Placement{lo, hi, n, ins}
 }
 
 // Undo reverts the most recent Place. Placements must be undone in
@@ -197,11 +201,11 @@ func (p *Profile) Undo(pl Placement) {
 	p.steps[pl.lo].Delta += pl.n
 	p.steps[pl.hi].Delta -= pl.n
 	// Remove inserted boundary steps (end first so indices stay valid).
-	if pl.insHi {
+	if pl.ins&insHi != 0 {
 		copy(p.steps[pl.hi:], p.steps[pl.hi+1:])
 		p.steps = p.steps[:len(p.steps)-1]
 	}
-	if pl.insLo {
+	if pl.ins&insLo != 0 {
 		copy(p.steps[pl.lo:], p.steps[pl.lo+1:])
 		p.steps = p.steps[:len(p.steps)-1]
 	}

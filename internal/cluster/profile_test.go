@@ -320,3 +320,40 @@ func TestProfileLenGrowth(t *testing.T) {
 		t.Errorf("profile has %d steps after undoing everything, want 1", p.Len())
 	}
 }
+
+// BenchmarkPlaceEarliestUndo times a search node's profile work: one
+// PlaceEarliest from the origin and its Undo, on a 128-node machine with
+// 100 nodes busy until staggered ends. It allocates nothing.
+func BenchmarkPlaceEarliestUndo(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	p := New(128, 0)
+	for used := 0; used < 100; {
+		n := min(1+rng.Intn(16), 100-used)
+		p.Place(0, n, Duration(600+rng.Intn(36000)))
+		used += n
+	}
+	type req struct {
+		n int
+		d Duration
+	}
+	reqs := make([]req, 64)
+	for i := range reqs {
+		reqs[i] = req{min(1<<rng.Intn(7), 128), Duration(60 * (1 + rng.Intn(240)))}
+	}
+	node := func(i int) {
+		r := reqs[i%len(reqs)]
+		_, pl := p.PlaceEarliest(0, r.n, r.d)
+		p.Undo(pl)
+	}
+	for i := range reqs {
+		node(i) // grow the steps to their widest
+	}
+	if avg := testing.AllocsPerRun(len(reqs), func() { node(rng.Intn(len(reqs))) }); avg > 0 {
+		b.Errorf("PlaceEarliest and Undo allocate %.1f times per call", avg)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		node(i)
+	}
+}

@@ -68,7 +68,7 @@ func (f *Fairshare) Decide(snap *sim.Snapshot) []int {
 		}
 		over := f.usage[w.Job.User] / total * active // 1 = exactly fair
 		if over > 1 {
-			c[1] /= 1 + f.Alpha*(over-1)
+			c.Slowdown /= 1 + f.Alpha*(over-1)
 		}
 		return c
 	}

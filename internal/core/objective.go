@@ -18,29 +18,31 @@ import (
 )
 
 // Cost is an additive, lexicographically ordered objective value for one
-// schedule. Level 0 is the paper's first-level goal (total excessive
-// wait, in seconds); level 1 is the second-level goal (sum of bounded
+// schedule. Excess is the paper's first-level goal (total excessive
+// wait, in seconds); Slowdown is the second-level goal (sum of bounded
 // slowdowns — equivalent to the average, since every schedule at a
-// decision point covers the same job set). Lower is better.
-type Cost [2]float64
+// decision point covers the same job set). Lower is better. It is a
+// two-field struct, not an array, so the compiler keeps it in registers
+// (DESIGN §10): the search adds one per node.
+type Cost struct{ Excess, Slowdown float64 }
 
-// Add returns the element-wise sum.
-func (c Cost) Add(o Cost) Cost { return Cost{c[0] + o[0], c[1] + o[1]} }
+// Add returns the field-wise sum.
+func (c Cost) Add(o Cost) Cost { return Cost{c.Excess + o.Excess, c.Slowdown + o.Slowdown} }
 
-// Sub returns the element-wise difference.
-func (c Cost) Sub(o Cost) Cost { return Cost{c[0] - o[0], c[1] - o[1]} }
+// Sub returns the field-wise difference.
+func (c Cost) Sub(o Cost) Cost { return Cost{c.Excess - o.Excess, c.Slowdown - o.Slowdown} }
 
 // Less compares lexicographically with a small absolute epsilon per
 // level, implementing the paper's "schedule A is better than B" rule.
 func (c Cost) Less(o Cost) bool {
 	const eps = 1e-9
-	if c[0] < o[0]-eps {
+	if c.Excess < o.Excess-eps {
 		return true
 	}
-	if c[0] > o[0]+eps {
+	if c.Excess > o.Excess+eps {
 		return false
 	}
-	return c[1] < o[1]-eps
+	return c.Slowdown < o.Slowdown-eps
 }
 
 // CostFn scores the placement of one waiting job at a given start time.

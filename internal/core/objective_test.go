@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"schedsearch/internal/job"
 	"schedsearch/internal/sim"
@@ -66,17 +69,17 @@ func TestHierarchicalCost(t *testing.T) {
 	w := waiting(1, 0, 1, 3600)
 	// Started at t=7200 with bound 3600: one hour of excess.
 	c := HierarchicalCost(w, 7200, 7200, 3600)
-	if c[0] != 3600 {
-		t.Errorf("excess = %v, want 3600", c[0])
+	if c.Excess != 3600 {
+		t.Errorf("excess = %v, want 3600", c.Excess)
 	}
 	// Bounded slowdown: (wait + rt)/rt = (7200+3600)/3600 = 3.
-	if c[1] != 3 {
-		t.Errorf("bsld = %v, want 3", c[1])
+	if c.Slowdown != 3 {
+		t.Errorf("bsld = %v, want 3", c.Slowdown)
 	}
 	// Within the bound: zero excess.
 	c = HierarchicalCost(w, 3000, 3000, 3600)
-	if c[0] != 0 {
-		t.Errorf("excess = %v, want 0", c[0])
+	if c.Excess != 0 {
+		t.Errorf("excess = %v, want 0", c.Excess)
 	}
 }
 
@@ -85,8 +88,8 @@ func TestHierarchicalCostShortJobFloor(t *testing.T) {
 	w := waiting(1, 0, 1, 10)
 	c := HierarchicalCost(w, 120, 120, 1<<40)
 	want := float64(120+60) / 60
-	if c[1] != want {
-		t.Errorf("bsld = %v, want %v", c[1], want)
+	if c.Slowdown != want {
+		t.Errorf("bsld = %v, want %v", c.Slowdown, want)
 	}
 }
 
@@ -123,7 +126,7 @@ func TestCostFnsNonNegative(t *testing.T) {
 			"HierarchicalCost": HierarchicalCost(w, start, now, bound),
 			"Fairshare":        wrapped(w, start, now, bound),
 		} {
-			if c[0] < 0 || c[1] < 0 {
+			if c.Excess < 0 || c.Slowdown < 0 {
 				t.Fatalf("%s of job %+v started at %d (now %d, bound %d, alpha %g) = %v: a component is negative",
 					name, w.Job, start, now, bound, fs.Alpha, c)
 			}
@@ -178,5 +181,47 @@ func TestDynamicBoundProtectsLongestWaiter(t *testing.T) {
 	starts := sch.Decide(snap)
 	if len(starts) != 1 || starts[0] != 0 {
 		t.Errorf("Decide = %v, want [0] (start the 50h-old 2-node job)", starts)
+	}
+}
+
+// registerShape reports why the compiler would not keep a value of type
+// t in registers, or "" if it would. The rule is CanSSA's in
+// cmd/compile/internal/ssa (go1.24): at most four words, at most four
+// fields per struct (MaxStruct), no array longer than one element, and
+// the same for every field. A type that breaks it is built on the stack
+// and copied, and a 16-byte reload of two 8-byte stores stalls the CPU
+// (no store-to-load forwarding) on every search node (DESIGN §10).
+func registerShape(t reflect.Type) string {
+	if t.Size() > 4*unsafe.Sizeof(uintptr(0)) {
+		return fmt.Sprintf("%s is %d bytes, more than four words", t, t.Size())
+	}
+	switch t.Kind() {
+	case reflect.Array:
+		if t.Len() > 1 {
+			return fmt.Sprintf("%s is an array of %d elements", t, t.Len())
+		}
+		return registerShape(t.Elem())
+	case reflect.Struct:
+		if t.NumField() > 4 {
+			return fmt.Sprintf("%s has %d fields, more than four", t, t.NumField())
+		}
+		for i := 0; i < t.NumField(); i++ {
+			if why := registerShape(t.Field(i).Type); why != "" {
+				return why
+			}
+		}
+	}
+	return ""
+}
+
+// TestCostFitsInRegisters keeps the cost every search node adds up in
+// registers.
+func TestCostFitsInRegisters(t *testing.T) {
+	typ := reflect.TypeOf(Cost{})
+	if typ.Kind() != reflect.Struct {
+		t.Fatalf("%s is of kind %s, want a struct", typ, typ.Kind())
+	}
+	if why := registerShape(typ); why != "" {
+		t.Error(why)
 	}
 }

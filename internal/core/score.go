@@ -63,4 +63,4 @@ func (ps *PlanScorer) Score(snap *sim.Snapshot, starts []int) Cost {
 
 // Scalar collapses a hierarchical cost into one comparable number
 // (lower is better) using excessWeight.
-func (ps *PlanScorer) Scalar(c Cost) float64 { return c[0]*excessWeight + c[1] }
+func (ps *PlanScorer) Scalar(c Cost) float64 { return c.Excess*excessWeight + c.Slowdown }

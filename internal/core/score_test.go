@@ -36,12 +36,12 @@ func TestPlanScorerHandComputed(t *testing.T) {
 	// 1100 (running ends) — but job 2 occupies 2 nodes until 1050, so
 	// still 1100. Wait 110s, no excess.
 	a := ps.Score(snap, []int{0})
-	if a[0] != 0 {
-		t.Errorf("plan A excess = %v, want 0", a[0])
+	if a.Excess != 0 {
+		t.Errorf("plan A excess = %v, want 0", a.Excess)
 	}
 	wantA := job.BoundedSlowdownAt(500, 50, 1000) + job.BoundedSlowdownAt(990, 10, 1100)
-	if diff := a[1] - wantA; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("plan A slowdown sum = %v, want %v", a[1], wantA)
+	if diff := a.Slowdown - wantA; diff > 1e-9 || diff < -1e-9 {
+		t.Errorf("plan A slowdown sum = %v, want %v", a.Slowdown, wantA)
 	}
 
 	// Plan B: start nothing. Job 2 places earliest (now — the nodes are

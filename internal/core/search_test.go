@@ -462,3 +462,57 @@ func TestStatsAccumulate(t *testing.T) {
 		t.Errorf("Nodes = %d, want >= 24", st.Nodes)
 	}
 }
+
+// deepSnapshot is a contended decision point of the shape the backfill
+// benchmarks use: capacity nodes with busy of them held by running jobs
+// of up to 16 nodes, and depth queued jobs of mostly power-of-two widths
+// that waited up to a day.
+func deepSnapshot(rng *rand.Rand, capacity, busy, depth int) *sim.Snapshot {
+	const now = job.Time(100000)
+	snap := &sim.Snapshot{Now: now, Capacity: capacity, FreeNodes: capacity - busy}
+	for used := 0; used < busy; {
+		n := min(1+rng.Intn(16), busy-used)
+		snap.Running = append(snap.Running, sim.RunningJob{
+			ID: 1_000_000 + len(snap.Running), Nodes: n, Start: now - job.Time(rng.Intn(3600)),
+			PredictedEnd: now - 600 + job.Time(rng.Intn(36000)),
+		})
+		used += n
+	}
+	for i := 0; i < depth; i++ {
+		n := min(1<<rng.Intn(7), capacity)
+		if rng.Intn(4) == 0 {
+			n = 1 + rng.Intn(capacity)
+		}
+		est := job.Duration(60 * (1 + rng.Intn(240)))
+		snap.Queue = append(snap.Queue, sim.WaitingJob{
+			Job:      job.Job{ID: i + 1, Submit: now - job.Time(rng.Intn(86400)), Nodes: n, Runtime: est, Request: est},
+			Estimate: est,
+			QueuePos: i,
+		})
+	}
+	return snap
+}
+
+// BenchmarkDecideDeep times one DDS/LXF/dynB decision at L = 20 000 on
+// a 128-node machine with 100 nodes busy, at queue depths 32 and 64, and
+// reports the time per search node. A steady decision allocates nothing.
+func BenchmarkDecideDeep(b *testing.B) {
+	const limit = 20000
+	for _, depth := range []int{32, 64} {
+		snap := deepSnapshot(rand.New(rand.NewSource(int64(depth))), 128, 100, depth)
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			sch := New(DDS, HeuristicLXF, DynamicBound(), limit)
+			sch.Decide(snap) // size the scratch
+			if avg := testing.AllocsPerRun(1, func() { sch.Decide(snap) }); avg > 0 {
+				b.Errorf("Decide allocates %.1f times per decision in steady state", avg)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			nodes := sch.SearchStats.Nodes
+			for i := 0; i < b.N; i++ {
+				sch.Decide(snap)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(sch.SearchStats.Nodes-nodes), "ns/node")
+		})
+	}
+}

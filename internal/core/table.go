@@ -151,10 +151,13 @@ func (s *searchState) tableEnter(oi int, start job.Time, ctx int32) (served bool
 	case id == 0:
 		id = -1
 		if tb.cur >= 0 && len(tb.entries) <= len(tb.index)/2 {
+			// Grow by a zero entry and fill it in place: an 8-field
+			// literal would be built on the stack and copied (DESIGN §10).
 			id = int32(len(tb.entries))
-			tb.entries = append(tb.entries, tableEntry{
-				key: key, start: start, nodes: -1, parent: tb.cur, oi: int32(oi), ctx: ctx, level: level,
-			})
+			tb.entries = append(tb.entries, tableEntry{})
+			e := &tb.entries[id]
+			e.key, e.start, e.nodes, e.parent = key, start, -1, tb.cur
+			e.oi, e.ctx, e.level = int32(oi), ctx, level
 			tb.index[slot] = id
 		}
 	case tb.entries[id].nodes >= 0 && s.nodes+tb.entries[id].nodes <= s.limit:

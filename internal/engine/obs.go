@@ -54,12 +54,12 @@ func fillDecisionRecord(rec *obs.DecisionRecord, pol sim.Policy, name string, no
 		rec.BudgetHit = sum.BudgetHit
 		rec.Parallel = sum.Parallel
 		if sum.BestFound {
-			rec.BestExcess = sum.BestCost[0]
-			rec.BestSlowdown = sum.BestCost[1]
+			rec.BestExcess = sum.BestCost.Excess
+			rec.BestSlowdown = sum.BestCost.Slowdown
 		}
 		for _, p := range sum.Trajectory {
 			rec.Trajectory = append(rec.Trajectory, obs.TrajectoryPoint{
-				Nodes: p.Nodes, Excess: p.Cost[0], Slowdown: p.Cost[1],
+				Nodes: p.Nodes, Excess: p.Cost.Excess, Slowdown: p.Cost.Slowdown,
 			})
 		}
 	}

@@ -1074,6 +1074,48 @@ func TestRetryOfParkedSubmitIs202(t *testing.T) {
 	}
 }
 
+// loseJobReads is an in-memory wire to one shard's handler that serves
+// every request but loses the answer to each GET /v1/jobs/{id}: the
+// read happens on the shard, the front never hears back.
+type loseJobReads struct{ h http.Handler }
+
+func (l loseJobReads) RoundTrip(req *http.Request) (*http.Response, error) {
+	w := httptest.NewRecorder()
+	l.h.ServeHTTP(w, req)
+	if req.Method == http.MethodGet && strings.HasPrefix(req.URL.Path, "/v1/jobs/") {
+		return nil, fmt.Errorf("fault: answer to GET %s lost", req.URL.Path)
+	}
+	return w.Result(), nil
+}
+
+// TestSubmitAnswersTheAdmittedID submits through a front whose shard
+// admits the job but whose read-back of it is lost. The job is admitted,
+// so the answer is 201, and it must carry the ID the job runs under and
+// the submitted spec, not a zero body the client cannot find its job by.
+func TestSubmitAnswersTheAdmittedID(t *testing.T) {
+	vc := engine.NewVirtualClock()
+	e, err := engine.New(engine.Config{Capacity: 8, Policy: policy.FCFSBackfill(), Clock: vc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := NewRemoteShard("http://shard", RemoteShardOptions{Transport: loseJobReads{server.New(e, nil)}, Sleep: noSleep})
+	front, err := NewWithShards(Config{Clock: vc}, []engine.Shard{rs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := httptest.NewRecorder()
+	server.New(front, nil).ServeHTTP(w, httptest.NewRequest("POST", "/v1/jobs",
+		strings.NewReader(`{"nodes":2,"runtime_s":600,"request_s":900,"user":7}`)))
+	var jr wire.JobResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &jr); err != nil || w.Code != http.StatusCreated ||
+		jr.ID != 1 || jr.Nodes != 2 || jr.RuntimeS != 600 || jr.RequestS != 900 || jr.User != 7 {
+		t.Errorf("submit with the read-back lost: %d %s, want 201 for job 1 with the submitted spec", w.Code, w.Body)
+	}
+	if _, ok, _ := e.Job(1); !ok {
+		t.Error("the shard does not hold job 1")
+	}
+}
+
 // TestDarkShardReadsAre503 closes one of two remote shards under a
 // front that routed six jobs over them. A read that needs the dark
 // shard is not answered from what the live one says: its jobs, the

@@ -118,7 +118,7 @@ func (b *Backfill) Decide(snap *sim.Snapshot) []int {
 	reserved := 0
 	for _, qi := range b.begin(snap, b.Priority) {
 		w := &snap.Queue[qi]
-		n, est := w.Job.Nodes, estimateOf(*w)
+		n, est := w.Job.Nodes, w.PlanEstimate()
 		switch {
 		case reserved < b.Reservations:
 			if t, _ := b.prof.PlaceEarliest(snap.Now, n, est); t == snap.Now {
@@ -132,15 +132,6 @@ func (b *Backfill) Decide(snap *sim.Snapshot) []int {
 		}
 	}
 	return b.starts
-}
-
-// estimateOf floors the runtime estimate at one second so profile
-// placements are always non-empty.
-func estimateOf(w sim.WaitingJob) job.Duration {
-	if w.Estimate < 1 {
-		return 1
-	}
-	return w.Estimate
 }
 
 // scratch is what a policy keeps between decisions, so a steady one

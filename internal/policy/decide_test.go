@@ -50,7 +50,7 @@ func refBackfill(snap *sim.Snapshot, p Priority, reservations int) []int {
 	reserved := 0
 	for _, qi := range order {
 		w := snap.Queue[qi]
-		est := estimateOf(w)
+		est := w.PlanEstimate()
 		t := prof.EarliestFit(snap.Now, w.Job.Nodes, est)
 		switch {
 		case t == snap.Now:
@@ -71,7 +71,7 @@ func refSelective(s *SelectiveBackfill, snap *sim.Snapshot) []int {
 	var starts []int
 	for _, qi := range order {
 		w := snap.Queue[qi]
-		est := estimateOf(w)
+		est := w.PlanEstimate()
 		xf := job.BoundedSlowdownAt(w.Job.Submit, est, snap.Now)
 		t := prof.EarliestFit(snap.Now, w.Job.Nodes, est)
 		switch {
@@ -95,7 +95,7 @@ func refRelaxed(r *RelaxedBackfill, snap *sim.Snapshot) []int {
 	var headLimit job.Time
 	for oi, qi := range order {
 		w := snap.Queue[qi]
-		est := estimateOf(w)
+		est := w.PlanEstimate()
 		t := prof.EarliestFit(snap.Now, w.Job.Nodes, est)
 		if t == snap.Now {
 			prof.Place(t, w.Job.Nodes, est)
@@ -110,10 +110,10 @@ func refRelaxed(r *RelaxedBackfill, snap *sim.Snapshot) []int {
 		return starts
 	}
 	head := snap.Queue[order[headIdx]]
-	headEst := estimateOf(head)
+	headEst := head.PlanEstimate()
 	for _, qi := range order[headIdx+1:] {
 		w := snap.Queue[qi]
-		est := estimateOf(w)
+		est := w.PlanEstimate()
 		if prof.EarliestFit(snap.Now, w.Job.Nodes, est) != snap.Now {
 			continue
 		}
@@ -136,7 +136,7 @@ func refSlack(s *SlackBackfill, snap *sim.Snapshot) []int {
 	infos := make([]pinfo, 0, len(order))
 	for _, qi := range order {
 		w := snap.Queue[qi]
-		est := estimateOf(w)
+		est := w.PlanEstimate()
 		fit := prof.EarliestFit(snap.Now, w.Job.Nodes, est)
 		infos = append(infos, pinfo{qi: qi, est: est, fit: fit})
 		slack := job.Duration(s.SlackFactor * float64(est))
@@ -198,7 +198,7 @@ func refLookahead(l *Lookahead, snap *sim.Snapshot) []int {
 	rest := order
 	for len(rest) > 0 {
 		w := snap.Queue[rest[0]]
-		est := estimateOf(w)
+		est := w.PlanEstimate()
 		t := prof.EarliestFit(snap.Now, w.Job.Nodes, est)
 		if t != snap.Now {
 			prof.Place(t, w.Job.Nodes, est)
@@ -221,7 +221,7 @@ func refLookahead(l *Lookahead, snap *sim.Snapshot) []int {
 	free := prof.FreeAt(snap.Now)
 	for _, qi := range rest {
 		w := snap.Queue[qi]
-		est := estimateOf(w)
+		est := w.PlanEstimate()
 		if w.Job.Nodes <= free && prof.EarliestFit(snap.Now, w.Job.Nodes, est) == snap.Now {
 			cands = append(cands, cand{qi: qi, nodes: w.Job.Nodes, est: est})
 		}

@@ -34,7 +34,7 @@ func (l *Lookahead) Decide(snap *sim.Snapshot) []int {
 	rest := order
 	for len(rest) > 0 {
 		w := snap.Queue[rest[0]]
-		if t, _ := l.prof.PlaceEarliest(snap.Now, w.Job.Nodes, estimateOf(w)); t != snap.Now {
+		if t, _ := l.prof.PlaceEarliest(snap.Now, w.Job.Nodes, w.PlanEstimate()); t != snap.Now {
 			break // the reservation for the head job is placed
 		}
 		l.starts = append(l.starts, rest[0])
@@ -57,7 +57,7 @@ func (l *Lookahead) Decide(snap *sim.Snapshot) []int {
 	free := l.prof.FreeAt(snap.Now)
 	for _, qi := range rest {
 		w := snap.Queue[qi]
-		est := estimateOf(w)
+		est := w.PlanEstimate()
 		if l.prof.FitsAt(snap.Now, w.Job.Nodes, est) {
 			cands = append(cands, cand{qi: qi, nodes: w.Job.Nodes, est: est})
 		}

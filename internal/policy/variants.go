@@ -47,7 +47,7 @@ func (s *SelectiveBackfill) Decide(snap *sim.Snapshot) []int {
 	thr := s.threshold()
 	for _, qi := range s.begin(snap, LXF{}) {
 		w := snap.Queue[qi]
-		est := estimateOf(w)
+		est := w.PlanEstimate()
 		xf := job.BoundedSlowdownAt(w.Job.Submit, est, snap.Now)
 		switch {
 		case s.prof.FitsAt(snap.Now, w.Job.Nodes, est):
@@ -93,7 +93,7 @@ func (r *RelaxedBackfill) Decide(snap *sim.Snapshot) []int {
 	var headLimit job.Time
 	for oi, qi := range order {
 		w := snap.Queue[qi]
-		est := estimateOf(w)
+		est := w.PlanEstimate()
 		if r.prof.FitsAt(snap.Now, w.Job.Nodes, est) {
 			r.prof.Place(snap.Now, w.Job.Nodes, est)
 			r.starts = append(r.starts, qi)
@@ -107,13 +107,13 @@ func (r *RelaxedBackfill) Decide(snap *sim.Snapshot) []int {
 		return r.starts
 	}
 	head := snap.Queue[order[headIdx]]
-	headEst := estimateOf(head)
+	headEst := head.PlanEstimate()
 
 	// Try to start each remaining job now, accepting the move only if
 	// the head job's earliest fit stays within its relaxed limit.
 	for _, qi := range order[headIdx+1:] {
 		w := snap.Queue[qi]
-		est := estimateOf(w)
+		est := w.PlanEstimate()
 		if !r.prof.FitsAt(snap.Now, w.Job.Nodes, est) {
 			continue
 		}
@@ -168,7 +168,7 @@ func (s *SlackBackfill) Decide(snap *sim.Snapshot) []int {
 	infos := make([]pinfo, 0, len(order))
 	for _, qi := range order {
 		w := snap.Queue[qi]
-		est := estimateOf(w)
+		est := w.PlanEstimate()
 		fit := s.prof.EarliestFit(snap.Now, w.Job.Nodes, est)
 		infos = append(infos, pinfo{qi: qi, est: est, fit: fit})
 		slack := job.Duration(s.SlackFactor * float64(est))

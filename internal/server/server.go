@@ -258,7 +258,11 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.bindSubmitTrace(&st, id, 0)
-	js, _, _ := s.e.Job(id) // admitted: a failed read-back leaves the body's fields zero
+	js, ok, err := s.e.Job(id)
+	if err != nil || !ok { // admitted, but a -join front lost the read-back: answer as submitted
+		spec.ID, spec.Submit = id, s.e.Now()
+		js = engine.JobStatus{Job: spec}
+	}
 	s.writeJob(w, http.StatusCreated, js)
 }
 

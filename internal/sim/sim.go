@@ -33,7 +33,7 @@ type WaitingJob struct {
 
 // PlanEstimate is the duration a plan reserves for the job: Estimate,
 // floored at one second (the profile cannot hold an empty reservation).
-func (w WaitingJob) PlanEstimate() job.Duration {
+func (w *WaitingJob) PlanEstimate() job.Duration {
 	if w.Estimate < 1 {
 		return 1
 	}
