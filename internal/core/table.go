@@ -1,6 +1,10 @@
 package core
 
-import "schedsearch/internal/job"
+import (
+	"slices"
+
+	"schedsearch/internal/job"
+)
 
 // Per-decision transposition table.
 //
@@ -106,7 +110,9 @@ func (tb *table) reset(on bool, n int, limit int64) {
 	}
 	tb.index = Resize(tb.index, slots)
 	clear(tb.index)
-	tb.entries = append(tb.entries[:0], tableEntry{})
+	// An insert keeps the arena within half the index, plus the root, so
+	// it is reserved here once and never regrown during the search.
+	tb.entries = append(slices.Grow(tb.entries[:0], len(tb.index)/2+1), tableEntry{})
 	tb.cur, tb.hash = 0, 0
 }
 

@@ -398,3 +398,29 @@ func FuzzSearchTable(f *testing.F) {
 		compareTableWithWalk(t, c, snaps, nil)
 	})
 }
+
+// TestTableArenaReservedOnce: reset reserves the arena the decision can
+// fill, so a fresh scheduler's first deep decision never regrows it:
+// every lookup of the search finds the arena where the first one did.
+func TestTableArenaReservedOnce(t *testing.T) {
+	snap := deepSnapshot(rand.New(rand.NewSource(64)), 128, 100, 64)
+	sch := New(DDS, HeuristicLXF, DynamicBound(), 20000)
+	tb := &sch.s.tab
+	var arena *tableEntry
+	lookups, moves := 0, 0
+	tb.pairHash = func(oi int, start job.Time) uint64 {
+		if lookups++; arena != &tb.entries[0] {
+			moves++
+			arena = &tb.entries[0]
+		}
+		return mixPair(oi, start)
+	}
+	sch.Decide(snap)
+	if lookups < 1000 || len(tb.entries) < 1000 {
+		t.Fatalf("%d lookups filled %d entries; the decision did not exercise the arena", lookups, len(tb.entries))
+	}
+	if moves != 1 {
+		t.Errorf("the arena moved %d times during one decision's %d lookups (%d entries); reset should reserve it once",
+			moves-1, lookups, len(tb.entries))
+	}
+}

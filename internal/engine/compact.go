@@ -36,10 +36,11 @@ type Base struct {
 	// cleared, sorted by ID, so a restarted shard still answers a
 	// retried withdraw with the job (Engine.Withdrawn).
 	Withdrawn []job.Job `json:"withdrawn,omitempty"`
-	// QlenInt and QlenLast carry the queue-length integral for metrics
-	// continuity.
-	QlenInt  float64  `json:"qlen_int"`
-	QlenLast job.Time `json:"qlen_last"`
+	// QlenInt and QlenLast carry the queue-length integral, and
+	// Decisions the count of decisions, for metrics continuity.
+	QlenInt   float64  `json:"qlen_int"`
+	QlenLast  job.Time `json:"qlen_last"`
+	Decisions int64    `json:"decisions,omitempty"`
 }
 
 // BaseRecord is one completed job in a Base.
@@ -97,10 +98,11 @@ func (e *Engine) compactLocked() error {
 // restore reproduces the exact layout policies observe.
 func (e *Engine) captureBaseLocked() Base {
 	b := Base{
-		At:       e.clock.Now(),
-		NextID:   e.nextID,
-		QlenInt:  e.q.Area,
-		QlenLast: e.q.Last,
+		At:        e.clock.Now(),
+		NextID:    e.nextID,
+		QlenInt:   e.q.Area,
+		QlenLast:  e.q.Last,
+		Decisions: e.decisions,
 	}
 	for _, r := range e.records {
 		b.Done = append(b.Done, BaseRecord{Job: r.Job, Start: r.Start, End: r.End, NodeIDs: r.NodeIDs})
@@ -177,5 +179,6 @@ func (e *Engine) restoreBaseLocked(b Base) error {
 		e.withdrawn[j.ID] = j
 	}
 	e.q.Area, e.q.Last = b.QlenInt, b.QlenLast
+	e.decisions, e.replayed = b.Decisions, b.Decisions
 	return nil
 }

@@ -247,3 +247,48 @@ func TestCompactionDoesNotDisturbLiveEngine(t *testing.T) {
 	}
 	diffRecords(t, e.Records(), re.Records())
 }
+
+// TestRebuildCountsEveryDecision: a rebuilt engine's decision count is
+// the journal's, one per EvDecide, from a full journal and from a
+// compacted one, and an engine that crashes mid-month and is rebuilt
+// ends with the uninterrupted engine's count. Only the latency restarts.
+func TestRebuildCountsEveryDecision(t *testing.T) {
+	suite := workload.NewSuite(workload.Config{Seed: 3, JobScale: 0.05})
+	in, _, err := suite.Input("7/03", workload.SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newPol := func() sim.Policy { return policy.FCFSBackfill() }
+	e := replayInput(t, in, newPol())
+	want := e.Metrics().Engine.Decisions
+	cp := e.Checkpoint()
+	journaled := int64(0)
+	for _, ev := range cp.Events {
+		if ev.Kind == EvDecide {
+			journaled++
+		}
+	}
+	if want < 100 || journaled != want {
+		t.Fatalf("a month's replay made %d decisions and journaled %d, want the same, at least 100", want, journaled)
+	}
+	if err := e.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	for name, cp := range map[string]Checkpoint{"full journal": cp, "compacted": e.Checkpoint()} {
+		re, err := Rebuild(Config{Capacity: in.Capacity, Policy: newPol(), Clock: NewVirtualClock()}, cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := re.Metrics().Engine; c.Decisions != want || c.AvgDecideMs != 0 || c.MaxDecideMs != 0 {
+			t.Errorf("%s: rebuilt engine counts %d decisions at %v ms mean, %v ms max; want %d at 0 ms",
+				name, c.Decisions, c.AvgDecideMs, c.MaxDecideMs, want)
+		}
+	}
+	tCrash := in.Jobs[len(in.Jobs)/2].Submit + 1
+	for _, mode := range []string{"none", "auto"} {
+		if got := crashReplay(t, in, newPol, nil, tCrash, mode).Metrics().Engine.Decisions; got != want {
+			t.Errorf("crash at t=%d, %s compaction: the surviving engine counts %d decisions, the uninterrupted %d",
+				tCrash, mode, got, want)
+		}
+	}
+}

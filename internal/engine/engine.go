@@ -178,8 +178,11 @@ type Engine struct {
 	done     chan struct{}
 	fatal    error
 
-	// Counters exposed via Metrics.
+	// Counters exposed via Metrics. decisions counts every decision of
+	// the committed history; replayed counts those a rebuild replayed or
+	// restored rather than made. The latencies are this incarnation's.
 	decisions    int64
+	replayed     int64
 	policyPanics int64
 	decideDur    time.Duration
 	decideMax    time.Duration

@@ -32,7 +32,8 @@ type Counters struct {
 	// (zero, and absent, for policies that search without it).
 	SearchTableNodes int64 `json:"search_table_nodes,omitempty"`
 	// AvgDecideMs and MaxDecideMs are wall-clock decision latencies in
-	// milliseconds (always wall time, even on a virtual clock).
+	// milliseconds (always wall time, even on a virtual clock), over the
+	// decisions this incarnation of the engine made.
 	AvgDecideMs float64 `json:"avg_decide_ms"`
 	MaxDecideMs float64 `json:"max_decide_ms"`
 	// SearchNodesToBest sums the node count at each decision's last
@@ -124,8 +125,8 @@ func (e *Engine) Metrics() Metrics {
 
 func (e *Engine) countersLocked() Counters {
 	c := Counters{Decisions: e.decisions, PolicyPanics: e.policyPanics}
-	if e.decisions > 0 {
-		c.AvgDecideMs = float64(e.decideDur.Microseconds()) / 1000 / float64(e.decisions)
+	if live := e.decisions - e.replayed; live > 0 {
+		c.AvgDecideMs = float64(e.decideDur.Microseconds()) / 1000 / float64(live)
 	}
 	c.MaxDecideMs = float64(e.decideMax.Microseconds()) / 1000
 	c.JournalTail = int64(e.journal.n)

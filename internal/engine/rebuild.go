@@ -170,9 +170,10 @@ func (e *Engine) Checkpoint() Checkpoint {
 // same capacity and clock. Policy and Estimator instances are fresh by
 // construction (the crash lost them); estimator state is reconstructed
 // by replaying completions in order. Attach a fresh Observer — it
-// re-observes the replayed history before live events. The effort
-// counters (decisions, latency) restart at the rebuild point; the
-// committed schedule and the queue-length integral do not.
+// re-observes the replayed history before live events. The decision
+// count covers every replayed EvDecide (and a base's count), as the
+// committed schedule and the queue-length integral cover their history;
+// only the decision latencies restart at the rebuild point.
 //
 // A compacted checkpoint (cp.Base != nil) restores the base state
 // directly — running jobs land on their exact recorded nodes, so the
@@ -286,6 +287,8 @@ func (e *Engine) replayEvent(i int, ev Event, choose func(*sim.Snapshot) []int) 
 		if _, err := e.decide(&ev, choose); err != nil {
 			return fmt.Errorf("engine: rebuild: event %d: %w", i, err)
 		}
+		e.decisions++
+		e.replayed++
 	case EvFinish:
 		f, ok := e.l.PopDue(ev.At)
 		if !ok {

@@ -6,7 +6,6 @@
 package policy
 
 import (
-	"cmp"
 	"slices"
 
 	"schedsearch/internal/cluster"
@@ -19,15 +18,16 @@ import (
 type Priority interface {
 	// Name is the short priority tag used in policy names ("FCFS").
 	Name() string
-	// Score returns the job's priority at time now.
-	Score(w sim.WaitingJob, now job.Time) float64
+	// Score returns the job's priority at time now. It reads the job
+	// through the pointer, so scoring a deep queue copies no job.
+	Score(w *sim.WaitingJob, now job.Time) float64
 }
 
 // FCFS prioritizes by arrival order (earlier submit = higher priority).
 type FCFS struct{}
 
 func (FCFS) Name() string { return "FCFS" }
-func (FCFS) Score(w sim.WaitingJob, _ job.Time) float64 {
+func (FCFS) Score(w *sim.WaitingJob, _ job.Time) float64 {
 	return -float64(w.Job.Submit)
 }
 
@@ -35,7 +35,7 @@ func (FCFS) Score(w sim.WaitingJob, _ job.Time) float64 {
 type SJF struct{}
 
 func (SJF) Name() string { return "SJF" }
-func (SJF) Score(w sim.WaitingJob, _ job.Time) float64 {
+func (SJF) Score(w *sim.WaitingJob, _ job.Time) float64 {
 	return -float64(w.Estimate)
 }
 
@@ -44,7 +44,7 @@ func (SJF) Score(w sim.WaitingJob, _ job.Time) float64 {
 type LXF struct{}
 
 func (LXF) Name() string { return "LXF" }
-func (LXF) Score(w sim.WaitingJob, now job.Time) float64 {
+func (LXF) Score(w *sim.WaitingJob, now job.Time) float64 {
 	return job.BoundedSlowdownAt(w.Job.Submit, w.Estimate, now)
 }
 
@@ -60,7 +60,7 @@ type LXFW struct {
 func NewLXFW() LXFW { return LXFW{WaitWeight: 0.02} }
 
 func (LXFW) Name() string { return "LXF&W" }
-func (p LXFW) Score(w sim.WaitingJob, now job.Time) float64 {
+func (p LXFW) Score(w *sim.WaitingJob, now job.Time) float64 {
 	waitHours := float64(now-w.Job.Submit) / float64(job.Hour)
 	return job.BoundedSlowdownAt(w.Job.Submit, w.Estimate, now) + p.WaitWeight*waitHours
 }
@@ -113,22 +113,31 @@ func (b *Backfill) WithName(name string) *Backfill {
 
 // Decide implements sim.Policy. While reservations remain, one
 // PlaceEarliest answers both "now?" and "where to reserve"; once they
-// are spent, FitsAt is the only test.
+// are spent, FitsAt is the only test, and only for a job no wider than
+// the nodes still free now. A full machine ends the pass: no later job
+// can start, and a reservation matters only to later starts.
 func (b *Backfill) Decide(snap *sim.Snapshot) []int {
 	reserved := 0
-	for _, qi := range b.begin(snap, b.Priority) {
+	order, free := b.begin(snap, b.Priority)
+	for _, r := range order {
+		qi := r.qi
 		w := &snap.Queue[qi]
 		n, est := w.Job.Nodes, w.PlanEstimate()
 		switch {
 		case reserved < b.Reservations:
 			if t, _ := b.prof.PlaceEarliest(snap.Now, n, est); t == snap.Now {
 				b.starts = append(b.starts, qi)
+				free -= n
 			} else {
 				reserved++
 			}
-		case b.prof.FitsAt(snap.Now, n, est):
+		case n <= free && b.prof.FitsAt(snap.Now, n, est):
 			b.prof.Place(snap.Now, n, est)
 			b.starts = append(b.starts, qi)
+			free -= n
+		}
+		if free == 0 {
+			break
 		}
 	}
 	return b.starts
@@ -140,43 +149,71 @@ func (b *Backfill) Decide(snap *sim.Snapshot) []int {
 type scratch struct {
 	prof   cluster.Profile
 	ranked []ranked
-	order  []int
 	starts []int
 }
 
-// ranked is one queued job's sort key.
+// ranked is one queued job's sort key; qi is its queue position.
 type ranked struct {
 	score  float64
 	submit job.Time
 	id, qi int
 }
 
-// begin fills the profile, empties the starts and returns the order.
-func (s *scratch) begin(snap *sim.Snapshot, p Priority) []int {
+// begin fills the profile, empties the starts and returns the priority
+// order with the nodes free now. A pass that looks for starts subtracts
+// each start from free and stops at 0. With nothing free, no job can
+// start, so the order is left empty and the queue is not scored.
+func (s *scratch) begin(snap *sim.Snapshot, p Priority) (order []ranked, free int) {
 	snap.FillProfile(&s.prof)
 	s.starts = s.starts[:0]
-	return s.priorityOrder(snap, p)
+	if free = s.prof.FreeAt(snap.Now); free == 0 {
+		return nil, 0
+	}
+	return s.priorityOrder(snap, p), free
 }
 
-// priorityOrder returns queue indices sorted by descending priority, ties
-// broken by submit time, then job ID, then queue position: no two keys
-// tie, so the sort needs no stability to give the stable order.
-func (s *scratch) priorityOrder(snap *sim.Snapshot, p Priority) []int {
+// priorityOrder returns the queue's keys sorted by descending priority,
+// ties broken by submit time, then job ID, then queue position: no two
+// keys tie, so the sort needs no stability to give the stable order. The
+// keys are checked as they are scored, and a queue already in that order
+// (FCFS over the ledger's arrival order) is not sorted at all.
+func (s *scratch) priorityOrder(snap *sim.Snapshot, p Priority) []ranked {
 	s.ranked = s.ranked[:0]
-	for i, w := range snap.Queue {
-		s.ranked = append(s.ranked, ranked{p.Score(w, snap.Now), w.Job.Submit, w.Job.ID, i})
+	sorted := true
+	for i := range snap.Queue {
+		w := &snap.Queue[i]
+		r := ranked{p.Score(w, snap.Now), w.Job.Submit, w.Job.ID, i}
+		sorted = sorted && (i == 0 || byPriority(s.ranked[i-1], r) < 0)
+		s.ranked = append(s.ranked, r)
 	}
-	slices.SortFunc(s.ranked, func(a, c ranked) int {
-		if a.score != c.score {
-			return cmp.Compare(c.score, a.score) // descending
-		}
-		return cmp.Or(cmp.Compare(a.submit, c.submit), cmp.Compare(a.id, c.id), cmp.Compare(a.qi, c.qi))
-	})
-	s.order = s.order[:0]
-	for _, r := range s.ranked {
-		s.order = append(s.order, r.qi)
+	if !sorted {
+		slices.SortFunc(s.ranked, byPriority)
 	}
-	return s.order
+	return s.ranked
+}
+
+// byPriority compares two keys in priorityOrder's order. Scores are never
+// NaN, so plain comparisons order them, and the function is small enough
+// to inline into the check that the keys are already in order.
+func byPriority(a, c ranked) int {
+	switch {
+	case a.score != c.score:
+		return later(a.score < c.score)
+	case a.submit != c.submit:
+		return later(a.submit > c.submit)
+	case a.id != c.id:
+		return later(a.id > c.id)
+	}
+	return a.qi - c.qi
+}
+
+// later is a comparison's result for keys that differ: 1 if the first
+// goes after the second, -1 if before.
+func later(after bool) int {
+	if after {
+		return 1
+	}
+	return -1
 }
 
 // BuildProfile constructs the availability profile implied by the

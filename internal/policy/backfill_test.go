@@ -15,6 +15,15 @@ func wjob(id int, submit job.Time, nodes int, est job.Duration) sim.WaitingJob {
 	}
 }
 
+// orderOf returns the queue positions in p's priority order.
+func orderOf(snap *sim.Snapshot, p Priority) []int {
+	var order []int
+	for _, r := range new(scratch).priorityOrder(snap, p) {
+		order = append(order, r.qi)
+	}
+	return order
+}
+
 func snapOf(now job.Time, capacity int, running []sim.RunningJob, queue []sim.WaitingJob) *sim.Snapshot {
 	free := capacity
 	for _, r := range running {
@@ -95,12 +104,12 @@ func TestLXFPriorityOrdersBySlowdown(t *testing.T) {
 		wjob(2, 0, 1, 100),   // slowdown (1000+100)/100 = 11
 	}
 	snap := snapOf(now, 4, nil, queue)
-	order := new(scratch).priorityOrder(snap, LXF{})
+	order := orderOf(snap, LXF{})
 	if order[0] != 1 {
 		t.Errorf("LXF order = %v, want job 2 (queue index 1) first", order)
 	}
 	// FCFS prefers earlier submit with ID tiebreak.
-	order = new(scratch).priorityOrder(snap, FCFS{})
+	order = orderOf(snap, FCFS{})
 	if order[0] != 0 {
 		t.Errorf("FCFS order = %v, want queue index 0 first", order)
 	}
@@ -111,7 +120,7 @@ func TestSJFPriority(t *testing.T) {
 		wjob(1, 0, 1, 5000),
 		wjob(2, 10, 1, 50),
 	}
-	order := new(scratch).priorityOrder(snapOf(100, 4, nil, queue), SJF{})
+	order := orderOf(snapOf(100, 4, nil, queue), SJF{})
 	if order[0] != 1 {
 		t.Errorf("SJF order = %v, want the short job first", order)
 	}
@@ -123,7 +132,7 @@ func TestLXFWAddsWaitWeight(t *testing.T) {
 		wjob(1, 0, 1, 10000),      // long wait
 		wjob(2, 999*3600, 1, 100), // tiny wait, bigger slowdown
 	}
-	order := new(scratch).priorityOrder(snapOf(1000*3600, 4, nil, queue), p)
+	order := orderOf(snapOf(1000*3600, 4, nil, queue), p)
 	if order[0] != 0 {
 		t.Errorf("LXF&W with huge wait weight should prefer the old job: %v", order)
 	}
@@ -135,7 +144,7 @@ func TestPriorityOrderDeterministicTiebreak(t *testing.T) {
 		wjob(2, 100, 1, 100),
 		wjob(9, 100, 1, 100),
 	}
-	order := new(scratch).priorityOrder(snapOf(200, 4, nil, queue), FCFS{})
+	order := orderOf(snapOf(200, 4, nil, queue), FCFS{})
 	// Equal submit and score: lower job ID first.
 	wantIDs := []int{2, 5, 9}
 	for i, qi := range order {

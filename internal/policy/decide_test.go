@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -24,7 +25,7 @@ func refPriorityOrder(snap *sim.Snapshot, p Priority) []int {
 	}
 	ss := make([]scored, len(snap.Queue))
 	for i, w := range snap.Queue {
-		ss[i] = scored{qi: i, score: p.Score(w, snap.Now)}
+		ss[i] = scored{qi: i, score: p.Score(&w, snap.Now)}
 	}
 	sort.SliceStable(ss, func(a, c int) bool {
 		if ss[a].score != ss[c].score {
@@ -301,10 +302,23 @@ func randomSnapshot(rng *rand.Rand, capacity, busy, depth int) *sim.Snapshot {
 	return snapOf(now, capacity, running, queue)
 }
 
+// arrivalOrdered puts the snapshot's queue in the ledger's order: by
+// submit time, with IDs numbered in that order, so FCFS finds the queue
+// already in priority order.
+func arrivalOrdered(snap *sim.Snapshot) *sim.Snapshot {
+	slices.SortStableFunc(snap.Queue, func(a, c sim.WaitingJob) int { return cmp.Compare(a.Job.Submit, c.Job.Submit) })
+	for i := range snap.Queue {
+		snap.Queue[i].Job.ID, snap.Queue[i].QueuePos = i+1, i
+	}
+	return snap
+}
+
 // differentialSnapshots is the sequence every policy decides in turn:
 // small random machines, the empty queue, and the deep queues of a
 // 128-node machine with 100 nodes busy, so one instance's kept scratch
-// shrinks and grows between decisions.
+// shrinks and grows between decisions; then queues in arrival order,
+// full machines, and machines with a few nodes free that the first
+// starts fill, in random and in arrival order.
 func differentialSnapshots() []*sim.Snapshot {
 	rng := rand.New(rand.NewSource(47))
 	var snaps []*sim.Snapshot
@@ -315,14 +329,45 @@ func differentialSnapshots() []*sim.Snapshot {
 	for _, depth := range []int{1024, 64, 4096, 0, 1024} {
 		snaps = append(snaps, randomSnapshot(rng, 128, 100, depth))
 	}
-	return append(snaps, randomSnapshot(rng, 128, 0, 300))
+	snaps = append(snaps, randomSnapshot(rng, 128, 0, 300))
+	for trial := 0; trial < 120; trial++ {
+		capacity := 4 + rng.Intn(60)
+		busy := rng.Intn(capacity + 1)
+		switch trial % 3 {
+		case 1:
+			busy = capacity
+		case 2:
+			busy = max(0, capacity-1-rng.Intn(4))
+		}
+		snap := randomSnapshot(rng, capacity, busy, rng.Intn(48))
+		if trial%2 == 0 {
+			snap = arrivalOrdered(snap)
+		}
+		snaps = append(snaps, snap)
+	}
+	for _, busy := range []int{100, 128, 124} {
+		snaps = append(snaps, arrivalOrdered(randomSnapshot(rng, 128, busy, 1024)), randomSnapshot(rng, 128, busy, 1024))
+	}
+	return snaps
+}
+
+// filled reports whether starts leave no node free now while jobs are
+// still queued: the decision stopped, or could have, at a full machine.
+func filled(snap *sim.Snapshot, starts []int) bool {
+	free := snap.FreeNodes
+	for _, qi := range starts {
+		free -= snap.Queue[qi].Job.Nodes
+	}
+	return free == 0 && len(starts) < len(snap.Queue)
 }
 
 // TestBackfillFamilyMatchesReference holds every backfill-family policy
 // to the reference, decision for decision, over one sequence of
 // snapshots: the same starts in the same order, and the same state
 // carried to the next decision (Selective's started expansion factors,
-// Slack's promises).
+// Slack's promises). Each policy must meet machines that are full, or
+// that its own starts fill, and queues already in arrival order, so the
+// early stop and the skipped sort are both held to the reference.
 func TestBackfillFamilyMatchesReference(t *testing.T) {
 	mq, mqRef := NewMultiQueue(), NewMultiQueue()
 	sel, selRef := NewSelectiveBackfill(), NewSelectiveBackfill()
@@ -352,7 +397,7 @@ func TestBackfillFamilyMatchesReference(t *testing.T) {
 	}
 	snaps := differentialSnapshots()
 	for _, p := range pairs {
-		started := 0
+		started, full, fills := 0, 0, 0
 		for i, snap := range snaps {
 			want := p.ref(snap)
 			got := p.pol.Decide(snap)
@@ -361,9 +406,16 @@ func TestBackfillFamilyMatchesReference(t *testing.T) {
 					p.pol.Name(), i, len(snap.Queue), got, want)
 			}
 			started += len(got)
+			switch {
+			case snap.FreeNodes == 0 && len(snap.Queue) > 0:
+				full++
+			case len(got) > 0 && filled(snap, got):
+				fills++
+			}
 		}
-		if started == 0 {
-			t.Errorf("%s started nothing over %d snapshots: the comparison is empty", p.pol.Name(), len(snaps))
+		if started == 0 || full == 0 || fills == 0 {
+			t.Errorf("%s over %d snapshots: %d starts, %d full machines, %d filled by its starts; each must be positive",
+				p.pol.Name(), len(snaps), started, full, fills)
 		}
 	}
 	if sel.startedXF != selRef.startedXF || sel.startedCnt != selRef.startedCnt {
@@ -391,17 +443,30 @@ func TestBackfillDecideAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkBackfillDecide times one FCFS-backfill decision on a
-// 128-node machine with 100 nodes busy, at several queue depths.
+// BenchmarkBackfillDecide times one steady FCFS-backfill decision on a
+// 128-node machine with 100 nodes busy, at several queue depths, with
+// the queue in random order (the sort runs) and in arrival order, the
+// ledger's (FCFS finds it sorted). It fails if a steady decision
+// allocates.
 func BenchmarkBackfillDecide(b *testing.B) {
-	for _, depth := range []int{64, 1024, 4096, 16384} {
-		snap := randomSnapshot(rand.New(rand.NewSource(int64(depth))), 128, 100, depth)
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			pol := FCFSBackfill()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				pol.Decide(snap)
+	for _, order := range []string{"random", "arrival"} {
+		for _, depth := range []int{64, 1024, 4096, 16384} {
+			snap := randomSnapshot(rand.New(rand.NewSource(int64(depth))), 128, 100, depth)
+			if order == "arrival" {
+				snap = arrivalOrdered(snap)
 			}
-		})
+			b.Run(fmt.Sprintf("order=%s/depth=%d", order, depth), func(b *testing.B) {
+				pol := FCFSBackfill()
+				pol.Decide(snap) // size the scratch
+				if avg := testing.AllocsPerRun(1, func() { pol.Decide(snap) }); avg > 0 {
+					b.Errorf("Decide allocates %.1f times per decision in steady state", avg)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					pol.Decide(snap)
+				}
+			})
+		}
 	}
 }

@@ -25,22 +25,23 @@ func NewLookahead() *Lookahead { return &Lookahead{Priority: FCFS{}} }
 // Name implements sim.Policy.
 func (l *Lookahead) Name() string { return "Lookahead" }
 
-// Decide implements sim.Policy.
+// Decide implements sim.Policy. Each pass stops at a full machine.
 func (l *Lookahead) Decide(snap *sim.Snapshot) []int {
-	order := l.begin(snap, l.Priority)
+	order, free := l.begin(snap, l.Priority)
 
 	// Start priority jobs greedily until the first job that cannot
 	// start now; reserve for it.
 	rest := order
-	for len(rest) > 0 {
-		w := snap.Queue[rest[0]]
+	for len(rest) > 0 && free > 0 {
+		w := &snap.Queue[rest[0].qi]
 		if t, _ := l.prof.PlaceEarliest(snap.Now, w.Job.Nodes, w.PlanEstimate()); t != snap.Now {
 			break // the reservation for the head job is placed
 		}
-		l.starts = append(l.starts, rest[0])
+		l.starts = append(l.starts, rest[0].qi)
+		free -= w.Job.Nodes
 		rest = rest[1:]
 	}
-	if len(rest) == 0 {
+	if len(rest) == 0 || free == 0 {
 		return l.starts
 	}
 	rest = rest[1:] // skip the reserved head job
@@ -54,12 +55,11 @@ func (l *Lookahead) Decide(snap *sim.Snapshot) []int {
 		est   job.Duration
 	}
 	var cands []cand
-	free := l.prof.FreeAt(snap.Now)
-	for _, qi := range rest {
-		w := snap.Queue[qi]
+	for _, r := range rest {
+		w := &snap.Queue[r.qi]
 		est := w.PlanEstimate()
-		if l.prof.FitsAt(snap.Now, w.Job.Nodes, est) {
-			cands = append(cands, cand{qi: qi, nodes: w.Job.Nodes, est: est})
+		if w.Job.Nodes <= free && l.prof.FitsAt(snap.Now, w.Job.Nodes, est) {
+			cands = append(cands, cand{qi: r.qi, nodes: w.Job.Nodes, est: est})
 		}
 	}
 	if len(cands) == 0 {

@@ -53,7 +53,7 @@ func NewMultiQueue() *MultiQueue {
 func (m *MultiQueue) Name() string { return "MultiQueue-backfill" }
 
 // classOf routes a job to the first matching class index.
-func (m *MultiQueue) classOf(w sim.WaitingJob) int {
+func (m *MultiQueue) classOf(w *sim.WaitingJob) int {
 	for i, c := range m.Classes {
 		if c.MaxRuntime > 0 && w.Estimate > c.MaxRuntime {
 			continue
@@ -72,7 +72,7 @@ type queuePriority struct{ m *MultiQueue }
 
 func (q queuePriority) Name() string { return "MultiQueue" }
 
-func (q queuePriority) Score(w sim.WaitingJob, _ job.Time) float64 {
+func (q queuePriority) Score(w *sim.WaitingJob, _ job.Time) float64 {
 	ci := q.m.classOf(w)
 	// Class priority dominates; earlier submits win within a class.
 	// Submit times fit comfortably in float64's integer range.

@@ -39,25 +39,33 @@ func (s *SelectiveBackfill) threshold() float64 {
 	return avg
 }
 
-// Decide implements sim.Policy.
+// Decide implements sim.Policy. The pass stops at a full machine: the
+// started expansion factors change only at a start, and a reservation
+// matters only to later starts.
 func (s *SelectiveBackfill) Decide(snap *sim.Snapshot) []int {
 	// Jobs whose expansion factor exceeds the threshold get
 	// reservations, most-expanded first; the rest backfill in LXF
 	// order.
 	thr := s.threshold()
-	for _, qi := range s.begin(snap, LXF{}) {
-		w := snap.Queue[qi]
-		est := w.PlanEstimate()
+	order, free := s.begin(snap, LXF{})
+	for _, r := range order {
+		qi := r.qi
+		w := &snap.Queue[qi]
+		n, est := w.Job.Nodes, w.PlanEstimate()
 		xf := job.BoundedSlowdownAt(w.Job.Submit, est, snap.Now)
 		switch {
-		case s.prof.FitsAt(snap.Now, w.Job.Nodes, est):
-			s.prof.Place(snap.Now, w.Job.Nodes, est)
+		case n <= free && s.prof.FitsAt(snap.Now, n, est):
+			s.prof.Place(snap.Now, n, est)
 			s.starts = append(s.starts, qi)
 			s.startedXF += xf
 			s.startedCnt++
+			free -= n
 		case xf >= thr:
 			// Expanded past the threshold: hold a reservation.
-			s.prof.PlaceEarliest(snap.Now, w.Job.Nodes, est)
+			s.prof.PlaceEarliest(snap.Now, n, est)
+		}
+		if free == 0 {
+			break
 		}
 	}
 	return s.starts
@@ -84,19 +92,22 @@ func NewRelaxedBackfill() *RelaxedBackfill {
 // Name implements sim.Policy.
 func (r *RelaxedBackfill) Name() string { return "Relaxed-backfill" }
 
-// Decide implements sim.Policy.
+// Decide implements sim.Policy. Both passes stop at a full machine.
 func (r *RelaxedBackfill) Decide(snap *sim.Snapshot) []int {
-	order := r.begin(snap, r.Priority)
+	order, free := r.begin(snap, r.Priority)
 
 	// The head job is the highest-priority job that cannot start now.
 	headIdx := -1 // index into order
 	var headLimit job.Time
-	for oi, qi := range order {
-		w := snap.Queue[qi]
-		est := w.PlanEstimate()
-		if r.prof.FitsAt(snap.Now, w.Job.Nodes, est) {
-			r.prof.Place(snap.Now, w.Job.Nodes, est)
-			r.starts = append(r.starts, qi)
+	for oi, o := range order {
+		w := &snap.Queue[o.qi]
+		n, est := w.Job.Nodes, w.PlanEstimate()
+		if n <= free && r.prof.FitsAt(snap.Now, n, est) {
+			r.prof.Place(snap.Now, n, est)
+			r.starts = append(r.starts, o.qi)
+			if free -= n; free == 0 {
+				return r.starts
+			}
 			continue
 		}
 		headIdx = oi
@@ -106,23 +117,26 @@ func (r *RelaxedBackfill) Decide(snap *sim.Snapshot) []int {
 	if headIdx < 0 {
 		return r.starts
 	}
-	head := snap.Queue[order[headIdx]]
+	head := &snap.Queue[order[headIdx].qi]
 	headEst := head.PlanEstimate()
 
 	// Try to start each remaining job now, accepting the move only if
 	// the head job's earliest fit stays within its relaxed limit.
-	for _, qi := range order[headIdx+1:] {
-		w := snap.Queue[qi]
-		est := w.PlanEstimate()
-		if !r.prof.FitsAt(snap.Now, w.Job.Nodes, est) {
+	for _, o := range order[headIdx+1:] {
+		w := &snap.Queue[o.qi]
+		n, est := w.Job.Nodes, w.PlanEstimate()
+		if n > free || !r.prof.FitsAt(snap.Now, n, est) {
 			continue
 		}
-		pl := r.prof.Place(snap.Now, w.Job.Nodes, est)
+		pl := r.prof.Place(snap.Now, n, est)
 		if r.prof.EarliestFit(snap.Now, head.Job.Nodes, headEst) > headLimit {
 			r.prof.Undo(pl)
 			continue
 		}
-		r.starts = append(r.starts, qi)
+		r.starts = append(r.starts, o.qi)
+		if free -= n; free == 0 {
+			break
+		}
 	}
 	// Note the head job holds no hard reservation: its protection is
 	// the relaxed limit test above, re-evaluated at every decision.
@@ -154,23 +168,28 @@ func NewSlackBackfill() *SlackBackfill {
 // Name implements sim.Policy.
 func (s *SlackBackfill) Name() string { return "Slack-backfill" }
 
-// Decide implements sim.Policy.
+// Decide implements sim.Policy. The promises are kept for every queued
+// job, so their pass runs whole; the pass that starts jobs stops at a
+// full machine.
 func (s *SlackBackfill) Decide(snap *sim.Snapshot) []int {
 	if s.promises == nil {
 		s.promises = make(map[int]job.Time)
 	}
-	order := s.begin(snap, s.Priority)
+	order, free := s.begin(snap, s.Priority)
+	if free == 0 {
+		order = s.priorityOrder(snap, s.Priority) // the promises need it
+	}
 
 	// Issue promises to newly seen jobs and renew promises that have
 	// become unmeetable through load the policy did not control (e.g.
 	// runtime-estimate shortfalls): a stale promise must not veto all
 	// future backfilling.
 	infos := make([]pinfo, 0, len(order))
-	for _, qi := range order {
-		w := snap.Queue[qi]
+	for _, r := range order {
+		w := &snap.Queue[r.qi]
 		est := w.PlanEstimate()
 		fit := s.prof.EarliestFit(snap.Now, w.Job.Nodes, est)
-		infos = append(infos, pinfo{qi: qi, est: est, fit: fit})
+		infos = append(infos, pinfo{qi: r.qi, est: est, fit: fit})
 		slack := job.Duration(s.SlackFactor * float64(est))
 		if slack < s.MinSlack {
 			slack = s.MinSlack
@@ -185,20 +204,23 @@ func (s *SlackBackfill) Decide(snap *sim.Snapshot) []int {
 	// job from meeting its promise to missing it.
 	var held []pinfo
 	for _, in := range infos {
-		w := snap.Queue[in.qi]
-		if !s.prof.FitsAt(snap.Now, w.Job.Nodes, in.est) {
+		if free == 0 {
+			break
+		}
+		n := snap.Queue[in.qi].Job.Nodes
+		if n > free || !s.prof.FitsAt(snap.Now, n, in.est) {
 			held = append(held, in) // its fit is taken before each move
 			continue
 		}
 		// Record the held jobs' fits before the tentative placement.
 		for hi := range held {
-			hw := snap.Queue[held[hi].qi]
+			hw := &snap.Queue[held[hi].qi]
 			held[hi].fit = s.prof.EarliestFit(snap.Now, hw.Job.Nodes, held[hi].est)
 		}
-		pl := s.prof.Place(snap.Now, w.Job.Nodes, in.est)
+		pl := s.prof.Place(snap.Now, n, in.est)
 		violated := false
 		for _, h := range held {
-			hw := snap.Queue[h.qi]
+			hw := &snap.Queue[h.qi]
 			after := s.prof.EarliestFit(snap.Now, hw.Job.Nodes, h.est)
 			promise := s.promises[hw.Job.ID]
 			if after > promise && h.fit <= promise {
@@ -212,6 +234,7 @@ func (s *SlackBackfill) Decide(snap *sim.Snapshot) []int {
 			continue
 		}
 		s.starts = append(s.starts, in.qi)
+		free -= n
 	}
 
 	// Garbage-collect promises for jobs no longer queued.

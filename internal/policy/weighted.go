@@ -45,7 +45,7 @@ func (p WeightedPriority) WithName(name string) WeightedPriority {
 }
 
 // Score implements Priority.
-func (p WeightedPriority) Score(w sim.WaitingJob, now job.Time) float64 {
+func (p WeightedPriority) Score(w *sim.WaitingJob, now job.Time) float64 {
 	waitH := float64(now-w.Job.Submit) / float64(job.Hour)
 	if waitH < 0 {
 		waitH = 0

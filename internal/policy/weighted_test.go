@@ -22,7 +22,7 @@ func TestWeightedPriorityComponents(t *testing.T) {
 		{WeightedPriority{WaitWeight: 1, NodesWeight: 0.5}, 6}, // 2 + 4
 	}
 	for _, c := range cases {
-		if got := c.p.Score(w, now); got != c.want {
+		if got := c.p.Score(&w, now); got != c.want {
 			t.Errorf("%s.Score = %v, want %v", c.p.Name(), got, c.want)
 		}
 	}
@@ -43,7 +43,7 @@ func TestWeightedPriorityNames(t *testing.T) {
 func TestWeightedPriorityNegativeWaitClamped(t *testing.T) {
 	p := WeightedPriority{WaitWeight: 1}
 	w := wjob(1, 100, 1, 60)
-	if got := p.Score(w, 50); got != 0 {
+	if got := p.Score(&w, 50); got != 0 {
 		t.Errorf("future-submitted job scored %v, want 0", got)
 	}
 }
@@ -63,7 +63,7 @@ func TestMultiQueueRouting(t *testing.T) {
 	}
 	for _, c := range cases {
 		w := wjob(1, 0, 1, c.est)
-		ci := m.classOf(w)
+		ci := m.classOf(&w)
 		if got := m.Classes[ci].Name; got != c.want {
 			t.Errorf("est %d routed to %q, want %q", c.est, got, c.want)
 		}
@@ -77,7 +77,7 @@ func TestMultiQueuePrefersHighPriorityClass(t *testing.T) {
 		wjob(1, 0, 4, 10*job.Hour),     // long, first
 		wjob(2, 100, 4, 30*job.Minute), // short, later
 	}
-	order := new(scratch).priorityOrder(snapOf(1000, 4, nil, queue), queuePriority{m: m})
+	order := orderOf(snapOf(1000, 4, nil, queue), queuePriority{m: m})
 	if order[0] != 1 {
 		t.Errorf("order = %v, want the short job first", order)
 	}
@@ -137,10 +137,11 @@ func TestMultiQueueMaxNodesRouting(t *testing.T) {
 		{Name: "narrow", MaxNodes: 8, Priority: 2},
 		{Name: "wide", Priority: 1},
 	}, Reservations: 1}
-	if ci := m.classOf(wjob(1, 0, 4, job.Hour)); m.Classes[ci].Name != "narrow" {
+	narrow, wide := wjob(1, 0, 4, job.Hour), wjob(1, 0, 64, job.Hour)
+	if ci := m.classOf(&narrow); m.Classes[ci].Name != "narrow" {
 		t.Errorf("4-node job routed to %q", m.Classes[ci].Name)
 	}
-	if ci := m.classOf(wjob(1, 0, 64, job.Hour)); m.Classes[ci].Name != "wide" {
+	if ci := m.classOf(&wide); m.Classes[ci].Name != "wide" {
 		t.Errorf("64-node job routed to %q", m.Classes[ci].Name)
 	}
 }

@@ -3,6 +3,7 @@
 
     python3 scripts/bench_record.py [CHECKOUT]
     python3 scripts/bench_record.py --check
+    python3 scripts/bench_record.py --diff
 
 The first form runs `bash bench/run.sh -workload W -seed S -trace T` in
 CHECKOUT (default: the repository holding this script) for every workload
@@ -22,6 +23,14 @@ every record's runs cover every workload, seed and trace setting; every
 header is clean and names the record's commit; every run is correct with no
 failed operation; and every untraced run carries all of BENCHMARK.json's
 end-to-end metrics.
+
+The third form runs the benchmark in the repository holding this script at
+`-seconds 2`, seeds 1 and 2, and requires every exact metric to equal the
+last record's: both `*_vs_fcfs` ratios of every workload (untraced runs),
+paper_suite's five search counts and fed_remote's two wire counts and its
+migration count (traced runs). These come off the virtual clock or count
+the search's nodes, so they are the same at every run length and on every
+machine; a change that moves one on purpose appends a new record with it.
 """
 
 import datetime
@@ -36,6 +45,13 @@ TRAJECTORY = os.path.join(ROOT, "BENCH_trajectory.json")
 SEEDS = (1, 2)
 TRACES = (0, 1)
 HEADER = re.compile(r"^bench: commit ([0-9a-f]{40}) dirty=(true|false) ")
+RATIOS = ("bsld_vs_fcfs", "max_wait_vs_fcfs")
+# The exact metrics --diff holds to the last record, by (workload, trace).
+EXACT_TRACED = {
+    "paper_suite": ("sim.decisions", "core.nodes_per_decision", "core.leaves_per_knode",
+                    "core.budget_hit_rate", "core.nodes_to_best_share"),
+    "fed_remote": ("wire.calls_per_job", "wire.load_calls_per_job", "federation.migrations"),
+}
 
 
 def spec(checkout):
@@ -49,8 +65,8 @@ def git(checkout, *args):
                           capture_output=True, text=True).stdout.strip()
 
 
-def run(checkout, workload, seed, trace):
-    cmd = ["bash", "bench/run.sh", "-workload", workload, "-seed", str(seed), "-trace", str(trace)]
+def run(checkout, workload, seed, trace, *extra):
+    cmd = ["bash", "bench/run.sh", "-workload", workload, "-seed", str(seed), "-trace", str(trace), *extra]
     print(f"bench_record: {' '.join(cmd)}", file=sys.stderr, flush=True)
     p = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = p.stdout.strip().splitlines()
@@ -139,10 +155,39 @@ def check():
           f"last {records[-1]['commit'][:12]}")
 
 
+def diff():
+    workloads, _ = spec(ROOT)
+    records = load()
+    if not records:
+        sys.exit(f"bench_record: {TRAJECTORY} holds no record to diff against")
+    last = records[-1]
+    want = {(r["workload"], r["seed"], r["trace"]): r["result"]["metrics"] for r in last["runs"]}
+    exact = [(w, 0, RATIOS) for w in workloads] + [(w, 1, names) for w, names in EXACT_TRACED.items()]
+    problems, checked = [], 0
+    for seed in SEEDS:
+        for w, trace, names in exact:
+            res = run(ROOT, w, seed, trace, "-seconds", "2")["result"]
+            at = f"{w} seed {seed} trace {trace}"
+            if res.get("correct") is not True or res.get("failed") != 0:
+                problems.append(f"{at}: run not correct (correct={res.get('correct')}, failed={res.get('failed')})")
+            for name in names:
+                got = res["metrics"].get(name, {}).get("value")
+                rec = want.get((w, seed, trace), {}).get(name, {}).get("value")
+                checked += 1
+                print(f"bench_record: {at}: {name} {got!r} (record {rec!r})", file=sys.stderr)
+                if got is None or got != rec:
+                    problems.append(f"{at}: {name} is {got!r}, the record of {last['commit'][:12]} has {rec!r}")
+    if problems:
+        sys.exit("bench_record: exact metrics differ from the last record:\n  " + "\n  ".join(problems))
+    print(f"bench_record: {checked} exact metrics equal the record of {last['commit'][:12]}")
+
+
 if __name__ == "__main__":
     args = sys.argv[1:]
     if args == ["--check"]:
         check()
+    elif args == ["--diff"]:
+        diff()
     elif len(args) <= 1 and not (args and args[0].startswith("-")):
         record(args[0] if args else ROOT)
     else:
