@@ -31,10 +31,10 @@ func (e *OrderEvaluator) Reset(snap *sim.Snapshot) {
 
 // Eval places jobs[order[0]], jobs[order[1]], ... each at its earliest
 // fit and returns the plan's summed cost plus, per index into jobs,
-// whether that job starts now. A nil cost is HierarchicalCost. The
+// whether that job starts now, under the paper's objective. The
 // profile is restored before returning, so the last job is only fitted,
 // not placed; the flags slice is reused by the next Eval.
-func (e *OrderEvaluator) Eval(jobs []sim.WaitingJob, order []int, cost CostFn, bound job.Duration) (Cost, []bool) {
+func (e *OrderEvaluator) Eval(jobs []sim.WaitingJob, order []int, bound job.Duration) (Cost, []bool) {
 	e.startNow = Resize(e.startNow, len(jobs))
 	e.prof.Save()
 	var total Cost
@@ -46,7 +46,7 @@ func (e *OrderEvaluator) Eval(jobs []sim.WaitingJob, order []int, cost CostFn, b
 		} else {
 			start, _ = e.prof.PlaceEarliest(e.now, w.Job.Nodes, w.PlanEstimate())
 		}
-		total = total.Add(placementCost(cost, w, start, e.now, bound))
+		total = total.Add(hierarchicalCost(w, start, bound, nil))
 		e.startNow[i] = start == e.now
 	}
 	e.prof.Restore()

@@ -29,7 +29,7 @@ func TestEvaluatorMatchesSearchLeaves(t *testing.T) {
 			s.leafHook = func(path []int, cost Cost) {
 				leaves = append(leaves, leaf{slices.Clone(path), cost, slices.Clone(s.curStartNow)})
 			}
-			s.reset(snap, algo, HeuristicLXF, DynamicBound().At(snap), HierarchicalCost, 1, false)
+			s.reset(snap, algo, HeuristicLXF, DynamicBound().At(snap), nil, 1, false)
 			s.limit = satCap
 			switch algo {
 			case LDS:
@@ -45,7 +45,7 @@ func TestEvaluatorMatchesSearchLeaves(t *testing.T) {
 			var ev OrderEvaluator
 			ev.Reset(snap)
 			for _, lf := range leaves {
-				cost, startNow := ev.Eval(s.ordered, lf.path, s.cost, s.bound)
+				cost, startNow := ev.Eval(s.ordered, lf.path, s.bound)
 				if cost != lf.cost || !slices.Equal(startNow, lf.startNow) {
 					t.Fatalf("trial %d %s path %v: evaluator (%v, %v), search leaf (%v, %v)",
 						trial, algo, lf.path, cost, startNow, lf.cost, lf.startNow)
@@ -79,7 +79,7 @@ func TestPlanScorerIsStartedThenArrivalOrder(t *testing.T) {
 		}
 		var ev OrderEvaluator
 		ev.Reset(snap)
-		want, startNow := ev.Eval(snap.Queue, order, HierarchicalCost, DynamicBound().At(snap))
+		want, startNow := ev.Eval(snap.Queue, order, DynamicBound().At(snap))
 		if got := ps.Score(snap, starts); got != want {
 			t.Errorf("trial %d: Score(%v) = %v, evaluator on %v = %v", trial, starts, got, order, want)
 		}

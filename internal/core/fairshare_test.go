@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"schedsearch/internal/job"
@@ -59,12 +60,41 @@ func TestFairshareRedirectsService(t *testing.T) {
 	}
 }
 
+// TestFairshareRestoresInnerCost: the divisors are handed to one
+// decision, not installed on the inner scheduler, which decided directly
+// afterwards is back on the paper's objective.
 func TestFairshareRestoresInnerCost(t *testing.T) {
 	inner := New(DDS, HeuristicLXF, DynamicBound(), 1000)
-	fs := NewFairshare(inner, 10)
-	fs.Decide(fairshareScenario())
-	if inner.Cost != nil {
-		t.Error("wrapper left a cost function installed on the inner scheduler")
+	fs := NewFairshare(inner, 50)
+	warm := fairshareScenario()
+	warm.Now -= 50000
+	fs.Decide(warm)
+	if starts := fs.Decide(fairshareScenario()); !slices.Equal(starts, []int{1}) {
+		t.Fatalf("fairshare starts = %v, want [1]", starts)
+	}
+	if starts := inner.Decide(fairshareScenario()); !slices.Equal(starts, []int{0}) || inner.s.div != nil {
+		t.Errorf("inner scheduler after a fairshare decision: starts %v, divisors %v; want [0] and none", starts, inner.s.div)
+	}
+}
+
+// TestFairshareDecideAllocatesNothing: a steady fairshare decision
+// reuses its user set and divisors, and the inner search allocates
+// nothing either.
+func TestFairshareDecideAllocatesNothing(t *testing.T) {
+	fs := NewFairshare(New(DDS, HeuristicLXF, DynamicBound(), 1000), 50)
+	warm := fairshareScenario()
+	warm.Now -= 50000
+	fs.Decide(warm)
+	snap := fairshareScenario()
+	fs.Decide(snap)
+	allocs := testing.AllocsPerRun(100, func() {
+		snap.Now++ // each decision decays and accrues usage
+		if starts := fs.Decide(snap); len(starts) != 1 || starts[0] != 1 {
+			t.Fatalf("starts = %v, want [1]", starts)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a steady fairshare decision allocates %v times, want 0", allocs)
 	}
 }
 

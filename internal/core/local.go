@@ -90,7 +90,7 @@ func (ls *LocalScheduler) Decide(snap *sim.Snapshot) []int {
 
 	// Orderings are evaluated on the search's own profile, which the
 	// DDS pass (if any) has restored to the decision's starting state.
-	c0, sn0 := s.ev.Eval(s.ordered, order, nil, bound)
+	c0, sn0 := s.ev.Eval(s.ordered, order, bound)
 	bestCost := c0
 	bestStartNow := append([]bool(nil), sn0...) // eval reuses its slice
 	used := int64(n)
@@ -105,7 +105,7 @@ func (ls *LocalScheduler) Decide(snap *sim.Snapshot) []int {
 			k = (k + 1) % n
 		}
 		cur[i], cur[k] = cur[k], cur[i]
-		c, startNow := s.ev.Eval(s.ordered, cur, nil, bound)
+		c, startNow := s.ev.Eval(s.ordered, cur, bound)
 		used += int64(n)
 		if c.Less(curCost) {
 			curCost = c

@@ -45,46 +45,26 @@ func (c Cost) Less(o Cost) bool {
 	return c.Slowdown < o.Slowdown-eps
 }
 
-// CostFn scores the placement of one waiting job at a given start time.
-// The total cost of a schedule is the sum over its jobs. bound is the
-// target wait bound active at this decision point. Wherever this package
-// takes a CostFn, nil means HierarchicalCost.
+// hierarchicalCost is the paper's objective for one placement, summed
+// over a schedule's jobs: level 0 is the job's wait in excess of the
+// decision's bound (seconds), level 1 its bounded slowdown under the
+// runtime estimate the scheduler sees. A non-nil div divides the
+// slowdown by div[w.QueuePos], which Fairshare fills with values of at
+// least 1; nil is the paper's objective.
 //
-// Both components must be non-negative for every placement, a start
-// before the job's submit included. The search relies on it: a partial
-// schedule's cost then lower-bounds every completion of it, so a tail
-// whose partial cost is already no better than the incumbent's is
-// counted instead of walked, and Prune cuts such subtrees.
-type CostFn func(w sim.WaitingJob, start, now job.Time, bound job.Duration) Cost
-
-// HierarchicalCost is the paper's objective: level 0 accumulates the
-// job's wait in excess of the bound (seconds), level 1 accumulates the
-// job's bounded slowdown computed with the runtime estimate the
-// scheduler sees.
-func HierarchicalCost(w sim.WaitingJob, start, now job.Time, bound job.Duration) Cost {
-	return hierarchicalCost(&w, start, bound)
-}
-
-// hierarchicalCost is HierarchicalCost without the 64-byte job copy and
-// the indirect call: what a nil CostFn means on the search's hot path.
-func hierarchicalCost(w *sim.WaitingJob, start job.Time, bound job.Duration) Cost {
-	excess := (start - w.Job.Submit) - bound
-	if excess < 0 {
-		excess = 0
+// Both components are non-negative and non-decreasing in start, a start
+// before the job's submit included. The search relies on the first: a
+// partial schedule's cost then lower-bounds every completion of it, so a
+// tail whose partial cost is already no better than the incumbent's is
+// counted instead of walked, and Prune cuts such subtrees. The excess is
+// written with max, not a branch, so the function fits the inliner's
+// budget: the search adds one per node (DESIGN §10).
+func hierarchicalCost(w *sim.WaitingJob, start job.Time, bound job.Duration, div []float64) Cost {
+	sd := job.BoundedSlowdownAt(w.Job.Submit, w.Estimate, start)
+	if div != nil {
+		sd /= div[w.QueuePos]
 	}
-	return Cost{
-		float64(excess),
-		job.BoundedSlowdownAt(w.Job.Submit, w.Estimate, start),
-	}
-}
-
-// placementCost scores one placement under cost, nil meaning the
-// paper's HierarchicalCost.
-func placementCost(cost CostFn, w *sim.WaitingJob, start, now job.Time, bound job.Duration) Cost {
-	if cost == nil {
-		return hierarchicalCost(w, start, bound)
-	}
-	return cost(*w, start, now, bound)
+	return Cost{float64(max((start-w.Job.Submit)-bound, 0)), sd}
 }
 
 // BoundSpec selects the target wait bound of the first-level goal.

@@ -37,7 +37,7 @@ func collectPathsAlgo(t *testing.T, snap *sim.Snapshot, run func(*searchState)) 
 		copy(cp, path)
 		paths = append(paths, cp)
 	}
-	s.reset(snap, DFS, HeuristicFCFS, 0, HierarchicalCost, 1<<30, false)
+	s.reset(snap, DFS, HeuristicFCFS, 0, nil, 1<<30, false)
 	run(&s)
 	return paths
 }
@@ -61,7 +61,7 @@ func TestDFSWithinBudgetOnlyVariesTail(t *testing.T) {
 			prefixIntact = false
 		}
 	}
-	s.reset(snap, DFS, HeuristicFCFS, 0, HierarchicalCost, 100, false)
+	s.reset(snap, DFS, HeuristicFCFS, 0, nil, 100, false)
 	s.runDFS(0)
 	if !prefixIntact {
 		t.Error("budgeted DFS deviated in the first two positions; expected tail-only variation")
@@ -74,7 +74,7 @@ func TestDFSWithinBudgetOnlyVariesTail(t *testing.T) {
 			variedRoot = true
 		}
 	}
-	d.reset(snap, DDS, HeuristicFCFS, 0, HierarchicalCost, 100, false)
+	d.reset(snap, DDS, HeuristicFCFS, 0, nil, 100, false)
 	d.runDDS()
 	if !variedRoot {
 		t.Error("budgeted DDS never varied the root branch")

@@ -24,7 +24,7 @@ func flatQueueSnapshot(n int) *sim.Snapshot {
 // unlimited budget and returns the number of nodes it visits.
 func seqIterNodes(snap *sim.Snapshot, algo Algorithm, iter int) int64 {
 	var s searchState
-	s.reset(snap, algo, HeuristicFCFS, 0, HierarchicalCost, 1, false)
+	s.reset(snap, algo, HeuristicFCFS, 0, nil, 1, false)
 	s.limit = satCap
 	switch algo {
 	case LDS:
@@ -300,7 +300,7 @@ func TestShardBudgetAccounting(t *testing.T) {
 		limit := 1 + rng.Intn(300)
 		for _, algo := range []Algorithm{LDS, DDS} {
 			var s searchState
-			s.reset(snap, algo, HeuristicFCFS, 0, HierarchicalCost, limit, false)
+			s.reset(snap, algo, HeuristicFCFS, 0, nil, limit, false)
 			switch algo {
 			case LDS:
 				s.runLDS()

@@ -57,7 +57,7 @@ func (ps *PlanScorer) Score(snap *sim.Snapshot, starts []int) Cost {
 		}
 	}
 	ps.ev.Reset(snap)
-	total, _ := ps.ev.Eval(snap.Queue, ps.order, nil, bound)
+	total, _ := ps.ev.Eval(snap.Queue, ps.order, bound)
 	return total
 }
 

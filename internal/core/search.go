@@ -147,14 +147,12 @@ type Scheduler struct {
 	// shards and the merge prefers lowest cost, then lowest iteration.
 	// DFS and Prune runs are always sequential.
 	Workers int
-	// Cost scores job placements; nil means the paper's
-	// HierarchicalCost.
-	Cost CostFn
 	// Prune enables branch-and-bound pruning (the paper's future-work
 	// suggestion): a subtree is cut as soon as the partial schedule's
 	// cost is already no better than the best complete schedule, which
-	// is admissible under CostFn's non-negativity contract. Off by
-	// default (paper-faithful search: every node counted).
+	// is admissible because every placement's cost is non-negative
+	// (hierarchicalCost). Off by default (paper-faithful search: every
+	// node counted).
 	Prune bool
 
 	// SearchStats accumulates effort counters across the run.
@@ -214,7 +212,11 @@ func (sch *Scheduler) Name() string {
 
 // Decide implements sim.Policy. The returned slice is reused by the
 // next Decide.
-func (sch *Scheduler) Decide(snap *sim.Snapshot) []int {
+func (sch *Scheduler) Decide(snap *sim.Snapshot) []int { return sch.decide(snap, nil) }
+
+// decide is Decide with the slowdown divisors of hierarchicalCost, nil
+// for the paper's objective (Fairshare passes its own).
+func (sch *Scheduler) decide(snap *sim.Snapshot, div []float64) []int {
 	n := len(snap.Queue)
 	if n == 0 {
 		// Nothing to schedule — and nothing from the previous decision
@@ -229,7 +231,7 @@ func (sch *Scheduler) Decide(snap *sim.Snapshot) []int {
 
 	t0 := time.Now()
 	s := &sch.s
-	skip := s.prepare(snap, sch.Algorithm, sch.Heuristic, sch.Bound.At(snap), sch.Cost, max(sch.NodeLimit, 1), sch.Prune)
+	skip := s.prepare(snap, sch.Algorithm, sch.Heuristic, sch.Bound.At(snap), div, max(sch.NodeLimit, 1), sch.Prune)
 	// The incumbent-improvement log feeds LastDecision's cost
 	// trajectory (engine.Audit). Recording is strictly passive: leaf
 	// and the parallel merge append to a reused slice exactly at the
@@ -369,7 +371,7 @@ func (sch *Scheduler) LastDecision() DecisionSummary { return sch.lastDecision }
 // allocation churn.
 type searchState struct {
 	bound job.Duration
-	cost  CostFn
+	div   []float64 // hierarchicalCost's slowdown divisors; nil: the paper's
 	// limit is the node budget for this state's run; parallel workers
 	// receive per-iteration shards here (possibly unbounded).
 	limit  int64
@@ -450,14 +452,14 @@ type improvement struct {
 // on the search's own profile, no ordering starts a job now: skip, and
 // the budget is 1 (parallel path included) — the heuristic schedule,
 // which iteration 0 always completes.
-func (s *searchState) prepare(snap *sim.Snapshot, algo Algorithm, h Heuristic, bound job.Duration, cost CostFn, limit int, prune bool) (skip bool) {
+func (s *searchState) prepare(snap *sim.Snapshot, algo Algorithm, h Heuristic, bound job.Duration, div []float64, limit int, prune bool) (skip bool) {
 	s.load(snap, h)
 	free := s.ev.prof.FreeAt(snap.Now)
 	skip = !slices.ContainsFunc(s.ordered, func(w sim.WaitingJob) bool { return w.Job.Nodes <= free })
 	if skip {
 		limit = 1
 	}
-	s.arm(algo, bound, cost, limit, prune)
+	s.arm(algo, bound, div, limit, prune)
 	return skip
 }
 
@@ -469,8 +471,8 @@ func (s *searchState) load(snap *sim.Snapshot, h Heuristic) {
 }
 
 // arm sets the decision's objective and budget and clears the search.
-func (s *searchState) arm(algo Algorithm, bound job.Duration, cost CostFn, limit int, prune bool) {
-	s.bound, s.cost, s.limit, s.prune, s.hardBudget = bound, cost, int64(limit), prune, false
+func (s *searchState) arm(algo Algorithm, bound job.Duration, div []float64, limit int, prune bool) {
+	s.bound, s.div, s.limit, s.prune, s.hardBudget = bound, div, int64(limit), prune, false
 	s.resetSearch()
 	s.tab.reset(algo != DFS && !prune && s.leafHook == nil && !s.noTable, len(s.ordered), s.limit)
 }
@@ -480,7 +482,7 @@ func (s *searchState) arm(algo Algorithm, bound job.Duration, cost CostFn, limit
 // its own table, kept across the iterations it runs for this decision.
 func (s *searchState) resetWorker(snap *sim.Snapshot, master *searchState) {
 	s.bound = master.bound
-	s.cost = master.cost
+	s.div = master.div
 	s.limit = master.limit
 	s.prune = false
 	s.hardBudget = false
@@ -631,7 +633,7 @@ func (s *searchState) visit(oi int, ctx int32, down func()) bool {
 	now := s.ev.now
 	start, pl := s.ev.prof.PlaceEarliest(now, w.Job.Nodes, w.PlanEstimate())
 	prevCost := s.curCost
-	s.curCost = prevCost.Add(placementCost(s.cost, w, start, now, s.bound))
+	s.curCost = prevCost.Add(hierarchicalCost(w, start, s.bound, s.div))
 	s.unlink(oi)
 	s.curStartNow[oi] = start == now
 	s.curStart[oi] = start
@@ -699,7 +701,7 @@ func (s *searchState) tail() {
 		} else {
 			start, _ = prof.PlaceEarliest(now, w.Job.Nodes, w.PlanEstimate())
 		}
-		s.curCost = s.curCost.Add(placementCost(s.cost, w, start, now, s.bound))
+		s.curCost = s.curCost.Add(hierarchicalCost(w, start, s.bound, s.div))
 		s.curStartNow[oi] = start == now
 		s.curStart[oi] = start
 		s.curPath = append(s.curPath, oi)

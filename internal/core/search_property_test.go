@@ -156,7 +156,7 @@ func iterationLeaves(t *testing.T, n int, algo Algorithm, iter int) [][]int {
 	s.leafHook = func(path []int, _ Cost) {
 		paths = append(paths, append([]int(nil), path...))
 	}
-	s.reset(snap, algo, HeuristicFCFS, 0, HierarchicalCost, 1, false)
+	s.reset(snap, algo, HeuristicFCFS, 0, nil, 1, false)
 	s.limit = satCap
 	switch algo {
 	case LDS:

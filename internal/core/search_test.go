@@ -25,9 +25,9 @@ func fourJobSnapshot() *sim.Snapshot {
 
 // reset is prepare without its shortcut: the unguarded decision the
 // tests walk, whatever fits the free nodes.
-func (s *searchState) reset(snap *sim.Snapshot, algo Algorithm, h Heuristic, bound job.Duration, cost CostFn, limit int, prune bool) {
+func (s *searchState) reset(snap *sim.Snapshot, algo Algorithm, h Heuristic, bound job.Duration, div []float64, limit int, prune bool) {
 	s.load(snap, h)
-	s.arm(algo, bound, cost, limit, prune)
+	s.arm(algo, bound, div, limit, prune)
 }
 
 // collectPaths runs one algorithm with unlimited budget and returns the
@@ -42,7 +42,7 @@ func collectPaths(t *testing.T, snap *sim.Snapshot, algo Algorithm, limit int) [
 		copy(cp, path)
 		paths = append(paths, cp)
 	}
-	s.reset(snap, algo, HeuristicFCFS, 0, HierarchicalCost, limit, false)
+	s.reset(snap, algo, HeuristicFCFS, 0, nil, limit, false)
 	switch algo {
 	case LDS:
 		s.runLDS()
@@ -237,7 +237,7 @@ func TestIterationPathCountsMatchFormulas(t *testing.T) {
 func TestBudgetStopsSearch(t *testing.T) {
 	snap := fourJobSnapshot()
 	var s searchState
-	s.reset(snap, DDS, HeuristicFCFS, 0, HierarchicalCost, 4, false)
+	s.reset(snap, DDS, HeuristicFCFS, 0, nil, 4, false)
 	s.runDDS()
 	if !s.aborted {
 		t.Error("search with L=4 over a 64-node tree did not abort")
@@ -255,7 +255,7 @@ func TestBudgetStopsSearch(t *testing.T) {
 func TestFirstScheduleAlwaysCompletes(t *testing.T) {
 	snap := fourJobSnapshot()
 	var s searchState
-	s.reset(snap, LDS, HeuristicFCFS, 0, HierarchicalCost, 1, false)
+	s.reset(snap, LDS, HeuristicFCFS, 0, nil, 1, false)
 	s.runLDS()
 	if !s.bestFound {
 		t.Fatal("no schedule found with L=1")

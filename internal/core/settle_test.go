@@ -31,18 +31,17 @@ func settleLoses() *sim.Snapshot {
 	return handSnapshot(4, [3]int64{1, 1000, 60}, [3]int64{1, 990, 60}, [3]int64{1, 980, 60}, [3]int64{4, 100, 10000})
 }
 
-// settleTies is a decision point where, under delayCost, a path reaches
-// the incumbent's cost exactly with a job left that costs nothing: the
-// heuristic runs the first two-node job now and delays the second, the
-// discrepancy swaps them, and the one-node job starts now either way.
+// settleTies is a decision point where, under the paper's cost, a path
+// reaches the incumbent's cost bit for bit with a job left to place. Two
+// nodes; a one-node job that has waited 1100 s (the dynB bound), a
+// two-node job that has waited 900 s and a fresh ten-second one-node
+// job. The LXF heuristic runs the two-node job now and the other two at
+// 100: excess 100, slowdowns 10 + 5 + 8/3. The discrepancy that starts
+// the long waiter first delays the two-node job to 300: excess 100,
+// slowdowns 14/3 + 13, the same float64, with the fresh job still to
+// place.
 func settleTies() *sim.Snapshot {
-	return handSnapshot(3, [3]int64{2, 1000, 100}, [3]int64{2, 900, 100}, [3]int64{1, 800, 100})
-}
-
-// delayCost charges a placement its delay past now: a job that starts
-// now costs nothing.
-func delayCost(_ sim.WaitingJob, start, now job.Time, _ job.Duration) Cost {
-	return Cost{0, float64(start - now)}
+	return handSnapshot(2, [3]int64{1, 1100, 300}, [3]int64{2, 900, 100}, [3]int64{1, 0, 10})
 }
 
 // TestSettleCountsTheWalk checks settle on hand-built decision points,
@@ -70,11 +69,11 @@ func TestSettleCountsTheWalk(t *testing.T) {
 			Stats{Nodes: 16, Leaves: 4, BudgetHits: 1, NodesToBest: 4, SettledNodes: 2}},
 		{"budget ends inside the tail", tableCase{algo: DDS, limit: 15}, loses,
 			Stats{Nodes: 15, Leaves: 3, BudgetHits: 1, NodesToBest: 4, SettledNodes: 1}},
-		// The swapped path reaches the incumbent's 100 s with the one-node
-		// job left: it settles, and the first incumbent (node 3) stays.
-		{"exact tie", tableCase{algo: DDS, limit: 1 << 30, cost: delayCost}, ties,
+		// A path reaches the incumbent's cost exactly with a job left: it
+		// settles, and the first incumbent (node 3) stays.
+		{"exact tie", tableCase{algo: DDS, limit: 1 << 30}, ties,
 			Stats{Nodes: 18, Leaves: 6, NodesToBest: 3, SettledNodes: 1}},
-		{"exact tie", tableCase{algo: LDS, limit: 1 << 30, cost: delayCost}, ties,
+		{"exact tie", tableCase{algo: LDS, limit: 1 << 30}, ties,
 			Stats{Nodes: 18, Leaves: 6, NodesToBest: 3, SettledNodes: 1}},
 		{"prune", tableCase{algo: DDS, limit: 1 << 30, prune: true}, loses,
 			Stats{Nodes: 72, Leaves: 1, Pruned: 23, NodesToBest: 4}},

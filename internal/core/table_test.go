@@ -57,14 +57,12 @@ func nextSnapshot(rng *rand.Rand, snap *sim.Snapshot) *sim.Snapshot {
 	return &next
 }
 
-// tableCase is one configuration of the table-versus-walk comparison;
-// a nil cost is the paper's.
+// tableCase is one configuration of the table-versus-walk comparison.
 type tableCase struct {
 	algo    Algorithm
 	limit   int
 	prune   bool
 	workers int
-	cost    CostFn
 }
 
 func (c tableCase) String() string {
@@ -73,7 +71,7 @@ func (c tableCase) String() string {
 
 func (c tableCase) scheduler() *Scheduler {
 	sch := New(c.algo, HeuristicLXF, DynamicBound(), c.limit)
-	sch.Prune, sch.Workers, sch.Cost = c.prune, c.workers, c.cost
+	sch.Prune, sch.Workers = c.prune, c.workers
 	return sch
 }
 

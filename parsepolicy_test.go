@@ -250,14 +250,6 @@ func TestFacadeConstructors(t *testing.T) {
 			schedsearch.DynamicBound(), 300)
 		run(t, schedsearch.NewFairshareScheduler(inner, 0.5))
 	})
-	t.Run("CostFn", func(t *testing.T) {
-		p := schedsearch.NewSearchScheduler(schedsearch.DDS, schedsearch.HeuristicLXF,
-			schedsearch.DynamicBound(), 300)
-		p.Cost = func(w schedsearch.WaitingJob, start, now, bound int64) core.Cost {
-			return core.HierarchicalCost(w, start, now, bound/2)
-		}
-		run(t, p)
-	})
 	t.Run("NewUserHistoryPredictor", func(t *testing.T) {
 		est := schedsearch.NewUserHistoryPredictor()
 		p := schedsearch.NewSearchScheduler(schedsearch.DDS, schedsearch.HeuristicLXF,

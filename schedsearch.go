@@ -70,10 +70,6 @@ type (
 	SearchScheduler = core.Scheduler
 	// BoundSpec selects the target wait bound of the search objective.
 	BoundSpec = core.BoundSpec
-	// CostFn customizes the search objective; nil means the paper's
-	// hierarchical cost. Its components must be non-negative (see
-	// core.CostFn).
-	CostFn = core.CostFn
 	// Backfill is the EASY-style priority-backfill policy family.
 	Backfill = policy.Backfill
 )

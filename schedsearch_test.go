@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"schedsearch"
-	"schedsearch/internal/core"
 	"schedsearch/internal/job"
 	"schedsearch/internal/trace"
 )
@@ -134,22 +133,5 @@ func TestMonthLabels(t *testing.T) {
 	labels := schedsearch.MonthLabels()
 	if len(labels) != 10 || labels[0] != "6/03" || labels[9] != "3/04" {
 		t.Errorf("labels = %v", labels)
-	}
-}
-
-func TestCustomCostFnRuns(t *testing.T) {
-	suite := schedsearch.NewSuite(schedsearch.SuiteConfig{Seed: 1, JobScale: 0.1})
-	sch := schedsearch.NewSearchScheduler(schedsearch.DDS, schedsearch.HeuristicLXF,
-		schedsearch.DynamicBound(), 500)
-	// A custom objective: the paper's cost held to half the active bound.
-	sch.Cost = func(w schedsearch.WaitingJob, start, now, bound int64) core.Cost {
-		return core.HierarchicalCost(w, start, now, bound/2)
-	}
-	sum, _, err := schedsearch.RunMonth(suite, "6/03", schedsearch.SimOptions{}, sch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Jobs == 0 {
-		t.Fatal("no jobs measured")
 	}
 }
