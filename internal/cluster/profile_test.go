@@ -90,6 +90,30 @@ func TestProfileEmpty(t *testing.T) {
 	}
 }
 
+// TestCheckInvariantsRejects hands CheckInvariants broken step lists,
+// each breaking one invariant only, and requires an error for each: the
+// tests that lean on the checker are only as strict as it is.
+func TestCheckInvariantsRejects(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		steps []step
+	}{
+		{"empty", nil},
+		{"overfull", []step{{0, 4}, {10, 1}, {20, -1}}},
+		{"negative free", []step{{0, 4}, {10, -5}, {20, 5}}},
+		{"steps out of order", []step{{0, 2}, {10, 1}, {10, 1}}},
+		{"final free short of capacity", []step{{0, 4}, {10, -1}}},
+	} {
+		p := &Profile{capacity: 4, steps: c.steps}
+		if err := p.CheckInvariants(); err == nil {
+			t.Errorf("%s: steps %v pass CheckInvariants", c.name, c.steps)
+		}
+	}
+	if err := (&Profile{capacity: 4, steps: []step{{0, 4}, {10, -3}, {20, 3}}}).CheckInvariants(); err != nil {
+		t.Errorf("a valid profile fails: %v", err)
+	}
+}
+
 func TestProfilePlaceThenFit(t *testing.T) {
 	p := New(10, 0)
 	p.Place(0, 10, 100) // machine full for [0, 100)
